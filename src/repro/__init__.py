@@ -27,57 +27,34 @@ Quickstart
 True
 """
 
-from repro.app.ftp import FtpSource
-from repro.config import TcpConfig
-from repro.core.robust_recovery import RobustRecoverySender, RrPhase
-from repro.errors import (
-    CallbackError,
-    ConfigurationError,
-    InvariantViolation,
-    ProtocolError,
-    ReproError,
-    SchedulingError,
-    SimulationError,
-    TopologyError,
-)
-from repro.faults import CampaignRunner, CampaignSpec, FaultPlan
-from repro.metrics.flowstats import FlowStats
-from repro.net.loss import AckLoss, DeterministicLoss, UniformLoss
-from repro.net.red import RedParams, RedQueue
-from repro.net.queues import DropTailQueue
-from repro.net.topology import Dumbbell, DumbbellParams
-from repro.sim.engine import Simulator
-from repro.tcp.factory import VARIANTS, make_connection
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "Simulator",
-    "TcpConfig",
-    "Dumbbell",
-    "DumbbellParams",
-    "DropTailQueue",
-    "RedParams",
-    "RedQueue",
-    "UniformLoss",
-    "DeterministicLoss",
-    "AckLoss",
-    "RobustRecoverySender",
-    "RrPhase",
-    "FlowStats",
-    "FtpSource",
-    "VARIANTS",
-    "make_connection",
-    "ReproError",
-    "SimulationError",
-    "SchedulingError",
-    "CallbackError",
-    "InvariantViolation",
-    "ConfigurationError",
-    "TopologyError",
-    "ProtocolError",
-    "FaultPlan",
-    "CampaignSpec",
-    "CampaignRunner",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "app.ftp": ("FtpSource",),
+        "config": ("TcpConfig",),
+        "core.robust_recovery": ("RobustRecoverySender", "RrPhase"),
+        "errors": (
+            "CallbackError",
+            "ConfigurationError",
+            "InvariantViolation",
+            "ProtocolError",
+            "ReproError",
+            "SchedulingError",
+            "SimulationError",
+            "TopologyError",
+        ),
+        "faults": ("CampaignRunner", "CampaignSpec", "FaultPlan"),
+        "metrics.flowstats": ("FlowStats",),
+        "net.loss": ("AckLoss", "DeterministicLoss", "UniformLoss"),
+        "net.red": ("RedParams", "RedQueue"),
+        "net.queues": ("DropTailQueue",),
+        "net.topology": ("Dumbbell", "DumbbellParams"),
+        "sim.engine": ("Simulator",),
+        "tcp.factory": ("VARIANTS", "make_connection"),
+    },
+)
+__all__.insert(0, "__version__")

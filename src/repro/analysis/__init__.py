@@ -1,16 +1,16 @@
 """High-level analysis: run variant matrices over a scenario and
 aggregate across seeds."""
 
-from repro.analysis.compare import (
-    ComparisonConfig,
-    ComparisonResult,
-    compare_variants,
-    format_comparison,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ComparisonConfig",
-    "ComparisonResult",
-    "compare_variants",
-    "format_comparison",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "compare": (
+            "ComparisonConfig",
+            "ComparisonResult",
+            "compare_variants",
+            "format_comparison",
+        ),
+    },
+)

@@ -1,27 +1,21 @@
 """Application layer: traffic sources driving the TCP agents."""
 
-from repro.app.ftp import FtpSource
-from repro.app.workload import (
-    FixedSize,
-    JitteredArrivals,
-    LognormalSizes,
-    OnOffSource,
-    ParetoSizes,
-    PoissonArrivals,
-    PoissonTransfers,
-    StaggeredArrivals,
-    TransferRecord,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FtpSource",
-    "PoissonTransfers",
-    "OnOffSource",
-    "TransferRecord",
-    "FixedSize",
-    "ParetoSizes",
-    "LognormalSizes",
-    "PoissonArrivals",
-    "StaggeredArrivals",
-    "JitteredArrivals",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "ftp": ("FtpSource",),
+        "workload": (
+            "FixedSize",
+            "JitteredArrivals",
+            "LognormalSizes",
+            "OnOffSource",
+            "ParetoSizes",
+            "PoissonArrivals",
+            "PoissonTransfers",
+            "StaggeredArrivals",
+            "TransferRecord",
+        ),
+    },
+)

@@ -1,6 +1,11 @@
 """The paper's primary contribution: the Robust Recovery (RR) TCP
 congestion-recovery algorithm (Wang & Shin, ICDCS 2001)."""
 
-from repro.core.robust_recovery import RobustRecoverySender, RrPhase
+from repro._lazy import lazy_exports
 
-__all__ = ["RobustRecoverySender", "RrPhase"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "robust_recovery": ("RobustRecoverySender", "RrPhase"),
+    },
+)

@@ -6,52 +6,29 @@ Every harness exposes:
 * a ``*Config`` dataclass with the paper's parameters as defaults,
 * a ``run_*`` function returning a structured result object,
 * a ``format_report`` function rendering the paper-vs-measured rows,
+* a ``run_cli`` adapter from parsed command-line options to the report,
 
 and is runnable from the command line via ``python -m repro.experiments
-<id>`` (see :mod:`repro.experiments.cli`).
+<id>`` (see :mod:`repro.experiments.cli`, which imports a harness when
+its id is selected).
 """
 
-from repro.experiments.chaos import ChaosConfig, run_chaos
-from repro.experiments.common import ScenarioResult, build_dumbbell_scenario
-from repro.experiments.figure5 import Figure5Config, run_figure5
-from repro.experiments.figure6 import Figure6Config, run_figure6
-from repro.experiments.figure7 import Figure7Config, run_figure7
-from repro.experiments.manyflow import ManyflowConfig, run_manyflow
-from repro.experiments.rivals import RivalsConfig, run_rivals
-from repro.experiments.table5 import Table5Config, run_table5
-from repro.experiments.ackloss import AckLossConfig, run_ackloss
-from repro.experiments.ablation import AblationConfig, run_ablation
-from repro.experiments.replication import Summary, format_summaries, replicate, summarize
-from repro.experiments.vegas_decomposition import (
-    VegasDecompositionConfig,
-    run_vegas_decomposition,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChaosConfig",
-    "run_chaos",
-    "ScenarioResult",
-    "build_dumbbell_scenario",
-    "Figure5Config",
-    "run_figure5",
-    "Figure6Config",
-    "run_figure6",
-    "Figure7Config",
-    "run_figure7",
-    "ManyflowConfig",
-    "run_manyflow",
-    "RivalsConfig",
-    "run_rivals",
-    "Table5Config",
-    "run_table5",
-    "AckLossConfig",
-    "run_ackloss",
-    "AblationConfig",
-    "run_ablation",
-    "Summary",
-    "summarize",
-    "replicate",
-    "format_summaries",
-    "VegasDecompositionConfig",
-    "run_vegas_decomposition",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "chaos": ("ChaosConfig", "run_chaos"),
+        "common": ("ScenarioResult", "build_dumbbell_scenario"),
+        "figure5": ("Figure5Config", "run_figure5"),
+        "figure6": ("Figure6Config", "run_figure6"),
+        "figure7": ("Figure7Config", "run_figure7"),
+        "manyflow": ("ManyflowConfig", "run_manyflow"),
+        "rivals": ("RivalsConfig", "run_rivals"),
+        "table5": ("Table5Config", "run_table5"),
+        "ackloss": ("AckLossConfig", "run_ackloss"),
+        "ablation": ("AblationConfig", "run_ablation"),
+        "replication": ("Summary", "format_summaries", "replicate", "summarize"),
+        "vegas_decomposition": ("VegasDecompositionConfig", "run_vegas_decomposition"),
+    },
+)

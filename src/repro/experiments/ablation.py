@@ -220,6 +220,17 @@ def format_report(result: AblationResult) -> str:
     return "\n".join(lines)
 
 
+def run_cli(args, runner, manifest=None):
+    """``python -m repro.experiments`` adapter: parsed CLI options ->
+    ``(report, result, export id)`` (see :mod:`repro.experiments.cli`)."""
+    config = AblationConfig()
+    if args.quick:
+        config.transfer_packets = 300
+        config.sim_duration = 30.0
+    result = run_ablation(config, runner=runner, manifest=manifest)
+    return format_report(result), None, None
+
+
 def main() -> None:  # pragma: no cover - CLI glue
     print(format_report(run_ablation()))
 

@@ -34,16 +34,8 @@ from repro.metrics.throughput import goodput_bps
 from repro.net.loss import AckLoss, DeterministicLoss
 from repro.net.packet import set_uid_state
 from repro.net.topology import DumbbellParams
-from repro.runner import (
-    PrefixSpec,
-    SnapshotStore,
-    SweepRunner,
-    TaskSpec,
-    fetch_prefix,
-    step_until,
-    warm_specs,
-    warm_start_decision,
-)
+from repro import runner as sweep  # warm-start names load on first use
+from repro.runner import SweepRunner, TaskSpec
 from repro.sim.rng import RngStream
 from repro.viz.ascii import format_table
 
@@ -108,7 +100,7 @@ def prefix_world(variant: str, config: AckLossConfig):
     )
     sender = scenario.senders[1]
     target = config.first_drop_seq - WARM_MARGIN_PACKETS
-    step_until(
+    sweep.step_until(
         scenario.sim,
         lambda: sender.maxseq >= target,
         step=WARM_STEP_SECONDS,
@@ -122,8 +114,8 @@ def prefix_world(variant: str, config: AckLossConfig):
     return scenario
 
 
-def prefix_spec(variant: str, config: AckLossConfig) -> PrefixSpec:
-    return PrefixSpec(
+def prefix_spec(variant: str, config: AckLossConfig) -> sweep.PrefixSpec:
+    return sweep.PrefixSpec(
         fn="repro.experiments.ackloss:prefix_world",
         args=(variant, config),
         label=f"ackloss warm prefix {variant}",
@@ -178,7 +170,7 @@ def run_point_from_snapshot(
 ) -> AckLossRow:
     """One (variant, rate) point with every run restored from the frozen
     pre-burst prefix."""
-    snapshot = fetch_prefix(digest, store_root)
+    snapshot = sweep.fetch_prefix(digest, store_root)
     measurements = [
         _measure_from(
             snapshot.restore(verify=False), variant, ack_rate, run, config
@@ -192,7 +184,7 @@ def run_ackloss(
     config: Optional[AckLossConfig] = None,
     runner: Optional[SweepRunner] = None,
     warm_start: bool = False,
-    store: Optional[SnapshotStore] = None,
+    store: Optional[sweep.SnapshotStore] = None,
     manifest: Optional["RunManifest"] = None,
 ) -> AckLossResult:
     """Regenerate the ACK-loss grid.
@@ -216,9 +208,9 @@ def run_ackloss(
     ]
     prefix_for = lambda cell: prefix_spec(cell[0], config)  # noqa: E731
     if warm_start:
-        store = store or SnapshotStore()
+        store = store or sweep.SnapshotStore()
         if warm_start != "force":
-            decision = warm_start_decision(
+            decision = sweep.warm_start_decision(
                 cells, prefix_for, WARM_PREFIX_FRACTION, store
             )
             if not decision.use_warm:
@@ -227,7 +219,7 @@ def run_ackloss(
                 warm_start = False
     if warm_start:
         store_arg = str(store.root)
-        specs = warm_specs(
+        specs = sweep.warm_specs(
             cells,
             prefix_for=prefix_for,
             spec_for=lambda cell, digest: TaskSpec(
@@ -282,6 +274,20 @@ def format_report(result: AckLossResult) -> str:
         " signals) and keeps outperforming New-Reno as ACK loss grows."
     )
     return "\n".join(lines)
+
+
+def run_cli(args, runner, manifest=None):
+    """``python -m repro.experiments`` adapter: parsed CLI options ->
+    ``(report, result, export id)`` (see :mod:`repro.experiments.cli`)."""
+    config = AckLossConfig()
+    if args.quick:
+        config.ack_loss_rates = (0.0, 0.1)
+        config.runs_per_point = 1
+        config.sim_duration = 30.0
+    result = run_ackloss(
+        config, runner=runner, warm_start=args.warm_start, manifest=manifest
+    )
+    return format_report(result), None, None
 
 
 def main() -> None:  # pragma: no cover - CLI glue

@@ -159,6 +159,17 @@ def format_report(result: BurstChannelResult) -> str:
     return "\n".join(lines)
 
 
+def run_cli(args, runner, manifest=None):
+    """``python -m repro.experiments`` adapter: parsed CLI options ->
+    ``(report, result, export id)`` (see :mod:`repro.experiments.cli`)."""
+    config = BurstChannelConfig()
+    if args.quick:
+        config.runs_per_point = 1
+        config.transfer_packets = 200
+    result = run_burstchannel(config, runner=runner, manifest=manifest)
+    return format_report(result), result, "burst"
+
+
 def main() -> None:  # pragma: no cover - CLI glue
     print(format_report(run_burstchannel()))
 

@@ -467,6 +467,25 @@ def format_report(result: ChaosResult) -> str:
     return "\n".join(lines)
 
 
+def run_cli(args, runner, manifest=None):
+    """``python -m repro.experiments`` adapter: parsed CLI options ->
+    ``(report, result, export id)`` (see :mod:`repro.experiments.cli`)."""
+    config = ChaosConfig()
+    if args.quick:
+        config.seeds = 2
+        config.variants = ("newreno", "rr")
+        config.transfer_packets = 600
+    if args.seeds is not None:
+        config.seeds = args.seeds
+    if args.variants:
+        config.variants = tuple(args.variants)
+    if args.triage:
+        config.triage = True
+        config.snapshot_store_root = str(SnapshotStore().root)
+    result = run_chaos(config, runner=runner, manifest=manifest)
+    return format_report(result), None, None
+
+
 def main() -> None:  # pragma: no cover - CLI glue
     print(format_report(run_chaos()))
 

@@ -35,211 +35,32 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from pathlib import Path
 from typing import List, Optional
 
-from repro.experiments import (
-    ablation,
-    ackloss,
-    burstchannel,
-    chaos,
-    figure5,
-    figure6,
-    figure7,
-    identify,
-    manyflow,
-    rivals,
-    table5,
-    vegas_decomposition,
-)
-from repro.obs import RunTelemetry
-from repro.runner import ResultCache, SweepRunner
+from repro.obs.telemetry import RunTelemetry
+from repro.runner.cache import ResultCache
+from repro.runner.pool import SweepRunner
+from repro.runner.resilience import RetryPolicy
 
-
-def _warm(args) -> bool:
-    return bool(getattr(args, "warm_start", False))
-
-
-def _run_fig5(args, runner, manifest=None):
-    config = figure5.Figure5Config()
-    if args.quick:
-        config.transfer_packets = 300
-        config.sim_duration = 30.0
-    result = figure5.run_figure5(
-        config, runner=runner, warm_start=_warm(args), manifest=manifest
-    )
-    return figure5.format_report(result), result, "fig5"
-
-
-def _run_fig6(args, runner, manifest=None):
-    config = figure6.Figure6Config()
-    if args.quick:
-        config.duration = 3.0
-    result = figure6.run_figure6(
-        config, runner=runner, warm_start=_warm(args), manifest=manifest
-    )
-    return figure6.format_report(result, plots=not args.quick), result, "fig6"
-
-
-def _run_fig7(args, runner, manifest=None):
-    config = figure7.Figure7Config()
-    if args.quick:
-        config.loss_rates = (0.01, 0.05, 0.1)
-        config.duration = 30.0
-        config.runs_per_point = 1
-    result = figure7.run_figure7(
-        config, runner=runner, warm_start=_warm(args), manifest=manifest
-    )
-    return figure7.format_report(result, plot=not args.quick), result, "fig7"
-
-
-def _run_table5(args, runner, manifest=None):
-    config = table5.Table5Config()
-    if args.quick:
-        config.sim_duration = 90.0
-        config.runs_per_case = 2
-    result = table5.run_table5(
-        config, runner=runner, warm_start=_warm(args), manifest=manifest
-    )
-    return table5.format_report(result), result, "table5"
-
-
-def _run_burst(args, runner, manifest=None):
-    config = burstchannel.BurstChannelConfig()
-    if args.quick:
-        config.runs_per_point = 1
-        config.transfer_packets = 200
-    result = burstchannel.run_burstchannel(config, runner=runner, manifest=manifest)
-    return burstchannel.format_report(result), result, "burst"
-
-
-def _run_ackloss(args, runner, manifest=None):
-    config = ackloss.AckLossConfig()
-    if args.quick:
-        config.ack_loss_rates = (0.0, 0.1)
-        config.runs_per_point = 1
-        config.sim_duration = 30.0
-    result = ackloss.run_ackloss(
-        config, runner=runner, warm_start=_warm(args), manifest=manifest
-    )
-    return ackloss.format_report(result), None, None
-
-
-def _run_ablation(args, runner, manifest=None):
-    config = ablation.AblationConfig()
-    if args.quick:
-        config.transfer_packets = 300
-        config.sim_duration = 30.0
-    return (
-        ablation.format_report(
-            ablation.run_ablation(config, runner=runner, manifest=manifest)
-        ),
-        None,
-        None,
-    )
-
-
-def _run_vegas(args, runner, manifest=None):
-    config = vegas_decomposition.VegasDecompositionConfig()
-    if args.quick:
-        config.transfer_packets = 200
-        config.sim_duration = 60.0
-    return vegas_decomposition.format_report(
-        vegas_decomposition.run_vegas_decomposition(
-            config, runner=runner, manifest=manifest
-        )
-    ), None, None
-
-
-def _run_manyflow(args, runner, manifest=None):
-    config = manyflow.ManyflowConfig()
-    if getattr(args, "scene", None):
-        config.family = args.scene
-    if getattr(args, "delayed_ack", False):
-        config.delayed_ack = True
-    if getattr(args, "ecn", False):
-        config.ecn = True
-    if args.quick:
-        config.flow_counts = (25,)
-        config.max_ps = (0.02,)
-        config.duration = 10.0
-    result = manyflow.run_manyflow(
-        config, runner=runner, warm_start=_warm(args), manifest=manifest
-    )
-    return manyflow.format_report(result), result, "manyflow"
-
-
-def _run_rivals(args, runner, manifest=None):
-    config = rivals.RivalsConfig()
-    if getattr(args, "delayed_ack", False):
-        config.force_delayed_ack = True
-    if getattr(args, "ecn", False):
-        config.force_ecn = True
-    if args.quick:
-        config.rivals = ("cubic", "relentless")
-        config.regimes = ("delack", "ecn-red", "mobile")
-        config.duration = 10.0
-        config.model_loss_rates = (0.03,)
-        config.model_duration = 40.0
-    result = rivals.run_rivals(
-        config, runner=runner, warm_start=_warm(args), manifest=manifest
-    )
-    return rivals.format_report(result), result, "rivals"
-
-
-def _run_identify(args, runner, manifest=None):
-    config = identify.IdentifyConfig()
-    if getattr(args, "variants", None):
-        config.variants = tuple(args.variants)
-    if getattr(args, "grid", None):
-        config.grid = args.grid
-    result = identify.run_identify(config, runner=runner, manifest=manifest)
-    report = identify.format_report(result)
-    if result.diverged:
-        # The CI smoke step leans on this: a variant behaving unlike
-        # its declaration must fail the invocation, not just print.
-        raise RuntimeError(
-            f"{len(result.diverged)}/{len(result.rows)} runs identified as"
-            f" a different variant than declared\n{report}"
-        )
-    return report, None, None
-
-
-def _run_chaos(args, runner, manifest=None):
-    config = chaos.ChaosConfig()
-    if args.quick:
-        config.seeds = 2
-        config.variants = ("newreno", "rr")
-        config.transfer_packets = 600
-    if getattr(args, "seeds", None) is not None:
-        config.seeds = args.seeds
-    if getattr(args, "variants", None):
-        config.variants = tuple(args.variants)
-    if getattr(args, "triage", False):
-        from repro.runner import SnapshotStore
-
-        config.triage = True
-        config.snapshot_store_root = str(SnapshotStore().root)
-    return (
-        chaos.format_report(chaos.run_chaos(config, runner=runner, manifest=manifest)),
-        None,
-        None,
-    )
-
-
+#: Experiment id -> harness module under :mod:`repro.experiments`.  A
+#: harness is imported when its id is selected (``--list``, ``fsck`` and
+#: ``snapshot inspect`` import none); its ``run_cli(args, runner,
+#: manifest)`` maps the parsed options to ``(report, result, export id)``.
 EXPERIMENTS = {
-    "fig5": _run_fig5,
-    "fig6": _run_fig6,
-    "fig7": _run_fig7,
-    "table5": _run_table5,
-    "ackloss": _run_ackloss,
-    "ablation": _run_ablation,
-    "vegas": _run_vegas,
-    "burst": _run_burst,
-    "chaos": _run_chaos,
-    "manyflow": _run_manyflow,
-    "rivals": _run_rivals,
-    "identify": _run_identify,
+    "fig5": "figure5",
+    "fig6": "figure6",
+    "fig7": "figure7",
+    "table5": "table5",
+    "ackloss": "ackloss",
+    "ablation": "ablation",
+    "vegas": "vegas_decomposition",
+    "burst": "burstchannel",
+    "chaos": "chaos",
+    "manyflow": "manyflow",
+    "rivals": "rivals",
+    "identify": "identify",
 }
 
 #: One-line descriptions for ``--list``.
@@ -271,7 +92,7 @@ def format_listing() -> str:
     alias_bits = ", ".join(f"{a}={t}" for a, t in sorted(ALIASES.items()))
     lines.append(f"  {'all':<{width}}  run every experiment above")
     lines.append(f"aliases: {alias_bits}")
-    from repro.scenes import describe_families
+    from repro.scenes.registry import describe_families
 
     lines.append("scene families (manyflow --scene <family>):")
     lines.append(describe_families())
@@ -289,8 +110,6 @@ def build_runner(
     """The CLI's sweep runner: N workers + the default on-disk cache,
     with one deterministic retry per failing cell by default (see
     docs/RESILIENCE.md; ``--max-retries 0`` restores fail-fast)."""
-    from repro.runner import RetryPolicy
-
     policy = RetryPolicy(max_retries=max_retries) if max_retries > 0 else None
     return SweepRunner(
         jobs=jobs,
@@ -310,7 +129,7 @@ def fsck_cli(argv: List[str]) -> int:
     their recorded specs (see docs/RESILIENCE.md).  Exits non-zero when
     issues were found and left unrepaired.
     """
-    from repro.runner import fsck
+    from repro.runner.fsck import fsck
 
     parser = argparse.ArgumentParser(
         prog="repro-experiments fsck",
@@ -358,7 +177,7 @@ def snapshot_cli(argv: List[str]) -> int:
     (per-section byte drift, delta-encoding size, and the semantic
     state-fingerprint diff of the restored worlds).
     """
-    from repro.snapshot import Snapshot, build_golden_scenario
+    from repro.snapshot.core import Snapshot
     from repro.tcp.factory import VARIANTS
 
     parser = argparse.ArgumentParser(
@@ -403,6 +222,8 @@ def snapshot_cli(argv: List[str]) -> int:
     args = parser.parse_args(argv)
 
     if args.verb == "capture":
+        from repro.snapshot.golden import build_golden_scenario
+
         scenario = build_golden_scenario(args.variant)
         scenario.sim.run(until=args.checkpoint_at)
         snapshot = Snapshot.capture(
@@ -447,8 +268,9 @@ def snapshot_cli(argv: List[str]) -> int:
 def _snapshot_diff(args) -> int:
     """``snapshot diff BASE TARGET``: section drift + delta size, and
     optionally the semantic per-attribute fingerprint diff."""
-    from repro.snapshot import Snapshot, state_fingerprints
+    from repro.snapshot.core import Snapshot
     from repro.snapshot.delta import DeltaSnapshot, should_fall_back
+    from repro.snapshot.digest import state_fingerprints
 
     base = Snapshot.load(args.base)
     target = Snapshot.load(args.target)
@@ -680,7 +502,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         telemetry.attach(runner)
         try:
-            report, result, export_id = EXPERIMENTS[name](
+            harness = import_module(f"repro.experiments.{EXPERIMENTS[name]}")
+            report, result, export_id = harness.run_cli(
                 args, runner, manifest=telemetry.manifest
             )
         except BaseException as error:

@@ -44,16 +44,8 @@ from repro.metrics.throughput import (
 )
 from repro.net.loss import DeterministicLoss
 from repro.net.topology import DumbbellParams
-from repro.runner import (
-    PrefixSpec,
-    SnapshotStore,
-    SweepRunner,
-    TaskSpec,
-    load_prefix,
-    step_until,
-    warm_specs,
-    warm_start_decision,
-)
+from repro import runner as sweep  # warm-start names load on first use
+from repro.runner import SweepRunner, TaskSpec
 from repro.snapshot import Snapshot
 from repro.viz.ascii import format_table
 
@@ -185,7 +177,7 @@ def prefix_world(variant: str, config: Figure5Config):
     scenario = _build(variant, DeterministicLoss([]), config)
     sender = scenario.senders[1]
     target = config.first_drop_seq - WARM_MARGIN_PACKETS
-    step_until(
+    sweep.step_until(
         scenario.sim,
         lambda: sender.maxseq >= target,
         step=WARM_STEP_SECONDS,
@@ -200,10 +192,10 @@ def prefix_world(variant: str, config: Figure5Config):
     return scenario
 
 
-def prefix_spec(variant: str, config: Figure5Config) -> PrefixSpec:
+def prefix_spec(variant: str, config: Figure5Config) -> sweep.PrefixSpec:
     """The named prefix spec behind :func:`prefix_world` (see
     :mod:`repro.runner.warmstart` for the contract)."""
-    return PrefixSpec(
+    return sweep.PrefixSpec(
         fn="repro.experiments.figure5:prefix_world",
         args=(variant, config),
         label=f"fig5 warm prefix {variant}",
@@ -237,7 +229,7 @@ def run_single_from_snapshot(
     # tests assert the stronger end-to-end property (rows == cold rows).
     # load_prefix self-heals a missing/corrupt store entry by
     # recomputing the prefix from its recorded spec (docs/RESILIENCE.md).
-    scenario = load_prefix(digest, store_root, verify=False)
+    scenario = sweep.load_prefix(digest, store_root, verify=False)
     scenario.dumbbell.forward_link.loss.reprogram(_cell_drops(n_drops, config))
     return _finish(scenario, variant, n_drops, config)
 
@@ -246,7 +238,7 @@ def run_figure5(
     config: Optional[Figure5Config] = None,
     runner: Optional[SweepRunner] = None,
     warm_start: bool = False,
-    store: Optional[SnapshotStore] = None,
+    store: Optional[sweep.SnapshotStore] = None,
     manifest: Optional["RunManifest"] = None,
 ) -> Figure5Result:
     """Regenerate both panels of Figure 5.
@@ -274,9 +266,9 @@ def run_figure5(
     ]
     prefix_for = lambda cell: prefix_spec(cell[0], config)  # noqa: E731
     if warm_start:
-        store = store or SnapshotStore()
+        store = store or sweep.SnapshotStore()
         if warm_start != "force":
-            decision = warm_start_decision(
+            decision = sweep.warm_start_decision(
                 cells, prefix_for, WARM_PREFIX_FRACTION, store
             )
             if not decision.use_warm:
@@ -285,7 +277,7 @@ def run_figure5(
                 warm_start = False
     if warm_start:
         store_arg = str(store.root)
-        specs = warm_specs(
+        specs = sweep.warm_specs(
             cells,
             prefix_for=prefix_for,
             spec_for=lambda cell, digest: TaskSpec(
@@ -348,6 +340,19 @@ def format_report(result: Figure5Result) -> str:
 
 def _kbps(bps: Optional[float]) -> str:
     return f"{bps / 1000:.1f}" if bps is not None else "-"
+
+
+def run_cli(args, runner, manifest=None):
+    """``python -m repro.experiments`` adapter: parsed CLI options ->
+    ``(report, result, export id)`` (see :mod:`repro.experiments.cli`)."""
+    config = Figure5Config()
+    if args.quick:
+        config.transfer_packets = 300
+        config.sim_duration = 30.0
+    result = run_figure5(
+        config, runner=runner, warm_start=args.warm_start, manifest=manifest
+    )
+    return format_report(result), result, "fig5"
 
 
 def main() -> None:  # pragma: no cover - CLI glue

@@ -28,15 +28,8 @@ from repro.metrics.timeseries import SequenceTrace, SequenceTracer
 from repro.metrics.throughput import effective_throughput_bps
 from repro.net.red import RedParams, RedQueue
 from repro.net.topology import DumbbellParams
-from repro.runner import (
-    PrefixSpec,
-    SnapshotStore,
-    SweepRunner,
-    TaskSpec,
-    load_prefix,
-    warm_specs,
-    warm_start_decision,
-)
+from repro import runner as sweep  # warm-start names load on first use
+from repro.runner import SweepRunner, TaskSpec
 from repro.sim.rng import RngStream
 from repro.viz.ascii import ascii_scatter, format_table
 
@@ -111,8 +104,8 @@ def prefix_world(variant: str, config: Figure6Config):
     return scenario
 
 
-def prefix_spec(variant: str, config: Figure6Config) -> PrefixSpec:
-    return PrefixSpec(
+def prefix_spec(variant: str, config: Figure6Config) -> sweep.PrefixSpec:
+    return sweep.PrefixSpec(
         fn="repro.experiments.figure6:prefix_world",
         args=(variant, config),
         label=f"fig6 warm prefix {variant}",
@@ -156,7 +149,7 @@ def run_variant_from_snapshot(
     store_root: Optional[str] = None,
 ) -> Figure6FlowResult:
     """Run one cell warm-started from the stored prefix snapshot."""
-    scenario = load_prefix(digest, store_root, verify=False)
+    scenario = sweep.load_prefix(digest, store_root, verify=False)
     return _finish(scenario, variant, config)
 
 
@@ -164,7 +157,7 @@ def run_figure6(
     config: Optional[Figure6Config] = None,
     runner: Optional[SweepRunner] = None,
     warm_start: bool = False,
-    store: Optional[SnapshotStore] = None,
+    store: Optional[sweep.SnapshotStore] = None,
     manifest: Optional["RunManifest"] = None,
 ) -> Figure6Result:
     """Regenerate all three panels of Figure 6.
@@ -187,12 +180,12 @@ def run_figure6(
         )
     prefix_for = lambda variant: prefix_spec(variant, config)  # noqa: E731
     if warm_start:
-        store = store or SnapshotStore()
+        store = store or sweep.SnapshotStore()
         if warm_start != "force":
             # Hint: the prefix is exactly the first prefix_seconds of a
             # duration-second run.
             fraction = min(config.prefix_seconds, config.duration) / config.duration
-            decision = warm_start_decision(
+            decision = sweep.warm_start_decision(
                 list(config.variants), prefix_for, fraction, store
             )
             if not decision.use_warm:
@@ -201,7 +194,7 @@ def run_figure6(
                 warm_start = False
     if warm_start:
         store_arg = str(store.root)
-        specs = warm_specs(
+        specs = sweep.warm_specs(
             list(config.variants),
             prefix_for=prefix_for,
             spec_for=lambda variant, digest: TaskSpec(
@@ -285,6 +278,18 @@ def format_report(result: Figure6Result, plots: bool = True) -> str:
     lines.append("")
     lines.append("paper shape: RR highest final packet; New-Reno stalls into a timeout.")
     return "\n".join(lines)
+
+
+def run_cli(args, runner, manifest=None):
+    """``python -m repro.experiments`` adapter: parsed CLI options ->
+    ``(report, result, export id)`` (see :mod:`repro.experiments.cli`)."""
+    config = Figure6Config()
+    if args.quick:
+        config.duration = 3.0
+    result = run_figure6(
+        config, runner=runner, warm_start=args.warm_start, manifest=manifest
+    )
+    return format_report(result, plots=not args.quick), result, "fig6"
 
 
 def main() -> None:  # pragma: no cover - CLI glue

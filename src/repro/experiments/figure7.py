@@ -31,15 +31,8 @@ from repro.models.mathis import MATHIS_C_ACK_EVERY_PACKET, PAPER_C, mathis_windo
 from repro.net.loss import UniformLoss
 from repro.net.packet import set_uid_state
 from repro.net.topology import DumbbellParams
-from repro.runner import (
-    PrefixSpec,
-    SnapshotStore,
-    SweepRunner,
-    TaskSpec,
-    fetch_prefix,
-    warm_specs,
-    warm_start_decision,
-)
+from repro import runner as sweep  # warm-start names load on first use
+from repro.runner import SweepRunner, TaskSpec
 from repro.sim.rng import RngStream
 from repro.viz.ascii import ascii_scatter, format_table
 
@@ -122,8 +115,8 @@ def prefix_world(variant: str, config: Figure7Config):
     return scenario
 
 
-def prefix_spec(variant: str, config: Figure7Config) -> PrefixSpec:
-    return PrefixSpec(
+def prefix_spec(variant: str, config: Figure7Config) -> sweep.PrefixSpec:
+    return sweep.PrefixSpec(
         fn="repro.experiments.figure7:prefix_world",
         args=(variant, config),
         label=f"fig7 warm prefix {variant}",
@@ -179,7 +172,7 @@ def run_point_from_snapshot(
 ) -> Figure7Point:
     """One (variant, p) point with every run restored from the frozen
     loss-free prefix instead of re-simulating start-up."""
-    snapshot = fetch_prefix(digest, store_root)
+    snapshot = sweep.fetch_prefix(digest, store_root)
     measurements = [
         _measure_from(
             snapshot.restore(verify=False), loss_rate, config.seed + run, config
@@ -193,7 +186,7 @@ def run_figure7(
     config: Optional[Figure7Config] = None,
     runner: Optional[SweepRunner] = None,
     warm_start: bool = False,
-    store: Optional[SnapshotStore] = None,
+    store: Optional[sweep.SnapshotStore] = None,
     manifest: Optional["RunManifest"] = None,
 ) -> Figure7Result:
     """Regenerate Figure 7's sweep.
@@ -217,9 +210,9 @@ def run_figure7(
     ]
     prefix_for = lambda cell: prefix_spec(cell[0], config)  # noqa: E731
     if warm_start:
-        store = store or SnapshotStore()
+        store = store or sweep.SnapshotStore()
         if warm_start != "force":
-            decision = warm_start_decision(
+            decision = sweep.warm_start_decision(
                 cells, prefix_for, WARM_PREFIX_FRACTION, store
             )
             if not decision.use_warm:
@@ -228,7 +221,7 @@ def run_figure7(
                 warm_start = False
     if warm_start:
         store_arg = str(store.root)
-        specs = warm_specs(
+        specs = sweep.warm_specs(
             cells,
             prefix_for=prefix_for,
             spec_for=lambda cell, digest: TaskSpec(
@@ -315,6 +308,20 @@ def format_report(result: Figure7Result, plot: bool = True) -> str:
         " at large p (timeouts); RR comparable to SACK."
     )
     return "\n".join(lines)
+
+
+def run_cli(args, runner, manifest=None):
+    """``python -m repro.experiments`` adapter: parsed CLI options ->
+    ``(report, result, export id)`` (see :mod:`repro.experiments.cli`)."""
+    config = Figure7Config()
+    if args.quick:
+        config.loss_rates = (0.01, 0.05, 0.1)
+        config.duration = 30.0
+        config.runs_per_point = 1
+    result = run_figure7(
+        config, runner=runner, warm_start=args.warm_start, manifest=manifest
+    )
+    return format_report(result, plot=not args.quick), result, "fig7"
 
 
 def main() -> None:  # pragma: no cover - CLI glue

@@ -170,3 +170,23 @@ def format_report(result: IdentifyResult) -> str:
             + (f" ({len(inconclusive)} inconclusive)" if inconclusive else "")
         )
     return "\n".join(lines)
+
+
+def run_cli(args, runner, manifest=None):
+    """``python -m repro.experiments`` adapter: parsed CLI options ->
+    ``(report, result, export id)`` (see :mod:`repro.experiments.cli`)."""
+    config = IdentifyConfig()
+    if args.variants:
+        config.variants = tuple(args.variants)
+    if args.grid:
+        config.grid = args.grid
+    result = run_identify(config, runner=runner, manifest=manifest)
+    report = format_report(result)
+    if result.diverged:
+        # The CI smoke step leans on this: a variant behaving unlike
+        # its declaration must fail the invocation, not just print.
+        raise RuntimeError(
+            f"{len(result.diverged)}/{len(result.rows)} runs identified as"
+            f" a different variant than declared\n{report}"
+        )
+    return report, None, None

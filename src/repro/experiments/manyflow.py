@@ -39,15 +39,8 @@ from repro.models.meanfield import (
 from repro.net.parkinglot import ParkingLotParams
 from repro.net.red import RedParams
 from repro.net.topology import DumbbellParams
-from repro.runner import (
-    PrefixSpec,
-    SnapshotStore,
-    SweepRunner,
-    TaskSpec,
-    load_prefix,
-    warm_specs,
-    warm_start_decision,
-)
+from repro import runner as sweep  # warm-start names load on first use
+from repro.runner import SweepRunner, TaskSpec
 from repro.scenes import ArrivalSpec, FlowPopulation, Scene, SceneSpec, build_scene
 from repro.scenes.registry import default_topology
 from repro.viz.ascii import format_table
@@ -212,8 +205,8 @@ def _warmup_of(spec: SceneSpec) -> float:
 WARMUP_FRACTION = 0.25
 
 
-def prefix_spec(spec: SceneSpec) -> PrefixSpec:
-    return PrefixSpec(
+def prefix_spec(spec: SceneSpec) -> sweep.PrefixSpec:
+    return sweep.PrefixSpec(
         fn="repro.experiments.manyflow:prefix_world",
         args=(spec,),
         label=f"manyflow prefix {spec.family} n={spec.flows.count}",
@@ -297,14 +290,14 @@ def run_cell_from_snapshot(
     store_root: Optional[str] = None,
 ) -> ManyflowCellResult:
     """Warm path: continue one cell from its stored prefix snapshot."""
-    return _finish(load_prefix(digest, store_root, verify=False), label, config)
+    return _finish(sweep.load_prefix(digest, store_root, verify=False), label, config)
 
 
 def run_manyflow(
     config: Optional[ManyflowConfig] = None,
     runner: Optional[SweepRunner] = None,
     warm_start: bool = False,
-    store: Optional[SnapshotStore] = None,
+    store: Optional[sweep.SnapshotStore] = None,
     manifest: Optional["RunManifest"] = None,
 ) -> ManyflowResult:
     """Run the flow-count x max_p sweep and return per-cell verdicts.
@@ -330,9 +323,9 @@ def run_manyflow(
             grid.append((label, cell_spec(n, max_p, config)))
 
     if warm_start:
-        store = store or SnapshotStore()
+        store = store or sweep.SnapshotStore()
         if warm_start != "force":
-            decision = warm_start_decision(
+            decision = sweep.warm_start_decision(
                 [spec for _, spec in grid],
                 lambda spec: prefix_spec(spec),
                 WARMUP_FRACTION,
@@ -345,7 +338,7 @@ def run_manyflow(
     if warm_start:
         store_arg = str(store.root)
         labels = {id(spec): label for label, spec in grid}
-        specs = warm_specs(
+        specs = sweep.warm_specs(
             [spec for _, spec in grid],
             prefix_for=lambda spec: prefix_spec(spec),
             spec_for=lambda spec, digest: TaskSpec(
@@ -424,6 +417,26 @@ def format_report(result: ManyflowResult) -> str:
             "oracle: not applicable (multi-bottleneck family; measured only)"
         )
     return "\n".join(lines)
+
+
+def run_cli(args, runner, manifest=None):
+    """``python -m repro.experiments`` adapter: parsed CLI options ->
+    ``(report, result, export id)`` (see :mod:`repro.experiments.cli`)."""
+    config = ManyflowConfig()
+    if args.scene:
+        config.family = args.scene
+    if args.delayed_ack:
+        config.delayed_ack = True
+    if args.ecn:
+        config.ecn = True
+    if args.quick:
+        config.flow_counts = (25,)
+        config.max_ps = (0.02,)
+        config.duration = 10.0
+    result = run_manyflow(
+        config, runner=runner, warm_start=args.warm_start, manifest=manifest
+    )
+    return format_report(result), result, "manyflow"
 
 
 def main() -> None:  # pragma: no cover - CLI glue

@@ -56,15 +56,8 @@ from repro.net.packet import set_uid_state
 from repro.net.red import RedParams, RedQueue
 from repro.net.topology import DumbbellParams
 from repro.net.varlink import RateSchedule, bufferbloat_limit
-from repro.runner import (
-    PrefixSpec,
-    SnapshotStore,
-    SweepRunner,
-    TaskSpec,
-    load_prefix,
-    warm_specs,
-    warm_start_decision,
-)
+from repro import runner as sweep  # warm-start names load on first use
+from repro.runner import SweepRunner, TaskSpec
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStream
 from repro.viz.ascii import format_table
@@ -283,9 +276,9 @@ def prefix_world(kind: str, variant: str, regime: str, config: RivalsConfig):
     return world
 
 
-def prefix_spec(cell: Tuple[str, str, str], config: RivalsConfig) -> PrefixSpec:
+def prefix_spec(cell: Tuple[str, str, str], config: RivalsConfig) -> sweep.PrefixSpec:
     kind, variant, regime = cell
-    return PrefixSpec(
+    return sweep.PrefixSpec(
         fn="repro.experiments.rivals:prefix_world",
         args=(kind, variant, regime, config),
         label=f"rivals prefix {kind} {variant} {regime}",
@@ -392,7 +385,7 @@ def run_cell_from_snapshot(
 ) -> RivalsCellResult:
     """Warm path: continue one cell from its stored prefix snapshot."""
     return _finish(
-        load_prefix(digest, store_root, verify=False),
+        sweep.load_prefix(digest, store_root, verify=False),
         label,
         kind,
         variant,
@@ -511,7 +504,7 @@ def run_rivals(
     config: Optional[RivalsConfig] = None,
     runner: Optional[SweepRunner] = None,
     warm_start: bool = False,
-    store: Optional[SnapshotStore] = None,
+    store: Optional[sweep.SnapshotStore] = None,
     manifest: Optional["RunManifest"] = None,
 ) -> RivalsResult:
     """Run the mix x regime grid plus the model-oracle cells.
@@ -539,9 +532,9 @@ def run_rivals(
             grid.append((f"{regime} pure {variant}", ("pure", variant, regime)))
 
     if warm_start:
-        store = store or SnapshotStore()
+        store = store or sweep.SnapshotStore()
         if warm_start != "force":
-            decision = warm_start_decision(
+            decision = sweep.warm_start_decision(
                 [cell for _, cell in grid],
                 lambda cell: prefix_spec(cell, config),
                 WARMUP_FRACTION,
@@ -554,7 +547,7 @@ def run_rivals(
     if warm_start:
         store_arg = str(store.root)
         labels = {id(cell): label for label, cell in grid}
-        specs = warm_specs(
+        specs = sweep.warm_specs(
             [cell for _, cell in grid],
             prefix_for=lambda cell: prefix_spec(cell, config),
             spec_for=lambda cell, digest: TaskSpec(
@@ -666,6 +659,26 @@ def format_report(result: RivalsResult) -> str:
             " tolerance (docs/SCENARIOS.md)"
         )
     return "\n".join(lines)
+
+
+def run_cli(args, runner, manifest=None):
+    """``python -m repro.experiments`` adapter: parsed CLI options ->
+    ``(report, result, export id)`` (see :mod:`repro.experiments.cli`)."""
+    config = RivalsConfig()
+    if args.delayed_ack:
+        config.force_delayed_ack = True
+    if args.ecn:
+        config.force_ecn = True
+    if args.quick:
+        config.rivals = ("cubic", "relentless")
+        config.regimes = ("delack", "ecn-red", "mobile")
+        config.duration = 10.0
+        config.model_loss_rates = (0.03,)
+        config.model_duration = 40.0
+    result = run_rivals(
+        config, runner=runner, warm_start=args.warm_start, manifest=manifest
+    )
+    return format_report(result), result, "rivals"
 
 
 def main() -> None:  # pragma: no cover - CLI glue

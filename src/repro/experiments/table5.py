@@ -28,15 +28,8 @@ from repro.metrics.fairness import jain_index
 from repro.metrics.flowstats import FlowStats
 from repro.net.packet import set_uid_state
 from repro.net.topology import DumbbellParams
-from repro.runner import (
-    PrefixSpec,
-    SnapshotStore,
-    SweepRunner,
-    TaskSpec,
-    load_prefix,
-    warm_specs,
-    warm_start_decision,
-)
+from repro import runner as sweep  # warm-start names load on first use
+from repro.runner import SweepRunner, TaskSpec
 from repro.sim.rng import RngStream
 from repro.tcp.factory import make_connection
 from repro.viz.ascii import format_table
@@ -123,8 +116,8 @@ def prefix_world(background_variant: str, run_index: int, config: Table5Config):
 
 def prefix_spec(
     background_variant: str, run_index: int, config: Table5Config
-) -> PrefixSpec:
-    return PrefixSpec(
+) -> sweep.PrefixSpec:
+    return sweep.PrefixSpec(
         fn="repro.experiments.table5:prefix_world",
         args=(background_variant, run_index, config),
         label=f"table5 warm prefix {background_variant}/run{run_index}",
@@ -206,7 +199,7 @@ def run_replica_from_snapshot(
     store_root: Optional[str] = None,
 ):
     """One replication warm-started from the frozen background system."""
-    scenario = load_prefix(digest, store_root, verify=False)
+    scenario = sweep.load_prefix(digest, store_root, verify=False)
     return _finish_replica(_attach_target(scenario, target_variant, config), config)
 
 
@@ -251,7 +244,7 @@ def run_table5(
     config: Optional[Table5Config] = None,
     runner: Optional[SweepRunner] = None,
     warm_start: bool = False,
-    store: Optional[SnapshotStore] = None,
+    store: Optional[sweep.SnapshotStore] = None,
     manifest: Optional["RunManifest"] = None,
 ) -> Table5Result:
     """Regenerate all four cases of Table 5.
@@ -279,7 +272,7 @@ def run_table5(
     ]
     prefix_for = lambda cell: prefix_spec(cell[1], cell[2], config)  # noqa: E731
     if warm_start:
-        store = store or SnapshotStore()
+        store = store or sweep.SnapshotStore()
         if warm_start != "force":
             # Hint: the prefix is the background build-up to just
             # before target_start of a sim_duration-second run — a few
@@ -290,14 +283,14 @@ def run_table5(
                 max(config.target_start - config.attach_margin, 0.0)
                 / config.sim_duration
             )
-            decision = warm_start_decision(cells, prefix_for, fraction, store)
+            decision = sweep.warm_start_decision(cells, prefix_for, fraction, store)
             if not decision.use_warm:
                 if manifest is not None:
                     manifest.note_warm_start_skipped(decision.reason)
                 warm_start = False
     if warm_start:
         store_arg = str(store.root)
-        specs = warm_specs(
+        specs = sweep.warm_specs(
             cells,
             prefix_for=prefix_for,
             spec_for=lambda cell, digest: TaskSpec(
@@ -364,6 +357,19 @@ def format_report(result: Table5Result) -> str:
         " among Renos gets lower delay & loss (paper: 18.0 s, 11%)."
     )
     return "\n".join(lines)
+
+
+def run_cli(args, runner, manifest=None):
+    """``python -m repro.experiments`` adapter: parsed CLI options ->
+    ``(report, result, export id)`` (see :mod:`repro.experiments.cli`)."""
+    config = Table5Config()
+    if args.quick:
+        config.sim_duration = 90.0
+        config.runs_per_case = 2
+    result = run_table5(
+        config, runner=runner, warm_start=args.warm_start, manifest=manifest
+    )
+    return format_report(result), result, "table5"
 
 
 def main() -> None:  # pragma: no cover - CLI glue

@@ -168,6 +168,17 @@ def format_report(result: VegasDecompositionResult) -> str:
     return "\n".join(lines)
 
 
+def run_cli(args, runner, manifest=None):
+    """``python -m repro.experiments`` adapter: parsed CLI options ->
+    ``(report, result, export id)`` (see :mod:`repro.experiments.cli`)."""
+    config = VegasDecompositionConfig()
+    if args.quick:
+        config.transfer_packets = 200
+        config.sim_duration = 60.0
+    result = run_vegas_decomposition(config, runner=runner, manifest=manifest)
+    return format_report(result), None, None
+
+
 def main() -> None:  # pragma: no cover - CLI glue
     print(format_report(run_vegas_decomposition()))
 

@@ -7,41 +7,27 @@ seeded stream within :class:`CampaignSpec` bounds.  The defense half —
 invariant checking and the watchdog — lives in :mod:`repro.sim`.
 """
 
-from repro.faults.campaign import CampaignRunner, CampaignSpec
-from repro.faults.plan import (
-    AckLossEpisode,
-    BurstLossEpisode,
-    FaultAction,
-    FaultContext,
-    FaultPlan,
-    LinkFlap,
-    LinkOutage,
-    PacketCorruption,
-    PacketDuplication,
-    PeriodicDropEpisode,
-    RouterBlackout,
-    TimerSkew,
-)
-from repro.faults.tamper import PacketTamperer
-from repro.faults.triage import TriageResult, neutralize_faults, triage_crash
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AckLossEpisode",
-    "BurstLossEpisode",
-    "CampaignRunner",
-    "CampaignSpec",
-    "FaultAction",
-    "FaultContext",
-    "FaultPlan",
-    "LinkFlap",
-    "LinkOutage",
-    "PacketCorruption",
-    "PacketDuplication",
-    "PacketTamperer",
-    "PeriodicDropEpisode",
-    "RouterBlackout",
-    "TimerSkew",
-    "TriageResult",
-    "neutralize_faults",
-    "triage_crash",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "campaign": ("CampaignRunner", "CampaignSpec"),
+        "plan": (
+            "AckLossEpisode",
+            "BurstLossEpisode",
+            "FaultAction",
+            "FaultContext",
+            "FaultPlan",
+            "LinkFlap",
+            "LinkOutage",
+            "PacketCorruption",
+            "PacketDuplication",
+            "PeriodicDropEpisode",
+            "RouterBlackout",
+            "TimerSkew",
+        ),
+        "tamper": ("PacketTamperer",),
+        "triage": ("TriageResult", "neutralize_faults", "triage_crash"),
+    },
+)

@@ -34,52 +34,36 @@ digests were legitimately regenerated, while a digest-only refactor
 docs/IDENTIFICATION.md.
 """
 
-from repro.ident.classify import NearestCentroidClassifier
-from repro.ident.dataset import (
-    HELDOUT_GRID,
-    IDENT_VARIANTS,
-    TRAINING_GRID,
-    IdentScenario,
-    collect_cell,
-    collect_grid,
-    collect_run,
-    fit_reference_classifier,
-    scenario_by_key,
-)
-from repro.ident.features import (
-    FEATURE_NAMES,
-    FeatureVector,
-    FlowTrace,
-    FlowTraceCollector,
-    extract_features,
-)
-from repro.ident.oracle import (
-    IdentityVerdict,
-    identify_features,
-    identify_trace,
-    load_reference_classifier,
-    reference_model_path,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FEATURE_NAMES",
-    "FeatureVector",
-    "FlowTrace",
-    "FlowTraceCollector",
-    "extract_features",
-    "NearestCentroidClassifier",
-    "IdentScenario",
-    "IDENT_VARIANTS",
-    "TRAINING_GRID",
-    "HELDOUT_GRID",
-    "collect_run",
-    "collect_cell",
-    "collect_grid",
-    "scenario_by_key",
-    "fit_reference_classifier",
-    "IdentityVerdict",
-    "identify_features",
-    "identify_trace",
-    "load_reference_classifier",
-    "reference_model_path",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "classify": ("NearestCentroidClassifier",),
+        "dataset": (
+            "HELDOUT_GRID",
+            "IDENT_VARIANTS",
+            "TRAINING_GRID",
+            "IdentScenario",
+            "collect_cell",
+            "collect_grid",
+            "collect_run",
+            "fit_reference_classifier",
+            "scenario_by_key",
+        ),
+        "features": (
+            "FEATURE_NAMES",
+            "FeatureVector",
+            "FlowTrace",
+            "FlowTraceCollector",
+            "extract_features",
+        ),
+        "oracle": (
+            "IdentityVerdict",
+            "identify_features",
+            "identify_trace",
+            "load_reference_classifier",
+            "reference_model_path",
+        ),
+    },
+)

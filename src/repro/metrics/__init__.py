@@ -1,48 +1,28 @@
 """Measurement: per-flow statistics, effective throughput, recovery
 episode analysis, sequence-number time series and fairness indices."""
 
-from repro.metrics.flowstats import FlowStats, LeanFlowStats, RecoveryEpisode
-from repro.metrics.throughput import (
-    effective_throughput_bps,
-    goodput_bps,
-    loss_recovery_span,
-    loss_recovery_throughput,
-    recovery_span_throughput,
-)
-from repro.metrics.fairness import jain_index
-from repro.metrics.timeseries import SequenceTracer
-from repro.metrics.export import (
-    NsTraceWriter,
-    flow_stats_to_csv,
-    rows_to_csv,
-    rows_to_json,
-)
-from repro.metrics.queuemon import QueueMonitor
-from repro.metrics.utilization import LinkMonitor
-from repro.metrics.sync import (
-    cluster_loss_events,
-    loss_synchronization_index,
-    mean_flows_per_event,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NsTraceWriter",
-    "flow_stats_to_csv",
-    "rows_to_csv",
-    "rows_to_json",
-    "QueueMonitor",
-    "LinkMonitor",
-    "cluster_loss_events",
-    "loss_synchronization_index",
-    "mean_flows_per_event",
-    "FlowStats",
-    "LeanFlowStats",
-    "RecoveryEpisode",
-    "goodput_bps",
-    "effective_throughput_bps",
-    "loss_recovery_span",
-    "loss_recovery_throughput",
-    "recovery_span_throughput",
-    "jain_index",
-    "SequenceTracer",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "flowstats": ("FlowStats", "LeanFlowStats", "RecoveryEpisode"),
+        "throughput": (
+            "effective_throughput_bps",
+            "goodput_bps",
+            "loss_recovery_span",
+            "loss_recovery_throughput",
+            "recovery_span_throughput",
+        ),
+        "fairness": ("jain_index",),
+        "timeseries": ("SequenceTracer",),
+        "export": ("NsTraceWriter", "flow_stats_to_csv", "rows_to_csv", "rows_to_json"),
+        "queuemon": ("QueueMonitor",),
+        "utilization": ("LinkMonitor",),
+        "sync": (
+            "cluster_loss_events",
+            "loss_synchronization_index",
+            "mean_flows_per_event",
+        ),
+    },
+)

@@ -1,49 +1,33 @@
 """Analytical TCP throughput models used in Section 4 of the paper."""
 
-from repro.models.mathis import (
-    MATHIS_C_ACK_EVERY_PACKET,
-    mathis_bandwidth_bps,
-    mathis_window,
-)
-from repro.models.padhye import padhye_bandwidth_bps
-from repro.models.fit import estimate_mathis_c, fit_quality, relative_errors
-from repro.models.meanfield import (
-    MeanFieldParams,
-    MeanFieldPrediction,
-    OracleVerdict,
-    effective_drop_probability,
-    meanfield_fixed_point,
-    oracle_verdict,
-    red_drop_curve,
-)
-from repro.models.relentless import (
-    RelentlessModelParams,
-    RelentlessPrediction,
-    RelentlessVerdict,
-    relentless_prediction,
-    relentless_verdict,
-    relentless_window,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MATHIS_C_ACK_EVERY_PACKET",
-    "mathis_window",
-    "mathis_bandwidth_bps",
-    "padhye_bandwidth_bps",
-    "estimate_mathis_c",
-    "fit_quality",
-    "relative_errors",
-    "MeanFieldParams",
-    "MeanFieldPrediction",
-    "OracleVerdict",
-    "effective_drop_probability",
-    "meanfield_fixed_point",
-    "oracle_verdict",
-    "red_drop_curve",
-    "RelentlessModelParams",
-    "RelentlessPrediction",
-    "RelentlessVerdict",
-    "relentless_prediction",
-    "relentless_verdict",
-    "relentless_window",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "mathis": (
+            "MATHIS_C_ACK_EVERY_PACKET",
+            "mathis_bandwidth_bps",
+            "mathis_window",
+        ),
+        "padhye": ("padhye_bandwidth_bps",),
+        "fit": ("estimate_mathis_c", "fit_quality", "relative_errors"),
+        "meanfield": (
+            "MeanFieldParams",
+            "MeanFieldPrediction",
+            "OracleVerdict",
+            "effective_drop_probability",
+            "meanfield_fixed_point",
+            "oracle_verdict",
+            "red_drop_curve",
+        ),
+        "relentless": (
+            "RelentlessModelParams",
+            "RelentlessPrediction",
+            "RelentlessVerdict",
+            "relentless_prediction",
+            "relentless_verdict",
+            "relentless_window",
+        ),
+    },
+)

@@ -7,66 +7,36 @@ store-and-forward routers with static shortest-path routing, and hosts
 that deliver packets to per-flow agents.
 """
 
-from repro.net.packet import ACK, DATA, Packet, SackBlock
-from repro.net.fairqueue import FairQueue
-from repro.net.queues import DropTailQueue, PacketQueue
-from repro.net.red import RedParams, RedQueue
-from repro.net.loss import (
-    AckLoss,
-    Composite,
-    DeterministicLoss,
-    GilbertElliott,
-    LossModule,
-    NoLoss,
-    PeriodicLoss,
-    UniformLoss,
-)
-from repro.net.reorder import (
-    DeterministicReorderer,
-    JitterReorderer,
-    RandomReorderer,
-    Reorderer,
-)
-from repro.net.link import Link
-from repro.net.node import Agent, Host, Node, Router
-from repro.net.network import Network
-from repro.net.parkinglot import ParkingLot, ParkingLotParams
-from repro.net.topology import Dumbbell, DumbbellParams
-from repro.net.varlink import RateSchedule, bufferbloat_limit, bufferbloat_queue
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ACK",
-    "DATA",
-    "Packet",
-    "SackBlock",
-    "PacketQueue",
-    "DropTailQueue",
-    "FairQueue",
-    "RedParams",
-    "RedQueue",
-    "LossModule",
-    "NoLoss",
-    "UniformLoss",
-    "DeterministicLoss",
-    "GilbertElliott",
-    "PeriodicLoss",
-    "Composite",
-    "AckLoss",
-    "Reorderer",
-    "RandomReorderer",
-    "DeterministicReorderer",
-    "JitterReorderer",
-    "Link",
-    "RateSchedule",
-    "bufferbloat_limit",
-    "bufferbloat_queue",
-    "Node",
-    "Host",
-    "Router",
-    "Agent",
-    "Network",
-    "Dumbbell",
-    "DumbbellParams",
-    "ParkingLot",
-    "ParkingLotParams",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "packet": ("ACK", "DATA", "Packet", "SackBlock"),
+        "fairqueue": ("FairQueue",),
+        "queues": ("DropTailQueue", "PacketQueue"),
+        "red": ("RedParams", "RedQueue"),
+        "loss": (
+            "AckLoss",
+            "Composite",
+            "DeterministicLoss",
+            "GilbertElliott",
+            "LossModule",
+            "NoLoss",
+            "PeriodicLoss",
+            "UniformLoss",
+        ),
+        "reorder": (
+            "DeterministicReorderer",
+            "JitterReorderer",
+            "RandomReorderer",
+            "Reorderer",
+        ),
+        "link": ("Link",),
+        "node": ("Agent", "Host", "Node", "Router"),
+        "network": ("Network",),
+        "parkinglot": ("ParkingLot", "ParkingLotParams"),
+        "topology": ("Dumbbell", "DumbbellParams"),
+        "varlink": ("RateSchedule", "bufferbloat_limit", "bufferbloat_queue"),
+    },
+)

@@ -18,49 +18,33 @@ auditable through this package:
 See docs/OBSERVABILITY.md for schemas and workflows.
 """
 
-from repro.obs.heartbeat import HeartbeatLog, read_events
-from repro.obs.manifest import (
-    ARTIFACT_DIR_ENV,
-    DEFAULT_ARTIFACT_DIR,
-    EVENTS_FILENAME,
-    MANIFEST_FILENAME,
-    MANIFEST_FORMAT,
-    PROFILES_SUBDIR,
-    RUNS_SUBDIR,
-    RunManifest,
-    artifact_root,
-    new_run_id,
-    runs_root,
-)
-from repro.obs.profiling import (
-    HotFunction,
-    hot_functions,
-    hot_functions_report,
-    merged_stats,
-    profile_paths,
-)
-from repro.obs.progress import ProgressLine
-from repro.obs.telemetry import RunTelemetry
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ARTIFACT_DIR_ENV",
-    "DEFAULT_ARTIFACT_DIR",
-    "EVENTS_FILENAME",
-    "HeartbeatLog",
-    "HotFunction",
-    "MANIFEST_FILENAME",
-    "MANIFEST_FORMAT",
-    "PROFILES_SUBDIR",
-    "ProgressLine",
-    "RUNS_SUBDIR",
-    "RunManifest",
-    "RunTelemetry",
-    "artifact_root",
-    "hot_functions",
-    "hot_functions_report",
-    "merged_stats",
-    "new_run_id",
-    "profile_paths",
-    "read_events",
-    "runs_root",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "heartbeat": ("HeartbeatLog", "read_events"),
+        "manifest": (
+            "ARTIFACT_DIR_ENV",
+            "DEFAULT_ARTIFACT_DIR",
+            "EVENTS_FILENAME",
+            "MANIFEST_FILENAME",
+            "MANIFEST_FORMAT",
+            "PROFILES_SUBDIR",
+            "RUNS_SUBDIR",
+            "RunManifest",
+            "artifact_root",
+            "new_run_id",
+            "runs_root",
+        ),
+        "profiling": (
+            "HotFunction",
+            "hot_functions",
+            "hot_functions_report",
+            "merged_stats",
+            "profile_paths",
+        ),
+        "progress": ("ProgressLine",),
+        "telemetry": ("RunTelemetry",),
+    },
+)

@@ -34,7 +34,6 @@ from typing import Any, Dict, List, Optional, TextIO
 
 from repro.obs.heartbeat import HeartbeatLog
 from repro.obs.manifest import EVENTS_FILENAME, PROFILES_SUBDIR, RunManifest
-from repro.obs.profiling import hot_functions_report
 from repro.obs.progress import ProgressLine
 from repro.runner.pool import SweepObserver, SweepStats
 from repro.runner.spec import TaskSpec
@@ -218,4 +217,7 @@ class RunTelemetry(SweepObserver):
         """The merged hot-function table, or None when not profiling."""
         if self.profile_dir is None:
             return None
+        # pstats is only worth importing for a run that profiled.
+        from repro.obs.profiling import hot_functions_report
+
         return hot_functions_report(self.profile_dir, top=top)

@@ -10,70 +10,41 @@ docs/RESILIENCE.md for the fault-tolerance layer (:class:`RetryPolicy`,
 task deadlines, quarantine, storage self-healing and ``fsck``).
 """
 
-from repro.runner.cache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR, ResultCache
-from repro.runner.fingerprint import code_fingerprint, package_root
-from repro.runner.fsck import FsckIssue, FsckReport, fsck
-from repro.runner.pool import (
-    SweepObserver,
-    SweepRunner,
-    SweepStats,
-    TaskRecord,
-    default_jobs,
-    run_tasks,
-)
-from repro.runner.resilience import (
-    QUARANTINE_SUBDIR,
-    QuarantineRecord,
-    RetryPolicy,
-    read_quarantine,
-)
-from repro.runner.spec import TaskSpec, canonicalize, resolve, uncanonicalize
-from repro.runner.warmstart import (
-    PREFIX_INDEX_SUBDIR,
-    PREFIX_META_SUBDIR,
-    PrefixSpec,
-    SNAPSHOT_SUBDIR,
-    SnapshotStore,
-    WarmStartDecision,
-    fetch_prefix,
-    load_prefix,
-    step_until,
-    warm_specs,
-    warm_start_decision,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_DIR_ENV",
-    "DEFAULT_CACHE_DIR",
-    "FsckIssue",
-    "FsckReport",
-    "PREFIX_INDEX_SUBDIR",
-    "PREFIX_META_SUBDIR",
-    "PrefixSpec",
-    "QUARANTINE_SUBDIR",
-    "QuarantineRecord",
-    "ResultCache",
-    "RetryPolicy",
-    "SNAPSHOT_SUBDIR",
-    "SnapshotStore",
-    "SweepObserver",
-    "SweepRunner",
-    "SweepStats",
-    "TaskRecord",
-    "TaskSpec",
-    "WarmStartDecision",
-    "canonicalize",
-    "code_fingerprint",
-    "default_jobs",
-    "fetch_prefix",
-    "fsck",
-    "load_prefix",
-    "package_root",
-    "read_quarantine",
-    "resolve",
-    "run_tasks",
-    "step_until",
-    "uncanonicalize",
-    "warm_specs",
-    "warm_start_decision",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "cache": ("CACHE_DIR_ENV", "DEFAULT_CACHE_DIR", "ResultCache"),
+        "fingerprint": ("code_fingerprint", "package_root"),
+        "fsck": ("FsckIssue", "FsckReport", "fsck"),
+        "pool": (
+            "SweepObserver",
+            "SweepRunner",
+            "SweepStats",
+            "TaskRecord",
+            "default_jobs",
+            "run_tasks",
+        ),
+        "resilience": (
+            "QUARANTINE_SUBDIR",
+            "QuarantineRecord",
+            "RetryPolicy",
+            "read_quarantine",
+        ),
+        "spec": ("TaskSpec", "canonicalize", "resolve", "uncanonicalize"),
+        "warmstart": (
+            "PREFIX_INDEX_SUBDIR",
+            "PREFIX_META_SUBDIR",
+            "PrefixSpec",
+            "SNAPSHOT_SUBDIR",
+            "SnapshotStore",
+            "WarmStartDecision",
+            "fetch_prefix",
+            "load_prefix",
+            "step_until",
+            "warm_specs",
+            "warm_start_decision",
+        ),
+    },
+)

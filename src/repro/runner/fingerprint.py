@@ -7,9 +7,11 @@ to the code that produced it, and an unrelated edit elsewhere on the
 machine (docs, most tests, scripts) costs nothing because only the
 inputs below participate:
 
-* every ``*.py`` under the installed ``repro`` package, hashed as
-  ``relative-path + NUL + content`` pairs in sorted path order (so
-  both renames and edits change the fingerprint);
+* every ``*.py`` and ``*.c`` under the installed ``repro`` package
+  (the C source is ``sim/_engine_core.c``, the event loop that runs
+  the cells on the compiled backend), hashed as ``relative-path + NUL
+  + content`` pairs in sorted path order (so both renames and edits
+  change the fingerprint);
 * the snapshot/digest format constants (``SNAPSHOT_FORMAT``,
   ``DELTA_FORMAT``, ``DIGEST_VERSION``) — warm-started cells embed
   snapshot digests, and a format bump changes what those digests mean
@@ -32,10 +34,15 @@ process.
 from __future__ import annotations
 
 import hashlib
+import os
 from pathlib import Path
 from typing import Optional
 
 _CACHE: dict = {}
+
+#: Source files that define a result: the package's python and the
+#: compiled event core's C.
+SOURCE_SUFFIXES = (".py", ".c")
 
 
 def package_root() -> Path:
@@ -58,16 +65,23 @@ def code_fingerprint(root: Optional[Path] = None) -> str:
     if cached is not None:
         return cached
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        if "__pycache__" in path.parts:
-            continue
+    sources = []
+    for directory, subdirs, names in os.walk(root):
+        if "__pycache__" in subdirs:
+            subdirs.remove("__pycache__")
+        sources.extend(
+            Path(directory, name) for name in names if name.endswith(SOURCE_SUFFIXES)
+        )
+    for path in sorted(sources):
         digest.update(str(path.relative_to(root)).encode("utf-8"))
         digest.update(b"\0")
         digest.update(path.read_bytes())
         digest.update(b"\0")
-    # Imported lazily: repro.snapshot pulls in experiment modules for
-    # the golden scenarios, which in turn import repro.runner.
-    from repro.snapshot import DELTA_FORMAT, DIGEST_VERSION, SNAPSHOT_FORMAT
+    # Imported here, from the modules that define them: repro.snapshot.*
+    # sits above repro.runner in the import graph.
+    from repro.snapshot.core import SNAPSHOT_FORMAT
+    from repro.snapshot.delta import DELTA_FORMAT
+    from repro.snapshot.digest import DIGEST_VERSION
 
     digest.update(
         f"formats:{SNAPSHOT_FORMAT}.{DELTA_FORMAT}.{DIGEST_VERSION}".encode("utf-8")

@@ -52,13 +52,6 @@ import os
 import sys
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -428,6 +421,16 @@ class SweepRunner:
         futures, (re)charging or requeueing their tasks, and respawning
         the pool.
         """
+        # Imported here: the in-process path (``jobs=1``, no deadline)
+        # never pays for multiprocessing.
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            CancelledError,
+            ProcessPoolExecutor,
+            wait,
+        )
+        from concurrent.futures.process import BrokenProcessPool
+
         queue = deque(pending)
         #: Retries backing off: (monotonic not-before, index).
         waiting: List[Tuple[float, int]] = []

@@ -10,53 +10,36 @@ experiment sweeps these scenes and checks the measured RED queue
 against the mean-field fixed point in :mod:`repro.models.meanfield`.
 """
 
-from repro.scenes.build import Scene, build_scene
-from repro.scenes.registry import (
-    FAMILIES,
-    SceneFamily,
-    default_topology,
-    describe_families,
-    family,
-)
-from repro.scenes.spec import (
-    ARRIVAL_PROCESSES,
-    SIZE_DISTS,
-    ArrivalSpec,
-    FlowPopulation,
-    SceneSpec,
-)
-from repro.scenes.topologies import (
-    BuiltTopology,
-    FatTreeParams,
-    MobileParams,
-    WaxmanParams,
-    build_dumbbell,
-    build_fattree,
-    build_mobile,
-    build_parkinglot,
-    build_wan,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ARRIVAL_PROCESSES",
-    "FAMILIES",
-    "SIZE_DISTS",
-    "ArrivalSpec",
-    "BuiltTopology",
-    "FatTreeParams",
-    "FlowPopulation",
-    "MobileParams",
-    "Scene",
-    "SceneFamily",
-    "SceneSpec",
-    "WaxmanParams",
-    "build_dumbbell",
-    "build_fattree",
-    "build_mobile",
-    "build_parkinglot",
-    "build_scene",
-    "build_wan",
-    "default_topology",
-    "describe_families",
-    "family",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "build": ("Scene", "build_scene"),
+        "registry": (
+            "FAMILIES",
+            "SceneFamily",
+            "default_topology",
+            "describe_families",
+            "family",
+        ),
+        "spec": (
+            "ARRIVAL_PROCESSES",
+            "SIZE_DISTS",
+            "ArrivalSpec",
+            "FlowPopulation",
+            "SceneSpec",
+        ),
+        "topologies": (
+            "BuiltTopology",
+            "FatTreeParams",
+            "MobileParams",
+            "WaxmanParams",
+            "build_dumbbell",
+            "build_fattree",
+            "build_mobile",
+            "build_parkinglot",
+            "build_wan",
+        ),
+    },
+)

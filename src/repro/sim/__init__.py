@@ -10,25 +10,16 @@ defensive half: online invariant checking over the bus
 (:mod:`repro.sim.watchdog`); see docs/FAULTS.md.
 """
 
-from repro.sim.engine import Event, Simulator
-from repro.sim.invariants import InvariantChecker, InvariantSuite, standard_suite
-from repro.sim.rng import RngStream
-from repro.sim.timers import Timer
-from repro.sim.tracing import TraceBus, TraceRecord, TraceTail
-from repro.sim.watchdog import CrashReport, FlowSnapshot, Watchdog
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CrashReport",
-    "Event",
-    "FlowSnapshot",
-    "InvariantChecker",
-    "InvariantSuite",
-    "RngStream",
-    "Simulator",
-    "Timer",
-    "TraceBus",
-    "TraceRecord",
-    "TraceTail",
-    "Watchdog",
-    "standard_suite",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "engine": ("Event", "Simulator"),
+        "invariants": ("InvariantChecker", "InvariantSuite", "standard_suite"),
+        "rng": ("RngStream",),
+        "timers": ("Timer",),
+        "tracing": ("TraceBus", "TraceRecord", "TraceTail"),
+        "watchdog": ("CrashReport", "FlowSnapshot", "Watchdog"),
+    },
+)

@@ -9,30 +9,20 @@ both the restore integrity check and the golden-state regression layer
 (:mod:`repro.snapshot.golden`).  See docs/SNAPSHOT.md.
 """
 
-from repro.snapshot.core import SNAPSHOT_FORMAT, Snapshot, SnapshotInfo
-from repro.snapshot.delta import DELTA_FORMAT, DeltaInfo, DeltaSnapshot
-from repro.snapshot.digest import DIGEST_VERSION, state_digest, state_fingerprints
-from repro.snapshot.golden import (
-    CHECKPOINT_TIMES,
-    GOLDEN_VARIANTS,
-    all_golden_digests,
-    build_golden_scenario,
-    golden_digests,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CHECKPOINT_TIMES",
-    "DELTA_FORMAT",
-    "DIGEST_VERSION",
-    "DeltaInfo",
-    "DeltaSnapshot",
-    "GOLDEN_VARIANTS",
-    "SNAPSHOT_FORMAT",
-    "Snapshot",
-    "SnapshotInfo",
-    "all_golden_digests",
-    "build_golden_scenario",
-    "golden_digests",
-    "state_digest",
-    "state_fingerprints",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "core": ("SNAPSHOT_FORMAT", "Snapshot", "SnapshotInfo"),
+        "delta": ("DELTA_FORMAT", "DeltaInfo", "DeltaSnapshot"),
+        "digest": ("DIGEST_VERSION", "state_digest", "state_fingerprints"),
+        "golden": (
+            "CHECKPOINT_TIMES",
+            "GOLDEN_VARIANTS",
+            "all_golden_digests",
+            "build_golden_scenario",
+            "golden_digests",
+        ),
+    },
+)

@@ -7,45 +7,32 @@ The paper's contribution, Robust Recovery, lives in
 :mod:`repro.core.robust_recovery` and plugs into the same base class.
 """
 
-from repro.tcp.base import SenderObserver, TcpSender
-from repro.tcp.factory import VARIANTS, make_connection, receiver_class_for, sender_class_for
-from repro.tcp.newreno import NewRenoSender
-from repro.tcp.receiver import SackReceiver, TcpReceiver
-from repro.tcp.reno import RenoSender
-from repro.tcp.rightedge import LinKungSender, RightEdgeSender
-from repro.tcp.rtt import RtoEstimator
-from repro.tcp.sack import SackRfc3517Sender, SackSender
-from repro.tcp.scoreboard import Scoreboard
-from repro.tcp.smoothstart import (
-    SmoothStartMixin,
-    SmoothStartNewRenoSender,
-    SmoothStartRenoSender,
-    SmoothStartRrSender,
-)
-from repro.tcp.tahoe import TahoeSender
-from repro.tcp.vegas import VegasSender
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TcpSender",
-    "SenderObserver",
-    "TcpReceiver",
-    "SackReceiver",
-    "RtoEstimator",
-    "TahoeSender",
-    "RenoSender",
-    "NewRenoSender",
-    "SackSender",
-    "SackRfc3517Sender",
-    "Scoreboard",
-    "RightEdgeSender",
-    "LinKungSender",
-    "VegasSender",
-    "SmoothStartMixin",
-    "SmoothStartRenoSender",
-    "SmoothStartNewRenoSender",
-    "SmoothStartRrSender",
-    "VARIANTS",
-    "make_connection",
-    "sender_class_for",
-    "receiver_class_for",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "base": ("SenderObserver", "TcpSender"),
+        "factory": (
+            "VARIANTS",
+            "make_connection",
+            "receiver_class_for",
+            "sender_class_for",
+        ),
+        "newreno": ("NewRenoSender",),
+        "receiver": ("SackReceiver", "TcpReceiver"),
+        "reno": ("RenoSender",),
+        "rightedge": ("LinKungSender", "RightEdgeSender"),
+        "rtt": ("RtoEstimator",),
+        "sack": ("SackRfc3517Sender", "SackSender"),
+        "scoreboard": ("Scoreboard",),
+        "smoothstart": (
+            "SmoothStartMixin",
+            "SmoothStartNewRenoSender",
+            "SmoothStartRenoSender",
+            "SmoothStartRrSender",
+        ),
+        "tahoe": ("TahoeSender",),
+        "vegas": ("VegasSender",),
+    },
+)

@@ -95,14 +95,14 @@ class TestTelemetry:
         assert all(p.name.startswith("task-") for p in captures)
 
     def test_failed_run_still_writes_manifest(self, tmp_path, monkeypatch, capsys):
-        from repro.experiments.cli import EXPERIMENTS
+        from repro.experiments import ablation
         from repro.obs import RunManifest
 
         def exploding(args, runner, manifest=None):
             raise RuntimeError("harness blew up")
 
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "artifacts"))
-        monkeypatch.setitem(EXPERIMENTS, "ablation", exploding)
+        monkeypatch.setattr(ablation, "run_cli", exploding)
         with pytest.raises(RuntimeError, match="harness blew up"):
             main(["ablation", "--quick", "--quiet"])
         (run_dir,) = self._runs(tmp_path)

@@ -75,6 +75,27 @@ class TestCodeFingerprint:
             (root / name).write_text("x = 1\n")
         assert code_fingerprint(one) != code_fingerprint(two)
 
+    def test_compiled_core_source_change_changes_fingerprint(self, tmp_path):
+        # sim/_engine_core.c is the code that runs the cells on the
+        # compiled backend: a one-byte edit must invalidate cached rows.
+        import shutil
+
+        from repro.runner import package_root
+
+        roots = []
+        for name in ("one", "two"):
+            root = tmp_path / name / "repro"
+            shutil.copytree(
+                package_root(),
+                root,
+                ignore=shutil.ignore_patterns("__pycache__", "*.so"),
+            )
+            roots.append(root)
+        core = roots[1] / "sim" / "_engine_core.c"
+        source = core.read_bytes()
+        core.write_bytes(source[:-1] + bytes([source[-1] ^ 1]))
+        assert code_fingerprint(roots[0]) != code_fingerprint(roots[1])
+
     def test_repo_fingerprint_is_memoized_and_stable(self):
         assert code_fingerprint() == code_fingerprint()
         assert len(code_fingerprint()) == 64
