@@ -34,8 +34,7 @@ from repro.metrics.throughput import goodput_bps
 from repro.net.loss import AckLoss, DeterministicLoss
 from repro.net.packet import set_uid_state
 from repro.net.topology import DumbbellParams
-from repro import runner as sweep  # warm-start names load on first use
-from repro.runner import SweepRunner, TaskSpec
+from repro.runner.grid import GridCell, run_grid, step_until
 from repro.sim.rng import RngStream
 from repro.viz.ascii import format_table
 
@@ -100,7 +99,7 @@ def prefix_world(variant: str, config: AckLossConfig):
     )
     sender = scenario.senders[1]
     target = config.first_drop_seq - WARM_MARGIN_PACKETS
-    sweep.step_until(
+    step_until(
         scenario.sim,
         lambda: sender.maxseq >= target,
         step=WARM_STEP_SECONDS,
@@ -112,14 +111,6 @@ def prefix_world(variant: str, config: AckLossConfig):
             f"first_drop_seq={config.first_drop_seq}"
         )
     return scenario
-
-
-def prefix_spec(variant: str, config: AckLossConfig) -> sweep.PrefixSpec:
-    return sweep.PrefixSpec(
-        fn="repro.experiments.ackloss:prefix_world",
-        args=(variant, config),
-        label=f"ackloss warm prefix {variant}",
-    )
 
 
 def _measure_from(scenario, variant: str, ack_rate: float, run: int, config: AckLossConfig):
@@ -141,7 +132,15 @@ def _measure_from(scenario, variant: str, ack_rate: float, run: int, config: Ack
     )
 
 
-def _reduce_point(variant: str, ack_rate: float, measurements) -> AckLossRow:
+def finish_point(
+    fresh_world, variant: str, ack_rate: float, config: AckLossConfig
+) -> AckLossRow:
+    """Average ``runs_per_point`` seeds for one (variant, rate) point,
+    each run on its own copy of the clean pre-burst prefix."""
+    measurements = [
+        _measure_from(fresh_world(), variant, ack_rate, run, config)
+        for run in range(config.runs_per_point)
+    ]
     goodputs, timeouts, completions = zip(*measurements)
     n = len(goodputs)
     return AckLossRow(
@@ -154,37 +153,15 @@ def _reduce_point(variant: str, ack_rate: float, measurements) -> AckLossRow:
 
 
 def run_point(variant: str, ack_rate: float, config: AckLossConfig) -> AckLossRow:
-    measurements = [
-        _measure_from(prefix_world(variant, config), variant, ack_rate, run, config)
-        for run in range(config.runs_per_point)
-    ]
-    return _reduce_point(variant, ack_rate, measurements)
-
-
-def run_point_from_snapshot(
-    digest: str,
-    variant: str,
-    ack_rate: float,
-    config: AckLossConfig,
-    store_root: Optional[str] = None,
-) -> AckLossRow:
-    """One (variant, rate) point with every run restored from the frozen
-    pre-burst prefix."""
-    snapshot = sweep.fetch_prefix(digest, store_root)
-    measurements = [
-        _measure_from(
-            snapshot.restore(verify=False), variant, ack_rate, run, config
-        )
-        for run in range(config.runs_per_point)
-    ]
-    return _reduce_point(variant, ack_rate, measurements)
+    """One (variant, rate) point from t=0."""
+    return finish_point(lambda: prefix_world(variant, config), variant, ack_rate, config)
 
 
 def run_ackloss(
     config: Optional[AckLossConfig] = None,
-    runner: Optional[SweepRunner] = None,
+    runner: Optional["SweepRunner"] = None,
     warm_start: bool = False,
-    store: Optional[sweep.SnapshotStore] = None,
+    store: Optional["SnapshotStore"] = None,
     manifest: Optional["RunManifest"] = None,
 ) -> AckLossResult:
     """Regenerate the ACK-loss grid.
@@ -195,54 +172,23 @@ def run_ackloss(
     bit-identical rows.
     """
     config = config or AckLossConfig()
-    runner = runner or SweepRunner()
-    result = AckLossResult(config=config)
     if manifest is not None:
         manifest.describe_harness(
             "ackloss", config=config, seed=config.seed, warm_start=warm_start
         )
     cells = [
-        (variant, rate)
+        GridCell(
+            "repro.experiments.ackloss:prefix_world",
+            (variant, config),
+            "repro.experiments.ackloss:finish_point",
+            (variant, rate, config),
+            label=f"ackloss {variant}/{rate}",
+        )
         for variant in config.variants
         for rate in config.ack_loss_rates
     ]
-    prefix_for = lambda cell: prefix_spec(cell[0], config)  # noqa: E731
-    if warm_start:
-        store = store or sweep.SnapshotStore()
-        if warm_start != "force":
-            decision = sweep.warm_start_decision(
-                cells, prefix_for, WARM_PREFIX_FRACTION, store
-            )
-            if not decision.use_warm:
-                if manifest is not None:
-                    manifest.note_warm_start_skipped(decision.reason)
-                warm_start = False
-    if warm_start:
-        store_arg = str(store.root)
-        specs = sweep.warm_specs(
-            cells,
-            prefix_for=prefix_for,
-            spec_for=lambda cell, digest: TaskSpec(
-                fn="repro.experiments.ackloss:run_point_from_snapshot",
-                args=(digest, cell[0], cell[1], config, store_arg),
-                label=f"ackloss {cell[0]}/{cell[1]} (warm)",
-            ),
-            store=store,
-            runner=runner,
-        )
-        if manifest is not None:
-            manifest.note_warm_start(store)
-    else:
-        specs = [
-            TaskSpec(
-                fn="repro.experiments.ackloss:run_point",
-                args=(variant, rate, config),
-                label=f"ackloss {variant}/{rate}",
-            )
-            for variant, rate in cells
-        ]
-    result.rows.extend(runner.map(specs))
-    return result
+    rows = run_grid(cells, runner, warm_start, store, manifest, WARM_PREFIX_FRACTION)
+    return AckLossResult(config=config, rows=rows)
 
 
 def format_report(result: AckLossResult) -> str:

@@ -66,9 +66,9 @@ EXPERIMENTS = {
 #: One-line descriptions for ``--list``.
 DESCRIPTIONS = {
     "fig5": "effective throughput during 3/6-drop recovery (drop-tail)",
-    "fig6": "cwnd trajectories through a bursty-loss episode",
-    "fig7": "goodput vs. uniform random loss rate at gateway R1",
-    "table5": "multi-flow fairness/throughput shares on the dumbbell",
+    "fig6": "sequence-number dynamics under RED gateways (ten flows)",
+    "fig7": "fitness to the Mathis square-root model (window vs. loss rate)",
+    "table5": "targeted connection's transfer delay, RR interoperating with Reno",
     "ackloss": "RR's linear degradation under reverse-path ACK loss (§2.3)",
     "ablation": "RR mechanism knock-outs (actnum/ndup/exit-point variants)",
     "vegas": "Vegas-decomposition extension study",

@@ -44,8 +44,7 @@ from repro.metrics.throughput import (
 )
 from repro.net.loss import DeterministicLoss
 from repro.net.topology import DumbbellParams
-from repro import runner as sweep  # warm-start names load on first use
-from repro.runner import SweepRunner, TaskSpec
+from repro.runner.grid import GridCell, run_grid, step_until
 from repro.snapshot import Snapshot
 from repro.viz.ascii import format_table
 
@@ -95,23 +94,73 @@ def _tcp_config(config: Figure5Config) -> TcpConfig:
     )
 
 
-def _build(
-    variant: str, loss: DeterministicLoss, config: Figure5Config
-) -> ScenarioResult:
-    """The Figure-5 world for one cell, not yet run."""
-    return build_dumbbell_scenario(
+#: Safety margin (packets) the warm-up capture keeps below the first
+#: engineered drop.  Must exceed the per-step window growth so the
+#: stepping loop cannot overshoot the loss point within one check.
+WARM_MARGIN_PACKETS = 20
+
+#: Step size (seconds) of the warm-up capture loop.
+WARM_STEP_SECONDS = 0.02
+
+#: Fraction of one cold cell's runtime spent in the shared pre-loss
+#: prefix — the warm-start cost model's hint.  The slow-start ramp to
+#: ``first_drop_seq`` dominates a cell whose transfer finishes shortly
+#: after recovery (BENCH_experiments.json measures a ~2.4x warm replay
+#: on the late-loss grid, i.e. the prefix is over half the work).
+WARM_PREFIX_FRACTION = 0.5
+
+
+def prefix_world(variant: str, config: Figure5Config) -> ScenarioResult:
+    """Build and advance the shared pre-loss prefix of a Figure-5 cell.
+
+    The world is built with an *empty* drop list — identical on the wire
+    to any cell's world before its first engineered drop — and stepped
+    until the sender's highest transmitted sequence approaches (but has
+    provably not reached) ``first_drop_seq``.  Each sweep cell continues
+    from this world (re-built cold, forked from one frozen copy warm)
+    and reprograms the loss module with its own drops.
+    """
+    scenario = build_dumbbell_scenario(
         flows=[FlowSpec(variant=variant, amount_packets=config.transfer_packets)],
         params=DumbbellParams(n_pairs=1, buffer_packets=config.buffer_packets),
         default_config=_tcp_config(config),
-        forward_loss=loss,
+        forward_loss=DeterministicLoss([]),
+    )
+    sender = scenario.senders[1]
+    target = config.first_drop_seq - WARM_MARGIN_PACKETS
+    step_until(
+        scenario.sim,
+        lambda: sender.maxseq >= target,
+        step=WARM_STEP_SECONDS,
+        deadline=config.sim_duration,
+    )
+    if sender.maxseq >= config.first_drop_seq:
+        raise SnapshotError(
+            f"warm-up overran the loss point: maxseq={sender.maxseq} >= "
+            f"first_drop_seq={config.first_drop_seq} (margin too small for "
+            "this bandwidth/window configuration)"
+        )
+    return scenario
+
+
+def capture_warm_snapshot(variant: str, config: Figure5Config) -> Snapshot:
+    """Run the shared pre-loss prefix of a Figure-5 cell and freeze it."""
+    return Snapshot.capture(
+        prefix_world(variant, config), label=f"fig5 warm prefix {variant}"
     )
 
 
-def _finish(
-    scenario: ScenarioResult, variant: str, n_drops: int, config: Figure5Config
+def _cell_drops(n_drops: int, config: Figure5Config) -> List[tuple]:
+    return [(1, config.first_drop_seq + i) for i in range(n_drops)]
+
+
+def finish_cell(
+    fresh_world, variant: str, n_drops: int, config: Figure5Config
 ) -> Figure5Row:
-    """Run the remainder of a (possibly warm-started) cell and reduce it
-    to a result row."""
+    """Fork the pre-loss prefix, program the cell's engineered drops
+    into its loss module, run the remainder and reduce it to a row."""
+    scenario: ScenarioResult = fresh_world()
+    scenario.dumbbell.forward_link.loss.reprogram(_cell_drops(n_drops, config))
     scenario.sim.run(until=config.sim_duration)
     tcp_config = _tcp_config(config)
     sender, stats = scenario.flow(1)
@@ -138,107 +187,16 @@ def _finish(
     )
 
 
-def _cell_drops(n_drops: int, config: Figure5Config) -> List[tuple]:
-    return [(1, config.first_drop_seq + i) for i in range(n_drops)]
-
-
 def run_single(variant: str, n_drops: int, config: Figure5Config) -> Figure5Row:
     """Run one (variant, drop-count) cell of Figure 5 from t=0."""
-    loss = DeterministicLoss(_cell_drops(n_drops, config))
-    return _finish(_build(variant, loss, config), variant, n_drops, config)
-
-
-#: Safety margin (packets) the warm-up capture keeps below the first
-#: engineered drop.  Must exceed the per-step window growth so the
-#: stepping loop cannot overshoot the loss point within one check.
-WARM_MARGIN_PACKETS = 20
-
-#: Step size (seconds) of the warm-up capture loop.
-WARM_STEP_SECONDS = 0.02
-
-#: Fraction of one cold cell's runtime spent in the shared pre-loss
-#: prefix — the warm-start cost model's hint.  The slow-start ramp to
-#: ``first_drop_seq`` dominates a cell whose transfer finishes shortly
-#: after recovery (BENCH_experiments.json measures a ~2.4x warm replay
-#: on the late-loss grid, i.e. the prefix is over half the work).
-WARM_PREFIX_FRACTION = 0.5
-
-
-def prefix_world(variant: str, config: Figure5Config):
-    """Build and advance the shared pre-loss prefix of a Figure-5 cell.
-
-    The world is built with an *empty* drop list — identical on the wire
-    to any cell's world before its first engineered drop — and stepped
-    until the sender's highest transmitted sequence approaches (but has
-    provably not reached) ``first_drop_seq``.  Each sweep cell forks
-    this one frozen world and reprograms the loss module with its own
-    drops.
-    """
-    scenario = _build(variant, DeterministicLoss([]), config)
-    sender = scenario.senders[1]
-    target = config.first_drop_seq - WARM_MARGIN_PACKETS
-    sweep.step_until(
-        scenario.sim,
-        lambda: sender.maxseq >= target,
-        step=WARM_STEP_SECONDS,
-        deadline=config.sim_duration,
-    )
-    if sender.maxseq >= config.first_drop_seq:
-        raise SnapshotError(
-            f"warm-up overran the loss point: maxseq={sender.maxseq} >= "
-            f"first_drop_seq={config.first_drop_seq} (margin too small for "
-            "this bandwidth/window configuration)"
-        )
-    return scenario
-
-
-def prefix_spec(variant: str, config: Figure5Config) -> sweep.PrefixSpec:
-    """The named prefix spec behind :func:`prefix_world` (see
-    :mod:`repro.runner.warmstart` for the contract)."""
-    return sweep.PrefixSpec(
-        fn="repro.experiments.figure5:prefix_world",
-        args=(variant, config),
-        label=f"fig5 warm prefix {variant}",
-    )
-
-
-def capture_warm_snapshot(variant: str, config: Figure5Config) -> Snapshot:
-    """Run the shared pre-loss prefix of a Figure-5 cell and freeze it."""
-    return Snapshot.capture(
-        prefix_world(variant, config), label=f"fig5 warm prefix {variant}"
-    )
-
-
-def run_single_from_snapshot(
-    digest: str,
-    variant: str,
-    n_drops: int,
-    config: Figure5Config,
-    store_root: Optional[str] = None,
-) -> Figure5Row:
-    """Run one cell warm-started from a stored pre-loss snapshot.
-
-    ``digest`` keys the frozen world in the :class:`SnapshotStore`
-    (default store unless ``store_root`` is given); the cell's cache
-    identity therefore changes automatically whenever the warm-up
-    prefix it continues from changes.
-    """
-    # verify=False: the store is content-addressed (the key IS the state
-    # digest recorded at capture), and re-hashing the world per cell
-    # would cost a noticeable slice of the warm-start win; the fork
-    # tests assert the stronger end-to-end property (rows == cold rows).
-    # load_prefix self-heals a missing/corrupt store entry by
-    # recomputing the prefix from its recorded spec (docs/RESILIENCE.md).
-    scenario = sweep.load_prefix(digest, store_root, verify=False)
-    scenario.dumbbell.forward_link.loss.reprogram(_cell_drops(n_drops, config))
-    return _finish(scenario, variant, n_drops, config)
+    return finish_cell(lambda: prefix_world(variant, config), variant, n_drops, config)
 
 
 def run_figure5(
     config: Optional[Figure5Config] = None,
-    runner: Optional[SweepRunner] = None,
+    runner: Optional["SweepRunner"] = None,
     warm_start: bool = False,
-    store: Optional[sweep.SnapshotStore] = None,
+    store: Optional["SnapshotStore"] = None,
     manifest: Optional["RunManifest"] = None,
 ) -> Figure5Result:
     """Regenerate both panels of Figure 5.
@@ -246,61 +204,31 @@ def run_figure5(
     With ``warm_start`` the pre-loss prefix is simulated once per
     variant, captured, and every drop-count cell forks the frozen world
     instead of re-running slow start from t=0 (bit-identical rows, see
-    tests/snapshot/test_fork.py).  ``warm_start=True`` first consults
-    :func:`~repro.runner.warmstart.warm_start_decision` and falls back
-    to the cold path when no win is predicted (recorded in the manifest
-    as ``warm_start_skipped``); ``warm_start="force"`` skips the cost
-    model.  A :class:`~repro.obs.RunManifest` passed as ``manifest`` is
-    annotated with the harness identity, canonical config and
-    warm-start reuse counters (docs/OBSERVABILITY.md).
+    tests/experiments/test_warmstart_grids.py).  ``warm_start=True``
+    first consults the warm-start cost model and falls back to the cold
+    path when no win is predicted (recorded in the manifest as
+    ``warm_start_skipped``); ``warm_start="force"`` skips the cost
+    model (:func:`repro.runner.grid.run_grid`).  A
+    :class:`~repro.obs.RunManifest` passed as ``manifest`` is annotated
+    with the harness identity, canonical config and warm-start reuse
+    counters (docs/OBSERVABILITY.md).
     """
     config = config or Figure5Config()
-    runner = runner or SweepRunner()
-    result = Figure5Result(config=config)
     if manifest is not None:
         manifest.describe_harness("fig5", config=config, warm_start=warm_start)
     cells = [
-        (variant, n_drops)
+        GridCell(
+            "repro.experiments.figure5:prefix_world",
+            (variant, config),
+            "repro.experiments.figure5:finish_cell",
+            (variant, n_drops, config),
+            label=f"fig5 {variant}/{n_drops}-drop",
+        )
         for n_drops in config.drop_counts
         for variant in config.variants
     ]
-    prefix_for = lambda cell: prefix_spec(cell[0], config)  # noqa: E731
-    if warm_start:
-        store = store or sweep.SnapshotStore()
-        if warm_start != "force":
-            decision = sweep.warm_start_decision(
-                cells, prefix_for, WARM_PREFIX_FRACTION, store
-            )
-            if not decision.use_warm:
-                if manifest is not None:
-                    manifest.note_warm_start_skipped(decision.reason)
-                warm_start = False
-    if warm_start:
-        store_arg = str(store.root)
-        specs = sweep.warm_specs(
-            cells,
-            prefix_for=prefix_for,
-            spec_for=lambda cell, digest: TaskSpec(
-                fn="repro.experiments.figure5:run_single_from_snapshot",
-                args=(digest, cell[0], cell[1], config, store_arg),
-                label=f"fig5 {cell[0]}/{cell[1]}-drop (warm)",
-            ),
-            store=store,
-            runner=runner,
-        )
-        if manifest is not None:
-            manifest.note_warm_start(store)
-    else:
-        specs = [
-            TaskSpec(
-                fn="repro.experiments.figure5:run_single",
-                args=(variant, n_drops, config),
-                label=f"fig5 {variant}/{n_drops}-drop",
-            )
-            for variant, n_drops in cells
-        ]
-    result.rows.extend(runner.map(specs))
-    return result
+    rows = run_grid(cells, runner, warm_start, store, manifest, WARM_PREFIX_FRACTION)
+    return Figure5Result(config=config, rows=rows)
 
 
 def format_report(result: Figure5Result) -> str:

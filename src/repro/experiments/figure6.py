@@ -28,8 +28,7 @@ from repro.metrics.timeseries import SequenceTrace, SequenceTracer
 from repro.metrics.throughput import effective_throughput_bps
 from repro.net.red import RedParams, RedQueue
 from repro.net.topology import DumbbellParams
-from repro import runner as sweep  # warm-start names load on first use
-from repro.runner import SweepRunner, TaskSpec
+from repro.runner.grid import GridCell, run_grid
 from repro.sim.rng import RngStream
 from repro.viz.ascii import ascii_scatter, format_table
 
@@ -104,17 +103,12 @@ def prefix_world(variant: str, config: Figure6Config):
     return scenario
 
 
-def prefix_spec(variant: str, config: Figure6Config) -> sweep.PrefixSpec:
-    return sweep.PrefixSpec(
-        fn="repro.experiments.figure6:prefix_world",
-        args=(variant, config),
-        label=f"fig6 warm prefix {variant}",
-    )
-
-
-def _finish(scenario, variant: str, config: Figure6Config) -> Figure6FlowResult:
+def finish_variant(
+    fresh_world, variant: str, config: Figure6Config
+) -> Figure6FlowResult:
     """Run the remainder of a (possibly warm-started) cell and reduce it
     to flow 1's dynamics."""
+    scenario = fresh_world()
     scenario.sim.run(until=config.duration)
     sender, stats = scenario.flow(1)
     tracer = SequenceTracer(stats)
@@ -139,25 +133,14 @@ def _finish(scenario, variant: str, config: Figure6Config) -> Figure6FlowResult:
 def run_variant(variant: str, config: Figure6Config) -> Figure6FlowResult:
     """Run the ten-flow RED scenario with every flow using ``variant``
     and return flow 1's dynamics."""
-    return _finish(prefix_world(variant, config), variant, config)
-
-
-def run_variant_from_snapshot(
-    digest: str,
-    variant: str,
-    config: Figure6Config,
-    store_root: Optional[str] = None,
-) -> Figure6FlowResult:
-    """Run one cell warm-started from the stored prefix snapshot."""
-    scenario = sweep.load_prefix(digest, store_root, verify=False)
-    return _finish(scenario, variant, config)
+    return finish_variant(lambda: prefix_world(variant, config), variant, config)
 
 
 def run_figure6(
     config: Optional[Figure6Config] = None,
-    runner: Optional[SweepRunner] = None,
+    runner: Optional["SweepRunner"] = None,
     warm_start: bool = False,
-    store: Optional[sweep.SnapshotStore] = None,
+    store: Optional["SnapshotStore"] = None,
     manifest: Optional["RunManifest"] = None,
 ) -> Figure6Result:
     """Regenerate all three panels of Figure 6.
@@ -172,53 +155,25 @@ def run_figure6(
     amortize gets made.
     """
     config = config or Figure6Config()
-    runner = runner or SweepRunner()
-    result = Figure6Result(config=config)
     if manifest is not None:
         manifest.describe_harness(
             "fig6", config=config, seed=config.seed, warm_start=warm_start
         )
-    prefix_for = lambda variant: prefix_spec(variant, config)  # noqa: E731
-    if warm_start:
-        store = store or sweep.SnapshotStore()
-        if warm_start != "force":
-            # Hint: the prefix is exactly the first prefix_seconds of a
-            # duration-second run.
-            fraction = min(config.prefix_seconds, config.duration) / config.duration
-            decision = sweep.warm_start_decision(
-                list(config.variants), prefix_for, fraction, store
-            )
-            if not decision.use_warm:
-                if manifest is not None:
-                    manifest.note_warm_start_skipped(decision.reason)
-                warm_start = False
-    if warm_start:
-        store_arg = str(store.root)
-        specs = sweep.warm_specs(
-            list(config.variants),
-            prefix_for=prefix_for,
-            spec_for=lambda variant, digest: TaskSpec(
-                fn="repro.experiments.figure6:run_variant_from_snapshot",
-                args=(digest, variant, config, store_arg),
-                label=f"fig6 {variant} (warm)",
-            ),
-            store=store,
-            runner=runner,
+    cells = [
+        GridCell(
+            "repro.experiments.figure6:prefix_world",
+            (variant, config),
+            "repro.experiments.figure6:finish_variant",
+            (variant, config),
+            label=f"fig6 {variant}",
         )
-        if manifest is not None:
-            manifest.note_warm_start(store)
-    else:
-        specs = [
-            TaskSpec(
-                fn="repro.experiments.figure6:run_variant",
-                args=(variant, config),
-                label=f"fig6 {variant}",
-            )
-            for variant in config.variants
-        ]
-    for variant, flow in zip(config.variants, runner.map(specs)):
-        result.flows[variant] = flow
-    return result
+        for variant in config.variants
+    ]
+    # Cost-model hint: the prefix is exactly the first prefix_seconds of
+    # a duration-second run.
+    fraction = min(config.prefix_seconds, config.duration) / config.duration
+    flows = run_grid(cells, runner, warm_start, store, manifest, fraction)
+    return Figure6Result(config=config, flows=dict(zip(config.variants, flows)))
 
 
 def format_report(result: Figure6Result, plots: bool = True) -> str:

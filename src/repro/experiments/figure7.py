@@ -12,7 +12,7 @@ the model's assumption that RTT is a constant.  Losses switch on when
 the ignored start-up phase ends (``loss_start``), so the measured
 window over ``[warmup, duration]`` always sees the loss process while
 the start-up prefix stays loss-free and shared across the whole grid
-(the warm-start contract of :mod:`repro.runner.warmstart`).
+(the prefix/finish contract of :mod:`repro.runner.grid`).
 
 Expected shape (paper): both RR and SACK track the bound at small
 loss rates and drop below it at high rates, where retransmission losses
@@ -31,8 +31,7 @@ from repro.models.mathis import MATHIS_C_ACK_EVERY_PACKET, PAPER_C, mathis_windo
 from repro.net.loss import UniformLoss
 from repro.net.packet import set_uid_state
 from repro.net.topology import DumbbellParams
-from repro import runner as sweep  # warm-start names load on first use
-from repro.runner import SweepRunner, TaskSpec
+from repro.runner.grid import GridCell, run_grid
 from repro.sim.rng import RngStream
 from repro.viz.ascii import ascii_scatter, format_table
 
@@ -115,14 +114,6 @@ def prefix_world(variant: str, config: Figure7Config):
     return scenario
 
 
-def prefix_spec(variant: str, config: Figure7Config) -> sweep.PrefixSpec:
-    return sweep.PrefixSpec(
-        fn="repro.experiments.figure7:prefix_world",
-        args=(variant, config),
-        label=f"fig7 warm prefix {variant}",
-    )
-
-
 def _measure_from(scenario, loss_rate: float, seed: int, config: Figure7Config):
     """Reprogram the cell's losses onto a prefix world and finish it."""
     # Stream name excludes the variant so RR and SACK face the same
@@ -137,11 +128,15 @@ def _measure_from(scenario, loss_rate: float, seed: int, config: Figure7Config):
     return window, bw_bps, sender.timeouts
 
 
-def _measure(variant: str, loss_rate: float, seed: int, config: Figure7Config):
-    return _measure_from(prefix_world(variant, config), loss_rate, seed, config)
-
-
-def _reduce_point(variant, loss_rate, measurements) -> Figure7Point:
+def finish_point(
+    fresh_world, variant: str, loss_rate: float, config: Figure7Config
+) -> Figure7Point:
+    """Average ``runs_per_point`` seeds for one (variant, p) point, each
+    run on its own copy of the loss-free prefix."""
+    measurements = [
+        _measure_from(fresh_world(), loss_rate, config.seed + run, config)
+        for run in range(config.runs_per_point)
+    ]
     windows, bws, timeouts = zip(*measurements)
     n = len(windows)
     return Figure7Point(
@@ -155,38 +150,17 @@ def _reduce_point(variant, loss_rate, measurements) -> Figure7Point:
 
 
 def run_point(variant: str, loss_rate: float, config: Figure7Config) -> Figure7Point:
-    """Average ``runs_per_point`` seeds for one (variant, p) point."""
-    measurements = [
-        _measure(variant, loss_rate, config.seed + run, config)
-        for run in range(config.runs_per_point)
-    ]
-    return _reduce_point(variant, loss_rate, measurements)
-
-
-def run_point_from_snapshot(
-    digest: str,
-    variant: str,
-    loss_rate: float,
-    config: Figure7Config,
-    store_root: Optional[str] = None,
-) -> Figure7Point:
-    """One (variant, p) point with every run restored from the frozen
-    loss-free prefix instead of re-simulating start-up."""
-    snapshot = sweep.fetch_prefix(digest, store_root)
-    measurements = [
-        _measure_from(
-            snapshot.restore(verify=False), loss_rate, config.seed + run, config
-        )
-        for run in range(config.runs_per_point)
-    ]
-    return _reduce_point(variant, loss_rate, measurements)
+    """One (variant, p) point from t=0."""
+    return finish_point(
+        lambda: prefix_world(variant, config), variant, loss_rate, config
+    )
 
 
 def run_figure7(
     config: Optional[Figure7Config] = None,
-    runner: Optional[SweepRunner] = None,
+    runner: Optional["SweepRunner"] = None,
     warm_start: bool = False,
-    store: Optional[sweep.SnapshotStore] = None,
+    store: Optional["SnapshotStore"] = None,
     manifest: Optional["RunManifest"] = None,
 ) -> Figure7Result:
     """Regenerate Figure 7's sweep.
@@ -197,54 +171,23 @@ def run_figure7(
     whole grid.
     """
     config = config or Figure7Config()
-    runner = runner or SweepRunner()
-    result = Figure7Result(config=config)
     if manifest is not None:
         manifest.describe_harness(
             "fig7", config=config, seed=config.seed, warm_start=warm_start
         )
     cells = [
-        (variant, loss_rate)
+        GridCell(
+            "repro.experiments.figure7:prefix_world",
+            (variant, config),
+            "repro.experiments.figure7:finish_point",
+            (variant, loss_rate, config),
+            label=f"fig7 {variant}/p={loss_rate}",
+        )
         for variant in config.variants
         for loss_rate in config.loss_rates
     ]
-    prefix_for = lambda cell: prefix_spec(cell[0], config)  # noqa: E731
-    if warm_start:
-        store = store or sweep.SnapshotStore()
-        if warm_start != "force":
-            decision = sweep.warm_start_decision(
-                cells, prefix_for, WARM_PREFIX_FRACTION, store
-            )
-            if not decision.use_warm:
-                if manifest is not None:
-                    manifest.note_warm_start_skipped(decision.reason)
-                warm_start = False
-    if warm_start:
-        store_arg = str(store.root)
-        specs = sweep.warm_specs(
-            cells,
-            prefix_for=prefix_for,
-            spec_for=lambda cell, digest: TaskSpec(
-                fn="repro.experiments.figure7:run_point_from_snapshot",
-                args=(digest, cell[0], cell[1], config, store_arg),
-                label=f"fig7 {cell[0]}/p={cell[1]} (warm)",
-            ),
-            store=store,
-            runner=runner,
-        )
-        if manifest is not None:
-            manifest.note_warm_start(store)
-    else:
-        specs = [
-            TaskSpec(
-                fn="repro.experiments.figure7:run_point",
-                args=(variant, loss_rate, config),
-                label=f"fig7 {variant}/p={loss_rate}",
-            )
-            for variant, loss_rate in cells
-        ]
-    result.points.extend(runner.map(specs))
-    return result
+    points = run_grid(cells, runner, warm_start, store, manifest, WARM_PREFIX_FRACTION)
+    return Figure7Result(config=config, points=points)
 
 
 def format_report(result: Figure7Result, plot: bool = True) -> str:

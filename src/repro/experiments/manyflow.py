@@ -25,7 +25,7 @@ sweeps through the snapshot store.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.config import TcpConfig
 from repro.metrics.queuemon import QueueMonitor
@@ -39,8 +39,7 @@ from repro.models.meanfield import (
 from repro.net.parkinglot import ParkingLotParams
 from repro.net.red import RedParams
 from repro.net.topology import DumbbellParams
-from repro import runner as sweep  # warm-start names load on first use
-from repro.runner import SweepRunner, TaskSpec
+from repro.runner.grid import GridCell, run_grid
 from repro.scenes import ArrivalSpec, FlowPopulation, Scene, SceneSpec, build_scene
 from repro.scenes.registry import default_topology
 from repro.viz.ascii import format_table
@@ -205,17 +204,10 @@ def _warmup_of(spec: SceneSpec) -> float:
 WARMUP_FRACTION = 0.25
 
 
-def prefix_spec(spec: SceneSpec) -> sweep.PrefixSpec:
-    return sweep.PrefixSpec(
-        fn="repro.experiments.manyflow:prefix_world",
-        args=(spec,),
-        label=f"manyflow prefix {spec.family} n={spec.flows.count}",
-    )
-
-
-def _finish(scene: Scene, label: str, config: ManyflowConfig) -> ManyflowCellResult:
+def finish_cell(fresh_world, label: str, config: ManyflowConfig) -> ManyflowCellResult:
     """Measure the post-warmup window of a (possibly warm-started)
     cell and compare against the fixed point where one applies."""
+    scene: Scene = fresh_world()
     spec = scene.spec
     queue = (scene.oracle_link or scene.bottlenecks[0]).queue
     base_drops, base_enqueues = queue.drops, queue.enqueues
@@ -278,89 +270,47 @@ def _finish(scene: Scene, label: str, config: ManyflowConfig) -> ManyflowCellRes
 
 
 def run_cell(spec: SceneSpec, label: str, config: ManyflowConfig) -> ManyflowCellResult:
-    """Cold path: build, warm up and measure one cell."""
-    return _finish(prefix_world(spec), label, config)
-
-
-def run_cell_from_snapshot(
-    digest: str,
-    spec: SceneSpec,
-    label: str,
-    config: ManyflowConfig,
-    store_root: Optional[str] = None,
-) -> ManyflowCellResult:
-    """Warm path: continue one cell from its stored prefix snapshot."""
-    return _finish(sweep.load_prefix(digest, store_root, verify=False), label, config)
+    """Build, warm up and measure one cell from t=0."""
+    return finish_cell(lambda: prefix_world(spec), label, config)
 
 
 def run_manyflow(
     config: Optional[ManyflowConfig] = None,
-    runner: Optional[SweepRunner] = None,
+    runner: Optional["SweepRunner"] = None,
     warm_start: bool = False,
-    store: Optional[sweep.SnapshotStore] = None,
+    store: Optional["SnapshotStore"] = None,
     manifest: Optional["RunManifest"] = None,
 ) -> ManyflowResult:
     """Run the flow-count x max_p sweep and return per-cell verdicts.
 
-    Every cell is an independent :class:`TaskSpec` fanned out through
-    ``runner.map`` (bit-identical at any job count); oracle verdicts
-    land in the manifest via :meth:`RunManifest.note_oracle`.
+    Every cell is an independent task fanned out through
+    :func:`repro.runner.grid.run_grid` (bit-identical at any job
+    count); oracle verdicts land in the manifest via
+    :meth:`RunManifest.note_oracle`.
     """
     config = config or ManyflowConfig()
     # Pin the warmup fraction the specs encode to the config's request.
     if abs(config.warmup - config.duration * WARMUP_FRACTION) > 1e-9:
         config.warmup = config.duration * WARMUP_FRACTION
-    runner = runner or SweepRunner()
     result = ManyflowResult(config=config)
     if manifest is not None:
         manifest.describe_harness(
             "manyflow", config=config, seed=config.seed, warm_start=warm_start
         )
-    grid: List[Tuple[str, SceneSpec]] = []
+    cells = []
     for n in config.flow_counts:
         for max_p in config.max_ps:
             label = f"{config.family} n={n} max_p={max_p:g}"
-            grid.append((label, cell_spec(n, max_p, config)))
-
-    if warm_start:
-        store = store or sweep.SnapshotStore()
-        if warm_start != "force":
-            decision = sweep.warm_start_decision(
-                [spec for _, spec in grid],
-                lambda spec: prefix_spec(spec),
-                WARMUP_FRACTION,
-                store,
+            cells.append(
+                GridCell(
+                    "repro.experiments.manyflow:prefix_world",
+                    (cell_spec(n, max_p, config),),
+                    "repro.experiments.manyflow:finish_cell",
+                    (label, config),
+                    label=f"manyflow {label}",
+                )
             )
-            if not decision.use_warm:
-                if manifest is not None:
-                    manifest.note_warm_start_skipped(decision.reason)
-                warm_start = False
-    if warm_start:
-        store_arg = str(store.root)
-        labels = {id(spec): label for label, spec in grid}
-        specs = sweep.warm_specs(
-            [spec for _, spec in grid],
-            prefix_for=lambda spec: prefix_spec(spec),
-            spec_for=lambda spec, digest: TaskSpec(
-                fn="repro.experiments.manyflow:run_cell_from_snapshot",
-                args=(digest, spec, labels[id(spec)], config, store_arg),
-                label=f"manyflow {labels[id(spec)]} (warm)",
-            ),
-            store=store,
-            runner=runner,
-        )
-        if manifest is not None:
-            manifest.note_warm_start(store)
-    else:
-        specs = [
-            TaskSpec(
-                fn="repro.experiments.manyflow:run_cell",
-                args=(spec, label, config),
-                label=f"manyflow {label}",
-            )
-            for label, spec in grid
-        ]
-    for cell in runner.map(specs):
+    for cell in run_grid(cells, runner, warm_start, store, manifest, WARMUP_FRACTION):
         result.cells.append(cell)
         if manifest is not None and cell.verdict is not None:
             manifest.note_oracle(cell.label, cell.verdict)

@@ -56,8 +56,8 @@ from repro.net.packet import set_uid_state
 from repro.net.red import RedParams, RedQueue
 from repro.net.topology import DumbbellParams
 from repro.net.varlink import RateSchedule, bufferbloat_limit
-from repro import runner as sweep  # warm-start names load on first use
-from repro.runner import SweepRunner, TaskSpec
+from repro.runner import TaskSpec
+from repro.runner.grid import GridCell, run_grid
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStream
 from repro.viz.ascii import format_table
@@ -276,15 +276,6 @@ def prefix_world(kind: str, variant: str, regime: str, config: RivalsConfig):
     return world
 
 
-def prefix_spec(cell: Tuple[str, str, str], config: RivalsConfig) -> sweep.PrefixSpec:
-    kind, variant, regime = cell
-    return sweep.PrefixSpec(
-        fn="repro.experiments.rivals:prefix_world",
-        args=(kind, variant, regime, config),
-        label=f"rivals prefix {kind} {variant} {regime}",
-    )
-
-
 # ----------------------------------------------------------------------
 # measurement
 # ----------------------------------------------------------------------
@@ -310,10 +301,11 @@ def _cell_bandwidth(regime: str, config: RivalsConfig) -> float:
     )
 
 
-def _finish(
-    world, label: str, kind: str, variant: str, regime: str, config: RivalsConfig
+def finish_cell(
+    fresh_world, kind: str, variant: str, regime: str, label: str, config: RivalsConfig
 ) -> RivalsCellResult:
     """Measure the post-warmup window of a (possibly warm-started) cell."""
+    world = fresh_world()
     mss = TcpConfig().mss_bytes
     queue = world.dumbbell.bottleneck_queue
     base_drops = queue.drops
@@ -368,28 +360,13 @@ def _finish(
 def run_cell(
     kind: str, variant: str, regime: str, label: str, config: RivalsConfig
 ) -> RivalsCellResult:
-    """Cold path: build, warm up and measure one grid cell."""
-    return _finish(
-        prefix_world(kind, variant, regime, config), label, kind, variant, regime, config
-    )
-
-
-def run_cell_from_snapshot(
-    digest: str,
-    kind: str,
-    variant: str,
-    regime: str,
-    label: str,
-    config: RivalsConfig,
-    store_root: Optional[str] = None,
-) -> RivalsCellResult:
-    """Warm path: continue one cell from its stored prefix snapshot."""
-    return _finish(
-        sweep.load_prefix(digest, store_root, verify=False),
-        label,
+    """Build, warm up and measure one grid cell from t=0."""
+    return finish_cell(
+        lambda: prefix_world(kind, variant, regime, config),
         kind,
         variant,
         regime,
+        label,
         config,
     )
 
@@ -502,21 +479,21 @@ def _reduce(result: RivalsResult) -> None:
 
 def run_rivals(
     config: Optional[RivalsConfig] = None,
-    runner: Optional[SweepRunner] = None,
+    runner: Optional["SweepRunner"] = None,
     warm_start: bool = False,
-    store: Optional[sweep.SnapshotStore] = None,
+    store: Optional["SnapshotStore"] = None,
     manifest: Optional["RunManifest"] = None,
 ) -> RivalsResult:
     """Run the mix x regime grid plus the model-oracle cells.
 
-    Every cell is an independent :class:`TaskSpec` fanned out through
-    ``runner.map`` (bit-identical at any job count); Diana & Lochin
+    Every cell is an independent task fanned out through
+    :func:`repro.runner.grid.run_grid` (bit-identical at any job count;
+    the model cells ride along cold); Diana & Lochin
     verdicts land in the manifest via :meth:`RunManifest.note_oracle`.
     """
     config = config or RivalsConfig()
     if abs(config.warmup - config.duration * WARMUP_FRACTION) > 1e-9:
         config.warmup = config.duration * WARMUP_FRACTION
-    runner = runner or SweepRunner()
     result = RivalsResult(config=config)
     if manifest is not None:
         manifest.describe_harness(
@@ -524,53 +501,24 @@ def run_rivals(
         )
     # Grid cells: per regime, each RR-vs-rival match plus the pure
     # baselines that anchor the friendliness ratios.
-    grid: List[Tuple[str, Tuple[str, str, str]]] = []
+    grid: List[Tuple[str, str, str, str]] = []
     for regime in config.regimes:
         for rival in config.rivals:
-            grid.append((f"{regime} rr+{rival}", ("match", rival, regime)))
+            grid.append((f"{regime} rr+{rival}", "match", rival, regime))
         for variant in ("rr",) + tuple(config.rivals):
-            grid.append((f"{regime} pure {variant}", ("pure", variant, regime)))
-
-    if warm_start:
-        store = store or sweep.SnapshotStore()
-        if warm_start != "force":
-            decision = sweep.warm_start_decision(
-                [cell for _, cell in grid],
-                lambda cell: prefix_spec(cell, config),
-                WARMUP_FRACTION,
-                store,
-            )
-            if not decision.use_warm:
-                if manifest is not None:
-                    manifest.note_warm_start_skipped(decision.reason)
-                warm_start = False
-    if warm_start:
-        store_arg = str(store.root)
-        labels = {id(cell): label for label, cell in grid}
-        specs = sweep.warm_specs(
-            [cell for _, cell in grid],
-            prefix_for=lambda cell: prefix_spec(cell, config),
-            spec_for=lambda cell, digest: TaskSpec(
-                fn="repro.experiments.rivals:run_cell_from_snapshot",
-                args=(digest, *cell, labels[id(cell)], config, store_arg),
-                label=f"rivals {labels[id(cell)]} (warm)",
-            ),
-            store=store,
-            runner=runner,
+            grid.append((f"{regime} pure {variant}", "pure", variant, regime))
+    cells = [
+        GridCell(
+            "repro.experiments.rivals:prefix_world",
+            (kind, variant, regime, config),
+            "repro.experiments.rivals:finish_cell",
+            (kind, variant, regime, label, config),
+            label=f"rivals {label}",
         )
-        if manifest is not None:
-            manifest.note_warm_start(store)
-    else:
-        specs = [
-            TaskSpec(
-                fn="repro.experiments.rivals:run_cell",
-                args=(*cell, label, config),
-                label=f"rivals {label}",
-            )
-            for label, cell in grid
-        ]
+        for label, kind, variant, regime in grid
+    ]
     # Model-oracle cells are short solo runs; always cold.
-    specs = list(specs) + [
+    model_specs = [
         TaskSpec(
             fn="repro.experiments.rivals:run_model_cell",
             args=(loss_rate, config),
@@ -578,7 +526,9 @@ def run_rivals(
         )
         for loss_rate in config.model_loss_rates
     ]
-    for cell in runner.map(specs):
+    for cell in run_grid(
+        cells, runner, warm_start, store, manifest, WARMUP_FRACTION, also=model_specs
+    ):
         result.cells.append(cell)
         if manifest is not None and cell.verdict is not None:
             manifest.note_oracle(cell.label, cell.verdict)

@@ -28,8 +28,7 @@ from repro.metrics.fairness import jain_index
 from repro.metrics.flowstats import FlowStats
 from repro.net.packet import set_uid_state
 from repro.net.topology import DumbbellParams
-from repro import runner as sweep  # warm-start names load on first use
-from repro.runner import SweepRunner, TaskSpec
+from repro.runner.grid import GridCell, run_grid
 from repro.sim.rng import RngStream
 from repro.tcp.factory import make_connection
 from repro.viz.ascii import format_table
@@ -114,16 +113,6 @@ def prefix_world(background_variant: str, run_index: int, config: Table5Config):
     return scenario
 
 
-def prefix_spec(
-    background_variant: str, run_index: int, config: Table5Config
-) -> sweep.PrefixSpec:
-    return sweep.PrefixSpec(
-        fn="repro.experiments.table5:prefix_world",
-        args=(background_variant, run_index, config),
-        label=f"table5 warm prefix {background_variant}/run{run_index}",
-    )
-
-
 def _attach_target(scenario, target_variant: str, config: Table5Config):
     """Wire the targeted connection onto host pair ``n_connections`` of
     a prefix world — the Table-5 reprogram step."""
@@ -156,8 +145,11 @@ def _attach_target(scenario, target_variant: str, config: Table5Config):
     return scenario
 
 
-def _finish_replica(scenario, config: Table5Config):
-    """Run an attached replication to the end and measure the target."""
+def finish_replica(fresh_world, target_variant: str, config: Table5Config):
+    """One replication: attach the target to the frozen background
+    system, run to the end and measure it.  Returns
+    ``(delay|None, loss, timeouts, rtx, jain)``."""
+    scenario = _attach_target(fresh_world(), target_variant, config)
     target_id = config.n_connections
     target_sender = scenario.senders[target_id]
     scenario.sim.run(until=config.sim_duration)
@@ -183,24 +175,12 @@ def _finish_replica(scenario, config: Table5Config):
 def run_replica(
     target_variant: str, background_variant: str, config: Table5Config, run_index: int
 ):
-    """One replication; returns (delay|None, loss, timeouts, rtx, jain)."""
-    scenario = _attach_target(
-        prefix_world(background_variant, run_index, config), target_variant, config
+    """One replication from t=0."""
+    return finish_replica(
+        lambda: prefix_world(background_variant, run_index, config),
+        target_variant,
+        config,
     )
-    return _finish_replica(scenario, config)
-
-
-def run_replica_from_snapshot(
-    digest: str,
-    target_variant: str,
-    background_variant: str,
-    config: Table5Config,
-    run_index: int,
-    store_root: Optional[str] = None,
-):
-    """One replication warm-started from the frozen background system."""
-    scenario = sweep.load_prefix(digest, store_root, verify=False)
-    return _finish_replica(_attach_target(scenario, target_variant, config), config)
 
 
 def _reduce_case(
@@ -242,85 +222,56 @@ def run_case(target_variant: str, background_variant: str, config: Table5Config)
 
 def run_table5(
     config: Optional[Table5Config] = None,
-    runner: Optional[SweepRunner] = None,
+    runner: Optional["SweepRunner"] = None,
     warm_start: bool = False,
-    store: Optional[sweep.SnapshotStore] = None,
+    store: Optional["SnapshotStore"] = None,
     manifest: Optional["RunManifest"] = None,
 ) -> Table5Result:
     """Regenerate all four cases of Table 5.
 
-    With ``warm_start`` the sweep fans out per *replication* rather
-    than per case: each (background, run) prefix — the chaotic 19-flow
+    The sweep fans out per *replication* rather than per case.  With
+    ``warm_start`` each (background, run) prefix — the chaotic 19-flow
     build-up — is simulated once and both target variants fork it, so
     the four-case grid needs ``2 x runs_per_case`` prefixes instead of
     ``4 x runs_per_case`` warm-ups, and rows stay bit-identical to the
     cold path.  Missing prefixes are captured in parallel over the
-    runner's worker pool, so the first warm pass no longer serializes
-    ten chaotic 19-flow warm-ups (ROADMAP: warm-start first-pass cost).
+    runner's worker pool, so the first warm pass does not serialize
+    ten chaotic 19-flow warm-ups.
     """
     config = config or Table5Config()
-    runner = runner or SweepRunner()
-    result = Table5Result(config=config)
     if manifest is not None:
         manifest.describe_harness(
             "table5", config=config, seed=config.seed, warm_start=warm_start
         )
     cells = [
-        (target_variant, background_variant, run_index)
+        GridCell(
+            "repro.experiments.table5:prefix_world",
+            (background_variant, run_index, config),
+            "repro.experiments.table5:finish_replica",
+            (target_variant, config),
+            label=f"table5 {target_variant}/{background_variant}s run{run_index}",
+        )
         for target_variant, background_variant in config.cases
         for run_index in range(config.runs_per_case)
     ]
-    prefix_for = lambda cell: prefix_spec(cell[1], cell[2], config)  # noqa: E731
-    if warm_start:
-        store = store or sweep.SnapshotStore()
-        if warm_start != "force":
-            # Hint: the prefix is the background build-up to just
-            # before target_start of a sim_duration-second run — a few
-            # percent by default, which is why warm table5 measured at
-            # parity with cold (BENCH_experiments.json) before this
-            # cost model existed.
-            fraction = (
-                max(config.target_start - config.attach_margin, 0.0)
-                / config.sim_duration
-            )
-            decision = sweep.warm_start_decision(cells, prefix_for, fraction, store)
-            if not decision.use_warm:
-                if manifest is not None:
-                    manifest.note_warm_start_skipped(decision.reason)
-                warm_start = False
-    if warm_start:
-        store_arg = str(store.root)
-        specs = sweep.warm_specs(
-            cells,
-            prefix_for=prefix_for,
-            spec_for=lambda cell, digest: TaskSpec(
-                fn="repro.experiments.table5:run_replica_from_snapshot",
-                args=(digest, cell[0], cell[1], config, cell[2], store_arg),
-                label=f"table5 {cell[0]}/{cell[1]}s run{cell[2]} (warm)",
-            ),
-            store=store,
-            runner=runner,
+    # Cost-model hint: the prefix is the background build-up to just
+    # before target_start of a sim_duration-second run — a few percent
+    # by default, which is why warm table5 measures at parity with cold.
+    fraction = (
+        max(config.target_start - config.attach_margin, 0.0) / config.sim_duration
+    )
+    replicas = run_grid(cells, runner, warm_start, store, manifest, fraction)
+    per_case = config.runs_per_case
+    rows = [
+        _reduce_case(
+            target_variant,
+            background_variant,
+            config,
+            replicas[index * per_case : (index + 1) * per_case],
         )
-        if manifest is not None:
-            manifest.note_warm_start(store)
-        replicas = runner.map(specs)
-        per_case = config.runs_per_case
-        for case_index, (target_variant, background_variant) in enumerate(config.cases):
-            chunk = replicas[case_index * per_case : (case_index + 1) * per_case]
-            result.rows.append(
-                _reduce_case(target_variant, background_variant, config, chunk)
-            )
-    else:
-        specs = [
-            TaskSpec(
-                fn="repro.experiments.table5:run_case",
-                args=(target_variant, background_variant, config),
-                label=f"table5 {target_variant}/{background_variant}",
-            )
-            for target_variant, background_variant in config.cases
-        ]
-        result.rows.extend(runner.map(specs))
-    return result
+        for index, (target_variant, background_variant) in enumerate(config.cases)
+    ]
+    return Table5Result(config=config, rows=rows)
 
 
 def format_report(result: Table5Result) -> str:

@@ -56,7 +56,7 @@ from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.models.mathis import MATHIS_C_ACK_EVERY_PACKET
-from repro.net.red import RedParams
+from repro.net.red import RedParams, red_drop_curve
 
 
 @dataclass(frozen=True)
@@ -104,17 +104,6 @@ class MeanFieldPrediction:
     utilization: float       # aggregate demand / capacity, <= 1
     # "window-limited" | "early-drop" | "early-drop-corner" | "forced"
     regime: str
-
-
-def red_drop_curve(avg: float, red: RedParams) -> float:
-    """RED's raw marking probability ``p_b`` at average queue ``avg``."""
-    if avg < red.min_th:
-        return 0.0
-    if avg < red.max_th:
-        return red.max_p * (avg - red.min_th) / (red.max_th - red.min_th)
-    if red.gentle and avg < 2 * red.max_th:
-        return red.max_p + (1.0 - red.max_p) * (avg - red.max_th) / red.max_th
-    return 1.0
 
 
 def effective_drop_probability(

@@ -77,14 +77,10 @@ class Link:
         self.tamper = None
         self._busy = False
         self._down = False
-        # Opt-in batched egress (see enable_batched_egress).  False on
-        # every default link; the batching attributes are stripped from
-        # checkpoints while disabled so default-link digests are
-        # byte-identical to a batching-unaware build.
-        self._batch = False
         # Optional time-varying rate schedule (repro.net.varlink); set
-        # by RateSchedule.apply.  None is stripped from checkpoints for
-        # the same digest-compatibility reason as _batch.
+        # by RateSchedule.apply.  None is stripped from checkpoints so
+        # unscheduled-link digests are byte-identical to a
+        # schedule-unaware build.
         self.rate_schedule = None
         self.packets_delivered = 0
         self.bytes_delivered = 0
@@ -127,10 +123,6 @@ class Link:
         state.pop("_ch_tx", None)
         del state["_loss"], state["_loss_active"]
         state["loss"] = self._loss
-        if not self._batch:
-            # Default links pickle exactly as a batching-unaware link
-            # would; batching links keep their mode and service horizon.
-            del state["_batch"]
         if state.get("rate_schedule") is None:
             state.pop("rate_schedule", None)
         return state
@@ -138,7 +130,6 @@ class Link:
     def __setstate__(self, state) -> None:
         state = dict(state)
         loss = state.pop("loss")
-        state.setdefault("_batch", False)
         state.setdefault("rate_schedule", None)
         self.__dict__.update(state)
         self.loss = loss
@@ -157,8 +148,6 @@ class Link:
     @property
     def busy(self) -> bool:
         """True while a packet occupies the transmitter."""
-        if self._batch:
-            return self._sim.now < self._busy_until
         return self._busy
 
     def transmission_time(self, packet: Packet) -> float:
@@ -230,10 +219,6 @@ class Link:
         if self._loss_active and self._loss.should_drop(packet):
             self._emit("link.injected_drop", packet=packet)
             return
-        if self._batch:
-            if self.queue.enqueue(packet):
-                self._batched_kick()
-            return
         if self.queue.enqueue(packet) and not self._busy:
             self._start_transmission()
 
@@ -242,100 +227,8 @@ class Link:
         if self._loss_active and self._loss.should_drop(packet):
             self._emit("link.injected_drop", packet=packet)
             return
-        if self._batch:
-            if self.queue.enqueue(packet):
-                self._batched_kick()
-            return
         if self.queue.enqueue(packet) and not self._busy:
             self._start_transmission()
-
-    # ------------------------------------------------------------------
-    # batched egress (opt-in)
-    # ------------------------------------------------------------------
-    def enable_batched_egress(self) -> None:
-        """Opt into batched egress scheduling.
-
-        The default transmitter costs two engine events per packet: a
-        transmission-done event at service end plus a delivery event at
-        the far end.  In batched mode an *uncontended* packet (admitted
-        to an idle transmitter) skips the transmission-done event
-        entirely — its delivery is scheduled directly at
-        ``tx_time + delay`` and the transmitter just remembers it is
-        occupied until ``now + tx_time``.  Packets that arrive during a
-        busy period queue as usual and are drained by a single service
-        event at the exact instant the transmitter frees up, so queue
-        occupancy, drop decisions and every delivery timestamp are
-        identical to the default mode; only the engine event stream is
-        smaller (equivalence is pinned by tests/net/test_link_batched).
-
-        Because serials and the pending heap differ, batched worlds are
-        **not** digest-compatible with default worlds — hence opt-in,
-        per link.  Two caveats:
-
-        * ``link.tx`` records are emitted at service *start* carrying
-          the same packet (completion is start + ``transmission_time``);
-          the default mode emits at completion.
-        * A link with a reorderer attached must stay unbatched (the
-          per-packet jitter draw happens in a different event context);
-          enabling raises :class:`ConfigurationError`.
-        """
-        if self.reorder is not None:
-            raise ConfigurationError(
-                f"link {self.name}: batched egress is incompatible with a reorderer"
-            )
-        if self.rate_schedule is not None:
-            raise ConfigurationError(
-                f"link {self.name}: batched egress is incompatible with a rate "
-                "schedule (variable rate breaks the one-drain-per-busy-period "
-                "invariant)"
-            )
-        if not self._batch:
-            self._batch = True
-            self._busy_until = self._sim.now
-            self._drain_pending = False
-
-    def _batched_kick(self) -> None:
-        """An enqueue happened: serve it now if the transmitter is
-        idle, else make sure one drain event covers the busy period."""
-        if self._drain_pending:
-            # A drain is already booked for ``_busy_until``; it owns the
-            # next service start.  Serving here too would double-book
-            # the slot when this send fires at exactly ``_busy_until``
-            # (now >= _busy_until looks idle, but the drain has not run
-            # yet) — the tie every tx-aligned workload hits.
-            return
-        now = self._sim.now
-        if now >= self._busy_until:
-            self._batched_serve(now)
-        else:
-            self._drain_pending = True
-            self._sim.schedule_abs(self._busy_until, self._batched_drain)
-
-    def _batched_serve(self, now: float) -> None:
-        """Begin service of the head-of-line packet at ``now``."""
-        packet = self.queue.dequeue()
-        if packet is None:
-            return
-        ch = self._ch_tx
-        if ch is None:
-            ch = self._bind_trace_channels()
-        if ch.subs:
-            ch.emit(now, self.name, packet=packet)
-        tx = packet.size * 8.0 / self.bandwidth_bps
-        # Two-step sum: the default mode computes (now + tx) + delay, so
-        # batched delivery timestamps must associate the same way.
-        busy = now + tx
-        self._busy_until = busy
-        self._sim.schedule_abs(busy + self.delay, self._deliver, packet)
-
-    def _batched_drain(self) -> None:
-        """Service-start tick: the transmitter just freed up."""
-        self._drain_pending = False
-        now = self._sim.now
-        self._batched_serve(now)
-        if not self.queue.is_empty:
-            self._drain_pending = True
-            self._sim.schedule_abs(self._busy_until, self._batched_drain)
 
     def _queue_dropped(self, packet: Packet, reason: str) -> None:
         self._emit("link.drop", packet=packet, reason=reason, qlen=len(self.queue))

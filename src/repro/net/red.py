@@ -63,6 +63,21 @@ class RedParams:
             raise ConfigurationError("RED limit must be >= 1")
 
 
+def red_drop_curve(avg: float, red: RedParams) -> float:
+    """RED's raw marking probability ``p_b`` at average queue ``avg`` —
+    the one queue law :class:`RedQueue` and the mean-field oracle
+    (:mod:`repro.models.meanfield`) both evaluate: 0 below ``min_th``,
+    the linear ramp to ``max_p`` at ``max_th``, the gentle ramp on to 1
+    at ``2*max_th`` when enabled, and 1 (forced drop) beyond."""
+    if avg < red.min_th:
+        return 0.0
+    if avg < red.max_th:
+        return red.max_p * (avg - red.min_th) / (red.max_th - red.min_th)
+    if red.gentle and avg < 2 * red.max_th:
+        return red.max_p + (1.0 - red.max_p) * (avg - red.max_th) / red.max_th
+    return 1.0
+
+
 class RedQueue(PacketQueue):
     """RED queue discipline.
 
@@ -107,13 +122,10 @@ class RedQueue(PacketQueue):
         p = self.params
         self._w = p.weight
         self._min_th = p.min_th
-        self._max_th = p.max_th
-        self._max_p = p.max_p
-        self._gentle = p.gentle
         self._ecn = p.ecn
         self._forced_th = 2 * p.max_th if p.gentle else p.max_th
 
-    _DERIVED = ("_w", "_min_th", "_max_th", "_max_p", "_gentle", "_ecn", "_forced_th")
+    _DERIVED = ("_w", "_min_th", "_ecn", "_forced_th")
 
     def __getstate__(self):
         """The live ``__dict__`` minus the derived param caches, so
@@ -165,49 +177,34 @@ class RedQueue(PacketQueue):
     def enqueue(self, packet: Packet) -> bool:
         self._update_average()
         avg = self.avg
-        q = len(self._items)
-        if q >= self.limit:
+        if len(self._items) >= self.limit:
             self.overflow_drops += 1
             self._count = 0
             return self._drop(packet, "overflow")
-        max_th = self._max_th
-        if self._gentle and max_th <= avg < 2 * max_th:
-            # Gentle region: ramp from max_p to 1 over [max_th, 2max_th].
-            self._count += 1
-            pb = self._max_p + (1.0 - self._max_p) * (avg - max_th) / max_th
-            denom = 1.0 - self._count * pb
-            pa = 1.0 if denom <= 0 else min(1.0, pb / denom)
-            if self._rng.bernoulli(pa):
-                self._count = 0
-                if self._ecn and packet.ecn_capable:
-                    packet.ecn_marked = True
-                    self.ecn_marks += 1
-                    return self._accept(packet)
-                self.early_drops += 1
-                return self._drop(packet, "early")
-            return self._accept(packet)
         if avg >= self._forced_th:
             self.forced_drops += 1
             self._count = 0
             return self._drop(packet, "forced")
-        if avg >= self._min_th:
-            self._count += 1
-            pb = self._max_p * (avg - self._min_th) / (max_th - self._min_th)
-            denom = 1.0 - self._count * pb
-            pa = 1.0 if denom <= 0 else min(1.0, pb / denom)
-            if self._rng.bernoulli(pa):
-                self._count = 0
-                if self._ecn and packet.ecn_capable:
-                    packet.ecn_marked = True
-                    self.ecn_marks += 1
-                    return self._accept(packet)
-                self.early_drops += 1
-                return self._drop(packet, "early")
-            return self._accept(packet)
-        self._count = -1
-        self._items.append(packet)  # _accept inlined
-        self.enqueues += 1
-        return True
+        if avg < self._min_th:
+            self._count = -1
+            self._items.append(packet)  # _accept inlined
+            self.enqueues += 1
+            return True
+        # Early region (the ramp, or the gentle ramp past max_th):
+        # p_b from the queue law, spread out by the count mechanism.
+        self._count += 1
+        pb = red_drop_curve(avg, self.params)
+        denom = 1.0 - self._count * pb
+        pa = 1.0 if denom <= 0 else min(1.0, pb / denom)
+        if self._rng.bernoulli(pa):
+            self._count = 0
+            if self._ecn and packet.ecn_capable:
+                packet.ecn_marked = True
+                self.ecn_marks += 1
+                return self._accept(packet)
+            self.early_drops += 1
+            return self._drop(packet, "early")
+        return self._accept(packet)
 
     def dequeue(self):
         packet = super().dequeue()

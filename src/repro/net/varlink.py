@@ -24,11 +24,6 @@ occupying the transmitter when a step fires keeps the service time it
 was admitted with (the event is already on the heap).  That keeps both
 engine backends exactly equivalent and matches a modem that finishes
 serialising the current frame before retuning.
-
-Variable rate breaks the one-drain-per-busy-period invariant batched
-egress relies on (a queued packet's service start depends on rates not
-yet known when the drain was booked), so a scheduled link refuses
-``enable_batched_egress`` and vice versa.
 """
 
 from __future__ import annotations
@@ -200,18 +195,11 @@ class RateSchedule:
         """Schedule every step and outage against ``link`` and record
         the schedule on it (``link.rate_schedule``).
 
-        Raises :class:`ConfigurationError` if the link is in batched
-        egress mode or already carries a schedule.  Steps in the past
-        (relative to ``link._sim.now``) are rejected — apply schedules
-        before running the world.
+        Raises :class:`ConfigurationError` if the link already carries
+        a schedule.  Steps in the past (relative to ``link._sim.now``)
+        are rejected — apply schedules before running the world.
         """
         self.validate()
-        if getattr(link, "_batch", False):
-            raise ConfigurationError(
-                f"link {link.name}: rate schedules are incompatible with "
-                "batched egress (variable rate breaks the one-drain-per-"
-                "busy-period invariant)"
-            )
         if link.rate_schedule is not None:
             raise ConfigurationError(f"link {link.name} already has a rate schedule")
         sim = link._sim

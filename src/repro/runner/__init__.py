@@ -18,6 +18,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "cache": ("CACHE_DIR_ENV", "DEFAULT_CACHE_DIR", "ResultCache"),
         "fingerprint": ("code_fingerprint", "package_root"),
         "fsck": ("FsckIssue", "FsckReport", "fsck"),
+        "grid": ("GridCell", "run_grid", "step_until"),
         "pool": (
             "SweepObserver",
             "SweepRunner",
@@ -42,7 +43,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "WarmStartDecision",
             "fetch_prefix",
             "load_prefix",
-            "step_until",
             "warm_specs",
             "warm_start_decision",
         ),

@@ -1,0 +1,159 @@
+"""One grid executor: a harness lists its cells, the runner runs them
+cold or warm.
+
+A warm-startable harness describes each cell as a :class:`GridCell`: a
+named *prefix* function that builds a world and advances it to the
+point where the grid's cells diverge, and a named *finish* function
+that applies the cell's own divergence (reprogram a loss module, attach
+a flow) and reduces the run to a result row.  :func:`run_grid` maps the
+cells onto one task entry point, :func:`run_grid_cell`, which hands the
+finish function a zero-argument ``fresh_world`` — the prefix function
+itself cold, a restore of the prefix's frozen snapshot warm.  Both
+yield the same world, so warm rows are bit-identical to cold rows by
+construction rather than by keeping two cell functions in step.
+
+:mod:`repro.runner.warmstart` (prefix specs, the snapshot store, the
+cost model) is imported only when a sweep asks for a warm start; see
+docs/WARMSTART.md.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+
+from repro.runner.pool import SweepRunner
+from repro.runner.spec import TaskSpec, resolve
+
+
+@dataclass(frozen=True)
+class GridCell:
+    """One cell of a warm-startable grid.
+
+    ``prefix_fn`` / ``finish_fn`` are ``"module:callable"`` paths (task
+    specs carry names, not closures).  ``prefix_fn(*prefix_args)``
+    returns the world at the capture point; cells whose prefix function
+    and arguments are equal share one capture.  The cell's result is
+    ``finish_fn(fresh_world, *finish_args)``.
+    """
+
+    prefix_fn: str
+    prefix_args: Tuple[Any, ...]
+    finish_fn: str
+    finish_args: Tuple[Any, ...]
+    label: str = ""
+
+    def spec(self, digest: Optional[str] = None, store_root: Optional[str] = None) -> TaskSpec:
+        """The cell's task spec: cold, or forking the stored prefix
+        snapshot ``digest`` — which makes the prefix's content part of
+        a warm cell's cache identity."""
+        args = (self.prefix_fn, self.prefix_args, self.finish_fn, self.finish_args)
+        label = self.label
+        if digest is not None:
+            args += (digest, store_root)
+            label += " (warm)"
+        return TaskSpec("repro.runner.grid:run_grid_cell", args, label=label)
+
+
+def run_grid_cell(
+    prefix_fn: str,
+    prefix_args: Sequence[Any],
+    finish_fn: str,
+    finish_args: Sequence[Any],
+    digest: Optional[str] = None,
+    store_root: Optional[str] = None,
+) -> Any:
+    """Task entry point of every grid cell, cold (``digest`` None) or
+    warm.  ``fresh_world`` may be called once per replication; every
+    call yields an independent world at the capture point."""
+    if digest is None:
+        fresh_world = partial(resolve(prefix_fn), *prefix_args)
+    else:
+        from repro.runner.warmstart import fetch_prefix
+
+        # fetch_prefix self-heals a missing/corrupt store entry from the
+        # prefix's recorded spec (docs/RESILIENCE.md).  verify=False: the
+        # store key IS the state digest taken at capture, and re-hashing
+        # the world per fork would eat the warm-start win; the grid tests
+        # assert the stronger property (warm rows == cold rows).
+        fresh_world = partial(fetch_prefix(digest, store_root).restore, verify=False)
+    return resolve(finish_fn)(fresh_world, *finish_args)
+
+
+def run_grid(
+    cells: Sequence[GridCell],
+    runner: Optional[SweepRunner] = None,
+    warm_start: Union[bool, str] = False,
+    store: Optional["SnapshotStore"] = None,
+    manifest: Optional["RunManifest"] = None,
+    prefix_fraction: float = 0.0,
+    also: Sequence[TaskSpec] = (),
+) -> List[Any]:
+    """Run ``cells`` — then the plain ``also`` specs, which are never
+    warm-started — through one ``runner.map``; results in that order.
+
+    ``warm_start=True`` consults the cost model first
+    (``prefix_fraction`` is the harness's hint: the share of one cold
+    cell's work spent in the prefix) and runs cold when no win is
+    predicted, recording why as the manifest's ``warm_start_skipped``;
+    ``warm_start="force"`` skips the model.  Each distinct prefix is
+    captured into ``store`` at most once per code version, and the
+    manifest is annotated with the hit/capture split.
+    """
+    runner = runner or SweepRunner()
+    if warm_start:
+        from repro.runner import warmstart
+
+        store = store or warmstart.SnapshotStore()
+
+        def prefix_for(cell: GridCell):
+            return warmstart.PrefixSpec(
+                cell.prefix_fn, cell.prefix_args, label=f"prefix of {cell.label}"
+            )
+
+        if warm_start != "force":
+            decision = warmstart.warm_start_decision(
+                cells, prefix_for, prefix_fraction, store
+            )
+            if not decision.use_warm:
+                if manifest is not None:
+                    manifest.note_warm_start_skipped(decision.reason)
+                warm_start = False
+    if warm_start:
+        store_root = str(store.root)
+        specs = warmstart.warm_specs(
+            cells,
+            prefix_for,
+            lambda cell, digest: cell.spec(digest, store_root),
+            store,
+            runner=runner,
+        )
+        if manifest is not None:
+            manifest.note_warm_start(store)
+    else:
+        specs = [cell.spec() for cell in cells]
+    return runner.map(specs + list(also))
+
+
+def step_until(
+    sim,
+    predicate: Callable[[], bool],
+    step: float = 0.02,
+    deadline: Optional[float] = None,
+) -> bool:
+    """Advance ``sim`` in ``step``-second increments until ``predicate()``
+    holds (returns True) or ``deadline`` (absolute sim time) passes
+    (returns False).
+
+    This is the prefix-builder's stepping loop: run close to — but
+    provably short of — a divergence point that is defined by *state*
+    (a sender's highest transmitted sequence) rather than by a known
+    wall time.  Callers pick ``step`` smaller than the state's growth
+    per check so the loop cannot overshoot.
+    """
+    while not predicate():
+        if deadline is not None and sim.now >= deadline:
+            return False
+        sim.run(until=sim.now + step)
+    return True

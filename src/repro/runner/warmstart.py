@@ -1,28 +1,26 @@
-"""Warm-started sweeps: the prefix/reprogram contract plus the store.
+"""Warm-started sweeps: prefix specs, the cost model and the store.
 
 Many of the paper's grids share an identical *prefix* — the slow-start
 ramp before the first engineered loss, the background-flow build-up
-before a target flow attaches — and only diverge afterwards.  The
-warm-start contract splits every such harness cell into two named,
-picklable pieces:
+before a target flow attaches — and only diverge afterwards.
+:mod:`repro.runner.grid` runs such a grid cold or warm from one cell
+description; this module holds the primitives it composes when a sweep
+asks for a warm start:
 
-* a **prefix spec** (:class:`PrefixSpec`) — a task spec whose callable
-  builds a world *and advances it to the capture point*, returning it.
-  Equal prefixes have equal spec digests, so the store captures each
-  prefix once per code version (see :meth:`SnapshotStore.ensure_prefix`)
-  no matter how many cells — or sweeps — fork it;
-* a **reprogram step** — the cell-side top-level function that restores
-  the frozen prefix, applies the cell's own divergence (reprogram a
-  loss module, attach the target flow, swap an ACK-loss rate) and runs
-  the remainder.
+* :class:`PrefixSpec` — a task spec whose callable builds a world *and
+  advances it to the capture point*, returning it.  Equal prefixes have
+  equal spec digests, so the store captures each prefix once per code
+  version (see :meth:`SnapshotStore.ensure_prefix`) no matter how many
+  cells — or sweeps — fork it;
+* :func:`warm_start_decision` — the cheap go/no-go cost model;
+* :func:`warm_specs` — the sweep-side glue: group cells by prefix
+  digest, ensure each prefix exists in the store, and emit the per-cell
+  task specs carrying the snapshot digest.
 
-The determinism contract mirrors the runner's: the *cold* path of a
-warm-startable harness runs the exact same build + advance + reprogram
-sequence without the snapshot round-trip, so warm rows are bit-identical
-to cold rows (the engine's serial counter and the packet-uid counter
-both survive the pickle).  :func:`warm_specs` is the sweep-side glue:
-group cells by prefix digest, ensure each prefix exists in the store,
-and emit the per-cell task specs.
+The determinism contract mirrors the runner's: a cold cell runs the
+same prefix function in-process that a warm cell restores from the
+store, so warm rows are bit-identical to cold rows (the engine's serial
+counter and the packet-uid counter both survive the pickle).
 
 Worlds cannot ride inside a :class:`~repro.runner.spec.TaskSpec` (specs
 carry only canonically-hashable primitives, by design), so cells share
@@ -102,29 +100,6 @@ class PrefixSpec(TaskSpec):
     def capture(self, label: str = "") -> Snapshot:
         world = self.run()
         return Snapshot.capture(world, label=label or self.describe())
-
-
-def step_until(
-    sim,
-    predicate: Callable[[], bool],
-    step: float = 0.02,
-    deadline: Optional[float] = None,
-) -> bool:
-    """Advance ``sim`` in ``step``-second increments until ``predicate()``
-    holds (returns True) or ``deadline`` (absolute sim time) passes
-    (returns False).
-
-    This is the prefix-builder's stepping loop: run close to — but
-    provably short of — a divergence point that is defined by *state*
-    (a sender's highest transmitted sequence) rather than by a known
-    wall time.  Callers pick ``step`` smaller than the state's growth
-    per check so the loop cannot overshoot.
-    """
-    while not predicate():
-        if deadline is not None and sim.now >= deadline:
-            return False
-        sim.run(until=sim.now + step)
-    return True
 
 
 @dataclass(frozen=True)
@@ -642,8 +617,7 @@ def fetch_prefix(digest: str, store_root=None) -> Snapshot:
 
 
 def load_prefix(digest: str, store_root=None, verify: bool = False):
-    """Restore the frozen prefix world ``digest`` — the cell-side entry
-    point warm harness cells use instead of a bare
-    ``store.get(digest).restore()`` — with :func:`fetch_prefix`'s
-    self-healing on the way."""
+    """Restore the frozen prefix world ``digest`` with
+    :func:`fetch_prefix`'s self-healing on the way (``fsck --rebuild``'s
+    repair step; grid cells fetch once and restore per replication)."""
     return fetch_prefix(digest, store_root).restore(verify=verify)

@@ -126,6 +126,28 @@ class TestListing:
 
         assert set(DESCRIPTIONS) == set(EXPERIMENTS)
 
+    @pytest.mark.parametrize(
+        "name,phrase",
+        [
+            ("fig6", "sequence-number dynamics under RED gateways"),
+            ("fig7", "fitness to the Mathis square-root model"),
+            ("table5", "RR interoperating with"),
+            ("table5", "transfer delay"),
+        ],
+    )
+    def test_description_says_what_the_harness_does(self, name, phrase):
+        """``--list`` once described three harnesses that do not exist
+        (cwnd trajectories, goodput vs. loss, fairness shares): the
+        description must share its key phrase with the harness's own
+        module docstring."""
+        from importlib import import_module
+
+        from repro.experiments.cli import DESCRIPTIONS
+
+        harness = import_module(f"repro.experiments.{EXPERIMENTS[name]}")
+        assert phrase in DESCRIPTIONS[name]
+        assert phrase in " ".join(harness.__doc__.split())
+
     def test_no_arguments_is_an_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([])

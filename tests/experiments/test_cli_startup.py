@@ -84,6 +84,24 @@ def test_fig5_loads_only_its_own_harness(tmp_path):
     assert (tmp_path / "cache").is_dir()
 
 
+@pytest.mark.parametrize(
+    "experiment,harness",
+    [("fig6", "figure6"), ("fig7", "figure7"), ("ackloss", "ackloss")],
+)
+def test_cold_grid_loads_no_warm_start_machinery(tmp_path, experiment, harness):
+    """The other CLI-reachable grids of the benchmark sweep, cold: the
+    grid executor loads, the snapshot store / cost model behind
+    ``--warm-start`` do not (``step_until`` lives in the executor)."""
+    env = {
+        "REPRO_CACHE_DIR": str(tmp_path / "cache"),
+        "REPRO_ARTIFACT_DIR": str(tmp_path / "artifacts"),
+    }
+    modules = loaded_modules(cli_call(experiment, "--quick", "--quiet", "--jobs", "1"), env)
+    assert modules & HARNESSES == {f"repro.experiments.{harness}"}
+    assert "repro.runner.grid" in modules
+    assert "repro.runner.warmstart" not in modules
+
+
 def test_tools_load_no_harness(tmp_path):
     env = {"REPRO_CACHE_DIR": str(tmp_path / "cache")}
     snap = str(tmp_path / "rr.snap")

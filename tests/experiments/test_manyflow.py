@@ -1,4 +1,5 @@
-"""The manyflow harness: sweep, oracle wiring, parallel determinism."""
+"""The manyflow harness: sweep and oracle wiring (cold == warm and
+serial == parallel: tests/experiments/test_warmstart_grids.py)."""
 
 import dataclasses
 
@@ -7,7 +8,6 @@ import pytest
 from repro.experiments import manyflow
 from repro.experiments.export_results import export_result
 from repro.obs.manifest import RunManifest
-from repro.runner import SweepRunner
 
 QUICK = manyflow.ManyflowConfig(
     flow_counts=(12,), max_ps=(0.02,), duration=6.0, seed=5
@@ -37,16 +37,6 @@ def test_cell_spec_scales_bandwidth_with_flows():
         == 10 * small.topology.bottleneck_bandwidth_bps
     )
     assert small.digest() != large.digest()
-
-
-def test_serial_equals_parallel():
-    serial = manyflow.run_manyflow(
-        dataclasses.replace(QUICK), runner=SweepRunner(jobs=1, cache=None)
-    )
-    parallel = manyflow.run_manyflow(
-        dataclasses.replace(QUICK), runner=SweepRunner(jobs=2, cache=None)
-    )
-    assert serial.cells == parallel.cells
 
 
 def test_manifest_records_oracle_verdicts():
@@ -84,16 +74,3 @@ def test_export_rows(tmp_path, quick_result):
     assert sorted(p.name for p in paths) == ["manyflow.csv", "manyflow.json"]
     text = (tmp_path / "manyflow.csv").read_text()
     assert "oracle_passed" in text
-
-
-def test_warm_start_matches_cold(tmp_path):
-    from repro.runner import SnapshotStore
-
-    config = dataclasses.replace(QUICK)
-    cold = manyflow.run_manyflow(dataclasses.replace(config))
-    store = SnapshotStore(tmp_path / "snaps")
-    warm = manyflow.run_manyflow(
-        dataclasses.replace(config), warm_start="force", store=store
-    )
-    assert store.prefix_captures >= 1
-    assert warm.cells == cold.cells

@@ -1,4 +1,5 @@
-"""The rivals harness: modern senders vs RR under modern regimes."""
+"""The rivals harness: modern senders vs RR under modern regimes (cold ==
+warm and serial == parallel: tests/experiments/test_warmstart_grids.py)."""
 
 import dataclasses
 
@@ -7,7 +8,6 @@ import pytest
 from repro.experiments import rivals
 from repro.experiments.export_results import export_result
 from repro.obs.manifest import RunManifest
-from repro.runner import SweepRunner
 
 QUICK = rivals.RivalsConfig(
     rivals=("cubic", "relentless"),
@@ -76,31 +76,6 @@ def test_mobile_cells_share_channel_trace():
     a = rivals.mobile_schedule(config)
     b = rivals.mobile_schedule(config)
     assert a.steps == b.steps  # same seed, same channel for every cell
-
-
-def test_serial_equals_parallel():
-    config = dataclasses.replace(QUICK, duration=6.0, warmup=1.5)
-    serial = rivals.run_rivals(
-        dataclasses.replace(config), runner=SweepRunner(jobs=1, cache=None)
-    )
-    parallel = rivals.run_rivals(
-        dataclasses.replace(config), runner=SweepRunner(jobs=2, cache=None)
-    )
-    assert serial.cells == parallel.cells
-    assert serial.rows == parallel.rows
-
-
-def test_warm_start_matches_cold(tmp_path):
-    from repro.runner import SnapshotStore
-
-    config = dataclasses.replace(QUICK, duration=6.0, warmup=1.5)
-    cold = rivals.run_rivals(dataclasses.replace(config))
-    store = SnapshotStore(tmp_path / "snaps")
-    warm = rivals.run_rivals(
-        dataclasses.replace(config), warm_start="force", store=store
-    )
-    assert store.prefix_captures >= 1
-    assert warm.cells == cold.cells
 
 
 def test_manifest_records_model_verdicts():

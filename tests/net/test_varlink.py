@@ -1,6 +1,6 @@
 """Unit tests for time-varying links (repro.net.varlink): rate
-schedules, handover outages, bufferbloat presets, batched-egress
-refusal and checkpoint compatibility."""
+schedules, handover outages, bufferbloat presets and checkpoint
+compatibility."""
 
 import pickle
 
@@ -113,22 +113,6 @@ class TestApplication:
         link, _ = make_link(sim)
         with pytest.raises(ConfigurationError):
             link.set_bandwidth(0.0)
-
-
-class TestBatchedEgressExclusion:
-    def test_scheduled_link_refuses_batching(self):
-        sim = Simulator()
-        link, _ = make_link(sim)
-        RateSchedule(steps=((1.0, 1e6),)).apply(link)
-        with pytest.raises(ConfigurationError):
-            link.enable_batched_egress()
-
-    def test_batched_link_refuses_schedule(self):
-        sim = Simulator()
-        link, _ = make_link(sim)
-        link.enable_batched_egress()
-        with pytest.raises(ConfigurationError):
-            RateSchedule(steps=((1.0, 1e6),)).apply(link)
 
 
 class TestSeededGenerator:

@@ -180,6 +180,54 @@ class TestRun:
         assert sim.peek_time() == pytest.approx(3.0)
 
 
+@pytest.fixture(params=["python", "compiled"])
+def backend_sim(request, monkeypatch):
+    """A fresh simulator on each dispatch backend (the compiled leg
+    skips on a build without the C extension)."""
+    from repro.sim import engine
+
+    if request.param == "python":
+        monkeypatch.setattr(engine, "_CoreType", None)
+    elif engine._CoreType is None:
+        pytest.skip("compiled event core not built")
+    return Simulator()
+
+
+class TestScheduleAbs:
+    def test_fires_at_the_exact_timestamp(self, backend_sim):
+        """``schedule_at`` round-trips through ``now + (t - now)`` and
+        lands one ulp off; ``schedule_abs`` must not."""
+        sim = backend_sim
+        sim.schedule(0.3, lambda: None)
+        sim.run()
+        assert sim.now + (0.9 - sim.now) != 0.9  # the round trip drifts here
+        times = []
+        sim.schedule_abs(0.9, lambda: times.append(sim.now))
+        sim.run()
+        assert times == [0.9]
+
+    def test_same_instant_events_fire_in_scheduling_order(self, backend_sim):
+        sim = backend_sim
+        fired = []
+        sim.schedule_abs(1.0, fired.append, "a")
+        sim.schedule(1.0, fired.append, "b")
+        sim.schedule_abs(1.0, fired.append, "c")
+        sim.schedule_abs(0.5, fired.append, "first")
+        sim.run()
+        assert fired == ["first", "a", "b", "c"]
+
+    def test_past_is_rejected_but_roundoff_clamps_to_now(self, backend_sim):
+        sim = backend_sim
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        with pytest.raises(SchedulingError):
+            sim.schedule_abs(1.0, lambda: None)
+        times = []
+        sim.schedule_abs(2.0 - 5e-13, lambda: times.append(sim.now))
+        sim.run()
+        assert times == [2.0]
+
+
 class TestNegativeDelayClamp:
     def test_float_epsilon_delay_clamps_to_now(self):
         sim = Simulator(start_time=10.0)

@@ -1,12 +1,8 @@
-"""Fork semantics + the warm-started Figure-5 sweep."""
+"""Fork semantics + the Figure-5 warm prefix (the warm-started sweep
+itself is covered in tests/experiments/test_warmstart_grids.py)."""
 
-from repro.experiments.figure5 import (
-    Figure5Config,
-    capture_warm_snapshot,
-    run_figure5,
-)
+from repro.experiments.figure5 import Figure5Config, capture_warm_snapshot
 from repro.net.packet import set_uid_state
-from repro.runner import SnapshotStore, SweepRunner
 from repro.snapshot import Snapshot, state_digest
 from repro.snapshot.golden import build_golden_scenario
 
@@ -55,24 +51,6 @@ class TestFork:
 
 
 class TestWarmStartedFigure5:
-    def test_warm_rows_bit_identical_to_cold(self, tmp_path):
-        cold = run_figure5(QUICK, runner=SweepRunner())
-        store = SnapshotStore(tmp_path / "snaps")
-        warm = run_figure5(
-            QUICK, runner=SweepRunner(), warm_start=True, store=store
-        )
-        assert warm.rows == cold.rows
-
-    def test_parallel_forks_bit_identical_to_serial(self, tmp_path):
-        store = SnapshotStore(tmp_path / "snaps")
-        serial = run_figure5(
-            QUICK, runner=SweepRunner(jobs=1), warm_start=True, store=store
-        )
-        parallel = run_figure5(
-            QUICK, runner=SweepRunner(jobs=2), warm_start=True, store=store
-        )
-        assert parallel.rows == serial.rows
-
     def test_warm_prefix_stops_short_of_the_loss_point(self):
         snapshot = capture_warm_snapshot("newreno", QUICK)
         world = snapshot.restore()

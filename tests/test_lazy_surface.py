@@ -140,6 +140,9 @@ SEED_SURFACE = {
         "repro.runner.cache": "CACHE_DIR_ENV DEFAULT_CACHE_DIR ResultCache",
         "repro.runner.fingerprint": "code_fingerprint package_root",
         "repro.runner.fsck": "FsckIssue FsckReport fsck",
+        # Added after the seed: the grid executor (step_until moved here
+        # from repro.runner.warmstart).
+        "repro.runner.grid": "GridCell run_grid step_until",
         "repro.runner.pool": (
             "SweepObserver SweepRunner SweepStats TaskRecord default_jobs run_tasks "
         ),
@@ -149,7 +152,7 @@ SEED_SURFACE = {
         "repro.runner.spec": "TaskSpec canonicalize resolve uncanonicalize",
         "repro.runner.warmstart": (
             "PREFIX_INDEX_SUBDIR PREFIX_META_SUBDIR PrefixSpec SNAPSHOT_SUBDIR "
-            "SnapshotStore WarmStartDecision fetch_prefix load_prefix step_until "
+            "SnapshotStore WarmStartDecision fetch_prefix load_prefix "
             "warm_specs warm_start_decision "
         ),
     },
