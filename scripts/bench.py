@@ -5,7 +5,7 @@ Runs the engine micro-benchmarks (the same workloads as
 ``benchmarks/test_bench_engine.py``) plus one macro experiment campaign
 through :mod:`repro.runner`, and writes two JSON baselines:
 
-* ``BENCH_engine.json``      — events/sec per engine workload;
+* ``BENCH_engine.json``      — seconds (and events/sec) per engine workload;
 * ``BENCH_experiments.json`` — campaign wall-clock per cell, parallel
   speedup, cache-replay hit rate, per-grid warm-start speedups for the
   five warm-startable sweeps, and delta-vs-full snapshot sizes.
@@ -13,13 +13,17 @@ through :mod:`repro.runner`, and writes two JSON baselines:
 Committed baselines live at the repo root; ``--check`` compares a fresh
 run against them per workload, with per-bench regression thresholds
 (:data:`CHECK_THRESHOLDS`, fallback ``--max-regression``) and
-best-of-N timing so the gate rides real slowdowns, not CI noise.  The
-gate only fires when the fresh run and the committed baseline used the
-same engine backend (``core_backend`` in the JSON): comparing a
-pure-python run against a compiled-core baseline measures the build
-matrix, not a regression.  ``--quick`` trims repeats and the macro
-campaign for CI smoke runs — the micro workloads themselves are
-unchanged, so events/sec stays comparable to a full run.
+best-of-N timing so the gate rides real slowdowns, not CI noise.  Every
+gated workload is fixed-size, so the gate compares recorded **seconds**
+(:func:`gate`); events/sec is printed as information only, because a
+change that needs fewer engine events for the same simulated result
+lowers it while getting faster.  The gate only fires when the fresh run
+and the committed baseline used the same engine backend
+(``core_backend`` in the JSON): comparing a pure-python run against a
+compiled-core baseline measures the build matrix, not a regression.
+``--quick`` trims repeats and the macro campaign for CI smoke runs —
+the micro workloads themselves are unchanged, so their seconds stay
+comparable to a full run.
 
 Usage::
 
@@ -69,7 +73,8 @@ from repro.snapshot.delta import DeltaSnapshot, should_fall_back  # noqa: E402
 ENGINE_BASELINE = "BENCH_engine.json"
 EXPERIMENTS_BASELINE = "BENCH_experiments.json"
 
-#: Per-workload tolerated fractional events/sec drop for ``--check``.
+#: Per-workload tolerated fractional speed drop (``baseline seconds /
+#: fresh seconds - 1``) for ``--check``.
 #: The micro workloads are near-pure engine and time stably, so they
 #: get a tight gate; ten_flow_red_second runs mostly Python callback
 #: code (RED, TCP, per-drop observers) and needs headroom for CI-runner
@@ -86,16 +91,16 @@ CHECK_THRESHOLDS = {
 #: true ceiling.
 CHECK_MIN_REPEATS = 3
 
-#: Tolerated fractional events/sec drop for the manyflow WAN scene,
-#: per engine backend (the existing macro-gate threshold).
+#: Tolerated fractional speed drop for the manyflow WAN scene, per
+#: engine backend (the existing macro-gate threshold).
 MANYFLOW_THRESHOLD = 0.30
 
 #: The manyflow smoke scene: deliberately identical for ``--quick`` and
 #: full runs so CI smoke numbers gate against the committed baseline.
 MANYFLOW_SCENE = {"family": "wan", "n_routers": 40, "flows": 60, "duration": 2.0}
 
-#: Tolerated fractional events/sec drop for the rivals mobile cell,
-#: same macro-gate threshold as manyflow.
+#: Tolerated fractional speed drop for the rivals mobile cell, same
+#: macro-gate threshold as manyflow.
 RIVALS_THRESHOLD = 0.30
 
 #: The rivals smoke cell: a CUBIC-vs-RR match on the time-varying
@@ -383,7 +388,7 @@ print(json.dumps({
 
 
 def bench_manyflow(quick: bool) -> dict:
-    """Events/sec on the mid-size WAN scene, one entry per engine backend.
+    """Wall seconds on the mid-size WAN scene, one entry per engine backend.
 
     The generated-scenes smoke cell: a seeded Waxman WAN with RED on
     every core link and 60 long-lived flows (docs/SCENARIOS.md).  Each
@@ -408,7 +413,7 @@ def bench_manyflow(quick: bool) -> dict:
                 capture_output=True, text=True, env=env, check=True,
             )
             probe = json.loads(out.stdout)
-            if best is None or probe["events_per_sec"] > best["events_per_sec"]:
+            if best is None or probe["seconds"] < best["seconds"]:
                 best = probe
         backend = best.pop("backend")
         backends[backend] = best
@@ -444,7 +449,7 @@ print(json.dumps({
 
 
 def bench_rivals(quick: bool) -> dict:
-    """Events/sec on the rivals mobile match cell, per engine backend.
+    """Wall seconds on the rivals mobile match cell, per engine backend.
 
     A CUBIC-vs-RR match over the time-varying wireless bottleneck
     (docs/SCENARIOS.md §5) — the modern-rival counterpart of the
@@ -469,7 +474,7 @@ def bench_rivals(quick: bool) -> dict:
                 capture_output=True, text=True, env=env, check=True,
             )
             probe = json.loads(out.stdout)
-            if best is None or probe["events_per_sec"] > best["events_per_sec"]:
+            if best is None or probe["seconds"] < best["seconds"]:
                 best = probe
         backend = best.pop("backend")
         backends[backend] = best
@@ -480,72 +485,54 @@ def bench_rivals(quick: bool) -> dict:
     return {"cell": dict(RIVALS_CELL), "backends": backends}
 
 
-def check_rivals_regression(fresh: dict, baseline_path: Path) -> int:
-    """Gate the rivals mobile-cell events/sec per backend (>30% drop)."""
+def gate(label: str, base_bench: dict, fresh_bench: dict, threshold: float) -> bool:
+    """Print one gate line; True if ``fresh_bench`` regressed.
+
+    The workloads are fixed-size, so speed is compared on recorded
+    seconds: ``baseline / fresh - 1`` is the fractional change in work
+    per second whatever either side's engine-event count was.
+    Events/sec rides along as information.
+    """
+    delta = base_bench["seconds"] / fresh_bench["seconds"] - 1.0
+    regressed = delta < -threshold
+    print(
+        f"  {label:<24} baseline {base_bench['seconds'] * 1000:9.2f} ms"
+        f"  fresh {fresh_bench['seconds'] * 1000:9.2f} ms"
+        f"  ({delta:+.1%} vs -{threshold:.0%} allowed)"
+        f"  {'REGRESSION' if regressed else 'ok'}"
+        f"  [ev/s {base_bench['events_per_sec']:,.0f} -> {fresh_bench['events_per_sec']:,.0f}]"
+    )
+    return regressed
+
+
+def check_backends_regression(
+    section: str, sizing_key: str, threshold: float, fresh: dict, baseline_path: Path
+) -> int:
+    """Gate one per-backend macro probe (``manyflow`` / ``rivals``)
+    against its committed figure, backend by backend."""
     if not baseline_path.exists():
-        print(f"no committed baseline at {baseline_path}; skipping rivals check")
+        print(f"no committed baseline at {baseline_path}; skipping {section} check")
         return 0
-    baseline = json.loads(baseline_path.read_text()).get("rivals")
+    baseline = json.loads(baseline_path.read_text()).get(section)
     if not baseline:
-        print("committed baseline has no rivals section; skipping rivals check")
+        print(f"committed baseline has no {section} section; skipping {section} check")
         return 0
-    if baseline.get("cell") != fresh.get("cell"):
-        print("rivals cell sizing changed since the baseline; skipping the gate")
+    if baseline.get(sizing_key) != fresh.get(sizing_key):
+        print(f"{section} {sizing_key} sizing changed since the baseline; skipping the gate")
         return 0
     failures = 0
     for backend, fresh_bench in fresh["backends"].items():
         base_bench = baseline.get("backends", {}).get(backend)
-        if base_bench is None or not base_bench.get("events_per_sec"):
+        if base_bench is None or not base_bench.get("seconds"):
             continue
-        delta = fresh_bench["events_per_sec"] / base_bench["events_per_sec"] - 1.0
-        verdict = "ok"
-        if delta < -RIVALS_THRESHOLD:
-            verdict = "REGRESSION"
-            failures += 1
-        print(
-            f"  rivals-cell [{backend:<8}] baseline {base_bench['events_per_sec']:>12,.0f}"
-            f"  fresh {fresh_bench['events_per_sec']:>12,.0f}"
-            f"  ({delta:+.1%} vs -{RIVALS_THRESHOLD:.0%} allowed)  {verdict}"
-        )
+        failures += gate(f"{section} [{backend}]", base_bench, fresh_bench, threshold)
     if failures:
-        print(f"{failures} rivals backend(s) regressed past the threshold")
-    return 1 if failures else 0
-
-
-def check_manyflow_regression(fresh: dict, baseline_path: Path) -> int:
-    """Gate the manyflow WAN-scene events/sec per backend (>30% drop)."""
-    if not baseline_path.exists():
-        print(f"no committed baseline at {baseline_path}; skipping manyflow check")
-        return 0
-    baseline = json.loads(baseline_path.read_text()).get("manyflow")
-    if not baseline:
-        print("committed baseline has no manyflow section; skipping manyflow check")
-        return 0
-    if baseline.get("scene") != fresh.get("scene"):
-        print("manyflow scene sizing changed since the baseline; skipping the gate")
-        return 0
-    failures = 0
-    for backend, fresh_bench in fresh["backends"].items():
-        base_bench = baseline.get("backends", {}).get(backend)
-        if base_bench is None or not base_bench.get("events_per_sec"):
-            continue
-        delta = fresh_bench["events_per_sec"] / base_bench["events_per_sec"] - 1.0
-        verdict = "ok"
-        if delta < -MANYFLOW_THRESHOLD:
-            verdict = "REGRESSION"
-            failures += 1
-        print(
-            f"  wan-scene [{backend:<8}] baseline {base_bench['events_per_sec']:>12,.0f}"
-            f"  fresh {fresh_bench['events_per_sec']:>12,.0f}"
-            f"  ({delta:+.1%} vs -{MANYFLOW_THRESHOLD:.0%} allowed)  {verdict}"
-        )
-    if failures:
-        print(f"{failures} manyflow backend(s) regressed past the threshold")
+        print(f"{failures} {section} backend(s) regressed past the threshold")
     return 1 if failures else 0
 
 
 def check_regression(fresh: dict, baseline_path: Path, max_regression: float) -> int:
-    """Compare fresh events/sec against the committed baseline, one
+    """Compare fresh seconds against the committed baseline, one
     threshold per workload (:data:`CHECK_THRESHOLDS`)."""
     if not baseline_path.exists():
         print(f"no committed baseline at {baseline_path}; skipping check")
@@ -562,21 +549,10 @@ def check_regression(fresh: dict, baseline_path: Path, max_regression: float) ->
     failures = 0
     for name, fresh_bench in fresh.items():
         base_bench = baseline.get("benches", {}).get(name)
-        if base_bench is None:
+        if base_bench is None or not base_bench.get("seconds"):
             continue
-        base_rate = base_bench["events_per_sec"]
-        fresh_rate = fresh_bench["events_per_sec"]
-        if not base_rate:
-            continue
-        threshold = CHECK_THRESHOLDS.get(name, max_regression)
-        delta = fresh_rate / base_rate - 1.0
-        verdict = "ok"
-        if delta < -threshold:
-            verdict = "REGRESSION"
-            failures += 1
-        print(
-            f"  {name:<24} baseline {base_rate:>12,.0f}  fresh {fresh_rate:>12,.0f}"
-            f"  ({delta:+.1%} vs -{threshold:.0%} allowed)  {verdict}"
+        failures += gate(
+            name, base_bench, fresh_bench, CHECK_THRESHOLDS.get(name, max_regression)
         )
     if failures:
         print(f"{failures} workload(s) regressed past their threshold")
@@ -589,13 +565,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail on events/sec regression vs the committed BENCH_engine.json",
+        help="fail on a seconds regression vs the committed BENCH_*.json",
     )
     parser.add_argument(
         "--max-regression",
         type=float,
         default=0.30,
-        help="tolerated fractional events/sec drop for --check (default 0.30)",
+        help="tolerated fractional speed drop for --check (default 0.30)",
     )
     parser.add_argument(
         "--micro-only",
@@ -672,11 +648,13 @@ def main(argv=None) -> int:
             benches, REPO_ROOT / ENGINE_BASELINE, args.max_regression
         )
         if not args.micro_only:
-            failed |= check_manyflow_regression(
-                manyflow, REPO_ROOT / EXPERIMENTS_BASELINE
+            failed |= check_backends_regression(
+                "manyflow", "scene", MANYFLOW_THRESHOLD, manyflow,
+                REPO_ROOT / EXPERIMENTS_BASELINE,
             )
-            failed |= check_rivals_regression(
-                rivals, REPO_ROOT / EXPERIMENTS_BASELINE
+            failed |= check_backends_regression(
+                "rivals", "cell", RIVALS_THRESHOLD, rivals,
+                REPO_ROOT / EXPERIMENTS_BASELINE,
             )
         return failed
     return 0

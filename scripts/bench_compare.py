@@ -28,17 +28,25 @@ def load(path: Path) -> dict:
 
 
 def micro_table(pure: dict, compiled: dict) -> list:
+    """Seconds per fixed-size workload on each backend (the gated
+    quantity; the speedup is their ratio), events/sec as information."""
     lines = [
-        "| micro-benchmark | pure-python ev/s | compiled ev/s | speedup |",
-        "|---|---:|---:|---:|",
+        "| micro-benchmark | pure-python ms | compiled ms | speedup"
+        " | pure-python ev/s | compiled ev/s |",
+        "|---|---:|---:|---:|---:|---:|",
     ]
     names = list((compiled.get("benches") or pure.get("benches") or {}))
+    ms = lambda v: f"{v * 1000:.2f}" if v else "n/a"
+    rate = lambda v: f"{v:,.0f}" if v else "n/a"
     for name in names:
-        p = (pure.get("benches") or {}).get(name, {}).get("events_per_sec")
-        c = (compiled.get("benches") or {}).get(name, {}).get("events_per_sec")
-        ratio = f"{c / p:.2f}x" if p and c else "n/a"
-        fmt = lambda v: f"{v:,.0f}" if v else "n/a"
-        lines.append(f"| {name} | {fmt(p)} | {fmt(c)} | {ratio} |")
+        p = (pure.get("benches") or {}).get(name, {})
+        c = (compiled.get("benches") or {}).get(name, {})
+        ps, cs = p.get("seconds"), c.get("seconds")
+        ratio = f"{ps / cs:.2f}x" if ps and cs else "n/a"
+        lines.append(
+            f"| {name} | {ms(ps)} | {ms(cs)} | {ratio}"
+            f" | {rate(p.get('events_per_sec'))} | {rate(c.get('events_per_sec'))} |"
+        )
     return lines
 
 

@@ -6,6 +6,11 @@ bytes occupies the transmitter for ``size * 8 / bandwidth`` seconds and
 arrives at the far end ``delay`` seconds after transmission completes —
 classic store-and-forward.
 
+Both instants are known the moment a packet enters the transmitter, so
+a hop costs one engine event (the arrival).  Only packets that find
+the transmitter occupied cost a second one: the link then books a
+single service event for the instant the transmitter frees up.
+
 An optional :class:`~repro.net.loss.LossModule` sits in front of the
 queue for artificial loss injection ("artificial losses are introduced
 at the gateway R1", paper Section 4).
@@ -69,13 +74,18 @@ class Link:
         self.trace = trace
         self.loss = loss or NoLoss()  # property: also derives _loss_active
         self._dst: Optional["Node"] = None
+        self._recycle = False  # derived in connect()
         # Optional reordering injector (see repro.net.reorder): adds
         # per-packet extra propagation delay so later packets overtake.
         self.reorder = None
         # Optional packet tamperer (see repro.faults.tamper): may
         # duplicate or corrupt-drop packets before they reach the queue.
         self.tamper = None
-        self._busy = False
+        # Transmitter state: the instant the packet in service (if any)
+        # leaves it, and whether a _serve event is booked for packets
+        # waiting behind it.  Invariant: queue non-empty => _serve_pending.
+        self._free_at = sim.now
+        self._serve_pending = False
         self._down = False
         # Optional time-varying rate schedule (repro.net.varlink); set
         # by RateSchedule.apply.  None is stripped from checkpoints so
@@ -116,12 +126,12 @@ class Link:
 
     def __getstate__(self):
         """The live ``__dict__`` minus derived caches (trace channel,
-        loss-activity flag), with the loss module under its public
-        ``loss`` key — keeping checkpoints and golden digests identical
-        to a cache-free link."""
+        loss-activity and recycle flags), with the loss module under its
+        public ``loss`` key — keeping checkpoints and golden digests
+        identical to a cache-free link."""
         state = self.__dict__.copy()
         state.pop("_ch_tx", None)
-        del state["_loss"], state["_loss_active"]
+        del state["_loss"], state["_loss_active"], state["_recycle"]
         state["loss"] = self._loss
         if state.get("rate_schedule") is None:
             state.pop("rate_schedule", None)
@@ -133,6 +143,7 @@ class Link:
         state.setdefault("rate_schedule", None)
         self.__dict__.update(state)
         self.loss = loss
+        self.connect(self._dst)
         # Rebound lazily on first emit: the trace bus may itself still
         # be mid-unpickle here.
         self._ch_tx = None
@@ -140,6 +151,11 @@ class Link:
     def connect(self, dst: "Node") -> None:
         """Attach the receiving node."""
         self._dst = dst
+        # Only an endpoint consumes a packet.  One handed to a
+        # forwarding node is by now in the next link's queue (or that
+        # link just dropped it), so probing the pool there is almost
+        # always a miss: attempt the recycle at endpoints only.
+        self._recycle = not getattr(dst, "forwards", False)
 
     @property
     def dst(self) -> Optional["Node"]:
@@ -148,7 +164,7 @@ class Link:
     @property
     def busy(self) -> bool:
         """True while a packet occupies the transmitter."""
-        return self._busy
+        return self._serve_pending or self._sim.now < self._free_at
 
     def transmission_time(self, packet: Packet) -> float:
         """Seconds the transmitter is occupied by ``packet``."""
@@ -200,7 +216,7 @@ class Link:
 
     def send(self, packet: Packet) -> None:
         """Entry point: apply outages, tampering and loss injection,
-        queue, and start the transmitter if idle."""
+        queue, and serve at once if the transmitter is idle."""
         if self._down:
             self.outage_drops += 1
             self._emit("link.injected_drop", packet=packet, reason="outage")
@@ -219,45 +235,59 @@ class Link:
         if self._loss_active and self._loss.should_drop(packet):
             self._emit("link.injected_drop", packet=packet)
             return
-        if self.queue.enqueue(packet) and not self._busy:
-            self._start_transmission()
+        if self.queue.enqueue(packet) and not self._serve_pending:
+            self._serve()
 
     def _admit(self, packet: Packet) -> None:
         """Run loss injection and queueing for one packet copy."""
         if self._loss_active and self._loss.should_drop(packet):
             self._emit("link.injected_drop", packet=packet)
             return
-        if self.queue.enqueue(packet) and not self._busy:
-            self._start_transmission()
+        if self.queue.enqueue(packet) and not self._serve_pending:
+            self._serve()
 
     def _queue_dropped(self, packet: Packet, reason: str) -> None:
         self._emit("link.drop", packet=packet, reason=reason, qlen=len(self.queue))
 
-    def _start_transmission(self) -> None:
+    def _serve(self) -> None:
+        """Put the head of the queue into the transmitter and book its
+        arrival at the far end.
+
+        Called from :meth:`send` for a packet that found no service
+        event pending, and as that service event.  The only engine
+        event an idle hop costs is the arrival; a packet that finds the
+        transmitter occupied books one ``_serve`` for the instant it
+        frees up, which then re-arms itself while packets wait.
+        """
+        sim = self._sim
+        now = sim.now
+        if now < self._free_at:
+            self._serve_pending = True
+            sim.schedule_abs(self._free_at, self._serve)
+            return
         packet = self.queue.dequeue()
         if packet is None:
+            self._serve_pending = False
             return
-        self._busy = True
         # transmission_time() inlined; the expression must stay exactly
         # ``size * 8.0 / bandwidth`` — a pre-divided constant would
         # round differently and shift every digest-pinned timestamp.
-        self._sim.schedule(
-            packet.size * 8.0 / self.bandwidth_bps, self._transmission_done, packet
-        )
-
-    def _transmission_done(self, packet: Packet) -> None:
-        self._busy = False
+        # Likewise ``done + delay``: the two additions a chained
+        # schedule (service, then propagation) would perform.
+        done = now + packet.size * 8.0 / self.bandwidth_bps
+        self._free_at = done
         ch = self._ch_tx
         if ch is None:
             ch = self._bind_trace_channels()
         if ch.subs:
-            ch.emit(self._sim.now, self.name, packet=packet)
+            ch.emit(now, self.name, packet=packet, done=done)
         delay = self.delay
         if self.reorder is not None:
             delay += self.reorder.extra_delay(packet)
-        self._sim.schedule(delay, self._deliver, packet)
-        if not self.queue.is_empty:
-            self._start_transmission()
+        sim.schedule_abs(done + delay, self._deliver, packet)
+        self._serve_pending = waiting = not self.queue.is_empty
+        if waiting:
+            sim.schedule_abs(done, self._serve)
 
     #: Exact reference count of a packet at the recycle check below when
     #: only the clean delivery chain holds it: the firing event's args
@@ -276,7 +306,8 @@ class Link:
         self._dst.receive(packet)
         # End of the wire journey for packets consumed by an endpoint:
         # recycle into the packet pool unless anything still holds one.
-        maybe_release(packet, self._DELIVERED_CLEAN_REFS)
+        if self._recycle:
+            maybe_release(packet, self._DELIVERED_CLEAN_REFS)
 
     def _emit(self, category: str, **fields) -> None:
         if self.trace is not None:

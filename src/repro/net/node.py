@@ -49,6 +49,10 @@ class Agent:
 class Node:
     """Common behaviour of hosts and routers."""
 
+    #: True for nodes that pass arriving packets on to another link
+    #: rather than consuming them (links read it once, in ``connect``).
+    forwards = False
+
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
@@ -118,6 +122,8 @@ class Host(Node):
 
 class Router(Node):
     """A store-and-forward router (gateway)."""
+
+    forwards = True
 
     def receive(self, packet: Packet) -> None:
         self.packets_received += 1

@@ -42,8 +42,9 @@ typedef struct {
     PyObject *current_event; /* strong, event whose callback raised */
 } CoreObject;
 
-/* Matches HEAP_COMPACT_MIN in engine.py. */
+/* Match HEAP_COMPACT_MIN and NEGATIVE_DELAY_EPSILON in engine.py. */
 #define HEAP_COMPACT_MIN 64
+#define NEGATIVE_DELAY_EPSILON 1e-9
 
 static PyObject *s_cancelled; /* "_cancelled" */
 static PyObject *s_fired;     /* "_fired" */
@@ -356,8 +357,30 @@ Core_schedule(CoreObject *self, PyObject *const *argv, Py_ssize_t argc)
     return schedule_common(self, self->now + delay, argv[1], argv[2], argv[3]);
 }
 
+/* Raise repro.errors.SchedulingError with the message the pure
+ * backend's Simulator.schedule_abs builds (cold path). */
+static void
+raise_past_time(PyObject *time_arg, double now)
+{
+    PyObject *errors = PyImport_ImportModule("repro.errors");
+    PyObject *exc_type = NULL, *now_obj = NULL;
+    if (errors != NULL)
+        exc_type = PyObject_GetAttrString(errors, "SchedulingError");
+    if (exc_type != NULL)
+        now_obj = PyFloat_FromDouble(now);
+    if (now_obj != NULL)
+        PyErr_Format(exc_type,
+                     "cannot schedule into the past (time=%S, now=%S)",
+                     time_arg, now_obj);
+    Py_XDECREF(now_obj);
+    Py_XDECREF(exc_type);
+    Py_XDECREF(errors);
+}
+
 /* schedule_abs(time, fn, args, sim) — exact absolute timestamp, no
- * now+delay round trip; time pre-validated by the caller. */
+ * now+delay round trip.  Validates like the pure backend: a time
+ * before now raises SchedulingError unless it is within
+ * NEGATIVE_DELAY_EPSILON (round-off), which clamps to now. */
 static PyObject *
 Core_schedule_abs(CoreObject *self, PyObject *const *argv, Py_ssize_t argc)
 {
@@ -369,6 +392,14 @@ Core_schedule_abs(CoreObject *self, PyObject *const *argv, Py_ssize_t argc)
     time = PyFloat_AsDouble(argv[0]);
     if (time == -1.0 && PyErr_Occurred())
         return NULL;
+    if (time < self->now) {
+        if (time >= self->now - NEGATIVE_DELAY_EPSILON) {
+            time = self->now;
+        } else {
+            raise_past_time(argv[0], self->now);
+            return NULL;
+        }
+    }
     return schedule_common(self, time, argv[1], argv[2], argv[3]);
 }
 
@@ -699,7 +730,7 @@ static PyMethodDef Core_methods[] = {
      "schedule(delay, fn, args, sim) -> Event (delay pre-validated)"},
     {"schedule_abs", (PyCFunction)(void (*)(void))Core_schedule_abs,
      METH_FASTCALL,
-     "schedule_abs(time, fn, args, sim) -> Event (time pre-validated)"},
+     "schedule_abs(time, fn, args, sim) -> Event (SchedulingError if past)"},
     {"next_serial", (PyCFunction)Core_next_serial, METH_NOARGS,
      "return the next schedule serial and advance the counter"},
     {"set_serial", (PyCFunction)Core_set_serial, METH_O,

@@ -311,8 +311,16 @@ class Simulator:
         and re-adds it to ``now``), the event fires at float-identical
         ``time`` — what callers amortizing several hops into one event
         need to reproduce a chained schedule's timestamps bit-exactly.
+        Raises :class:`SchedulingError` for a ``time`` before ``now``;
+        one within ``NEGATIVE_DELAY_EPSILON`` of it is clamped to
+        ``now``, like a round-off negative delay.
         """
-        now = self.now
+        core = self._core
+        if core is not None:
+            # Past-time check, clamp and the whole fast path live in
+            # the core, which has the clock at hand.
+            return core.schedule_abs(time, fn, args, self)
+        now = self._now
         if time < now:
             if time >= now - NEGATIVE_DELAY_EPSILON:
                 time = now
@@ -320,9 +328,6 @@ class Simulator:
                 raise SchedulingError(
                     f"cannot schedule into the past (time={time}, now={now})"
                 )
-        core = self._core
-        if core is not None:
-            return core.schedule_abs(time, fn, args, self)
         serial = next(self._serial)
         free = self._event_free
         if free:

@@ -1,9 +1,11 @@
 """Unit tests for the discrete-event engine."""
 
+import math
+
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.engine import Simulator
+from repro.sim.engine import NEGATIVE_DELAY_EPSILON, Simulator
 
 
 class TestScheduling:
@@ -226,6 +228,35 @@ class TestScheduleAbs:
         sim.schedule_abs(2.0 - 5e-13, lambda: times.append(sim.now))
         sim.run()
         assert times == [2.0]
+
+    @pytest.mark.parametrize("time, shown", [(1.0, "1.0"), (1, "1"), (2.0 - 2e-9, "1.999999998")])
+    def test_past_time_error_is_the_same_on_both_backends(self, backend_sim, time, shown):
+        """The compiled core validates in C; message, exception type and
+        side effects (none) must match the pure path's."""
+        sim = backend_sim
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        with pytest.raises(SchedulingError) as caught:
+            sim.schedule_abs(time, lambda: None)
+        assert str(caught.value) == (
+            f"cannot schedule into the past (time={shown}, now=2.0)"
+        )
+        assert sim.pending_events == 0
+        # The refused call minted no serial: the next event gets the
+        # one right after the event that advanced the clock.
+        assert sim.schedule_abs(3.0, lambda: None).serial == 1
+
+    def test_clamp_covers_exactly_the_roundoff_epsilon(self, backend_sim):
+        sim = backend_sim
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        edge = 2.0 - NEGATIVE_DELAY_EPSILON
+        assert sim.schedule_abs(edge, lambda: None).time == 2.0
+        with pytest.raises(SchedulingError):
+            sim.schedule_abs(math.nextafter(edge, 0.0), lambda: None)
+        # At or after the clock nothing is touched.
+        assert sim.schedule_abs(2.0, lambda: None).time == 2.0
+        assert sim.schedule_abs(2.5, lambda: None).time == 2.5
 
 
 class TestNegativeDelayClamp:
