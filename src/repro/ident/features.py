@@ -37,7 +37,7 @@ they are RR-only instrumentation, not behavior.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -123,6 +123,11 @@ class FlowTrace:
     Every entry leads with the global arrival index, so events sharing
     a simulation timestamp (an exit marker and the sends its ACK
     released, say) keep their causal order.
+
+    Precondition of :func:`extract_features`, met by whatever a
+    :class:`FlowTraceCollector` records: within each series orders
+    strictly increase and times never decrease, and no order appears
+    in two series.
     """
 
     flow_id: int
@@ -183,6 +188,9 @@ class FlowTraceCollector:
 
     def __init__(self) -> None:
         self.flows: Dict[int, FlowTrace] = {}
+        # source label -> its FlowTrace (None: not a flow label);
+        # parsing a label once per record was half the intake cost.
+        self._by_source: Dict[str, Optional[FlowTrace]] = {}
         self._order = 0
         self._bus: Optional[TraceBus] = None
 
@@ -206,37 +214,41 @@ class FlowTraceCollector:
     # ------------------------------------------------------------------
     def _trace_for(self, source: str) -> Optional[FlowTrace]:
         flow_id = _flow_id_of(source)
-        if flow_id is None:
-            return None
-        trace = self.flows.get(flow_id)
-        if trace is None:
-            trace = self.flows[flow_id] = FlowTrace(flow_id=flow_id)
+        trace = None
+        if flow_id is not None:
+            trace = self.flows.get(flow_id)
+            if trace is None:
+                trace = self.flows[flow_id] = FlowTrace(flow_id=flow_id)
+        self._by_source[source] = trace
         return trace
 
     def _on_record(self, record: TraceRecord) -> None:
-        trace = self._trace_for(record.source)
+        time, category, source, fields = record
+        try:
+            trace = self._by_source[source]
+        except KeyError:
+            trace = self._trace_for(source)
         if trace is None:
             return
         order = self._order
-        self._order += 1
-        fields = record.fields
-        category = record.category
+        self._order = order + 1
+        # Most frequent first: the episode markers are a handful.
         if category == "tcp.send":
             trace.sends.append(
-                (order, record.time, fields["seqno"], bool(fields["retransmit"]))
+                (order, time, fields["seqno"], bool(fields["retransmit"]))
             )
         elif category == "tcp.ack":
             trace.acks.append(
-                (order, record.time, fields["ackno"], bool(fields["duplicate"]))
+                (order, time, fields["ackno"], bool(fields["duplicate"]))
             )
         elif category == "tcp.cwnd":
-            trace.cwnd.append((order, record.time, float(fields["cwnd"])))
+            trace.cwnd.append((order, time, float(fields["cwnd"])))
         elif category == "tcp.recovery_enter":
-            trace.enters.append((order, record.time, int(fields["recover"])))
+            trace.enters.append((order, time, int(fields["recover"])))
         elif category == "tcp.recovery_exit":
-            trace.exits.append((order, record.time))
+            trace.exits.append((order, time))
         elif category == "tcp.timeout":
-            trace.timeouts.append((order, record.time))
+            trace.timeouts.append((order, time))
 
     # ------------------------------------------------------------------
     # extraction
@@ -295,36 +307,10 @@ def _rtt_estimate(trace: FlowTrace) -> float:
     return estimate if estimate > 0.0 else 0.1
 
 
-def _cwnd_value_at(trace: FlowTrace, t: float) -> float:
-    """The cwnd in effect at time ``t``: the last sample with
-    ``sample_t <= t`` (arrival order breaks same-time ties), or 0.0
-    before the first sample."""
-    value = 0.0
-    for _, sample_t, cwnd in trace.cwnd:
-        if sample_t > t:
-            break
-        value = cwnd
-    return value
-
-
-def _cwnd_before_time(trace: FlowTrace, t: float) -> float:
-    """The cwnd strictly before time ``t``.  Time-strict on purpose:
-    the halving a sender performs while *reacting* to an event is
-    emitted at the same simulation instant as the event marker, so an
-    order-based "before" would already see the post-reaction value."""
-    value = 0.0
-    for _, sample_t, cwnd in trace.cwnd:
-        if sample_t >= t:
-            break
-        value = cwnd
-    return value
-
-
 @dataclass(frozen=True)
 class _Episode:
     enter_order: int
     enter_t: float
-    recover: int
     end_order: int
     end_t: float
     exited: bool  # False = the episode was cut short by a timeout
@@ -344,45 +330,25 @@ def _episodes(trace: FlowTrace) -> List[_Episode]:
     )
     episodes: List[_Episode] = []
     cursor = 0
-    for enter_order, enter_t, recover in trace.enters:
+    for enter_order, enter_t, _recover in trace.enters:
         while cursor < len(ends) and ends[cursor][0] < enter_order:
             cursor += 1
         if cursor >= len(ends):
             break
         end_order, end_t, exited = ends[cursor]
         cursor += 1
-        episodes.append(
-            _Episode(
-                enter_order=enter_order,
-                enter_t=enter_t,
-                recover=recover,
-                end_order=end_order,
-                end_t=end_t,
-                exited=exited,
-            )
-        )
+        episodes.append(_Episode(enter_order, enter_t, end_order, end_t, exited))
     return episodes
 
 
-def _collapses(trace: FlowTrace, episodes: Sequence[_Episode]) -> List[Tuple[int, float]]:
-    """Tahoe-style loss responses: a cwnd sample at (or below) one
-    packet that sits outside every recovery episode and is not the
-    reset a timeout performs."""
-    inside = [(e.enter_order, e.end_order) for e in episodes]
-    timeout_times = {t for _, t in trace.timeouts}
-    collapses: List[Tuple[int, float]] = []
-    previous = 0.0
-    for order, t, cwnd in trace.cwnd:
-        was_collapse = (
-            cwnd <= 1.0 + 1e-9
-            and previous > cwnd + 1e-9
-            and t not in timeout_times
-            and not any(lo <= order <= hi for lo, hi in inside)
-        )
-        if was_collapse:
-            collapses.append((order, t))
-        previous = cwnd
-    return collapses
+def _columns(rows: Sequence[tuple], width: int) -> Tuple[tuple, ...]:
+    """A series as ``width`` parallel tuples (one pass; empty-safe)."""
+    return tuple(zip(*rows)) or ((),) * width
+
+
+def _count_between(orders: Sequence[int], lo: int, hi: int) -> int:
+    """How many of the increasing ``orders`` satisfy ``lo < order < hi``."""
+    return bisect_left(orders, hi) - bisect_right(orders, lo)
 
 
 def extract_features(trace: FlowTrace) -> FeatureVector:
@@ -390,10 +356,58 @@ def extract_features(trace: FlowTrace) -> FeatureVector:
 
     Pure and deterministic: list order is bus arrival order, every
     reduction is a fixed-order sum, and no randomness participates.
+
+    O(N + (E + R) log N) for N records, E episodes and R loss
+    responses: each series is split into columns once, then every
+    question about it is a binary search (hence the :class:`FlowTrace`
+    precondition).  tests/ident/reference_features.py is the rescanning
+    definition of every feature; the two must agree exactly.
     """
     rtt = _rtt_estimate(trace)
     episodes = _episodes(trace)
-    collapses = _collapses(trace, episodes)
+    cwnd_orders, cwnd_times, cwnd_values = _columns(trace.cwnd, 3)
+    ack_orders, _, _, ack_dup = _columns(trace.acks, 4)
+    send_orders, send_times, _, send_retx = _columns(trace.sends, 4)
+    dup_orders = [o for o, dup in zip(ack_orders, ack_dup) if dup]
+    retx_orders = [o for o, retx in zip(send_orders, send_retx) if retx]
+    new_orders = [o for o, retx in zip(send_orders, send_retx) if not retx]
+    enter_orders = [e.enter_order for e in episodes]
+    end_orders = [e.end_order for e in episodes]
+
+    def in_recovery(order: int) -> bool:
+        # Enter and end orders both rise with the episode index, so of
+        # the episodes entered by ``order`` the last one also ends last.
+        i = bisect_right(enter_orders, order)
+        return i > 0 and order <= end_orders[i - 1]
+
+    def cwnd_at(t: float) -> float:
+        # In effect at ``t``: the last sample with ``sample_t <= t``
+        # (arrival order breaks ties), 0.0 before the first sample.
+        i = bisect_right(cwnd_times, t)
+        return cwnd_values[i - 1] if i else 0.0
+
+    def cwnd_before(t: float) -> float:
+        # Time-strict on purpose: the halving a sender performs while
+        # *reacting* to an event is emitted at the same instant as the
+        # event marker, so an order-based "before" would already see
+        # the post-reaction value.
+        i = bisect_left(cwnd_times, t)
+        return cwnd_values[i - 1] if i else 0.0
+
+    # Tahoe-style loss responses: a cwnd sample at (or below) one packet
+    # that sits outside every recovery episode and is not the reset a
+    # timeout performs.
+    timeout_times = {t for _, t in trace.timeouts}
+    collapses = [
+        (order, t)
+        for order, t, cwnd, previous in zip(
+            cwnd_orders, cwnd_times, cwnd_values, (0.0,) + cwnd_values
+        )
+        if cwnd <= 1.0 + 1e-9
+        and previous > cwnd + 1e-9
+        and t not in timeout_times
+        and not in_recovery(order)
+    ]
 
     # Loss responses: every instant the sender reacted to loss.
     responses: List[Tuple[int, float]] = sorted(
@@ -412,69 +426,55 @@ def extract_features(trace: FlowTrace) -> FeatureVector:
     # cwnd untouched until recovery exits).
     drops = []
     for _, t in responses:
-        before = _cwnd_before_time(trace, t)
+        before = cwnd_before(t)
         if before <= 0.0:
             continue
-        drops.append(_cwnd_value_at(trace, t + 0.2 * rtt) / before)
+        drops.append(cwnd_at(t + 0.2 * rtt) / before)
     loss_cwnd_drop = _mean(drops)
 
     # 4 — the same reaction measured at recovery entries only.
     entry_drops = []
     for episode in episodes:
-        before = _cwnd_before_time(trace, episode.enter_t)
+        before = cwnd_before(episode.enter_t)
         if before <= 0.0:
             continue
-        entry_drops.append(
-            _cwnd_value_at(trace, episode.enter_t + 0.2 * rtt) / before
-        )
+        entry_drops.append(cwnd_at(episode.enter_t + 0.2 * rtt) / before)
     entry_cwnd_drop = _mean(entry_drops) if entry_drops else 1.0
 
-    # 5/6/7 — in-recovery dynamics, by arrival order within episodes.
-    dupacks_in = 0
-    cwnd_moves_in = 0
-    new_sends_in = 0
-    retx_in = 0
-    for episode in episodes:
-        lo, hi = episode.enter_order, episode.end_order
-        dupacks_in += sum(
-            1 for order, _, _, dup in trace.acks if dup and lo < order < hi
-        )
-        cwnd_moves_in += sum(
-            1 for order, _, _ in trace.cwnd if lo < order < hi
-        )
-        for order, _, _seq, retransmit in trace.sends:
-            if not lo < order < hi:
-                continue
-            if retransmit:
-                retx_in += 1
-            else:
-                new_sends_in += 1
-    cwnd_moves_per_dupack = cwnd_moves_in / dupacks_in if dupacks_in else 0.0
-    recovery_new_data_per_dupack = (
-        new_sends_in / dupacks_in if dupacks_in else 0.0
-    )
-    recovery_retx_per_episode = retx_in / len(episodes) if episodes else 0.0
-
-    # 8 — partial-ACK-triggered retransmission, the mechanism that
+    # 5/6/7 — in-recovery dynamics, by arrival order within episodes —
+    # and 8, partial-ACK-triggered retransmission, the mechanism that
     # defines New-Reno against Reno: the fraction of in-recovery
     # retransmits whose immediately preceding ACK was a *new* ACK.
     # Reno never retransmits on a new ACK (it exits instead), so this
     # is ~0 for Reno and rises with burst depth for the hole-by-hole
     # schemes.
-    ack_orders = [order for order, _, _, _ in trace.acks]
+    dupacks_in = 0
+    cwnd_moves_in = 0
+    new_sends_in = 0
+    retx_in = 0
     retx_after_new_ack = 0
     retx_with_ack_context = 0
     for episode in episodes:
         lo, hi = episode.enter_order, episode.end_order
-        for order, _, _seq, retransmit in trace.sends:
-            if not (retransmit and lo < order < hi):
-                continue
+        dupacks_in += _count_between(dup_orders, lo, hi)
+        cwnd_moves_in += _count_between(cwnd_orders, lo, hi)
+        new_sends_in += _count_between(new_orders, lo, hi)
+        retransmits = retx_orders[
+            bisect_right(retx_orders, lo):bisect_left(retx_orders, hi)
+        ]
+        retx_in += len(retransmits)
+        for order in retransmits:
             i = bisect_right(ack_orders, order) - 1
             if i < 0:
                 continue
             retx_with_ack_context += 1
-            if not trace.acks[i][3]:
+            if not ack_dup[i]:
                 retx_after_new_ack += 1
+    cwnd_moves_per_dupack = cwnd_moves_in / dupacks_in if dupacks_in else 0.0
+    recovery_new_data_per_dupack = (
+        new_sends_in / dupacks_in if dupacks_in else 0.0
+    )
+    recovery_retx_per_episode = retx_in / len(episodes) if episodes else 0.0
     retx_on_new_ack_frac = (
         retx_after_new_ack / retx_with_ack_context
         if retx_with_ack_context
@@ -488,53 +488,40 @@ def extract_features(trace: FlowTrace) -> FeatureVector:
     )
 
     # 10 — the exit-burst signature: packets clocked out on the exit
-    # ACK and the immediate aftermath.
+    # ACK and the immediate aftermath — and 11, the window surrendered
+    # across a full episode: cwnd shortly after the exit vs cwnd
+    # strictly before the entry.
     bursts = []
-    for episode in episodes:
-        if not episode.exited:
-            continue
-        burst = sum(
-            1
-            for order, t, _, _ in trace.sends
-            if order > episode.end_order and t <= episode.end_t + 0.2 * rtt
-        )
-        bursts.append(float(burst))
-    exit_burst = _mean(bursts)
-
-    # 11 — window surrendered across a full episode: cwnd shortly
-    # after the exit vs cwnd strictly before the entry.
     exit_ratios = []
     for episode in episodes:
         if not episode.exited:
             continue
-        before = _cwnd_before_time(trace, episode.enter_t)
+        aftermath = episode.end_t + 0.2 * rtt
+        first = bisect_right(send_orders, episode.end_order)
+        bursts.append(float(max(0, bisect_right(send_times, aftermath) - first)))
+        before = cwnd_before(episode.enter_t)
         if before <= 0.0:
             continue
-        exit_ratios.append(
-            _cwnd_value_at(trace, episode.end_t + 0.2 * rtt) / before
-        )
+        exit_ratios.append(cwnd_at(aftermath) / before)
+    exit_burst = _mean(bursts)
     exit_cwnd_ratio = _mean(exit_ratios)
 
     # 12 — growth style after a loss response: the fraction of
     # out-of-recovery cwnd increments in the following RTTs that look
     # like slow start's +1-per-ACK (Tahoe rebuilds exponentially;
     # avoidance grows by 1/cwnd; in-episode inflation is excluded).
-    inside_episode = [(e.enter_order, e.end_order) for e in episodes]
-
-    def in_recovery(sample_order: int) -> bool:
-        return any(lo <= sample_order <= hi for lo, hi in inside_episode)
-
     slow_start_steps = 0
     growth_steps = 0
     for order, t in responses:
-        window_samples = [
-            (sample_order, sample_t, cwnd)
-            for sample_order, sample_t, cwnd in trace.cwnd
-            if sample_order > order
-            and t < sample_t <= t + 3.0 * rtt
-            and not in_recovery(sample_order)
+        # Later in arrival order than the response, in (t, t + 3 RTT].
+        first = max(bisect_right(cwnd_orders, order), bisect_right(cwnd_times, t))
+        last = bisect_right(cwnd_times, t + 3.0 * rtt)
+        window = [
+            cwnd_values[i]
+            for i in range(first, last)
+            if not in_recovery(cwnd_orders[i])
         ]
-        for (_, _, a), (_, _, b) in zip(window_samples, window_samples[1:]):
+        for a, b in zip(window, window[1:]):
             delta = b - a
             if delta <= 0.0:
                 continue
@@ -550,27 +537,16 @@ def extract_features(trace: FlowTrace) -> FeatureVector:
     # per window is the single-halving family (and RR, whose one
     # decrease lands at recovery exit); Reno's episode-per-loss
     # behavior shows up as several.
-    window_starts: List[float] = []
+    window_starts: List[float] = []  # strictly increasing
     for _, t in responses:
         if not window_starts or t - window_starts[-1] > 3.0 * rtt:
             window_starts.append(t)
-    backoff_times = [
-        t
-        for (_, t, cwnd), (_, _, previous) in zip(
-            trace.cwnd[1:], trace.cwnd[:-1]
-        )
-        if previous > 0.0 and cwnd < 0.8 * previous
-    ]
     per_window = [0.0] * len(window_starts)
-    for t in backoff_times:
-        slot = None
-        for i, start in enumerate(window_starts):
-            if start <= t:
-                slot = i
-            else:
-                break
-        if slot is not None:
-            per_window[slot] += 1.0
+    for t, cwnd, previous in zip(cwnd_times[1:], cwnd_values[1:], cwnd_values):
+        if previous > 0.0 and cwnd < 0.8 * previous:
+            slot = bisect_right(window_starts, t) - 1
+            if slot >= 0:
+                per_window[slot] += 1.0
     backoffs_per_loss_window = _mean(per_window)
 
     values = (

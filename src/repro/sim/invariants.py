@@ -219,8 +219,10 @@ class InvariantSuite:
     def __init__(self, tail_size: int = 50):
         self.tail = TraceTail(tail_size)
         self.checkers: List[InvariantChecker] = []
-        self._by_category: Dict[str, List[InvariantChecker]] = {}
-        self._probes: List[InvariantChecker] = []
+        # What a record visits, in order: the checkers listing its
+        # category, then every probe (alone, for an unlisted category).
+        self._dispatch: Dict[str, Tuple[InvariantChecker, ...]] = {}
+        self._probes: Tuple[InvariantChecker, ...] = ()
         self.records_seen = 0
         self._bus: Optional[TraceBus] = None
 
@@ -238,11 +240,13 @@ class InvariantSuite:
     def add(self, checker: InvariantChecker) -> "InvariantSuite":
         checker._suite = self
         self.checkers.append(checker)
-        if checker.categories:
-            for category in checker.categories:
-                self._by_category.setdefault(category, []).append(checker)
-        else:
-            self._probes.append(checker)
+        self._probes = tuple(c for c in self.checkers if not c.categories)
+        self._dispatch = {
+            category: tuple(c for c in self.checkers if category in c.categories)
+            + self._probes
+            for listed in self.checkers
+            for category in listed.categories
+        }
         return self
 
     def watch_queue(self, queue) -> "InvariantSuite":
@@ -267,12 +271,11 @@ class InvariantSuite:
             self._bus = None
 
     def _on_record(self, record: TraceRecord) -> None:
-        self.tail.append(record)
+        # Straight onto the tail's deque: this runs for every record,
+        # and a TraceTail.append frame costs as much as a check.
+        self.tail._records.append(record)
         self.records_seen += 1
-        for checker in self._by_category.get(record.category, ()):
-            checker.records_checked += 1
-            checker.check(record)
-        for checker in self._probes:
+        for checker in self._dispatch.get(record.category, self._probes):
             checker.records_checked += 1
             checker.check(record)
 

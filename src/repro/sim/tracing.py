@@ -8,14 +8,13 @@ dictionary lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, DefaultDict, Dict, Iterable, List
 from collections import defaultdict, deque
+from typing import Any, Callable, DefaultDict, Dict, Iterable, List, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One trace event.
+class TraceRecord(NamedTuple):
+    """One trace event: an immutable tuple-backed record — one is built
+    per emit on a subscribed category, so construction must stay cheap.
 
     Attributes
     ----------
@@ -32,7 +31,7 @@ class TraceRecord:
     time: float
     category: str
     source: str
-    fields: Dict[str, Any] = field(default_factory=dict)
+    fields: Dict[str, Any]
 
 
 Subscriber = Callable[[TraceRecord], None]
@@ -62,7 +61,7 @@ class TraceChannel:
         empty; calling unconditionally is still correct."""
         subs = self.subs
         if subs:
-            record = TraceRecord(time=time, category=self.category, source=source, fields=fields)
+            record = TraceRecord(time, self.category, source, fields)
             for fn in subs:
                 fn(record)
 
@@ -139,8 +138,11 @@ class TraceBus:
         self._invalidate(category)
 
     def unsubscribe(self, category: str, fn: Subscriber) -> None:
-        """Remove a subscription added with :meth:`subscribe`."""
-        subscribers = self._subscribers[category]
+        """Remove a subscription added with :meth:`subscribe`; raises
+        :class:`ValueError` for a pair that was never subscribed."""
+        # .get, not []: indexing the defaultdict would leave an empty
+        # list (and a different pickle and digest) behind the raise.
+        subscribers = self._subscribers.get(category, [])
         subscribers.remove(fn)
         if not subscribers:
             # Prune the empty list: a leftover [] would make the
@@ -181,7 +183,7 @@ class TraceBus:
         if merged is None:
             merged = self._merge(category)
         if merged:
-            record = TraceRecord(time=time, category=category, source=source, fields=fields)
+            record = TraceRecord(time, category, source, fields)
             for fn in merged:
                 fn(record)
 
@@ -217,13 +219,24 @@ class TraceTail:
             raise ValueError(f"tail capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._records: deque = deque(maxlen=capacity)
+        self._bus: Optional[TraceBus] = None
 
     def append(self, record: TraceRecord) -> None:
         self._records.append(record)
 
     def install(self, bus: "TraceBus") -> None:
         """Start capturing everything published on ``bus``."""
+        if self._bus is not None:
+            raise ValueError("tail is already installed on a bus")
+        self._bus = bus
         bus.subscribe(TraceBus.WILDCARD, self.append)
+
+    def uninstall(self) -> None:
+        """Stop capturing; the records held stay readable.  Until then
+        the wildcard subscription makes every category build records."""
+        if self._bus is not None:
+            self._bus.unsubscribe(TraceBus.WILDCARD, self.append)
+            self._bus = None
 
     def records(self) -> List[TraceRecord]:
         """The captured records, oldest first."""

@@ -127,7 +127,9 @@ class Watchdog:
         Real seconds the run may take.
     trace / tail:
         Either a bus to capture a fresh tail from, or an existing
-        :class:`TraceTail` (e.g. the invariant suite's) to share.
+        :class:`TraceTail` (e.g. the invariant suite's) to share.  A
+        fresh tail is subscribed by :meth:`arm` and removed again by
+        :meth:`disarm` or a trip; a shared one is its owner's to feed.
     """
 
     def __init__(
@@ -154,9 +156,10 @@ class Watchdog:
         self.max_event_rate = max_event_rate
         self.max_wallclock = max_wallclock
         self.tail = tail
-        if self.tail is None and trace is not None:
+        # The bus of a tail this watchdog created itself, else None.
+        self._own_bus = trace if tail is None else None
+        if self._own_bus is not None:
             self.tail = TraceTail(50)
-            self.tail.install(trace)
         self.report: Optional[CrashReport] = None
         self.checks_performed = 0
         self._event: Optional[Event] = None
@@ -239,12 +242,17 @@ class Watchdog:
         now = self._sim.now
         for flow_id, sender in self._senders.items():
             self._progress[flow_id] = (sender.snd_una, now)
+        if self._own_bus is not None:
+            self.tail.install(self._own_bus)
         self._event = self._sim.schedule(self.check_interval, self._tick)
         return self
 
     def disarm(self) -> None:
-        """Stop guarding; pending tick is cancelled."""
+        """Stop guarding: the pending tick is cancelled and a tail the
+        watchdog created itself stops capturing (its records stay)."""
         self._armed = False
+        if self._own_bus is not None:
+            self.tail.uninstall()
         if self._event is not None:
             self._event.cancel()
             self._event = None

@@ -1,6 +1,9 @@
 """Unit tests for the trace bus."""
 
-from repro.sim.tracing import TraceBus, TraceRecord
+import pytest
+
+from repro.sim.tracing import TraceBus, TraceRecord, TraceTail
+from repro.snapshot import state_digest
 
 
 def make_record(category="queue.drop", time=1.0, **fields):
@@ -108,6 +111,55 @@ class TestSubscriberPruning:
         bus.subscribe("*", fn)
         bus.unsubscribe("*", fn)
         assert not bus.has_subscribers("anything")
+
+
+class TestFailedUnsubscribeLeavesNoTrace:
+    """Regression: unsubscribing a pair that was never subscribed read
+    ``_subscribers[category]`` on a defaultdict, so by the time
+    ``list.remove`` raised, the bus had grown a ``{category: []}`` entry
+    and pickled/digested differently although nothing had changed."""
+
+    def test_unknown_category(self):
+        bus = TraceBus()
+        bus.subscribe("x", print)
+        before = (state_digest(bus), bus.__getstate__())
+        with pytest.raises(ValueError):
+            bus.unsubscribe("never.subscribed", print)
+        assert (state_digest(bus), bus.__getstate__()) == before
+        assert not bus.has_subscribers("never.subscribed")
+
+    def test_known_category_unknown_subscriber(self):
+        bus = TraceBus()
+        bus.subscribe("x", print)
+        before = (state_digest(bus), bus.__getstate__())
+        with pytest.raises(ValueError):
+            bus.unsubscribe("x", repr)
+        assert (state_digest(bus), bus.__getstate__()) == before
+        assert bus.has_subscribers("x")
+
+
+class TestTraceTail:
+    def test_uninstall_stops_capture_and_keeps_the_records(self):
+        bus = TraceBus()
+        tail = TraceTail(4)
+        tail.install(bus)
+        bus.emit(1.0, "x", "src")
+        tail.uninstall()
+        bus.emit(2.0, "x", "src")
+        assert [r.time for r in tail] == [1.0]
+        assert not bus.has_subscribers("x")
+        tail.uninstall()  # idempotent
+
+    def test_reinstall_after_uninstall(self):
+        bus = TraceBus()
+        tail = TraceTail(4)
+        tail.install(bus)
+        with pytest.raises(ValueError):
+            tail.install(bus)
+        tail.uninstall()
+        tail.install(bus)
+        bus.emit(1.0, "x", "src")
+        assert len(tail) == 1
 
 
 class TestMergedListCache:

@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.common import FlowSpec, build_dumbbell_scenario
 from repro.net.topology import DumbbellParams
 from repro.sim.engine import Simulator
+from repro.sim.invariants import InvariantSuite
 from repro.sim.watchdog import Watchdog
 
 
@@ -118,6 +119,52 @@ class TestLifecycle:
         assert sim.pending_events == 0
         sim.run(until=100.0)
         assert not watchdog.triggered
+
+    def test_disarm_removes_the_tail_the_watchdog_created(self):
+        # Regression: Watchdog(trace=bus) subscribed its own wildcard
+        # tail and never removed it, so every category kept building
+        # records for the rest of the world's life.
+        scenario = stalled_scenario()
+        bus = scenario.dumbbell.net.trace
+        watchdog = Watchdog(scenario.sim, senders=scenario.senders, trace=bus).arm()
+        assert len(bus.channel("link.tx").subs) == 1
+        scenario.sim.run(until=0.5)
+        watchdog.disarm()
+        assert bus.channel("link.tx").subs == []
+        assert not bus.has_subscribers("tcp.send")
+        captured = len(watchdog.tail)
+        assert captured > 0  # evidence survives the disarm
+        scenario.sim.run(until=0.8)
+        assert len(watchdog.tail) == captured
+        watchdog.disarm()  # idempotent
+        # Re-arming guards (and captures) again.
+        watchdog.arm()
+        assert len(bus.channel("link.tx").subs) == 1
+
+    def test_trip_removes_the_tail_the_watchdog_created(self):
+        scenario = stalled_scenario()
+        bus = scenario.dumbbell.net.trace
+        watchdog = Watchdog(
+            scenario.sim, senders=scenario.senders, stall_timeout=5.0,
+            check_interval=0.5, trace=bus,
+        ).arm()
+        scenario.sim.run(until=600.0)
+        assert watchdog.triggered and watchdog.report.last_events
+        assert bus.channel("link.tx").subs == []
+
+    def test_disarm_leaves_a_shared_tail_to_its_owner(self):
+        scenario = stalled_scenario()
+        bus = scenario.dumbbell.net.trace
+        suite = InvariantSuite.standard().install(bus)
+        watchdog = Watchdog(scenario.sim, senders=scenario.senders, tail=suite.tail).arm()
+        assert watchdog.tail is suite.tail
+        scenario.sim.run(until=0.5)
+        watchdog.disarm()
+        assert len(bus.channel("link.tx").subs) == 1  # the suite's, untouched
+        seen = suite.records_seen
+        scenario.sim.run(until=0.8)
+        assert suite.records_seen > seen
+        assert suite.tail.records()[-1].time > 0.5
 
     def test_arm_is_idempotent(self):
         sim = Simulator()
