@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Keep the docs' code examples honest.
 
-Extracts fenced code blocks from ``docs/*.md`` and ``README.md`` and
-verifies, without executing any example:
+Extracts fenced code blocks from ``docs/*.md`` and the top-level pages
+(``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md``, ``CONTRIBUTING.md``)
+and verifies, without executing any example:
 
 * every ``python`` block parses, and every ``import x`` /
   ``from x import y`` of a ``repro`` module resolves against the
@@ -13,6 +14,11 @@ verifies, without executing any example:
   ``python -m repro.experiments <cmd> --help``;
 * every relative markdown link (``[text](OTHER.md)``,
   ``[text](../FILE.md#anchor)``) resolves to an existing file;
+* every back-ticked repo-relative path (``scripts/x.py``,
+  ``tests/a/test_b.py::TestC``, anything under ``src/``, ``bench/``,
+  ``docs/`` or ``.github/``; globs and ``<placeholders>`` are skipped)
+  names a file or directory that exists — a page must not keep
+  pointing at a file a change deleted or renamed;
 * every ``docs/*.md`` page is reachable from the ``docs/README.md``
   index by following relative links — an orphaned page is a page
   nobody will find.
@@ -22,7 +28,7 @@ or a CLI verb without updating the docs fails the build.
 
 Usage::
 
-    python scripts/check_docs.py            # check docs/*.md + README.md
+    python scripts/check_docs.py            # check docs/*.md + top-level pages
     python scripts/check_docs.py FILE...    # check specific files
 """
 
@@ -46,6 +52,10 @@ CLI_RE = re.compile(r"python -m repro\.experiments\s+([a-z0-9_.-]+)")
 # Inline markdown links; external schemes and pure #anchors are
 # filtered by link_targets, not the regex.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+# A back-ticked span whose first word starts with a top-level source
+# directory; check_paths strips what follows the path proper.
+PATH_RE = re.compile(r"`((?:scripts|bench|src|tests|docs|\.github)/[^`\s]*)[^`]*`")
+TOP_LEVEL_PAGES = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "CONTRIBUTING.md")
 
 
 def fenced_blocks(text: str) -> Iterator[Tuple[str, str, int]]:
@@ -154,6 +164,26 @@ def check_links(path: Path, text: str) -> Tuple[List[str], List[Path]]:
     return problems, resolved
 
 
+def check_paths(path: Path, text: str) -> Tuple[List[str], int]:
+    """Every back-ticked repo-relative path must exist; returns
+    (problems, paths checked).  ``tests/x.py::TestY`` and
+    ``src/x.py:12`` are checked as the file; anything with glob or
+    placeholder characters is an illustration, not a reference."""
+    problems: List[str] = []
+    checked = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for match in PATH_RE.finditer(line):
+            target = match.group(1).split(":", 1)[0].rstrip(".,;")
+            if re.search(r"[*?<>{}\[\]$…]|\.\.\.", target):
+                continue
+            checked += 1
+            if not (REPO_ROOT / target).exists():
+                problems.append(
+                    f"{path.relative_to(REPO_ROOT)}:{lineno}: `{target}` does not exist"
+                )
+    return problems, checked
+
+
 def check_reachability(linked_from: dict) -> List[str]:
     """Every docs/*.md page must be reachable from docs/README.md by
     following relative links (``linked_from`` maps each checked file to
@@ -199,29 +229,35 @@ def main(argv=None) -> int:
     if argv:
         paths = [Path(arg).resolve() for arg in argv]
     else:
-        paths = sorted((REPO_ROOT / "docs").glob("*.md")) + [REPO_ROOT / "README.md"]
+        paths = sorted((REPO_ROOT / "docs").glob("*.md")) + [
+            REPO_ROOT / name for name in TOP_LEVEL_PAGES
+        ]
     problems: List[str] = []
     commands: List[Tuple[str, str]] = []
     total_blocks = 0
     total_links = 0
+    total_paths = 0
     linked_from: dict = {}
     for path in paths:
         file_problems, file_commands, blocks = check_file(path)
         problems.extend(file_problems)
         commands.extend(file_commands)
         total_blocks += blocks
-        link_problems, resolved = check_links(
-            path, path.read_text(encoding="utf-8")
-        )
+        text = path.read_text(encoding="utf-8")
+        link_problems, resolved = check_links(path, text)
         problems.extend(link_problems)
         total_links += len(resolved)
         linked_from[path.resolve()] = resolved
+        path_problems, checked = check_paths(path, text)
+        problems.extend(path_problems)
+        total_paths += checked
     problems.extend(check_cli_commands(commands))
     problems.extend(check_reachability(linked_from))
     unique_cmds = len({cmd for cmd, _ in commands})
     print(
         f"checked {len(paths)} files, {total_blocks} fenced blocks, "
-        f"{unique_cmds} distinct CLI commands, {total_links} relative links"
+        f"{unique_cmds} distinct CLI commands, {total_links} relative links, "
+        f"{total_paths} repo paths"
     )
     for problem in problems:
         print(f"FAIL {problem}")

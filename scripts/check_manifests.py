@@ -15,10 +15,10 @@ and fails (exit 1) when
   every prefix from the store (``warm_prefix_captures == 0`` with
   ``warm_prefix_hits > 0`` — only a run after the capturing one can).
 
-The benchmark-smoke CI job runs it against ``bench-out`` so a bench
-campaign that lost a task — or stopped writing provenance — turns the
-build red even if the timing numbers look plausible.  Schema details
-are in docs/OBSERVABILITY.md.
+The harness-smoke CI job runs it against ``smoke-out`` so a smoke
+sweep that lost a task — or stopped writing provenance — turns the
+build red even if its report looks plausible.  Schema details are in
+docs/OBSERVABILITY.md.
 """
 
 from __future__ import annotations

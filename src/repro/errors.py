@@ -116,12 +116,12 @@ class SnapshotError(ReproError):
 
 
 class SnapshotFormatError(SnapshotError):
-    """A snapshot/delta file carries a format this build cannot read.
+    """A snapshot file carries a format this build cannot read.
 
     Distinguished from plain :class:`SnapshotError` so store-level
     policy can tell *foreign* (written by a build with a different
-    ``SNAPSHOT_FORMAT``/``DELTA_FORMAT`` — valid, just not for us;
-    degrade to recompute and leave the file alone) from *corrupt*
+    ``SNAPSHOT_FORMAT`` — valid, just not for us; degrade to
+    recompute and leave the file alone) from *corrupt*
     (truncated/bit-flipped — quarantine it).  See
     :meth:`repro.runner.warmstart.SnapshotStore.intact` and the
     ``fsck`` command.

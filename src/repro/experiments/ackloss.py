@@ -79,7 +79,8 @@ WARM_STEP_SECONDS = 0.02
 #: Warm-start cost-model hint: the prefix is a fast slow-start ramp to
 #: ~first_drop_seq of a transfer_packets transfer, and high-ACK-loss
 #: cells run far past it — a few percent of a cell's work at most
-#: (BENCH_experiments.json measured warm ~parity with cold here).
+#: (``runner.warmstart.ackloss_ratio`` from ``bench/run.py --workload
+#: paper_sweep --trace 1`` is 1.33: a forced warm pass loses to cold).
 WARM_PREFIX_FRACTION = 0.03
 
 

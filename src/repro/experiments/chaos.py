@@ -59,8 +59,8 @@ class ChaosConfig:
     # the bisection verdict (and both fork digests) to the report.
     triage: bool = False
     triage_grace: float = 30.0
-    # Where triage snapshots persist (crash point in full, forks as
-    # deltas).  None = digests only, nothing written to disk.
+    # Where triage snapshots persist (crash point and both forks).
+    # None = digests only, nothing written to disk.
     snapshot_store_root: Optional[str] = None
     # Behavior-class identity check (repro.ident): collect each run's
     # trace features and classify them against the reference model.  A

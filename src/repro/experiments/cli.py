@@ -151,7 +151,8 @@ def fsck_cli(argv: List[str]) -> int:
         "--rebuild",
         action="store_true",
         help="also recompute missing/corrupt prefix snapshots from their"
-        " recorded prefix specs (writes to the store)",
+        " recorded prefix specs (writes to the store; with --dry-run it"
+        " only reports what it would rebuild)",
     )
     args = parser.parse_args(argv)
     report = fsck(
@@ -268,9 +269,7 @@ def snapshot_cli(argv: List[str]) -> int:
 def _snapshot_diff(args) -> int:
     """``snapshot diff BASE TARGET``: section drift + delta size, and
     optionally the semantic per-attribute fingerprint diff."""
-    from repro.snapshot.core import Snapshot
-    from repro.snapshot.delta import DeltaSnapshot, should_fall_back
-    from repro.snapshot.digest import state_fingerprints
+    from repro.snapshot import DeltaSnapshot, Snapshot, state_fingerprints
 
     base = Snapshot.load(args.base)
     target = Snapshot.load(args.target)
@@ -299,7 +298,6 @@ def _snapshot_diff(args) -> int:
     print(
         f"delta encoding (target vs base): {delta.nbytes} B vs {target.nbytes} B"
         f" full ({pct:.0f}%)"
-        + ("; store would fall back to full" if should_fall_back(delta, target) else "")
     )
     if args.semantic:
         base_fp = state_fingerprints(base.restore(verify=False))

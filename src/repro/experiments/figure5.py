@@ -105,8 +105,10 @@ WARM_STEP_SECONDS = 0.02
 #: Fraction of one cold cell's runtime spent in the shared pre-loss
 #: prefix — the warm-start cost model's hint.  The slow-start ramp to
 #: ``first_drop_seq`` dominates a cell whose transfer finishes shortly
-#: after recovery (BENCH_experiments.json measures a ~2.4x warm replay
-#: on the late-loss grid, i.e. the prefix is over half the work).
+#: after recovery (``runner.warmstart.fig5late_ratio`` from ``bench/run.py
+#: --workload paper_sweep --trace 1`` is 0.52: a forced warm pass,
+#: captures included, costs about half the cold one on the late-loss
+#: grid, i.e. the prefix is over half the work).
 WARM_PREFIX_FRACTION = 0.5
 
 

@@ -82,7 +82,8 @@ class Figure7Result:
 #: in the loss-free prefix.  Far larger than loss_start/duration (5%):
 #: the prefix runs at full window while the lossy remainder runs with a
 #: collapsed one, so in event terms the prefix is nearly half the cell
-#: (BENCH_experiments.json: ~1.9x warm replay).
+#: (``runner.warmstart.fig7_ratio`` from ``bench/run.py --workload
+#: paper_sweep --trace 1`` is 0.65, captures included).
 WARM_PREFIX_FRACTION = 0.45
 
 

@@ -20,9 +20,9 @@ the fault is *implicated* — remove the fault and the protocol heals.
 If neither fork recovers, the crash outlives its cause: the sender's
 state machine wedged itself, which is exactly the class of bug the
 paper's robust-recovery design is about.  Both fork endpoints are
-digest-addressed (and, given a store, persisted as delta snapshots
-against the crash point) so a failing cell can be replayed and stepped
-interactively — see docs/WARMSTART.md.
+digest-addressed (and, given a store, persisted next to the crash
+point) so a failing cell can be replayed and stepped interactively —
+see docs/WARMSTART.md.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def _run_fork(
     label = "triage no-fault fork" if neutralize else "triage fault fork"
     end = Snapshot.capture(scenario, label=f"{label} of {snapshot.digest[:12]}")
     if store is not None:
-        store.put_delta(end, base_digest=snapshot.digest)
+        store.put(end)
     return end.digest, recovered, notes
 
 
@@ -159,9 +159,8 @@ def triage_crash(
     faults, run each ``grace`` seconds, and report which arm recovered.
 
     ``store`` (a :class:`~repro.runner.warmstart.SnapshotStore`) is
-    optional; when given, the crash point is persisted in full and both
-    fork endpoints as delta snapshots against it, so the bisection is
-    replayable after the fact.
+    optional; when given, the crash point and both fork endpoints are
+    persisted, so the bisection is replayable after the fact.
     """
     if store is not None:
         store.put(snapshot)

@@ -1,7 +1,7 @@
 """The run-level telemetry harness: one object per experiment run.
 
-:class:`RunTelemetry` is the glue the CLI (and ``scripts/bench.py``)
-use: it is itself a :class:`~repro.runner.pool.SweepObserver` that
+:class:`RunTelemetry` is the glue the CLI uses: it is itself a
+:class:`~repro.runner.pool.SweepObserver` that
 
 * accumulates every task event into a :class:`~repro.obs.manifest.
   RunManifest` (across *all* ``map`` calls the run makes — warm-start

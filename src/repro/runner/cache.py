@@ -176,22 +176,24 @@ class ResultCache:
         docs/RESILIENCE.md).
         """
         path = self._path(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
         try:
             blob = pickle.dumps({"canonical": spec.canonical(), "result": result})
         except (pickle.PickleError, TypeError, AttributeError) as error:
             self._store_failed(spec, f"result does not pickle: {error!r}")
             return False
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        tmp_name = None
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
                 fh.write(frame_entry(blob))
             os.replace(tmp_name, path)
         except OSError as error:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
+            if tmp_name is not None:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
             self._store_failed(spec, f"cache write failed: {error!r}")
             return False
         return True

@@ -13,7 +13,7 @@ inputs below participate:
   + content`` pairs in sorted path order (so both renames and edits
   change the fingerprint);
 * the snapshot/digest format constants (``SNAPSHOT_FORMAT``,
-  ``DELTA_FORMAT``, ``DIGEST_VERSION``) — warm-started cells embed
+  ``DIGEST_VERSION``) — warm-started cells embed
   snapshot digests, and a format bump changes what those digests mean
   even when no ``repro`` source under the walk changed (e.g. an
   editable install pointing at a different checkout);
@@ -80,12 +80,9 @@ def code_fingerprint(root: Optional[Path] = None) -> str:
     # Imported here, from the modules that define them: repro.snapshot.*
     # sits above repro.runner in the import graph.
     from repro.snapshot.core import SNAPSHOT_FORMAT
-    from repro.snapshot.delta import DELTA_FORMAT
     from repro.snapshot.digest import DIGEST_VERSION
 
-    digest.update(
-        f"formats:{SNAPSHOT_FORMAT}.{DELTA_FORMAT}.{DIGEST_VERSION}".encode("utf-8")
-    )
+    digest.update(f"formats:{SNAPSHOT_FORMAT}.{DIGEST_VERSION}".encode("utf-8"))
     digest.update(b"\0")
     golden = golden_digests_path(root)
     if golden.exists():

@@ -1,11 +1,10 @@
 """Storage fsck: sweep the result cache and snapshot store for rot.
 
 ``python -m repro.experiments fsck`` walks every on-disk artifact the
-sweep stack trusts — framed cache entries, full snapshots, delta files,
-and the prefix index — re-running the same integrity checks the read
-paths apply (checksum frames, snapshot/delta header + payload
-verification, delta base-chain resolvability) over the *whole* tree at
-once instead of lazily at first read.
+sweep stack trusts — framed cache entries, snapshots and the prefix
+index — re-running the same integrity checks the read paths apply
+(checksum frames, snapshot header + payload verification) over the
+*whole* tree at once instead of lazily at first read.
 
 Policy mirrors the read paths (docs/RESILIENCE.md):
 
@@ -13,8 +12,10 @@ Policy mirrors the read paths (docs/RESILIENCE.md):
   moved under ``<root>/quarantine/`` with a
   :class:`~repro.runner.resilience.QuarantineRecord` sidecar;
 * **foreign** (a format version this build does not speak, including
-  pre-framing raw-pickle cache entries) — left in place and counted;
-  mixed-version stores degrade to recompute, they are not an error;
+  pre-framing raw-pickle cache entries and ``*.delta`` snapshot files
+  left by builds that stored forks as diffs) — left in place and
+  counted; mixed-version stores degrade to recompute, they are not an
+  error;
 * **dangling** (a prefix-index entry pointing at a missing/corrupt
   snapshot) — the index file is removed so the next sweep recaptures;
 * with ``rebuild=True``, prefixes whose snapshot is gone but whose
@@ -23,7 +24,8 @@ Policy mirrors the read paths (docs/RESILIENCE.md):
   eagerly).
 
 ``repair=False`` is a true dry run: nothing on disk is touched, not
-even via the store's quarantine-on-read side effects.
+even via the store's quarantine-on-read side effects, and with
+``rebuild=True`` the rebuildable prefixes are reported, not rebuilt.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from repro.errors import SnapshotError, SnapshotFormatError
 from repro.runner.cache import ResultCache
 from repro.runner.resilience import QUARANTINE_SUBDIR, QuarantineRecord
 from repro.runner.warmstart import (
-    MAX_DELTA_CHAIN,
     PREFIX_INDEX_SUBDIR,
     PREFIX_META_SUBDIR,
     SNAPSHOT_SUBDIR,
@@ -45,7 +46,6 @@ from repro.runner.warmstart import (
     load_prefix,
 )
 from repro.snapshot import Snapshot
-from repro.snapshot.delta import DeltaSnapshot
 
 
 @dataclass
@@ -53,7 +53,7 @@ class FsckIssue:
     """One problem found (and possibly acted on) during a sweep."""
 
     path: str
-    kind: str      # cache-entry | snapshot | delta | prefix-index | prefix
+    kind: str      # cache-entry | snapshot | prefix-index | prefix
     problem: str
     action: str    # quarantined | removed | rebuilt | reported
 
@@ -91,25 +91,18 @@ class FsckReport:
         return "\n".join(lines)
 
 
-def _digest_intact(store: SnapshotStore, digest: str, depth: int = 0) -> bool:
+def _digest_intact(store: SnapshotStore, digest: str) -> bool:
     """Like :meth:`SnapshotStore.intact` but with **no side effects**
     (the store method quarantines what it finds corrupt, which a dry
     run must not)."""
     path = store.path_for(digest)
-    if path.exists():
-        try:
-            Snapshot.verify_file(path)
-            return True
-        except SnapshotError:
-            return False
-    delta_path = store.delta_path_for(digest)
-    if delta_path.exists() and depth < MAX_DELTA_CHAIN:
-        try:
-            info = DeltaSnapshot.verify_file(delta_path)
-        except SnapshotError:
-            return False
-        return _digest_intact(store, info.base_digest, depth + 1)
-    return False
+    if not path.exists():
+        return False
+    try:
+        Snapshot.verify_file(path)
+        return True
+    except SnapshotError:
+        return False
 
 
 def fsck(
@@ -175,7 +168,7 @@ def fsck(
                 else:
                     report.ok += 1
 
-    # ---- full snapshots ---------------------------------------------
+    # ---- snapshots --------------------------------------------------
     for snap in sorted(store.root.glob("*.snap")):
         report.scanned += 1
         digest = snap.stem
@@ -192,34 +185,11 @@ def fsck(
         else:
             report.ok += 1
 
-    # ---- delta snapshots --------------------------------------------
-    for delta in sorted(store.root.glob("*.delta")):
-        report.scanned += 1
-        digest = delta.stem
-        try:
-            info = DeltaSnapshot.verify_file(delta)
-        except SnapshotFormatError:
-            report.foreign += 1
-            continue
-        except SnapshotError as error:
-            action = "reported"
-            if repair:
-                store.quarantine(delta, digest, str(error))
-                action = "quarantined"
-            issue(delta, "delta", str(error), action)
-            continue
-        if not _digest_intact(store, info.base_digest):
-            problem = (
-                f"base chain broken (base {info.base_digest[:12]}… missing"
-                " or corrupt)"
-            )
-            action = "reported"
-            if repair:
-                store.quarantine(delta, digest, problem)
-                action = "quarantined"
-            issue(delta, "delta", problem, action)
-        else:
-            report.ok += 1
+    # A ``.delta`` is a fork stored as a diff by an older build; this
+    # one stores every snapshot in full and cannot read it.
+    stray_deltas = len(list(store.root.glob("*.delta")))
+    report.scanned += stray_deltas
+    report.foreign += stray_deltas
 
     # ---- prefix index -----------------------------------------------
     index_root = store.root / PREFIX_INDEX_SUBDIR
@@ -255,6 +225,14 @@ def fsck(
         for meta_file in sorted(meta_root.glob("*.json")) if meta_root.is_dir() else []:
             digest = meta_file.stem
             if _digest_intact(store, digest):
+                continue
+            if not repair:
+                issue(
+                    store.path_for(digest),
+                    "prefix",
+                    "snapshot is missing/corrupt; would rebuild from its recipe",
+                    "reported",
+                )
                 continue
             try:
                 load_prefix(digest, store_root=store.root)

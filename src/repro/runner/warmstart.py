@@ -34,11 +34,8 @@ changes when the warm-up prefix it continues from changes.
 Files live under ``<cache root>/snapshots/<digest>.snap`` — next to the
 result cache, governed by the same ``REPRO_CACHE_DIR`` override — and
 are written atomically (tmp + ``os.replace``) so concurrent sweeps
-never observe a torn snapshot.  :meth:`SnapshotStore.put_delta` stores
-a fork as a :class:`~repro.snapshot.delta.DeltaSnapshot` against its
-base (``<digest>.delta``), falling back to a full ``.snap`` when the
-diff would not save space; :meth:`SnapshotStore.get` resolves either
-transparently.
+never observe a torn snapshot.  Every snapshot is stored in full: one
+file format, no base chains to resolve.
 """
 
 from __future__ import annotations
@@ -48,14 +45,13 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import SnapshotError, SnapshotFormatError
 from repro.runner.cache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR
 from repro.runner.resilience import QUARANTINE_SUBDIR, QuarantineRecord
 from repro.runner.spec import TaskSpec
 from repro.snapshot import Snapshot, SnapshotInfo
-from repro.snapshot.delta import DeltaInfo, DeltaSnapshot, should_fall_back
 
 #: Subdirectory of the cache root that holds snapshots.
 SNAPSHOT_SUBDIR = "snapshots"
@@ -70,19 +66,16 @@ PREFIX_INDEX_SUBDIR = "prefix-index"
 #: (:func:`load_prefix`) and ``fsck --rebuild``'s repair input.
 PREFIX_META_SUBDIR = "prefix-meta"
 
-#: Safety bound on ``.delta`` base chains (a delta whose base is itself
-#: a delta, etc.).  Forks diff against full prefixes in practice, so
-#: anything deeper than this is a store corruption, not a design.
-MAX_DELTA_CHAIN = 8
-
 #: Cost-model constants for :func:`warm_start_decision`, expressed as
 #: fractions of one cold cell's runtime.  Capturing a prefix pays for
 #: pickling, digesting and atomically writing the frozen world on top
 #: of simulating it; each warm cell pays an unpickle + uid rewind.
-#: Calibrated coarsely against BENCH_experiments.json (table5's warm
-#: replay at 0.99x cold with a ~2.5% prefix fraction pins the restore
-#: overhead near 5%); the model only needs the sign of the saving, not
-#: its magnitude.
+#: Calibrated coarsely against the forced-warm / cold ratios that
+#: ``bench/run.py --workload paper_sweep --trace 1`` reports as
+#: ``runner.warmstart.{fig5late,fig7,table5,ackloss,fig6}_ratio`` =
+#: 0.52 / 0.65 / 1.05 / 1.33 / 1.55 (table5's 1.05 with a ~2.5% prefix
+#: fraction pins the restore overhead near 5%); the model only needs
+#: the sign of the saving, not its magnitude.
 CAPTURE_OVERHEAD_FRACTION = 0.10
 RESTORE_OVERHEAD_FRACTION = 0.05
 
@@ -141,8 +134,9 @@ def warm_start_decision(
 
     A sweep where each cell has a unique prefix (no sharing) can never
     win on its first pass: the prefix is simulated exactly as often as
-    cold would, plus the snapshot round-trip — table5's measured
-    warm-pass parity in BENCH_experiments.json.  The model is greedy
+    cold would, plus the snapshot round-trip — table5, ackloss and fig6
+    measure 1.05 / 1.33 / 1.55 of cold when forced warm
+    (``runner.warmstart.*_ratio``, see above).  The model is greedy
     per sweep: it does not credit a capture against *future* sweeps'
     replays, so callers that want to invest anyway (benchmarks, the
     bit-identity suites) pass ``warm_start="force"`` to the harnesses.
@@ -306,11 +300,8 @@ class SnapshotStore:
     def path_for(self, digest: str) -> Path:
         return self.root / f"{digest}.snap"
 
-    def delta_path_for(self, digest: str) -> Path:
-        return self.root / f"{digest}.delta"
-
     def contains(self, digest: str) -> bool:
-        return self.path_for(digest).exists() or self.delta_path_for(digest).exists()
+        return self.path_for(digest).exists()
 
     # ------------------------------------------------------------------
     # integrity
@@ -330,7 +321,7 @@ class SnapshotStore:
             QuarantineRecord(
                 digest=digest,
                 label=str(path),
-                kind="snapshot" if path.suffix == ".snap" else "delta",
+                kind="snapshot",
                 reason=reason,
                 path=str(self.quarantine_dir / path.name),
             ).write(self.quarantine_dir)
@@ -340,48 +331,34 @@ class SnapshotStore:
             except OSError:
                 pass
 
-    def intact(self, digest: str, _depth: int = 0) -> bool:
+    def intact(self, digest: str) -> bool:
         """True when ``digest`` is stored *and readable by this build*.
 
         The read-path gate for self-healing: a truncated or bit-flipped
         file is quarantined on the spot and reported missing (so the
         caller recaptures — cold-start degrade), while a file written
-        by a *different* format version (foreign ``SNAPSHOT_FORMAT`` /
-        ``DELTA_FORMAT``) is left untouched but still reported missing:
-        mixed-version stores degrade to recompute instead of refusing
-        (see docs/RESILIENCE.md).  Deltas are intact only when their
-        whole base chain is.
+        by a *different* format version (foreign ``SNAPSHOT_FORMAT``)
+        is left untouched but still reported missing: mixed-version
+        stores degrade to recompute instead of refusing (see
+        docs/RESILIENCE.md).
         """
         path = self.path_for(digest)
-        if path.exists():
-            try:
-                Snapshot.verify_file(path)
-                return True
-            except SnapshotFormatError:
-                return False
-            except SnapshotError as error:
-                self.quarantine(path, digest, str(error))
-                return False
-        delta_path = self.delta_path_for(digest)
-        if delta_path.exists():
-            if _depth >= MAX_DELTA_CHAIN:
-                return False
-            try:
-                info = DeltaSnapshot.verify_file(delta_path)
-            except SnapshotFormatError:
-                return False
-            except SnapshotError as error:
-                self.quarantine(delta_path, digest, str(error))
-                return False
-            return self.intact(info.base_digest, _depth + 1)
-        return False
+        if not path.exists():
+            return False
+        try:
+            Snapshot.verify_file(path)
+            return True
+        except SnapshotFormatError:
+            return False
+        except SnapshotError as error:
+            self.quarantine(path, digest, str(error))
+            return False
 
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
     def put(self, snapshot: Snapshot) -> str:
-        """Persist ``snapshot`` in full; returns its digest (the
-        retrieval key).
+        """Persist ``snapshot``; returns its digest (the retrieval key).
 
         Idempotent: an existing file for the same digest is left alone
         (content-addressed, so it is byte-equivalent for all readers).
@@ -395,38 +372,15 @@ class SnapshotStore:
             # is a cache, and it is how ``load_prefix`` heals corruption.
             if self.intact(digest):
                 return digest
-        self._atomic_write(path, snapshot.save)
+        self._atomic_write(path, snapshot)
         return digest
 
-    def put_delta(self, snapshot: Snapshot, base_digest: str) -> str:
-        """Persist ``snapshot`` as a delta against the stored snapshot
-        ``base_digest``; returns the snapshot's digest.
-
-        Falls back to a full ``.snap`` when the delta would not be
-        smaller (genuinely divergent worlds) — callers never need to
-        care which representation won; :meth:`get` resolves both.
-        """
-        digest = snapshot.digest
-        if self.intact(digest):
-            return digest
-        try:
-            base = self.get(base_digest)
-        except SnapshotError:
-            # Base missing, foreign, or quarantined mid-flight: a delta
-            # would be born broken, so store the fork in full instead.
-            return self.put(snapshot)
-        delta = DeltaSnapshot.diff(snapshot, base)
-        if should_fall_back(delta, snapshot):
-            return self.put(snapshot)
-        self._atomic_write(self.delta_path_for(digest), delta.save)
-        return digest
-
-    def _atomic_write(self, path: Path, save: Callable[[str], Path]) -> None:
+    def _atomic_write(self, path: Path, snapshot: Snapshot) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         os.close(fd)
         try:
-            save(tmp_name)
+            snapshot.save(tmp_name)
             os.replace(tmp_name, path)
         except OSError:
             try:
@@ -439,48 +393,26 @@ class SnapshotStore:
     # reads
     # ------------------------------------------------------------------
     def get(self, digest: str) -> Snapshot:
-        return self._get(digest, depth=0)
-
-    def _get(self, digest: str, depth: int) -> Snapshot:
         path = self.path_for(digest)
-        if path.exists():
-            try:
-                return Snapshot.load(path)
-            except SnapshotFormatError:
-                raise
-            except SnapshotError as error:
-                self.quarantine(path, digest, str(error))
-                raise
-        delta_path = self.delta_path_for(digest)
-        if delta_path.exists():
-            if depth >= MAX_DELTA_CHAIN:
-                raise SnapshotError(
-                    f"delta chain deeper than {MAX_DELTA_CHAIN} resolving "
-                    f"{digest[:12]}… — the store is corrupted or cyclic"
-                )
-            try:
-                delta = DeltaSnapshot.load(delta_path)
-            except SnapshotFormatError:
-                raise
-            except SnapshotError as error:
-                self.quarantine(delta_path, digest, str(error))
-                raise
-            base = self._get(delta.info.base_digest, depth + 1)
-            return delta.rebuild(base)
-        raise SnapshotError(
-            f"no snapshot {digest[:12]}… in {self.root} — the warm-up "
-            "capture must run (and put) before the sweep cells execute"
-        )
+        if not path.exists():
+            raise SnapshotError(
+                f"no snapshot {digest[:12]}… in {self.root} — the warm-up "
+                "capture must run (and put) before the sweep cells execute"
+            )
+        try:
+            return Snapshot.load(path)
+        except SnapshotFormatError:
+            raise
+        except SnapshotError as error:
+            self.quarantine(path, digest, str(error))
+            raise
 
-    def info(self, digest: str) -> Union[SnapshotInfo, DeltaInfo]:
-        """Header metadata without reading the payload (full or delta)."""
+    def info(self, digest: str) -> SnapshotInfo:
+        """Header metadata without reading the payload."""
         path = self.path_for(digest)
-        if path.exists():
-            return Snapshot.read_info(path)
-        delta_path = self.delta_path_for(digest)
-        if delta_path.exists():
-            return DeltaSnapshot.read_info(delta_path)
-        raise SnapshotError(f"no snapshot {digest[:12]}… in {self.root}")
+        if not path.exists():
+            raise SnapshotError(f"no snapshot {digest[:12]}… in {self.root}")
+        return Snapshot.read_info(path)
 
     # ------------------------------------------------------------------
     # prefix index

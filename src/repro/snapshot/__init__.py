@@ -15,7 +15,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "core": ("SNAPSHOT_FORMAT", "Snapshot", "SnapshotInfo"),
-        "delta": ("DELTA_FORMAT", "DeltaInfo", "DeltaSnapshot"),
+        "delta": ("DeltaInfo", "DeltaSnapshot"),
         "digest": ("DIGEST_VERSION", "state_digest", "state_fingerprints"),
         "golden": (
             "CHECKPOINT_TIMES",

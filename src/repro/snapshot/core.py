@@ -25,10 +25,10 @@ shared) emits a sequence of named dumps, and the header records each
 section's byte length.  Unpickling the concatenation through a single
 :class:`pickle.Unpickler` reconstructs the identical graph, so
 sectioning changes the byte layout but never the semantics.  The point
-of the exercise is :mod:`repro.snapshot.delta`: two snapshots of
-near-identical worlds (a warm prefix and a reprogrammed per-cell fork,
-a crash point and its triage forks) share most sections byte for byte,
-and a delta stores only what changed.
+of the exercise is :class:`~repro.snapshot.DeltaSnapshot`: two
+snapshots of near-identical worlds (a warm prefix and a reprogrammed
+per-cell fork, a crash point and its triage forks) share most sections
+byte for byte, so a section-wise diff shows what changed and how much.
 
 One sharp edge follows from the packet-uid counter being process
 global: *restoring rewinds it.*  After a restore, the original world

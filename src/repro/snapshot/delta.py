@@ -1,10 +1,9 @@
-"""Delta snapshots: store a fork as a diff against its base.
+"""Delta snapshots: one snapshot encoded as a diff against another.
 
-A warm-started sweep forks one captured prefix into many per-cell
-worlds, and chaos triage forks one crash point twice; serializing each
-fork in full repeats megabytes the base snapshot already stores.  A
-:class:`DeltaSnapshot` records, per payload section (see
-:mod:`repro.snapshot.core`), either
+Two snapshots of near-identical worlds — a warm prefix and a per-cell
+fork of it, a crash point and its triage forks — share most payload
+sections byte for byte.  A :class:`DeltaSnapshot` records, per section
+(see :mod:`repro.snapshot.core`), either
 
 * ``"="`` — byte-identical to the base's section of the same name,
 * ``"~"`` — a block-level diff against the base section (rsync-style
@@ -12,37 +11,28 @@ fork in full repeats megabytes the base snapshot already stores.  A
 * ``"+"`` — literal bytes (new section, or a diff that saved nothing).
 
 :meth:`DeltaSnapshot.rebuild` reconstructs the target payload **bit
-identically** — the restored world passes the same state-digest check
-a full snapshot does, and the target's own digest is stored so rebuild
-verifies itself structurally before any unpickling happens.
+identically**, which is what makes :attr:`DeltaSnapshot.nbytes` a
+measurement rather than an estimate: it is the size of an encoding the
+target can actually be recovered from.
 
-Per-cell forks mutate late-stream state (a loss module, a sender's
-timer), so with the stable-first section ordering of format 2 the
-early sections are byte-identical and the changed tail mostly consists
-of shifted memo references that the block diff re-anchors.  When the
-worlds genuinely diverge the delta grows past the full payload and the
-caller — see :meth:`repro.runner.warmstart.SnapshotStore.put_delta` —
-falls back to storing the full snapshot instead; :func:`should_fall_back`
-is the single place that policy lives.
+The codec is in-memory only.  It answers "how far apart are these two
+worlds" (``snapshot diff`` in the CLI, the benchmark's delta-ratio
+probe — 0.58-0.73 of the full payload on its forks); the snapshot
+store keeps every snapshot in full, because a dumbbell world of
+23-40 KB saves ≈ 10 KB per fork as a delta and no sweep stores enough
+forks for that to show (docs/WARMSTART.md §2).
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-import json
 import zlib
-from dataclasses import asdict, dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import SnapshotError, SnapshotFormatError
+from repro.errors import SnapshotError
 from repro.snapshot.core import Snapshot, SnapshotInfo, payload_checksum
-
-#: On-disk delta format version (bump on incompatible layout changes).
-DELTA_FORMAT = 1
-
-_MAGIC = "repro-snapshot-delta"
 
 #: Block size of the rolling diff.  Small enough that one mutated
 #: object invalidates little context, large enough that the opcode
@@ -162,18 +152,14 @@ def _ops_size(ops: List[Tuple]) -> int:
 
 @dataclass(frozen=True)
 class DeltaInfo:
-    """Header of a delta file: enough to resolve and verify a rebuild."""
+    """What a delta needs beside its plan to verify a rebuild."""
 
     digest: str            # target snapshot's state digest
     base_digest: str       # base snapshot's state digest
     sim_time: float
     events_processed: int
     label: str
-    format: int = DELTA_FORMAT
     sections: Tuple[Tuple[str, int], ...] = ()  # target section table
-    #: blake2b over the stored body (the concatenated literal bytes);
-    #: empty on files written before the integrity layer.
-    checksum: str = ""
 
 
 class DeltaSnapshot:
@@ -269,7 +255,8 @@ class DeltaSnapshot:
     # ------------------------------------------------------------------
     @property
     def nbytes(self) -> int:
-        """Approximate stored size (the fallback comparison input)."""
+        """Encoded size: literal bytes plus a fixed cost per opcode
+        (compare with the target's :attr:`Snapshot.nbytes`)."""
         size = 0
         for entry in self.plan.values():
             if entry[0] == "~":
@@ -281,160 +268,3 @@ class DeltaSnapshot:
     @property
     def changed_sections(self) -> List[str]:
         return [name for name, entry in self.plan.items() if entry[0] != "="]
-
-    # ------------------------------------------------------------------
-    # persistence: <JSON header>\n<concatenated literal bytes>
-    # ------------------------------------------------------------------
-    def save(self, path) -> Path:
-        path = Path(path)
-        body = io.BytesIO()
-        sections_meta = []
-        for name, entry in self.plan.items():
-            if entry[0] == "=":
-                sections_meta.append([name, "=", 0, None])
-            elif entry[0] == "~":
-                ops_meta = []
-                for op in entry[1]:
-                    if op[0] == "c":
-                        ops_meta.append(["c", op[1], op[2]])
-                    else:
-                        ops_meta.append(["l", len(op[1])])
-                        body.write(op[1])
-                sections_meta.append([name, "~", 0, ops_meta])
-            else:
-                sections_meta.append([name, "+", len(entry[1]), None])
-                body.write(entry[1])
-        body_bytes = body.getvalue()
-        # Stamp the body checksum on the in-memory info too, so a saved
-        # delta's info equals its re-loaded info.
-        self.info = replace(self.info, checksum=payload_checksum(body_bytes))
-        header = {
-            "magic": _MAGIC,
-            **asdict(self.info),
-            "plan": sections_meta,
-        }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-            fh.write(b"\n")
-            fh.write(body_bytes)
-        return path
-
-    @classmethod
-    def load(cls, path, verify_checksum: bool = True) -> "DeltaSnapshot":
-        path = Path(path)
-        try:
-            with open(path, "rb") as fh:
-                header_line = fh.readline()
-                body = fh.read()
-        except OSError as exc:
-            raise SnapshotError(f"cannot read delta snapshot {path}: {exc}") from exc
-        header = cls._parse_header(path, header_line)
-        info = cls._info_from_header(path, header)
-        if verify_checksum and info.checksum:
-            actual = payload_checksum(body)
-            if actual != info.checksum:
-                raise SnapshotError(
-                    f"{path} delta body checksum mismatch — truncated or "
-                    "bit-flipped delta"
-                )
-        plan: Dict[str, Tuple] = {}
-        offset = 0
-        try:
-            for name, kind, nbytes, ops_meta in header["plan"]:
-                if kind == "=":
-                    plan[name] = ("=",)
-                elif kind == "~":
-                    ops: List[Tuple] = []
-                    for op in ops_meta:
-                        if op[0] == "c":
-                            ops.append(("c", int(op[1]), int(op[2])))
-                        else:
-                            length = int(op[1])
-                            if offset + length > len(body):
-                                raise SnapshotError(
-                                    f"{path} delta body is shorter than its "
-                                    "opcode table claims — truncated delta"
-                                )
-                            ops.append(("l", body[offset : offset + length]))
-                            offset += length
-                    plan[name] = ("~", ops)
-                else:
-                    if offset + int(nbytes) > len(body):
-                        raise SnapshotError(
-                            f"{path} delta body is shorter than its section "
-                            "table claims — truncated delta"
-                        )
-                    plan[name] = ("+", body[offset : offset + int(nbytes)])
-                    offset += int(nbytes)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SnapshotError(
-                f"{path} has a malformed delta plan: {exc!r}"
-            ) from exc
-        return cls(info, plan)
-
-    @staticmethod
-    def _info_from_header(path: Path, header: dict) -> DeltaInfo:
-        try:
-            return DeltaInfo(
-                digest=header["digest"],
-                base_digest=header["base_digest"],
-                sim_time=header["sim_time"],
-                events_processed=header["events_processed"],
-                label=header.get("label", ""),
-                format=header["format"],
-                sections=tuple(
-                    (str(name), int(nbytes))
-                    for name, nbytes in header.get("sections", [])
-                ),
-                checksum=header.get("checksum", ""),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SnapshotError(
-                f"{path} has a malformed delta header: {exc!r}"
-            ) from exc
-
-    @staticmethod
-    def verify_file(path) -> DeltaInfo:
-        """Integrity-check a delta file: header parse (raising
-        :class:`~repro.errors.SnapshotFormatError` on a foreign
-        format), body checksum, and full plan decode.  Returns the
-        header info; raises :class:`~repro.errors.SnapshotError` on
-        corruption.  Base-chain resolvability is the store's concern
-        (:meth:`repro.runner.warmstart.SnapshotStore.intact`)."""
-        delta = DeltaSnapshot.load(path)
-        return delta.info
-
-    @staticmethod
-    def read_info(path) -> DeltaInfo:
-        """Header metadata without loading the body."""
-        path = Path(path)
-        try:
-            with open(path, "rb") as fh:
-                header_line = fh.readline()
-        except OSError as exc:
-            raise SnapshotError(f"cannot read delta snapshot {path}: {exc}") from exc
-        header = DeltaSnapshot._parse_header(path, header_line)
-        return DeltaSnapshot._info_from_header(path, header)
-
-    @staticmethod
-    def _parse_header(path: Path, header_line: bytes) -> dict:
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SnapshotError(f"{path} is not a delta snapshot file") from exc
-        if header.get("magic") != _MAGIC:
-            raise SnapshotError(f"{path} is not a delta snapshot file (bad magic)")
-        fmt = header.get("format", -1)
-        if fmt != DELTA_FORMAT:
-            raise SnapshotFormatError(
-                f"{path} has delta format {fmt}; this build reads "
-                f"format {DELTA_FORMAT}"
-            )
-        return header
-
-
-def should_fall_back(delta: DeltaSnapshot, snapshot: Snapshot) -> bool:
-    """True when storing ``delta`` would not beat storing ``snapshot``
-    in full (the store then writes a plain ``.snap`` instead)."""
-    return delta.nbytes >= snapshot.nbytes

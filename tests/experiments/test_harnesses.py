@@ -1,6 +1,6 @@
 """Tests for the experiment harnesses: each must run at reduced scale,
 return structured results, and reproduce the paper's qualitative shape.
-(The full-scale runs live in benchmarks/.)
+(The full-scale runs live in tests/fullscale/.)
 """
 
 import pytest

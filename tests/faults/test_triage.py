@@ -3,7 +3,7 @@
 from repro.faults import neutralize_faults, triage_crash
 from repro.net.loss import NoLoss
 from repro.runner import SnapshotStore
-from repro.snapshot import Snapshot
+from repro.snapshot import Snapshot, state_digest
 from repro.snapshot.golden import build_golden_scenario
 
 
@@ -63,11 +63,18 @@ class TestTriageCrash:
         snapshot = Snapshot.capture(_stalled_world(), label="stalled")
         store = SnapshotStore(tmp_path)
         result = triage_crash(snapshot, grace=10.0, store=store)
-        # Crash point in full; fork endpoints resolve (delta or full).
-        assert store.path_for(snapshot.digest).exists()
-        for digest in (result.with_fault_digest, result.without_fault_digest):
-            assert store.contains(digest)
-            assert store.get(digest).digest == digest
+        # Crash point and both fork end-points are full .snap files, and
+        # nothing else was written beside them.
+        digests = (
+            snapshot.digest,
+            result.with_fault_digest,
+            result.without_fault_digest,
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{digest}.snap" for digest in digests
+        )
+        for digest in digests[1:]:
+            assert state_digest(store.get(digest).restore()) == digest
 
     def test_store_is_optional(self):
         snapshot = Snapshot.capture(_stalled_world(), label="stalled")

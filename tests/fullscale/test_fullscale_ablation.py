@@ -1,4 +1,4 @@
-"""Benchmark: ablation of RR's design choices (DESIGN.md §5,
+"""Full scale: ablation of RR's design choices (DESIGN.md §5,
 ext-ablation).
 
 Quantifies what each mechanism buys:
@@ -18,8 +18,8 @@ def _row(result, name):
     return next(r for r in result.rows if r.name == name)
 
 
-def test_bench_ablation(once):
-    result = once(run_ablation, AblationConfig())
+def test_fullscale_ablation():
+    result = run_ablation(AblationConfig())
     print()
     print(format_report(result))
 

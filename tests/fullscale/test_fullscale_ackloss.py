@@ -1,4 +1,4 @@
-"""Benchmark: the Section 2.3 ACK-loss study (extension experiment).
+"""Full scale: the Section 2.3 ACK-loss study (extension experiment).
 
 Paper claim (§2.3): RR "is more robust to ACK losses than New-Reno;
 rare ACK losses cause only a slight negative effect" — an ACK loss can
@@ -15,9 +15,9 @@ def _cell(result, variant, rate):
     )
 
 
-def test_bench_ackloss(once):
+def test_fullscale_ackloss():
     config = AckLossConfig()
-    result = once(run_ackloss, config)
+    result = run_ackloss(config)
     print()
     print(format_report(result))
 

@@ -1,7 +1,7 @@
-"""Benchmark: the Gilbert-Elliott bursty-channel sweep (extension).
+"""Full scale: the Gilbert-Elliott bursty-channel sweep (extension).
 
 The paper's premise is that bursty in-window loss is the hard case for
-TCP recovery; this bench stresses the schemes on an inherently bursty
+TCP recovery; this test stresses the schemes on an inherently bursty
 channel at a fixed average loss rate and checks that every scheme
 remains functional and the strong recovery schemes stay competitive.
 """
@@ -13,9 +13,9 @@ from repro.experiments.burstchannel import (
 )
 
 
-def test_bench_burstchannel(once):
+def test_fullscale_burstchannel():
     config = BurstChannelConfig(runs_per_point=4)
-    result = once(run_burstchannel, config)
+    result = run_burstchannel(config)
     print()
     print(format_report(result))
 

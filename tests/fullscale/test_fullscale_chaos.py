@@ -1,4 +1,4 @@
-"""Benchmark: the full chaos campaign (docs/FAULTS.md).
+"""Full scale: the full chaos campaign (docs/FAULTS.md).
 
 Every variant vs. five seeded fault campaigns with the invariant suite
 and watchdog engaged — the robustness gate at full scale.  Asserts the
@@ -11,8 +11,8 @@ shrink rather than a multiplicative cut.
 from repro.experiments.chaos import ChaosConfig, format_report, run_chaos
 
 
-def test_bench_chaos(once):
-    result = once(run_chaos, ChaosConfig())
+def test_fullscale_chaos():
+    result = run_chaos(ChaosConfig())
     print()
     print(format_report(result))
 

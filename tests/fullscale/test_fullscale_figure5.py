@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 5 (effective throughput during
+"""Full scale: regenerate Figure 5 (effective throughput during
 recovery from 3/6 in-window losses, drop-tail gateways).
 
 Paper reference values (read off Figure 5's bars, ICDCS'01 p. 204):
@@ -9,8 +9,8 @@ New-Reno worst and below Tahoe at 6 drops.
 from repro.experiments.figure5 import Figure5Config, format_report, run_figure5
 
 
-def test_bench_figure5(once):
-    result = once(run_figure5, Figure5Config())
+def test_fullscale_figure5():
+    result = run_figure5(Figure5Config())
     print()
     print(format_report(result))
 

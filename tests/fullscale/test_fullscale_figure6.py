@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 6 (sequence-number dynamics under RED
+"""Full scale: regenerate Figure 6 (sequence-number dynamics under RED
 gateways, 10 flows, 6 seconds).
 
 Paper reference (Fig. 6 panels, p. 205): New-Reno's trace flatlines
@@ -9,8 +9,8 @@ RR finishing highest (~120 packets in 6 s vs ~50 for New-Reno).
 from repro.experiments.figure6 import Figure6Config, format_report, run_figure6
 
 
-def test_bench_figure6(once):
-    result = once(run_figure6, Figure6Config())
+def test_fullscale_figure6():
+    result = run_figure6(Figure6Config())
     print()
     print(format_report(result))
 

@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 7 (fitness to the Mathis square-root
+"""Full scale: regenerate Figure 7 (fitness to the Mathis square-root
 model; window vs uniform loss rate, RR and SACK).
 
 Paper reference (Fig. 7, p. 205): both schemes hug the bound at small
@@ -10,8 +10,8 @@ from repro.experiments.figure7 import Figure7Config, format_report, run_figure7
 from repro.models.mathis import mathis_window
 
 
-def test_bench_figure7(once):
-    result = once(run_figure7, Figure7Config())
+def test_fullscale_figure7():
+    result = run_figure7(Figure7Config())
     print()
     print(format_report(result))
 

@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Table 5 (fairness of RR with competing Reno).
+"""Full scale: regenerate Table 5 (fairness of RR with competing Reno).
 
 Paper reference (Table 5, p. 206; only the "RR / Renos" row is legible
 in the scan: transfer delay 18.0 s, loss rate 11%): an RR target among
@@ -18,8 +18,8 @@ def _row(result, target, background):
     )
 
 
-def test_bench_table5(once):
-    result = once(run_table5, Table5Config())
+def test_fullscale_table5():
+    result = run_table5(Table5Config())
     print()
     print(format_report(result))
 

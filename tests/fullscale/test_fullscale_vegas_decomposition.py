@@ -1,4 +1,4 @@
-"""Benchmark: the Vegas decomposition (paper §1 / Hengartner et al. [8]).
+"""Full scale: the Vegas decomposition (paper §1 / Hengartner et al. [8]).
 
 Asserts the claim the RR paper builds on: Vegas' edge over Reno comes
 from its slow-start/recovery techniques, not the delay-based congestion
@@ -12,8 +12,8 @@ from repro.experiments.vegas_decomposition import (
 )
 
 
-def test_bench_vegas_decomposition(once):
-    result = once(run_vegas_decomposition, VegasDecompositionConfig())
+def test_fullscale_vegas_decomposition():
+    result = run_vegas_decomposition(VegasDecompositionConfig())
     print()
     print(format_report(result))
 

@@ -99,25 +99,21 @@ def test_foreign_entries_are_counted_but_left(tmp_path):
     assert legacy.exists()
 
 
-def test_broken_delta_chain_is_quarantined(tmp_path):
-    from repro.snapshot.core import Snapshot
-    from repro.snapshot.golden import build_golden_scenario
-
+def test_stray_delta_is_foreign_not_quarantined(tmp_path):
+    # A fork an older build stored as a diff: this build keeps every
+    # snapshot in full and cannot read it (mixed-version policy: count
+    # it, leave it).
     root = tmp_path / "cache"
-    store = SnapshotStore(root / SNAPSHOT_SUBDIR)
-    world = build_golden_scenario("sack")
-    world.sim.run(until=2.0)
-    base = Snapshot.capture(world, label="base")
-    store.put(base)
-    world.sim.run(until=6.0)
-    tip = Snapshot.capture(world, label="tip")
-    store.put_delta(tip, base_digest=base.digest)
-    store.path_for(base.digest).unlink()  # sever the chain
+    _, store, _ = _populate(root)
+    stray = store.root / ("cd" * 32 + ".delta")
+    stray.write_bytes(b'{"magic": "repro-snapshot-delta", "format": 1}\n')
 
     report = fsck(cache_root=root)
-    (issue,) = report.issues
-    assert issue.kind == "delta" and "base chain broken" in issue.problem
-    assert issue.action == "quarantined"
+    assert report.clean
+    assert report.foreign == 1
+    assert report.ok == report.scanned - 1
+    assert stray.exists()
+    assert read_quarantine(store.quarantine_dir) == []
 
 
 def test_rebuild_recomputes_prefix_from_meta(tmp_path):
@@ -129,6 +125,34 @@ def test_rebuild_recomputes_prefix_from_meta(tmp_path):
     assert report.rebuilt == 1
     assert any(i.kind == "prefix" and i.action == "rebuilt" for i in report.issues)
     # The healed snapshot round-trips: same digest, intact again.
+    assert store.intact(digest)
+
+
+def _tree(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_dry_run_rebuild_reports_without_writing(tmp_path, capsys):
+    root = tmp_path / "cache"
+    _, store, digest = _populate(root)
+    store.path_for(digest).unlink()
+    before = _tree(root)
+
+    report = fsck(cache_root=root, repair=False, rebuild=True)
+    assert _tree(root) == before
+    assert report.rebuilt == report.repaired == 0
+    (prefix,) = [i for i in report.issues if i.kind == "prefix"]
+    assert prefix.action == "reported" and "would rebuild" in prefix.problem
+
+    assert fsck_cli(["--cache-root", str(root), "--dry-run", "--rebuild"]) == 1
+    assert _tree(root) == before
+    assert "0 repaired, 0 rebuilt" in capsys.readouterr().out
+    # Without --dry-run the same sweep does the rebuild.
+    assert fsck(cache_root=root, rebuild=True).rebuilt == 1
     assert store.intact(digest)
 
 

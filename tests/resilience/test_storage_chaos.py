@@ -7,6 +7,7 @@ left in place and degraded to recompute, and prefixes must self-heal
 from the ``prefix-meta`` reverse index.
 """
 
+import os
 import pickle
 
 import pytest
@@ -126,6 +127,40 @@ class TestStoreFailureChaos:
         assert "caching is degraded" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("obstacle", ["file-in-the-way", "read-only"])
+    def test_unwritable_cache_dir_degrades_instead_of_raising(
+        self, tmp_path, obstacle, request
+    ):
+        events = []
+
+        class Recording(SweepObserver):
+            def cache_store_failed(self, index, spec, reason):
+                events.append((index, reason))
+
+        root = tmp_path / "cache"
+        if obstacle == "file-in-the-way":
+            root.write_text("not a directory")
+        else:
+            root.mkdir()
+            root.chmod(0o500)
+            request.addfinalizer(lambda: root.chmod(0o700))
+            if os.access(root, os.W_OK):  # root, or a platform without modes
+                pytest.skip("cannot make a directory read-only here")
+
+        cache = ResultCache(root=root)
+        spec = _spec("run_metrics_cell", "reno", 2.0)
+        assert cache.store(spec, {"x": 1}) is False
+        assert cache.store_failures == 1
+        assert "cache write failed" in cache.last_store_error
+
+        runner = SweepRunner(cache=cache, observer=Recording())
+        (result,) = runner.map([spec])
+        assert result["variant"] == "reno"  # computed, and not lost
+        assert runner.stats.cache_store_failures == 1
+        assert cache.store_failures == 2
+        assert [index for index, _ in events] == [0]
+
+
 class TestSnapshotChaos:
     def test_corrupt_snapshot_quarantined_on_get(self, tmp_path):
         store = SnapshotStore(tmp_path / "snaps")
@@ -167,29 +202,30 @@ class TestSnapshotChaos:
         store.path_for(digest).write_bytes(b"garbage")
         assert store.lookup_prefix(spec) is None  # miss → recapture path
 
-    def test_corrupt_delta_falls_back_in_chain(self, tmp_path):
+    def test_corrupt_triage_fork_is_quarantined_on_read(self, tmp_path):
+        from repro.faults import triage_crash
         from repro.snapshot.core import Snapshot
-        from repro.snapshot.golden import build_golden_scenario
+
+        from tests.resilience.helpers import build_stalled_world
 
         store = SnapshotStore(tmp_path / "snaps")
-        world = build_golden_scenario("rr")
-        world.sim.run(until=2.0)
-        base = Snapshot.capture(world, label="base")
-        store.put(base)
-        world.sim.run(until=6.0)
-        tip = Snapshot.capture(world, label="tip")
-        store.put_delta(tip, base_digest=base.digest)
-        delta_path = store.delta_path_for(tip.digest)
-        assert delta_path.exists()
-        data = bytearray(delta_path.read_bytes())
+        crash = Snapshot.capture(build_stalled_world(), label="crash point")
+        result = triage_crash(crash, grace=5.0, store=store)
+        fork_path = store.path_for(result.without_fault_digest)
+        data = bytearray(fork_path.read_bytes())
         data[-5] ^= 0xFF
-        delta_path.write_bytes(bytes(data))
+        fork_path.write_bytes(bytes(data))
 
-        assert not store.intact(tip.digest)
-        records = read_quarantine(store.quarantine_dir)
-        assert any(r.kind == "delta" for r in records)
-        # The base survives untouched: the chain break is contained.
-        assert store.intact(base.digest)
+        with pytest.raises(SnapshotError):
+            store.get(result.without_fault_digest)
+        assert not fork_path.exists()
+        (record,) = read_quarantine(store.quarantine_dir)
+        assert record.kind == "snapshot"
+        assert record.digest == result.without_fault_digest
+        # Forks are self-contained: the crash point and the other arm
+        # are untouched by the loss of this one.
+        assert store.intact(crash.digest)
+        assert store.intact(result.with_fault_digest)
 
 
 class TestPrefixSelfHealing:

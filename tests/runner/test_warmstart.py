@@ -1,13 +1,12 @@
-"""The warm-start contract: prefix specs, the prefix index, delta
-storage in the snapshot store."""
+"""The warm-start contract: prefix specs, the prefix index, the
+snapshot store's one file format."""
 
 import pytest
 
 from repro.errors import SnapshotError
-from repro.runner import PrefixSpec, SnapshotStore, step_until, warm_specs
+from repro.runner import PrefixSpec, SnapshotStore, fetch_prefix, step_until, warm_specs
 from repro.runner.spec import TaskSpec
 from repro.snapshot import Snapshot
-from repro.snapshot.delta import DeltaInfo
 from repro.snapshot.golden import build_golden_scenario
 
 
@@ -151,57 +150,47 @@ class TestParallelPrefixCapture:
         ]
 
 
-class TestPutDelta:
-    def test_fork_stored_as_delta_and_resolved(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        world = build_golden_scenario("rr")
-        world.sim.run(until=2.0)
-        base = Snapshot.capture(world, label="base")
-        store.put(base)
-        world.sim.run(until=6.0)
-        fork = Snapshot.capture(world, label="fork")
-        digest = store.put_delta(fork, base_digest=base.digest)
-        assert digest == fork.digest
-        assert store.delta_path_for(digest).exists()
-        assert not store.path_for(digest).exists()
-        assert store.get(digest).payload == fork.payload
-        info = store.info(digest)
-        assert isinstance(info, DeltaInfo)
-        assert info.base_digest == base.digest
+class TestStrayDelta:
+    """Builds before the one-format store wrote some forks as
+    ``<digest>.delta`` diffs.  This build stores every snapshot in full
+    and does not read them: a lone ``.delta`` is a missing snapshot."""
 
-    def test_falls_back_to_full_when_delta_would_not_win(
-        self, tmp_path, monkeypatch
-    ):
-        import repro.runner.warmstart as warmstart
+    def _lone_delta(self, store, digest):
+        path = store.root / f"{digest}.delta"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b'{"magic": "repro-snapshot-delta", "format": 1}\n')
+        return path
 
-        monkeypatch.setattr(warmstart, "should_fall_back", lambda *a: True)
-        store = SnapshotStore(tmp_path)
-        base = _snapshot(until=2.0)
-        store.put(base)
-        fork = _snapshot(until=6.0)
-        store.put_delta(fork, base_digest=base.digest)
-        assert store.path_for(fork.digest).exists()
-        assert not store.delta_path_for(fork.digest).exists()
-
-    def test_delta_chains_resolve(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        world = build_golden_scenario("newreno")
-        snapshots = []
-        for until in (2.0, 4.0, 6.0):
-            world.sim.run(until=until)
-            snapshots.append(Snapshot.capture(world, label=f"t={until:g}"))
-        store.put(snapshots[0])
-        store.put_delta(snapshots[1], base_digest=snapshots[0].digest)
-        store.put_delta(snapshots[2], base_digest=snapshots[1].digest)
-        assert store.get(snapshots[2].digest).payload == snapshots[2].payload
-
-    def test_missing_base_falls_back_to_full(self, tmp_path):
-        # Resilience contract: a fork whose base vanished (or was
-        # quarantined mid-flight) is stored in full, not refused.
+    def test_lone_delta_is_not_a_stored_snapshot(self, tmp_path):
         store = SnapshotStore(tmp_path)
         snapshot = _snapshot()
-        digest = store.put_delta(snapshot, base_digest="f" * 64)
-        assert digest == snapshot.digest
-        assert store.path_for(digest).exists()
-        assert not store.delta_path_for(digest).exists()
-        assert store.get(digest).payload == snapshot.payload
+        stray = self._lone_delta(store, snapshot.digest)
+        assert not store.contains(snapshot.digest)
+        assert not store.intact(snapshot.digest)
+        with pytest.raises(SnapshotError, match="no snapshot"):
+            store.get(snapshot.digest)
+        with pytest.raises(SnapshotError, match="no snapshot"):
+            store.info(snapshot.digest)
+        # Foreign, not corrupt: left exactly where it was.
+        assert stray.exists()
+        assert not store.quarantine_dir.exists()
+
+    def test_put_stores_in_full_beside_a_stray_delta(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        fork = _snapshot(until=6.0)
+        stray = self._lone_delta(store, fork.digest)
+        assert store.put(fork) == fork.digest
+        assert store.path_for(fork.digest).exists()
+        assert store.get(fork.digest).payload == fork.payload
+        assert store.info(fork.digest) == fork.info
+        assert stray.exists()
+
+    def test_fetch_prefix_recomputes_past_a_lone_delta(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        digest = store.ensure_prefix(_prefix(), fingerprint="a" * 64)
+        payload = store.get(digest).payload
+        store.path_for(digest).unlink()
+        self._lone_delta(store, digest)
+        healed = fetch_prefix(digest, store.root)  # from the recorded recipe
+        assert healed.digest == digest and healed.payload == payload
+        assert store.path_for(digest).exists() and store.intact(digest)

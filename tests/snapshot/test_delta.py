@@ -1,10 +1,10 @@
-"""Delta snapshots: bit-identical rebuilds, sizing, persistence."""
+"""Delta snapshots: bit-identical rebuilds and sizing (in memory)."""
 
 import pytest
 
 from repro.errors import SnapshotError
 from repro.snapshot import Snapshot, state_digest
-from repro.snapshot.delta import DeltaSnapshot, should_fall_back
+from repro.snapshot.delta import DeltaSnapshot
 from repro.snapshot.golden import GOLDEN_VARIANTS, build_golden_scenario
 
 
@@ -34,7 +34,6 @@ class TestDiffRebuild:
         base, fork = _base_and_fork("rr")
         delta = DeltaSnapshot.diff(fork, base)
         assert delta.nbytes < fork.nbytes
-        assert not should_fall_back(delta, fork)
 
     def test_self_delta_changes_nothing(self):
         base, _ = _base_and_fork("reno")
@@ -50,25 +49,3 @@ class TestDiffRebuild:
         with pytest.raises(SnapshotError, match="expects base"):
             delta.rebuild(other)
 
-
-class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        base, fork = _base_and_fork("newreno")
-        delta = DeltaSnapshot.diff(fork, base)
-        path = delta.save(tmp_path / "fork.delta")
-        loaded = DeltaSnapshot.load(path)
-        assert loaded.info == delta.info
-        assert loaded.rebuild(base).payload == fork.payload
-
-    def test_read_info_without_body(self, tmp_path):
-        base, fork = _base_and_fork("tahoe")
-        path = DeltaSnapshot.diff(fork, base).save(tmp_path / "fork.delta")
-        info = DeltaSnapshot.read_info(path)
-        assert info.digest == fork.digest
-        assert info.base_digest == base.digest
-
-    def test_non_delta_file_is_rejected(self, tmp_path):
-        path = tmp_path / "junk.delta"
-        path.write_bytes(b"{}\n")
-        with pytest.raises(SnapshotError, match="not a delta"):
-            DeltaSnapshot.load(path)

@@ -158,7 +158,9 @@ SEED_SURFACE = {
     },
     "repro.snapshot": {
         "repro.snapshot.core": "SNAPSHOT_FORMAT Snapshot SnapshotInfo",
-        "repro.snapshot.delta": "DELTA_FORMAT DeltaInfo DeltaSnapshot",
+        # DELTA_FORMAT left with the on-disk delta format; the codec is
+        # in-memory only.
+        "repro.snapshot.delta": "DeltaInfo DeltaSnapshot",
         "repro.snapshot.digest": "DIGEST_VERSION state_digest state_fingerprints",
         "repro.snapshot.golden": (
             "CHECKPOINT_TIMES GOLDEN_VARIANTS all_golden_digests "
