@@ -12,6 +12,11 @@ and verifies, without executing any example:
 * every ``python -m repro.experiments <cmd>`` invocation (in any
   fenced block) names a real subcommand, verified by running
   ``python -m repro.experiments <cmd> --help``;
+* every ``--flag`` that follows ``python -m repro.experiments``, in a
+  fenced block or a back-ticked span, is listed by the ``--help`` of
+  the parser the invocation addresses (the main one, ``fsck``, or
+  ``snapshot <verb>``) — a page must not keep advertising an option a
+  change removed;
 * every relative markdown link (``[text](OTHER.md)``,
   ``[text](../FILE.md#anchor)``) resolves to an existing file;
 * every back-ticked repo-relative path (``scripts/x.py``,
@@ -35,6 +40,7 @@ Usage::
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import os
 import re
@@ -49,6 +55,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
 CLI_RE = re.compile(r"python -m repro\.experiments\s+([a-z0-9_.-]+)")
+# Everything after the module name, up to the end of the (joined) line.
+INVOCATION_RE = re.compile(r"python3? -m repro\.experiments\b(.*)")
+FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 # Inline markdown links; external schemes and pure #anchors are
 # filtered by link_targets, not the regex.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -106,29 +115,93 @@ def check_python_block(block: str, where: str) -> List[str]:
     return problems
 
 
-def check_cli_commands(commands: List[Tuple[str, str]]) -> List[str]:
-    """``python -m repro.experiments <cmd> --help`` must succeed."""
+@functools.lru_cache(maxsize=None)
+def cli_help(*words: str) -> Tuple[bool, str]:
+    """``python -m repro.experiments <words> --help`` -> (exit status
+    was 0, what it printed)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.experiments", *words, "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO_ROOT,
+    )
+    return proc.returncode == 0, proc.stdout or proc.stderr
+
+
+def check_cli_commands(commands: List[Tuple[str, str]]) -> List[str]:
+    """``python -m repro.experiments <cmd> --help`` must succeed."""
     problems = []
     for command in sorted({cmd for cmd, _ in commands}):
         wheres = [where for cmd, where in commands if cmd == command]
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.experiments", command, "--help"],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=REPO_ROOT,
-        )
-        if proc.returncode != 0:
-            detail = (proc.stderr or proc.stdout).strip().splitlines()
+        ok, output = cli_help(command)
+        if not ok:
+            detail = output.strip().splitlines()
             problems.append(
                 f"{wheres[0]}: 'python -m repro.experiments {command}' is not "
                 f"a valid command ({detail[-1] if detail else 'no output'})"
             )
     return problems
+
+
+def cli_invocations(text: str) -> Iterator[Tuple[int, str]]:
+    """Yield (line number, argument text) for every ``python -m
+    repro.experiments ...`` in a fenced block (backslash continuations
+    joined) or a back-ticked span (which may wrap over lines)."""
+    prose: List[str] = []
+    pending, pending_line, in_fence = "", 0, False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip().startswith("```"):
+            in_fence = not in_fence
+            prose.append("")
+        elif in_fence:
+            prose.append("")
+            pending_line = pending_line or lineno
+            pending += line.rstrip("\\") + " "
+            if not line.endswith("\\"):
+                match = INVOCATION_RE.search(pending)
+                if match:
+                    yield pending_line, match.group(1)
+                pending, pending_line = "", 0
+        else:
+            prose.append(line)
+    joined = "\n".join(prose)
+    for span in re.finditer(r"`([^`]*)`", joined):
+        match = INVOCATION_RE.search(" ".join(span.group(1).split()))
+        if match:
+            yield joined.count("\n", 0, span.start()) + 1, match.group(1)
+
+
+def check_cli_flags(invocations: List[Tuple[str, str]]) -> Tuple[List[str], int]:
+    """Every ``--flag`` of every (where, argument text) invocation must
+    appear in the ``--help`` of the parser addressed; returns
+    (problems, flags checked)."""
+    problems: List[str] = []
+    checked = 0
+    for where, arguments in invocations:
+        # One command: stop at a comment or a shell operator (spaces
+        # around it, so ``[--cache|--no-cache]`` survives).
+        arguments = re.split(r"\s(?:#|\||&&|;|>)(?:\s|$)", arguments, maxsplit=1)[0]
+        words = [w for w in arguments.split() if w[0] not in "-["]
+        parser: Tuple[str, ...] = ()
+        if words and words[0] == "fsck":
+            parser = ("fsck",)
+        elif words and words[0] == "snapshot":
+            parser = ("snapshot",) + tuple(words[1:2])
+            if not all(word.isalpha() for word in parser):
+                continue  # ``snapshot <verb> ...``: an illustration
+        ok, output = cli_help(*parser)
+        known = set(FLAG_RE.findall(output)) if ok else set()
+        for flag in FLAG_RE.findall(arguments):
+            checked += 1
+            if flag not in known:
+                command = " ".join(("python -m repro.experiments",) + parser)
+                problems.append(f"{where}: '{command}' has no {flag}")
+    return problems, checked
 
 
 def link_targets(text: str) -> Iterator[Tuple[int, str]]:
@@ -237,6 +310,7 @@ def main(argv=None) -> int:
     total_blocks = 0
     total_links = 0
     total_paths = 0
+    invocations: List[Tuple[str, str]] = []
     linked_from: dict = {}
     for path in paths:
         file_problems, file_commands, blocks = check_file(path)
@@ -244,6 +318,10 @@ def main(argv=None) -> int:
         commands.extend(file_commands)
         total_blocks += blocks
         text = path.read_text(encoding="utf-8")
+        invocations.extend(
+            (f"{path.relative_to(REPO_ROOT)}:{lineno}", arguments)
+            for lineno, arguments in cli_invocations(text)
+        )
         link_problems, resolved = check_links(path, text)
         problems.extend(link_problems)
         total_links += len(resolved)
@@ -252,12 +330,14 @@ def main(argv=None) -> int:
         problems.extend(path_problems)
         total_paths += checked
     problems.extend(check_cli_commands(commands))
+    flag_problems, total_flags = check_cli_flags(invocations)
+    problems.extend(flag_problems)
     problems.extend(check_reachability(linked_from))
     unique_cmds = len({cmd for cmd, _ in commands})
     print(
         f"checked {len(paths)} files, {total_blocks} fenced blocks, "
-        f"{unique_cmds} distinct CLI commands, {total_links} relative links, "
-        f"{total_paths} repo paths"
+        f"{unique_cmds} distinct CLI commands, {total_flags} CLI flags, "
+        f"{total_links} relative links, {total_paths} repo paths"
     )
     for problem in problems:
         print(f"FAIL {problem}")

@@ -1,19 +1,13 @@
 #!/usr/bin/env python3
 """CI gate: every run manifest under an artifact root must be healthy.
 
-``python scripts/check_manifests.py ARTIFACT_DIR [--expect N]
-[--warm-replay HARNESS]`` scans ``ARTIFACT_DIR/runs/*/manifest.json``
-and fails (exit 1) when
+``python scripts/check_manifests.py ARTIFACT_DIR [--expect N]`` scans
+``ARTIFACT_DIR/runs/*/manifest.json`` and fails (exit 1) when
 
 * there are no manifests at all (the telemetry layer silently broke),
 * fewer than ``--expect N`` manifests are present,
 * any manifest has an outcome other than ``ok``, records a failed
-  task, or never finished (outcome still ``running``),
-* ``--warm-replay HARNESS`` is given and the ``--warm-start`` runs of
-  that harness did not go capture-then-replay: fewer than two runs, a
-  run whose warm start the cost model skipped, or no run that resolved
-  every prefix from the store (``warm_prefix_captures == 0`` with
-  ``warm_prefix_hits > 0`` — only a run after the capturing one can).
+  task, or never finished (outcome still ``running``).
 
 The harness-smoke CI job runs it against ``smoke-out`` so a smoke
 sweep that lost a task — or stopped writing provenance — turns the
@@ -33,29 +27,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.obs import MANIFEST_FILENAME, RUNS_SUBDIR, RunManifest  # noqa: E402
 
 
-def warm_replay_problems(manifests, harness: str) -> list:
-    """Why the ``harness`` runs are not a warm capture + replay pair."""
-    runs = [m for m in manifests if m.harness == harness]
-    problems = []
-    if len(runs) < 2:
-        problems.append(f"{len(runs)} run(s), need a capture and a replay")
-    for manifest in runs:
-        if manifest.warm_start_skipped:
-            problems.append(
-                f"{manifest.run_id} skipped its warm start:"
-                f" {manifest.warm_start_skipped}"
-            )
-    if not any(
-        m.warm_prefix_captures == 0 and (m.warm_prefix_hits or 0) > 0 for m in runs
-    ):
-        problems.append(
-            "no run replayed its prefixes from the store"
-            " (warm_prefix_captures == 0, warm_prefix_hits > 0)"
-        )
-    return problems
-
-
-def check_manifests(root: Path, expect: int = 1, warm_replay: str = "") -> int:
+def check_manifests(root: Path, expect: int = 1) -> int:
     runs_dir = root / RUNS_SUBDIR
     paths = sorted(runs_dir.glob(f"*/{MANIFEST_FILENAME}"))
     if len(paths) < expect:
@@ -65,7 +37,6 @@ def check_manifests(root: Path, expect: int = 1, warm_replay: str = "") -> int:
         )
         return 1
     failures = 0
-    manifests = []
     for path in paths:
         try:
             manifest = RunManifest.load(path)
@@ -73,7 +44,6 @@ def check_manifests(root: Path, expect: int = 1, warm_replay: str = "") -> int:
             print(f"FAIL  {path}: unreadable ({error})")
             failures += 1
             continue
-        manifests.append(manifest)
         problems = []
         if manifest.outcome != "ok":
             problems.append(f"outcome {manifest.outcome!r}")
@@ -87,10 +57,6 @@ def check_manifests(root: Path, expect: int = 1, warm_replay: str = "") -> int:
                 f"ok    {manifest.run_id}: {manifest.total} task(s),"
                 f" {manifest.cached} cached, {manifest.wall_seconds:.2f}s"
             )
-    if warm_replay:
-        for problem in warm_replay_problems(manifests, warm_replay):
-            print(f"FAIL  warm replay of {warm_replay}: {problem}")
-            failures += 1
     if failures:
         print(f"{failures} unhealthy manifest(s)")
         return 1
@@ -108,14 +74,8 @@ def main(argv=None) -> int:
         metavar="N",
         help="minimum number of manifests required (default 1)",
     )
-    parser.add_argument(
-        "--warm-replay",
-        default="",
-        metavar="HARNESS",
-        help="require HARNESS's --warm-start runs to be a capture + a replay",
-    )
     args = parser.parse_args(argv)
-    return check_manifests(args.root, expect=args.expect, warm_replay=args.warm_replay)
+    return check_manifests(args.root, expect=args.expect)
 
 
 if __name__ == "__main__":

@@ -229,11 +229,3 @@ def run_cli(args, runner, manifest=None):
         config.sim_duration = 30.0
     result = run_ablation(config, runner=runner, manifest=manifest)
     return format_report(result), None, None
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(format_report(run_ablation()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

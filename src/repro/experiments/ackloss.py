@@ -76,13 +76,6 @@ WARM_MARGIN_PACKETS = 20
 #: Step size (seconds) of the warm-up capture loop.
 WARM_STEP_SECONDS = 0.02
 
-#: Warm-start cost-model hint: the prefix is a fast slow-start ramp to
-#: ~first_drop_seq of a transfer_packets transfer, and high-ACK-loss
-#: cells run far past it — a few percent of a cell's work at most
-#: (``runner.warmstart.ackloss_ratio`` from ``bench/run.py --workload
-#: paper_sweep --trace 1`` is 1.33: a forced warm pass loses to cold).
-WARM_PREFIX_FRACTION = 0.03
-
 
 def prefix_world(variant: str, config: AckLossConfig):
     """Build one variant's cell with the engineered forward burst
@@ -167,16 +160,14 @@ def run_ackloss(
 ) -> AckLossResult:
     """Regenerate the ACK-loss grid.
 
-    With ``warm_start`` the clean slow-start prefix (forward burst
-    programmed, reverse path still inert) is simulated once per variant
-    and every ``ack_loss_rates x runs_per_point`` cell forks it —
-    bit-identical rows.
+    With a true ``warm_start`` the clean slow-start prefix (forward
+    burst programmed, reverse path still inert) is simulated once per
+    variant and every ``ack_loss_rates x runs_per_point`` cell forks it
+    — bit-identical rows.
     """
     config = config or AckLossConfig()
     if manifest is not None:
-        manifest.describe_harness(
-            "ackloss", config=config, seed=config.seed, warm_start=warm_start
-        )
+        manifest.describe_harness("ackloss", config=config, seed=config.seed)
     cells = [
         GridCell(
             "repro.experiments.ackloss:prefix_world",
@@ -188,7 +179,7 @@ def run_ackloss(
         for variant in config.variants
         for rate in config.ack_loss_rates
     ]
-    rows = run_grid(cells, runner, warm_start, store, manifest, WARM_PREFIX_FRACTION)
+    rows = run_grid(cells, runner, warm_start, store)
     return AckLossResult(config=config, rows=rows)
 
 
@@ -231,15 +222,5 @@ def run_cli(args, runner, manifest=None):
         config.ack_loss_rates = (0.0, 0.1)
         config.runs_per_point = 1
         config.sim_duration = 30.0
-    result = run_ackloss(
-        config, runner=runner, warm_start=args.warm_start, manifest=manifest
-    )
+    result = run_ackloss(config, runner=runner, manifest=manifest)
     return format_report(result), None, None
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(format_report(run_ackloss()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

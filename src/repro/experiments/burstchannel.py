@@ -168,11 +168,3 @@ def run_cli(args, runner, manifest=None):
         config.transfer_packets = 200
     result = run_burstchannel(config, runner=runner, manifest=manifest)
     return format_report(result), result, "burst"
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(format_report(run_burstchannel()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import TcpConfig
 from repro.errors import InvariantViolation
-from repro.experiments.common import FlowSpec, build_dumbbell_scenario
+from repro.experiments.common import FlowSpec, build_dumbbell_scenario, known_variants
 from repro.faults.campaign import CampaignRunner, CampaignSpec
 from repro.faults.plan import FaultContext, FaultPlan
 from repro.faults.triage import TriageResult, triage_crash
@@ -478,17 +478,9 @@ def run_cli(args, runner, manifest=None):
     if args.seeds is not None:
         config.seeds = args.seeds
     if args.variants:
-        config.variants = tuple(args.variants)
+        config.variants = known_variants(args.variants)
     if args.triage:
         config.triage = True
         config.snapshot_store_root = str(SnapshotStore().root)
     result = run_chaos(config, runner=runner, manifest=manifest)
     return format_report(result), None, None
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(format_report(run_chaos()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -14,9 +14,8 @@ Every experiment grid is executed through :mod:`repro.runner`:
 (bit-identical results at any N), and completed cells are memoized in
 an on-disk cache keyed by task + code fingerprint, so repeating a run
 is nearly free.  ``--no-cache`` forces recomputation; see
-docs/PERFORMANCE.md.  ``--warm-start`` forks the warm-startable grids
-from frozen prefixes, and ``--triage`` bisects chaos crashes from
-frozen crash points; both are documented in docs/WARMSTART.md.
+docs/PERFORMANCE.md.  ``--triage`` bisects chaos crashes from frozen
+crash points (docs/WARMSTART.md).
 
 Every run writes a provenance manifest (plus a JSONL event log) to
 ``$REPRO_ARTIFACT_DIR/runs/<run_id>/``; ``--progress`` / ``--quiet``
@@ -39,6 +38,7 @@ from importlib import import_module
 from pathlib import Path
 from typing import List, Optional
 
+from repro.errors import ConfigurationError
 from repro.obs.telemetry import RunTelemetry
 from repro.runner.cache import ResultCache
 from repro.runner.pool import SweepRunner
@@ -375,13 +375,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also write each report to DIR/<id>.txt",
     )
     parser.add_argument(
-        "--warm-start",
-        action="store_true",
-        help="fig5/fig6/fig7/table5/ackloss/manyflow/rivals: fork each grid from frozen"
-        " warm-up prefixes instead of re-simulating them (bit-identical"
-        " rows; see docs/WARMSTART.md)",
-    )
-    parser.add_argument(
         "--scene",
         metavar="FAMILY",
         default=None,
@@ -473,6 +466,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.experiment is None:
         parser.error("an experiment id is required (or --list)")
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.max_retries < 0:
+        parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
+    if args.task_timeout is not None and args.task_timeout <= 0:
+        parser.error(f"--task-timeout must be > 0 seconds, got {args.task_timeout}")
+    if args.seeds is not None and args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
     experiment = ALIASES.get(args.experiment, args.experiment)
     names = sorted(EXPERIMENTS) if experiment == "all" else [experiment]
     out_dir = Path(args.out) if args.out else None
@@ -488,7 +489,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "quick": args.quick,
         "jobs": args.jobs,
         "cache": args.cache,
-        "warm_start": args.warm_start,
         "max_retries": args.max_retries,
         "task_timeout": args.task_timeout,
         "delayed_ack": args.delayed_ack,
@@ -504,6 +504,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             report, result, export_id = harness.run_cli(
                 args, runner, manifest=telemetry.manifest
             )
+        except ConfigurationError as error:
+            # A bad option value or name: one line, not a traceback.
+            telemetry.abort(error)
+            print(f"{parser.prog}: error: {error}", file=sys.stderr)
+            return 2
         except BaseException as error:
             telemetry.abort(error)
             raise

@@ -20,8 +20,17 @@ from repro.net.queues import PacketQueue
 from repro.net.topology import Dumbbell, DumbbellParams
 from repro.sim.engine import Simulator
 from repro.tcp.base import TcpSender
-from repro.tcp.factory import VARIANTS, make_connection
+from repro.tcp.factory import VARIANTS, make_connection, sender_class_for
 from repro.tcp.receiver import TcpReceiver
+
+
+def known_variants(names: Sequence[str]) -> Tuple[str, ...]:
+    """``names`` as a tuple, once each is known to name a TCP variant
+    (:class:`~repro.errors.ConfigurationError` otherwise) — how the
+    ``--variants`` harnesses reject a typo before building any cell."""
+    for name in names:
+        sender_class_for(name)
+    return tuple(names)
 
 
 @dataclass

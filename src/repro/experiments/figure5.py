@@ -102,15 +102,6 @@ WARM_MARGIN_PACKETS = 20
 #: Step size (seconds) of the warm-up capture loop.
 WARM_STEP_SECONDS = 0.02
 
-#: Fraction of one cold cell's runtime spent in the shared pre-loss
-#: prefix — the warm-start cost model's hint.  The slow-start ramp to
-#: ``first_drop_seq`` dominates a cell whose transfer finishes shortly
-#: after recovery (``runner.warmstart.fig5late_ratio`` from ``bench/run.py
-#: --workload paper_sweep --trace 1`` is 0.52: a forced warm pass,
-#: captures included, costs about half the cold one on the late-loss
-#: grid, i.e. the prefix is over half the work).
-WARM_PREFIX_FRACTION = 0.5
-
 
 def prefix_world(variant: str, config: Figure5Config) -> ScenarioResult:
     """Build and advance the shared pre-loss prefix of a Figure-5 cell.
@@ -203,21 +194,18 @@ def run_figure5(
 ) -> Figure5Result:
     """Regenerate both panels of Figure 5.
 
-    With ``warm_start`` the pre-loss prefix is simulated once per
-    variant, captured, and every drop-count cell forks the frozen world
-    instead of re-running slow start from t=0 (bit-identical rows, see
-    tests/experiments/test_warmstart_grids.py).  ``warm_start=True``
-    first consults the warm-start cost model and falls back to the cold
-    path when no win is predicted (recorded in the manifest as
-    ``warm_start_skipped``); ``warm_start="force"`` skips the cost
-    model (:func:`repro.runner.grid.run_grid`).  A
-    :class:`~repro.obs.RunManifest` passed as ``manifest`` is annotated
-    with the harness identity, canonical config and warm-start reuse
-    counters (docs/OBSERVABILITY.md).
+    With a true ``warm_start`` the pre-loss prefix is simulated once
+    per variant, captured into ``store``, and every drop-count cell
+    forks the frozen world instead of re-running slow start from t=0
+    (bit-identical rows, see tests/experiments/test_warmstart_grids.py;
+    1.2x slower than cold at this grid's paper size, see
+    docs/PERFORMANCE.md "What warm start costs").  A :class:`~repro.obs.RunManifest` passed
+    as ``manifest`` is annotated with the harness identity and
+    canonical config (docs/OBSERVABILITY.md).
     """
     config = config or Figure5Config()
     if manifest is not None:
-        manifest.describe_harness("fig5", config=config, warm_start=warm_start)
+        manifest.describe_harness("fig5", config=config)
     cells = [
         GridCell(
             "repro.experiments.figure5:prefix_world",
@@ -229,7 +217,7 @@ def run_figure5(
         for n_drops in config.drop_counts
         for variant in config.variants
     ]
-    rows = run_grid(cells, runner, warm_start, store, manifest, WARM_PREFIX_FRACTION)
+    rows = run_grid(cells, runner, warm_start, store)
     return Figure5Result(config=config, rows=rows)
 
 
@@ -279,15 +267,5 @@ def run_cli(args, runner, manifest=None):
     if args.quick:
         config.transfer_packets = 300
         config.sim_duration = 30.0
-    result = run_figure5(
-        config, runner=runner, warm_start=args.warm_start, manifest=manifest
-    )
+    result = run_figure5(config, runner=runner, manifest=manifest)
     return format_report(result), result, "fig5"
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(format_report(run_figure5()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -145,20 +145,15 @@ def run_figure6(
 ) -> Figure6Result:
     """Regenerate all three panels of Figure 6.
 
-    With ``warm_start`` each variant's first ``prefix_seconds`` are
-    simulated once per code version (then replayed from the store) and
-    the cells continue from the frozen worlds — bit-identical rows.
-    ``warm_start=True`` consults the warm-start cost model first (one
-    cell per variant means a first pass can never win — the capture IS
-    the prefix run plus a snapshot round-trip); ``warm_start="force"``
-    bypasses it, which is how the investment pass that later replays
-    amortize gets made.
+    With a true ``warm_start`` each variant's first ``prefix_seconds``
+    are simulated once per code version (then replayed from ``store``)
+    and the cells continue from the frozen worlds — bit-identical rows.
+    One cell per variant means a first pass can never win: the capture
+    IS the prefix run plus a snapshot round-trip.
     """
     config = config or Figure6Config()
     if manifest is not None:
-        manifest.describe_harness(
-            "fig6", config=config, seed=config.seed, warm_start=warm_start
-        )
+        manifest.describe_harness("fig6", config=config, seed=config.seed)
     cells = [
         GridCell(
             "repro.experiments.figure6:prefix_world",
@@ -169,10 +164,7 @@ def run_figure6(
         )
         for variant in config.variants
     ]
-    # Cost-model hint: the prefix is exactly the first prefix_seconds of
-    # a duration-second run.
-    fraction = min(config.prefix_seconds, config.duration) / config.duration
-    flows = run_grid(cells, runner, warm_start, store, manifest, fraction)
+    flows = run_grid(cells, runner, warm_start, store)
     return Figure6Result(config=config, flows=dict(zip(config.variants, flows)))
 
 
@@ -241,15 +233,5 @@ def run_cli(args, runner, manifest=None):
     config = Figure6Config()
     if args.quick:
         config.duration = 3.0
-    result = run_figure6(
-        config, runner=runner, warm_start=args.warm_start, manifest=manifest
-    )
+    result = run_figure6(config, runner=runner, manifest=manifest)
     return format_report(result, plots=not args.quick), result, "fig6"
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(format_report(run_figure6()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -78,15 +78,6 @@ class Figure7Result:
         ]
 
 
-#: Warm-start cost-model hint: fraction of one cold cell's *work* spent
-#: in the loss-free prefix.  Far larger than loss_start/duration (5%):
-#: the prefix runs at full window while the lossy remainder runs with a
-#: collapsed one, so in event terms the prefix is nearly half the cell
-#: (``runner.warmstart.fig7_ratio`` from ``bench/run.py --workload
-#: paper_sweep --trace 1`` is 0.65, captures included).
-WARM_PREFIX_FRACTION = 0.45
-
-
 def prefix_world(variant: str, config: Figure7Config):
     """Build the single-flow world and run its loss-free start-up phase.
 
@@ -166,16 +157,14 @@ def run_figure7(
 ) -> Figure7Result:
     """Regenerate Figure 7's sweep.
 
-    With ``warm_start`` the loss-free start-up phase is simulated once
-    per variant and all ``loss_rates x runs_per_point`` cells fork the
-    frozen world — bit-identical rows, one prefix per variant for the
-    whole grid.
+    With a true ``warm_start`` the loss-free start-up phase is
+    simulated once per variant and all ``loss_rates x runs_per_point``
+    cells fork the frozen world — bit-identical rows, one prefix per
+    variant for the whole grid.
     """
     config = config or Figure7Config()
     if manifest is not None:
-        manifest.describe_harness(
-            "fig7", config=config, seed=config.seed, warm_start=warm_start
-        )
+        manifest.describe_harness("fig7", config=config, seed=config.seed)
     cells = [
         GridCell(
             "repro.experiments.figure7:prefix_world",
@@ -187,7 +176,7 @@ def run_figure7(
         for variant in config.variants
         for loss_rate in config.loss_rates
     ]
-    points = run_grid(cells, runner, warm_start, store, manifest, WARM_PREFIX_FRACTION)
+    points = run_grid(cells, runner, warm_start, store)
     return Figure7Result(config=config, points=points)
 
 
@@ -262,15 +251,5 @@ def run_cli(args, runner, manifest=None):
         config.loss_rates = (0.01, 0.05, 0.1)
         config.duration = 30.0
         config.runs_per_point = 1
-    result = run_figure7(
-        config, runner=runner, warm_start=args.warm_start, manifest=manifest
-    )
+    result = run_figure7(config, runner=runner, manifest=manifest)
     return format_report(result, plot=not args.quick), result, "fig7"
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(format_report(run_figure7()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.experiments.common import known_variants
 from repro.ident.dataset import (
     HELDOUT_GRID,
     IDENT_VARIANTS,
@@ -177,7 +178,7 @@ def run_cli(args, runner, manifest=None):
     ``(report, result, export id)`` (see :mod:`repro.experiments.cli`)."""
     config = IdentifyConfig()
     if args.variants:
-        config.variants = tuple(args.variants)
+        config.variants = known_variants(args.variants)
     if args.grid:
         config.grid = args.grid
     result = run_identify(config, runner=runner, manifest=manifest)

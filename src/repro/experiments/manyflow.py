@@ -16,10 +16,9 @@ run the same sweep and measurement on their first designated
 bottleneck but skip the verdict — the single-queue fixed point does
 not describe multi-bottleneck systems (docs/SCENARIOS.md).
 
-Warm starts mirror figure6: a cell's prefix is its own first
-``warmup`` seconds (measurement starts at the capture point, so warm
-and cold cells measure identical windows), shared across repeated
-sweeps through the snapshot store.
+Cells are plain cached tasks of :func:`run_cell`: every cell's warm-up
+is its own (keyed on the whole spec), so there is no prefix two cells
+could share — a repeated sweep is served by the result cache.
 """
 
 from __future__ import annotations
@@ -39,9 +38,9 @@ from repro.models.meanfield import (
 from repro.net.parkinglot import ParkingLotParams
 from repro.net.red import RedParams
 from repro.net.topology import DumbbellParams
-from repro.runner.grid import GridCell, run_grid
+from repro.runner import SweepRunner, TaskSpec
 from repro.scenes import ArrivalSpec, FlowPopulation, Scene, SceneSpec, build_scene
-from repro.scenes.registry import default_topology
+from repro.scenes.registry import default_topology, family as scene_family
 from repro.viz.ascii import format_table
 
 #: Data-packet size every scene connection uses (TcpConfig default).
@@ -67,7 +66,8 @@ class ManyflowConfig:
     bandwidth_per_flow_bps: float = 800_000.0
     variant: str = "rr"
     duration: float = 20.0
-    #: Measurement starts here; also the warm-start capture point.
+    #: Measurement starts here (pinned to ``duration * WARMUP_FRACTION``
+    #: by :func:`run_manyflow`).
     warmup: float = 5.0
     red_min_th: float = 10.0
     red_max_th: float = 40.0
@@ -184,31 +184,16 @@ def _cell_bandwidth(spec: SceneSpec) -> float:
     raise AttributeError(f"{type(topo).__name__} declares no bottleneck bandwidth")
 
 
-def prefix_world(spec: SceneSpec) -> Scene:
-    """Build a cell's scene and advance it to the warm-start capture
-    point (the measurement window's start, carried in the spec via
-    ``ManyflowConfig.warmup`` — see :func:`cell_spec`'s caller)."""
-    scene = build_scene(spec)
-    scene.sim.run(until=min(_warmup_of(spec), spec.duration))
-    return scene
-
-
-def _warmup_of(spec: SceneSpec) -> float:
-    # The warmup rides in the spec as a fixed fraction of the duration
-    # so a prefix digest depends only on the spec itself.
-    return spec.duration * WARMUP_FRACTION
-
-
 #: Fraction of a scene's duration simulated before measurement starts
 #: (flows ramp out of slow start; the RED average reaches steady state).
 WARMUP_FRACTION = 0.25
 
 
-def finish_cell(fresh_world, label: str, config: ManyflowConfig) -> ManyflowCellResult:
-    """Measure the post-warmup window of a (possibly warm-started)
-    cell and compare against the fixed point where one applies."""
-    scene: Scene = fresh_world()
-    spec = scene.spec
+def run_cell(spec: SceneSpec, label: str, config: ManyflowConfig) -> ManyflowCellResult:
+    """Build one cell's scene, run its warm-up, measure the rest of the
+    run and compare against the fixed point where one applies."""
+    scene: Scene = build_scene(spec)
+    scene.sim.run(until=spec.duration * WARMUP_FRACTION)
     queue = (scene.oracle_link or scene.bottlenecks[0]).queue
     base_drops, base_enqueues = queue.drops, queue.enqueues
     # With ECN the RED feedback arrives as marks, not early drops; the
@@ -269,48 +254,38 @@ def finish_cell(fresh_world, label: str, config: ManyflowConfig) -> ManyflowCell
     return result
 
 
-def run_cell(spec: SceneSpec, label: str, config: ManyflowConfig) -> ManyflowCellResult:
-    """Build, warm up and measure one cell from t=0."""
-    return finish_cell(lambda: prefix_world(spec), label, config)
-
-
 def run_manyflow(
     config: Optional[ManyflowConfig] = None,
-    runner: Optional["SweepRunner"] = None,
-    warm_start: bool = False,
-    store: Optional["SnapshotStore"] = None,
+    runner: Optional[SweepRunner] = None,
     manifest: Optional["RunManifest"] = None,
 ) -> ManyflowResult:
     """Run the flow-count x max_p sweep and return per-cell verdicts.
 
-    Every cell is an independent task fanned out through
-    :func:`repro.runner.grid.run_grid` (bit-identical at any job
-    count); oracle verdicts land in the manifest via
-    :meth:`RunManifest.note_oracle`.
+    Every cell is an independent task fanned out through ``runner``
+    (bit-identical at any job count); oracle verdicts land in the
+    manifest via :meth:`RunManifest.note_oracle`.
     """
     config = config or ManyflowConfig()
-    # Pin the warmup fraction the specs encode to the config's request.
+    runner = runner or SweepRunner()
+    # The report and the cells measure from duration * WARMUP_FRACTION;
+    # make the config say the same.
     if abs(config.warmup - config.duration * WARMUP_FRACTION) > 1e-9:
         config.warmup = config.duration * WARMUP_FRACTION
     result = ManyflowResult(config=config)
     if manifest is not None:
-        manifest.describe_harness(
-            "manyflow", config=config, seed=config.seed, warm_start=warm_start
-        )
-    cells = []
+        manifest.describe_harness("manyflow", config=config, seed=config.seed)
+    specs = []
     for n in config.flow_counts:
         for max_p in config.max_ps:
             label = f"{config.family} n={n} max_p={max_p:g}"
-            cells.append(
-                GridCell(
-                    "repro.experiments.manyflow:prefix_world",
-                    (cell_spec(n, max_p, config),),
-                    "repro.experiments.manyflow:finish_cell",
-                    (label, config),
+            specs.append(
+                TaskSpec(
+                    "repro.experiments.manyflow:run_cell",
+                    (cell_spec(n, max_p, config), label, config),
                     label=f"manyflow {label}",
                 )
             )
-    for cell in run_grid(cells, runner, warm_start, store, manifest, WARMUP_FRACTION):
+    for cell in runner.map(specs):
         result.cells.append(cell)
         if manifest is not None and cell.verdict is not None:
             manifest.note_oracle(cell.label, cell.verdict)
@@ -374,6 +349,7 @@ def run_cli(args, runner, manifest=None):
     ``(report, result, export id)`` (see :mod:`repro.experiments.cli`)."""
     config = ManyflowConfig()
     if args.scene:
+        scene_family(args.scene)  # unknown name: ConfigurationError, no cell built
         config.family = args.scene
     if args.delayed_ack:
         config.delayed_ack = True
@@ -383,15 +359,5 @@ def run_cli(args, runner, manifest=None):
         config.flow_counts = (25,)
         config.max_ps = (0.02,)
         config.duration = 10.0
-    result = run_manyflow(
-        config, runner=runner, warm_start=args.warm_start, manifest=manifest
-    )
+    result = run_manyflow(config, runner=runner, manifest=manifest)
     return format_report(result), result, "manyflow"
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(format_report(run_manyflow()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

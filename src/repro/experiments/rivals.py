@@ -29,11 +29,10 @@ verdict lands in the run manifest via ``note_oracle``, exactly like
 the PR-8 mean-field verdicts.  The model assumes an ACK per packet, so
 these cells deliberately ignore ``--delayed-ack``/``--ecn``.
 
-Warm starts mirror manyflow: a cell's prefix is its own first
-``warmup`` seconds (measurement starts at the capture point), shared
-across repeated sweeps through the snapshot store.  Every cell is an
-independent :class:`TaskSpec`, so rows are bit-identical at any
-``--jobs`` count.
+Every cell — match, pure baseline or model oracle — is an independent
+cached :class:`TaskSpec` in one ``runner.map``, so rows are
+bit-identical at any ``--jobs`` count and a repeated sweep is served by
+the result cache.
 """
 
 from __future__ import annotations
@@ -56,8 +55,7 @@ from repro.net.packet import set_uid_state
 from repro.net.red import RedParams, RedQueue
 from repro.net.topology import DumbbellParams
 from repro.net.varlink import RateSchedule, bufferbloat_limit
-from repro.runner import TaskSpec
-from repro.runner.grid import GridCell, run_grid
+from repro.runner import SweepRunner, TaskSpec
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStream
 from repro.viz.ascii import format_table
@@ -83,8 +81,8 @@ class RivalsConfig:
     regimes: Sequence[str] = REGIMES
     flows_per_side: int = 2
     duration: float = 60.0
-    #: Measurement starts here; also the warm-start capture point.
-    #: Pinned to ``duration * WARMUP_FRACTION`` by :func:`run_rivals`.
+    #: Measurement starts here; pinned to ``duration * WARMUP_FRACTION``
+    #: by :func:`run_rivals`.
     warmup: float = 15.0
     start_stagger: float = 0.25
     bottleneck_bandwidth_bps: float = 4_000_000.0
@@ -269,13 +267,6 @@ def build_cell_world(kind: str, variant: str, regime: str, config: RivalsConfig)
     return world
 
 
-def prefix_world(kind: str, variant: str, regime: str, config: RivalsConfig):
-    """Build a cell and advance it to the warm-start capture point."""
-    world = build_cell_world(kind, variant, regime, config)
-    world.sim.run(until=min(config.duration * WARMUP_FRACTION, config.duration))
-    return world
-
-
 # ----------------------------------------------------------------------
 # measurement
 # ----------------------------------------------------------------------
@@ -301,11 +292,12 @@ def _cell_bandwidth(regime: str, config: RivalsConfig) -> float:
     )
 
 
-def finish_cell(
-    fresh_world, kind: str, variant: str, regime: str, label: str, config: RivalsConfig
+def run_cell(
+    kind: str, variant: str, regime: str, label: str, config: RivalsConfig
 ) -> RivalsCellResult:
-    """Measure the post-warmup window of a (possibly warm-started) cell."""
-    world = fresh_world()
+    """Build one grid cell, run its warm-up and measure the rest."""
+    world = build_cell_world(kind, variant, regime, config)
+    world.sim.run(until=config.duration * WARMUP_FRACTION)
     mss = TcpConfig().mss_bytes
     queue = world.dumbbell.bottleneck_queue
     base_drops = queue.drops
@@ -354,20 +346,6 @@ def finish_cell(
         mean_queue=monitor.mean_occupancy(),
         utilization=sum(goodputs.values()) / bandwidth if bandwidth else 0.0,
         events=world.sim.events_processed,
-    )
-
-
-def run_cell(
-    kind: str, variant: str, regime: str, label: str, config: RivalsConfig
-) -> RivalsCellResult:
-    """Build, warm up and measure one grid cell from t=0."""
-    return finish_cell(
-        lambda: prefix_world(kind, variant, regime, config),
-        kind,
-        variant,
-        regime,
-        label,
-        config,
     )
 
 
@@ -479,26 +457,22 @@ def _reduce(result: RivalsResult) -> None:
 
 def run_rivals(
     config: Optional[RivalsConfig] = None,
-    runner: Optional["SweepRunner"] = None,
-    warm_start: bool = False,
-    store: Optional["SnapshotStore"] = None,
+    runner: Optional[SweepRunner] = None,
     manifest: Optional["RunManifest"] = None,
 ) -> RivalsResult:
     """Run the mix x regime grid plus the model-oracle cells.
 
-    Every cell is an independent task fanned out through
-    :func:`repro.runner.grid.run_grid` (bit-identical at any job count;
-    the model cells ride along cold); Diana & Lochin
-    verdicts land in the manifest via :meth:`RunManifest.note_oracle`.
+    Every cell is an independent task fanned out through ``runner``
+    (bit-identical at any job count); Diana & Lochin verdicts land in
+    the manifest via :meth:`RunManifest.note_oracle`.
     """
     config = config or RivalsConfig()
+    runner = runner or SweepRunner()
     if abs(config.warmup - config.duration * WARMUP_FRACTION) > 1e-9:
         config.warmup = config.duration * WARMUP_FRACTION
     result = RivalsResult(config=config)
     if manifest is not None:
-        manifest.describe_harness(
-            "rivals", config=config, seed=config.seed, warm_start=warm_start
-        )
+        manifest.describe_harness("rivals", config=config, seed=config.seed)
     # Grid cells: per regime, each RR-vs-rival match plus the pure
     # baselines that anchor the friendliness ratios.
     grid: List[Tuple[str, str, str, str]] = []
@@ -507,18 +481,15 @@ def run_rivals(
             grid.append((f"{regime} rr+{rival}", "match", rival, regime))
         for variant in ("rr",) + tuple(config.rivals):
             grid.append((f"{regime} pure {variant}", "pure", variant, regime))
-    cells = [
-        GridCell(
-            "repro.experiments.rivals:prefix_world",
-            (kind, variant, regime, config),
-            "repro.experiments.rivals:finish_cell",
-            (kind, variant, regime, label, config),
+    specs = [
+        TaskSpec(
+            fn="repro.experiments.rivals:run_cell",
+            args=(kind, variant, regime, label, config),
             label=f"rivals {label}",
         )
         for label, kind, variant, regime in grid
     ]
-    # Model-oracle cells are short solo runs; always cold.
-    model_specs = [
+    specs += [
         TaskSpec(
             fn="repro.experiments.rivals:run_model_cell",
             args=(loss_rate, config),
@@ -526,9 +497,7 @@ def run_rivals(
         )
         for loss_rate in config.model_loss_rates
     ]
-    for cell in run_grid(
-        cells, runner, warm_start, store, manifest, WARMUP_FRACTION, also=model_specs
-    ):
+    for cell in runner.map(specs):
         result.cells.append(cell)
         if manifest is not None and cell.verdict is not None:
             manifest.note_oracle(cell.label, cell.verdict)
@@ -625,15 +594,5 @@ def run_cli(args, runner, manifest=None):
         config.duration = 10.0
         config.model_loss_rates = (0.03,)
         config.model_duration = 40.0
-    result = run_rivals(
-        config, runner=runner, warm_start=args.warm_start, manifest=manifest
-    )
+    result = run_rivals(config, runner=runner, manifest=manifest)
     return format_report(result), result, "rivals"
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(format_report(run_rivals()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -229,20 +229,16 @@ def run_table5(
 ) -> Table5Result:
     """Regenerate all four cases of Table 5.
 
-    The sweep fans out per *replication* rather than per case.  With
-    ``warm_start`` each (background, run) prefix — the chaotic 19-flow
-    build-up — is simulated once and both target variants fork it, so
-    the four-case grid needs ``2 x runs_per_case`` prefixes instead of
-    ``4 x runs_per_case`` warm-ups, and rows stay bit-identical to the
-    cold path.  Missing prefixes are captured in parallel over the
-    runner's worker pool, so the first warm pass does not serialize
-    ten chaotic 19-flow warm-ups.
+    The sweep fans out per *replication* rather than per case.  With a
+    true ``warm_start`` each (background, run) prefix — the chaotic
+    19-flow build-up — is simulated once and both target variants fork
+    it, so the four-case grid needs ``2 x runs_per_case`` prefixes
+    instead of ``4 x runs_per_case`` warm-ups, and rows stay
+    bit-identical to the cold path.
     """
     config = config or Table5Config()
     if manifest is not None:
-        manifest.describe_harness(
-            "table5", config=config, seed=config.seed, warm_start=warm_start
-        )
+        manifest.describe_harness("table5", config=config, seed=config.seed)
     cells = [
         GridCell(
             "repro.experiments.table5:prefix_world",
@@ -254,13 +250,7 @@ def run_table5(
         for target_variant, background_variant in config.cases
         for run_index in range(config.runs_per_case)
     ]
-    # Cost-model hint: the prefix is the background build-up to just
-    # before target_start of a sim_duration-second run — a few percent
-    # by default, which is why warm table5 measures at parity with cold.
-    fraction = (
-        max(config.target_start - config.attach_margin, 0.0) / config.sim_duration
-    )
-    replicas = run_grid(cells, runner, warm_start, store, manifest, fraction)
+    replicas = run_grid(cells, runner, warm_start, store)
     per_case = config.runs_per_case
     rows = [
         _reduce_case(
@@ -317,15 +307,5 @@ def run_cli(args, runner, manifest=None):
     if args.quick:
         config.sim_duration = 90.0
         config.runs_per_case = 2
-    result = run_table5(
-        config, runner=runner, warm_start=args.warm_start, manifest=manifest
-    )
+    result = run_table5(config, runner=runner, manifest=manifest)
     return format_report(result), result, "table5"
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(format_report(run_table5()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -177,11 +177,3 @@ def run_cli(args, runner, manifest=None):
         config.sim_duration = 60.0
     result = run_vegas_decomposition(config, runner=runner, manifest=manifest)
     return format_report(result), None, None
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(format_report(run_vegas_decomposition()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -6,7 +6,7 @@ auditable through this package:
 * :class:`RunManifest` — the JSON provenance record written to
   ``$REPRO_ARTIFACT_DIR/runs/<run_id>/manifest.json`` at the end of a
   run (harness, canonical args, code fingerprint, spec digests,
-  per-task wall times, cache/warm-start hit rates, outcome);
+  per-task wall times, cache hit rate, outcome);
 * :class:`HeartbeatLog` — a flushed-per-event JSONL log of every task
   lifecycle event, for post-hoc timing analysis and liveness checks;
 * :class:`ProgressLine` — the auto-suppressing TTY progress line;

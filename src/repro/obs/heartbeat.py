@@ -7,10 +7,10 @@ One line per :class:`~repro.runner.pool.SweepObserver` event::
      "seconds": 1.84}
 
 ``t`` is wall-clock epoch seconds (the run's provenance is wall time,
-not sim time); ``sweep`` counts ``map`` calls within the run, so
-multi-sweep harnesses (warm-start prefix captures, then cells) stay
-distinguishable.  Lines are flushed per event — a heartbeat that only
-reaches the disk at process exit is no heartbeat — so a killed run's
+not sim time); ``sweep`` counts ``map`` calls within the run, so a
+harness that maps more than once keeps its sweeps distinguishable.
+Lines are flushed per event — a heartbeat that only reaches the disk
+at process exit is no heartbeat — so a killed run's
 log still shows exactly how far it got, and post-hoc timing analysis
 (`read_events`) needs no special crash handling beyond skipping a
 possibly-torn final line.

@@ -3,7 +3,7 @@
 A :class:`RunManifest` answers, months later, "what exactly produced
 this table?": the harness and its canonicalized configuration, the
 code fingerprint the run executed under, every task's spec digest and
-wall time, the cache/warm-start hit rates, and the outcome.  Manifests
+wall time, the cache hit rate, and the outcome.  Manifests
 are written to ``<artifact root>/runs/<run_id>/manifest.json`` where
 the artifact root is ``$REPRO_ARTIFACT_DIR`` (falling back to
 ``.repro-artifacts/``) — the same tree CI uploads on failure, so a red
@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional
 from repro.errors import ConfigurationError
 
 #: Manifest schema version (bump on incompatible field changes).
-MANIFEST_FORMAT = 1
+MANIFEST_FORMAT = 2
 
 #: Environment variable naming the artifact root (shared with the
 #: chaos failure dumps and the golden-digest drift reports).
@@ -101,12 +101,6 @@ class RunManifest:
     #: Completed results the cache failed to persist.
     cache_store_failures: int = 0
     wall_seconds: float = 0.0
-    warm_prefix_hits: Optional[int] = None
-    warm_prefix_captures: Optional[int] = None
-    #: Set when a requested warm start was auto-skipped by the
-    #: :func:`~repro.runner.warmstart.warm_start_decision` cost model;
-    #: holds the human-readable reason.  None = warm start not skipped.
-    warm_start_skipped: Optional[str] = None
     #: Mean-field oracle verdict for harnesses that check measurements
     #: against an analytic model (``manyflow``): one flat dict per
     #: checked cell — ``{"label": ..., "passed": bool, "regime": ...,
@@ -164,12 +158,6 @@ class RunManifest:
         for key, value in extra.items():
             self.args[key] = canonicalize(value)
 
-    def note_warm_start(self, store: Any) -> None:
-        """Record prefix reuse counters from a
-        :class:`~repro.runner.warmstart.SnapshotStore`."""
-        self.warm_prefix_hits = store.prefix_hits
-        self.warm_prefix_captures = store.prefix_captures
-
     def note_oracle(self, label: str, verdict: Any) -> None:
         """Append one cell's analytic-oracle verdict (an
         :class:`~repro.models.meanfield.OracleVerdict`) so the manifest
@@ -191,11 +179,6 @@ class RunManifest:
         if self.identity is None:
             self.identity = []
         self.identity.append(entry)
-
-    def note_warm_start_skipped(self, reason: str) -> None:
-        """Record that a requested warm start was auto-skipped (the
-        cost model predicted no win) and why."""
-        self.warm_start_skipped = reason
 
     def finish(self, outcome: str = "ok") -> None:
         self.finished_at = _utc_now()

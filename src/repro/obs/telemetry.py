@@ -4,8 +4,7 @@
 :class:`~repro.runner.pool.SweepObserver` that
 
 * accumulates every task event into a :class:`~repro.obs.manifest.
-  RunManifest` (across *all* ``map`` calls the run makes — warm-start
-  prefix captures included);
+  RunManifest` (across *all* ``map`` calls the run makes);
 * fans the same events out to a :class:`~repro.obs.heartbeat.
   HeartbeatLog` (``runs/<run_id>/events.jsonl``) and, when wanted, a
   :class:`~repro.obs.progress.ProgressLine`;

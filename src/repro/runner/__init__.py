@@ -40,11 +40,9 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "PrefixSpec",
             "SNAPSHOT_SUBDIR",
             "SnapshotStore",
-            "WarmStartDecision",
             "fetch_prefix",
             "load_prefix",
             "warm_specs",
-            "warm_start_decision",
         ),
     },
 )

@@ -12,16 +12,19 @@ itself cold, a restore of the prefix's frozen snapshot warm.  Both
 yield the same world, so warm rows are bit-identical to cold rows by
 construction rather than by keeping two cell functions in step.
 
-:mod:`repro.runner.warmstart` (prefix specs, the snapshot store, the
-cost model) is imported only when a sweep asks for a warm start; see
-docs/WARMSTART.md.
+:mod:`repro.runner.warmstart` (prefix specs, the snapshot store) is
+imported only when a caller asks for a warm start.  No CLI flag does:
+at paper size forking beats running cold on no grid and loses 1.2-1.5x
+on most (docs/PERFORMANCE.md "What warm start costs"), so the path is
+kept for library callers, the bit-identity suite and the benchmark
+probe; see docs/WARMSTART.md.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.runner.pool import SweepRunner
 from repro.runner.spec import TaskSpec, resolve
@@ -84,56 +87,34 @@ def run_grid_cell(
 def run_grid(
     cells: Sequence[GridCell],
     runner: Optional[SweepRunner] = None,
-    warm_start: Union[bool, str] = False,
+    warm_start: bool = False,
     store: Optional["SnapshotStore"] = None,
-    manifest: Optional["RunManifest"] = None,
-    prefix_fraction: float = 0.0,
-    also: Sequence[TaskSpec] = (),
 ) -> List[Any]:
-    """Run ``cells`` — then the plain ``also`` specs, which are never
-    warm-started — through one ``runner.map``; results in that order.
+    """Run ``cells`` through one ``runner.map``; results in cell order.
 
-    ``warm_start=True`` consults the cost model first
-    (``prefix_fraction`` is the harness's hint: the share of one cold
-    cell's work spent in the prefix) and runs cold when no win is
-    predicted, recording why as the manifest's ``warm_start_skipped``;
-    ``warm_start="force"`` skips the model.  Each distinct prefix is
-    captured into ``store`` at most once per code version, and the
-    manifest is annotated with the hit/capture split.
+    ``warm_start`` is tested for truth.  When true, every cell forks
+    its prefix's frozen snapshot: each distinct prefix is captured into
+    ``store`` at most once per code version (``store.prefix_captures``
+    / ``store.prefix_hits`` count the split), then the forks fan out
+    over the runner like any sweep.
     """
     runner = runner or SweepRunner()
-    if warm_start:
-        from repro.runner import warmstart
+    if not warm_start:
+        return runner.map([cell.spec() for cell in cells])
+    from repro.runner import warmstart
 
-        store = store or warmstart.SnapshotStore()
-
-        def prefix_for(cell: GridCell):
-            return warmstart.PrefixSpec(
-                cell.prefix_fn, cell.prefix_args, label=f"prefix of {cell.label}"
-            )
-
-        if warm_start != "force":
-            decision = warmstart.warm_start_decision(
-                cells, prefix_for, prefix_fraction, store
-            )
-            if not decision.use_warm:
-                if manifest is not None:
-                    manifest.note_warm_start_skipped(decision.reason)
-                warm_start = False
-    if warm_start:
-        store_root = str(store.root)
-        specs = warmstart.warm_specs(
+    store = store or warmstart.SnapshotStore()
+    store_root = str(store.root)
+    return runner.map(
+        warmstart.warm_specs(
             cells,
-            prefix_for,
+            lambda cell: warmstart.PrefixSpec(
+                cell.prefix_fn, cell.prefix_args, label=f"prefix of {cell.label}"
+            ),
             lambda cell, digest: cell.spec(digest, store_root),
             store,
-            runner=runner,
         )
-        if manifest is not None:
-            manifest.note_warm_start(store)
-    else:
-        specs = [cell.spec() for cell in cells]
-    return runner.map(specs + list(also))
+    )
 
 
 def step_until(

@@ -1,4 +1,4 @@
-"""Warm-started sweeps: prefix specs, the cost model and the store.
+"""Warm-started sweeps: prefix specs and the snapshot store.
 
 Many of the paper's grids share an identical *prefix* — the slow-start
 ramp before the first engineered loss, the background-flow build-up
@@ -12,7 +12,6 @@ asks for a warm start:
   equal spec digests, so the store captures each prefix once per code
   version (see :meth:`SnapshotStore.ensure_prefix`) no matter how many
   cells — or sweeps — fork it;
-* :func:`warm_start_decision` — the cheap go/no-go cost model;
 * :func:`warm_specs` — the sweep-side glue: group cells by prefix
   digest, ensure each prefix exists in the store, and emit the per-cell
   task specs carrying the snapshot digest.
@@ -43,7 +42,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -66,19 +64,6 @@ PREFIX_INDEX_SUBDIR = "prefix-index"
 #: (:func:`load_prefix`) and ``fsck --rebuild``'s repair input.
 PREFIX_META_SUBDIR = "prefix-meta"
 
-#: Cost-model constants for :func:`warm_start_decision`, expressed as
-#: fractions of one cold cell's runtime.  Capturing a prefix pays for
-#: pickling, digesting and atomically writing the frozen world on top
-#: of simulating it; each warm cell pays an unpickle + uid rewind.
-#: Calibrated coarsely against the forced-warm / cold ratios that
-#: ``bench/run.py --workload paper_sweep --trace 1`` reports as
-#: ``runner.warmstart.{fig5late,fig7,table5,ackloss,fig6}_ratio`` =
-#: 0.52 / 0.65 / 1.05 / 1.33 / 1.55 (table5's 1.05 with a ~2.5% prefix
-#: fraction pins the restore overhead near 5%); the model only needs
-#: the sign of the saving, not its magnitude.
-CAPTURE_OVERHEAD_FRACTION = 0.10
-RESTORE_OVERHEAD_FRACTION = 0.05
-
 
 class PrefixSpec(TaskSpec):
     """A :class:`TaskSpec` whose callable builds a world **and advances
@@ -95,191 +80,40 @@ class PrefixSpec(TaskSpec):
         return Snapshot.capture(world, label=label or self.describe())
 
 
-@dataclass(frozen=True)
-class WarmStartDecision:
-    """Outcome of :func:`warm_start_decision` — the cheap go/no-go cost
-    model behind auto-skipped warm starts.  ``reason`` is human-readable
-    and lands in the run manifest as ``warm_start_skipped`` when
-    ``use_warm`` is False."""
-
-    use_warm: bool
-    reason: str
-    cells: int
-    prefixes: int
-    missing: int
-    prefix_fraction: float
-    #: Predicted sweep-time saving in units of one cold cell's runtime
-    #: (negative = warm-starting would cost time).
-    predicted_saving: float
-
-
-def warm_start_decision(
-    cells: Sequence,
-    prefix_for: Callable[..., PrefixSpec],
-    prefix_fraction: float,
-    store: "SnapshotStore",
-    fingerprint: Optional[str] = None,
-) -> WarmStartDecision:
-    """Predict whether warm-starting this sweep beats running it cold.
-
-    The model is deliberately cheap — it groups the cells by prefix
-    digest and compares, in units of one cold cell's runtime:
-
-    * **spent**: simulating each prefix *not already in the store*
-      (``prefix_fraction`` each) plus its capture overhead
-      (:data:`CAPTURE_OVERHEAD_FRACTION`), plus every cell's restore
-      overhead (:data:`RESTORE_OVERHEAD_FRACTION`);
-    * **saved**: the prefix fraction of every cell, which warm cells
-      skip.
-
-    A sweep where each cell has a unique prefix (no sharing) can never
-    win on its first pass: the prefix is simulated exactly as often as
-    cold would, plus the snapshot round-trip — table5, ackloss and fig6
-    measure 1.05 / 1.33 / 1.55 of cold when forced warm
-    (``runner.warmstart.*_ratio``, see above).  The model is greedy
-    per sweep: it does not credit a capture against *future* sweeps'
-    replays, so callers that want to invest anyway (benchmarks, the
-    bit-identity suites) pass ``warm_start="force"`` to the harnesses.
-    """
-    n = len(cells)
-    if n == 0:
-        return WarmStartDecision(False, "empty sweep", 0, 0, 0, prefix_fraction, 0.0)
-    if prefix_fraction <= 0.0:
-        return WarmStartDecision(
-            False,
-            "prefix fraction is ~0: nothing for warm cells to skip",
-            n,
-            0,
-            0,
-            prefix_fraction,
-            0.0,
-        )
-    if fingerprint is None:
-        from repro.runner.fingerprint import code_fingerprint
-
-        fingerprint = code_fingerprint()
-    prefixes: Dict[str, PrefixSpec] = {}
-    for cell in cells:
-        prefix = prefix_for(cell)
-        prefixes.setdefault(prefix.digest(), prefix)
-    missing = sum(
-        1
-        for prefix in prefixes.values()
-        if store.lookup_prefix(prefix, fingerprint) is None
-    )
-    saving = (
-        prefix_fraction * n                      # work warm cells skip
-        - RESTORE_OVERHEAD_FRACTION * n          # every cell unpickles
-        - prefix_fraction * missing              # prefixes still simulated once
-        - CAPTURE_OVERHEAD_FRACTION * missing    # + pickled, digested, stored
-    )
-    detail = (
-        f"{n} cells over {len(prefixes)} prefixes ({missing} to capture), "
-        f"prefix fraction {prefix_fraction:.2f}, predicted saving "
-        f"{saving:+.2f} cold-cell units"
-    )
-    if saving > 0.0:
-        return WarmStartDecision(
-            True, detail, n, len(prefixes), missing, prefix_fraction, saving
-        )
-    return WarmStartDecision(
-        False,
-        f"no predicted win: {detail}",
-        n,
-        len(prefixes),
-        missing,
-        prefix_fraction,
-        saving,
-    )
-
-
-def capture_prefix_cell(
-    fn: str,
-    args: Sequence,
-    kwargs: Dict,
-    store_root: str,
-    fingerprint: str,
-) -> str:
-    """Worker entry point for parallel prefix capture: rebuild the
-    :class:`PrefixSpec` from its spec fields and ensure it in the store
-    (idempotent — the store's index and snapshot writes are atomic, so
-    concurrent captures of the same prefix are safe)."""
-    spec = PrefixSpec(fn=fn, args=tuple(args), kwargs=dict(kwargs))
-    return SnapshotStore(store_root).ensure_prefix(spec, fingerprint=fingerprint)
-
-
 def warm_specs(
     cells: Sequence,
     prefix_for: Callable[..., PrefixSpec],
     spec_for: Callable[..., TaskSpec],
     store: "SnapshotStore",
     fingerprint: Optional[str] = None,
-    runner=None,
 ) -> List[TaskSpec]:
     """Build the warm task specs for a sweep.
 
     ``prefix_for(cell)`` names each cell's shared prefix; cells whose
     prefix specs have equal digests share one capture.  Each distinct
-    prefix is ensured in ``store`` (captured at most once per code
-    version), then ``spec_for(cell, digest)`` emits the cell's task
-    spec carrying the snapshot digest.
-
-    With a parallel ``runner`` (a :class:`~repro.runner.pool.
-    SweepRunner` with ``jobs > 1``), the prefixes that are *not* yet in
-    the store are captured concurrently over the runner's worker pool
-    instead of one after another — the fix for table5's
-    slower-than-cold first warm pass, where 19-flow prefixes dominate
-    the sweep.  Results are unchanged: captures are deterministic in
-    their spec, and the coordinating process re-reads every digest
-    through the (atomically written) prefix index afterwards.
-    ``store.prefix_hits`` / ``store.prefix_captures`` record the split
-    for telemetry.
+    prefix is ensured in ``store`` (captured by this process, at most
+    once per code version), then ``spec_for(cell, digest)`` emits the
+    cell's task spec carrying the snapshot digest.
+    ``store.prefix_hits`` / ``store.prefix_captures`` record how many
+    distinct prefixes were already stored and how many had to be run.
     """
     if fingerprint is None:
         from repro.runner.fingerprint import code_fingerprint
 
         fingerprint = code_fingerprint()
-    prefixes: Dict[str, PrefixSpec] = {}
-    keys: List[str] = []
+    digests: Dict[str, str] = {}
+    specs: List[TaskSpec] = []
     for cell in cells:
         prefix = prefix_for(cell)
         key = prefix.digest()
-        keys.append(key)
-        prefixes.setdefault(key, prefix)
-    missing = [
-        key
-        for key, prefix in prefixes.items()
-        if store.lookup_prefix(prefix, fingerprint) is None
-    ]
-    store.prefix_hits += len(prefixes) - len(missing)
-    store.prefix_captures += len(missing)
-    jobs = getattr(runner, "jobs", 1) if runner is not None else 1
-    if len(missing) > 1 and jobs > 1:
-        from repro.runner.pool import SweepRunner
-
-        capture_specs = [
-            TaskSpec(
-                fn="repro.runner.warmstart:capture_prefix_cell",
-                args=(
-                    prefixes[key].fn,
-                    prefixes[key].args,
-                    prefixes[key].kwargs,
-                    str(store.root),
-                    fingerprint,
-                ),
-                label=f"prefix capture: {prefixes[key].describe()}",
-            )
-            for key in missing
-        ]
-        SweepRunner(
-            jobs=min(jobs, len(capture_specs)),
-            observer=getattr(runner, "observer", None),
-        ).map(capture_specs)
-    digests: Dict[str, str] = {}
-    specs: List[TaskSpec] = []
-    for cell, key in zip(cells, keys):
         if key not in digests:
-            digests[key] = store.ensure_prefix(prefixes[key], fingerprint=fingerprint)
+            stored = store.lookup_prefix(prefix, fingerprint)
+            if stored is None:
+                store.prefix_captures += 1
+                stored = store.ensure_prefix(prefix, fingerprint=fingerprint)
+            else:
+                store.prefix_hits += 1
+            digests[key] = stored
         specs.append(spec_for(cell, digests[key]))
     return specs
 

@@ -31,17 +31,7 @@ class TahoeSender(TcpSender):
         self._timer.restart(self.rto.current())
         self.send_available()
 
-    def _process_dupack(self, packet: Packet) -> None:
-        self.dupacks += 1
-        # Trigger only on exactly the threshold; later duplicates of the
-        # same window are ignored (Tahoe has no recovery phase).
-        if self.dupacks == self.config.dupack_threshold:
-            self._fast_retransmit(packet)
-
-    # Tahoe never sets in_recovery, so these hooks cannot be reached;
-    # they exist to satisfy the interface.
-    def _recovery_dupack(self, packet: Packet) -> None:  # pragma: no cover
-        raise AssertionError("Tahoe has no recovery phase")
-
-    def _recovery_new_ack(self, packet: Packet) -> None:  # pragma: no cover
-        raise AssertionError("Tahoe has no recovery phase")
+    # No recovery phase: ``in_recovery`` is never set, so the base
+    # class's dup-ACK path triggers on exactly the threshold, ignores
+    # later duplicates of the same window, and never reaches the
+    # ``_recovery_*`` hooks.

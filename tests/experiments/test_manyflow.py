@@ -1,5 +1,5 @@
-"""The manyflow harness: sweep and oracle wiring (cold == warm and
-serial == parallel: tests/experiments/test_warmstart_grids.py)."""
+"""The manyflow harness: sweep and oracle wiring (serial == parallel:
+tests/experiments/test_warmstart_grids.py)."""
 
 import dataclasses
 

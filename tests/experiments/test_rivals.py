@@ -1,5 +1,5 @@
-"""The rivals harness: modern senders vs RR under modern regimes (cold ==
-warm and serial == parallel: tests/experiments/test_warmstart_grids.py)."""
+"""The rivals harness: modern senders vs RR under modern regimes (serial
+== parallel: tests/experiments/test_warmstart_grids.py)."""
 
 import dataclasses
 
@@ -8,6 +8,7 @@ import pytest
 from repro.experiments import rivals
 from repro.experiments.export_results import export_result
 from repro.obs.manifest import RunManifest
+from repro.snapshot import Snapshot, state_digest
 
 QUICK = rivals.RivalsConfig(
     rivals=("cubic", "relentless"),
@@ -76,6 +77,24 @@ def test_mobile_cells_share_channel_trace():
     a = rivals.mobile_schedule(config)
     b = rivals.mobile_schedule(config)
     assert a.steps == b.steps  # same seed, same channel for every cell
+
+
+@pytest.mark.parametrize("regime", ["delack", "ecn-red", "mobile"])
+def test_cell_world_survives_capture_restore(regime):
+    """Delayed-ACK timers, the ECN-marking RED queue and the rate
+    schedule all ride through a mid-run snapshot (chaos ``--triage``
+    forks such worlds)."""
+    config = dataclasses.replace(QUICK)
+    # One world at a time: packet uids are process-global and
+    # build_cell_world rewinds them.
+    in_place = rivals.build_cell_world("match", "cubic", regime, config)
+    in_place.sim.run(until=config.duration)
+
+    world = rivals.build_cell_world("match", "cubic", regime, config)
+    world.sim.run(until=config.warmup)
+    restored = Snapshot.capture(world, label=f"rivals {regime}").restore()
+    restored.sim.run(until=config.duration)
+    assert state_digest(restored) == state_digest(in_place)
 
 
 def test_manifest_records_model_verdicts():

@@ -1,18 +1,18 @@
-"""Every warm-startable harness, one table: rows are bit-identical cold,
-warm, replayed from the prefix index, serial and parallel.
+"""Every sweep harness with independent cells, one table: rows are
+bit-identical serial and parallel, and — for the five grids whose cells
+are :class:`repro.runner.grid.GridCell` prefix/finish pairs — cold,
+warm and replayed from the prefix index.
 
-All seven harnesses describe their cells as
-:class:`repro.runner.grid.GridCell` and run them through
-:func:`repro.runner.grid.run_grid`, so one table-driven module covers
-what used to be per-harness copies.  ``warm_start="force"`` bypasses
-the cost model (:func:`repro.runner.warmstart.warm_start_decision`,
-covered in tests/runner/test_warmstart_economics.py) — the trimmed
-grids here are exactly the shape it would, correctly, refuse.
+``manyflow`` and ``rivals`` run plain cached tasks (every cell's
+warm-up is its own), so they take part in the cold checks only; that
+their worlds survive a capture/restore is checked directly in
+tests/experiments/test_rivals.py and
+tests/scenes/test_scene_determinism.py.
 """
 
 import copy
 import functools
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Optional
 
 import pytest
 
@@ -23,19 +23,16 @@ from repro.experiments.figure7 import Figure7Config, run_figure7
 from repro.experiments.manyflow import ManyflowConfig, run_manyflow
 from repro.experiments.rivals import RivalsConfig, run_rivals
 from repro.experiments.table5 import Table5Config, run_table5
-from repro.obs.manifest import RunManifest
 from repro.runner import SnapshotStore, SweepRunner
-
 
 
 class Grid(NamedTuple):
     run_fn: Callable
     config: Any            # trimmed: seconds, not minutes
     rows_of: Callable
-    prefixes: int          # distinct prefixes the grid's cells fork
-    #: Whether the cost model warm-starts the grid on its own — only
-    #: grids whose cells share prefixes can win on a first pass.
-    auto_warm: bool
+    #: Distinct prefixes the grid's cells fork; None = not a
+    #: prefix/finish grid (plain tasks, cold only).
+    prefixes: Optional[int]
 
 
 GRIDS = {
@@ -49,14 +46,12 @@ GRIDS = {
         ),
         lambda r: r.rows,
         2,  # one per variant
-        True,
     ),
     "figure6": Grid(
         run_figure6,
         Figure6Config(variants=("newreno", "rr"), duration=4.0),
         lambda r: r.flows,
         2,
-        False,
     ),
     "figure7": Grid(
         run_figure7,
@@ -65,14 +60,12 @@ GRIDS = {
         ),
         lambda r: r.points,
         1,
-        True,
     ),
     "table5": Grid(
         run_table5,
         Table5Config(cases=(("reno", "rr"),), runs_per_case=2, sim_duration=20.0),
         lambda r: r.rows,
         2,  # one per (background, run)
-        False,
     ),
     "ackloss": Grid(
         run_ackloss,
@@ -85,14 +78,12 @@ GRIDS = {
         ),
         lambda r: r.rows,
         1,
-        False,
     ),
     "manyflow": Grid(
         run_manyflow,
         ManyflowConfig(flow_counts=(12,), max_ps=(0.02,), duration=6.0, seed=5),
         lambda r: r.cells,
-        1,
-        False,
+        None,
     ),
     "rivals": Grid(
         run_rivals,
@@ -105,12 +96,14 @@ GRIDS = {
             seed=11,
         ),
         lambda r: (r.cells, r.rows),
-        15,  # every match / pure cell is its own prefix; model cells have none
-        False,
+        None,
     ),
 }
 
 each_grid = pytest.mark.parametrize("name", sorted(GRIDS))
+each_warm_grid = pytest.mark.parametrize(
+    "name", sorted(name for name, grid in GRIDS.items() if grid.prefixes is not None)
+)
 
 
 def run(name, **kwargs):
@@ -125,57 +118,36 @@ def cold_rows(name):
     return run(name, runner=SweepRunner())
 
 
-@each_grid
+@each_warm_grid
 def test_warm_matches_cold(tmp_path, name):
     prefixes = GRIDS[name].prefixes
     store = SnapshotStore(tmp_path / "snaps")
-    warm = run(name, runner=SweepRunner(), warm_start="force", store=store)
+    warm = run(name, runner=SweepRunner(), warm_start=True, store=store)
     assert warm == cold_rows(name)
     assert (store.prefix_captures, store.prefix_hits) == (prefixes, 0)
     # Replay through the prefix index (no recapture) stays identical.
-    replay = run(name, runner=SweepRunner(), warm_start="force", store=store)
+    replay = run(name, runner=SweepRunner(), warm_start=True, store=store)
     assert replay == cold_rows(name)
     assert (store.prefix_captures, store.prefix_hits) == (prefixes, prefixes)
+
+
+def test_warm_start_is_tested_for_truth(tmp_path):
+    """``bench/probes.py`` passes the string it always has; any true
+    value forks every cell."""
+    store = SnapshotStore(tmp_path / "snaps")
+    warm = run("figure5", runner=SweepRunner(), warm_start="force", store=store)
+    assert warm == cold_rows("figure5")
+    assert store.prefix_captures == GRIDS["figure5"].prefixes
 
 
 @each_grid
 def test_parallel_matches_serial(tmp_path, name):
     assert run(name, runner=SweepRunner(jobs=2)) == cold_rows(name)
-    # The first warm pass also captures its missing prefixes over the
-    # worker pool (tests/runner/test_warmstart.py); the second forks
-    # the stored ones from two workers at once.
+    if GRIDS[name].prefixes is None:
+        return
+    # The first warm pass captures in the coordinator and forks from
+    # two workers at once; the second forks the stored prefixes.
     store = SnapshotStore(tmp_path / "snaps")
     for _ in range(2):
-        warm = run(name, runner=SweepRunner(jobs=2), warm_start="force", store=store)
+        warm = run(name, runner=SweepRunner(jobs=2), warm_start=True, store=store)
         assert warm == cold_rows(name)
-
-
-@each_grid
-def test_auto_warm_start_matches_cold(tmp_path, name):
-    """``warm_start=True`` lets the cost model choose; either way the
-    rows are the cold rows and the manifest says which way it went."""
-    grid = GRIDS[name]
-    store = SnapshotStore(tmp_path / "snaps")
-    manifest = RunManifest.begin(name, fingerprint="test")
-    rows = run(
-        name, runner=SweepRunner(), warm_start=True, store=store, manifest=manifest
-    )
-    assert rows == cold_rows(name)
-    assert bool(manifest.warm_start_skipped) != grid.auto_warm
-    if grid.auto_warm:
-        assert manifest.warm_prefix_captures == store.prefix_captures == grid.prefixes
-    else:
-        assert store.prefix_captures == 0
-        assert manifest.warm_prefix_captures is None
-
-
-def test_table5_first_warm_pass_captures_prefixes_in_parallel(tmp_path):
-    # Two replications → two missing (background, run) prefixes on the
-    # first warm pass; with a parallel runner they are captured over
-    # the worker pool rather than one after another, and the rows stay
-    # bit-identical to cold.
-    store = SnapshotStore(tmp_path / "snaps")
-    warm = run("table5", runner=SweepRunner(jobs=2), warm_start="force", store=store)
-    assert warm == cold_rows("table5")
-    assert store.prefix_captures == 2
-    assert store.prefix_hits == 0

@@ -20,7 +20,7 @@ def _manifest():
     manifest = RunManifest.begin(
         "fig5", args={"quick": True, "jobs": 2}, fingerprint="f" * 64
     )
-    manifest.describe_harness("fig5", config=TcpConfig(), seed=7, warm_start=False)
+    manifest.describe_harness("fig5", config=TcpConfig(), seed=7, grid="heldout")
     manifest.total = 3
     manifest.cached = 1
     manifest.executed = 2
@@ -43,6 +43,7 @@ def _manifest():
 class TestRoundTrip:
     def test_json_round_trip_preserves_all_fields(self):
         manifest = _manifest()
+        assert manifest.format == MANIFEST_FORMAT == 2
         again = RunManifest.from_json(manifest.to_json())
         assert again == manifest
 
@@ -57,7 +58,7 @@ class TestRoundTrip:
         config_args = manifest.args["config"]
         assert config_args["__dataclass__"] == "repro.config.TcpConfig"
         assert manifest.seed == 7
-        assert manifest.args["warm_start"] is False
+        assert manifest.args["grid"] == "heldout"  # extras ride along
         assert manifest.args["quick"] is True  # begin() args survive
 
     def test_cache_hit_rate(self):
@@ -80,6 +81,14 @@ class TestRejection:
         payload = json.loads(_manifest().to_json())
         payload["format"] = MANIFEST_FORMAT + 1
         with pytest.raises(ConfigurationError, match="unsupported manifest format"):
+            RunManifest.from_json(json.dumps(payload))
+
+    def test_previous_format_rejected_by_version_not_by_field(self):
+        # A format-1 file carries fields format 2 dropped; the reader
+        # must say "format", not "unknown fields".
+        payload = json.loads(_manifest().to_json())
+        payload.update(format=1, dropped_in_format_2=None)
+        with pytest.raises(ConfigurationError, match="unsupported manifest format 1"):
             RunManifest.from_json(json.dumps(payload))
 
     def test_missing_format_rejected(self):

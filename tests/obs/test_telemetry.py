@@ -49,8 +49,8 @@ class TestRunLifecycle:
         assert events[-1]["event"] == "sweep_finished"
 
     def test_manifest_accumulates_across_map_calls(self, tmp_path):
-        # Warm-start harnesses run prefix captures then cells: both
-        # sweeps must land in one manifest.
+        # A harness may map more than once: every sweep must land in
+        # one manifest.
         telemetry = _telemetry(tmp_path)
         runner = SweepRunner(cache=ResultCache(root=tmp_path / "cache"))
         telemetry.attach(runner)

@@ -74,12 +74,9 @@ class TestEnsurePrefix:
 
 
 class TestWarmSpecs:
-    def test_cells_share_prefix_captures(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        cells = [("reno", 1), ("reno", 2), ("sack", 1)]
-        before = CountingPrefix.captures
-        specs = warm_specs(
-            cells,
+    def _warm(self, store):
+        return warm_specs(
+            [("reno", 1), ("reno", 2), ("sack", 1)],
             prefix_for=lambda cell: _prefix(cell[0]),
             spec_for=lambda cell, digest: TaskSpec(
                 fn="repro.models.mathis:mathis_window",
@@ -89,62 +86,25 @@ class TestWarmSpecs:
             store=store,
             fingerprint="a" * 64,
         )
+
+    def test_cells_share_prefix_captures(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        before = CountingPrefix.captures
+        specs = self._warm(store)
         assert CountingPrefix.captures == before + 2  # one per variant
-        assert len(specs) == len(cells)
+        assert len(specs) == 3
         digests = [spec.kwargs["digest"] for spec in specs]
         assert digests[0] == digests[1] != digests[2]
         assert all(store.contains(d) for d in digests)
-
-
-class TestParallelPrefixCapture:
-    """Missing prefixes fan out over the runner's worker pool; captured
-    snapshots must be byte-identical to serial captures."""
-
-    def _warm(self, store, parallel=True):
-        from repro.runner import SweepRunner
-
-        cells = [("reno", 1), ("sack", 1), ("newreno", 1)]
-        return warm_specs(
-            cells,
-            prefix_for=lambda cell: PrefixSpec(
-                fn="repro.snapshot.golden:build_golden_scenario",
-                args=(cell[0],),
-                label=f"golden prefix {cell[0]}",
-            ),
-            spec_for=lambda cell, digest: TaskSpec(
-                fn="repro.models.mathis:mathis_window",
-                args=(0.02,),
-                kwargs={"digest": digest, "cell": cell},
-            ),
-            store=store,
-            fingerprint="a" * 64,
-            runner=SweepRunner(jobs=2) if parallel else None,
-        )
-
-    def test_parallel_capture_fills_the_store(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        specs = self._warm(store)
-        digests = {spec.kwargs["digest"] for spec in specs}
-        assert len(digests) == 3
-        assert all(store.contains(d) for d in digests)
-        assert store.prefix_captures == 3
-        assert store.prefix_hits == 0
-
-    def test_parallel_matches_serial_digests(self, tmp_path):
-        parallel_store = SnapshotStore(tmp_path / "par")
-        serial_store = SnapshotStore(tmp_path / "ser")
-        parallel = self._warm(parallel_store)
-        serial = self._warm(serial_store, parallel=False)
-        assert [s.kwargs["digest"] for s in parallel] == [
-            s.kwargs["digest"] for s in serial
-        ]
+        assert (store.prefix_captures, store.prefix_hits) == (2, 0)
 
     def test_second_pass_hits_the_prefix_index(self, tmp_path):
         store = SnapshotStore(tmp_path)
         first = self._warm(store)
+        before = CountingPrefix.captures
         again = self._warm(store)
-        assert store.prefix_hits == 3
-        assert store.prefix_captures == 3
+        assert CountingPrefix.captures == before
+        assert (store.prefix_captures, store.prefix_hits) == (2, 2)
         assert [s.kwargs["digest"] for s in again] == [
             s.kwargs["digest"] for s in first
         ]

@@ -4,7 +4,7 @@ Pins the guarantees docs/SCENARIOS.md documents: a SceneSpec fully
 determines its world (rebuilds are bit-identical), runs are
 reproducible across topology families, and a scene survives mid-run
 snapshot capture/restore bit-identically — including on a >= 100-flow
-scene, the scale the manyflow harness warm-starts at.
+scene, the scale the manyflow harness runs at.
 """
 
 import pytest

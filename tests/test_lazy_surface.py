@@ -150,10 +150,11 @@ SEED_SURFACE = {
             "QUARANTINE_SUBDIR QuarantineRecord RetryPolicy read_quarantine "
         ),
         "repro.runner.spec": "TaskSpec canonicalize resolve uncanonicalize",
+        # The two cost-model names left with the model: warm_start is
+        # a plain boolean, there is nothing to decide.
         "repro.runner.warmstart": (
             "PREFIX_INDEX_SUBDIR PREFIX_META_SUBDIR PrefixSpec SNAPSHOT_SUBDIR "
-            "SnapshotStore WarmStartDecision fetch_prefix load_prefix "
-            "warm_specs warm_start_decision "
+            "SnapshotStore fetch_prefix load_prefix warm_specs "
         ),
     },
     "repro.snapshot": {
