@@ -24,6 +24,10 @@ and verifies, without executing any example:
   ``docs/`` or ``.github/``; globs and ``<placeholders>`` are skipped)
   names a file or directory that exists — a page must not keep
   pointing at a file a change deleted or renamed;
+* every back-ticked dotted name ``repro.a.b[.c]`` outside fenced blocks
+  resolves: the longest module prefix imports and the rest are
+  attributes of it (an optional compiled extension that is not built
+  counts as present when its ``.c`` source exists);
 * every ``docs/*.md`` page is reachable from the ``docs/README.md``
   index by following relative links — an orphaned page is a page
   nobody will find.
@@ -64,6 +68,8 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # A back-ticked span whose first word starts with a top-level source
 # directory; check_paths strips what follows the path proper.
 PATH_RE = re.compile(r"`((?:scripts|bench|src|tests|docs|\.github)/[^`\s]*)[^`]*`")
+# A back-ticked span that starts with a dotted name under the package.
+DOTTED_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
 TOP_LEVEL_PAGES = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "CONTRIBUTING.md")
 
 
@@ -257,6 +263,49 @@ def check_paths(path: Path, text: str) -> Tuple[List[str], int]:
     return problems, checked
 
 
+def resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``, then walk the
+    rest with ``getattr``."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:split])
+        try:
+            target = importlib.import_module(module_name)
+        except ImportError:
+            source = REPO_ROOT / "src" / Path(*parts[:split]).with_suffix(".c")
+            if source.exists():
+                return True  # an optional extension this checkout did not build
+            continue
+        for part in parts[split:]:
+            if not hasattr(target, part):
+                return False
+            target = getattr(target, part)
+        return True
+    return False
+
+
+def check_dotted_names(path: Path, text: str) -> Tuple[List[str], int]:
+    """Every back-ticked ``repro.a.b`` outside fenced blocks must
+    resolve; returns (problems, names checked)."""
+    problems: List[str] = []
+    checked = 0
+    in_fence = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip().startswith("```"):
+            in_fence = not in_fence
+            continue
+        if in_fence:
+            continue
+        for match in DOTTED_RE.finditer(line):
+            checked += 1
+            if not resolves(match.group(1)):
+                problems.append(
+                    f"{path.relative_to(REPO_ROOT)}:{lineno}: `{match.group(1)}`"
+                    " does not resolve"
+                )
+    return problems, checked
+
+
 def check_reachability(linked_from: dict) -> List[str]:
     """Every docs/*.md page must be reachable from docs/README.md by
     following relative links (``linked_from`` maps each checked file to
@@ -310,6 +359,7 @@ def main(argv=None) -> int:
     total_blocks = 0
     total_links = 0
     total_paths = 0
+    total_names = 0
     invocations: List[Tuple[str, str]] = []
     linked_from: dict = {}
     for path in paths:
@@ -329,6 +379,9 @@ def main(argv=None) -> int:
         path_problems, checked = check_paths(path, text)
         problems.extend(path_problems)
         total_paths += checked
+        name_problems, checked = check_dotted_names(path, text)
+        problems.extend(name_problems)
+        total_names += checked
     problems.extend(check_cli_commands(commands))
     flag_problems, total_flags = check_cli_flags(invocations)
     problems.extend(flag_problems)
@@ -337,7 +390,8 @@ def main(argv=None) -> int:
     print(
         f"checked {len(paths)} files, {total_blocks} fenced blocks, "
         f"{unique_cmds} distinct CLI commands, {total_flags} CLI flags, "
-        f"{total_links} relative links, {total_paths} repo paths"
+        f"{total_links} relative links, {total_paths} repo paths, "
+        f"{total_names} dotted names"
     )
     for problem in problems:
         print(f"FAIL {problem}")

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""CI smoke for storage self-healing: corrupt a real store, fsck it.
+"""CI smoke for storage integrity: corrupt a real store, fsck it.
 
 Builds a small genuine store (two cached cells + one prefix snapshot),
 then vandalizes it — truncates a cache entry, bit-flips the snapshot —
@@ -7,7 +7,7 @@ and checks the full contract end to end:
 
 * ``fsck --dry-run`` sees every problem, exits 1, touches nothing;
 * ``fsck`` quarantines the corruption (with ``QuarantineRecord``
-  sidecars), removes the dangling prefix-index entry, exits 0;
+  sidecars), exits 0;
 * a second pass over the repaired store is clean;
 * the quarantined evidence is still on disk, not deleted.
 
@@ -31,7 +31,6 @@ sys.path.insert(0, str(REPO_ROOT))  # tests.* helper cells
 
 from repro.experiments.cli import fsck_cli  # noqa: E402
 from repro.runner import (  # noqa: E402
-    PrefixSpec,
     ResultCache,
     SnapshotStore,
     SweepRunner,
@@ -39,6 +38,8 @@ from repro.runner import (  # noqa: E402
     read_quarantine,
 )
 from repro.runner.warmstart import SNAPSHOT_SUBDIR  # noqa: E402
+from repro.snapshot import Snapshot  # noqa: E402
+from tests.resilience.helpers import build_stalled_world  # noqa: E402
 
 FAILURES: list[str] = []
 
@@ -70,13 +71,7 @@ def main() -> int:
         ]
     )
     store = SnapshotStore(cache_root / SNAPSHOT_SUBDIR)
-    digest = store.ensure_prefix(
-        PrefixSpec(
-            fn="tests.resilience.helpers:build_stalled_world",
-            args=("rr", 400, 0.5),
-            label="smoke prefix",
-        )
-    )
+    digest = store.put(Snapshot.capture(build_stalled_world(), label="smoke prefix"))
 
     # Vandalize: truncate one cache entry, bit-flip the snapshot.
     entry = next((cache_root / cache.fingerprint[:16]).glob("*.pkl"))

@@ -120,9 +120,9 @@ class SnapshotFormatError(SnapshotError):
 
     Distinguished from plain :class:`SnapshotError` so store-level
     policy can tell *foreign* (written by a build with a different
-    ``SNAPSHOT_FORMAT`` — valid, just not for us; degrade to
-    recompute and leave the file alone) from *corrupt*
+    ``SNAPSHOT_FORMAT`` — valid, just not for us; leave the file alone
+    and, for a warm grid cell, run its prefix cold) from *corrupt*
     (truncated/bit-flipped — quarantine it).  See
-    :meth:`repro.runner.warmstart.SnapshotStore.intact` and the
-    ``fsck`` command.
+    :meth:`repro.runner.warmstart.SnapshotStore.get` and the ``fsck``
+    command.
     """

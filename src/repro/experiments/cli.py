@@ -123,17 +123,16 @@ def fsck_cli(argv: List[str]) -> int:
     """``python -m repro.experiments fsck ...``: verify (and repair)
     the on-disk result cache and snapshot store.
 
-    Corrupt artifacts are quarantined, dangling prefix-index entries
-    removed; ``--dry-run`` reports without touching anything and
-    ``--rebuild`` additionally recomputes lost prefix snapshots from
-    their recorded specs (see docs/RESILIENCE.md).  Exits non-zero when
-    issues were found and left unrepaired.
+    Corrupt artifacts are quarantined and foreign ones counted and left
+    in place; ``--dry-run`` reports without touching anything (see
+    docs/RESILIENCE.md).  Exits non-zero when issues were found and
+    left unrepaired.
     """
     from repro.runner.fsck import fsck
 
     parser = argparse.ArgumentParser(
         prog="repro-experiments fsck",
-        description="Verify and self-heal the sweep result cache and"
+        description="Verify and repair the sweep result cache and"
         " snapshot store (see docs/RESILIENCE.md).",
     )
     parser.add_argument(
@@ -145,20 +144,12 @@ def fsck_cli(argv: List[str]) -> int:
     parser.add_argument(
         "--dry-run",
         action="store_true",
-        help="report issues without quarantining or removing anything",
-    )
-    parser.add_argument(
-        "--rebuild",
-        action="store_true",
-        help="also recompute missing/corrupt prefix snapshots from their"
-        " recorded prefix specs (writes to the store; with --dry-run it"
-        " only reports what it would rebuild)",
+        help="report issues without quarantining anything",
     )
     args = parser.parse_args(argv)
     report = fsck(
         cache_root=Path(args.cache_root) if args.cache_root else None,
         repair=not args.dry_run,
-        rebuild=args.rebuild,
     )
     print(report.summary())
     unrepaired = sum(

@@ -43,6 +43,7 @@ from repro.metrics.throughput import (
     loss_recovery_throughput,
 )
 from repro.net.loss import DeterministicLoss
+from repro.net.packet import set_uid_state
 from repro.net.topology import DumbbellParams
 from repro.runner.grid import GridCell, run_grid, step_until
 from repro.snapshot import Snapshot
@@ -113,6 +114,7 @@ def prefix_world(variant: str, config: Figure5Config) -> ScenarioResult:
     from this world (re-built cold, forked from one frozen copy warm)
     and reprograms the loss module with its own drops.
     """
+    set_uid_state(1)  # the capture is a function of the arguments alone
     scenario = build_dumbbell_scenario(
         flows=[FlowSpec(variant=variant, amount_packets=config.transfer_packets)],
         params=DumbbellParams(n_pairs=1, buffer_packets=config.buffer_packets),

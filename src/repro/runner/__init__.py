@@ -7,7 +7,9 @@ cells out over a process pool and/or replays them from an on-disk
 :class:`ResultCache` keyed by ``(task digest, code fingerprint)``.
 See docs/PERFORMANCE.md for the architecture and guarantees, and
 docs/RESILIENCE.md for the fault-tolerance layer (:class:`RetryPolicy`,
-task deadlines, quarantine, storage self-healing and ``fsck``).
+task deadlines, quarantine, storage integrity and ``fsck``).  Warm
+grids (:func:`run_grid` with ``warm_start``) hand each frozen prefix
+to their cells through a :class:`SnapshotStore`.
 """
 
 from repro._lazy import lazy_exports
@@ -25,7 +27,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "SweepStats",
             "TaskRecord",
             "default_jobs",
-            "run_tasks",
         ),
         "resilience": (
             "QUARANTINE_SUBDIR",
@@ -34,15 +35,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "read_quarantine",
         ),
         "spec": ("TaskSpec", "canonicalize", "resolve", "uncanonicalize"),
-        "warmstart": (
-            "PREFIX_INDEX_SUBDIR",
-            "PREFIX_META_SUBDIR",
-            "PrefixSpec",
-            "SNAPSHOT_SUBDIR",
-            "SnapshotStore",
-            "fetch_prefix",
-            "load_prefix",
-            "warm_specs",
-        ),
+        "warmstart": ("SNAPSHOT_SUBDIR", "SnapshotStore"),
     },
 )

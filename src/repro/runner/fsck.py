@@ -1,10 +1,10 @@
 """Storage fsck: sweep the result cache and snapshot store for rot.
 
 ``python -m repro.experiments fsck`` walks every on-disk artifact the
-sweep stack trusts — framed cache entries, snapshots and the prefix
-index — re-running the same integrity checks the read paths apply
-(checksum frames, snapshot header + payload verification) over the
-*whole* tree at once instead of lazily at first read.
+sweep stack trusts — framed cache entries and snapshots — re-running
+the same integrity checks the read paths apply (checksum frames,
+snapshot header + payload verification) over the *whole* tree at once
+instead of lazily at first read.
 
 Policy mirrors the read paths (docs/RESILIENCE.md):
 
@@ -12,25 +12,18 @@ Policy mirrors the read paths (docs/RESILIENCE.md):
   moved under ``<root>/quarantine/`` with a
   :class:`~repro.runner.resilience.QuarantineRecord` sidecar;
 * **foreign** (a format version this build does not speak, including
-  pre-framing raw-pickle cache entries and ``*.delta`` snapshot files
-  left by builds that stored forks as diffs) — left in place and
-  counted; mixed-version stores degrade to recompute, they are not an
-  error;
-* **dangling** (a prefix-index entry pointing at a missing/corrupt
-  snapshot) — the index file is removed so the next sweep recaptures;
-* with ``rebuild=True``, prefixes whose snapshot is gone but whose
-  recipe survives in the prefix-meta index are recomputed and put back
-  (:func:`~repro.runner.warmstart.load_prefix`'s healing path, run
-  eagerly).
+  pre-framing raw-pickle cache entries, and what older builds left in
+  the snapshot store: ``*.delta`` forks stored as diffs and the JSON
+  files of their ``prefix-index/`` and ``prefix-meta/`` directories) —
+  left in place and counted; mixed-version stores degrade to
+  recompute, they are not an error.
 
 ``repair=False`` is a true dry run: nothing on disk is touched, not
-even via the store's quarantine-on-read side effects, and with
-``rebuild=True`` the rebuildable prefixes are reported, not rebuilt.
+even via the store's quarantine-on-read side effects.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
@@ -38,13 +31,7 @@ from typing import List, Optional
 from repro.errors import SnapshotError, SnapshotFormatError
 from repro.runner.cache import ResultCache
 from repro.runner.resilience import QUARANTINE_SUBDIR, QuarantineRecord
-from repro.runner.warmstart import (
-    PREFIX_INDEX_SUBDIR,
-    PREFIX_META_SUBDIR,
-    SNAPSHOT_SUBDIR,
-    SnapshotStore,
-    load_prefix,
-)
+from repro.runner.warmstart import SNAPSHOT_SUBDIR, SnapshotStore
 from repro.snapshot import Snapshot
 
 
@@ -53,9 +40,9 @@ class FsckIssue:
     """One problem found (and possibly acted on) during a sweep."""
 
     path: str
-    kind: str      # cache-entry | snapshot | prefix-index | prefix
+    kind: str      # cache-entry | snapshot
     problem: str
-    action: str    # quarantined | removed | rebuilt | reported
+    action: str    # quarantined | reported
 
 
 @dataclass
@@ -69,7 +56,6 @@ class FsckReport:
     #: valid, left alone (recompute policy), but worth knowing about.
     foreign: int = 0
     repaired: int = 0
-    rebuilt: int = 0
     issues: List[FsckIssue] = field(default_factory=list)
 
     @property
@@ -80,8 +66,7 @@ class FsckReport:
         lines = [
             f"fsck {self.root}: {self.scanned} artifacts scanned, "
             f"{self.ok} ok, {self.foreign} foreign (left in place), "
-            f"{len(self.issues)} issue(s), {self.repaired} repaired, "
-            f"{self.rebuilt} rebuilt"
+            f"{len(self.issues)} issue(s), {self.repaired} repaired"
         ]
         for issue in self.issues:
             lines.append(
@@ -91,25 +76,7 @@ class FsckReport:
         return "\n".join(lines)
 
 
-def _digest_intact(store: SnapshotStore, digest: str) -> bool:
-    """Like :meth:`SnapshotStore.intact` but with **no side effects**
-    (the store method quarantines what it finds corrupt, which a dry
-    run must not)."""
-    path = store.path_for(digest)
-    if not path.exists():
-        return False
-    try:
-        Snapshot.verify_file(path)
-        return True
-    except SnapshotError:
-        return False
-
-
-def fsck(
-    cache_root: Optional[Path] = None,
-    repair: bool = True,
-    rebuild: bool = False,
-) -> FsckReport:
+def fsck(cache_root: Optional[Path] = None, repair: bool = True) -> FsckReport:
     """Sweep the cache + snapshot store under ``cache_root`` (default:
     the standard ``REPRO_CACHE_DIR`` root) and return a report."""
     cache = ResultCache(root=cache_root)
@@ -121,7 +88,7 @@ def fsck(
         report.issues.append(
             FsckIssue(path=str(path), kind=kind, problem=problem, action=action)
         )
-        if action in ("quarantined", "removed", "rebuilt"):
+        if action == "quarantined":
             report.repaired += 1
 
     def quarantine_cache_entry(path: Path, problem: str) -> str:
@@ -185,66 +152,11 @@ def fsck(
         else:
             report.ok += 1
 
-    # A ``.delta`` is a fork stored as a diff by an older build; this
-    # one stores every snapshot in full and cannot read it.
-    stray_deltas = len(list(store.root.glob("*.delta")))
-    report.scanned += stray_deltas
-    report.foreign += stray_deltas
-
-    # ---- prefix index -----------------------------------------------
-    index_root = store.root / PREFIX_INDEX_SUBDIR
-    if index_root.is_dir():
-        for index_file in sorted(index_root.glob("*/*.json")):
-            report.scanned += 1
-            problem = None
-            try:
-                entry = json.loads(index_file.read_text(encoding="utf-8"))
-                snapshot_digest = entry.get("snapshot", "")
-            except (OSError, json.JSONDecodeError) as error:
-                problem, snapshot_digest = f"unparseable: {error}", ""
-            if problem is None and not _digest_intact(store, snapshot_digest):
-                problem = (
-                    f"dangling (snapshot {snapshot_digest[:12]}… missing or"
-                    " corrupt)"
-                )
-            if problem is None:
-                report.ok += 1
-                continue
-            action = "reported"
-            if repair:
-                try:
-                    index_file.unlink()
-                    action = "removed"
-                except OSError:
-                    pass
-            issue(index_file, "prefix-index", problem, action)
-
-    # ---- prefix rebuild ---------------------------------------------
-    if rebuild:
-        meta_root = store.root / PREFIX_META_SUBDIR
-        for meta_file in sorted(meta_root.glob("*.json")) if meta_root.is_dir() else []:
-            digest = meta_file.stem
-            if _digest_intact(store, digest):
-                continue
-            if not repair:
-                issue(
-                    store.path_for(digest),
-                    "prefix",
-                    "snapshot is missing/corrupt; would rebuild from its recipe",
-                    "reported",
-                )
-                continue
-            try:
-                load_prefix(digest, store_root=store.root)
-            except SnapshotError as error:
-                issue(meta_file, "prefix", f"rebuild failed: {error}", "reported")
-                continue
-            report.rebuilt += 1
-            issue(
-                store.path_for(digest),
-                "prefix",
-                "snapshot was missing/corrupt; recomputed from its recipe",
-                "rebuilt",
-            )
+    # Files older builds left in the store and this one never reads:
+    # forks stored as diffs, and the prefix index with its recipes.
+    for pattern in ("*.delta", "prefix-index/*/*.json", "prefix-meta/*.json"):
+        legacy = len(list(store.root.glob(pattern)))
+        report.scanned += legacy
+        report.foreign += legacy
 
     return report

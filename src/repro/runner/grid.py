@@ -12,20 +12,25 @@ itself cold, a restore of the prefix's frozen snapshot warm.  Both
 yield the same world, so warm rows are bit-identical to cold rows by
 construction rather than by keeping two cell functions in step.
 
-:mod:`repro.runner.warmstart` (prefix specs, the snapshot store) is
-imported only when a caller asks for a warm start.  No CLI flag does:
-at paper size forking beats running cold on no grid and loses 1.2-1.5x
-on most (docs/PERFORMANCE.md "What warm start costs"), so the path is
-kept for library callers, the bit-identity suite and the benchmark
-probe; see docs/WARMSTART.md.
+A warm :func:`run_grid` call captures each distinct prefix once into a
+:class:`~repro.runner.warmstart.SnapshotStore` and hands its cells the
+snapshot digest; the snapshot serves that one call.  A cell whose
+snapshot is missing, corrupt or foreign runs the prefix cold, so a
+damaged store never fails or changes a warm sweep.
+:mod:`repro.runner.warmstart` is imported only when a caller asks for
+a warm start.  No CLI flag does: at paper size forking beats running
+cold on no grid and loses 1.2-1.5x on most (docs/PERFORMANCE.md "What
+warm start costs"), so the path is kept for library callers, the
+bit-identity suite and the benchmark probe; see docs/WARMSTART.md.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import SnapshotError
 from repro.runner.pool import SweepRunner
 from repro.runner.spec import TaskSpec, resolve
 
@@ -70,17 +75,20 @@ def run_grid_cell(
     """Task entry point of every grid cell, cold (``digest`` None) or
     warm.  ``fresh_world`` may be called once per replication; every
     call yields an independent world at the capture point."""
-    if digest is None:
-        fresh_world = partial(resolve(prefix_fn), *prefix_args)
-    else:
-        from repro.runner.warmstart import fetch_prefix
+    fresh_world = partial(resolve(prefix_fn), *prefix_args)
+    if digest is not None:
+        from repro.runner.warmstart import SnapshotStore
 
-        # fetch_prefix self-heals a missing/corrupt store entry from the
-        # prefix's recorded spec (docs/RESILIENCE.md).  verify=False: the
-        # store key IS the state digest taken at capture, and re-hashing
-        # the world per fork would eat the warm-start win; the grid tests
-        # assert the stronger property (warm rows == cold rows).
-        fresh_world = partial(fetch_prefix(digest, store_root).restore, verify=False)
+        # verify=False: the store key IS the state digest taken at
+        # capture, and re-hashing the world per fork would eat the
+        # warm-start win; the grid tests assert the stronger property
+        # (warm rows == cold rows).
+        try:
+            snapshot = SnapshotStore(store_root).get(digest)
+        except SnapshotError:
+            pass  # gone, corrupt (now quarantined) or foreign: run cold
+        else:
+            fresh_world = partial(snapshot.restore, verify=False)
     return resolve(finish_fn)(fresh_world, *finish_args)
 
 
@@ -93,28 +101,30 @@ def run_grid(
     """Run ``cells`` through one ``runner.map``; results in cell order.
 
     ``warm_start`` is tested for truth.  When true, every cell forks
-    its prefix's frozen snapshot: each distinct prefix is captured into
-    ``store`` at most once per code version (``store.prefix_captures``
-    / ``store.prefix_hits`` count the split), then the forks fan out
+    its prefix's frozen snapshot: this process runs each distinct
+    prefix once (cells with equal prefix function and arguments share
+    it) and puts the capture into ``store``, then the forks fan out
     over the runner like any sweep.
     """
     runner = runner or SweepRunner()
     if not warm_start:
         return runner.map([cell.spec() for cell in cells])
-    from repro.runner import warmstart
+    from repro.runner.warmstart import SnapshotStore
+    from repro.snapshot import Snapshot
 
-    store = store or warmstart.SnapshotStore()
+    store = store or SnapshotStore()
     store_root = str(store.root)
-    return runner.map(
-        warmstart.warm_specs(
-            cells,
-            lambda cell: warmstart.PrefixSpec(
-                cell.prefix_fn, cell.prefix_args, label=f"prefix of {cell.label}"
-            ),
-            lambda cell, digest: cell.spec(digest, store_root),
-            store,
-        )
-    )
+    digests: Dict[str, str] = {}
+    specs = []
+    for cell in cells:
+        key = TaskSpec(cell.prefix_fn, cell.prefix_args).digest()
+        if key not in digests:
+            world = resolve(cell.prefix_fn)(*cell.prefix_args)
+            digests[key] = store.put(
+                Snapshot.capture(world, label=f"prefix of {cell.label}")
+            )
+        specs.append(cell.spec(digests[key], store_root))
+    return runner.map(specs)
 
 
 def step_until(

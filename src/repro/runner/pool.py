@@ -61,11 +61,6 @@ from repro.runner.resilience import QuarantineRecord, RetryPolicy
 from repro.runner.spec import TaskSpec
 
 
-def _execute(spec: TaskSpec) -> Any:
-    """Bare worker entry point (module-level, hence picklable)."""
-    return spec.run()
-
-
 def _execute_task(spec: TaskSpec, index: int, profile_dir: Optional[str]) -> Any:
     """Worker entry point: run one cell, timing it (and optionally
     profiling it into ``profile_dir``).  Returns ``(value, seconds)``."""
@@ -555,19 +550,3 @@ class SweepRunner:
                         kill_workers()
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-
-
-def run_tasks(
-    specs: Sequence[TaskSpec],
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    task_timeout: Optional[float] = None,
-) -> List[Any]:
-    """One-shot convenience wrapper around :class:`SweepRunner`."""
-    return SweepRunner(
-        jobs=jobs,
-        cache=cache,
-        retry_policy=retry_policy,
-        task_timeout=task_timeout,
-    ).map(specs)

@@ -116,10 +116,10 @@ class QuarantineRecord:
     """One poisoned artifact, written out instead of wedging a sweep.
 
     ``kind`` is ``"task"`` for a quarantined sweep cell, or
-    ``"cache-entry"`` / ``"snapshot"`` / ``"prefix-index"`` for storage
-    entries quarantined by the integrity layer (corrupt reads,
-    ``fsck``).  ``errors`` carries one traceback/description per failed
-    attempt, oldest first.
+    ``"cache-entry"`` / ``"snapshot"`` for storage entries quarantined
+    by the integrity layer (corrupt reads, ``fsck``).  ``errors``
+    carries one traceback/description per failed attempt, oldest
+    first.
     """
 
     digest: str

@@ -79,9 +79,7 @@ def uncanonicalize(value: Any) -> Any:
     name), ``__set__`` tags become sets, and JSON arrays come back as
     lists (tuples canonicalize to the same JSON, so the round-tripped
     value has the same digest even when the original held tuples).
-    Used by the storage self-healing path to re-run a prefix spec whose
-    snapshot went missing or corrupt — see
-    :func:`repro.runner.warmstart.load_prefix`.
+    Used by :mod:`repro.scenes.spec` to rebuild a stored scene spec.
     """
     if isinstance(value, dict):
         if "__dataclass__" in value and "fields" in value:
@@ -160,40 +158,6 @@ class TaskSpec:
     def digest(self) -> str:
         """Stable SHA-256 content address of the call."""
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
-
-    @classmethod
-    def from_canonical(cls, text: str, label: str = "") -> "TaskSpec":
-        """Rebuild a spec from its :meth:`canonical` JSON encoding.
-
-        Round-trip safe: the rebuilt spec's :meth:`canonical` equals
-        ``text`` (tuples come back as lists, which canonicalize
-        identically), so its digest — and therefore its cache and
-        prefix-index identity — is unchanged.  Raises
-        :class:`~repro.errors.ConfigurationError` when the encoding
-        does not parse or names an unimportable dataclass.
-        """
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"canonical task spec does not parse as JSON: {exc}"
-            ) from exc
-        if not isinstance(payload, dict) or "fn" not in payload:
-            raise ConfigurationError(
-                "canonical task spec must be an object with an 'fn' key"
-            )
-        spec = cls(
-            fn=payload["fn"],
-            args=tuple(uncanonicalize(payload.get("args", []) or [])),
-            kwargs=uncanonicalize(payload.get("kwargs", {}) or {}),
-            label=label,
-        )
-        if spec.canonical() != text:
-            raise ConfigurationError(
-                "canonical task spec did not round-trip — the encoding "
-                "drifted or the file was edited by hand"
-            )
-        return spec
 
     def run(self) -> Any:
         """Execute the cell in the current process."""

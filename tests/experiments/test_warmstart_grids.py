@@ -1,7 +1,9 @@
 """Every sweep harness with independent cells, one table: rows are
 bit-identical serial and parallel, and — for the five grids whose cells
 are :class:`repro.runner.grid.GridCell` prefix/finish pairs — cold,
-warm and replayed from the prefix index.
+warm, warm again over the same store, and warm from a store whose
+prefix snapshot was deleted, bit-flipped or replaced by a foreign
+format before the forks ran.
 
 ``manyflow`` and ``rivals`` run plain cached tasks (every cell's
 warm-up is its own), so they take part in the cold checks only; that
@@ -12,6 +14,7 @@ tests/scenes/test_scene_determinism.py.
 
 import copy
 import functools
+import json
 from typing import Any, Callable, NamedTuple, Optional
 
 import pytest
@@ -23,7 +26,8 @@ from repro.experiments.figure7 import Figure7Config, run_figure7
 from repro.experiments.manyflow import ManyflowConfig, run_manyflow
 from repro.experiments.rivals import RivalsConfig, run_rivals
 from repro.experiments.table5 import Table5Config, run_table5
-from repro.runner import SnapshotStore, SweepRunner
+from repro.runner import SnapshotStore, SweepObserver, SweepRunner, read_quarantine
+from repro.snapshot.core import SNAPSHOT_FORMAT
 
 
 class Grid(NamedTuple):
@@ -118,17 +122,22 @@ def cold_rows(name):
     return run(name, runner=SweepRunner())
 
 
+def snapshots(store):
+    return sorted(store.root.glob("*.snap"))
+
+
 @each_warm_grid
 def test_warm_matches_cold(tmp_path, name):
     prefixes = GRIDS[name].prefixes
     store = SnapshotStore(tmp_path / "snaps")
     warm = run(name, runner=SweepRunner(), warm_start=True, store=store)
     assert warm == cold_rows(name)
-    assert (store.prefix_captures, store.prefix_hits) == (prefixes, 0)
-    # Replay through the prefix index (no recapture) stays identical.
-    replay = run(name, runner=SweepRunner(), warm_start=True, store=store)
-    assert replay == cold_rows(name)
-    assert (store.prefix_captures, store.prefix_hits) == (prefixes, prefixes)
+    assert len(snapshots(store)) == prefixes
+    # A second pass over the same store captures again (into the same
+    # content-addressed files) and stays identical.
+    again = run(name, runner=SweepRunner(), warm_start=True, store=store)
+    assert again == cold_rows(name)
+    assert len(snapshots(store)) == prefixes
 
 
 def test_warm_start_is_tested_for_truth(tmp_path):
@@ -137,7 +146,7 @@ def test_warm_start_is_tested_for_truth(tmp_path):
     store = SnapshotStore(tmp_path / "snaps")
     warm = run("figure5", runner=SweepRunner(), warm_start="force", store=store)
     assert warm == cold_rows("figure5")
-    assert store.prefix_captures == GRIDS["figure5"].prefixes
+    assert len(snapshots(store)) == GRIDS["figure5"].prefixes
 
 
 @each_grid
@@ -145,9 +154,58 @@ def test_parallel_matches_serial(tmp_path, name):
     assert run(name, runner=SweepRunner(jobs=2)) == cold_rows(name)
     if GRIDS[name].prefixes is None:
         return
-    # The first warm pass captures in the coordinator and forks from
-    # two workers at once; the second forks the stored prefixes.
+    # Each warm pass captures in the coordinator and forks from two
+    # workers at once; the second finds its captures already stored.
     store = SnapshotStore(tmp_path / "snaps")
     for _ in range(2):
         warm = run(name, runner=SweepRunner(jobs=2), warm_start=True, store=store)
         assert warm == cold_rows(name)
+
+
+def _damage(path, how):
+    if how == "deleted":
+        path.unlink()
+        return
+    header, payload = path.read_bytes().split(b"\n", 1)
+    if how == "bit-flipped":
+        flipped = bytearray(payload)
+        flipped[len(flipped) // 2] ^= 0xFF
+        payload = bytes(flipped)
+    else:  # foreign: valid, but written by another format version
+        fields = json.loads(header)
+        fields["format"] = SNAPSHOT_FORMAT + 1
+        header = json.dumps(fields, sort_keys=True).encode()
+    path.write_bytes(header + b"\n" + payload)
+
+
+class DamageFirstPrefix(SweepObserver):
+    """Damages the first captured prefix snapshot once ``run_grid`` has
+    stored every capture and before any fork reads one."""
+
+    def __init__(self, store, how):
+        self.store, self.how, self.path = store, how, None
+
+    def sweep_started(self, total, jobs):
+        path = snapshots(self.store)[0]
+        _damage(path, self.how)
+        self.path = path  # set only once the damage is done
+
+
+@pytest.mark.parametrize("how", ["deleted", "bit-flipped", "foreign"])
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", ["figure5", "table5"])
+def test_damaged_prefix_runs_cold(tmp_path, name, jobs, how):
+    store = SnapshotStore(tmp_path / "snaps")
+    damage = DamageFirstPrefix(store, how)
+    runner = SweepRunner(jobs=jobs, observer=damage)
+    assert run(name, runner=runner, warm_start=True, store=store) == cold_rows(name)
+    assert runner.stats.failed == 0
+    quarantined = store.quarantine_dir / damage.path.name
+    if how == "bit-flipped":
+        assert quarantined.exists() and not damage.path.exists()
+        assert {r.kind for r in read_quarantine(store.quarantine_dir)} == {"snapshot"}
+    else:
+        # A deleted file stays gone, a foreign one stays put; neither
+        # is quarantined.
+        assert damage.path.exists() == (how == "foreign")
+        assert not quarantined.exists()

@@ -129,14 +129,14 @@ def watchdog_cell_from_snapshot(
     """Warm path: restore the stalled prefix and re-arm the watchdog.
     With a ``sentinel``, the first attempt fails before restoring, so a
     retry exercises restore-under-retry."""
-    from repro.runner.warmstart import load_prefix
+    from repro.runner.warmstart import SnapshotStore
 
     if sentinel:
         path = Path(sentinel)
         if not path.exists():
             path.write_text("tried", encoding="utf-8")
             raise RuntimeError("injected failure before restore")
-    return watchdog_metrics(load_prefix(digest, store_root))
+    return watchdog_metrics(SnapshotStore(store_root).get(digest).restore())
 
 
 def unpicklable_result_cell() -> object:

@@ -5,7 +5,6 @@ import pickle
 
 from repro.experiments.cli import fsck_cli
 from repro.runner import (
-    PrefixSpec,
     ResultCache,
     SnapshotStore,
     SweepRunner,
@@ -14,6 +13,9 @@ from repro.runner import (
     read_quarantine,
 )
 from repro.runner.warmstart import SNAPSHOT_SUBDIR
+from repro.snapshot import Snapshot
+
+from tests.resilience.helpers import build_stalled_world
 
 
 def _spec(variant):
@@ -22,20 +24,12 @@ def _spec(variant):
     )
 
 
-def _prefix_spec(variant="rr"):
-    return PrefixSpec(
-        fn="tests.resilience.helpers:build_stalled_world",
-        args=(variant, 400, 0.5),
-        label=f"stalled prefix {variant}",
-    )
-
-
 def _populate(root):
     """A small real store: two cache entries + one prefix snapshot."""
     cache = ResultCache(root=root)
     SweepRunner(cache=cache).map([_spec("reno"), _spec("rr")])
     store = SnapshotStore(root / SNAPSHOT_SUBDIR)
-    digest = store.ensure_prefix(_prefix_spec())
+    digest = store.put(Snapshot.capture(build_stalled_world()))
     return cache, store, digest
 
 
@@ -43,7 +37,7 @@ def test_clean_store_reports_clean(tmp_path):
     _populate(tmp_path / "cache")
     report = fsck(cache_root=tmp_path / "cache")
     assert report.clean
-    assert report.scanned >= 4  # 2 cache entries + 1 snap + 1 index entry
+    assert report.scanned == 3  # 2 cache entries + 1 snap
     assert report.ok == report.scanned
     assert "0 issue(s)" in report.summary()
 
@@ -65,7 +59,7 @@ def test_dry_run_reports_but_touches_nothing(tmp_path):
     assert read_quarantine(cache.quarantine_dir) == []
 
 
-def test_repair_quarantines_corruption_and_removes_dangling_index(tmp_path):
+def test_repair_quarantines_corruption(tmp_path):
     cache, store, digest = _populate(tmp_path / "cache")
     store.path_for(digest).write_bytes(b"garbage")
     entry = next((cache.root / cache.fingerprint[:16]).glob("*.pkl"))
@@ -77,10 +71,7 @@ def test_repair_quarantines_corruption_and_removes_dangling_index(tmp_path):
     kinds = {(i.kind, i.action) for i in report.issues}
     assert ("cache-entry", "quarantined") in kinds
     assert ("snapshot", "quarantined") in kinds
-    # The prefix-index entry pointing at the quarantined snapshot is
-    # dangling now and must be removed so the next sweep recaptures.
-    assert ("prefix-index", "removed") in kinds
-    assert report.repaired == len(report.issues) == 3
+    assert report.repaired == len(report.issues) == 2
     assert not entry.exists()
     assert not store.path_for(digest).exists()
 
@@ -116,18 +107,6 @@ def test_stray_delta_is_foreign_not_quarantined(tmp_path):
     assert read_quarantine(store.quarantine_dir) == []
 
 
-def test_rebuild_recomputes_prefix_from_meta(tmp_path):
-    root = tmp_path / "cache"
-    _, store, digest = _populate(root)
-    store.path_for(digest).write_bytes(b"garbage")
-
-    report = fsck(cache_root=root, rebuild=True)
-    assert report.rebuilt == 1
-    assert any(i.kind == "prefix" and i.action == "rebuilt" for i in report.issues)
-    # The healed snapshot round-trips: same digest, intact again.
-    assert store.intact(digest)
-
-
 def _tree(root):
     return {
         str(path.relative_to(root)): path.read_bytes()
@@ -136,24 +115,24 @@ def _tree(root):
     }
 
 
-def test_dry_run_rebuild_reports_without_writing(tmp_path, capsys):
+def test_prefix_index_left_by_older_builds_is_foreign(tmp_path, capsys):
+    # Older builds kept a JSON prefix index and recipe files beside the
+    # snapshots; this one never reads them (count them, leave them).
     root = tmp_path / "cache"
     _, store, digest = _populate(root)
-    store.path_for(digest).unlink()
+    index = store.root / "prefix-index" / ("0f" * 8) / ("e1" * 32 + ".json")
+    meta = store.root / "prefix-meta" / f"{digest}.json"
+    for path in (index, meta):
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({"snapshot": digest, "spec": "{}"}))
     before = _tree(root)
 
-    report = fsck(cache_root=root, repair=False, rebuild=True)
+    report = fsck(cache_root=root)
+    assert report.clean
+    assert report.foreign == 2 and report.scanned == 5
+    assert fsck_cli(["--cache-root", str(root)]) == 0
+    capsys.readouterr()
     assert _tree(root) == before
-    assert report.rebuilt == report.repaired == 0
-    (prefix,) = [i for i in report.issues if i.kind == "prefix"]
-    assert prefix.action == "reported" and "would rebuild" in prefix.problem
-
-    assert fsck_cli(["--cache-root", str(root), "--dry-run", "--rebuild"]) == 1
-    assert _tree(root) == before
-    assert "0 repaired, 0 rebuilt" in capsys.readouterr().out
-    # Without --dry-run the same sweep does the rebuild.
-    assert fsck(cache_root=root, rebuild=True).rebuilt == 1
-    assert store.intact(digest)
 
 
 class TestFsckCli:

@@ -6,15 +6,9 @@ stall clock, the trip report, and the invariant monitors all survive
 the checkpoint/restore/retry cycle.
 """
 
-from repro.runner import (
-    PrefixSpec,
-    RetryPolicy,
-    SnapshotStore,
-    SweepRunner,
-    TaskSpec,
-    load_prefix,
-)
+from repro.runner import RetryPolicy, SnapshotStore, SweepRunner, TaskSpec
 from repro.sim.invariants import InvariantSuite
+from repro.snapshot import Snapshot
 
 from tests.resilience.helpers import (
     build_stalled_world,
@@ -23,12 +17,8 @@ from tests.resilience.helpers import (
 )
 
 
-def _prefix_spec():
-    return PrefixSpec(
-        fn="tests.resilience.helpers:build_stalled_world",
-        args=("rr", 400, 0.5),
-        label="stalled prefix rr",
-    )
+def _put_prefix(store):
+    return store.put(Snapshot.capture(build_stalled_world(), label="stalled prefix rr"))
 
 
 def _warm_spec(digest, store_root, sentinel=""):
@@ -41,7 +31,7 @@ def _warm_spec(digest, store_root, sentinel=""):
 
 def test_watchdog_trips_identically_cold_vs_restored(tmp_path):
     store = SnapshotStore(tmp_path / "snaps")
-    digest = store.ensure_prefix(_prefix_spec())
+    digest = _put_prefix(store)
 
     cold = watchdog_cell_cold()
     warm = SweepRunner().map([_warm_spec(digest, store.root)])[0]
@@ -56,7 +46,7 @@ def test_watchdog_after_restore_under_retry_matches_cold(tmp_path):
     # The first attempt dies *before* restoring; the retry restores and
     # arms the watchdog — state must still match the cold run exactly.
     store = SnapshotStore(tmp_path / "snaps")
-    digest = store.ensure_prefix(_prefix_spec())
+    digest = _put_prefix(store)
     sentinel = tmp_path / "retry.sentinel"
 
     runner = SweepRunner(retry_policy=RetryPolicy(max_retries=1, base_delay=0.01))
@@ -67,13 +57,13 @@ def test_watchdog_after_restore_under_retry_matches_cold(tmp_path):
 
 def test_invariant_monitors_see_identical_streams_cold_vs_restored(tmp_path):
     store = SnapshotStore(tmp_path / "snaps")
-    digest = store.ensure_prefix(_prefix_spec())
+    digest = _put_prefix(store)
 
     cold_world = build_stalled_world()
     cold_suite = InvariantSuite.standard().install(cold_world.dumbbell.net.trace)
     cold = watchdog_metrics(cold_world)
 
-    warm_world = load_prefix(digest, store.root)
+    warm_world = store.get(digest).restore()
     warm_suite = InvariantSuite.standard().install(warm_world.dumbbell.net.trace)
     warm = watchdog_metrics(warm_world)
 

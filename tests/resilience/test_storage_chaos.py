@@ -1,10 +1,11 @@
-"""Storage chaos: truncation, bit-flips, foreign formats, self-healing.
+"""Storage chaos: truncation, bit-flips, foreign formats.
 
 Every corruption is injected on disk, then the read path is exercised:
 corrupt entries must be quarantined (moved aside with a structured
-record, never deleted, never returned), foreign-format files must be
-left in place and degraded to recompute, and prefixes must self-heal
-from the ``prefix-meta`` reverse index.
+record, never deleted, never returned) and foreign-format files must be
+left in place and degraded to recompute.  What a damaged prefix
+snapshot does to a warm grid is covered in
+tests/experiments/test_warmstart_grids.py.
 """
 
 import os
@@ -14,17 +15,17 @@ import pytest
 
 from repro.errors import SnapshotError, SnapshotFormatError
 from repro.runner import (
-    PrefixSpec,
     ResultCache,
     SnapshotStore,
     SweepRunner,
     TaskSpec,
-    load_prefix,
     read_quarantine,
 )
 from repro.runner.cache import CACHE_MAGIC, frame_entry
 from repro.runner.pool import SweepObserver
-from repro.snapshot.core import SNAPSHOT_FORMAT
+from repro.snapshot.core import SNAPSHOT_FORMAT, Snapshot
+
+from tests.resilience.helpers import build_stalled_world
 
 
 def _spec(fn, *args, label=""):
@@ -33,14 +34,6 @@ def _spec(fn, *args, label=""):
 
 def _entry_path(cache, spec):
     return cache.root / cache.fingerprint[:16] / f"{spec.digest()}.pkl"
-
-
-def _prefix_spec(variant="rr"):
-    return PrefixSpec(
-        fn="tests.resilience.helpers:build_stalled_world",
-        args=(variant, 400, 0.5),
-        label=f"stalled prefix {variant}",
-    )
 
 
 class TestCacheChaos:
@@ -164,7 +157,7 @@ class TestStoreFailureChaos:
 class TestSnapshotChaos:
     def test_corrupt_snapshot_quarantined_on_get(self, tmp_path):
         store = SnapshotStore(tmp_path / "snaps")
-        digest = store.ensure_prefix(_prefix_spec())
+        digest = store.put(Snapshot.capture(build_stalled_world()))
         path = store.path_for(digest)
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0xFF
@@ -194,19 +187,8 @@ class TestSnapshotChaos:
             store.get(digest)
         assert read_quarantine(store.quarantine_dir) == []
 
-    def test_lookup_prefix_misses_on_corrupt_snapshot(self, tmp_path):
-        store = SnapshotStore(tmp_path / "snaps")
-        spec = _prefix_spec()
-        digest = store.ensure_prefix(spec)
-        assert store.lookup_prefix(spec) == digest
-        store.path_for(digest).write_bytes(b"garbage")
-        assert store.lookup_prefix(spec) is None  # miss → recapture path
-
     def test_corrupt_triage_fork_is_quarantined_on_read(self, tmp_path):
         from repro.faults import triage_crash
-        from repro.snapshot.core import Snapshot
-
-        from tests.resilience.helpers import build_stalled_world
 
         store = SnapshotStore(tmp_path / "snaps")
         crash = Snapshot.capture(build_stalled_world(), label="crash point")
@@ -227,45 +209,3 @@ class TestSnapshotChaos:
         assert store.intact(crash.digest)
         assert store.intact(result.with_fault_digest)
 
-
-class TestPrefixSelfHealing:
-    def test_load_prefix_heals_from_prefix_meta(self, tmp_path):
-        store = SnapshotStore(tmp_path / "snaps")
-        spec = _prefix_spec()
-        digest = store.ensure_prefix(spec)
-
-        healthy = load_prefix(digest, store.root)
-        baseline = (healthy.sim.now, healthy.sim.events_processed)
-
-        # Corrupt the stored snapshot, then load again: fetch_prefix
-        # must recompute from the recorded PrefixSpec, verify the digest
-        # matches, re-store, and hand back a working world.
-        store.path_for(digest).write_bytes(b"garbage")
-        healed = load_prefix(digest, store.root)
-        assert (healed.sim.now, healed.sim.events_processed) == baseline
-        assert store.intact(digest)  # the store itself was repaired
-
-    def test_heal_refuses_a_drifted_recompute(self, tmp_path, monkeypatch):
-        store = SnapshotStore(tmp_path / "snaps")
-        spec = _prefix_spec()
-        digest = store.ensure_prefix(spec)
-        store.path_for(digest).write_bytes(b"garbage")
-        # Poison the recorded spec so the recompute cannot match.
-        meta_path = store._prefix_meta_path(digest)
-        import json
-
-        payload = json.loads(meta_path.read_text())
-        drifted = _prefix_spec(variant="reno")
-        payload["spec"] = drifted.canonical()
-        meta_path.write_text(json.dumps(payload))
-        with pytest.raises(SnapshotError, match="drifted"):
-            load_prefix(digest, store.root)
-
-    def test_missing_meta_raises_the_original_error(self, tmp_path):
-        store = SnapshotStore(tmp_path / "snaps")
-        spec = _prefix_spec()
-        digest = store.ensure_prefix(spec)
-        store.path_for(digest).write_bytes(b"garbage")
-        store._prefix_meta_path(digest).unlink()
-        with pytest.raises(SnapshotError):
-            load_prefix(digest, store.root)

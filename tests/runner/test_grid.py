@@ -7,6 +7,8 @@ import pytest
 from repro.experiments.table5 import Table5Config, run_table5
 from repro.runner import GridCell, SnapshotStore, SweepObserver, SweepRunner, run_grid
 
+from tests.runner import helpers
+
 PREFIX_UNTIL, FINISH_UNTIL = 1.0, 3.0
 
 
@@ -45,19 +47,30 @@ def test_fresh_world_yields_independent_worlds(tmp_path, warm_start):
     assert results == run_grid(cells())  # ... and equal the cold rows
 
 
-def test_warm_start_captures_each_distinct_prefix_once(tmp_path):
+def test_warm_start_captures_each_distinct_prefix_once(tmp_path, monkeypatch):
+    prefixes_run, toy_prefix = [], helpers.toy_prefix
+
+    def counting_prefix(*args):
+        prefixes_run.append(args)
+        return toy_prefix(*args)
+
     store = SnapshotStore(tmp_path / "snaps")
     observer = QueuedSpecs()
     grid = cells(finishes=(2.0, 3.0, 4.0))  # two variants x three finishes
-    results = run_grid(grid, SweepRunner(observer=observer), True, store)
-    assert (store.prefix_captures, store.prefix_hits) == (2, 0)
-    # The captures ran in the coordinator: only the forks were mapped.
-    assert [spec.label for spec in observer.specs] == [
-        f"{cell.label} (warm)" for cell in grid
-    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(helpers, "toy_prefix", counting_prefix)
+        results = run_grid(grid, SweepRunner(observer=observer), True, store)
+        assert len(prefixes_run) == len(list(store.root.glob("*.snap"))) == 2
+        # The captures ran in the coordinator: only the forks were mapped.
+        assert [spec.label for spec in observer.specs] == [
+            f"{cell.label} (warm)" for cell in grid
+        ]
+        # A second call captures again, into the same content-addressed
+        # files.
+        assert run_grid(grid, None, True, store) == results
+        assert len(prefixes_run) == 4
+        assert len(list(store.root.glob("*.snap"))) == 2
     assert results == run_grid(grid)
-    assert run_grid(grid, None, True, store) == results
-    assert (store.prefix_captures, store.prefix_hits) == (2, 2)
 
 
 @pytest.mark.parametrize("warm_start", [False, True])

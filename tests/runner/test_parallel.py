@@ -11,7 +11,7 @@ import dataclasses
 
 from repro.experiments.chaos import ChaosConfig, run_chaos
 from repro.experiments.figure5 import Figure5Config, run_figure5
-from repro.runner import ResultCache, SweepRunner, TaskSpec, run_tasks
+from repro.runner import ResultCache, SweepRunner, TaskSpec
 
 
 def quick_fig5():
@@ -66,7 +66,7 @@ class TestParallelDeterminism:
             TaskSpec(fn="repro.models.mathis:mathis_window", args=(p,))
             for p in (0.05, 0.01, 0.2, 0.001)
         ]
-        assert run_tasks(specs, jobs=4) == [spec.run() for spec in specs]
+        assert SweepRunner(jobs=4).map(specs) == [spec.run() for spec in specs]
 
 
 class TestCacheReplay:

@@ -1,31 +1,12 @@
-"""The warm-start contract: prefix specs, the prefix index, the
-snapshot store's one file format."""
+"""The snapshot store's one file format and the prefix builder's
+stepping loop."""
 
 import pytest
 
 from repro.errors import SnapshotError
-from repro.runner import PrefixSpec, SnapshotStore, fetch_prefix, step_until, warm_specs
-from repro.runner.spec import TaskSpec
+from repro.runner import SnapshotStore, step_until
 from repro.snapshot import Snapshot
 from repro.snapshot.golden import build_golden_scenario
-
-
-class CountingPrefix(PrefixSpec):
-    """Counts how many times any instance actually simulates."""
-
-    captures = 0
-
-    def capture(self, label=""):
-        type(self).captures += 1
-        return super().capture(label)
-
-
-def _prefix(variant="reno"):
-    return CountingPrefix(
-        fn="repro.snapshot.golden:build_golden_scenario",
-        args=(variant,),
-        label=f"golden prefix {variant}",
-    )
 
 
 def _snapshot(variant="reno", until=1.0):
@@ -45,69 +26,6 @@ class TestStepUntil:
         world = build_golden_scenario("reno")
         assert not step_until(world.sim, lambda: False, step=0.5, deadline=2.0)
         assert world.sim.now >= 2.0
-
-
-class TestEnsurePrefix:
-    def test_captures_once_per_spec(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        before = CountingPrefix.captures
-        first = store.ensure_prefix(_prefix(), fingerprint="a" * 64)
-        second = store.ensure_prefix(_prefix(), fingerprint="a" * 64)
-        assert first == second
-        assert CountingPrefix.captures == before + 1
-        assert store.contains(first)
-
-    def test_recaptures_under_a_new_fingerprint(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        before = CountingPrefix.captures
-        store.ensure_prefix(_prefix(), fingerprint="a" * 64)
-        store.ensure_prefix(_prefix(), fingerprint="b" * 64)
-        assert CountingPrefix.captures == before + 2
-
-    def test_stale_index_entry_recaptures(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        digest = store.ensure_prefix(_prefix(), fingerprint="a" * 64)
-        store.path_for(digest).unlink()
-        again = store.ensure_prefix(_prefix(), fingerprint="a" * 64)
-        assert again == digest
-        assert store.contains(digest)
-
-
-class TestWarmSpecs:
-    def _warm(self, store):
-        return warm_specs(
-            [("reno", 1), ("reno", 2), ("sack", 1)],
-            prefix_for=lambda cell: _prefix(cell[0]),
-            spec_for=lambda cell, digest: TaskSpec(
-                fn="repro.models.mathis:mathis_window",
-                args=(0.02,),
-                kwargs={"digest": digest, "cell": cell},
-            ),
-            store=store,
-            fingerprint="a" * 64,
-        )
-
-    def test_cells_share_prefix_captures(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        before = CountingPrefix.captures
-        specs = self._warm(store)
-        assert CountingPrefix.captures == before + 2  # one per variant
-        assert len(specs) == 3
-        digests = [spec.kwargs["digest"] for spec in specs]
-        assert digests[0] == digests[1] != digests[2]
-        assert all(store.contains(d) for d in digests)
-        assert (store.prefix_captures, store.prefix_hits) == (2, 0)
-
-    def test_second_pass_hits_the_prefix_index(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        first = self._warm(store)
-        before = CountingPrefix.captures
-        again = self._warm(store)
-        assert CountingPrefix.captures == before
-        assert (store.prefix_captures, store.prefix_hits) == (2, 2)
-        assert [s.kwargs["digest"] for s in again] == [
-            s.kwargs["digest"] for s in first
-        ]
 
 
 class TestStrayDelta:
@@ -144,13 +62,3 @@ class TestStrayDelta:
         assert store.get(fork.digest).payload == fork.payload
         assert store.info(fork.digest) == fork.info
         assert stray.exists()
-
-    def test_fetch_prefix_recomputes_past_a_lone_delta(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        digest = store.ensure_prefix(_prefix(), fingerprint="a" * 64)
-        payload = store.get(digest).payload
-        store.path_for(digest).unlink()
-        self._lone_delta(store, digest)
-        healed = fetch_prefix(digest, store.root)  # from the recorded recipe
-        assert healed.digest == digest and healed.payload == payload
-        assert store.path_for(digest).exists() and store.intact(digest)

@@ -1,5 +1,6 @@
-"""The docs gate's CLI-flag check (scripts/check_docs.py): a page may
-only advertise options the parser it addresses really has."""
+"""The docs gate (scripts/check_docs.py): a page may only advertise
+options the parser it addresses really has, and only name ``repro.*``
+objects that exist."""
 
 import importlib.util
 from pathlib import Path
@@ -16,7 +17,7 @@ repro.experiments fig7 [--quick] [--cache|--no-cache]` or see `--not-a-cli-flag`
 ```bash
 PYTHONPATH=src python -m repro.experiments identify --grid both \\
     --jobs 4 | tail -3 --lines
-python -m repro.experiments fsck --dry-run       # report only --rebuild
+python -m repro.experiments fsck --dry-run       # report only --not-checked
 python -m repro.experiments snapshot capture rr --checkpoint-at 6 --out rr.snap
 python -m repro.experiments snapshot <verb> --anything
 ```
@@ -44,3 +45,22 @@ def test_a_removed_flag_is_reported_where_it_is_advertised():
         "page:1: 'python -m repro.experiments' has no --no-such-flag",
         "page:7: 'python -m repro.experiments fsck' has no --jobs",
     ]
+
+
+def _names(text):
+    return check_docs.check_dotted_names(check_docs.REPO_ROOT / "page.md", text)
+
+
+def test_dotted_names_resolve_through_modules_and_attributes():
+    page = (
+        "`repro.tcp.rightedge.LinKungSender`, `repro.runner.grid:run_grid_cell`,\n"
+        "`repro.sim._engine_core` (built or not) and `repro.runner.SnapshotStore`.\n"
+        "```\n`repro.not.checked.inside.a.fence`\n```\n"
+    )
+    assert _names(page) == ([], 4)
+
+
+def test_a_dangling_dotted_name_is_reported():
+    problems, checked = _names("Lin-Kung lives in\n`repro.tcp.linkung`.\n")
+    assert checked == 1
+    assert problems == ["page.md:2: `repro.tcp.linkung` does not resolve"]

@@ -144,18 +144,15 @@ SEED_SURFACE = {
         # from repro.runner.warmstart).
         "repro.runner.grid": "GridCell run_grid step_until",
         "repro.runner.pool": (
-            "SweepObserver SweepRunner SweepStats TaskRecord default_jobs run_tasks "
+            "SweepObserver SweepRunner SweepStats TaskRecord default_jobs "
         ),
         "repro.runner.resilience": (
             "QUARANTINE_SUBDIR QuarantineRecord RetryPolicy read_quarantine "
         ),
         "repro.runner.spec": "TaskSpec canonicalize resolve uncanonicalize",
-        # The two cost-model names left with the model: warm_start is
-        # a plain boolean, there is nothing to decide.
-        "repro.runner.warmstart": (
-            "PREFIX_INDEX_SUBDIR PREFIX_META_SUBDIR PrefixSpec SNAPSHOT_SUBDIR "
-            "SnapshotStore fetch_prefix load_prefix warm_specs "
-        ),
+        # The cost model, the prefix index and its self-healing readers
+        # are gone: the store is a hand-off within one warm run_grid call.
+        "repro.runner.warmstart": "SNAPSHOT_SUBDIR SnapshotStore",
     },
     "repro.snapshot": {
         "repro.snapshot.core": "SNAPSHOT_FORMAT Snapshot SnapshotInfo",
