@@ -1,10 +1,14 @@
 """Setup shim.
 
 Metadata lives in pyproject.toml; this file adds the *optional*
-compiled engine core (``repro.sim._engine_core``).  The extension is
-a pure accelerator — ``repro.sim.engine`` falls back to its pure-python
-dispatch loop whenever the module is missing — so a failed build must
-never fail the install.  Build it explicitly with:
+compiled engine core (``repro.sim._engine_core``: the event heap and
+dispatch loop, and the DropTail link hop that ``repro.net.node``
+installs).  The extension is a pure accelerator — the engine and the
+links fall back to their pure-python code whenever the module is
+missing — so a failed build must never fail the install.  It is built
+at ``-O2``: the build is most of the benchmark's ``setup_s``, and
+``-O3`` takes the compiler 13 % longer for run times within 0.5 %
+(docs/PERFORMANCE.md, "The compiled hop").  Build it explicitly with:
 
     python setup.py build_ext --inplace
 
@@ -47,6 +51,7 @@ setup(
             "repro.sim._engine_core",
             sources=["src/repro/sim/_engine_core.c"],
             optional=True,
+            extra_compile_args=["-O2"],  # after sysconfig's -O3, so it wins
         )
     ],
     cmdclass={"build_ext": OptionalBuildExt},

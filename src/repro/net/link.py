@@ -233,7 +233,7 @@ class Link:
                 self._admit(self.tamper.clone(packet))
         # Common path: _admit inlined (one Python frame per packet).
         if self._loss_active and self._loss.should_drop(packet):
-            self._emit("link.injected_drop", packet=packet)
+            self._loss_dropped(packet)
             return
         if self.queue.enqueue(packet) and not self._serve_pending:
             self._serve()
@@ -241,10 +241,16 @@ class Link:
     def _admit(self, packet: Packet) -> None:
         """Run loss injection and queueing for one packet copy."""
         if self._loss_active and self._loss.should_drop(packet):
-            self._emit("link.injected_drop", packet=packet)
+            self._loss_dropped(packet)
             return
         if self.queue.enqueue(packet) and not self._serve_pending:
             self._serve()
+
+    def _loss_dropped(self, packet: Packet) -> None:
+        """Record that the loss module destroyed ``packet``.  The
+        compiled hop calls this too; ``link.tx`` is the only record it
+        emits itself."""
+        self._emit("link.injected_drop", packet=packet)
 
     def _queue_dropped(self, packet: Packet, reason: str) -> None:
         self._emit("link.drop", packet=packet, reason=reason, qlen=len(self.queue))

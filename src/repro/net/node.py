@@ -8,12 +8,14 @@ pushes the packet onto the corresponding output link.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, Optional
 
 from repro.errors import TopologyError
 from repro.net.link import Link
-from repro.net.packet import Packet
-from repro.sim.engine import Simulator
+from repro.net.packet import Packet, maybe_release
+from repro.net.queues import DropTailQueue
+from repro.sim.engine import CORE_BACKEND, Simulator
 
 
 class Agent:
@@ -133,3 +135,19 @@ class Router(Node):
             if link is None:
                 raise TopologyError(f"{self.name}: no route to {packet.dst}")
         link.send(packet)
+
+
+if CORE_BACKEND == "compiled":  # pragma: no cover - compiled-core CI leg
+    # The hop runs in C on the same objects: Link.send and Node.send
+    # become C method descriptors, and the dispatch loop runs
+    # Link._serve/_deliver events natively.  The methods above stay the
+    # per-packet fallback and the pure backend (docs/PERFORMANCE.md,
+    # "The compiled hop").
+    from repro.sim import _engine_core
+
+    Link.send, Node.send = _engine_core.install_hop(
+        Link, Router, Simulator, DropTailQueue, Packet, Node,
+        Link.send, Link._serve, Link._deliver, Router.receive,
+        Simulator.schedule_abs, Node.send,
+        maybe_release, Link._DELIVERED_CLEAN_REFS - 1, deque.append, deque.popleft,
+    )

@@ -1,11 +1,11 @@
 /* Compiled dispatch core for repro.sim.engine.Simulator.
  *
- * Design: events stay ordinary Python ``Event`` objects (created and
- * recycled by the Python ``Simulator.schedule``); this module owns only
- * the heap array, the counters and the dispatch loop.  That keeps every
- * serialization surface (pickles, snapshot digests, golden state) in
- * Python and bit-identical across backends — a host without a C
- * compiler simply falls back to the pure-python loop.
+ * Design: events stay ordinary Python ``Event`` objects; this module
+ * owns the heap array, the counters, the dispatch loop and a link hop
+ * that works on the Python objects' own state (see "the hop" below).
+ * That keeps every serialization surface (pickles, snapshot digests,
+ * golden state) in Python and bit-identical across backends — a host
+ * without a C compiler simply falls back to the pure-python code.
  *
  * The heap stores {time, serial, event} structs and orders on
  * (time, serial) exactly like the pure backend's (time, serial, event)
@@ -45,11 +45,6 @@ typedef struct {
 /* Match HEAP_COMPACT_MIN and NEGATIVE_DELAY_EPSILON in engine.py. */
 #define HEAP_COMPACT_MIN 64
 #define NEGATIVE_DELAY_EPSILON 1e-9
-
-static PyObject *s_cancelled; /* "_cancelled" */
-static PyObject *s_fired;     /* "_fired" */
-static PyObject *s_fn;        /* "fn" */
-static PyObject *s_args;      /* "args" */
 
 /* The Python Event class and the byte offsets of its __slots__,
  * captured by register_event_type().  Slot storage is a plain
@@ -220,6 +215,8 @@ drop_cancelled_heads(CoreObject *self)
     }
 }
 
+static int hop_event(PyObject *fn, PyObject *args); /* the hop, below */
+
 /* Fire one already-popped event (we own entry->event).  Returns 0, or
  * -1 with the exception set and the event parked in current_event. */
 static int
@@ -227,6 +224,7 @@ fire_event(CoreObject *self, entry_t *entry)
 {
     PyObject *event = entry->event;
     PyObject *fn, *args, *result;
+    int rc;
     self->now = entry->time;
     Py_INCREF(Py_True);
     ev_set(event, off_fired, Py_True);
@@ -236,16 +234,20 @@ fire_event(CoreObject *self, entry_t *entry)
     args = EV_SLOT(event, off_args);
     Py_INCREF(fn);
     Py_INCREF(args);
-    result = PyObject_Call(fn, args, NULL);
+    rc = hop_event(fn, args);
+    if (rc > 0) {
+        result = PyObject_Call(fn, args, NULL);
+        rc = result == NULL ? -1 : 0;
+        Py_XDECREF(result);
+    }
     Py_DECREF(fn);
     Py_DECREF(args);
-    if (result == NULL) {
+    if (rc < 0) {
         /* Keep the event for Simulator's error report; the exception
          * is already set. */
         Py_XSETREF(self->current_event, event);
         return -1;
     }
-    Py_DECREF(result);
     recycle_or_release(self, event);
     return 0;
 }
@@ -358,29 +360,48 @@ Core_schedule(CoreObject *self, PyObject *const *argv, Py_ssize_t argc)
 }
 
 /* Raise repro.errors.SchedulingError with the message the pure
- * backend's Simulator.schedule_abs builds (cold path). */
+ * backend's Simulator.schedule_abs builds (cold path; time_arg is the
+ * caller's object, or NULL for a time computed in C). */
 static void
-raise_past_time(PyObject *time_arg, double now)
+raise_past_time(PyObject *time_arg, double time, double now)
 {
     PyObject *errors = PyImport_ImportModule("repro.errors");
-    PyObject *exc_type = NULL, *now_obj = NULL;
+    PyObject *exc_type = NULL, *now_obj = NULL, *time_obj = NULL;
     if (errors != NULL)
         exc_type = PyObject_GetAttrString(errors, "SchedulingError");
     if (exc_type != NULL)
         now_obj = PyFloat_FromDouble(now);
     if (now_obj != NULL)
+        time_obj = time_arg ? Py_NewRef(time_arg) : PyFloat_FromDouble(time);
+    if (time_obj != NULL)
         PyErr_Format(exc_type,
                      "cannot schedule into the past (time=%S, now=%S)",
-                     time_arg, now_obj);
+                     time_obj, now_obj);
+    Py_XDECREF(time_obj);
     Py_XDECREF(now_obj);
     Py_XDECREF(exc_type);
     Py_XDECREF(errors);
 }
 
+/* Validates like the pure backend's schedule_abs: a time before now
+ * raises SchedulingError unless it is within NEGATIVE_DELAY_EPSILON
+ * (round-off), which clamps to now. */
+static PyObject *
+schedule_abs_common(CoreObject *self, double time, PyObject *time_arg,
+                    PyObject *fn, PyObject *args, PyObject *sim)
+{
+    if (time < self->now) {
+        if (time < self->now - NEGATIVE_DELAY_EPSILON) {
+            raise_past_time(time_arg, time, self->now);
+            return NULL;
+        }
+        time = self->now;
+    }
+    return schedule_common(self, time, fn, args, sim);
+}
+
 /* schedule_abs(time, fn, args, sim) — exact absolute timestamp, no
- * now+delay round trip.  Validates like the pure backend: a time
- * before now raises SchedulingError unless it is within
- * NEGATIVE_DELAY_EPSILON (round-off), which clamps to now. */
+ * now+delay round trip. */
 static PyObject *
 Core_schedule_abs(CoreObject *self, PyObject *const *argv, Py_ssize_t argc)
 {
@@ -392,51 +413,7 @@ Core_schedule_abs(CoreObject *self, PyObject *const *argv, Py_ssize_t argc)
     time = PyFloat_AsDouble(argv[0]);
     if (time == -1.0 && PyErr_Occurred())
         return NULL;
-    if (time < self->now) {
-        if (time >= self->now - NEGATIVE_DELAY_EPSILON) {
-            time = self->now;
-        } else {
-            raise_past_time(argv[0], self->now);
-            return NULL;
-        }
-    }
-    return schedule_common(self, time, argv[1], argv[2], argv[3]);
-}
-
-static PyObject *
-Core_next_serial(CoreObject *self, PyObject *Py_UNUSED(ignored))
-{
-    return PyLong_FromLongLong(self->serial_next++);
-}
-
-static PyObject *
-Core_set_serial(CoreObject *self, PyObject *arg)
-{
-    long long serial = PyLong_AsLongLong(arg);
-    if (serial == -1 && PyErr_Occurred())
-        return NULL;
-    self->serial_next = serial;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Core_set_events_processed(CoreObject *self, PyObject *arg)
-{
-    long long n = PyLong_AsLongLong(arg);
-    if (n == -1 && PyErr_Occurred())
-        return NULL;
-    self->events_processed = n;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Core_set_now(CoreObject *self, PyObject *arg)
-{
-    double now = PyFloat_AsDouble(arg);
-    if (now == -1.0 && PyErr_Occurred())
-        return NULL;
-    self->now = now;
-    Py_RETURN_NONE;
+    return schedule_abs_common(self, time, argv[0], argv[1], argv[2], argv[3]);
 }
 
 static PyObject *
@@ -606,20 +583,10 @@ Core_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     static char *kwlist[] = {"start_time", NULL};
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "|d", kwlist, &start_time))
         return NULL;
-    self = (CoreObject *)type->tp_alloc(type, 0);
+    self = (CoreObject *)type->tp_alloc(type, 0); /* zero-filled */
     if (self == NULL)
         return NULL;
     self->now = start_time;
-    self->serial_next = 0;
-    self->events_processed = 0;
-    self->pending = 0;
-    self->cancelled = 0;
-    self->stop_requested = 0;
-    self->heap = NULL;
-    self->heap_len = 0;
-    self->heap_cap = 0;
-    self->free_list = NULL;
-    self->current_event = NULL;
     return (PyObject *)self;
 }
 
@@ -673,53 +640,20 @@ Core_iter(CoreObject *self)
     return iter;
 }
 
-static PyObject *
-Core_get_now(CoreObject *self, void *closure)
-{
-    return PyFloat_FromDouble(self->now);
-}
-
-static PyObject *
-Core_get_pending(CoreObject *self, void *closure)
-{
-    return PyLong_FromSsize_t(self->pending);
-}
-
-static PyObject *
-Core_get_cancelled(CoreObject *self, void *closure)
-{
-    return PyLong_FromSsize_t(self->cancelled);
-}
-
-static PyObject *
-Core_get_events_processed(CoreObject *self, void *closure)
-{
-    return PyLong_FromLongLong(self->events_processed);
-}
-
-static PyObject *
-Core_get_serial_next(CoreObject *self, void *closure)
-{
-    return PyLong_FromLongLong(self->serial_next);
-}
-
-static PyObject *
-Core_get_stop_requested(CoreObject *self, void *closure)
-{
-    return PyBool_FromLong(self->stop_requested);
-}
-
-static PyGetSetDef Core_getset[] = {
-    {"now", (getter)Core_get_now, NULL, "current simulation time", NULL},
-    {"pending", (getter)Core_get_pending, NULL, "live pending events", NULL},
-    {"cancelled", (getter)Core_get_cancelled, NULL,
-     "lazily-deleted entries still in the heap", NULL},
-    {"events_processed", (getter)Core_get_events_processed, NULL,
-     "events fired so far", NULL},
-    {"serial_next", (getter)Core_get_serial_next, NULL,
-     "next schedule serial", NULL},
-    {"stop_requested", (getter)Core_get_stop_requested, NULL,
-     "cooperative stop flag", NULL},
+/* now, serial_next and events_processed are also written by Simulator's
+ * restore and end-of-run clock advance. */
+static PyMemberDef Core_members[] = {
+    {"now", T_DOUBLE, offsetof(CoreObject, now), 0, "current simulation time"},
+    {"pending", T_PYSSIZET, offsetof(CoreObject, pending), READONLY,
+     "live pending events"},
+    {"cancelled", T_PYSSIZET, offsetof(CoreObject, cancelled), READONLY,
+     "lazily-deleted entries still in the heap"},
+    {"events_processed", T_LONGLONG, offsetof(CoreObject, events_processed),
+     0, "events fired so far"},
+    {"serial_next", T_LONGLONG, offsetof(CoreObject, serial_next), 0,
+     "next schedule serial"},
+    {"stop_requested", T_INT, offsetof(CoreObject, stop_requested), READONLY,
+     "cooperative stop flag"},
     {NULL},
 };
 
@@ -731,14 +665,6 @@ static PyMethodDef Core_methods[] = {
     {"schedule_abs", (PyCFunction)(void (*)(void))Core_schedule_abs,
      METH_FASTCALL,
      "schedule_abs(time, fn, args, sim) -> Event (SchedulingError if past)"},
-    {"next_serial", (PyCFunction)Core_next_serial, METH_NOARGS,
-     "return the next schedule serial and advance the counter"},
-    {"set_serial", (PyCFunction)Core_set_serial, METH_O,
-     "set the next schedule serial (restore hook)"},
-    {"set_events_processed", (PyCFunction)Core_set_events_processed, METH_O,
-     "set the fired-event counter (restore hook)"},
-    {"set_now", (PyCFunction)Core_set_now, METH_O,
-     "advance the clock (end-of-run adjustment)"},
     {"set_free_list", (PyCFunction)Core_set_free_list, METH_O,
      "share the simulator's Event free list"},
     {"note_cancelled", (PyCFunction)Core_note_cancelled, METH_NOARGS,
@@ -776,10 +702,394 @@ static PyTypeObject CoreType = {
     .tp_traverse = (traverseproc)Core_traverse,
     .tp_clear = (inquiry)Core_clear_refs,
     .tp_methods = Core_methods,
-    .tp_getset = Core_getset,
+    .tp_members = Core_members,
     .tp_as_sequence = &Core_as_sequence,
     .tp_iter = (getiterfunc)Core_iter,
 };
+
+/* The byte offset of cls.<name>, a __slots__ member. */
+static int
+slot_offset(PyObject *cls, const char *name, Py_ssize_t *out)
+{
+    PyObject *descr = PyObject_GetAttrString(cls, name);
+    if (descr != NULL && Py_TYPE(descr) != &PyMemberDescr_Type)
+        PyErr_Format(PyExc_TypeError, "%s.%s is not a slot descriptor",
+                     ((PyTypeObject *)cls)->tp_name, name);
+    else if (descr != NULL)
+        *out = ((PyMemberDescrObject *)descr)->d_member->offset;
+    Py_XDECREF(descr);
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* the hop: Link.send/_serve/_deliver, Router.receive, Node.send       */
+/* ------------------------------------------------------------------ */
+
+/* Installed by repro.net.node.  The hop runs on the Link, DropTailQueue
+ * and Router __dict__ entries the Python methods use, so pickles and
+ * digests see one layout on both backends.  A step runs its Python
+ * original when it cannot run exactly (a link down, tampered or
+ * reordering, a queue not exactly a DropTailQueue, an unbound link.tx
+ * channel, an overflow) and while an entry point is not the library's
+ * own, so a class-level shim sees every call.  Events stay bound
+ * methods: a callback's pickle and digest name its Python function. */
+
+#define HOP_NAMES(X) /* the entry points (ENTRY_TYPE) first */             \
+    X(send) X(_serve) X(_deliver) X(receive) X(schedule_abs) X(_sim)       \
+    X(_core) X(queue) X(_down) X(tamper) X(_loss) X(_loss_active)          \
+    X(should_drop) X(_loss_dropped) X(_items) X(limit) X(enqueues)         \
+    X(dequeues) X(enqueue) X(_serve_pending) X(_free_at) X(bandwidth_bps)  \
+    X(delay) X(reorder) X(_ch_tx) X(subs) X(emit) X(name) X(_dst) X(size)  \
+    X(dst) X(_recycle) X(packets_delivered) X(bytes_delivered) X(routes)   \
+    X(packets_received)
+#define HOP_ENUM(n) K_##n,
+#define HOP_TEXT(n) #n,
+enum { HOP_NAMES(HOP_ENUM) N_HOP_NAMES };
+static const char *const hop_text[] = {HOP_NAMES(HOP_TEXT)};
+static PyObject *hop_str[N_HOP_NAMES];
+#define S(n) hop_str[K_##n]
+#define GET(d, key) PyDict_GetItemWithError(d, key) /* str keys: no error */
+
+enum { T_LINK, T_ROUTER, T_SIM, T_DROPTAIL, N_HOP_TYPES };
+static const int ENTRY_TYPE[] = {T_LINK, T_LINK, T_LINK, T_ROUTER, T_SIM};
+#define N_ENTRIES 5
+static PyObject *hop_own[N_ENTRIES]; /* the entry points as installed */
+#define py_serve hop_own[K__serve]
+#define py_deliver hop_own[K__deliver]
+static PyTypeObject *hop_type[N_HOP_TYPES], *packet_type;
+static unsigned int hop_tag[N_HOP_TYPES];
+static int hop_tagged;
+static Py_ssize_t off_size, off_dst; /* Packet slots */
+static PyObject *py_send, *py_node_send, *py_release, *clean_refs, *one;
+static PyObject *deque_append, *deque_popleft, *tx_kwnames, *star;
+
+/* True while every entry point is the library's own.  Looked up again only
+ * when a version tag moved: any class write moves one, including the
+ * __slotnames__ copyreg caches on a class at its first pickle or
+ * state_digest, so a moved tag re-checks and re-arms. */
+static int
+hop_armed(void)
+{
+    int i;
+    for (i = 0; hop_tagged && i < N_HOP_TYPES; i++)
+        hop_tagged = hop_type[i]->tp_version_tag == hop_tag[i];
+    if (hop_tagged)
+        return 1;
+    for (i = 0; i < N_ENTRIES; i++)
+        if (_PyType_Lookup(hop_type[ENTRY_TYPE[i]], hop_str[i]) != hop_own[i])
+            return 0;
+    for (hop_tagged = 1, i = 0; i < N_HOP_TYPES; i++)
+        if ((hop_tag[i] = hop_type[i]->tp_version_tag) == 0)
+            hop_tagged = 0; /* untagged: look up again next time */
+    return 1;
+}
+
+/* obj's __dict__ if obj is exactly hop_type[type] and the hop is armed */
+static PyObject *
+dict_of(PyObject *obj, int type)
+{
+    PyObject **ptr = NULL;
+    if (obj != NULL && Py_TYPE(obj) == hop_type[type] && hop_armed())
+        ptr = _PyObject_GetDictPtr(obj);
+    return ptr == NULL ? NULL : *ptr;
+}
+
+static PyObject *
+get(PyObject *d, PyObject *key) /* borrowed; AttributeError if absent */
+{
+    PyObject *v = GET(d, key);
+    if (v == NULL && !PyErr_Occurred())
+        PyErr_SetObject(PyExc_AttributeError, key);
+    return v;
+}
+
+static int
+add(PyObject *d, PyObject *key, PyObject *delta) /* d[key] += delta */
+{
+    PyObject *v = get(d, key), *sum;
+    int rc = -1;
+    if (v != NULL && (sum = PyNumber_InPlaceAdd(v, delta)) != NULL) {
+        rc = PyDict_SetItem(d, key, sum);
+        Py_DECREF(sum);
+    }
+    return rc;
+}
+
+static PyObject *
+field(PyObject *packet, Py_ssize_t off, PyObject *name) /* new reference */
+{
+    PyObject *v = Py_TYPE(packet) == packet_type ? EV_SLOT(packet, off) : NULL;
+    return v != NULL ? Py_NewRef(v) : PyObject_GetAttr(packet, name);
+}
+
+static int
+call_py(PyObject *func, PyObject *self, PyObject *arg) /* 0, or -1 */
+{
+    PyObject *argv[2] = {self, arg};
+    PyObject *r = PyObject_Vectorcall(func, argv, arg ? 2 : 1, NULL);
+    Py_XDECREF(r);
+    return r == NULL ? -1 : 0;
+}
+
+static int
+call_method(PyObject *obj, PyObject *name, PyObject *arg) /* truth, or -1 */
+{
+    PyObject *r = obj ? PyObject_CallMethodOneArg(obj, name, arg) : NULL;
+    int truth = r == NULL ? -1 : PyObject_IsTrue(r);
+    Py_XDECREF(r);
+    return truth;
+}
+
+/* sim.schedule_abs(time, <link>.<func>[, packet]) */
+static int
+schedule(PyObject *core, PyObject *sim, PyObject *link, PyObject *func,
+         double time, PyObject *packet)
+{
+    PyObject *fn = PyMethod_New(func, link), *event = NULL;
+    PyObject *args = packet ? PyTuple_Pack(1, packet) : PyTuple_New(0);
+    if (fn != NULL && args != NULL)
+        event = schedule_abs_common((CoreObject *)core, time, NULL, fn, args,
+                                    sim);
+    Py_XDECREF(fn), Py_XDECREF(args), Py_XDECREF(event);
+    return event == NULL ? -1 : 0;
+}
+
+/* Link._serve: put the head of the queue into the transmitter, book
+ * its arrival and, while packets wait, the next service. */
+static int
+link_serve(PyObject *link)
+{
+    PyObject *d = dict_of(link, T_LINK), *queue, *qd = NULL, *items = NULL;
+    PyObject *sim = NULL, *ch = NULL, *core = NULL, *head = NULL, *r;
+    PyObject *done_obj = NULL;
+    double now, free_at, size, delay, done;
+    int rc = -1, t;
+    if (d != NULL && (queue = GET(d, S(queue))) != NULL &&
+        (qd = dict_of(queue, T_DROPTAIL)) != NULL &&
+        (items = GET(qd, S(_items))) != NULL &&
+        (sim = GET(d, S(_sim))) != NULL && Py_TYPE(sim) == hop_type[T_SIM] &&
+        GET(d, S(reorder)) == Py_None && (ch = GET(d, S(_ch_tx))) != NULL &&
+        ch != Py_None) /* not via __dict__: materialised, it slows sim.now */
+        core = PyObject_GetAttr(sim, S(_core));
+    if (core == NULL || Py_TYPE(core) != &CoreType) {
+        PyErr_Clear();
+        Py_XDECREF(core);
+        return call_py(py_serve, link, NULL);
+    }
+    /* Held across link.tx subscribers, which may rebind what we read. */
+    Py_INCREF(d), Py_INCREF(sim), Py_INCREF(items);
+    now = ((CoreObject *)core)->now;
+    free_at = PyFloat_AsDouble(get(d, S(_free_at)));
+    if (PyErr_Occurred())
+        goto out;
+    if (now < free_at || PyObject_Length(items) == 0) {
+        t = now < free_at; /* busy: serve when it frees up; else idle */
+        done = free_at;
+        goto book;
+    }
+    if (add(qd, S(dequeues), one) < 0 ||
+        (head = PyObject_Vectorcall(deque_popleft, &items, 1, NULL)) == NULL)
+        goto out;
+    r = field(head, off_size, S(size));
+    size = PyFloat_AsDouble(r);
+    Py_XDECREF(r);
+    /* Exactly ``now + size * 8.0 / bandwidth`` and ``done + delay``:
+     * the digests pin every rounding. */
+    done = now + size * 8.0 / PyFloat_AsDouble(get(d, S(bandwidth_bps)));
+    if (PyErr_Occurred() || (done_obj = PyFloat_FromDouble(done)) == NULL ||
+        PyDict_SetItem(d, S(_free_at), done_obj) < 0 ||
+        (r = PyObject_GetAttr(ch, S(subs))) == NULL)
+        goto out;
+    t = PyObject_IsTrue(r);
+    Py_DECREF(r);
+    if (t > 0) { /* ch.emit(now, self.name, packet=head, done=done) */
+        PyObject *argv[5] = {ch, PyFloat_FromDouble(now), get(d, S(name)),
+                             head, done_obj};
+        r = argv[1] && argv[2]
+                ? PyObject_VectorcallMethod(S(emit), argv, 3, tx_kwnames)
+                : NULL;
+        Py_XDECREF(argv[1]);
+        Py_XDECREF(r);
+    }
+    delay = PyErr_Occurred() ? 0.0 : PyFloat_AsDouble(get(d, S(delay)));
+    if (PyErr_Occurred() ||
+        schedule(core, sim, link, py_deliver, done + delay, head) < 0)
+        goto out;
+    t = PyObject_Length(items) > 0;
+book: /* _serve_pending = t; while it holds, a service at `done` */
+    if (PyDict_SetItem(d, S(_serve_pending), t ? Py_True : Py_False) == 0)
+        rc = t ? schedule(core, sim, link, py_serve, done, NULL) : 0;
+out:
+    Py_XDECREF(head), Py_XDECREF(done_obj), Py_DECREF(items);
+    Py_DECREF(core), Py_DECREF(sim), Py_DECREF(d);
+    return rc;
+}
+
+/* Link.send: loss, then the queue (a DropTailQueue with room takes the
+ * packet here), then service unless an event for it is pending. */
+static int
+link_send(PyObject *link, PyObject *packet)
+{
+    PyObject *d = dict_of(link, T_LINK), *queue, *qd, *items, *limit;
+    int t = 0;
+    if (d == NULL || GET(d, S(_down)) != Py_False ||
+        GET(d, S(tamper)) != Py_None)
+        return call_py(py_send, link, packet);
+    Py_INCREF(d);
+    if (GET(d, S(_loss_active)) == Py_True &&
+        (t = call_method(get(d, S(_loss)), S(should_drop), packet)) > 0)
+        t = call_method(link, S(_loss_dropped), packet) < 0 ? -1 : 1;
+    if (t == 0) {
+        queue = get(d, S(queue));
+        qd = dict_of(queue, T_DROPTAIL);
+        items = qd == NULL ? NULL : GET(qd, S(_items));
+        limit = qd == NULL ? NULL : GET(qd, S(limit));
+        if (items != NULL && limit != NULL && PyLong_CheckExact(limit) &&
+            PyObject_Length(items) < PyLong_AsSsize_t(limit))
+            t = call_py(deque_append, items, packet) < 0 ||
+                add(qd, S(enqueues), one) < 0 ? -1 : 1;
+        else /* any other queue, or an overflow enqueue drops and reports */
+            t = call_method(queue, S(enqueue), packet);
+        if (t > 0)
+            t = GET(d, S(_serve_pending)) == Py_False ? link_serve(link) : 0;
+    }
+    Py_DECREF(d);
+    return t < 0 ? -1 : 0;
+}
+
+/* node.routes.get(packet.dst) or routes.get("*"): a new reference, or
+ * NULL (with an exception set only on error). */
+static PyObject *
+route(PyObject *node, PyObject *packet)
+{
+    PyObject *routes = PyObject_GetAttr(node, S(routes)), *dst = NULL;
+    PyObject *link = NULL;
+    if (routes != NULL && PyDict_CheckExact(routes) &&
+        (dst = field(packet, off_dst, S(dst))) != NULL &&
+        (link = GET(routes, dst)) == NULL && !PyErr_Occurred())
+        link = GET(routes, star);
+    Py_XINCREF(link);
+    Py_XDECREF(dst), Py_XDECREF(routes);
+    return link;
+}
+
+/* link.send(packet): natively while armed, else through the attribute,
+ * where a class-level shim sees it. */
+static int
+forward(PyObject *link, PyObject *packet)
+{
+    if (Py_TYPE(link) == hop_type[T_LINK] && hop_armed())
+        return link_send(link, packet);
+    return call_method(link, S(send), packet) < 0 ? -1 : 0;
+}
+
+/* Link._deliver, with Router.receive inlined (a missing route raises
+ * from Python).  This C frame holds one reference to the packet fewer
+ * than the Python one: clean_refs is Link._DELIVERED_CLEAN_REFS - 1. */
+static int
+link_deliver(PyObject *link, PyObject *packet)
+{
+    PyObject *d = dict_of(link, T_LINK), *dst = d ? GET(d, S(_dst)) : NULL;
+    PyObject *size, *rd, *next;
+    int t;
+    if (dst == NULL || dst == Py_None)
+        return call_py(py_deliver, link, packet);
+    Py_INCREF(d), Py_INCREF(dst);
+    size = field(packet, off_size, S(size));
+    t = size == NULL || add(d, S(packets_delivered), one) < 0 ||
+        add(d, S(bytes_delivered), size) < 0 ? -1 : 0;
+    Py_XDECREF(size);
+    if (t == 0 && (rd = dict_of(dst, T_ROUTER)) != NULL &&
+        (next = route(dst, packet)) != NULL) {
+        t = add(rd, S(packets_received), one) < 0 ? -1 : forward(next, packet);
+        Py_DECREF(next);
+    } else if (t == 0) {
+        t = PyErr_Occurred() ? -1 : call_method(dst, S(receive), packet);
+    }
+    if (t >= 0 && GET(d, S(_recycle)) == Py_True)
+        t = call_py(py_release, packet, clean_refs);
+    Py_DECREF(dst), Py_DECREF(d);
+    return t < 0 ? -1 : 0;
+}
+
+static int
+hop_event(PyObject *fn, PyObject *args) /* 0 / -1 if a hop ran, else 1 */
+{
+    PyObject *func = PyMethod_Check(fn) ? PyMethod_GET_FUNCTION(fn) : NULL;
+    Py_ssize_t n = PyTuple_CheckExact(args) ? PyTuple_GET_SIZE(args) : -1;
+    if (func != NULL && func == py_serve && n == 0)
+        return link_serve(PyMethod_GET_SELF(fn));
+    if (func != NULL && func == py_deliver && n == 1)
+        return link_deliver(PyMethod_GET_SELF(fn), PyTuple_GET_ITEM(args, 0));
+    return 1;
+}
+
+static PyObject *
+hop_link_send(PyObject *link, PyObject *packet)
+{
+    return link_send(link, packet) < 0 ? NULL : Py_NewRef(Py_None);
+}
+
+static PyObject *
+hop_node_send(PyObject *node, PyObject *packet)
+{
+    PyObject *link = hop_armed() ? route(node, packet) : NULL;
+    int rc;
+    if (link == NULL) /* shimmed, or no route: Node.send raises */
+        rc = PyErr_Occurred() ? -1 : call_py(py_node_send, node, packet);
+    else
+        rc = forward(link, packet);
+    Py_XDECREF(link);
+    return rc < 0 ? NULL : Py_NewRef(Py_None);
+}
+
+static PyMethodDef hop_defs[] = {
+    {"send", (PyCFunction)hop_link_send, METH_O,
+     "send($self, packet, /)\n--\n\nLink.send, run by the compiled hop."},
+    {"send", (PyCFunction)hop_node_send, METH_O,
+     "send($self, packet, /)\n--\n\nNode.send, run by the compiled hop."},
+};
+
+/* install_hop(Link, Router, Simulator, DropTailQueue, Packet, Node,
+ * then Link.send, Link._serve, Link._deliver, Router.receive,
+ * Simulator.schedule_abs, Node.send, maybe_release, clean_refs,
+ * deque.append, deque.popleft): arm the hop; returns the C descriptors
+ * for Link.send and Node.send, which repro.net.node installs. */
+static PyObject *
+module_install_hop(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    static PyObject *node_type;
+    PyObject **slot[] = {
+        (PyObject **)&hop_type[T_LINK], (PyObject **)&hop_type[T_ROUTER],
+        (PyObject **)&hop_type[T_SIM], (PyObject **)&hop_type[T_DROPTAIL],
+        (PyObject **)&packet_type, &node_type, &py_send, &hop_own[K__serve],
+        &hop_own[K__deliver], &hop_own[K_receive], &hop_own[K_schedule_abs],
+        &py_node_send, &py_release, &clean_refs, &deque_append, &deque_popleft};
+    Py_ssize_t i, n = sizeof(slot) / sizeof(slot[0]);
+    if (py_send != NULL || PyTuple_GET_SIZE(args) != n)
+        return PyErr_Format(PyExc_TypeError,
+                            "install_hop() runs once, with %zd arguments", n);
+    for (i = 0; i < n; i++)
+        if (i <= 5 && !PyType_Check(PyTuple_GET_ITEM(args, i)))
+            return PyErr_Format(PyExc_TypeError,
+                                "install_hop() argument %zd is not a class", i);
+    for (i = 0; i < n; i++)
+        *slot[i] = Py_NewRef(PyTuple_GET_ITEM(args, i));
+    for (i = 0; i < N_HOP_NAMES; i++)
+        if ((hop_str[i] = PyUnicode_InternFromString(hop_text[i])) == NULL)
+            return NULL;
+    one = PyLong_FromLong(1);
+    star = PyUnicode_InternFromString("*");
+    tx_kwnames = Py_BuildValue("(ss)", "packet", "done");
+    hop_own[K_send] = PyDescr_NewMethod(hop_type[T_LINK], &hop_defs[0]);
+    if (PyErr_Occurred() ||
+        slot_offset((PyObject *)packet_type, "size", &off_size) < 0 ||
+        slot_offset((PyObject *)packet_type, "dst", &off_dst) < 0)
+        return NULL;
+    return Py_BuildValue(
+        "ON", hop_own[K_send],
+        PyDescr_NewMethod((PyTypeObject *)node_type, &hop_defs[1]));
+}
 
 /* Capture the Python Event class and its slot offsets.  Must be
  * called (by repro.sim.engine, at import) before any Core is used;
@@ -796,19 +1106,9 @@ module_register_event_type(PyObject *Py_UNUSED(module), PyObject *arg)
         PyErr_SetString(PyExc_TypeError, "expected the Event class");
         return NULL;
     }
-    for (i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
-        PyObject *descr = PyObject_GetAttrString(arg, names[i]);
-        if (descr == NULL)
+    for (i = 0; i < sizeof(names) / sizeof(names[0]); i++)
+        if (slot_offset(arg, names[i], offsets[i]) < 0)
             return NULL;
-        if (Py_TYPE(descr) != &PyMemberDescr_Type) {
-            Py_DECREF(descr);
-            PyErr_Format(PyExc_TypeError,
-                         "Event.%s is not a slot descriptor", names[i]);
-            return NULL;
-        }
-        *offsets[i] = ((PyMemberDescrObject *)descr)->d_member->offset;
-        Py_DECREF(descr);
-    }
     Py_INCREF(arg);
     Py_XSETREF(event_type, (PyTypeObject *)arg);
     Py_RETURN_NONE;
@@ -817,6 +1117,8 @@ module_register_event_type(PyObject *Py_UNUSED(module), PyObject *arg)
 static PyMethodDef module_methods[] = {
     {"register_event_type", module_register_event_type, METH_O,
      "capture the Event class and its slot offsets (engine import hook)"},
+    {"install_hop", module_install_hop, METH_VARARGS,
+     "run Link/DropTailQueue/Router hops in C (repro.net.node import hook)"},
     {NULL},
 };
 
@@ -832,13 +1134,6 @@ PyMODINIT_FUNC
 PyInit__engine_core(void)
 {
     PyObject *module;
-    s_cancelled = PyUnicode_InternFromString("_cancelled");
-    s_fired = PyUnicode_InternFromString("_fired");
-    s_fn = PyUnicode_InternFromString("fn");
-    s_args = PyUnicode_InternFromString("args");
-    if (s_cancelled == NULL || s_fired == NULL || s_fn == NULL ||
-        s_args == NULL)
-        return NULL;
     if (PyType_Ready(&CoreType) < 0)
         return NULL;
     module = PyModule_Create(&enginecoremodule);

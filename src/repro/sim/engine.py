@@ -561,7 +561,7 @@ class Simulator:
             if core is not None:
                 head = core.peek_time()
                 if not (interrupted and head is not None and head <= until):
-                    core.set_now(until)
+                    core.now = until
             else:
                 self._drop_cancelled()
                 if not (interrupted and self._heap and self._heap[0][0] <= until):
@@ -639,8 +639,8 @@ class Simulator:
         if _CoreType is not None:
             core = _CoreType(state["now"])
             core.set_free_list(self._event_free)
-            core.set_serial(state["serial_next"])
-            core.set_events_processed(state["events_processed"])
+            core.serial_next = state["serial_next"]
+            core.events_processed = state["events_processed"]
             if state["stop_requested"]:
                 core.request_stop()
             for time, serial, event in state["heap"]:
