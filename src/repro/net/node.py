@@ -143,11 +143,12 @@ if CORE_BACKEND == "compiled":  # pragma: no cover - compiled-core CI leg
     # Link._serve/_deliver events natively.  The methods above stay the
     # per-packet fallback and the pure backend (docs/PERFORMANCE.md,
     # "The compiled hop").
+    from repro.net.red import RedQueue
     from repro.sim import _engine_core
 
     Link.send, Node.send = _engine_core.install_hop(
-        Link, Router, Simulator, DropTailQueue, Packet, Node,
-        Link.send, Link._serve, Link._deliver, Router.receive,
-        Simulator.schedule_abs, Node.send,
-        maybe_release, Link._DELIVERED_CLEAN_REFS - 1, deque.append, deque.popleft,
+        Link, Router, Simulator, DropTailQueue, RedQueue, Packet, Node,
+        Link.send, Link._serve, Link._deliver, Router.receive, Simulator.schedule_abs,
+        DropTailQueue.enqueue, DropTailQueue.dequeue, RedQueue.enqueue, RedQueue.dequeue,
+        Node.send, maybe_release, Link._DELIVERED_CLEAN_REFS - 1, deque.append, deque.popleft,
     )

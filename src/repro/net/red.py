@@ -148,10 +148,15 @@ class RedQueue(PacketQueue):
     def _update_average(self) -> None:
         """Advance the EWMA (and the idle epoch) for one arriving packet.
 
-        This is the single authoritative implementation — ``enqueue``
-        calls it rather than inlining a copy, so the two can never
-        drift apart again (they once did: the idle-epoch advance below
-        was fixed in the inlined copy only).
+        This is the single Python implementation — ``enqueue`` calls it
+        rather than inlining a copy, so the two can never drift apart
+        again (they once did: the idle-epoch advance below was fixed in
+        the inlined copy only).  It has one twin: on the compiled
+        backend ``red_average`` in ``repro/sim/_engine_core.c`` runs
+        this step, operation for operation, for an arrival that ends as
+        an accept below ``min_th``, and leaves every other arrival to
+        ``enqueue``.  ``tests/net/test_red_ewma_twin.py`` pins the two
+        float for float, arrival by arrival; change both or neither.
 
         The idle epoch must survive drops: a packet refused at an
         empty queue leaves the link idle, and wiping the epoch here

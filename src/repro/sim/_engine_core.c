@@ -725,23 +725,25 @@ slot_offset(PyObject *cls, const char *name, Py_ssize_t *out)
 /* the hop: Link.send/_serve/_deliver, Router.receive, Node.send       */
 /* ------------------------------------------------------------------ */
 
-/* Installed by repro.net.node.  The hop runs on the Link, DropTailQueue
- * and Router __dict__ entries the Python methods use, so pickles and
- * digests see one layout on both backends.  A step runs its Python
+/* Installed by repro.net.node.  The hop runs on the Link, DropTailQueue,
+ * RedQueue and Router __dict__ entries the Python methods use, so pickles
+ * and digests see one layout on both backends.  A step runs its Python
  * original when it cannot run exactly (a link down, tampered or
- * reordering, a queue not exactly a DropTailQueue, an unbound link.tx
- * channel, an overflow) and while an entry point is not the library's
- * own, so a class-level shim sees every call.  Events stay bound
- * methods: a callback's pickle and digest name its Python function. */
+ * reordering, a queue not exactly a DropTailQueue or a RedQueue, an
+ * unbound link.tx channel, an overflow, any RED arrival but an accept
+ * below min_th) and while an entry point is not the library's own, so a
+ * class-level shim sees every call.  Events stay bound methods: a
+ * callback's pickle and digest name its Python function. */
 
-#define HOP_NAMES(X) /* the entry points (ENTRY_TYPE) first */             \
-    X(send) X(_serve) X(_deliver) X(receive) X(schedule_abs) X(_sim)       \
-    X(_core) X(queue) X(_down) X(tamper) X(_loss) X(_loss_active)          \
-    X(should_drop) X(_loss_dropped) X(_items) X(limit) X(enqueues)         \
-    X(dequeues) X(enqueue) X(_serve_pending) X(_free_at) X(bandwidth_bps)  \
-    X(delay) X(reorder) X(_ch_tx) X(subs) X(emit) X(name) X(_dst) X(size)  \
-    X(dst) X(_recycle) X(packets_delivered) X(bytes_delivered) X(routes)   \
-    X(packets_received)
+#define HOP_NAMES(X) /* the entry points (ENTRY_NAME) first */             \
+    X(send) X(_serve) X(_deliver) X(receive) X(schedule_abs) X(enqueue)    \
+    X(dequeue) X(_sim) X(_core) X(queue) X(_down) X(tamper) X(_loss)       \
+    X(_loss_active) X(should_drop) X(_loss_dropped) X(_items) X(limit)     \
+    X(enqueues) X(dequeues) X(_serve_pending) X(_free_at)                  \
+    X(bandwidth_bps) X(delay) X(reorder) X(_ch_tx) X(subs) X(emit) X(name) \
+    X(_dst) X(size) X(dst) X(_recycle) X(packets_delivered)                \
+    X(bytes_delivered) X(routes) X(packets_received) X(avg) X(_w)          \
+    X(_min_th) X(_mean_pkt_time) X(_idle_since) X(_count)
 #define HOP_ENUM(n) K_##n,
 #define HOP_TEXT(n) #n,
 enum { HOP_NAMES(HOP_ENUM) N_HOP_NAMES };
@@ -750,9 +752,18 @@ static PyObject *hop_str[N_HOP_NAMES];
 #define S(n) hop_str[K_##n]
 #define GET(d, key) PyDict_GetItemWithError(d, key) /* str keys: no error */
 
-enum { T_LINK, T_ROUTER, T_SIM, T_DROPTAIL, N_HOP_TYPES };
-static const int ENTRY_TYPE[] = {T_LINK, T_LINK, T_LINK, T_ROUTER, T_SIM};
-#define N_ENTRIES 5
+enum { T_LINK, T_ROUTER, T_SIM, T_DROPTAIL, T_RED, N_HOP_TYPES };
+/* Entry point i is hop_type[ENTRY_TYPE[i]].<ENTRY_NAME[i]>.  Every hop
+ * type has one, so re-arming looks something up on each, which is what
+ * assigns a type its version tag: a type no lookup ever touched keeps
+ * tag 0 and would send every hop through the lookups below. */
+static const int ENTRY_TYPE[] = {T_LINK,     T_LINK,     T_LINK,
+                                 T_ROUTER,   T_SIM,      T_DROPTAIL,
+                                 T_DROPTAIL, T_RED,      T_RED};
+static const int ENTRY_NAME[] = {K_send,    K__serve,       K__deliver,
+                                 K_receive, K_schedule_abs, K_enqueue,
+                                 K_dequeue, K_enqueue,      K_dequeue};
+#define N_ENTRIES 9
 static PyObject *hop_own[N_ENTRIES]; /* the entry points as installed */
 #define py_serve hop_own[K__serve]
 #define py_deliver hop_own[K__deliver]
@@ -761,7 +772,8 @@ static unsigned int hop_tag[N_HOP_TYPES];
 static int hop_tagged;
 static Py_ssize_t off_size, off_dst; /* Packet slots */
 static PyObject *py_send, *py_node_send, *py_release, *clean_refs, *one;
-static PyObject *deque_append, *deque_popleft, *tx_kwnames, *star;
+static PyObject *minus_one, *deque_append, *deque_popleft, *tx_kwnames;
+static PyObject *star;
 
 /* True while every entry point is the library's own.  Looked up again only
  * when a version tag moved: any class write moves one, including the
@@ -776,7 +788,8 @@ hop_armed(void)
     if (hop_tagged)
         return 1;
     for (i = 0; i < N_ENTRIES; i++)
-        if (_PyType_Lookup(hop_type[ENTRY_TYPE[i]], hop_str[i]) != hop_own[i])
+        if (_PyType_Lookup(hop_type[ENTRY_TYPE[i]], hop_str[ENTRY_NAME[i]]) !=
+            hop_own[i])
             return 0;
     for (hop_tagged = 1, i = 0; i < N_HOP_TYPES; i++)
         if ((hop_tag[i] = hop_type[i]->tp_version_tag) == 0)
@@ -854,6 +867,93 @@ schedule(PyObject *core, PyObject *sim, PyObject *link, PyObject *func,
     return event == NULL ? -1 : 0;
 }
 
+/* sim's Core if sim is exactly a Simulator on the compiled core: a new
+ * reference, or NULL with no exception set.  Not read via sim's __dict__:
+ * materialised, it slows sim.now. */
+static PyObject *
+core_of(PyObject *sim)
+{
+    PyObject *core = NULL;
+    if (sim != NULL && Py_TYPE(sim) == hop_type[T_SIM])
+        core = PyObject_GetAttr(sim, S(_core));
+    if (core != NULL && Py_TYPE(core) == &CoreType)
+        return core;
+    PyErr_Clear();
+    Py_XDECREF(core);
+    return NULL;
+}
+
+/* The __dict__ of a queue the hop runs: exactly a DropTailQueue, or exactly
+ * a RedQueue (*red set) whose clock is the link's (link dict d). */
+static PyObject *
+queue_dict(PyObject *queue, PyObject *d, int *red)
+{
+    PyObject *qd;
+    *red = queue != NULL && Py_TYPE(queue) == hop_type[T_RED];
+    qd = dict_of(queue, *red ? T_RED : T_DROPTAIL);
+    return qd != NULL && *red && GET(qd, S(_sim)) != GET(d, S(_sim)) ? NULL
+                                                                     : qd;
+}
+
+static int
+set_float(PyObject *d, PyObject *key, double value) /* d[key] = value */
+{
+    PyObject *v = PyFloat_FromDouble(value);
+    int rc = v == NULL ? -1 : PyDict_SetItem(d, key, v);
+    Py_XDECREF(v);
+    return rc;
+}
+
+static int
+is_float(PyObject *v)
+{
+    return v != NULL && PyFloat_CheckExact(v);
+}
+
+/* RedQueue.enqueue's _update_average and ``_count = -1`` for an arrival
+ * at a queue of q < limit packets, when the new average is below min_th
+ * (so below the forced threshold, which RedParams.validate puts above
+ * it): the rest of the step is the append.  A twin of red.py's
+ * _update_average, operation for operation (tests/net/test_red_ewma_twin.py
+ * pins it float for float; the build turns FMA contraction off).  It
+ * decides before it writes: 0 leaves the whole step to Python with
+ * nothing written (the ramp, a forced drop, non-float state), 1 if it
+ * ran, -1 on error. */
+static int
+red_average(PyObject *qd, Py_ssize_t q)
+{
+    PyObject *avg = GET(qd, S(avg)), *w = GET(qd, S(_w));
+    PyObject *min_th = GET(qd, S(_min_th)), *mpt = GET(qd, S(_mean_pkt_time));
+    PyObject *idle = GET(qd, S(_idle_since)), *core = core_of(GET(qd, S(_sim)));
+    double a, b, m, now;
+    int rc = 0;
+    if (core == NULL || !is_float(avg) || !is_float(w) || !is_float(min_th) ||
+        !is_float(mpt) || (idle != Py_None && !is_float(idle)))
+        goto out;
+    now = ((CoreObject *)core)->now;
+    a = PyFloat_AS_DOUBLE(avg);
+    b = 1 - PyFloat_AS_DOUBLE(w);
+    if (q > 0 || idle == Py_None) {
+        a = b * a + PyFloat_AS_DOUBLE(w) * (double)q;
+    } else { /* float ** int is libm pow on the converted exponent */
+        m = trunc((now - PyFloat_AS_DOUBLE(idle)) / PyFloat_AS_DOUBLE(mpt));
+        if (!(m >= 0 && isfinite(m))) /* int() or ** would raise */
+            goto out;
+        a *= pow(b, m);
+        a = b * a;
+    }
+    if (a < PyFloat_AS_DOUBLE(min_th))
+        rc = set_float(qd, S(avg), a) < 0 ||
+                     (q == 0 ? set_float(qd, S(_idle_since), now)
+                             : PyDict_SetItem(qd, S(_idle_since), Py_None)) < 0 ||
+                     PyDict_SetItem(qd, S(_count), minus_one) < 0
+                 ? -1
+                 : 1;
+out:
+    Py_XDECREF(core);
+    return rc;
+}
+
 /* Link._serve: put the head of the queue into the transmitter, book
  * its arrival and, while packets wait, the next service. */
 static int
@@ -863,19 +963,15 @@ link_serve(PyObject *link)
     PyObject *sim = NULL, *ch = NULL, *core = NULL, *head = NULL, *r;
     PyObject *done_obj = NULL;
     double now, free_at, size, delay, done;
-    int rc = -1, t;
+    int rc = -1, t, red;
     if (d != NULL && (queue = GET(d, S(queue))) != NULL &&
-        (qd = dict_of(queue, T_DROPTAIL)) != NULL &&
+        (qd = queue_dict(queue, d, &red)) != NULL &&
         (items = GET(qd, S(_items))) != NULL &&
-        (sim = GET(d, S(_sim))) != NULL && Py_TYPE(sim) == hop_type[T_SIM] &&
         GET(d, S(reorder)) == Py_None && (ch = GET(d, S(_ch_tx))) != NULL &&
-        ch != Py_None) /* not via __dict__: materialised, it slows sim.now */
-        core = PyObject_GetAttr(sim, S(_core));
-    if (core == NULL || Py_TYPE(core) != &CoreType) {
-        PyErr_Clear();
-        Py_XDECREF(core);
+        ch != Py_None)
+        core = core_of(sim = GET(d, S(_sim)));
+    if (core == NULL)
         return call_py(py_serve, link, NULL);
-    }
     /* Held across link.tx subscribers, which may rebind what we read. */
     Py_INCREF(d), Py_INCREF(sim), Py_INCREF(items);
     now = ((CoreObject *)core)->now;
@@ -884,11 +980,17 @@ link_serve(PyObject *link)
         goto out;
     if (now < free_at || PyObject_Length(items) == 0) {
         t = now < free_at; /* busy: serve when it frees up; else idle */
+        if (!t && red) { /* RedQueue.dequeue of an empty queue: Python's */
+            rc = call_py(py_serve, link, NULL);
+            goto out;
+        }
         done = free_at;
         goto book;
     }
     if (add(qd, S(dequeues), one) < 0 ||
-        (head = PyObject_Vectorcall(deque_popleft, &items, 1, NULL)) == NULL)
+        (head = PyObject_Vectorcall(deque_popleft, &items, 1, NULL)) == NULL ||
+        (red && PyObject_Length(items) == 0 && /* RedQueue.dequeue */
+         set_float(qd, S(_idle_since), now) < 0))
         goto out;
     r = field(head, off_size, S(size));
     size = PyFloat_AsDouble(r);
@@ -925,13 +1027,15 @@ out:
     return rc;
 }
 
-/* Link.send: loss, then the queue (a DropTailQueue with room takes the
- * packet here), then service unless an event for it is pending. */
+/* Link.send: loss, then the queue (a DropTailQueue with room, or a
+ * RedQueue with room that accepts below min_th, takes the packet here),
+ * then service unless an event for it is pending. */
 static int
 link_send(PyObject *link, PyObject *packet)
 {
     PyObject *d = dict_of(link, T_LINK), *queue, *qd, *items, *limit;
-    int t = 0;
+    Py_ssize_t q;
+    int t = 0, red;
     if (d == NULL || GET(d, S(_down)) != Py_False ||
         GET(d, S(tamper)) != Py_None)
         return call_py(py_send, link, packet);
@@ -941,14 +1045,16 @@ link_send(PyObject *link, PyObject *packet)
         t = call_method(link, S(_loss_dropped), packet) < 0 ? -1 : 1;
     if (t == 0) {
         queue = get(d, S(queue));
-        qd = dict_of(queue, T_DROPTAIL);
+        qd = queue_dict(queue, d, &red);
         items = qd == NULL ? NULL : GET(qd, S(_items));
         limit = qd == NULL ? NULL : GET(qd, S(limit));
-        if (items != NULL && limit != NULL && PyLong_CheckExact(limit) &&
-            PyObject_Length(items) < PyLong_AsSsize_t(limit))
+        q = items == NULL ? -1 : PyObject_Length(items);
+        if (q >= 0 && limit != NULL && PyLong_CheckExact(limit) &&
+            q < PyLong_AsSsize_t(limit) &&
+            (t = red ? red_average(qd, q) : 1) > 0)
             t = call_py(deque_append, items, packet) < 0 ||
                 add(qd, S(enqueues), one) < 0 ? -1 : 1;
-        else /* any other queue, or an overflow enqueue drops and reports */
+        else if (t == 0) /* the queue's own enqueue decides and reports */
             t = call_method(queue, S(enqueue), packet);
         if (t > 0)
             t = GET(d, S(_serve_pending)) == Py_False ? link_serve(link) : 0;
@@ -1050,11 +1156,13 @@ static PyMethodDef hop_defs[] = {
      "send($self, packet, /)\n--\n\nNode.send, run by the compiled hop."},
 };
 
-/* install_hop(Link, Router, Simulator, DropTailQueue, Packet, Node,
- * then Link.send, Link._serve, Link._deliver, Router.receive,
- * Simulator.schedule_abs, Node.send, maybe_release, clean_refs,
- * deque.append, deque.popleft): arm the hop; returns the C descriptors
- * for Link.send and Node.send, which repro.net.node installs. */
+/* install_hop(Link, Router, Simulator, DropTailQueue, RedQueue, Packet,
+ * Node, then the entry points Link.send, Link._serve, Link._deliver,
+ * Router.receive, Simulator.schedule_abs, DropTailQueue.enqueue,
+ * DropTailQueue.dequeue, RedQueue.enqueue, RedQueue.dequeue, then
+ * Node.send, maybe_release, clean_refs, deque.append, deque.popleft): arm
+ * the hop; returns the C descriptors for Link.send and Node.send, which
+ * repro.net.node installs. */
 static PyObject *
 module_install_hop(PyObject *Py_UNUSED(module), PyObject *args)
 {
@@ -1062,15 +1170,16 @@ module_install_hop(PyObject *Py_UNUSED(module), PyObject *args)
     PyObject **slot[] = {
         (PyObject **)&hop_type[T_LINK], (PyObject **)&hop_type[T_ROUTER],
         (PyObject **)&hop_type[T_SIM], (PyObject **)&hop_type[T_DROPTAIL],
-        (PyObject **)&packet_type, &node_type, &py_send, &hop_own[K__serve],
-        &hop_own[K__deliver], &hop_own[K_receive], &hop_own[K_schedule_abs],
-        &py_node_send, &py_release, &clean_refs, &deque_append, &deque_popleft};
+        (PyObject **)&hop_type[T_RED], (PyObject **)&packet_type, &node_type,
+        &py_send, &hop_own[1], &hop_own[2], &hop_own[3], &hop_own[4],
+        &hop_own[5], &hop_own[6], &hop_own[7], &hop_own[8], &py_node_send,
+        &py_release, &clean_refs, &deque_append, &deque_popleft};
     Py_ssize_t i, n = sizeof(slot) / sizeof(slot[0]);
     if (py_send != NULL || PyTuple_GET_SIZE(args) != n)
         return PyErr_Format(PyExc_TypeError,
                             "install_hop() runs once, with %zd arguments", n);
     for (i = 0; i < n; i++)
-        if (i <= 5 && !PyType_Check(PyTuple_GET_ITEM(args, i)))
+        if (i <= 6 && !PyType_Check(PyTuple_GET_ITEM(args, i)))
             return PyErr_Format(PyExc_TypeError,
                                 "install_hop() argument %zd is not a class", i);
     for (i = 0; i < n; i++)
@@ -1079,6 +1188,7 @@ module_install_hop(PyObject *Py_UNUSED(module), PyObject *args)
         if ((hop_str[i] = PyUnicode_InternFromString(hop_text[i])) == NULL)
             return NULL;
     one = PyLong_FromLong(1);
+    minus_one = PyLong_FromLong(-1);
     star = PyUnicode_InternFromString("*");
     tx_kwnames = Py_BuildValue("(ss)", "packet", "done");
     hop_own[K_send] = PyDescr_NewMethod(hop_type[T_LINK], &hop_defs[0]);
@@ -1118,7 +1228,7 @@ static PyMethodDef module_methods[] = {
     {"register_event_type", module_register_event_type, METH_O,
      "capture the Event class and its slot offsets (engine import hook)"},
     {"install_hop", module_install_hop, METH_VARARGS,
-     "run Link/DropTailQueue/Router hops in C (repro.net.node import hook)"},
+     "run Link/queue/Router hops in C (repro.net.node import hook)"},
     {NULL},
 };
 

@@ -1,7 +1,8 @@
 """The compiled hop under class-level shims, and how long it stays on.
 
 ``Link.send`` and ``Node.send`` are C descriptors on the compiled
-backend and the dispatch loop runs ``Link._serve`` / ``_deliver`` in C.
+backend and the dispatch loop runs ``Link._serve`` / ``_deliver`` in C,
+with the drop-tail and RED queues' ``enqueue`` / ``dequeue`` inlined.
 A wrapper installed at class level — the benchmark's outside-in tracer,
 a test's counting shim — must still see every call it would see on the
 pure backend, so the hop hands everything to Python while any of its
@@ -25,6 +26,7 @@ from repro.net.link import Link
 from repro.net.loss import UniformLoss
 from repro.net.node import Host, Router
 from repro.net.queues import DropTailQueue
+from repro.net.red import RedParams, RedQueue
 from repro.net.topology import Dumbbell, DumbbellParams
 from repro.sim.engine import CORE_BACKEND, Simulator
 from repro.sim.rng import RngStream
@@ -38,9 +40,14 @@ pytestmark = pytest.mark.skipif(
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def lossy_dumbbell(packets=400):
-    """One finite RR transfer through uniform loss on the Figure-7 dumbbell."""
+def lossy_dumbbell(packets=400, red=False):
+    """One finite RR transfer through uniform loss on the Figure-7
+    dumbbell, its bottleneck drop-tail or (``red``) RED."""
     sim = Simulator()
+
+    def red_queue(name):
+        return RedQueue(sim, RedParams(limit=200), RngStream(12, "shim-red"), name)
+
     bell = Dumbbell(
         sim,
         DumbbellParams(
@@ -50,6 +57,7 @@ def lossy_dumbbell(packets=400):
             side_bandwidth_bps=100e6,
             buffer_packets=200,
         ),
+        bottleneck_queue_factory=red_queue if red else None,
         forward_loss=UniformLoss(0.02, RngStream(11, "shim-loss")),
     )
     sender, _ = make_connection(
@@ -110,6 +118,33 @@ def test_class_level_shims_see_every_call(monkeypatch):
     assert counts["receive"] == sum(
         node.packets_received for node in bell.net.nodes.values() if isinstance(node, Router)
     )
+
+
+@pytest.mark.parametrize(
+    "cls,method",
+    [(DropTailQueue, "enqueue"), (RedQueue, "enqueue"), (RedQueue, "dequeue")],
+)
+def test_a_shim_on_one_queue_method_sees_every_call(monkeypatch, cls, method):
+    # Link.send stays the C descriptor: only the queue's method is shimmed.
+    original, calls = getattr(cls, method), []
+
+    def counted(queue, *args):
+        result = original(queue, *args)
+        if type(queue) is cls and (method == "enqueue" or result is not None):
+            calls.append(queue)
+        return result
+
+    monkeypatch.setattr(cls, method, counted)
+    sim, bell, sender = lossy_dumbbell(red=True)
+    sim.run(until=60.0)
+    assert sender.completed
+    queues = [link.queue for link in bell.net.links.values() if type(link.queue) is cls]
+    if method == "enqueue":
+        expected = sum(queue.enqueues + queue.drops for queue in queues)
+    else:
+        expected = sum(queue.dequeues for queue in queues)
+    assert expected > 0
+    assert len(calls) == expected
 
 
 def test_fast_path_rearms_after_the_first_state_digest():
