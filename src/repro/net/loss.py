@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
-from repro.net.packet import Packet
+from repro.net.packet import DATA, Packet
 from repro.sim.rng import RngStream
 
 
@@ -81,7 +81,7 @@ class UniformLoss(LossModule):
         self.drop_retransmits = drop_retransmits
 
     def should_drop(self, packet: Packet) -> bool:
-        if not packet.is_data:
+        if packet.kind != DATA:
             return False
         if self.flow_id is not None and packet.flow_id != self.flow_id:
             return False
@@ -267,7 +267,7 @@ class GilbertElliott(LossModule):
         self.bad_entries = 0
 
     def should_drop(self, packet: Packet) -> bool:
-        if not packet.is_data:
+        if packet.kind != DATA:
             return False
         if self.flow_id is not None and packet.flow_id != self.flow_id:
             return False

@@ -315,7 +315,8 @@ def data_packet(
         packet.ecn_echo = False
         packet.is_retransmit = is_retransmit
         packet.sent_at = 0.0
-        packet.uid = _uid_counter()
+        packet.uid = uid = _uid_counter.next_uid
+        _uid_counter.next_uid = uid + 1
         return packet
     return Packet(
         kind=DATA,
@@ -355,7 +356,8 @@ def ack_packet(
         packet.ecn_echo = False
         packet.is_retransmit = False
         packet.sent_at = 0.0
-        packet.uid = _uid_counter()
+        packet.uid = uid = _uid_counter.next_uid
+        _uid_counter.next_uid = uid + 1
         return packet
     return Packet(
         kind=ACK,

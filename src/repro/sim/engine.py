@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import os
 import sys
 from typing import Any, Callable, List, Optional, Tuple
@@ -171,6 +172,15 @@ if _CoreType is not None:
         CORE_BACKEND = "python"
 
 
+class _Clock:
+    """The pure backend's clock: the slot its loop writes, ``now`` reads."""
+
+    __slots__ = ("now",)
+
+    def __init__(self, now: float):
+        self.now = now
+
+
 class Simulator:
     """A discrete-event simulator with deterministic ordering.
 
@@ -190,15 +200,10 @@ class Simulator:
         if _CoreType is not None:
             core = _CoreType(float(start_time))
             core.set_free_list(self._event_free)
-            self._core = core
-            # The core doubles as the heap view: len() counts entries
-            # (cancelled included) and iteration yields the same
-            # (time, serial, event) tuples the pure heap stores, so
-            # introspection code works unchanged across backends.
-            self._heap = core
+            self._bind_core(core)
         else:
             self._core = None
-            self._now = float(start_time)
+            self._clock = _Clock(float(start_time))
             # Heap entries are (time, serial, event): comparisons during
             # sift run entirely in C on the leading floats/ints and only
             # ever reach the first two slots (serials are unique), so
@@ -210,11 +215,21 @@ class Simulator:
             self._cancelled_count = 0
             self._stop_requested = False
 
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        core = self._core
-        return self._now if core is None else core.now
+    def _bind_core(self, core) -> None:
+        self._core = core
+        # The core doubles as the heap view: len() counts entries
+        # (cancelled included) and iteration yields the same
+        # (time, serial, event) tuples the pure heap stores, so
+        # introspection code works unchanged across backends.
+        self._heap = core
+        # ... and as the clock; Event.cancel calls its C bookkeeping
+        # directly (shadowing the pure backend's method below).
+        self._clock = core
+        self._note_cancelled = core.note_cancelled
+
+    # A C getter over the per-instance clock (the core, or the pure
+    # backend's _Clock): reading the time runs no Python frame.
+    now = property(operator.attrgetter("_clock.now"), doc="Current time in seconds.")
 
     @property
     def events_processed(self) -> int:
@@ -282,7 +297,7 @@ class Simulator:
             # The entire fast path — serial, event reuse/allocation,
             # slot fill, heap push — happens inside the core.
             return core.schedule(delay, fn, args, self)
-        time = self._now + delay
+        time = self._clock.now + delay
         serial = next(self._serial)
         free = self._event_free
         if free:
@@ -320,7 +335,7 @@ class Simulator:
             # Past-time check, clamp and the whole fast path live in
             # the core, which has the clock at hand.
             return core.schedule_abs(time, fn, args, self)
-        now = self._now
+        now = self._clock.now
         if time < now:
             if time >= now - NEGATIVE_DELAY_EPSILON:
                 time = now
@@ -362,12 +377,9 @@ class Simulator:
 
     def _note_cancelled(self) -> None:
         """Bookkeeping for a lazily-deleted heap entry (called by
-        :meth:`Event.cancel`): keep the pending count exact, and compact
-        the heap once cancelled entries outnumber live ones."""
-        core = self._core
-        if core is not None:
-            core.note_cancelled()
-            return
+        :meth:`Event.cancel`; the pure backend's, see :meth:`_bind_core`):
+        keep the pending count exact, and compact the heap once cancelled
+        entries outnumber live ones."""
         self._pending -= 1
         self._cancelled_count += 1
         if (
@@ -454,11 +466,11 @@ class Simulator:
         if not self._heap:
             return False
         event = heapq.heappop(self._heap)[2]
-        if event.time < self._now:  # pragma: no cover - defensive
+        if event.time < self.now:  # pragma: no cover - defensive
             raise SimulationError(
-                f"event time {event.time} precedes clock {self._now}"
+                f"event time {event.time} precedes clock {self.now}"
             )
-        self._now = event.time
+        self._clock.now = event.time
         event._fired = True
         self._pending -= 1
         self._events_processed += 1
@@ -518,6 +530,7 @@ class Simulator:
                 heappop = heapq.heappop
                 getrefcount = sys.getrefcount
                 free = self._event_free
+                clock = self._clock
                 while True:
                     if self._stop_requested or (
                         max_events is not None and fired >= max_events
@@ -538,7 +551,7 @@ class Simulator:
                     if until is not None and etime > until:
                         break
                     event = heappop(heap)[2]
-                    self._now = etime
+                    clock.now = etime
                     event._fired = True
                     self._pending -= 1
                     self._events_processed += 1
@@ -565,7 +578,7 @@ class Simulator:
             else:
                 self._drop_cancelled()
                 if not (interrupted and self._heap and self._heap[0][0] <= until):
-                    self._now = until
+                    self._clock.now = until
         return fired
 
     def clear(self) -> None:
@@ -624,7 +637,7 @@ class Simulator:
             key=lambda entry: (entry[0], entry[1]),
         )
         return {
-            "now": self._now,
+            "now": self._clock.now,
             "serial_next": self._serial.__reduce__()[1][0],
             "heap": pending,
             "events_processed": self._events_processed,
@@ -645,11 +658,10 @@ class Simulator:
                 core.request_stop()
             for time, serial, event in state["heap"]:
                 core.push(time, serial, event)
-            self._core = core
-            self._heap = core
+            self._bind_core(core)
         else:
             self._core = None
-            self._now = state["now"]
+            self._clock = _Clock(state["now"])
             self._heap = list(state["heap"])  # sorted => valid min-heap
             self._serial = itertools.count(state["serial_next"])
             self._events_processed = state["events_processed"]

@@ -47,7 +47,8 @@ class Timer:
     @property
     def pending(self) -> bool:
         """True while the timer is armed."""
-        return self._event is not None and self._event.pending
+        event = self._event
+        return event is not None and not (event._cancelled or event._fired)
 
     @property
     def granularity(self) -> float:
@@ -67,19 +68,17 @@ class Timer:
         """Absolute expiration time, or None when not armed."""
         return self._event.time if self.pending else None
 
-    def _quantize(self, delay: float) -> float:
-        if self._granularity <= 0:
-            return delay
-        ticks = math.ceil(delay / self._granularity - 1e-12)
-        return max(1, ticks) * self._granularity
-
     def start(self, delay: float) -> None:
-        """Arm the timer ``delay`` seconds from now.
+        """Arm the timer ``delay`` seconds from now (rounded up to a
+        whole, nonzero number of ticks when a granularity is set).
 
         Restarting an armed timer cancels the previous expiration.
         """
         self.stop()
-        self._event = self._sim.schedule(self._quantize(delay), self._fire)
+        granularity = self._granularity
+        if granularity > 0:
+            delay = max(1, math.ceil(delay / granularity - 1e-12)) * granularity
+        self._event = self._sim.schedule(delay, self._fire)
 
     # ``restart`` reads better at call sites that always rearm.
     restart = start

@@ -27,9 +27,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config import TcpConfig
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, TopologyError
 from repro.net.node import Agent
-from repro.net.packet import Packet, data_packet
+from repro.net.packet import ACK, Packet, data_packet
 from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
 from repro.sim.tracing import NULL_CHANNEL, TraceBus
@@ -230,23 +230,22 @@ class TcpSender(Agent):
         """
         return self.snd_nxt - self.snd_una
 
-    def send_window(self) -> int:
-        """min(cwnd, receiver window), integral packets."""
-        return min(int(self.cwnd), self.config.receiver_window)
-
     def data_available(self) -> bool:
         """True while the application has unsent data."""
         return self._limit is None or self.snd_nxt < self._limit
 
-    def can_send_new(self) -> bool:
-        return self.data_available() and self.flight() < self.send_window()
-
     def send_available(self, max_packets: Optional[int] = None) -> int:
         """Send as much new data as the window (and ``max_packets``)
         permits.  Returns the number of packets sent."""
-        self._maybe_slow_start_restart()
+        config = self.config
+        if config.slow_start_restart:
+            self._maybe_slow_start_restart()
         sent = 0
-        while self.can_send_new():
+        # data_available() and flight() < min(cwnd, receiver window),
+        # inlined: this loop test runs on every ACK.
+        while (self._limit is None or self.snd_nxt < self._limit) and (
+            self.snd_nxt - self.snd_una < min(int(self.cwnd), config.receiver_window)
+        ):
             if max_packets is not None and sent >= max_packets:
                 break
             self._send_new()
@@ -257,10 +256,9 @@ class TcpSender(Agent):
     # transmission
     # ------------------------------------------------------------------
     def _maybe_slow_start_restart(self) -> None:
-        """RFC 2581 §4.1 (optional): an idle period longer than one RTO
-        invalidates the old cwnd — restart from the initial window."""
-        if not self.config.slow_start_restart:
-            return
+        """RFC 2581 §4.1 (optional, ``config.slow_start_restart``): an
+        idle period longer than one RTO invalidates the old cwnd —
+        restart from the initial window."""
         if (
             self._last_send_time is not None
             and self.flight() == 0
@@ -289,9 +287,12 @@ class TcpSender(Agent):
         self._transmit(seqno, retransmit=True)
 
     def _transmit(self, seqno: int, retransmit: bool) -> None:
+        host = self.host
+        if host is None:
+            raise TopologyError("agent is not attached to a host")
         packet = data_packet(
             self.flow_id,
-            self.local_name,
+            host.name,
             self.dst,
             seqno,
             size=self.config.mss_bytes,
@@ -326,13 +327,13 @@ class TcpSender(Agent):
                 snd_nxt=self.snd_nxt,
                 maxseq=self.maxseq,
             )
-        self.send(packet)
+        host.send(packet)
 
     # ------------------------------------------------------------------
     # ACK dispatch
     # ------------------------------------------------------------------
     def receive(self, packet: Packet) -> None:
-        if not packet.is_ack or self.completed:
+        if packet.kind != ACK or self.completed:
             return
         if packet.ecn_echo and self.config.ecn_enabled:
             self._ecn_reaction()
@@ -355,7 +356,8 @@ class TcpSender(Agent):
                     maxseq=self.maxseq,
                 )
             self._process_new_ack(packet)
-            self._check_complete()
+            if self._limit is not None and self.snd_una >= self._limit:
+                self._check_complete()
         elif ackno == self.snd_una and self.flight() > 0:
             self.observer.on_ack(self.sim.now, self, ackno, duplicate=True)
             if ch.subs:
@@ -394,7 +396,7 @@ class TcpSender(Agent):
         self.snd_una = ackno
         self.snd_nxt = max(self.snd_nxt, ackno)
         self.dupacks = 0
-        if self.flight() > 0:
+        if self.snd_nxt > ackno:  # flight() > 0
             self._timer.restart(self.rto.current())
         else:
             self._timer.stop()

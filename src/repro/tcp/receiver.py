@@ -23,8 +23,9 @@ from __future__ import annotations
 from typing import List, Optional, Set
 
 from repro.config import TcpConfig
+from repro.errors import TopologyError
 from repro.net.node import Agent
-from repro.net.packet import Packet, SackBlock, ack_packet, merge_ranges
+from repro.net.packet import DATA, Packet, SackBlock, ack_packet, merge_ranges
 from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
 
@@ -63,7 +64,7 @@ class TcpReceiver(Agent):
         return len(self._out_of_order)
 
     def receive(self, packet: Packet) -> None:
-        if not packet.is_data:
+        if packet.kind != DATA:
             return  # receivers ignore stray ACKs
         self._peer = packet.src
         self.packets_received += 1
@@ -85,7 +86,7 @@ class TcpReceiver(Agent):
             # RFC 3168 section 6.1.3: a congestion-experienced mark must
             # reach the sender without waiting out the delayed-ACK timer,
             # else the congestion response lags by up to the full timeout.
-            if filled_gap or self._ecn_echo_pending:
+            if filled_gap or self._ecn_echo_pending or not self.config.delayed_ack:
                 self._send_ack()
             else:
                 self._ack_in_order()
@@ -99,9 +100,7 @@ class TcpReceiver(Agent):
             self._send_ack()
 
     def _ack_in_order(self) -> None:
-        if not self.config.delayed_ack:
-            self._send_ack()
-            return
+        """Gap-free in-order data under delayed ACK."""
         self._delack_pending += 1
         if self._delack_pending >= 2:
             self._delack_flush()
@@ -123,24 +122,30 @@ class TcpReceiver(Agent):
     def _send_ack(self) -> None:
         if self._peer is None:
             return
+        host = self.host
+        if host is None:
+            raise TopologyError("agent is not attached to a host")
         # Any explicit ACK also covers whatever a pending delayed ACK
-        # would have acknowledged.
-        self._delack_pending = 0
-        self._delack_timer.stop()
+        # would have acknowledged.  The delayed-ACK timer is armed
+        # exactly while one is pending.
+        if self._delack_pending:
+            self._delack_pending = 0
+            self._delack_timer.stop()
         ack = ack_packet(
             self.flow_id,
-            self.local_name,
+            host.name,
             self._peer,
             self.rcv_next,
             size=self.config.ack_bytes,
-            sack_blocks=self._sack_blocks(),
+            # Both receivers report no SACK blocks without held data.
+            sack_blocks=self._sack_blocks() if self._out_of_order else None,
         )
         if self._ecn_echo_pending:
             ack.ecn_echo = True
             self._ecn_echo_pending = False
         ack.sent_at = self.sim.now
         self.acks_sent += 1
-        self.send(ack)
+        host.send(ack)
 
 
 class SackReceiver(TcpReceiver):
@@ -151,7 +156,7 @@ class SackReceiver(TcpReceiver):
         self._last_seqno: Optional[int] = None
 
     def receive(self, packet: Packet) -> None:
-        if packet.is_data:
+        if packet.kind == DATA:
             self._last_seqno = packet.seqno
         super().receive(packet)
 

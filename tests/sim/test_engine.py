@@ -259,6 +259,76 @@ class TestScheduleAbs:
         assert sim.schedule_abs(2.5, lambda: None).time == 2.5
 
 
+class TestClock:
+    """``Simulator.now`` reads a per-instance clock holder (the core, or
+    the pure loop's one-slot object) through a C getter."""
+
+    def test_after_schedule_and_run(self, backend_sim):
+        sim = backend_sim
+        seen = []
+        sim.schedule(1.25, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [1.25]
+        assert sim.now == 1.25
+
+    def test_after_run_until_past_the_last_event(self, backend_sim):
+        sim = backend_sim
+        sim.schedule(1.0, lambda: None)
+        sim.run(until=7.5)
+        assert sim.now == 7.5
+
+    def test_after_clear(self, backend_sim):
+        sim = backend_sim
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        sim.schedule(5.0, lambda: None)
+        sim.clear()
+        assert sim.now == 1.0
+        sim.run(until=3.0)
+        assert sim.now == 3.0
+
+    def test_after_a_pickle_round_trip(self, backend_sim):
+        import pickle
+
+        sim = backend_sim
+        sim.schedule(2.5, lambda: None)
+        sim.run()
+        sim.schedule(1.0, print)
+        clone = pickle.loads(pickle.dumps(sim))
+        assert clone.now == 2.5
+        clone.clear()
+        clone.run(until=4.0)
+        assert clone.now == 4.0
+        assert sim.now == 2.5  # the holders are not shared
+
+    def test_start_time(self, backend_sim):
+        assert type(backend_sim)(start_time=3.0).now == 3.0
+
+    def test_is_read_only(self, backend_sim):
+        with pytest.raises(AttributeError):
+            backend_sim.now = 1.0
+
+    def test_reading_runs_no_python_frame(self, backend_sim):
+        import sys
+
+        sim = backend_sim
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        calls = []
+
+        def probe(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(probe)
+        try:
+            now = sim.now
+        finally:
+            sys.setprofile(None)
+        assert now == 1.0
+        assert calls == []
+
+
 class TestNegativeDelayClamp:
     def test_float_epsilon_delay_clamps_to_now(self):
         sim = Simulator(start_time=10.0)

@@ -223,3 +223,13 @@ class TestCounters:
         assert harness.sender.flight() == 3
         harness.ack(2)
         assert harness.sender.flight() >= 1  # new sends may refill
+
+
+class TestUnattached:
+    def test_start_without_a_host_raises_topology_error(self):
+        from repro.errors import TopologyError
+        from repro.sim.engine import Simulator
+
+        sender = RenoSender(Simulator(), 1, "K1")
+        with pytest.raises(TopologyError, match="not attached"):
+            sender.start()

@@ -1,0 +1,73 @@
+"""Budget: Python calls per ACK on the endpoint path.
+
+Every packet a TCP endpoint sends or takes in runs some Python: the
+sender's ACK processing and transmit, the receiver's ACK generation,
+the host hand-off, the timer restart.  These budgets sit a little above
+the measured calls per ACK (``sys.setprofile`` "call" events across
+``sim.run``, divided by the ACKs the receiver sent), on whichever
+backend the suite runs under.  A breach means a glue frame — a property
+getter, a one-line helper, an ``Agent`` indirection — came back onto
+the per-packet path; docs/PERFORMANCE.md "The endpoint path" lists the
+frames that are meant to be there.
+"""
+
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from repro.config import TcpConfig
+from repro.experiments.common import FlowSpec, build_dumbbell_scenario
+from repro.net.loss import UniformLoss
+from repro.net.topology import DumbbellParams
+from repro.sim.engine import CORE_BACKEND
+from repro.sim.rng import RngStream
+
+#: Calls per ACK allowed, by backend (measured: RR 26.8 and SACK 37.0
+#: compiled, 78.6 and 88.7 pure; before the glue came out, 54.9 / 65.5
+#: and 112.0 / 122.6).
+BUDGETS = {
+    "compiled": {"rr": 28.5, "sack": 38.5},
+    "python": {"rr": 80.5, "sack": 90.5},
+}
+
+
+def calls_by_function(variant):
+    """Python calls per ACK, by function, on the Figure-7 dumbbell cell
+    of tests/net/test_hop_event_budget.py with one finite flow of
+    ``variant``: a ``{"file:function": calls per ACK}`` dict."""
+    scenario = build_dumbbell_scenario(
+        flows=[FlowSpec(variant=variant, amount_packets=1500)],
+        params=DumbbellParams(
+            n_pairs=1,
+            bottleneck_bandwidth_bps=10e6,
+            bottleneck_delay=0.097,
+            side_bandwidth_bps=100e6,
+            buffer_packets=200,
+        ),
+        default_config=TcpConfig(receiver_window=200, initial_ssthresh=100.0),
+        forward_loss=UniformLoss(0.01, RngStream(41, "hop-budget")),
+    )
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    sys.setprofile(count)
+    try:
+        scenario.sim.run(until=600.0)
+    finally:
+        sys.setprofile(None)
+    assert scenario.senders[1].completed
+    acks = scenario.receivers[1].acks_sent
+    by_function = Counter()
+    for code, n in calls.items():
+        by_function[f"{Path(code.co_filename).name}:{code.co_qualname}"] += n / acks
+    return dict(by_function)
+
+
+@pytest.mark.parametrize("variant", ["rr", "sack"])
+def test_calls_per_ack_on_the_figure7_dumbbell(variant):
+    assert sum(calls_by_function(variant).values()) <= BUDGETS[CORE_BACKEND][variant]

@@ -56,6 +56,13 @@ class TestInOrder:
         receiver.receive(ack_packet(1, "S1", "K1", 3))
         assert host.sent == []
 
+    def test_data_without_a_host_raises_topology_error(self):
+        from repro.errors import TopologyError
+
+        receiver = TcpReceiver(Simulator(), flow_id=1)
+        with pytest.raises(TopologyError, match="not attached"):
+            deliver(receiver, 0)
+
 
 class TestOutOfOrder:
     def test_gap_generates_dup_acks(self):
