@@ -1,8 +1,9 @@
 /* Compiled dispatch core for repro.sim.engine.Simulator.
  *
  * Design: events stay ordinary Python ``Event`` objects; this module
- * owns the heap array, the counters, the dispatch loop and a link hop
- * that works on the Python objects' own state (see "the hop" below).
+ * owns the heap array, the counters, the dispatch loop, a link hop
+ * that works on the Python objects' own state (see "the hop" below) and
+ * the trace channels' emit (see "trace records").
  * That keeps every serialization surface (pickles, snapshot digests,
  * golden state) in Python and bit-identical across backends — a host
  * without a C compiler simply falls back to the pure-python code.
@@ -1201,6 +1202,133 @@ module_install_hop(PyObject *Py_UNUSED(module), PyObject *args)
         PyDescr_NewMethod((PyTypeObject *)node_type, &hop_defs[1]));
 }
 
+/* ------------------------------------------------------------------ */
+/* trace records: TraceChannel.emit                                    */
+/* ------------------------------------------------------------------ */
+
+/* Installed by repro.sim.tracing.  The record is built with one tuple
+ * allocation and each subscriber is called from here, so a record costs
+ * no emit frame and no TraceRecord.__new__ frame, only its subscribers'.
+ * A call the Python method would bind differently (other than two
+ * positional arguments, or a keyword naming a parameter), a subclass, an
+ * unset slot and subscribers that are not a list run the Python
+ * original, which binds, iterates or raises. */
+static PyTypeObject *record_type, *channel_type;
+static PyObject *py_channel_emit;
+static Py_ssize_t off_category, off_subs;
+
+/* Whether a keyword binds one of emit's own parameters. */
+static int
+binds_parameter(PyObject *kwnames)
+{
+    static const char *const params[] = {"self", "time", "source"};
+    Py_ssize_t i, n = kwnames == NULL ? 0 : PyTuple_GET_SIZE(kwnames);
+    size_t j;
+    for (i = 0; i < n; i++)
+        for (j = 0; j < sizeof(params) / sizeof(params[0]); j++)
+            if (PyUnicode_CompareWithASCIIString(PyTuple_GET_ITEM(kwnames, i),
+                                                 params[j]) == 0)
+                return 1;
+    return 0;
+}
+
+/* py_channel_emit(self, *args, **kwargs), the arguments as received */
+static PyObject *
+channel_emit_py(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
+                PyObject *kwnames)
+{
+    Py_ssize_t n = nargs + (kwnames == NULL ? 0 : PyTuple_GET_SIZE(kwnames));
+    PyObject **argv = PyMem_Malloc((size_t)(n + 1) * sizeof(PyObject *)), *r;
+    if (argv == NULL)
+        return PyErr_NoMemory();
+    argv[0] = self;
+    memcpy(argv + 1, args, (size_t)n * sizeof(PyObject *));
+    r = PyObject_Vectorcall(py_channel_emit, argv, nargs + 1, kwnames);
+    PyMem_Free(argv);
+    return r;
+}
+
+/* TraceChannel.emit(self, time, source, **fields): when subs is not
+ * empty, TraceRecord(time, self.category, source, fields) to each of
+ * subs in order, as ``for fn in subs: fn(record)``. */
+static PyObject *
+channel_emit(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
+             PyObject *kwnames)
+{
+    PyObject *subs = NULL, *category = NULL, *fields, *record, *fn, *r;
+    PyObject *argv[2];
+    Py_ssize_t i, n = kwnames == NULL ? 0 : PyTuple_GET_SIZE(kwnames);
+    int rc = 0;
+    if (Py_TYPE(self) == channel_type && nargs == 2 &&
+        !binds_parameter(kwnames)) {
+        subs = EV_SLOT(self, off_subs);
+        category = EV_SLOT(self, off_category);
+    }
+    if (subs == NULL || category == NULL || !PyList_CheckExact(subs))
+        return channel_emit_py(self, args, nargs, kwnames);
+    if (PyList_GET_SIZE(subs) == 0)
+        Py_RETURN_NONE;
+    /* Held: a subscriber (or a finalizer run by an allocation below) may
+     * rebind the channel's slots. */
+    Py_INCREF(subs), Py_INCREF(category);
+    fields = PyDict_New();
+    for (i = 0; fields != NULL && rc == 0 && i < n; i++)
+        rc = PyDict_SetItem(fields, PyTuple_GET_ITEM(kwnames, i), args[2 + i]);
+    record = fields != NULL && rc == 0 ? record_type->tp_alloc(record_type, 4)
+                                       : NULL;
+    if (record == NULL) {
+        Py_XDECREF(fields), Py_DECREF(category), Py_DECREF(subs);
+        return NULL;
+    }
+    PyTuple_SET_ITEM(record, 0, Py_NewRef(args[0]));
+    PyTuple_SET_ITEM(record, 1, category);
+    PyTuple_SET_ITEM(record, 2, Py_NewRef(args[1]));
+    PyTuple_SET_ITEM(record, 3, fields);
+    argv[1] = record;
+    for (i = 0; rc == 0 && i < PyList_GET_SIZE(subs); i++) {
+        fn = Py_NewRef(PyList_GET_ITEM(subs, i));
+        r = PyObject_Vectorcall(fn, argv + 1, 1 | PY_VECTORCALL_ARGUMENTS_OFFSET,
+                                NULL);
+        rc = r == NULL ? -1 : 0;
+        Py_XDECREF(r), Py_DECREF(fn);
+    }
+    Py_DECREF(subs), Py_DECREF(record);
+    return rc < 0 ? NULL : Py_NewRef(Py_None);
+}
+
+static PyMethodDef channel_emit_def = {
+    "emit", (PyCFunction)(void (*)(void))channel_emit,
+    METH_FASTCALL | METH_KEYWORDS,
+    "emit($self, time, source, /, **fields)\n--\n\n"
+    "TraceChannel.emit, run by the compiled core."};
+
+/* install_tracing(TraceRecord, TraceChannel, TraceChannel.emit): returns
+ * the C descriptor for TraceChannel.emit, which repro.sim.tracing
+ * installs.  TraceRecord must be a tuple subclass with no other storage
+ * (a NamedTuple), which channel_emit fills in place. */
+static PyObject *
+module_install_tracing(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyTypeObject *record, *channel;
+    PyObject *emit;
+    if (!PyArg_ParseTuple(args, "O!O!O:install_tracing", &PyType_Type, &record,
+                          &PyType_Type, &channel, &emit))
+        return NULL;
+    if (!PyType_IsSubtype(record, &PyTuple_Type) ||
+        record->tp_basicsize != PyTuple_Type.tp_basicsize ||
+        record->tp_dictoffset != 0)
+        return PyErr_Format(PyExc_TypeError,
+                            "install_tracing(): %s is not a plain tuple type",
+                            record->tp_name);
+    if (slot_offset((PyObject *)channel, "category", &off_category) < 0 ||
+        slot_offset((PyObject *)channel, "subs", &off_subs) < 0)
+        return NULL;
+    Py_XSETREF(record_type, (PyTypeObject *)Py_NewRef(record));
+    Py_XSETREF(channel_type, (PyTypeObject *)Py_NewRef(channel));
+    Py_XSETREF(py_channel_emit, Py_NewRef(emit));
+    return PyDescr_NewMethod(channel, &channel_emit_def);
+}
+
 /* Capture the Python Event class and its slot offsets.  Must be
  * called (by repro.sim.engine, at import) before any Core is used;
  * raises if the class layout is not the expected __slots__ set. */
@@ -1229,6 +1357,8 @@ static PyMethodDef module_methods[] = {
      "capture the Event class and its slot offsets (engine import hook)"},
     {"install_hop", module_install_hop, METH_VARARGS,
      "run Link/queue/Router hops in C (repro.net.node import hook)"},
+    {"install_tracing", module_install_tracing, METH_VARARGS,
+     "build and fan out trace records in C (repro.sim.tracing import hook)"},
     {NULL},
 };
 

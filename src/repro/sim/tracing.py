@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Any, Callable, DefaultDict, Dict, Iterable, List, NamedTuple, Optional
 
+from repro.sim.engine import CORE_BACKEND
+
 
 class TraceRecord(NamedTuple):
     """One trace event: an immutable tuple-backed record — one is built
@@ -64,6 +66,19 @@ class TraceChannel:
             record = TraceRecord(time, self.category, source, fields)
             for fn in subs:
                 fn(record)
+
+
+if CORE_BACKEND == "compiled":  # pragma: no cover - compiled-core CI leg
+    # The core builds each record and calls the subscribers itself: a
+    # record costs no emit frame and no TraceRecord.__new__ frame.  The
+    # method above stays the pure backend and the fallback for a call it
+    # would bind differently (docs/PERFORMANCE.md, "Records without
+    # frames").
+    from repro.sim import _engine_core
+
+    TraceChannel.emit = _engine_core.install_tracing(
+        TraceRecord, TraceChannel, TraceChannel.emit
+    )
 
 
 #: Shared no-op channel for components constructed without a trace bus:

@@ -29,7 +29,12 @@ class _Counts:
 
 @pytest.fixture
 def counting_shims(monkeypatch):
-    """Count every TraceChannel.emit call and TraceRecord allocation."""
+    """Count every TraceChannel.emit call and TraceRecord allocation.
+
+    The compiled emit builds records from the class it captured when
+    installed, so ``records`` counts only the pure path's records.  On
+    either backend a channel builds a record only inside an emit call,
+    which ``emits`` counts."""
     counts = _Counts()
     real_emit = TraceChannel.emit
 
