@@ -23,6 +23,11 @@ Checked invariants (DESIGN.md §7's property list, enforced online):
 * instantaneous queue occupancy stays within ``[0, limit]``
   (:class:`QueueOccupancyBounds`).
 
+The suite listens on the wildcard, which carries every category but the
+by-name-only ``link.tx`` (:attr:`TraceBus.BY_NAME_ONLY`): the queue
+probes sample at protocol, drop and link-state records, not at each
+hop's service start.
+
 Usage::
 
     suite = InvariantSuite.standard()
@@ -166,8 +171,8 @@ class RecoverMonotonic(InvariantChecker):
 class QueueOccupancyBounds(InvariantChecker):
     """A queue's instantaneous occupancy stays within ``[0, limit]``.
 
-    A probe: it inspects the queue object directly on every record, so
-    it needs no queue-side trace emission.
+    A probe: it inspects the queue object directly on every record the
+    suite receives, so it needs no queue-side trace emission.
     """
 
     name = "queue-occupancy"
@@ -210,10 +215,10 @@ class RedAverageBounds(InvariantChecker):
 class InvariantSuite:
     """A set of checkers sharing one trace tail.
 
-    The suite subscribes a single wildcard listener: each record is
-    appended to the tail *first* (so the offending record is part of
-    the attached evidence), then dispatched to the category-matched
-    checkers and to every probe.
+    The suite subscribes a single wildcard listener (every category but
+    ``link.tx``): each record is appended to the tail *first* (so the
+    offending record is part of the attached evidence), then dispatched
+    to the category-matched checkers and to every probe.
     """
 
     def __init__(self, tail_size: int = 50):
@@ -258,7 +263,7 @@ class InvariantSuite:
         return self
 
     def install(self, bus: TraceBus) -> "InvariantSuite":
-        """Start checking everything published on ``bus``."""
+        """Start checking what ``bus``'s wildcard carries."""
         if self._bus is not None:
             raise ValueError("suite is already installed on a bus")
         self._bus = bus

@@ -91,7 +91,8 @@ class TraceBus:
     """Publish/subscribe hub for :class:`TraceRecord` objects.
 
     Subscriptions are exact-category; subscribing to ``"*"`` receives
-    everything.
+    every category except the by-name-only ones (:attr:`BY_NAME_ONLY`),
+    which reach only their own subscribers.
 
     Delivery is driven by a per-category *merged* subscriber list
     (exact + wildcard, materialized lazily and invalidated on
@@ -101,6 +102,10 @@ class TraceBus:
     """
 
     WILDCARD = "*"
+    #: Categories a wildcard subscriber never receives: ``link.tx`` is
+    #: one record per hop service start, and only a by-name subscriber
+    #: (hop timing, backend parity) reads it.
+    BY_NAME_ONLY = frozenset({"link.tx"})
 
     def __init__(self) -> None:
         self._subscribers: DefaultDict[str, List[Subscriber]] = defaultdict(list)
@@ -139,7 +144,7 @@ class TraceBus:
 
     def _merge(self, category: str) -> List[Subscriber]:
         merged = list(self._subscribers.get(category, ()))
-        if category != self.WILDCARD:
+        if category != self.WILDCARD and category not in self.BY_NAME_ONLY:
             merged.extend(self._subscribers.get(self.WILDCARD, ()))
         self._merged[category] = merged
         ch = self._channels.get(category)
@@ -225,7 +230,8 @@ class TraceTail:
 
     Post-mortem tooling (invariant checkers, the engine watchdog)
     attaches the tail to its failure report so "what just happened"
-    survives the abort.  Subscribe it to a bus wildcard, or let
+    survives the abort.  Subscribe it to a bus wildcard (every category
+    but :attr:`TraceBus.BY_NAME_ONLY`), or let
     :class:`~repro.sim.invariants.InvariantSuite` feed it.
     """
 
@@ -240,7 +246,7 @@ class TraceTail:
         self._records.append(record)
 
     def install(self, bus: "TraceBus") -> None:
-        """Start capturing everything published on ``bus``."""
+        """Start capturing what ``bus``'s wildcard carries."""
         if self._bus is not None:
             raise ValueError("tail is already installed on a bus")
         self._bus = bus
@@ -248,7 +254,8 @@ class TraceTail:
 
     def uninstall(self) -> None:
         """Stop capturing; the records held stay readable.  Until then
-        the wildcard subscription makes every category build records."""
+        the wildcard subscription makes every category it carries build
+        records."""
         if self._bus is not None:
             self._bus.unsubscribe(TraceBus.WILDCARD, self.append)
             self._bus = None

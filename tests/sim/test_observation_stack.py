@@ -8,6 +8,14 @@ faster, so the counts below were recorded on the parent commit
 ``observed_recovery`` benchmark, ``chaos`` and ``identify`` wire:
 standard suite + ``watch_queue``, collector, watchdog on the suite's
 tail, ``watch_drops``.  The tree must keep reproducing them exactly.
+
+``link.tx`` is by-name only (``TraceBus.BY_NAME_ONLY``): the suite's
+wildcard no longer receives the per-hop records, so ``records_seen``
+and the queue probe's count are the parent's less exactly the
+``link.tx`` count.  The four ``tcp.*`` checkers' counts and the
+collector's events are the parent's, unchanged.  The per-category
+counter below asks for ``link.tx`` by name, so the table still shows
+every hop emitting when someone listens.
 """
 
 import collections
@@ -27,17 +35,17 @@ from repro.snapshot.golden import GOLDEN_VARIANTS, build_golden_scenario
 #:             collector.flows[1].events), golden scenario run to t=30.
 PARENT_COUNTS = {
     "tahoe": (
-        2708,
+        893,
         {"ack-monotonic": 302, "send-window": 607, "rr-state": 0,
-         "recover-monotonic": 0, "queue-occupancy": 2708},
+         "recover-monotonic": 0, "queue-occupancy": 893},
         {"link.injected_drop": 3, "link.tx": 1815, "tcp.ack": 302,
          "tcp.complete": 1, "tcp.cwnd": 281, "tcp.send": 305, "tcp.start": 1},
         888,
     ),
     "reno": (
-        2713,
+        910,
         {"ack-monotonic": 300, "send-window": 604, "rr-state": 0,
-         "recover-monotonic": 5, "queue-occupancy": 2713},
+         "recover-monotonic": 5, "queue-occupancy": 910},
         {"link.injected_drop": 3, "link.tx": 1803, "tcp.ack": 300,
          "tcp.complete": 1, "tcp.cwnd": 297, "tcp.recovery_enter": 2,
          "tcp.recovery_exit": 2, "tcp.send": 303, "tcp.start": 1,
@@ -45,27 +53,27 @@ PARENT_COUNTS = {
         905,
     ),
     "newreno": (
-        2711,
+        908,
         {"ack-monotonic": 300, "send-window": 603, "rr-state": 0,
-         "recover-monotonic": 2, "queue-occupancy": 2711},
+         "recover-monotonic": 2, "queue-occupancy": 908},
         {"link.injected_drop": 3, "link.tx": 1803, "tcp.ack": 300,
          "tcp.complete": 1, "tcp.cwnd": 298, "tcp.recovery_enter": 1,
          "tcp.recovery_exit": 1, "tcp.send": 303, "tcp.start": 1},
         903,
     ),
     "sack": (
-        2691,
+        888,
         {"ack-monotonic": 300, "send-window": 603, "rr-state": 0,
-         "recover-monotonic": 2, "queue-occupancy": 2691},
+         "recover-monotonic": 2, "queue-occupancy": 888},
         {"link.injected_drop": 3, "link.tx": 1803, "tcp.ack": 300,
          "tcp.complete": 1, "tcp.cwnd": 278, "tcp.recovery_enter": 1,
          "tcp.recovery_exit": 1, "tcp.send": 303, "tcp.start": 1},
         883,
     ),
     "rr": (
-        2678,
+        875,
         {"ack-monotonic": 300, "send-window": 603, "rr-state": 4,
-         "recover-monotonic": 6, "queue-occupancy": 2678},
+         "recover-monotonic": 6, "queue-occupancy": 875},
         {"link.injected_drop": 3, "link.tx": 1803, "tcp.ack": 300,
          "tcp.complete": 1, "tcp.cwnd": 261, "tcp.recovery_enter": 1,
          "tcp.recovery_exit": 1, "tcp.rr": 4, "tcp.send": 303, "tcp.start": 1},
@@ -90,6 +98,7 @@ def observed_golden(variant):
         per_category[record.category] += 1
 
     bus.subscribe("*", count)
+    bus.subscribe("link.tx", count)  # by-name only: "*" never carries it
     return scenario, suite, collector, watchdog, per_category
 
 
@@ -107,8 +116,10 @@ class TestSameChecksSameAnswers:
         assert {c.name: c.records_checked for c in suite.checkers} == checked
         assert dict(per_category) == categories
         assert collector.flows[1].events == events
-        # Probes run on every record of every category.
-        assert checked["queue-occupancy"] == sum(categories.values()) == seen
+        # Probes run on every record the suite receives: every category
+        # but the by-name-only link.tx.
+        assert checked["queue-occupancy"] == seen
+        assert seen == sum(categories.values()) - categories["link.tx"]
 
 
 class _Spy(InvariantChecker):
@@ -140,7 +151,7 @@ class TestDispatchOrder:
         assert log == [("on-ack", True), ("on-ack-and-send", True),
                        ("probe-a", True), ("probe-b", True)]
         del log[:]
-        bus.emit(2.0, "link.tx", "R1->R2")  # a category nobody lists
+        bus.emit(2.0, "link.drop", "R1->R2")  # a category nobody lists
         assert log == [("probe-a", True), ("probe-b", True)]
         assert suite.records_seen == 2
         assert [c.records_checked for c in suite.checkers] == [2, 1, 2, 1]

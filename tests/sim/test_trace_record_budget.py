@@ -1,4 +1,4 @@
-"""Budget: Python calls per trace record under the observation stack.
+"""Budget: Python calls per ACK under the observation stack.
 
 A watched run (``chaos``, ``identify``, the ``observed_recovery``
 benchmark) puts every record through the same stack: the invariant
@@ -6,13 +6,15 @@ suite, the flow-trace collector, the watchdog on the suite's tail and
 ``FlowStats.watch_drops``.  What a record costs in Python is its
 subscribers' frames; on the compiled backend ``TraceChannel.emit``
 builds the record and calls them from C, so there is no emit frame and
-no ``TraceRecord.__new__`` frame.  These budgets sit a little above the
-measured calls per record (``sys.setprofile`` "call" events across
-``sim.run``, over everything the run does, divided by the records the
-suite saw) on whichever backend the suite runs under.  A breach means a
-frame came back between the emit site and the subscribers;
-docs/PERFORMANCE.md "Records without frames" lists the frames that are
-meant to be there.
+no ``TraceRecord.__new__`` frame.  ``link.tx`` is by-name only, so the
+stack's wildcard listeners make no hop build a record.  These budgets
+sit a little above the measured calls per ACK (``sys.setprofile``
+"call" events across ``sim.run``, over everything the run does,
+divided by the ACKs the receiver sent, which do not change when a
+category leaves the stack) on whichever backend the suite runs under.  A breach means a frame came back
+between the emit site and the subscribers, or a category came back
+onto the stack; docs/PERFORMANCE.md "Records without frames" and "Hops
+nobody reads" list the frames that are meant to be there.
 """
 
 import sys
@@ -31,20 +33,18 @@ from repro.sim.invariants import InvariantSuite
 from repro.sim.rng import RngStream
 from repro.sim.watchdog import Watchdog
 
-#: Calls per record allowed, by backend (measured: RR 7.26 and SACK 8.42
-#: compiled, 15.03 and 16.24 pure; with the emit and TraceRecord.__new__
-#: frames the compiled backend read 9.24 and 10.41).
+#: Calls per ACK allowed, by backend (measured: RR 42.88 and SACK 52.67
+#: compiled, 100.32 and 110.01 pure; while the suite's wildcard still
+#: received link.tx the same cell read 64.90 / 74.71 and 134.36 / 144.08).
 BUDGETS = {
-    "compiled": {"rr": 7.6, "sack": 8.8},
-    "python": {"rr": 15.5, "sack": 16.7},
+    "compiled": {"rr": 44.5, "sack": 54.5},
+    "python": {"rr": 103.0, "sack": 113.0},
 }
 
 
-def calls_by_function(variant):
-    """Python calls per trace record, by function, on the Figure-7
-    dumbbell cell of tests/tcp/test_endpoint_call_budget.py with the
-    full observation stack attached: a ``{"file:function": calls per
-    record}`` dict."""
+def watched_cell(variant):
+    """The Figure-7 dumbbell cell of tests/tcp/test_endpoint_call_budget.py
+    with the full observation stack attached, not yet run."""
     scenario = build_dumbbell_scenario(
         flows=[FlowSpec(variant=variant, amount_packets=1500)],
         params=DumbbellParams(
@@ -63,6 +63,13 @@ def calls_by_function(variant):
     suite.install(trace)
     FlowTraceCollector().install(trace)
     Watchdog(scenario.sim, scenario.senders, tail=suite.tail).arm()
+    return scenario
+
+
+def calls_by_function(variant):
+    """Python calls per ACK, by function, on :func:`watched_cell`: a
+    ``{"file:function": calls per ACK}`` dict."""
+    scenario = watched_cell(variant)
     calls = Counter()
 
     def count(frame, event, arg):
@@ -75,13 +82,19 @@ def calls_by_function(variant):
     finally:
         sys.setprofile(None)
     assert scenario.senders[1].completed
-    records = suite.records_seen
+    acks = scenario.receivers[1].acks_sent
     by_function = Counter()
     for code, n in calls.items():
-        by_function[f"{Path(code.co_filename).name}:{code.co_qualname}"] += n / records
+        by_function[f"{Path(code.co_filename).name}:{code.co_qualname}"] += n / acks
     return dict(by_function)
 
 
+def test_no_hop_builds_a_record_under_the_watched_stack():
+    trace = watched_cell("rr").dumbbell.net.trace
+    assert trace.channel("link.tx").subs == []
+    assert trace.has_subscribers("tcp.ack")
+
+
 @pytest.mark.parametrize("variant", ["rr", "sack"])
-def test_calls_per_record_on_the_figure7_dumbbell(variant):
+def test_calls_per_ack_on_the_figure7_dumbbell(variant):
     assert sum(calls_by_function(variant).values()) <= BUDGETS[CORE_BACKEND][variant]

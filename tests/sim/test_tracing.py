@@ -1,5 +1,7 @@
 """Unit tests for the trace bus."""
 
+import pickle
+
 import pytest
 
 from repro.sim.tracing import TraceBus, TraceRecord, TraceTail
@@ -200,3 +202,63 @@ class TestMergedListCache:
         bus.emit(2.0, "y", "src")
         assert len(exact) == 1
         assert len(everything) == 2
+
+
+class TestByNameOnly:
+    """``link.tx`` (one record per hop service start) reaches only the
+    subscribers that ask for it by name; ``"*"`` means every other
+    category."""
+
+    def test_link_tx_is_by_name_only(self):
+        assert "link.tx" in TraceBus.BY_NAME_ONLY
+
+    def test_wildcard_never_receives_link_tx(self):
+        bus = TraceBus()
+        cached = bus.channel("link.tx")  # cached before the wildcard
+        seen = []
+        bus.subscribe("*", seen.append)
+        bus.emit(1.0, "link.tx", "R1->R2")
+        bus.publish(make_record("link.tx"))
+        cached.emit(2.0, "R1->R2")
+        bus.channel("link.tx").emit(3.0, "R1->R2")
+        assert cached.subs == [] and bus.channel("link.tx") is cached
+        assert seen == []
+        bus.emit(4.0, "link.drop", "R1->R2")  # other categories still arrive
+        assert [r.category for r in seen] == ["link.drop"]
+
+    def test_by_name_subscriber_receives_it_once_beside_a_wildcard(self):
+        bus = TraceBus()
+        cached = bus.channel("link.tx")
+        both, everything = [], []
+        bus.subscribe("*", everything.append)
+        bus.subscribe("*", both.append)
+        bus.subscribe("link.tx", both.append)
+        bus.emit(1.0, "link.tx", "R1->R2")
+        bus.publish(make_record("link.tx", time=2.0))
+        cached.emit(3.0, "R1->R2")
+        assert [r.time for r in both] == [1.0, 2.0, 3.0]
+        assert everything == []
+
+    def test_has_subscribers_is_false_under_a_wildcard_alone(self):
+        bus = TraceBus()
+        bus.subscribe("*", lambda r: None)
+        assert not bus.has_subscribers("link.tx")
+        assert bus.has_subscribers("tcp.send")
+        bus.subscribe("link.tx", print)
+        assert bus.has_subscribers("link.tx")
+
+    def test_an_unpickled_bus_behaves_the_same(self):
+        bus = TraceBus()
+        by_name, everything = [], []
+        bus.subscribe("*", everything.append)
+        bus.subscribe("link.tx", by_name.append)
+        bus.channel("link.tx")
+        bus, by_name, everything = pickle.loads(pickle.dumps((bus, by_name, everything)))
+        bus.emit(1.0, "link.tx", "R1->R2")
+        bus.publish(make_record("link.tx", time=2.0))
+        bus.channel("link.tx").emit(3.0, "R1->R2")
+        bus.emit(4.0, "tcp.send", "rr/f1")
+        assert [r.time for r in by_name] == [1.0, 2.0, 3.0]
+        assert [r.category for r in everything] == ["tcp.send"]
+        bus.unsubscribe("link.tx", by_name.append)
+        assert not bus.has_subscribers("link.tx")

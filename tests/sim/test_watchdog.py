@@ -127,11 +127,11 @@ class TestLifecycle:
         scenario = stalled_scenario()
         bus = scenario.dumbbell.net.trace
         watchdog = Watchdog(scenario.sim, senders=scenario.senders, trace=bus).arm()
-        assert len(bus.channel("link.tx").subs) == 1
+        assert len(bus.channel("tcp.send").subs) == 1
         scenario.sim.run(until=0.5)
         watchdog.disarm()
-        assert bus.channel("link.tx").subs == []
-        assert not bus.has_subscribers("tcp.send")
+        assert bus.channel("tcp.send").subs == []
+        assert not bus.has_subscribers("tcp.ack")
         captured = len(watchdog.tail)
         assert captured > 0  # evidence survives the disarm
         scenario.sim.run(until=0.8)
@@ -139,7 +139,7 @@ class TestLifecycle:
         watchdog.disarm()  # idempotent
         # Re-arming guards (and captures) again.
         watchdog.arm()
-        assert len(bus.channel("link.tx").subs) == 1
+        assert len(bus.channel("tcp.send").subs) == 1
 
     def test_trip_removes_the_tail_the_watchdog_created(self):
         scenario = stalled_scenario()
@@ -150,7 +150,7 @@ class TestLifecycle:
         ).arm()
         scenario.sim.run(until=600.0)
         assert watchdog.triggered and watchdog.report.last_events
-        assert bus.channel("link.tx").subs == []
+        assert bus.channel("tcp.send").subs == []
 
     def test_disarm_leaves_a_shared_tail_to_its_owner(self):
         scenario = stalled_scenario()
@@ -160,7 +160,7 @@ class TestLifecycle:
         assert watchdog.tail is suite.tail
         scenario.sim.run(until=0.5)
         watchdog.disarm()
-        assert len(bus.channel("link.tx").subs) == 1  # the suite's, untouched
+        assert len(bus.channel("tcp.send").subs) == 1  # the suite's, untouched
         seen = suite.records_seen
         scenario.sim.run(until=0.8)
         assert suite.records_seen > seen
