@@ -14,7 +14,7 @@ and verifies, without executing any example:
   ``python -m repro.experiments <cmd> --help``;
 * every ``--flag`` that follows ``python -m repro.experiments``, in a
   fenced block or a back-ticked span, is listed by the ``--help`` of
-  the parser the invocation addresses (the main one, ``fsck``, or
+  the parser the invocation addresses (the main one or
   ``snapshot <verb>``) — a page must not keep advertising an option a
   change removed;
 * every relative markdown link (``[text](OTHER.md)``,
@@ -194,9 +194,7 @@ def check_cli_flags(invocations: List[Tuple[str, str]]) -> Tuple[List[str], int]
         arguments = re.split(r"\s(?:#|\||&&|;|>)(?:\s|$)", arguments, maxsplit=1)[0]
         words = [w for w in arguments.split() if w[0] not in "-["]
         parser: Tuple[str, ...] = ()
-        if words and words[0] == "fsck":
-            parser = ("fsck",)
-        elif words and words[0] == "snapshot":
+        if words and words[0] == "snapshot":
             parser = ("snapshot",) + tuple(words[1:2])
             if not all(word.isalpha() for word in parser):
                 continue  # ``snapshot <verb> ...``: an illustration

@@ -21,20 +21,7 @@ from __future__ import annotations
 
 import sys
 from importlib import import_module
-from types import ModuleType
 from typing import Callable, List, Mapping, Sequence, Tuple
-
-
-class _ShadowingPackage(ModuleType):
-    """A package re-exporting a name equal to the submodule defining it
-    (``repro.runner.fsck``).  The import system binds a freshly imported
-    submodule on its parent; keep the re-export there instead, as the
-    eager ``from repro.runner.fsck import fsck`` did."""
-
-    def __setattr__(self, name: str, value: object) -> None:
-        if isinstance(value, ModuleType) and value.__name__ == f"{self.__name__}.{name}":
-            value = getattr(value, name, value)
-        super().__setattr__(name, value)
 
 
 def lazy_exports(
@@ -48,8 +35,6 @@ def lazy_exports(
     origin = {name: sub for sub, names in table.items() for name in names}
     exported = list(origin)
     namespace = sys.modules[package].__dict__
-    if any(origin[name] == name for name in origin):
-        sys.modules[package].__class__ = _ShadowingPackage
 
     def __getattr__(name: str) -> object:
         if name in origin:

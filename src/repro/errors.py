@@ -68,32 +68,14 @@ class ConfigurationError(ReproError):
     """Invalid configuration passed to a component."""
 
 
-class TaskTimeoutError(ReproError):
-    """A sweep task overran its wall-clock deadline and was killed.
-
-    Raised (as the task's failure) by the
-    :class:`~repro.runner.pool.SweepRunner` dispatch loop when a cell
-    runs past ``task_timeout``: the worker is killed, the pool is
-    respawned, and the cell is retried under the runner's
-    :class:`~repro.runner.resilience.RetryPolicy` until its budget is
-    exhausted — at which point it is quarantined and this error
-    surfaces as the sweep failure.
-    """
-
-    def __init__(self, message: str, digest: str = "", attempts: int = 0):
-        super().__init__(message)
-        self.digest = digest
-        self.attempts = attempts
-
-
 class WorkerCrashError(ReproError):
-    """A worker process died (SIGKILL, ``os._exit``, OOM-kill) while
-    tasks were in flight.
+    """A sweep worker process died (SIGKILL, ``os._exit``, OOM-kill).
 
-    The dispatch loop cannot attribute a spontaneous pool break to one
-    specific cell, so every in-flight cell is charged one attempt and
-    retried on a fresh pool; the repeat offender exhausts its budget
-    and is quarantined while innocent bystanders complete normally.
+    A dead worker breaks the :class:`~repro.runner.pool.SweepRunner`
+    pool, and the break cannot be pinned on one cell, so every cell
+    that had not completed fails with this error.  The cells that did
+    complete are already in the result cache: a re-run replays them
+    and executes only the rest.
     """
 
 
@@ -123,6 +105,5 @@ class SnapshotFormatError(SnapshotError):
     ``SNAPSHOT_FORMAT`` — valid, just not for us; leave the file alone
     and, for a warm grid cell, run its prefix cold) from *corrupt*
     (truncated/bit-flipped — quarantine it).  See
-    :meth:`repro.runner.warmstart.SnapshotStore.get` and the ``fsck``
-    command.
+    :meth:`repro.runner.warmstart.SnapshotStore.get`.
     """

@@ -23,11 +23,9 @@ force the live progress line on/off (default: only on a TTY) and
 ``--profile`` captures a cProfile per executed task and prints the
 merged hot-function table.  See docs/OBSERVABILITY.md.
 
-Fault tolerance (docs/RESILIENCE.md): ``--max-retries`` re-runs
-failing cells on a deterministic backoff schedule, ``--task-timeout``
-kills and retries cells that overrun a wall-clock deadline, and
-``python -m repro.experiments fsck`` verifies/repairs the on-disk
-result cache and snapshot store.
+A cell runs once.  When one fails, the others still complete and are
+cached before the error surfaces, so re-running the same command
+executes only what did not finish (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -42,10 +40,9 @@ from repro.errors import ConfigurationError
 from repro.obs.telemetry import RunTelemetry
 from repro.runner.cache import ResultCache
 from repro.runner.pool import SweepRunner
-from repro.runner.resilience import RetryPolicy
 
 #: Experiment id -> harness module under :mod:`repro.experiments`.  A
-#: harness is imported when its id is selected (``--list``, ``fsck`` and
+#: harness is imported when its id is selected (``--list`` and
 #: ``snapshot inspect`` import none); its ``run_cli(args, runner,
 #: manifest)`` maps the parsed options to ``(report, result, export id)``.
 EXPERIMENTS = {
@@ -97,65 +94,12 @@ def format_listing() -> str:
     lines.append("scene families (manyflow --scene <family>):")
     lines.append(describe_families())
     lines.append("snapshot tools: python -m repro.experiments snapshot --help")
-    lines.append("storage fsck:   python -m repro.experiments fsck --help")
     return "\n".join(lines)
 
 
-def build_runner(
-    jobs: int = 1,
-    cache: bool = True,
-    max_retries: int = 1,
-    task_timeout: Optional[float] = None,
-) -> SweepRunner:
-    """The CLI's sweep runner: N workers + the default on-disk cache,
-    with one deterministic retry per failing cell by default (see
-    docs/RESILIENCE.md; ``--max-retries 0`` restores fail-fast)."""
-    policy = RetryPolicy(max_retries=max_retries) if max_retries > 0 else None
-    return SweepRunner(
-        jobs=jobs,
-        cache=ResultCache() if cache else None,
-        retry_policy=policy,
-        task_timeout=task_timeout,
-    )
-
-
-def fsck_cli(argv: List[str]) -> int:
-    """``python -m repro.experiments fsck ...``: verify (and repair)
-    the on-disk result cache and snapshot store.
-
-    Corrupt artifacts are quarantined and foreign ones counted and left
-    in place; ``--dry-run`` reports without touching anything (see
-    docs/RESILIENCE.md).  Exits non-zero when issues were found and
-    left unrepaired.
-    """
-    from repro.runner.fsck import fsck
-
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments fsck",
-        description="Verify and repair the sweep result cache and"
-        " snapshot store (see docs/RESILIENCE.md).",
-    )
-    parser.add_argument(
-        "--cache-root",
-        metavar="DIR",
-        default=None,
-        help="cache root to sweep (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="report issues without quarantining anything",
-    )
-    args = parser.parse_args(argv)
-    report = fsck(
-        cache_root=Path(args.cache_root) if args.cache_root else None,
-        repair=not args.dry_run,
-    )
-    print(report.summary())
-    unrepaired = sum(
-        1 for issue in report.issues if issue.action == "reported"
-    )
-    return 1 if unrepaired else 0
+def build_runner(jobs: int = 1, cache: bool = True) -> SweepRunner:
+    """The CLI's sweep runner: N workers + the default on-disk cache."""
+    return SweepRunner(jobs=jobs, cache=ResultCache() if cache else None)
 
 
 def snapshot_cli(argv: List[str]) -> int:
@@ -315,8 +259,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "snapshot":
         return snapshot_cli(list(argv[1:]))
-    if argv and argv[0] == "fsck":
-        return fsck_cli(list(argv[1:]))
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the tables/figures of 'Robust TCP Congestion"
@@ -325,9 +267,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "experiment",
         nargs="?",
-        choices=sorted(EXPERIMENTS) + sorted(ALIASES) + ["all", "snapshot", "fsck"],
-        help="experiment id from DESIGN.md, 'snapshot' for the"
-        " checkpoint tools, or 'fsck' for storage verification",
+        choices=sorted(EXPERIMENTS) + sorted(ALIASES) + ["all", "snapshot"],
+        help="experiment id from DESIGN.md, or 'snapshot' for the"
+        " checkpoint tools",
     )
     parser.add_argument(
         "--list",
@@ -434,23 +376,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         " runs/<run_id>/profiles/ and print the merged hot-function"
         " table (see docs/OBSERVABILITY.md)",
     )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help="deterministic retries per failing cell before it is"
-        " quarantined (default 1; 0 = fail fast; see docs/RESILIENCE.md)",
-    )
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock deadline per cell execution; an overrunning"
-        " worker is killed and the cell retried under --max-retries"
-        " (default: no deadline)",
-    )
     args = parser.parse_args(argv)
     if args.list:
         print(format_listing())
@@ -459,10 +384,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("an experiment id is required (or --list)")
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.max_retries < 0:
-        parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        parser.error(f"--task-timeout must be > 0 seconds, got {args.task_timeout}")
     if args.seeds is not None and args.seeds < 1:
         parser.error(f"--seeds must be >= 1, got {args.seeds}")
     experiment = ALIASES.get(args.experiment, args.experiment)
@@ -470,18 +391,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    runner = build_runner(
-        jobs=args.jobs,
-        cache=args.cache,
-        max_retries=args.max_retries,
-        task_timeout=args.task_timeout,
-    )
+    runner = build_runner(jobs=args.jobs, cache=args.cache)
     invocation = {
         "quick": args.quick,
         "jobs": args.jobs,
         "cache": args.cache,
-        "max_retries": args.max_retries,
-        "task_timeout": args.task_timeout,
         "delayed_ack": args.delayed_ack,
         "ecn": args.ecn,
     }

@@ -75,30 +75,6 @@ class HeartbeatLog(SweepObserver):
     def task_failed(self, index: int, spec: TaskSpec, error: BaseException) -> None:
         self._emit("task_failed", error=repr(error), **self._task_fields(index, spec))
 
-    def task_retried(
-        self,
-        index: int,
-        spec: TaskSpec,
-        attempt: int,
-        delay: float,
-        error: BaseException,
-    ) -> None:
-        self._emit(
-            "task_retried",
-            attempt=attempt,
-            delay=round(delay, 6),
-            error=repr(error),
-            **self._task_fields(index, spec),
-        )
-
-    def task_quarantined(self, index: int, spec: TaskSpec, record) -> None:
-        self._emit(
-            "task_quarantined",
-            attempts=record.attempts,
-            reason=record.reason,
-            **self._task_fields(index, spec),
-        )
-
     def cache_store_failed(self, index: int, spec: TaskSpec, reason: str) -> None:
         self._emit(
             "cache_store_failed", reason=reason, **self._task_fields(index, spec)
@@ -112,8 +88,6 @@ class HeartbeatLog(SweepObserver):
             executed=stats.executed,
             salvaged=stats.salvaged,
             failed=stats.failed,
-            retried=stats.retried,
-            quarantined=stats.quarantined,
             cache_store_failures=stats.cache_store_failures,
             wall_seconds=round(stats.wall_seconds, 6),
         )

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional
 from repro.errors import ConfigurationError
 
 #: Manifest schema version (bump on incompatible field changes).
-MANIFEST_FORMAT = 2
+MANIFEST_FORMAT = 3
 
 #: Environment variable naming the artifact root (shared with the
 #: chaos failure dumps and the golden-digest drift reports).
@@ -72,8 +72,7 @@ class RunManifest:
 
     ``tasks`` holds one entry per sweep task the run executed or
     replayed: ``{"sweep": n, "index": i, "label": ..., "digest": ...,
-    "cached": bool, "seconds": float|None, "error": str|None}``; failed
-    entries additionally carry ``"quarantined": bool``.
+    "cached": bool, "seconds": float|None, "error": str|None}``.
     """
 
     run_id: str
@@ -90,14 +89,6 @@ class RunManifest:
     executed: int = 0
     salvaged: int = 0
     failed: int = 0
-    #: Retry executions performed across the run's sweeps (see
-    #: docs/RESILIENCE.md; 0 on a clean run and in pre-resilience
-    #: manifests, which load fine via this default).
-    retried: int = 0
-    #: Tasks quarantined as poison (budget exhausted on
-    #: timeouts/crashes); their QuarantineRecords live under
-    #: ``runs/<run_id>/quarantine/``.
-    quarantined: int = 0
     #: Completed results the cache failed to persist.
     cache_store_failures: int = 0
     wall_seconds: float = 0.0

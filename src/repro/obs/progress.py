@@ -51,8 +51,6 @@ class ProgressLine(SweepObserver):
         self.done = 0
         self.cached = 0
         self.failed = 0
-        self.retried = 0
-        self.quarantined = 0
         self._exec_seconds = 0.0
         self._exec_done = 0
 
@@ -80,21 +78,6 @@ class ProgressLine(SweepObserver):
         self.failed += 1
         self._draw()
 
-    def task_retried(
-        self,
-        index: int,
-        spec: TaskSpec,
-        attempt: int,
-        delay: float,
-        error: BaseException,
-    ) -> None:
-        self.retried += 1
-        self._draw()
-
-    def task_quarantined(self, index: int, spec: TaskSpec, record) -> None:
-        self.quarantined += 1
-        self._draw()
-
     def sweep_finished(self, stats: SweepStats) -> None:
         self._draw(force=True)
 
@@ -118,12 +101,8 @@ class ProgressLine(SweepObserver):
             f"{self.jobs} workers",
             f"ETA {eta_text}",
         ]
-        if self.quarantined:
-            parts.insert(1, f"{self.quarantined} QUARANTINED")
         if self.failed:
             parts.insert(1, f"{self.failed} FAILED")
-        if self.retried:
-            parts.insert(1, f"{self.retried} retried")
         return " · ".join(parts)
 
     def _draw(self, force: bool = False) -> None:

@@ -83,27 +83,15 @@ class RunTelemetry(SweepObserver):
         self._children: List[SweepObserver] = [self.heartbeat, self.progress]
         self._sweep = -1
         self._finished = False
-        self._quarantined_digests: set = set()
-
-    @property
-    def quarantine_dir(self) -> Path:
-        """Where this run's poison-task records are written."""
-        from repro.runner.resilience import QUARANTINE_SUBDIR
-
-        return self.run_dir / QUARANTINE_SUBDIR
 
     # ------------------------------------------------------------------
     # runner wiring
     # ------------------------------------------------------------------
     def attach(self, runner) -> "RunTelemetry":
-        """Point ``runner`` at this telemetry (observer + profile dir +
-        quarantine dir, so poison-task records land in the run's own
-        artifact directory)."""
+        """Point ``runner`` at this telemetry (observer + profile dir)."""
         runner.observer = self
         if self.profile_dir is not None:
             runner.profile_dir = self.profile_dir
-        if getattr(runner, "quarantine_dir", None) is None:
-            runner.quarantine_dir = self.quarantine_dir
         return self
 
     def detach(self, runner) -> None:
@@ -112,8 +100,6 @@ class RunTelemetry(SweepObserver):
             runner.observer = None
         if self.profile_dir is not None and runner.profile_dir == self.profile_dir:
             runner.profile_dir = None
-        if getattr(runner, "quarantine_dir", None) == self.quarantine_dir:
-            runner.quarantine_dir = None
 
     # ------------------------------------------------------------------
     # SweepObserver: accumulate into the manifest, fan out to children
@@ -161,27 +147,8 @@ class RunTelemetry(SweepObserver):
     def task_failed(self, index: int, spec: TaskSpec, error: BaseException) -> None:
         self.manifest.executed += 1
         self.manifest.failed += 1
-        quarantined = spec.digest() in self._quarantined_digests
-        self.manifest.tasks.append(
-            self._task_entry(index, spec, error=repr(error), quarantined=quarantined)
-        )
+        self.manifest.tasks.append(self._task_entry(index, spec, error=repr(error)))
         self._fan_out("task_failed", index, spec, error)
-
-    def task_retried(
-        self,
-        index: int,
-        spec: TaskSpec,
-        attempt: int,
-        delay: float,
-        error: BaseException,
-    ) -> None:
-        self.manifest.retried += 1
-        self._fan_out("task_retried", index, spec, attempt, delay, error)
-
-    def task_quarantined(self, index: int, spec: TaskSpec, record) -> None:
-        self.manifest.quarantined += 1
-        self._quarantined_digests.add(spec.digest())
-        self._fan_out("task_quarantined", index, spec, record)
 
     def cache_store_failed(self, index: int, spec: TaskSpec, reason: str) -> None:
         self.manifest.cache_store_failures += 1

@@ -15,42 +15,45 @@ crashed or concurrent run never leaves a torn entry; the stored
 canonical string is re-checked on load to turn any (astronomically
 unlikely) digest collision into a miss instead of a wrong answer.
 
-**Integrity framing** (since the resilience layer): every entry is
+**Integrity framing**: every entry is
 ``<magic line>\\n<blake2b hex>\\n<pickle blob>``, and the checksum is
 verified before any byte is unpickled.  A truncated or bit-flipped
-entry is a miss — and the bad file is *quarantined* (moved under
-``<root>/quarantine/`` with a :class:`~repro.runner.resilience.
-QuarantineRecord` sidecar) on first read, so one corrupt file cannot
-silently re-poison every subsequent sweep.  ``python -m
-repro.experiments fsck`` sweeps the whole tree with the same check
-(see docs/RESILIENCE.md).
+entry is a miss — and the bad file is *quarantined* (moved to
+``<root>/quarantine/<fingerprint[:16]>-<digest>.pkl`` with a
+:class:`QuarantineRecord` sidecar) on first read, so one corrupt file
+cannot silently re-poison every subsequent sweep.  The snapshot store
+quarantines its corrupt files the same way (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import pickle
 import sys
 import tempfile
+from dataclasses import asdict, dataclass, field
+from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.runner.fingerprint import code_fingerprint
-from repro.runner.resilience import QUARANTINE_SUBDIR, QuarantineRecord
 from repro.runner.spec import TaskSpec
+
+#: Subdirectory (of a cache or snapshot-store root) holding corrupt
+#: files moved aside on read, with their :class:`QuarantineRecord`\s.
+QUARANTINE_SUBDIR = "quarantine"
 
 #: Environment variable overriding the default cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: First line of every framed cache entry; bump the suffix on
-#: incompatible framing changes (old entries then read as foreign and
-#: miss without being quarantined).
+#: incompatible framing changes (old entries then fail the frame check:
+#: a miss, moved aside on first read).
 CACHE_MAGIC = b"repro-cache:1"
-
-#: Sentinel distinguishing "miss" from a legitimately-None result.
-_MISS = object()
 
 
 def _checksum(blob: bytes) -> str:
@@ -82,6 +85,70 @@ def unframe_entry(data: bytes) -> bytes:
             "cache entry checksum mismatch — truncated or bit-flipped payload"
         )
     return blob
+
+
+def _utc_now() -> str:
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
+@dataclass
+class QuarantineRecord:
+    """One corrupt storage file, moved aside instead of re-read.
+
+    ``kind`` is ``"cache-entry"`` or ``"snapshot"``: a result-cache
+    entry or a snapshot-store file whose frame or checksum failed on
+    read.  ``path`` is where the file was moved.
+    """
+
+    digest: str
+    label: str = ""
+    kind: str = "task"
+    attempts: int = 0
+    reason: str = ""
+    errors: List[str] = field(default_factory=list)
+    path: str = ""          # for storage kinds: the quarantined file
+    created_at: str = field(default_factory=_utc_now)
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+
+    def write(self, directory: os.PathLike, key: str = "") -> Path:
+        """Write ``<dir>/<kind>-<key>.json`` atomically; ``key``
+        defaults to ``digest[:16]``."""
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        name = f"{self.kind}-{key or self.digest[:16] or 'unkeyed'}.json"
+        path = directory / name
+        tmp = directory / f".{name}.tmp"
+        tmp.write_text(self.to_json(), encoding="utf-8")
+        os.replace(tmp, path)
+        return path
+
+    @classmethod
+    def load(cls, path: os.PathLike) -> "QuarantineRecord":
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        fields = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
+        unknown = set(payload) - fields
+        if unknown:
+            raise ConfigurationError(
+                f"quarantine record carries unknown fields {sorted(unknown)}"
+            )
+        return cls(**payload)
+
+
+def read_quarantine(directory: os.PathLike) -> List[QuarantineRecord]:
+    """Every readable quarantine record under ``directory`` (sorted by
+    file name); missing directory reads as empty."""
+    directory = Path(directory)
+    records: List[QuarantineRecord] = []
+    if not directory.is_dir():
+        return records
+    for path in sorted(directory.glob("*.json")):
+        try:
+            records.append(QuarantineRecord.load(path))
+        except (OSError, ValueError, ConfigurationError):
+            continue
+    return records
 
 
 class ResultCache:
@@ -116,19 +183,23 @@ class ResultCache:
 
     def _quarantine(self, path: Path, digest: str, reason: str) -> None:
         """Move a corrupt entry aside (never delete evidence) and leave
-        a structured record next to it.  Best-effort: a failure to
+        a structured record next to it.  Both names carry the code
+        fingerprint, so the same spec's entries under two code versions
+        are two pieces of evidence.  Best-effort: a failure to
         quarantine must not fail the lookup that found the corruption."""
         self.corrupt += 1
+        version = self.fingerprint[:16]
+        target = self.quarantine_dir / f"{version}-{path.name}"
         try:
             self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, self.quarantine_dir / path.name)
+            os.replace(path, target)
             QuarantineRecord(
                 digest=digest,
                 label=str(path),
                 kind="cache-entry",
                 reason=reason,
-                path=str(self.quarantine_dir / path.name),
-            ).write(self.quarantine_dir)
+                path=str(target),
+            ).write(self.quarantine_dir, key=f"{version}-{digest[:16]}")
         except OSError:
             # Last resort: at least stop the bad file from being
             # re-read every sweep.
@@ -173,7 +244,7 @@ class ResultCache:
         warns on stderr, every one increments :attr:`store_failures`
         and records :attr:`last_store_error`, and the sweep runner
         surfaces a ``cache_store_failed`` heartbeat event (see
-        docs/RESILIENCE.md).
+        docs/PERFORMANCE.md).
         """
         path = self._path(spec)
         try:
@@ -209,21 +280,6 @@ class ResultCache:
                 f"({reason}); further failures are counted silently",
                 file=sys.stderr,
             )
-
-    @staticmethod
-    def verify_entry(path: os.PathLike) -> None:
-        """Integrity-check one on-disk entry without returning its
-        result (the ``fsck`` primitive).  Raises ``ValueError`` on a
-        framing/checksum violation or an unpicklable/shapeless payload.
-        """
-        data = Path(path).read_bytes()
-        blob = unframe_entry(data)
-        try:
-            payload = pickle.loads(blob)
-        except Exception as error:  # noqa: BLE001 - any unpickle failure is corruption
-            raise ValueError(f"cache entry does not unpickle: {error!r}") from error
-        if not isinstance(payload, dict) or "canonical" not in payload:
-            raise ValueError("cache entry payload has the wrong shape")
 
     @property
     def hit_rate(self) -> float:

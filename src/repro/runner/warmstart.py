@@ -35,8 +35,12 @@ from pathlib import Path
 from typing import Optional
 
 from repro.errors import SnapshotError, SnapshotFormatError
-from repro.runner.cache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR
-from repro.runner.resilience import QUARANTINE_SUBDIR, QuarantineRecord
+from repro.runner.cache import (
+    CACHE_DIR_ENV,
+    DEFAULT_CACHE_DIR,
+    QUARANTINE_SUBDIR,
+    QuarantineRecord,
+)
 from repro.snapshot import Snapshot, SnapshotInfo
 
 #: Subdirectory of the cache root that holds snapshots.
@@ -93,7 +97,7 @@ class SnapshotStore:
         reported missing, while a file written by a *different* format
         version (foreign ``SNAPSHOT_FORMAT``) is left untouched but
         still reported missing: mixed-version stores degrade to
-        recompute instead of refusing (see docs/RESILIENCE.md).
+        recompute instead of refusing (see docs/PERFORMANCE.md).
         """
         path = self.path_for(digest)
         if not path.exists():

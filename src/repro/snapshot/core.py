@@ -379,7 +379,7 @@ class Snapshot:
         payload against the recorded checksum, and cross-checks the
         section table against the payload length.  Returns the header
         info on success; raises :class:`~repro.errors.SnapshotError`
-        on corruption.  This is the ``fsck`` primitive.
+        on corruption.  The snapshot store checks every read with it.
         """
         path = Path(path)
         try:

@@ -71,16 +71,12 @@ def test_fig5_loads_only_its_own_harness(tmp_path):
         modules = loaded_modules(call, env)
         assert modules & HARNESSES == {"repro.experiments.figure5"}, phase
         assert not heavy(modules), phase
-        # --jobs 1 without --task-timeout runs in-process.
+        # --jobs 1 runs in-process.
         assert "concurrent.futures.process" not in modules, phase
         assert "multiprocessing" not in modules, phase
         # ... unprofiled, and cold (the CLI never warm-starts).
         assert not modules & {"cProfile", "pstats"}, phase
-        assert not modules & {
-            "repro.runner.fsck",
-            "repro.runner.warmstart",
-            "repro.snapshot.golden",
-        }, phase
+        assert not modules & {"repro.runner.warmstart", "repro.snapshot.golden"}, phase
     assert (tmp_path / "cache").is_dir()
 
 
@@ -108,7 +104,6 @@ def test_tools_load_no_harness(tmp_path):
     loaded_modules(cli_call("snapshot", "capture", "rr", "--checkpoint-at", "1", "--out", snap))
     for argv in (
         ("--list",),
-        ("fsck", "--dry-run", "--cache-root", str(tmp_path / "cache")),
         ("snapshot", "inspect", snap),
     ):
         assert not loaded_modules(cli_call(*argv), env) & HARNESSES, argv

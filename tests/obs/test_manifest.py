@@ -43,7 +43,7 @@ def _manifest():
 class TestRoundTrip:
     def test_json_round_trip_preserves_all_fields(self):
         manifest = _manifest()
-        assert manifest.format == MANIFEST_FORMAT == 2
+        assert manifest.format == MANIFEST_FORMAT == 3
         again = RunManifest.from_json(manifest.to_json())
         assert again == manifest
 
@@ -84,11 +84,11 @@ class TestRejection:
             RunManifest.from_json(json.dumps(payload))
 
     def test_previous_format_rejected_by_version_not_by_field(self):
-        # A format-1 file carries fields format 2 dropped; the reader
-        # must say "format", not "unknown fields".
+        # A format-2 file carries the retry counters format 3 dropped;
+        # the reader must say "format", not "unknown fields".
         payload = json.loads(_manifest().to_json())
-        payload.update(format=1, dropped_in_format_2=None)
-        with pytest.raises(ConfigurationError, match="unsupported manifest format 1"):
+        payload.update(format=2, retried=0, quarantined=0)
+        with pytest.raises(ConfigurationError, match="unsupported manifest format 2"):
             RunManifest.from_json(json.dumps(payload))
 
     def test_missing_format_rejected(self):

@@ -1,6 +1,9 @@
 """Tests for the on-disk result cache and the code fingerprint."""
 
-from repro.runner import ResultCache, TaskSpec, code_fingerprint
+import pickle
+
+from repro.runner import ResultCache, TaskSpec, code_fingerprint, read_quarantine
+from repro.runner.cache import frame_entry
 
 
 def spec(**kwargs):
@@ -50,6 +53,44 @@ class TestResultCache:
         path.write_bytes(b"not a pickle")
         hit, _ = cache.lookup(spec())
         assert not hit
+
+    def test_framed_entry_is_a_hit_only_with_the_right_shape(self, tmp_path):
+        cache = ResultCache(root=tmp_path, fingerprint="f" * 64)
+        path = cache._path(spec())
+        path.parent.mkdir(parents=True)
+        entry = {"canonical": spec().canonical(), "result": 1}
+        path.write_bytes(frame_entry(pickle.dumps(entry)))
+        assert cache.lookup(spec()) == (True, 1)
+
+        # An intact frame around a payload that is not an entry dict is
+        # a miss, but not corruption: the file stays where it is.
+        path.write_bytes(frame_entry(pickle.dumps([1, 2, 3])))
+        assert cache.lookup(spec()) == (False, None)
+        assert path.exists()
+        assert cache.corrupt == 0
+        assert not cache.quarantine_dir.exists()
+
+        # An unframed entry is never unpickled: a miss, moved aside.
+        path.write_bytes(pickle.dumps(entry))
+        assert cache.lookup(spec()) == (False, None)
+        assert not path.exists()
+        assert cache.corrupt == 1
+
+    def test_quarantine_keeps_each_code_versions_evidence(self, tmp_path):
+        caches = [
+            ResultCache(root=tmp_path, fingerprint=letter * 64) for letter in "ab"
+        ]
+        for cache in caches:
+            cache.store(spec(), 1.0)
+            cache._path(spec()).write_bytes(b"not a pickle")
+            assert cache.lookup(spec()) == (False, None)
+        quarantine = caches[0].quarantine_dir
+        assert len(list(quarantine.glob("*.pkl"))) == 2
+        records = read_quarantine(quarantine)
+        assert len(records) == 2
+        assert {record.path for record in records} == {
+            str(quarantine / f"{letter * 16}-{spec().digest()}.pkl") for letter in "ab"
+        }
 
 
 class TestCodeFingerprint:

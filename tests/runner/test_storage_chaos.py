@@ -8,6 +8,7 @@ snapshot does to a warm grid is covered in
 tests/experiments/test_warmstart_grids.py.
 """
 
+import json
 import os
 import pickle
 
@@ -21,19 +22,23 @@ from repro.runner import (
     TaskSpec,
     read_quarantine,
 )
-from repro.runner.cache import CACHE_MAGIC, frame_entry
+from repro.runner.cache import CACHE_MAGIC
 from repro.runner.pool import SweepObserver
 from repro.snapshot.core import SNAPSHOT_FORMAT, Snapshot
 
-from tests.resilience.helpers import build_stalled_world
+from tests.snapshot.helpers import build_stalled_world
 
 
 def _spec(fn, *args, label=""):
-    return TaskSpec(fn=f"tests.resilience.helpers:{fn}", args=args, label=label)
+    return TaskSpec(fn=f"tests.runner.helpers:{fn}", args=args, label=label)
 
 
 def _entry_path(cache, spec):
     return cache.root / cache.fingerprint[:16] / f"{spec.digest()}.pkl"
+
+
+def _quarantined_path(cache, spec):
+    return cache.quarantine_dir / f"{cache.fingerprint[:16]}-{spec.digest()}.pkl"
 
 
 class TestCacheChaos:
@@ -47,7 +52,7 @@ class TestCacheChaos:
         hit, value = cache.lookup(spec)
         assert not hit and value is None
         assert not path.exists()  # moved, not left to be re-missed
-        assert (cache.quarantine_dir / path.name).exists()
+        assert _quarantined_path(cache, spec).exists()
         (record,) = read_quarantine(cache.quarantine_dir)
         assert record.kind == "cache-entry"
         assert record.digest == spec.digest()
@@ -70,10 +75,10 @@ class TestCacheChaos:
         hit, _ = cache.lookup(spec)
         assert not hit
         assert cache.corrupt == 1
-        assert (cache.quarantine_dir / path.name).exists()
+        assert _quarantined_path(cache, spec).exists()
 
     def test_unframed_legacy_entry_is_a_miss(self, tmp_path):
-        # A pre-resilience (or foreign) entry without the checksum frame
+        # An old (or foreign) entry without the checksum frame
         # never crashes the sweep; it reads as corruption and is moved.
         cache = ResultCache(root=tmp_path / "cache")
         spec = _spec("run_metrics_cell", "tahoe", 2.0)
@@ -82,21 +87,6 @@ class TestCacheChaos:
         path.write_bytes(pickle.dumps({"canonical": spec.canonical(), "result": 1}))
         hit, _ = cache.lookup(spec)
         assert not hit
-
-    def test_verify_entry_accepts_good_rejects_bad(self, tmp_path):
-        good = tmp_path / "good.pkl"
-        good.write_bytes(frame_entry(pickle.dumps({"canonical": "{}", "result": 1})))
-        ResultCache.verify_entry(good)
-
-        bad_shape = tmp_path / "shape.pkl"
-        bad_shape.write_bytes(frame_entry(pickle.dumps([1, 2, 3])))
-        with pytest.raises(ValueError, match="wrong shape"):
-            ResultCache.verify_entry(bad_shape)
-
-        unframed = tmp_path / "legacy.pkl"
-        unframed.write_bytes(pickle.dumps({"canonical": "{}", "result": 1}))
-        with pytest.raises(ValueError, match="unframed or foreign"):
-            ResultCache.verify_entry(unframed)
 
     def test_frame_magic_is_versioned(self):
         assert CACHE_MAGIC.startswith(b"repro-cache:")
@@ -178,8 +168,6 @@ class TestSnapshotChaos:
             "format": SNAPSHOT_FORMAT + 1,
             "digest": digest,
         }
-        import json
-
         path.write_bytes(json.dumps(header).encode() + b"\n" + b"x" * 32)
         assert not store.intact(digest)  # cross-version: degrade ...
         assert path.exists()  # ... but never quarantine a foreign file

@@ -17,7 +17,7 @@ repro.experiments fig7 [--quick] [--cache|--no-cache]` or see `--not-a-cli-flag`
 ```bash
 PYTHONPATH=src python -m repro.experiments identify --grid both \\
     --jobs 4 | tail -3 --lines
-python -m repro.experiments fsck --dry-run       # report only --not-checked
+python -m repro.experiments snapshot run --from-snapshot rr.snap   # resume --not-checked
 python -m repro.experiments snapshot capture rr --checkpoint-at 6 --out rr.snap
 python -m repro.experiments snapshot <verb> --anything
 ```
@@ -32,18 +32,19 @@ def _problems(text):
 def test_every_flag_is_checked_against_the_parser_it_addresses():
     problems, checked = _problems(PAGE)
     assert problems == []
-    # --quick --cache --no-cache | --grid --jobs | --dry-run | --checkpoint-at --out
+    # --quick --cache --no-cache | --grid --jobs | --from-snapshot
+    # | --checkpoint-at --out
     assert checked == 8
 
 
 def test_a_removed_flag_is_reported_where_it_is_advertised():
     page = PAGE.replace("[--quick]", "[--quick] [--no-such-flag]").replace(
-        "fsck --dry-run", "fsck --dry-run --jobs 2"
+        "--from-snapshot rr.snap", "--from-snapshot rr.snap --jobs 2"
     )
     problems, _ = _problems(page)
     assert sorted(problems) == [
         "page:1: 'python -m repro.experiments' has no --no-such-flag",
-        "page:7: 'python -m repro.experiments fsck' has no --jobs",
+        "page:7: 'python -m repro.experiments snapshot run' has no --jobs",
     ]
 
 

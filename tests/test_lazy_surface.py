@@ -137,17 +137,18 @@ SEED_SURFACE = {
         ),
     },
     "repro.runner": {
-        "repro.runner.cache": "CACHE_DIR_ENV DEFAULT_CACHE_DIR ResultCache",
+        # Storage quarantine moved here from repro.runner.resilience,
+        # which left with RetryPolicy; fsck is gone.
+        "repro.runner.cache": (
+            "CACHE_DIR_ENV DEFAULT_CACHE_DIR QUARANTINE_SUBDIR QuarantineRecord "
+            "ResultCache read_quarantine "
+        ),
         "repro.runner.fingerprint": "code_fingerprint package_root",
-        "repro.runner.fsck": "FsckIssue FsckReport fsck",
         # Added after the seed: the grid executor (step_until moved here
         # from repro.runner.warmstart).
         "repro.runner.grid": "GridCell run_grid step_until",
         "repro.runner.pool": (
             "SweepObserver SweepRunner SweepStats TaskRecord default_jobs "
-        ),
-        "repro.runner.resilience": (
-            "QUARANTINE_SUBDIR QuarantineRecord RetryPolicy read_quarantine "
         ),
         "repro.runner.spec": "TaskSpec canonicalize resolve uncanonicalize",
         # The cost model, the prefix index and its self-healing readers
@@ -284,20 +285,5 @@ def test_submodules_resolve_as_attributes():
         "import repro\n"
         "assert repro.sim.engine.Simulator is repro.Simulator\n"
         "assert repro.experiments.figure5.run_figure5 is repro.experiments.run_figure5\n"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True)
-
-
-@pytest.mark.parametrize(
-    "first", ["import repro.runner.fsck", "from repro.runner.fsck import FsckReport"]
-)
-def test_runner_fsck_stays_the_function(first):
-    # The name is both a submodule and a re-export; importing the
-    # submodule first must not leave the module bound on the package.
-    code = (
-        f"{first}\n"
-        "import repro.runner\n"
-        "from repro.runner import fsck\n"
-        "assert callable(fsck) and repro.runner.fsck is fsck, fsck\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
