@@ -6,6 +6,11 @@ one logical timer with ``start``/``restart``/``stop`` semantics and an
 optional coarse *granularity* that rounds expirations up to a tick
 boundary, mimicking the coarse-grained timers of classic BSD/ns-2 TCP
 implementations.
+
+A restart usually moves the expiration later, so the timer keeps a
+*deadline* next to at most one pending event and only moves the
+deadline; the event, when it fires early, re-arms itself at the exact
+deadline (docs/PERFORMANCE.md "Timers that move").
 """
 
 from __future__ import annotations
@@ -18,7 +23,15 @@ from repro.sim.engine import Event, Simulator
 
 
 class Timer:
-    """One restartable timeout.
+    """One restartable timeout: a deadline plus at most one pending event.
+
+    ``expiry`` is the deadline.  A (re)start to a time later than the
+    pending event's only records the new deadline -- no cancel, no
+    second heap entry; when the event fires before the deadline it
+    re-arms at the deadline (:meth:`Simulator.schedule_abs`, so the
+    callback runs at the float-identical time an eager reschedule would
+    have used).  A (re)start to an earlier or equal time cancels and
+    reschedules as before, and :meth:`stop` always cancels at once.
 
     Parameters
     ----------
@@ -43,6 +56,8 @@ class Timer:
         self._callback = callback
         self._granularity = granularity
         self._event: Optional[Event] = None
+        # When the callback is due; the pending event may be earlier.
+        self._deadline = 0.0
 
     @property
     def pending(self) -> bool:
@@ -65,20 +80,27 @@ class Timer:
 
     @property
     def expiry(self) -> Optional[float]:
-        """Absolute expiration time, or None when not armed."""
-        return self._event.time if self.pending else None
+        """Absolute expiration time (the deadline), or None when not armed."""
+        return self._deadline if self.pending else None
 
     def start(self, delay: float) -> None:
         """Arm the timer ``delay`` seconds from now (rounded up to a
         whole, nonzero number of ticks when a granularity is set).
 
-        Restarting an armed timer cancels the previous expiration.
+        Restarting an armed timer replaces the previous expiration.
         """
-        self.stop()
         granularity = self._granularity
         if granularity > 0:
             delay = max(1, math.ceil(delay / granularity - 1e-12)) * granularity
-        self._event = self._sim.schedule(delay, self._fire)
+        event = self._event
+        if event is not None:
+            deadline = self._sim.now + delay
+            if deadline > event.time and not event._cancelled:
+                self._deadline = deadline
+                return
+            self.stop()
+        self._event = event = self._sim.schedule(delay, self._fire)
+        self._deadline = event.time
 
     # ``restart`` reads better at call sites that always rearm.
     restart = start
@@ -90,5 +112,9 @@ class Timer:
             self._event = None
 
     def _fire(self) -> None:
+        sim = self._sim
+        if self._deadline > sim.now:
+            self._event = sim.schedule_abs(self._deadline, self._fire)
+            return
         self._event = None
         self._callback()

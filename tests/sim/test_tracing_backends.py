@@ -5,7 +5,8 @@ the channel's subscribers itself (docs/PERFORMANCE.md "Records without
 frames").  The contract tests below hold for whichever ``emit`` the
 suite runs under, and the parity test runs the full observation stack
 on the pure backend in one process and on the default backend (compiled
-when built) in another: every record, in order, must match.
+when built) in another: every record, in order, must match -- the
+per-hop ``link.tx`` records of the C hop included, subscribed by name.
 """
 
 import json
@@ -197,6 +198,7 @@ for variant in ("rr", "sack"):
     collector = FlowTraceCollector().install(bus)
     Watchdog(scenario.sim, scenario.senders, tail=suite.tail).arm()
     stream = hashlib.sha256()
+    hops = []
 
     def log(record):
         fields = {
@@ -204,11 +206,16 @@ for variant in ("rr", "sack"):
             for key, value in record.fields.items()
         }
         stream.update(repr((record.time, record.category, record.source, fields)).encode())
+        if record.category == "link.tx":
+            hops.append(record.time)
 
     bus.subscribe("*", log)
+    # By name only: the wildcard never carries the per-hop records.
+    bus.subscribe("link.tx", log)
     scenario.sim.run(until=30.0)
     out[variant] = {
         "stream": stream.hexdigest(),
+        "hops": len(hops),
         "seen": suite.records_seen,
         "checked": [c.records_checked for c in suite.checkers],
         "tail": [repr(r[:3]) for r in suite.tail.records()],
@@ -235,4 +242,5 @@ def test_pure_and_default_backends_emit_the_same_records():
     default = _run({})
     assert pure.pop("backend") == "python"
     default.pop("backend")
+    assert pure["rr"]["hops"] > 100 and pure["sack"]["hops"] > 100
     assert pure == default
