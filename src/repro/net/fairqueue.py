@@ -54,6 +54,10 @@ class FairQueue(PacketQueue):
     def is_empty(self) -> bool:
         return self._total == 0
 
+    def reset_counters(self) -> None:
+        super().reset_counters()
+        self.drops_by_flow.clear()
+
     def flow_backlog(self, flow_id: int) -> int:
         """Queued packets of one flow."""
         queue = self._flows.get(flow_id)

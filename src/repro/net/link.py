@@ -24,6 +24,7 @@ from repro.errors import ConfigurationError
 from repro.net.loss import LossModule, NoLoss
 from repro.net.packet import Packet, maybe_release
 from repro.net.queues import PacketQueue
+from repro.net.slotstate import SlotState
 from repro.sim.engine import Simulator
 from repro.sim.tracing import NULL_CHANNEL, TraceBus
 
@@ -31,8 +32,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
 
 
-class Link:
+class Link(SlotState):
     """One-way link ``src -> dst``.
+
+    Fields live in ``__slots__``, where the compiled hop reads them at
+    fixed offsets; the checkpoint state is :class:`SlotState`'s mapping.
 
     Parameters
     ----------
@@ -51,6 +55,17 @@ class Link:
     loss:
         Optional artificial loss module applied before the queue.
     """
+
+    __slots__ = (
+        "_sim", "name", "bandwidth_bps", "delay", "queue", "trace", "_loss",
+        "_loss_active", "_dst", "_recycle", "reorder", "tamper", "_free_at",
+        "_serve_pending", "_down", "rate_schedule", "packets_delivered",
+        "bytes_delivered", "outage_drops", "_ch_tx",
+    )
+
+    #: Derived caches (trace channel, loss-activity and recycle flags),
+    #: left out of the state; the loss module is under ``loss``.
+    _DERIVED = ("_loss", "_loss_active", "_recycle", "_ch_tx")
 
     def __init__(
         self,
@@ -125,24 +140,18 @@ class Link:
         self._loss_active = type(module) is not NoLoss
 
     def __getstate__(self):
-        """The live ``__dict__`` minus derived caches (trace channel,
-        loss-activity and recycle flags), with the loss module under its
-        public ``loss`` key — keeping checkpoints and golden digests
+        """The slots minus derived caches, with the loss module under
+        its public ``loss`` key — keeping checkpoints and golden digests
         identical to a cache-free link."""
-        state = self.__dict__.copy()
-        state.pop("_ch_tx", None)
-        del state["_loss"], state["_loss_active"], state["_recycle"]
+        state = super().__getstate__()
         state["loss"] = self._loss
         if state.get("rate_schedule") is None:
             state.pop("rate_schedule", None)
         return state
 
     def __setstate__(self, state) -> None:
-        state = dict(state)
-        loss = state.pop("loss")
-        state.setdefault("rate_schedule", None)
-        self.__dict__.update(state)
-        self.loss = loss
+        self.rate_schedule = None
+        super().__setstate__(state)  # ``loss`` runs the property setter
         self.connect(self._dst)
         # Rebound lazily on first emit: the trace bus may itself still
         # be mid-unpickle here.

@@ -127,7 +127,7 @@ class Network:
         destination — on a thousand-pair dumbbell that turns ~2000
         Dijkstra passes and ~4M route entries into 2 passes and 2 full
         tables.  Forwarding falls back to ``"*"`` on a table miss (see
-        :meth:`~repro.net.node.Node._forward`).  The shortcut is only
+        :meth:`~repro.net.node.Node.send`).  The shortcut is only
         exact when every destination is reachable, so it applies only
         when the graph is strongly connected; otherwise this silently
         falls back to full tables (where unreachable pairs get no route

@@ -15,6 +15,7 @@ from repro.errors import TopologyError
 from repro.net.link import Link
 from repro.net.packet import Packet, maybe_release
 from repro.net.queues import DropTailQueue
+from repro.net.slotstate import SlotState
 from repro.sim.engine import CORE_BACKEND, Simulator
 
 
@@ -48,8 +49,11 @@ class Agent:
         raise NotImplementedError
 
 
-class Node:
-    """Common behaviour of hosts and routers."""
+class Node(SlotState):
+    """Common behaviour of hosts and routers.  Fields live in
+    ``__slots__``; the checkpoint state is :class:`SlotState`'s mapping."""
+
+    __slots__ = ("sim", "name", "routes", "packets_received")
 
     #: True for nodes that pass arriving packets on to another link
     #: rather than consuming them (links read it once, in ``connect``).
@@ -65,7 +69,7 @@ class Node:
     def add_route(self, dst_name: str, link: Link) -> None:
         self.routes[dst_name] = link
 
-    def _forward(self, packet: Packet) -> None:
+    def send(self, packet: Packet) -> None:
         link = self.routes.get(packet.dst)
         if link is None:
             # Compact tables (Network.compute_routes(compact=True)) give
@@ -76,9 +80,6 @@ class Node:
                 raise TopologyError(f"{self.name}: no route to {packet.dst}")
         link.send(packet)
 
-    def send(self, packet: Packet) -> None:
-        self._forward(packet)
-
     def receive(self, packet: Packet) -> None:
         raise NotImplementedError
 
@@ -88,6 +89,8 @@ class Node:
 
 class Host(Node):
     """An end host: terminates flows via registered agents."""
+
+    __slots__ = ("_agents",)
 
     def __init__(self, sim: Simulator, name: str):
         super().__init__(sim, name)
@@ -125,11 +128,13 @@ class Host(Node):
 class Router(Node):
     """A store-and-forward router (gateway)."""
 
+    __slots__ = ()
+
     forwards = True
 
     def receive(self, packet: Packet) -> None:
         self.packets_received += 1
-        link = self.routes.get(packet.dst)  # _forward inlined: hot
+        link = self.routes.get(packet.dst)  # Node.send inlined: hot
         if link is None:
             link = self.routes.get("*")  # compact-table default route
             if link is None:
@@ -147,7 +152,7 @@ if CORE_BACKEND == "compiled":  # pragma: no cover - compiled-core CI leg
     from repro.sim import _engine_core
 
     Link.send, Node.send = _engine_core.install_hop(
-        Link, Router, Simulator, DropTailQueue, RedQueue, Packet, Node,
+        Link, Router, Simulator, DropTailQueue, RedQueue, Packet, Node, Host,
         Link.send, Link._serve, Link._deliver, Router.receive, Simulator.schedule_abs,
         DropTailQueue.enqueue, DropTailQueue.dequeue, RedQueue.enqueue, RedQueue.dequeue,
         Node.send, maybe_release, Link._DELIVERED_CLEAN_REFS - 1, deque.append, deque.popleft,

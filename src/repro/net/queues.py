@@ -14,15 +14,18 @@ from typing import Callable, Deque, Optional
 
 from repro.errors import ConfigurationError
 from repro.net.packet import Packet
+from repro.net.slotstate import SlotState
 
 DropCallback = Callable[[Packet, str], None]
 
 
-class PacketQueue:
+class PacketQueue(SlotState):
     """Abstract queue discipline.
 
     Subclasses implement :meth:`enqueue`; the owning link calls
-    :meth:`dequeue` when the output interface goes idle.
+    :meth:`dequeue` when the output interface goes idle.  Fields live
+    in ``__slots__`` (a subclass without its own gets a ``__dict__``
+    for the rest); the state is the mapping of :class:`SlotState`.
 
     Attributes
     ----------
@@ -31,6 +34,8 @@ class PacketQueue:
     on_drop:
         Optional callback ``(packet, reason)`` invoked for every drop.
     """
+
+    __slots__ = ("limit", "name", "on_drop", "_items", "drops", "enqueues", "dequeues")
 
     def __init__(self, limit: int, name: str = "queue"):
         if limit < 1:
@@ -73,6 +78,9 @@ class PacketQueue:
         return False
 
     def reset_counters(self) -> None:
+        """Zero the counters; a discipline with counters of its own
+        (RED's drop split, fair queueing's per-flow drops) zeroes those
+        too, so they keep adding up to ``drops``."""
         self.drops = 0
         self.enqueues = 0
         self.dequeues = 0
@@ -80,6 +88,8 @@ class PacketQueue:
 
 class DropTailQueue(PacketQueue):
     """FIFO with tail drop — the widely deployed gateway of Section 3.2."""
+
+    __slots__ = ()
 
     def enqueue(self, packet: Packet) -> bool:
         items = self._items

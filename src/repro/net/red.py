@@ -91,6 +91,12 @@ class RedQueue(PacketQueue):
         Random stream for the early-drop coin flips.
     """
 
+    __slots__ = (
+        "_sim", "params", "_rng", "avg", "_count", "_idle_since", "_mean_pkt_time",
+        "early_drops", "forced_drops", "overflow_drops", "ecn_marks",
+        "_w", "_min_th", "_ecn", "_forced_th",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -125,18 +131,12 @@ class RedQueue(PacketQueue):
         self._ecn = p.ecn
         self._forced_th = 2 * p.max_th if p.gentle else p.max_th
 
+    #: Left out of the state (see SlotState), so checkpoints and golden
+    #: digests match a cache-free queue.
     _DERIVED = ("_w", "_min_th", "_ecn", "_forced_th")
 
-    def __getstate__(self):
-        """The live ``__dict__`` minus the derived param caches, so
-        checkpoints and golden digests match a cache-free queue."""
-        state = self.__dict__.copy()
-        for key in self._DERIVED:
-            del state[key]
-        return state
-
     def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
+        super().__setstate__(state)
         self._derive_params()
 
     def set_mean_packet_time(self, seconds: float) -> None:
@@ -144,6 +144,13 @@ class RedQueue(PacketQueue):
         idle periods (the owning link calls this on attach)."""
         if seconds > 0:
             self._mean_pkt_time = seconds
+
+    def reset_counters(self) -> None:
+        super().reset_counters()
+        self.early_drops = 0
+        self.forced_drops = 0
+        self.overflow_drops = 0
+        self.ecn_marks = 0
 
     def _update_average(self) -> None:
         """Advance the EWMA (and the idle epoch) for one arriving packet.

@@ -2,8 +2,9 @@
  *
  * Design: events stay ordinary Python ``Event`` objects; this module
  * owns the heap array, the counters, the dispatch loop, a link hop
- * that works on the Python objects' own state (see "the hop" below) and
- * the trace channels' emit (see "trace records").
+ * that reads and writes the Python objects' own __slots__ at fixed
+ * offsets (see "the hop" below) and the trace channels' emit (see
+ * "trace records").
  * That keeps every serialization surface (pickles, snapshot digests,
  * golden state) in Python and bit-identical across backends — a host
  * without a C compiler simply falls back to the pure-python code.
@@ -51,26 +52,27 @@ typedef struct {
  * captured by register_event_type().  Slot storage is a plain
  * PyObject* at a fixed offset, so once registered the hot loop reads
  * and writes event fields with direct memory access instead of
- * attribute lookups. */
+ * attribute lookups (the hop does the same with links, queues and
+ * routers). */
 static PyTypeObject *event_type;
 static Py_ssize_t off_time, off_serial, off_fn, off_args;
 static Py_ssize_t off_cancelled, off_fired, off_sim;
 
-#define EV_SLOT(ev, off) (*(PyObject **)((char *)(ev) + (off)))
+#define SLOT(obj, off) (*(PyObject **)((char *)(obj) + (off)))
 
 /* Replace slot contents with an already-owned reference. */
 static inline void
-ev_set(PyObject *ev, Py_ssize_t off, PyObject *owned)
+slot_set(PyObject *obj, Py_ssize_t off, PyObject *owned)
 {
-    PyObject *old = EV_SLOT(ev, off);
-    EV_SLOT(ev, off) = owned;
+    PyObject *old = SLOT(obj, off);
+    SLOT(obj, off) = owned;
     Py_XDECREF(old);
 }
 
 static inline int
 ev_is_cancelled(PyObject *ev)
 {
-    PyObject *v = EV_SLOT(ev, off_cancelled);
+    PyObject *v = SLOT(ev, off_cancelled);
     if (v == Py_False || v == NULL)
         return 0;
     if (v == Py_True)
@@ -195,9 +197,9 @@ recycle_or_release(CoreObject *self, PyObject *event)
 {
     if (self->free_list != NULL && Py_REFCNT(event) == 1) {
         Py_INCREF(Py_None);
-        ev_set(event, off_fn, Py_None);
+        slot_set(event, off_fn, Py_None);
         Py_INCREF(Py_None);
-        ev_set(event, off_args, Py_None);
+        slot_set(event, off_args, Py_None);
         if (PyList_Append(self->free_list, event) < 0)
             PyErr_Clear();
     }
@@ -228,11 +230,11 @@ fire_event(CoreObject *self, entry_t *entry)
     int rc;
     self->now = entry->time;
     Py_INCREF(Py_True);
-    ev_set(event, off_fired, Py_True);
+    slot_set(event, off_fired, Py_True);
     self->pending--;
     self->events_processed++;
-    fn = EV_SLOT(event, off_fn);
-    args = EV_SLOT(event, off_args);
+    fn = SLOT(event, off_fn);
+    args = SLOT(event, off_args);
     Py_INCREF(fn);
     Py_INCREF(args);
     rc = hop_event(fn, args);
@@ -323,18 +325,18 @@ schedule_common(CoreObject *self, double time, PyObject *fn, PyObject *args,
     }
     /* ev_set consumes a reference; slots may hold stale values from a
      * recycled event (or NULL from a fresh allocation). */
-    ev_set(event, off_time, time_obj);
-    ev_set(event, off_serial, serial_obj);
+    slot_set(event, off_time, time_obj);
+    slot_set(event, off_serial, serial_obj);
     Py_INCREF(fn);
-    ev_set(event, off_fn, fn);
+    slot_set(event, off_fn, fn);
     Py_INCREF(args);
-    ev_set(event, off_args, args);
+    slot_set(event, off_args, args);
     Py_INCREF(Py_False);
-    ev_set(event, off_cancelled, Py_False);
+    slot_set(event, off_cancelled, Py_False);
     Py_INCREF(Py_False);
-    ev_set(event, off_fired, Py_False);
+    slot_set(event, off_fired, Py_False);
     Py_INCREF(sim);
-    ev_set(event, off_sim, sim);
+    slot_set(event, off_sim, sim);
     Py_INCREF(event); /* heap's reference */
     if (heap_push(self, time, serial, event) < 0) {
         Py_DECREF(event); /* heap's */
@@ -727,24 +729,20 @@ slot_offset(PyObject *cls, const char *name, Py_ssize_t *out)
 /* ------------------------------------------------------------------ */
 
 /* Installed by repro.net.node.  The hop runs on the Link, DropTailQueue,
- * RedQueue and Router __dict__ entries the Python methods use, so pickles
- * and digests see one layout on both backends.  A step runs its Python
- * original when it cannot run exactly (a link down, tampered or
- * reordering, a queue not exactly a DropTailQueue or a RedQueue, an
- * unbound link.tx channel, an overflow, any RED arrival but an accept
- * below min_th) and while an entry point is not the library's own, so a
- * class-level shim sees every call.  Events stay bound methods: a
- * callback's pickle and digest name its Python function. */
+ * RedQueue and Router __slots__ the Python methods use, at the offsets
+ * install_hop captures, so pickles and digests see one layout on both
+ * backends.  A step runs its Python original when it cannot run exactly
+ * (a link down, tampered or reordering, a queue not exactly a
+ * DropTailQueue or a RedQueue, an unbound link.tx channel, an overflow,
+ * any RED arrival but an accept below min_th) and while an entry point
+ * is not the library's own, so a class-level shim sees every call.
+ * Events stay bound methods: a callback's pickle and digest name its
+ * Python function. */
 
 #define HOP_NAMES(X) /* the entry points (ENTRY_NAME) first */             \
     X(send) X(_serve) X(_deliver) X(receive) X(schedule_abs) X(enqueue)    \
-    X(dequeue) X(_sim) X(_core) X(queue) X(_down) X(tamper) X(_loss)       \
-    X(_loss_active) X(should_drop) X(_loss_dropped) X(_items) X(limit)     \
-    X(enqueues) X(dequeues) X(_serve_pending) X(_free_at)                  \
-    X(bandwidth_bps) X(delay) X(reorder) X(_ch_tx) X(subs) X(emit) X(name) \
-    X(_dst) X(size) X(dst) X(_recycle) X(packets_delivered)                \
-    X(bytes_delivered) X(routes) X(packets_received) X(avg) X(_w)          \
-    X(_min_th) X(_mean_pkt_time) X(_idle_since) X(_count)
+    X(dequeue) X(_core) X(should_drop) X(_loss_dropped) X(subs) X(emit)    \
+    X(size) X(dst) X(routes)
 #define HOP_ENUM(n) K_##n,
 #define HOP_TEXT(n) #n,
 enum { HOP_NAMES(HOP_ENUM) N_HOP_NAMES };
@@ -754,6 +752,29 @@ static PyObject *hop_str[N_HOP_NAMES];
 #define GET(d, key) PyDict_GetItemWithError(d, key) /* str keys: no error */
 
 enum { T_LINK, T_ROUTER, T_SIM, T_DROPTAIL, T_RED, N_HOP_TYPES };
+/* The slots the hop reads and writes: (class, offset variable, name) for
+ * a Link, a PacketQueue (read from DropTailQueue), a RedQueue and a Node
+ * (read from Router). */
+#define HOP_SLOTS(X)                                                        \
+    X(T_LINK, L_sim, _sim) X(T_LINK, L_queue, queue) X(T_LINK, L_down, _down) \
+    X(T_LINK, L_tamper, tamper) X(T_LINK, L_loss, _loss)                    \
+    X(T_LINK, L_loss_active, _loss_active) X(T_LINK, L_dst, _dst)           \
+    X(T_LINK, L_serve_pending, _serve_pending) X(T_LINK, L_name, name)      \
+    X(T_LINK, L_free_at, _free_at) X(T_LINK, L_bandwidth, bandwidth_bps)    \
+    X(T_LINK, L_delay, delay) X(T_LINK, L_reorder, reorder)                 \
+    X(T_LINK, L_ch_tx, _ch_tx) X(T_LINK, L_recycle, _recycle)               \
+    X(T_LINK, L_delivered, packets_delivered)                               \
+    X(T_LINK, L_bytes, bytes_delivered) X(T_DROPTAIL, Q_items, _items)      \
+    X(T_DROPTAIL, Q_limit, limit) X(T_DROPTAIL, Q_enqueues, enqueues)       \
+    X(T_DROPTAIL, Q_dequeues, dequeues) X(T_RED, R_sim, _sim)               \
+    X(T_RED, R_avg, avg) X(T_RED, R_w, _w) X(T_RED, R_min_th, _min_th)      \
+    X(T_RED, R_mpt, _mean_pkt_time) X(T_RED, R_idle, _idle_since)           \
+    X(T_RED, R_count, _count) X(T_ROUTER, N_routes, routes)                 \
+    X(T_ROUTER, N_received, packets_received)
+#define SLOT_DECL(type, off, name) static Py_ssize_t off;
+#define SLOT_ROW(type, off, name) {type, #name, &off},
+HOP_SLOTS(SLOT_DECL)
+
 /* Entry point i is hop_type[ENTRY_TYPE[i]].<ENTRY_NAME[i]>.  Every hop
  * type has one, so re-arming looks something up on each, which is what
  * assigns a type its version tag: a type no lookup ever touched keeps
@@ -768,18 +789,18 @@ static const int ENTRY_NAME[] = {K_send,    K__serve,       K__deliver,
 static PyObject *hop_own[N_ENTRIES]; /* the entry points as installed */
 #define py_serve hop_own[K__serve]
 #define py_deliver hop_own[K__deliver]
-static PyTypeObject *hop_type[N_HOP_TYPES], *packet_type;
+static PyTypeObject *hop_type[N_HOP_TYPES], *packet_type, *host_type;
+static PyTypeObject *channel_type; /* set by install_tracing */
 static unsigned int hop_tag[N_HOP_TYPES];
 static int hop_tagged;
-static Py_ssize_t off_size, off_dst; /* Packet slots */
+static Py_ssize_t off_size, off_dst, off_subs; /* Packet, TraceChannel */
 static PyObject *py_send, *py_node_send, *py_release, *clean_refs, *one;
 static PyObject *minus_one, *deque_append, *deque_popleft, *tx_kwnames;
 static PyObject *star;
 
 /* True while every entry point is the library's own.  Looked up again only
- * when a version tag moved: any class write moves one, including the
- * __slotnames__ copyreg caches on a class at its first pickle or
- * state_digest, so a moved tag re-checks and re-arms. */
+ * when a version tag moved: any class write moves one (an attribute set
+ * on or deleted from a class), so a moved tag re-checks and re-arms. */
 static int
 hop_armed(void)
 {
@@ -798,41 +819,46 @@ hop_armed(void)
     return 1;
 }
 
-/* obj's __dict__ if obj is exactly hop_type[type] and the hop is armed */
-static PyObject *
-dict_of(PyObject *obj, int type)
+/* obj is exactly hop_type[type], whose slots the hop reads, and armed */
+static int
+is_hop(PyObject *obj, int type)
 {
-    PyObject **ptr = NULL;
-    if (obj != NULL && Py_TYPE(obj) == hop_type[type] && hop_armed())
-        ptr = _PyObject_GetDictPtr(obj);
-    return ptr == NULL ? NULL : *ptr;
+    return obj != NULL && Py_TYPE(obj) == hop_type[type] && hop_armed();
 }
 
 static PyObject *
-get(PyObject *d, PyObject *key) /* borrowed; AttributeError if absent */
+read_slot(PyObject *obj, Py_ssize_t off) /* borrowed; AttributeError if unset */
 {
-    PyObject *v = GET(d, key);
-    if (v == NULL && !PyErr_Occurred())
-        PyErr_SetObject(PyExc_AttributeError, key);
+    PyObject *v = SLOT(obj, off);
+    if (v == NULL)
+        PyErr_Format(PyExc_AttributeError, "unset slot in %s object",
+                     Py_TYPE(obj)->tp_name);
     return v;
 }
 
 static int
-add(PyObject *d, PyObject *key, PyObject *delta) /* d[key] += delta */
+slot_add(PyObject *obj, Py_ssize_t off, PyObject *delta) /* slot += delta */
 {
-    PyObject *v = get(d, key), *sum;
-    int rc = -1;
-    if (v != NULL && (sum = PyNumber_InPlaceAdd(v, delta)) != NULL) {
-        rc = PyDict_SetItem(d, key, sum);
-        Py_DECREF(sum);
-    }
-    return rc;
+    PyObject *v = read_slot(obj, off);
+    PyObject *sum = v == NULL ? NULL : PyNumber_InPlaceAdd(v, delta);
+    if (sum != NULL)
+        slot_set(obj, off, sum);
+    return sum == NULL ? -1 : 0;
+}
+
+static int
+slot_float(PyObject *obj, Py_ssize_t off, double value) /* slot = value */
+{
+    PyObject *v = PyFloat_FromDouble(value);
+    if (v != NULL)
+        slot_set(obj, off, v);
+    return v == NULL ? -1 : 0;
 }
 
 static PyObject *
 field(PyObject *packet, Py_ssize_t off, PyObject *name) /* new reference */
 {
-    PyObject *v = Py_TYPE(packet) == packet_type ? EV_SLOT(packet, off) : NULL;
+    PyObject *v = Py_TYPE(packet) == packet_type ? SLOT(packet, off) : NULL;
     return v != NULL ? Py_NewRef(v) : PyObject_GetAttr(packet, name);
 }
 
@@ -884,25 +910,14 @@ core_of(PyObject *sim)
     return NULL;
 }
 
-/* The __dict__ of a queue the hop runs: exactly a DropTailQueue, or exactly
- * a RedQueue (*red set) whose clock is the link's (link dict d). */
-static PyObject *
-queue_dict(PyObject *queue, PyObject *d, int *red)
-{
-    PyObject *qd;
-    *red = queue != NULL && Py_TYPE(queue) == hop_type[T_RED];
-    qd = dict_of(queue, *red ? T_RED : T_DROPTAIL);
-    return qd != NULL && *red && GET(qd, S(_sim)) != GET(d, S(_sim)) ? NULL
-                                                                     : qd;
-}
-
+/* Whether the hop runs queue, the link's: exactly a DropTailQueue, or
+ * exactly a RedQueue (*red set) whose clock is the link's. */
 static int
-set_float(PyObject *d, PyObject *key, double value) /* d[key] = value */
+hop_queue(PyObject *queue, PyObject *link, int *red)
 {
-    PyObject *v = PyFloat_FromDouble(value);
-    int rc = v == NULL ? -1 : PyDict_SetItem(d, key, v);
-    Py_XDECREF(v);
-    return rc;
+    *red = queue != NULL && Py_TYPE(queue) == hop_type[T_RED];
+    return is_hop(queue, *red ? T_RED : T_DROPTAIL) &&
+           (!*red || SLOT(queue, R_sim) == SLOT(link, L_sim));
 }
 
 static int
@@ -921,11 +936,11 @@ is_float(PyObject *v)
  * nothing written (the ramp, a forced drop, non-float state), 1 if it
  * ran, -1 on error. */
 static int
-red_average(PyObject *qd, Py_ssize_t q)
+red_average(PyObject *queue, Py_ssize_t q)
 {
-    PyObject *avg = GET(qd, S(avg)), *w = GET(qd, S(_w));
-    PyObject *min_th = GET(qd, S(_min_th)), *mpt = GET(qd, S(_mean_pkt_time));
-    PyObject *idle = GET(qd, S(_idle_since)), *core = core_of(GET(qd, S(_sim)));
+    PyObject *avg = SLOT(queue, R_avg), *w = SLOT(queue, R_w);
+    PyObject *min_th = SLOT(queue, R_min_th), *mpt = SLOT(queue, R_mpt);
+    PyObject *idle = SLOT(queue, R_idle), *core = core_of(SLOT(queue, R_sim));
     double a, b, m, now;
     int rc = 0;
     if (core == NULL || !is_float(avg) || !is_float(w) || !is_float(min_th) ||
@@ -943,13 +958,13 @@ red_average(PyObject *qd, Py_ssize_t q)
         a *= pow(b, m);
         a = b * a;
     }
-    if (a < PyFloat_AS_DOUBLE(min_th))
-        rc = set_float(qd, S(avg), a) < 0 ||
-                     (q == 0 ? set_float(qd, S(_idle_since), now)
-                             : PyDict_SetItem(qd, S(_idle_since), Py_None)) < 0 ||
-                     PyDict_SetItem(qd, S(_count), minus_one) < 0
-                 ? -1
-                 : 1;
+    if (a < PyFloat_AS_DOUBLE(min_th)) {
+        rc = slot_float(queue, R_avg, a) < 0 ||
+                     (q == 0 && slot_float(queue, R_idle, now) < 0) ? -1 : 1;
+        if (q > 0)
+            slot_set(queue, R_idle, Py_NewRef(Py_None));
+        slot_set(queue, R_count, Py_NewRef(minus_one));
+    }
 out:
     Py_XDECREF(core);
     return rc;
@@ -960,23 +975,22 @@ out:
 static int
 link_serve(PyObject *link)
 {
-    PyObject *d = dict_of(link, T_LINK), *queue, *qd = NULL, *items = NULL;
-    PyObject *sim = NULL, *ch = NULL, *core = NULL, *head = NULL, *r;
-    PyObject *done_obj = NULL;
+    PyObject *queue = NULL, *items = NULL, *sim = NULL, *ch = NULL;
+    PyObject *core = NULL, *head = NULL, *done_obj = NULL, *r;
     double now, free_at, size, delay, done;
     int rc = -1, t, red;
-    if (d != NULL && (queue = GET(d, S(queue))) != NULL &&
-        (qd = queue_dict(queue, d, &red)) != NULL &&
-        (items = GET(qd, S(_items))) != NULL &&
-        GET(d, S(reorder)) == Py_None && (ch = GET(d, S(_ch_tx))) != NULL &&
-        ch != Py_None)
-        core = core_of(sim = GET(d, S(_sim)));
+    if (is_hop(link, T_LINK) &&
+        hop_queue(queue = SLOT(link, L_queue), link, &red) &&
+        (items = SLOT(queue, Q_items)) != NULL &&
+        SLOT(link, L_reorder) == Py_None &&
+        (ch = SLOT(link, L_ch_tx)) != NULL && ch != Py_None)
+        core = core_of(sim = SLOT(link, L_sim));
     if (core == NULL)
         return call_py(py_serve, link, NULL);
     /* Held across link.tx subscribers, which may rebind what we read. */
-    Py_INCREF(d), Py_INCREF(sim), Py_INCREF(items);
+    Py_INCREF(sim), Py_INCREF(items);
     now = ((CoreObject *)core)->now;
-    free_at = PyFloat_AsDouble(get(d, S(_free_at)));
+    free_at = PyFloat_AsDouble(SLOT(link, L_free_at));
     if (PyErr_Occurred())
         goto out;
     if (now < free_at || PyObject_Length(items) == 0) {
@@ -988,43 +1002,45 @@ link_serve(PyObject *link)
         done = free_at;
         goto book;
     }
-    if (add(qd, S(dequeues), one) < 0 ||
+    if (slot_add(queue, Q_dequeues, one) < 0 ||
         (head = PyObject_Vectorcall(deque_popleft, &items, 1, NULL)) == NULL ||
         (red && PyObject_Length(items) == 0 && /* RedQueue.dequeue */
-         set_float(qd, S(_idle_since), now) < 0))
+         slot_float(queue, R_idle, now) < 0))
         goto out;
     r = field(head, off_size, S(size));
     size = PyFloat_AsDouble(r);
     Py_XDECREF(r);
     /* Exactly ``now + size * 8.0 / bandwidth`` and ``done + delay``:
      * the digests pin every rounding. */
-    done = now + size * 8.0 / PyFloat_AsDouble(get(d, S(bandwidth_bps)));
-    if (PyErr_Occurred() || (done_obj = PyFloat_FromDouble(done)) == NULL ||
-        PyDict_SetItem(d, S(_free_at), done_obj) < 0 ||
-        (r = PyObject_GetAttr(ch, S(subs))) == NULL)
+    done = now + size * 8.0 / PyFloat_AsDouble(SLOT(link, L_bandwidth));
+    if (PyErr_Occurred() || (done_obj = PyFloat_FromDouble(done)) == NULL)
         goto out;
-    t = PyObject_IsTrue(r);
-    Py_DECREF(r);
-    if (t > 0) { /* ch.emit(now, self.name, packet=head, done=done) */
-        PyObject *argv[5] = {ch, PyFloat_FromDouble(now), get(d, S(name)),
-                             head, done_obj};
+    slot_set(link, L_free_at, Py_NewRef(done_obj));
+    r = Py_TYPE(ch) == channel_type && SLOT(ch, off_subs) != NULL
+            ? Py_NewRef(SLOT(ch, off_subs))
+            : PyObject_GetAttr(ch, S(subs));
+    if ((t = r == NULL ? -1 : PyObject_IsTrue(r)) > 0) {
+        /* ch.emit(now, self.name, packet=head, done=done) */
+        PyObject *argv[5] = {ch, PyFloat_FromDouble(now),
+                             read_slot(link, L_name), head, done_obj};
+        Py_XDECREF(r);
         r = argv[1] && argv[2]
                 ? PyObject_VectorcallMethod(S(emit), argv, 3, tx_kwnames)
                 : NULL;
         Py_XDECREF(argv[1]);
-        Py_XDECREF(r);
     }
-    delay = PyErr_Occurred() ? 0.0 : PyFloat_AsDouble(get(d, S(delay)));
+    Py_XDECREF(r);
+    delay = PyErr_Occurred() ? 0.0 : PyFloat_AsDouble(SLOT(link, L_delay));
     if (PyErr_Occurred() ||
         schedule(core, sim, link, py_deliver, done + delay, head) < 0)
         goto out;
     t = PyObject_Length(items) > 0;
 book: /* _serve_pending = t; while it holds, a service at `done` */
-    if (PyDict_SetItem(d, S(_serve_pending), t ? Py_True : Py_False) == 0)
-        rc = t ? schedule(core, sim, link, py_serve, done, NULL) : 0;
+    slot_set(link, L_serve_pending, Py_NewRef(t ? Py_True : Py_False));
+    rc = t ? schedule(core, sim, link, py_serve, done, NULL) : 0;
 out:
     Py_XDECREF(head), Py_XDECREF(done_obj), Py_DECREF(items);
-    Py_DECREF(core), Py_DECREF(sim), Py_DECREF(d);
+    Py_DECREF(core), Py_DECREF(sim);
     return rc;
 }
 
@@ -1034,43 +1050,45 @@ out:
 static int
 link_send(PyObject *link, PyObject *packet)
 {
-    PyObject *d = dict_of(link, T_LINK), *queue, *qd, *items, *limit;
+    PyObject *queue, *items, *limit;
     Py_ssize_t q;
     int t = 0, red;
-    if (d == NULL || GET(d, S(_down)) != Py_False ||
-        GET(d, S(tamper)) != Py_None)
+    if (!is_hop(link, T_LINK) || SLOT(link, L_down) != Py_False ||
+        SLOT(link, L_tamper) != Py_None)
         return call_py(py_send, link, packet);
-    Py_INCREF(d);
-    if (GET(d, S(_loss_active)) == Py_True &&
-        (t = call_method(get(d, S(_loss)), S(should_drop), packet)) > 0)
+    if (SLOT(link, L_loss_active) == Py_True &&
+        (t = call_method(read_slot(link, L_loss), S(should_drop), packet)) > 0)
         t = call_method(link, S(_loss_dropped), packet) < 0 ? -1 : 1;
     if (t == 0) {
-        queue = get(d, S(queue));
-        qd = queue_dict(queue, d, &red);
-        items = qd == NULL ? NULL : GET(qd, S(_items));
-        limit = qd == NULL ? NULL : GET(qd, S(limit));
+        queue = read_slot(link, L_queue);
+        t = hop_queue(queue, link, &red);
+        items = t ? SLOT(queue, Q_items) : NULL;
+        limit = t ? SLOT(queue, Q_limit) : NULL;
         q = items == NULL ? -1 : PyObject_Length(items);
         if (q >= 0 && limit != NULL && PyLong_CheckExact(limit) &&
             q < PyLong_AsSsize_t(limit) &&
-            (t = red ? red_average(qd, q) : 1) > 0)
+            (t = red ? red_average(queue, q) : 1) > 0)
             t = call_py(deque_append, items, packet) < 0 ||
-                add(qd, S(enqueues), one) < 0 ? -1 : 1;
-        else if (t == 0) /* the queue's own enqueue decides and reports */
+                slot_add(queue, Q_enqueues, one) < 0 ? -1 : 1;
+        else if (t >= 0) /* the queue's own enqueue decides and reports */
             t = call_method(queue, S(enqueue), packet);
         if (t > 0)
-            t = GET(d, S(_serve_pending)) == Py_False ? link_serve(link) : 0;
+            t = SLOT(link, L_serve_pending) == Py_False ? link_serve(link) : 0;
     }
-    Py_DECREF(d);
     return t < 0 ? -1 : 0;
 }
 
 /* node.routes.get(packet.dst) or routes.get("*"): a new reference, or
- * NULL (with an exception set only on error). */
+ * NULL (with an exception set only on error).  A Router's or a Host's
+ * table is read at its slot. */
 static PyObject *
 route(PyObject *node, PyObject *packet)
 {
-    PyObject *routes = PyObject_GetAttr(node, S(routes)), *dst = NULL;
-    PyObject *link = NULL;
+    PyObject *routes, *dst = NULL, *link = NULL;
+    if (Py_TYPE(node) == hop_type[T_ROUTER] || Py_TYPE(node) == host_type)
+        routes = Py_XNewRef(SLOT(node, N_routes));
+    else
+        routes = PyObject_GetAttr(node, S(routes));
     if (routes != NULL && PyDict_CheckExact(routes) &&
         (dst = field(packet, off_dst, S(dst))) != NULL &&
         (link = GET(routes, dst)) == NULL && !PyErr_Occurred())
@@ -1085,7 +1103,7 @@ route(PyObject *node, PyObject *packet)
 static int
 forward(PyObject *link, PyObject *packet)
 {
-    if (Py_TYPE(link) == hop_type[T_LINK] && hop_armed())
+    if (is_hop(link, T_LINK))
         return link_send(link, packet);
     return call_method(link, S(send), packet) < 0 ? -1 : 0;
 }
@@ -1096,26 +1114,25 @@ forward(PyObject *link, PyObject *packet)
 static int
 link_deliver(PyObject *link, PyObject *packet)
 {
-    PyObject *d = dict_of(link, T_LINK), *dst = d ? GET(d, S(_dst)) : NULL;
-    PyObject *size, *rd, *next;
+    PyObject *dst = is_hop(link, T_LINK) ? SLOT(link, L_dst) : NULL;
+    PyObject *size, *next;
     int t;
     if (dst == NULL || dst == Py_None)
         return call_py(py_deliver, link, packet);
-    Py_INCREF(d), Py_INCREF(dst);
+    Py_INCREF(dst);
     size = field(packet, off_size, S(size));
-    t = size == NULL || add(d, S(packets_delivered), one) < 0 ||
-        add(d, S(bytes_delivered), size) < 0 ? -1 : 0;
+    t = size == NULL || slot_add(link, L_delivered, one) < 0 ||
+        slot_add(link, L_bytes, size) < 0 ? -1 : 0;
     Py_XDECREF(size);
-    if (t == 0 && (rd = dict_of(dst, T_ROUTER)) != NULL &&
-        (next = route(dst, packet)) != NULL) {
-        t = add(rd, S(packets_received), one) < 0 ? -1 : forward(next, packet);
+    if (t == 0 && is_hop(dst, T_ROUTER) && (next = route(dst, packet)) != NULL) {
+        t = slot_add(dst, N_received, one) < 0 ? -1 : forward(next, packet);
         Py_DECREF(next);
     } else if (t == 0) {
         t = PyErr_Occurred() ? -1 : call_method(dst, S(receive), packet);
     }
-    if (t >= 0 && GET(d, S(_recycle)) == Py_True)
+    if (t >= 0 && SLOT(link, L_recycle) == Py_True)
         t = call_py(py_release, packet, clean_refs);
-    Py_DECREF(dst), Py_DECREF(d);
+    Py_DECREF(dst);
     return t < 0 ? -1 : 0;
 }
 
@@ -1158,35 +1175,42 @@ static PyMethodDef hop_defs[] = {
 };
 
 /* install_hop(Link, Router, Simulator, DropTailQueue, RedQueue, Packet,
- * Node, then the entry points Link.send, Link._serve, Link._deliver,
+ * Node, Host, then the entry points Link.send, Link._serve, Link._deliver,
  * Router.receive, Simulator.schedule_abs, DropTailQueue.enqueue,
  * DropTailQueue.dequeue, RedQueue.enqueue, RedQueue.dequeue, then
  * Node.send, maybe_release, clean_refs, deque.append, deque.popleft): arm
  * the hop; returns the C descriptors for Link.send and Node.send, which
- * repro.net.node installs. */
+ * repro.net.node installs.  Raises if a class lacks a slot the hop uses. */
 static PyObject *
 module_install_hop(PyObject *Py_UNUSED(module), PyObject *args)
 {
     static PyObject *node_type;
+    static const struct { int type; const char *name; Py_ssize_t *off; }
+        slots[] = {HOP_SLOTS(SLOT_ROW)};
     PyObject **slot[] = {
         (PyObject **)&hop_type[T_LINK], (PyObject **)&hop_type[T_ROUTER],
         (PyObject **)&hop_type[T_SIM], (PyObject **)&hop_type[T_DROPTAIL],
         (PyObject **)&hop_type[T_RED], (PyObject **)&packet_type, &node_type,
-        &py_send, &hop_own[1], &hop_own[2], &hop_own[3], &hop_own[4],
-        &hop_own[5], &hop_own[6], &hop_own[7], &hop_own[8], &py_node_send,
-        &py_release, &clean_refs, &deque_append, &deque_popleft};
+        (PyObject **)&host_type, &py_send, &hop_own[1], &hop_own[2],
+        &hop_own[3], &hop_own[4], &hop_own[5], &hop_own[6], &hop_own[7],
+        &hop_own[8], &py_node_send, &py_release, &clean_refs, &deque_append,
+        &deque_popleft};
     Py_ssize_t i, n = sizeof(slot) / sizeof(slot[0]);
     if (py_send != NULL || PyTuple_GET_SIZE(args) != n)
         return PyErr_Format(PyExc_TypeError,
                             "install_hop() runs once, with %zd arguments", n);
     for (i = 0; i < n; i++)
-        if (i <= 6 && !PyType_Check(PyTuple_GET_ITEM(args, i)))
+        if (i <= 7 && !PyType_Check(PyTuple_GET_ITEM(args, i)))
             return PyErr_Format(PyExc_TypeError,
                                 "install_hop() argument %zd is not a class", i);
     for (i = 0; i < n; i++)
         *slot[i] = Py_NewRef(PyTuple_GET_ITEM(args, i));
     for (i = 0; i < N_HOP_NAMES; i++)
         if ((hop_str[i] = PyUnicode_InternFromString(hop_text[i])) == NULL)
+            return NULL;
+    for (i = 0; i < (Py_ssize_t)(sizeof(slots) / sizeof(slots[0])); i++)
+        if (slot_offset((PyObject *)hop_type[slots[i].type], slots[i].name,
+                        slots[i].off) < 0)
             return NULL;
     one = PyLong_FromLong(1);
     minus_one = PyLong_FromLong(-1);
@@ -1213,9 +1237,9 @@ module_install_hop(PyObject *Py_UNUSED(module), PyObject *args)
  * positional arguments, or a keyword naming a parameter), a subclass, an
  * unset slot and subscribers that are not a list run the Python
  * original, which binds, iterates or raises. */
-static PyTypeObject *record_type, *channel_type;
+static PyTypeObject *record_type;
 static PyObject *py_channel_emit;
-static Py_ssize_t off_category, off_subs;
+static Py_ssize_t off_category;
 
 /* Whether a keyword binds one of emit's own parameters. */
 static int
@@ -1261,8 +1285,8 @@ channel_emit(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
     int rc = 0;
     if (Py_TYPE(self) == channel_type && nargs == 2 &&
         !binds_parameter(kwnames)) {
-        subs = EV_SLOT(self, off_subs);
-        category = EV_SLOT(self, off_category);
+        subs = SLOT(self, off_subs);
+        category = SLOT(self, off_category);
     }
     if (subs == NULL || category == NULL || !PyList_CheckExact(subs))
         return channel_emit_py(self, args, nargs, kwnames);

@@ -8,8 +8,9 @@ a test's counting shim — must still see every call it would see on the
 pure backend, so the hop hands everything to Python while any of its
 entry points is not the library's own.  The check that decides this
 caches the classes' version tags; the cache must re-arm after a class
-write, such as the ``__slotnames__`` copyreg adds at a world's first
-``state_digest``, instead of leaving the fast path off for good.
+write instead of leaving the fast path off for good.  A world's
+``state_digest`` makes no such write: every hop class has its own
+``__getstate__``, so copyreg caches no ``__slotnames__`` on it.
 """
 
 import json
@@ -148,9 +149,7 @@ def test_a_shim_on_one_queue_method_sees_every_call(monkeypatch, cls, method):
 
 
 def test_fast_path_rearms_after_the_first_state_digest():
-    for cls in (Router, Host, DropTailQueue):
-        if "__slotnames__" in vars(cls):
-            delattr(cls, "__slotnames__")
+    hop_classes = (Router, Host, Link, DropTailQueue)
     sim, bell, sender = lossy_dumbbell(packets=800)
     python_hop = {Link._deliver.__code__, Link._serve.__code__}
     calls = []
@@ -161,8 +160,16 @@ def test_fast_path_rearms_after_the_first_state_digest():
 
     sim.run(until=2.0)
     delivered = sum(link.packets_delivered for link in bell.net.links.values())
+    before = [dict(vars(cls)) for cls in hop_classes]
     state_digest(bell)
-    assert "__slotnames__" in vars(Router), "the digest did not write to a hop class"
+    # Every hop class has its own __getstate__, so copyreg caches no
+    # __slotnames__ on it: the digest writes nothing to them.
+    assert [dict(vars(cls)) for cls in hop_classes] == before
+    # A class write moves the version tags the hop caches; it must
+    # re-check its entry points and re-arm, not stay off for good.
+    for cls in hop_classes:
+        cls.probe = None
+        del cls.probe
     sys.setprofile(profile)
     try:
         sim.run(until=60.0)

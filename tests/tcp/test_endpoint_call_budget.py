@@ -25,12 +25,13 @@ from repro.sim.engine import CORE_BACKEND
 from repro.sim.rng import RngStream
 
 #: Calls per ACK allowed, by backend (measured: RR 24.3 and SACK 34.5
-#: compiled, 75.2 and 85.3 pure; while every timer restart cancelled and
-#: rescheduled, 26.8 / 37.0 and 78.6 / 88.7; before the glue came out,
-#: 54.9 / 65.5 and 112.0 / 122.6).
+#: compiled, 73.1 and 83.3 pure; while a host send went through
+#: ``Node._forward``, 75.2 / 85.3 pure; while every timer restart
+#: cancelled and rescheduled, 26.8 / 37.0 and 78.6 / 88.7; before the
+#: glue came out, 54.9 / 65.5 and 112.0 / 122.6).
 BUDGETS = {
     "compiled": {"rr": 26.0, "sack": 36.0},
-    "python": {"rr": 77.0, "sack": 87.0},
+    "python": {"rr": 75.0, "sack": 85.0},
 }
 
 
