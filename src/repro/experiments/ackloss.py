@@ -33,7 +33,6 @@ from repro.experiments.common import FlowSpec, build_dumbbell_scenario
 from repro.metrics.throughput import goodput_bps
 from repro.net.loss import AckLoss, DeterministicLoss
 from repro.net.packet import set_uid_state
-from repro.net.topology import DumbbellParams
 from repro.runner.grid import GridCell, run_grid, step_until
 from repro.sim.rng import RngStream
 from repro.viz.ascii import format_table
@@ -81,6 +80,8 @@ def prefix_world(variant: str, config: AckLossConfig):
     """Build one variant's cell with the engineered forward burst
     programmed (identical in every cell) and a still-inert reverse
     path, and step it to just before the first drop."""
+    from repro.net.topology import DumbbellParams
+
     set_uid_state(1)
     forward = DeterministicLoss(
         [(1, config.first_drop_seq + i) for i in range(config.burst_drops)]

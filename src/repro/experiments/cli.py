@@ -31,6 +31,7 @@ executes only what did not finish (docs/PERFORMANCE.md).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -444,5 +445,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+def console_main() -> int:
+    """Process entry point: ``python -m repro.experiments`` and the
+    ``repro-experiments`` script.
+
+    Runs :func:`main`, flushes stdout and freezes every live object out
+    of the cyclic collector, so interpreter teardown skips the final
+    collection pass over every module, function and class loaded
+    (``atexit`` handlers and stdio flushing still run).  Tests and
+    library callers call :func:`main`, which leaves the collector alone.
+    """
+    try:
+        return main()
+    finally:
+        sys.stdout.flush()
+        gc.freeze()
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(console_main())

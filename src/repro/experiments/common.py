@@ -9,25 +9,28 @@ source), and drop watching on the trace bus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.app.ftp import FtpSource
 from repro.config import TcpConfig
 from repro.errors import ConfigurationError
-from repro.metrics.flowstats import FlowStats
-from repro.net.loss import LossModule
-from repro.net.queues import PacketQueue
-from repro.net.topology import Dumbbell, DumbbellParams
-from repro.sim.engine import Simulator
-from repro.tcp.base import TcpSender
-from repro.tcp.factory import VARIANTS, make_connection, sender_class_for
-from repro.tcp.receiver import TcpReceiver
+
+if TYPE_CHECKING:
+    from repro.app.ftp import FtpSource
+    from repro.metrics.flowstats import FlowStats
+    from repro.net.loss import LossModule
+    from repro.net.queues import PacketQueue
+    from repro.net.topology import Dumbbell, DumbbellParams
+    from repro.sim.engine import Simulator
+    from repro.tcp.base import TcpSender
+    from repro.tcp.receiver import TcpReceiver
 
 
 def known_variants(names: Sequence[str]) -> Tuple[str, ...]:
     """``names`` as a tuple, once each is known to name a TCP variant
     (:class:`~repro.errors.ConfigurationError` otherwise) — how the
     ``--variants`` harnesses reject a typo before building any cell."""
+    from repro.tcp.factory import sender_class_for
+
     for name in names:
         sender_class_for(name)
     return tuple(names)
@@ -77,6 +80,14 @@ def build_dumbbell_scenario(
     component built before the scenario (e.g. a RED queue factory)
     needs to share the simulator.
     """
+    # The simulator is imported here, not at module level, so a harness
+    # whose cells all replay from the cache never loads it.
+    from repro.app.ftp import FtpSource
+    from repro.metrics.flowstats import FlowStats
+    from repro.net.topology import Dumbbell, DumbbellParams
+    from repro.sim.engine import Simulator
+    from repro.tcp.factory import VARIANTS, make_connection
+
     if not flows:
         raise ConfigurationError("scenario needs at least one flow")
     if sim is None:

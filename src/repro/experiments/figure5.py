@@ -27,7 +27,7 @@ bursty losses").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.config import TcpConfig
 from repro.errors import SnapshotError
@@ -44,10 +44,11 @@ from repro.metrics.throughput import (
 )
 from repro.net.loss import DeterministicLoss
 from repro.net.packet import set_uid_state
-from repro.net.topology import DumbbellParams
 from repro.runner.grid import GridCell, run_grid, step_until
-from repro.snapshot import Snapshot
 from repro.viz.ascii import format_table
+
+if TYPE_CHECKING:
+    from repro.snapshot import Snapshot
 
 
 @dataclass
@@ -114,6 +115,8 @@ def prefix_world(variant: str, config: Figure5Config) -> ScenarioResult:
     from this world (re-built cold, forked from one frozen copy warm)
     and reprograms the loss module with its own drops.
     """
+    from repro.net.topology import DumbbellParams
+
     set_uid_state(1)  # the capture is a function of the arguments alone
     scenario = build_dumbbell_scenario(
         flows=[FlowSpec(variant=variant, amount_packets=config.transfer_packets)],
@@ -140,6 +143,8 @@ def prefix_world(variant: str, config: Figure5Config) -> ScenarioResult:
 
 def capture_warm_snapshot(variant: str, config: Figure5Config) -> Snapshot:
     """Run the shared pre-loss prefix of a Figure-5 cell and freeze it."""
+    from repro.snapshot import Snapshot
+
     return Snapshot.capture(
         prefix_world(variant, config), label=f"fig5 warm prefix {variant}"
     )

@@ -23,11 +23,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.common import FlowSpec, build_dumbbell_scenario
 from repro.net.packet import set_uid_state
-from repro.sim.engine import Simulator
 from repro.metrics.timeseries import SequenceTrace, SequenceTracer
 from repro.metrics.throughput import effective_throughput_bps
 from repro.net.red import RedParams, RedQueue
-from repro.net.topology import DumbbellParams
 from repro.runner.grid import GridCell, run_grid
 from repro.sim.rng import RngStream
 from repro.viz.ascii import ascii_scatter, format_table
@@ -79,6 +77,9 @@ def prefix_world(variant: str, config: Figure6Config):
     the run, shared between repeated sweeps (and the cold path, which
     continues the same world in-process).
     """
+    from repro.net.topology import DumbbellParams
+    from repro.sim.engine import Simulator
+
     set_uid_state(1)
     rng = RngStream(config.seed, f"red-{variant}")
     flows = []

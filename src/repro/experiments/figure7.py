@@ -30,7 +30,6 @@ from repro.experiments.common import FlowSpec, build_dumbbell_scenario
 from repro.models.mathis import MATHIS_C_ACK_EVERY_PACKET, PAPER_C, mathis_window
 from repro.net.loss import UniformLoss
 from repro.net.packet import set_uid_state
-from repro.net.topology import DumbbellParams
 from repro.runner.grid import GridCell, run_grid
 from repro.sim.rng import RngStream
 from repro.viz.ascii import ascii_scatter, format_table
@@ -86,6 +85,8 @@ def prefix_world(variant: str, config: Figure7Config):
     step — so one frozen world serves the whole
     ``loss_rates x runs_per_point`` grid.
     """
+    from repro.net.topology import DumbbellParams
+
     set_uid_state(1)
     # side 1 ms + bottleneck 97 ms + side 1 ms, doubled ≈ 198 ms; plus
     # transmission/ACK time it comes to ~200 ms.

@@ -9,10 +9,12 @@ cumulative ACK only advances on new data).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.metrics.flowstats import FlowStats
+
+if TYPE_CHECKING:
+    from repro.metrics.flowstats import FlowStats
 
 
 def goodput_bps(

@@ -9,9 +9,10 @@ transmissions), retransmissions, and the cumulative-ACK staircase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.metrics.flowstats import FlowStats
+if TYPE_CHECKING:
+    from repro.metrics.flowstats import FlowStats
 
 
 @dataclass

@@ -22,12 +22,15 @@ w_q 0.002, buffer 25 packets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.net.packet import Packet
 from repro.net.queues import PacketQueue
-from repro.sim.engine import Simulator
 from repro.sim.rng import RngStream
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Simulator
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ wall time, the cache hit rate, and the outcome.  Manifests
 are written to ``<artifact root>/runs/<run_id>/manifest.json`` where
 the artifact root is ``$REPRO_ARTIFACT_DIR`` (falling back to
 ``.repro-artifacts/``) — the same tree CI uploads on failure, so a red
-run always carries its own provenance.
+run always carries its own provenance.  A run id is
+``<harness>-<utc stamp>-<6 hex digits>`` (:func:`new_run_id`).
 
 The schema is flat JSON (no pickles) and versioned by
 ``MANIFEST_FORMAT``; :meth:`RunManifest.load` refuses unknown formats
@@ -20,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -61,9 +61,13 @@ def _utc_now() -> str:
 
 
 def new_run_id(harness: str) -> str:
-    """A unique, sortable run id: ``<harness>-<utc stamp>-<suffix>``."""
+    """A unique, sortable run id: ``<harness>-<utc stamp>-<suffix>``.
+
+    The suffix is 24 random bits from :func:`os.urandom`, as six hex
+    digits; taking them from ``uuid`` would cost every CLI call the
+    ``uuid`` and ``platform`` imports."""
     stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
-    return f"{harness}-{stamp}-{uuid.uuid4().hex[:6]}"
+    return f"{harness}-{stamp}-{os.urandom(3).hex()}"
 
 
 @dataclass

@@ -16,7 +16,11 @@ inputs below participate:
   ``DIGEST_VERSION``) — warm-started cells embed
   snapshot digests, and a format bump changes what those digests mean
   even when no ``repro`` source under the walk changed (e.g. an
-  editable install pointing at a different checkout);
+  editable install pointing at a different checkout).  They are read
+  from their defining modules, ``repro.snapshot.core`` and
+  ``repro.snapshot.digest``, which import no simulator at module
+  level, so a cached replay that fingerprints its code still loads no
+  engine;
 * the committed golden state digests
   (``tests/golden/state_digests.json``), when present — refreshing the
   goldens via ``scripts/update_golden.py`` declares "behaviour

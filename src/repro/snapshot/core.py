@@ -46,12 +46,14 @@ import json
 import pickle
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SnapshotError, SnapshotFormatError
 from repro.net.packet import drain_packet_pool, set_uid_state, uid_state
-from repro.sim.engine import Simulator
 from repro.snapshot.digest import state_digest
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Simulator
 
 
 def payload_checksum(payload: bytes) -> str:
@@ -62,8 +64,10 @@ def payload_checksum(payload: bytes) -> str:
 
 #: On-disk format version (bump on incompatible layout changes).
 #: 1 — single ``{"world", "uid_next"}`` pickle; 2 — sectioned payload
-#: (shared-memo multi-dump stream + section table in the header).
-SNAPSHOT_FORMAT = 2
+#: (shared-memo multi-dump stream + section table in the header); 3 —
+#: same layout, but a pickled ``Timer`` carries its ``_deadline`` (a
+#: format-2 timer would load, then fail when it fires).
+SNAPSHOT_FORMAT = 3
 
 _MAGIC = "repro-snapshot"
 
@@ -239,6 +243,8 @@ class Snapshot:
 
     @staticmethod
     def _find_sim(world: Any) -> Simulator:
+        from repro.sim.engine import Simulator
+
         if isinstance(world, Simulator):
             return world
         sim = getattr(world, "sim", None)

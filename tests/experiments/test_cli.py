@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.cli import EXPERIMENTS, main
+from repro.snapshot.core import SNAPSHOT_FORMAT
 
 
 class TestDispatch:
@@ -232,7 +233,7 @@ class TestSnapshotSubcommand:
 
         assert main(["snapshot", "inspect", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "format 2" in out
+        assert f"format {SNAPSHOT_FORMAT}" in out
         assert "t=2" in out
 
         assert main([

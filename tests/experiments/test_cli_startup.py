@@ -20,6 +20,19 @@ HEAVY = ("repro.faults", "repro.ident", "repro.scenes")
 #: ``import repro.experiments.cli`` loaded 110 ``repro.*`` modules before
 #: the package surfaces became lazy and 19 after.
 CLI_IMPORT_BUDGET = 25
+#: The simulator proper: what a cell runs and a cached replay never loads.
+SIMULATOR_PACKAGES = ("repro.tcp.", "repro.app.")
+SIMULATOR_MODULES = {
+    "repro.tcp",
+    "repro.app",
+    "repro.net.node",
+    "repro.net.link",
+    "repro.net.network",
+    "repro.net.topology",
+    "repro.sim.engine",
+    "repro.sim._engine_core",
+    "repro.metrics.flowstats",
+}
 
 
 def loaded_modules(code, env=None):
@@ -39,6 +52,10 @@ def heavy(modules):
     return {m for m in modules if m.startswith(HEAVY)}
 
 
+def simulator(modules):
+    return {m for m in modules if m in SIMULATOR_MODULES or m.startswith(SIMULATOR_PACKAGES)}
+
+
 @pytest.mark.parametrize("module", ["repro", "repro.experiments", "repro.experiments.cli"])
 def test_import_loads_no_harness(module):
     modules = loaded_modules(f"import {module}")
@@ -50,6 +67,8 @@ def test_cli_import_budget():
     modules = loaded_modules("import repro.experiments.cli")
     ours = {m for m in modules if m == "repro" or m.startswith("repro.")}
     assert len(ours) <= CLI_IMPORT_BUDGET, sorted(ours)
+    # Run ids come from os.urandom, not uuid (which also loads platform).
+    assert not modules & {"uuid", "platform"}
 
 
 def cli_call(*argv):
@@ -77,6 +96,10 @@ def test_fig5_loads_only_its_own_harness(tmp_path):
         # ... unprofiled, and cold (the CLI never warm-starts).
         assert not modules & {"cProfile", "pstats"}, phase
         assert not modules & {"repro.runner.warmstart", "repro.snapshot.golden"}, phase
+        if phase == "cold":
+            assert "repro.sim.engine" in modules
+        else:
+            assert not simulator(modules), sorted(simulator(modules))
     assert (tmp_path / "cache").is_dir()
 
 
@@ -87,15 +110,21 @@ def test_fig5_loads_only_its_own_harness(tmp_path):
 def test_cold_grid_loads_no_warm_start_machinery(tmp_path, experiment, harness):
     """The other CLI-reachable grids of the benchmark sweep, cold: the
     grid executor loads, the snapshot store behind ``warm_start=True``
-    does not (``step_until`` lives in the executor)."""
+    does not (``step_until`` lives in the executor).  Replayed from the
+    cache, they load no simulator module at all."""
     env = {
         "REPRO_CACHE_DIR": str(tmp_path / "cache"),
         "REPRO_ARTIFACT_DIR": str(tmp_path / "artifacts"),
     }
-    modules = loaded_modules(cli_call(experiment, "--quick", "--quiet", "--jobs", "1"), env)
+    call = cli_call(experiment, "--quick", "--quiet", "--jobs", "1")
+    modules = loaded_modules(call, env)
     assert modules & HARNESSES == {f"repro.experiments.{harness}"}
     assert "repro.runner.grid" in modules
     assert "repro.runner.warmstart" not in modules
+    assert "repro.sim.engine" in modules
+    replay = loaded_modules(call, env)
+    assert replay & HARNESSES == {f"repro.experiments.{harness}"}
+    assert not simulator(replay), sorted(simulator(replay))
 
 
 def test_tools_load_no_harness(tmp_path):

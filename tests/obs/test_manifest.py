@@ -1,6 +1,7 @@
 """RunManifest schema: round-trip, rejection, atomic layout."""
 
 import json
+import re
 
 import pytest
 
@@ -112,7 +113,7 @@ class TestRoots:
 
     def test_run_ids_are_distinct_and_prefixed(self):
         first, second = new_run_id("fig5"), new_run_id("fig5")
-        assert first.startswith("fig5-")
+        assert re.fullmatch(r"fig5-\d{8}-\d{6}-[0-9a-f]{6}", first), first
         assert first != second
 
     def test_write_defaults_to_artifact_root(self, tmp_path, monkeypatch):

@@ -7,9 +7,11 @@ original and the restored copy must match an uninterrupted reference
 run exactly — same FlowStats series, same final canonical state digest.
 """
 
+import json
+
 import pytest
 
-from repro.errors import SnapshotError
+from repro.errors import SnapshotError, SnapshotFormatError
 from repro.faults.campaign import CampaignRunner, CampaignSpec
 from repro.faults.plan import FaultContext
 from repro.snapshot import GOLDEN_VARIANTS, Snapshot, state_digest
@@ -134,3 +136,21 @@ class TestCaptureGuards:
         snapshot.info = dataclasses.replace(snapshot.info, digest="0" * 64)
         with pytest.raises(SnapshotError, match="digest"):
             snapshot.restore()
+
+
+class TestFormatGate:
+    def test_format_2_file_is_refused(self, tmp_path):
+        """A format-2 file predates the pickled ``Timer._deadline``: it
+        would load and then fail when a restored timer fires, so both
+        readers refuse it up front."""
+        scenario = build_golden_scenario("rr")
+        scenario.sim.run(until=1.0)
+        path = Snapshot.capture(scenario).save(tmp_path / "rr.snap")
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["format"] = 2
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(SnapshotFormatError, match="format 2"):
+            Snapshot.read_info(path)
+        with pytest.raises(SnapshotFormatError, match="format 2"):
+            Snapshot.load(path)
