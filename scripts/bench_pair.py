@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI performance gate: parent-vs-change pairs of ``bench/run.py``.
 
-    python scripts/bench_pair.py --parent REV [--pairs N] [--workload W] [--seed S]
+    python scripts/bench_pair.py --parent REV [--pairs N] [--workload W] [--seed S] [--record PATH]
 
 Extracts the committed tree of ``REV`` into a temporary directory
 (``git archive``; honours ``TMPDIR``) and runs ``python3 bench/run.py
@@ -12,8 +12,12 @@ of an ``end_to_end`` metric of BENCHMARK.json is worse than the parent's
 by more than that metric's ``bound``, or its failed/attempted share
 rose.  Refuses (exit 2) when ``bench/`` or ``BENCHMARK.json`` differ
 between the two trees: two different benchmarks cannot be compared.
-No number is committed, so none can go stale.  Every run made is kept in
-``bench/out/pairs.json``; see docs/PERFORMANCE.md.
+Per workload and metric it also prints the pairs the change won and the
+parent's interquartile range, which a claimed gain is judged by.  Every
+run made is kept in ``bench/out/pairs.json``; ``--record PATH`` also
+writes the whole comparison (both SHAs, every run, medians, IQR, wins,
+verdicts) as JSON, the form of the committed ``BENCH_*.json`` files; see
+docs/PERFORMANCE.md.
 """
 
 import argparse
@@ -23,10 +27,16 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from collections import namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK_PATHS = ("bench", "BENCHMARK.json")
+
+#: One end-to-end metric of one workload: both medians, how much worse
+#: the change is (a fraction; negative is better), the metric's bound,
+#: the pairs the change won out of ``pairs`` and the parent's IQR.
+Row = namedtuple("Row", "workload metric parent change worse bound wins pairs parent_iqr")
 
 
 def benchmark_changes(root, rev):
@@ -54,21 +64,35 @@ def run_benchmark(tree, workload, seed):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def iqr(values):
+    """The distance between the quartiles of ``values`` (0 for one)."""
+    if len(values) < 2:
+        return 0.0
+    lower, _, upper = statistics.quantiles(values, n=4, method="inclusive")
+    return upper - lower
+
+
 def verdict(spec, workload, parent_runs, change_runs):
-    """Compare the two sides' runs of one workload.  Returns ``(rows,
-    problems)``: one table row per end-to-end metric and one sentence
-    per reason the change fails the gate (empty: it passes)."""
+    """Compare the two sides' runs of one workload.  The i-th runs of
+    the two sides are a pair (same seed).  Returns ``(rows, problems)``:
+    one :class:`Row` per end-to-end metric and one sentence per reason
+    the change fails the gate (empty: it passes)."""
     rows, problems = [], []
     for metric in spec["end_to_end"]:
         name, bound = metric["name"], metric["bound"]
-        parent, change = (
-            statistics.median(run["metrics"][name]["value"] for run in runs)
+        parent_values, change_values = (
+            [run["metrics"][name]["value"] for run in runs]
             for runs in (parent_runs, change_runs)
         )
-        worse = (change - parent) / parent
-        if metric["better"] == "higher":
-            worse = -worse
-        rows.append((workload, name, parent, change, worse, bound))
+        parent, change = statistics.median(parent_values), statistics.median(change_values)
+        sign = -1 if metric["better"] == "higher" else 1
+        worse = sign * (change - parent) / parent
+        # Ties count for neither side.
+        wins = sum(sign * (c - p) < 0 for p, c in zip(parent_values, change_values))
+        rows.append(Row(
+            workload, name, parent, change, worse, bound,
+            wins, len(change_values), iqr(parent_values),
+        ))
         if worse > bound:
             problems.append(
                 f"{name} on {workload} is {worse:+.1%} worse than the parent"
@@ -85,6 +109,61 @@ def verdict(spec, workload, parent_runs, change_runs):
     return rows, problems
 
 
+def git_sha(root, rev):
+    return subprocess.run(
+        ["git", "-C", str(root), "rev-parse", f"{rev}^{{commit}}"],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+
+
+def record(spec, args, runs, rows, problems):
+    """The comparison as one JSON-ready dict (``--record``)."""
+    names = [metric["name"] for metric in spec["end_to_end"]]
+    uncommitted = subprocess.run(
+        ["git", "-C", str(ROOT), "status", "--porcelain", "--untracked-files=no"],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    workloads = {
+        workload: {
+            "runs": {
+                side: [
+                    {
+                        "seed": args.seed + pair,
+                        "failed": run["failed"],
+                        "attempted": run["attempted"],
+                        "metrics": {name: run["metrics"][name]["value"] for name in names},
+                    }
+                    for pair, run in enumerate(side_runs)
+                ]
+                for side, side_runs in sides.items()
+            },
+            "metrics": {},
+        }
+        for workload, sides in runs.items()
+    }
+    for row in rows:
+        workloads[row.workload]["metrics"][row.metric] = {
+            "parent_median": row.parent,
+            "change_median": row.change,
+            "parent_iqr": row.parent_iqr,
+            "worse": row.worse,
+            "bound": row.bound,
+            "within_bound": row.worse <= row.bound,
+            "wins": row.wins,
+            "pairs": row.pairs,
+        }
+    return {
+        "parent": {"rev": args.parent, "sha": git_sha(ROOT, args.parent)},
+        # The change side is the working checkout: HEAD plus any
+        # uncommitted edits to tracked files.
+        "change": {"sha": git_sha(ROOT, "HEAD"), "uncommitted_changes": bool(uncommitted)},
+        "pairs": args.pairs,
+        "workloads": workloads,
+        "problems": problems,
+        "verdict": "FAIL" if problems else "ok",
+    }
+
+
 def main(argv=None):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in spec["workloads"]]
@@ -93,6 +172,7 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=2, metavar="N", help="pairs per workload")
     parser.add_argument("--workload", choices=workloads, help="one workload (default: all)")
     parser.add_argument("--seed", type=int, default=1, metavar="S", help="pair i runs seed S+i")
+    parser.add_argument("--record", type=Path, metavar="PATH", help="also write the comparison as JSON")
     args = parser.parse_args(argv)
 
     changed = benchmark_changes(ROOT, args.parent)
@@ -128,11 +208,16 @@ def main(argv=None):
     out = ROOT / "bench" / "out"
     out.mkdir(exist_ok=True)
     (out / "pairs.json").write_text(json.dumps({"parent": args.parent, "runs": runs}, indent=1))
+    if args.record:
+        args.record.write_text(json.dumps(record(spec, args, runs, rows, problems), indent=1) + "\n")
 
-    print("\n| workload | metric | parent median | change median | worse by | bound |")
-    print("|---|---|---|---|---|---|")
-    for workload, name, parent, change, worse, bound in rows:
-        print(f"| {workload} | {name} | {parent:.4g} | {change:.4g} | {worse:+.1%} | {bound:.0%} |")
+    print("\n| workload | metric | parent median | parent IQR | change median | worse by | wins | bound |")
+    print("|---|---|---|---|---|---|---|---|")
+    for row in rows:
+        print(
+            f"| {row.workload} | {row.metric} | {row.parent:.4g} | {row.parent_iqr:.3g}"
+            f" | {row.change:.4g} | {row.worse:+.1%} | {row.wins}/{row.pairs} | {row.bound:.0%} |"
+        )
     for problem in problems:
         print(f"FAIL  {problem}")
     verdict_word = "FAIL" if problems else "ok"

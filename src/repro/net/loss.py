@@ -87,7 +87,11 @@ class UniformLoss(LossModule):
             return False
         if packet.is_retransmit and not self.drop_retransmits:
             return False
-        if self._rng.bernoulli(self.rate):
+        # RngStream.bernoulli inlined (hot): no draw at 0 or 1.
+        rate = self.rate
+        if rate <= 0.0:
+            return False
+        if rate >= 1.0 or self._rng._rng.random() < rate:
             return self._record()
         return False
 

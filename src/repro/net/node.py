@@ -19,12 +19,18 @@ from repro.net.slotstate import SlotState
 from repro.sim.engine import CORE_BACKEND, Simulator
 
 
-class Agent:
+class Agent(SlotState):
     """Base class for protocol endpoints attached to a host.
 
     Subclasses (TCP senders/receivers, apps) override :meth:`receive`.
-    The host calls :meth:`attach` when the agent is registered.
+    The host calls :meth:`attach` when the agent is registered.  The two
+    fields live in ``__slots__``, so every agent's checkpoint state is
+    :class:`SlotState`'s mapping and starts with them, as the plain
+    ``__dict__`` did; a subclass without ``__slots__`` keeps the rest of
+    its fields in its instance dict.
     """
+
+    __slots__ = ("flow_id", "host")
 
     def __init__(self, flow_id: int):
         self.flow_id = flow_id

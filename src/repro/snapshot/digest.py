@@ -62,21 +62,21 @@ def state_fingerprints(obj: Any) -> Dict[str, str]:
 
     When a golden digest mismatches, diffing these against the golden
     run's fingerprints names the sections (sender, queue, stats, ...)
-    that actually drifted instead of leaving one opaque hash.
+    that actually drifted instead of leaving one opaque hash.  The
+    sections are the ``__getstate__()`` the digest encodes, so an object
+    with both slots and an instance dict is fingerprinted whole.
     """
-    state = getattr(obj, "__dict__", None)
-    if state is None:
-        try:
-            state = obj.__getstate__()
-        except Exception as exc:  # pragma: no cover - defensive
-            raise SnapshotError(f"cannot fingerprint {type(obj).__name__}") from exc
-        if isinstance(state, tuple):  # slots form: (dict_state, slots_state)
-            merged: Dict[str, Any] = {}
-            for part in state:
-                if isinstance(part, dict):
-                    merged.update(part)
-            state = merged
-    return {name: state_digest(value) for name, value in sorted(state.items())}
+    try:
+        state = obj.__getstate__()
+    except Exception as exc:  # pragma: no cover - defensive
+        raise SnapshotError(f"cannot fingerprint {type(obj).__name__}") from exc
+    if isinstance(state, tuple):  # default slots form: (dict_state, slots_state)
+        merged: Dict[str, Any] = {}
+        for part in state:
+            if isinstance(part, dict):
+                merged.update(part)
+        state = merged
+    return {name: state_digest(value) for name, value in sorted((state or {}).items())}
 
 
 class _Encoder:

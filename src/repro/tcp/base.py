@@ -89,6 +89,27 @@ class TcpSender(Agent):
 
     variant = "base"
 
+    # The base sender's fields, in ``__init__``'s assignment order (so
+    # :class:`SlotState`'s mapping is the one the old ``__dict__`` held).
+    # Slots keep every read and write of them on CPython's fast attribute
+    # path; a variant's own few fields stay in its instance dict, which
+    # CPython keeps inline while it has fewer than 30 names
+    # (docs/PERFORMANCE.md "Sender state in slots").
+    __slots__ = (
+        "sim", "config", "dst", "observer", "trace",
+        "cwnd", "ssthresh", "snd_una", "snd_nxt", "maxseq", "dupacks",
+        "in_recovery", "recover",
+        "_limit", "started", "completed", "complete_time", "completion_callbacks",
+        "rto", "_timer", "_rtt_seq", "_rtt_sent_at",
+        "packets_sent", "retransmits", "timeouts", "_last_send_time", "idle_restarts",
+        "_ecn_react_marker", "ecn_reactions", "_suppress_growth",
+        "_ch_send", "_ch_ack", "_ch_cwnd", "_trace_src",
+    )
+
+    #: Attributes derived from ``trace``; excluded from pickles/digests
+    #: and lazily rebuilt after restore.
+    _DERIVED = ("_ch_send", "_ch_ack", "_ch_cwnd", "_trace_src")
+
     def __init__(
         self,
         sim: Simulator,
@@ -152,10 +173,6 @@ class TcpSender(Agent):
     # ------------------------------------------------------------------
     # tracing fast path
     # ------------------------------------------------------------------
-    #: Attributes derived from ``trace``; excluded from pickles/digests
-    #: and lazily rebuilt after restore.
-    _TRACE_DERIVED = ("_ch_send", "_ch_ack", "_ch_cwnd", "_trace_src")
-
     def _bind_trace_channels(self) -> "None":
         """(Re)derive the cached per-category channels and source label.
 
@@ -171,17 +188,11 @@ class TcpSender(Agent):
             self._ch_cwnd = trace.channel("tcp.cwnd")
         self._trace_src = f"{self.variant}/f{self.flow_id}"
 
-    def __getstate__(self):
-        """Pickle/digest state: the live ``__dict__`` minus derived
-        trace caches, so checkpoints (and golden digests) are identical
-        to a sender that never cached anything."""
-        state = self.__dict__.copy()
-        for key in self._TRACE_DERIVED:
-            state.pop(key, None)
-        return state
-
     def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
+        # The state is SlotState's mapping minus the derived trace
+        # caches, so checkpoints (and golden digests) are identical to a
+        # sender that never cached anything.
+        super().__setstate__(state)
         # The trace bus may itself still be mid-unpickle (cycles), so
         # channels are rebound lazily on the first emit.
         self._ch_send = self._ch_ack = self._ch_cwnd = None
@@ -274,8 +285,9 @@ class TcpSender(Agent):
         go-back-N resend after a timeout when snd_nxt < maxseq)."""
         seqno = self.snd_nxt
         retransmit = seqno < self.maxseq
-        self.snd_nxt += 1
-        self.maxseq = max(self.maxseq, self.snd_nxt)
+        self.snd_nxt = nxt = seqno + 1
+        if nxt > self.maxseq:
+            self.maxseq = nxt
         self._transmit(seqno, retransmit)
 
     def _retransmit(self, seqno: int) -> None:
@@ -290,15 +302,10 @@ class TcpSender(Agent):
         host = self.host
         if host is None:
             raise TopologyError("agent is not attached to a host")
-        packet = data_packet(
-            self.flow_id,
-            host.name,
-            self.dst,
-            seqno,
-            size=self.config.mss_bytes,
-            is_retransmit=retransmit,
-        )
-        packet.ecn_capable = self.config.ecn_enabled
+        config = self.config
+        # Positional: CPython 3.11 specialises no call with keywords.
+        packet = data_packet(self.flow_id, host.name, self.dst, seqno, config.mss_bytes, retransmit)
+        packet.ecn_capable = config.ecn_enabled
         now = self.sim.now
         packet.sent_at = now
         if retransmit:
@@ -310,8 +317,10 @@ class TcpSender(Agent):
             self._rtt_sent_at = now
         self.packets_sent += 1
         self._last_send_time = now
-        if not self._timer.pending:
-            self._timer.start(self.rto.current())
+        timer = self._timer
+        event = timer._event  # Timer.pending inlined (hot)
+        if event is None or event._cancelled or event._fired:
+            timer.start(self.rto.value)
         self.observer.on_send(now, self, seqno, retransmit)
         ch = self._ch_send
         if ch is None:
@@ -344,7 +353,7 @@ class TcpSender(Agent):
             self._bind_trace_channels()
             ch = self._ch_ack
         if ackno > self.snd_una:
-            self.observer.on_ack(self.sim.now, self, ackno, duplicate=False)
+            self.observer.on_ack(self.sim.now, self, ackno, False)
             if ch.subs:
                 ch.emit(
                     self.sim.now,
@@ -358,8 +367,8 @@ class TcpSender(Agent):
             self._process_new_ack(packet)
             if self._limit is not None and self.snd_una >= self._limit:
                 self._check_complete()
-        elif ackno == self.snd_una and self.flight() > 0:
-            self.observer.on_ack(self.sim.now, self, ackno, duplicate=True)
+        elif ackno == self.snd_una and self.snd_nxt > ackno:  # flight() > 0
+            self.observer.on_ack(self.sim.now, self, ackno, True)
             if ch.subs:
                 ch.emit(
                     self.sim.now,
@@ -397,7 +406,7 @@ class TcpSender(Agent):
         self.snd_nxt = max(self.snd_nxt, ackno)
         self.dupacks = 0
         if self.snd_nxt > ackno:  # flight() > 0
-            self._timer.restart(self.rto.current())
+            self._timer.restart(self.rto.value)
         else:
             self._timer.stop()
 

@@ -131,14 +131,15 @@ class TcpReceiver(Agent):
         if self._delack_pending:
             self._delack_pending = 0
             self._delack_timer.stop()
+        # Positional (CPython 3.11 specialises no call with keywords).
+        # Both receivers report no SACK blocks without held data.
         ack = ack_packet(
             self.flow_id,
             host.name,
             self._peer,
             self.rcv_next,
-            size=self.config.ack_bytes,
-            # Both receivers report no SACK blocks without held data.
-            sack_blocks=self._sack_blocks() if self._out_of_order else None,
+            self.config.ack_bytes,
+            self._sack_blocks() if self._out_of_order else None,
         )
         if self._ecn_echo_pending:
             ack.ecn_echo = True
@@ -161,14 +162,41 @@ class SackReceiver(TcpReceiver):
         super().receive(packet)
 
     def _sack_blocks(self) -> List[SackBlock]:
-        if not self._out_of_order:
+        """Up to ``sack_block_limit`` blocks over the held runs.  RFC
+        2018: the run containing the most recently received packet
+        first, then the others from the highest down.  Only the blocks
+        returned are built."""
+        held = self._out_of_order
+        if not held:
             return []
-        ranges = merge_ranges([(s, s + 1) for s in self._out_of_order])
-        blocks = [SackBlock(start, end) for start, end in ranges]
-        # RFC 2018: the block containing the most recently received
-        # packet comes first.
-        if self._last_seqno is not None:
-            blocks.sort(
-                key=lambda b: (0 if self._last_seqno in b else 1, -b.start)
-            )
-        return blocks[: self.config.sack_block_limit]
+        limit = self.config.sack_block_limit
+        last = self._last_seqno
+        if last is None:  # no packet to put first: the lowest runs, ascending
+            ranges = merge_ranges([(s, s + 1) for s in held])[:limit]
+            return [SackBlock(start, end) for start, end in ranges]
+        blocks = []
+        own = None
+        if last in held:
+            own = last
+            while own - 1 in held:
+                own -= 1
+            end = last + 1
+            while end in held:
+                end += 1
+            blocks.append(SackBlock(own, end))
+        # The other runs, walked down from the highest held packet.
+        descending = iter(sorted(held, reverse=True))
+        start = next(descending)
+        end = start + 1
+        for seqno in descending:
+            if seqno == start - 1:
+                start = seqno
+                continue
+            if start != own:
+                if len(blocks) == limit:
+                    return blocks
+                blocks.append(SackBlock(start, end))
+            start, end = seqno, seqno + 1
+        if start != own and len(blocks) < limit:
+            blocks.append(SackBlock(start, end))
+        return blocks

@@ -41,6 +41,21 @@ class RtoEstimator:
         self._rto = max(self._config.initial_rto, self._config.min_rto)
         self._backoff = 1
         self.samples = 0
+        #: The RTO to arm the retransmission timer with, back-off applied
+        #: (what :meth:`current` returns), kept current by every update
+        #: so the sender's per-packet read is an attribute load.  Derived
+        #: from ``_rto`` and ``_backoff``: left out of the checkpoint
+        #: state and rebuilt on restore.
+        self.value = self._with_backoff()
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["value"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self.value = self._with_backoff()
 
     @property
     def backoff_factor(self) -> int:
@@ -62,15 +77,20 @@ class RtoEstimator:
         self._rto = min(max(raw, self._config.min_rto), self._config.max_rto)
         self._backoff = 1
         self.samples += 1
+        self.value = self._rto  # already within max_rto, back-off 1
 
     def current(self) -> float:
         """The RTO to arm the retransmission timer with, back-off applied."""
+        return self.value
+
+    def _with_backoff(self) -> float:
         return min(self._rto * self._backoff, self._config.max_rto)
 
     def backoff(self) -> None:
         """Double the RTO after a timeout (capped at max_rto)."""
         if self._rto * self._backoff < self._config.max_rto:
             self._backoff *= 2
+            self.value = self._with_backoff()
 
     def reset(self) -> None:
         """Forget all history (e.g. for a brand-new connection)."""
@@ -79,3 +99,4 @@ class RtoEstimator:
         self._rto = max(self._config.initial_rto, self._config.min_rto)
         self._backoff = 1
         self.samples = 0
+        self.value = self._with_backoff()

@@ -120,7 +120,7 @@ class SackSender(TcpSender):
         for seqno in range(self.snd_una, self.snd_nxt):
             if self.scoreboard.is_sacked(seqno) or self.scoreboard.was_retransmitted(seqno):
                 continue
-            if self.scoreboard.sacked_above(seqno) > 0:
+            if self.scoreboard.highest_sacked() > seqno:
                 return seqno
             return None  # beyond the highest SACKed packet: not a hole
         return None

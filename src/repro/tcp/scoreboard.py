@@ -27,11 +27,17 @@ class Scoreboard:
     # ------------------------------------------------------------------
     def update(self, ackno: int, blocks: Iterable[SackBlock]) -> None:
         """Fold in one ACK: drop everything cumulatively acked, add the
-        SACKed ranges."""
+        SACKed ranges.  A set with nothing below ``ackno`` is left as it
+        is (the common case: an ACK that cumulatively acks no SACKed or
+        retransmitted packet)."""
+        sacked = self._sacked
         for block in blocks:
-            self._sacked.update(range(block.start, block.end))
-        self._sacked = {s for s in self._sacked if s >= ackno}
-        self._retransmitted = {s for s in self._retransmitted if s >= ackno}
+            sacked.update(range(block.start, block.end))
+        if sacked and min(sacked) < ackno:
+            self._sacked = {s for s in sacked if s >= ackno}
+        retransmitted = self._retransmitted
+        if retransmitted and min(retransmitted) < ackno:
+            self._retransmitted = {s for s in retransmitted if s >= ackno}
 
     def mark_retransmitted(self, seqno: int) -> None:
         self._retransmitted.add(seqno)
@@ -52,6 +58,10 @@ class Scoreboard:
 
     def sacked_count(self) -> int:
         return len(self._sacked)
+
+    def highest_sacked(self) -> int:
+        """The highest SACKed packet, or -1 when nothing is SACKed."""
+        return max(self._sacked, default=-1)
 
     def sacked_above(self, seqno: int) -> int:
         """Number of SACKed packets with sequence > ``seqno``."""

@@ -33,15 +33,17 @@ from repro.sim.invariants import InvariantSuite
 from repro.sim.rng import RngStream
 from repro.sim.watchdog import Watchdog
 
-#: Calls per ACK allowed, by backend (measured: RR 40.36 and SACK 50.23
-#: compiled, 94.88 and 104.68 pure; while a host send went through
-#: ``Node._forward``, 96.90 / 106.70 pure; while every timer restart
-#: cancelled and rescheduled, 42.85 / 52.67 and 100.29 / 110.01; while
-#: the suite's wildcard still received link.tx, 64.90 / 74.71 and
-#: 134.36 / 144.08).
+#: Calls per ACK allowed, by backend (measured: RR 37.33 and SACK 44.07
+#: compiled, 91.85 and 98.53 pure; while the armed-timer test, the RTO
+#: read and the loss coin flip were calls and SACK rebuilt its
+#: scoreboard on every ACK, 40.36 / 50.23 and 94.88 / 104.68; while a
+#: host send went through ``Node._forward``, 96.90 / 106.70 pure; while
+#: every timer restart cancelled and rescheduled, 42.85 / 52.67 and
+#: 100.29 / 110.01; while the suite's wildcard still received link.tx,
+#: 64.90 / 74.71 and 134.36 / 144.08).
 BUDGETS = {
-    "compiled": {"rr": 42.0, "sack": 52.0},
-    "python": {"rr": 96.0, "sack": 106.0},
+    "compiled": {"rr": 39.0, "sack": 45.5},
+    "python": {"rr": 93.5, "sack": 100.0},
 }
 
 

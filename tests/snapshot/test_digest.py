@@ -5,7 +5,9 @@ import random
 import pytest
 
 from repro.errors import SnapshotError
+from repro.net.fairqueue import FairQueue
 from repro.snapshot import state_digest, state_fingerprints
+from repro.snapshot.golden import build_golden_scenario
 
 
 class Plain:
@@ -102,3 +104,21 @@ class TestFingerprints:
         assert fa["clock"] == fb["clock"]
         assert fa["queue"] == fb["queue"]
         assert fa["stats"] != fb["stats"]
+
+    def test_covers_slots_and_instance_dict(self):
+        # A FairQueue keeps PacketQueue's fields in slots and its own in
+        # an instance dict: every section of the digested state counts.
+        queue = FairQueue(limit=10)
+        fingerprints = state_fingerprints(queue)
+        assert list(fingerprints) == sorted(queue.__getstate__())
+        assert {"_items", "drops", "enqueues", "limit", "_flows"} <= set(fingerprints)
+        queue.limit = 11
+        assert state_fingerprints(queue)["limit"] != fingerprints["limit"]
+
+    def test_sections_of_a_sender_leave_out_its_derived_caches(self):
+        scenario = build_golden_scenario("rr")
+        sender = scenario.senders[1]
+        fingerprints = state_fingerprints(sender)
+        assert list(fingerprints) == sorted(sender.__getstate__())
+        assert {"flow_id", "cwnd", "snd_una", "phase"} <= set(fingerprints)
+        assert not set(fingerprints) & set(type(sender)._DERIVED)

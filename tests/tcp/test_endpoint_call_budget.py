@@ -24,14 +24,16 @@ from repro.net.topology import DumbbellParams
 from repro.sim.engine import CORE_BACKEND
 from repro.sim.rng import RngStream
 
-#: Calls per ACK allowed, by backend (measured: RR 24.3 and SACK 34.5
-#: compiled, 73.1 and 83.3 pure; while a host send went through
-#: ``Node._forward``, 75.2 / 85.3 pure; while every timer restart
-#: cancelled and rescheduled, 26.8 / 37.0 and 78.6 / 88.7; before the
-#: glue came out, 54.9 / 65.5 and 112.0 / 122.6).
+#: Calls per ACK allowed, by backend (measured: RR 21.3 and SACK 28.4
+#: compiled, 70.1 and 77.2 pure; while the armed-timer test, the RTO
+#: read and the loss coin flip were calls and SACK rebuilt its
+#: scoreboard on every ACK, 24.3 / 34.5 and 73.1 / 83.3; while a host
+#: send went through ``Node._forward``, 75.2 / 85.3 pure; while every
+#: timer restart cancelled and rescheduled, 26.8 / 37.0 and 78.6 / 88.7;
+#: before the glue came out, 54.9 / 65.5 and 112.0 / 122.6).
 BUDGETS = {
-    "compiled": {"rr": 26.0, "sack": 36.0},
-    "python": {"rr": 75.0, "sack": 85.0},
+    "compiled": {"rr": 23.0, "sack": 30.0},
+    "python": {"rr": 72.0, "sack": 78.5},
 }
 
 

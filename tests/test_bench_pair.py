@@ -2,6 +2,7 @@
 synthetic runs: no benchmark is executed here."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -75,6 +76,21 @@ def test_higher_failed_share_fails():
     assert bench_pair.verdict(SPEC, "paper_sweep", change, change)[1] == []
 
 
+def test_rows_count_wins_per_pair_and_the_parent_iqr():
+    parent = [_run(1.00, 1000.0), _run(1.04, 1000.0), _run(0.98, 1000.0)]
+    change = [_run(0.90, 1100.0), _run(1.04, 1000.0), _run(0.99, 900.0)]
+    rows, _ = bench_pair.verdict(SPEC, "w", parent, change)
+    by_metric = {row.metric: row for row in rows}
+    # Pair by pair: one win, one tie (counts for neither), one loss.
+    assert (by_metric["norm_s"].wins, by_metric["norm_s"].pairs) == (1, 3)
+    # Higher is better: only the first pair rose.
+    assert by_metric["hops_per_s"].wins == 1
+    # Quartiles of 0.98, 1.00, 1.04 are 0.99 and 1.02.
+    assert by_metric["norm_s"].parent_iqr == pytest.approx(0.03)
+    assert by_metric["hops_per_s"].parent_iqr == 0.0
+    assert bench_pair.iqr([1.0]) == 0.0
+
+
 def _git(root, *args):
     subprocess.run(
         ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t", *args],
@@ -111,3 +127,60 @@ def test_differing_benchmark_trees_refuse(tmp_path, monkeypatch, capsys):
     assert "refusing" in capsys.readouterr().out
     # Refused before anything ran: no run record was written.
     assert (tmp_path / "bench" / "out" / "pairs.json").read_text() == "{}"
+
+
+_FAKE_RUN = """\
+import json, sys
+from pathlib import Path
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+speed = float(Path("src.py").read_text().split("=")[1])
+value = speed + seed / 100
+metrics = {name: {"value": value, "unit": "s"} for name in ("norm_s", "setup_s")}
+print("progress")
+print(json.dumps({"attempted": 4, "failed": 0, "metrics": metrics}))
+"""
+
+
+def test_record_writes_both_shas_every_run_and_the_verdicts(tmp_path, monkeypatch, capsys):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(_FAKE_RUN)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w"}],
+        "end_to_end": [
+            {"name": "norm_s", "unit": "s", "better": "lower", "bound": 0.15},
+            {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+        ],
+    }))
+    (tmp_path / "src.py").write_text("x = 1.0\n")
+    (tmp_path / ".gitignore").write_text("bench/out/\n")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "parent")
+    (tmp_path / "src.py").write_text("x = 0.5\n")  # the change: faster
+    monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+
+    out = tmp_path / "BENCH_1.json"
+    assert bench_pair.main(["--parent", "HEAD", "--pairs", "2", "--seed", "7", "--record", str(out)]) == 0
+    assert "| w | norm_s | 1.075 | 0.005 | 0.575 | -46.5% | 2/2 | 15% |" in capsys.readouterr().out
+
+    record = json.loads(out.read_text())
+    head = subprocess.run(
+        ["git", "-C", str(tmp_path), "rev-parse", "HEAD"], capture_output=True, text=True
+    ).stdout.strip()
+    assert record["parent"] == {"rev": "HEAD", "sha": head}
+    assert record["change"] == {"sha": head, "uncommitted_changes": True}
+    assert record["verdict"] == "ok" and record["problems"] == []
+    runs = record["workloads"]["w"]["runs"]
+    assert [run["seed"] for run in runs["parent"]] == [7, 8]
+    assert [run["metrics"]["norm_s"] for run in runs["change"]] == pytest.approx([0.57, 0.58])
+    assert runs["parent"][0] == {
+        "seed": 7, "failed": 0, "attempted": 4,
+        "metrics": {"norm_s": pytest.approx(1.07), "setup_s": pytest.approx(1.07)},
+    }
+    norm_s = record["workloads"]["w"]["metrics"]["norm_s"]
+    assert norm_s["parent_median"] == pytest.approx(1.075)
+    assert norm_s["change_median"] == pytest.approx(0.575)
+    assert norm_s["parent_iqr"] == pytest.approx(0.005)
+    assert (norm_s["wins"], norm_s["pairs"], norm_s["within_bound"]) == (2, 2, True)
+    assert norm_s["bound"] == 0.15
