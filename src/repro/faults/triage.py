@@ -64,7 +64,7 @@ def neutralize_faults(scenario) -> List[str]:
             link.set_up()
     # Outage actions schedule bare ``Link.set_down`` / ``set_up``
     # callbacks; any still pending would re-fault the neutralized world.
-    for _, _, event in list(sim._heap):
+    for _, _, event in sim.heap_entries():
         fn = event.fn
         owner = getattr(fn, "__self__", None)
         if not (event.pending and isinstance(owner, Link)):

@@ -9,9 +9,14 @@
  * golden state) in Python and bit-identical across backends — a host
  * without a C compiler simply falls back to the pure-python code.
  *
- * The heap stores {time, serial, event} structs and orders on
- * (time, serial) exactly like the pure backend's (time, serial, event)
- * tuples; serials are unique so the event itself is never compared.
+ * The heap stores {time, serial, event, link, packet} structs and
+ * orders on (time, serial) exactly like the pure backend's (time,
+ * serial, event) tuples; serials are unique so the event itself is
+ * never compared.  An entry the hop books (a lazy entry: link set,
+ * packet NULL for Link._serve) takes its Event from the free list like
+ * any other but leaves it unfilled; the loop runs the hop straight from
+ * the entry.  entries() and the error path fill the Event with what the
+ * eager path writes, after which it is an ordinary entry.
  *
  * Fired/cancelled events whose only remaining reference is the core's
  * own are recycled onto the shared free list (set_free_list) after
@@ -26,7 +31,9 @@
 typedef struct {
     double time;
     long long serial;
-    PyObject *event; /* strong */
+    PyObject *event;  /* strong */
+    PyObject *link;   /* strong: a lazy entry's Link, else NULL */
+    PyObject *packet; /* strong: its Link._deliver packet, else NULL */
 } entry_t;
 
 typedef struct {
@@ -34,6 +41,7 @@ typedef struct {
     double now;
     long long serial_next;
     long long events_processed;
+    long long hop_events; /* lazy entries fired */
     Py_ssize_t pending;
     Py_ssize_t cancelled;
     int stop_requested;
@@ -69,10 +77,11 @@ slot_set(PyObject *obj, Py_ssize_t off, PyObject *owned)
     Py_XDECREF(old);
 }
 
+/* Whether an entry is cancelled; a lazy one never is. */
 static inline int
-ev_is_cancelled(PyObject *ev)
+is_cancelled(const entry_t *entry)
 {
-    PyObject *v = SLOT(ev, off_cancelled);
+    PyObject *v = entry->link ? NULL : SLOT(entry->event, off_cancelled);
     if (v == Py_False || v == NULL)
         return 0;
     if (v == Py_True)
@@ -112,19 +121,15 @@ heap_reserve(CoreObject *self, Py_ssize_t need)
     return 0;
 }
 
-/* Push an entry (steals the event reference on success only). */
+/* Push an entry (steals its references on success only). */
 static int
-heap_push(CoreObject *self, double time, long long serial, PyObject *event)
+heap_push(CoreObject *self, entry_t item)
 {
     entry_t *heap;
     Py_ssize_t pos, parent;
-    entry_t item;
     if (heap_reserve(self, self->heap_len + 1) < 0)
         return -1;
     heap = self->heap;
-    item.time = time;
-    item.serial = serial;
-    item.event = event;
     pos = self->heap_len++;
     while (pos > 0) {
         parent = (pos - 1) >> 1;
@@ -137,53 +142,37 @@ heap_push(CoreObject *self, double time, long long serial, PyObject *event)
     return 0;
 }
 
-/* Pop the minimum entry into *out; caller owns out->event. */
+/* Sift item down from pos into heap[0:n]. */
 static void
-heap_pop(CoreObject *self, entry_t *out)
+sift_down(entry_t *heap, Py_ssize_t n, Py_ssize_t pos, entry_t item)
 {
-    entry_t *heap = self->heap;
-    entry_t last;
-    Py_ssize_t pos, child, n;
-    *out = heap[0];
-    n = --self->heap_len;
-    if (n == 0)
-        return;
-    last = heap[n];
-    pos = 0;
-    for (;;) {
-        child = 2 * pos + 1;
-        if (child >= n)
-            break;
+    Py_ssize_t child;
+    while ((child = 2 * pos + 1) < n) {
         if (child + 1 < n && entry_lt(&heap[child + 1], &heap[child]))
             child += 1;
-        if (!entry_lt(&heap[child], &last))
+        if (!entry_lt(&heap[child], &item))
             break;
         heap[pos] = heap[child];
         pos = child;
     }
-    heap[pos] = last;
+    heap[pos] = item;
+}
+
+/* Pop the minimum entry into *out; caller owns its references. */
+static void
+heap_pop(CoreObject *self, entry_t *out)
+{
+    *out = self->heap[0];
+    if (--self->heap_len > 0)
+        sift_down(self->heap, self->heap_len, 0, self->heap[self->heap_len]);
 }
 
 static void
 heapify(entry_t *heap, Py_ssize_t n)
 {
     Py_ssize_t start;
-    for (start = n / 2 - 1; start >= 0; start--) {
-        entry_t item = heap[start];
-        Py_ssize_t pos = start, child;
-        for (;;) {
-            child = 2 * pos + 1;
-            if (child >= n)
-                break;
-            if (child + 1 < n && entry_lt(&heap[child + 1], &heap[child]))
-                child += 1;
-            if (!entry_lt(&heap[child], &item))
-                break;
-            heap[pos] = heap[child];
-            pos = child;
-        }
-        heap[pos] = item;
-    }
+    for (start = n / 2 - 1; start >= 0; start--)
+        sift_down(heap, n, start, heap[start]);
 }
 
 /* ------------------------------------------------------------------ */
@@ -210,7 +199,7 @@ recycle_or_release(CoreObject *self, PyObject *event)
 static void
 drop_cancelled_heads(CoreObject *self)
 {
-    while (self->heap_len > 0 && ev_is_cancelled(self->heap[0].event)) {
+    while (self->heap_len > 0 && is_cancelled(&self->heap[0])) {
         entry_t top;
         heap_pop(self, &top);
         self->cancelled--;
@@ -218,9 +207,46 @@ drop_cancelled_heads(CoreObject *self)
     }
 }
 
-static int hop_event(PyObject *fn, PyObject *args); /* the hop, below */
+/* The Event for a new entry: the free list's last, or a new one (a new
+ * reference, or NULL with an exception set). */
+static PyObject *
+take_event(CoreObject *self)
+{
+    PyObject *list = self->free_list, *event;
+    Py_ssize_t n = list != NULL ? PyList_GET_SIZE(list) : 0;
+    if (n == 0)
+        return event_type->tp_alloc(event_type, 0);
+    event = PyList_GET_ITEM(list, n - 1);
+    Py_SET_SIZE(list, n - 1); /* the list's reference is now ours */
+    return event;
+}
 
-/* Fire one already-popped event (we own entry->event).  Returns 0, or
+/* Write all seven Event fields (values borrowed): 0, or -1.  A recycled
+ * event holds stale values, a new one NULLs. */
+static int
+fill_event(PyObject *event, double time, long long serial, PyObject *fn,
+           PyObject *args, PyObject *fired, PyObject *sim)
+{
+    PyObject *time_obj = PyFloat_FromDouble(time);
+    PyObject *serial_obj = time_obj ? PyLong_FromLongLong(serial) : NULL;
+    if (serial_obj == NULL) {
+        Py_XDECREF(time_obj);
+        return -1;
+    }
+    slot_set(event, off_time, time_obj);
+    slot_set(event, off_serial, serial_obj);
+    slot_set(event, off_fn, Py_NewRef(fn));
+    slot_set(event, off_args, Py_NewRef(args));
+    slot_set(event, off_cancelled, Py_NewRef(Py_False));
+    slot_set(event, off_fired, Py_NewRef(fired));
+    slot_set(event, off_sim, Py_NewRef(sim));
+    return 0;
+}
+
+static int hop_event(PyObject *fn, PyObject *args); /* the hop, below */
+static int hop_entry(entry_t *entry);
+
+/* Fire one already-popped entry (we own its references).  Returns 0, or
  * -1 with the exception set and the event parked in current_event. */
 static int
 fire_event(CoreObject *self, entry_t *entry)
@@ -229,22 +255,24 @@ fire_event(CoreObject *self, entry_t *entry)
     PyObject *fn, *args, *result;
     int rc;
     self->now = entry->time;
-    Py_INCREF(Py_True);
-    slot_set(event, off_fired, Py_True);
     self->pending--;
     self->events_processed++;
-    fn = SLOT(event, off_fn);
-    args = SLOT(event, off_args);
-    Py_INCREF(fn);
-    Py_INCREF(args);
-    rc = hop_event(fn, args);
-    if (rc > 0) {
-        result = PyObject_Call(fn, args, NULL);
-        rc = result == NULL ? -1 : 0;
-        Py_XDECREF(result);
+    if (entry->link != NULL) {
+        self->hop_events++;
+        rc = hop_entry(entry);
+    } else {
+        slot_set(event, off_fired, Py_NewRef(Py_True));
+        fn = Py_NewRef(SLOT(event, off_fn));
+        args = Py_NewRef(SLOT(event, off_args));
+        rc = hop_event(fn, args);
+        if (rc > 0) {
+            result = PyObject_Call(fn, args, NULL);
+            rc = result == NULL ? -1 : 0;
+            Py_XDECREF(result);
+        }
+        Py_DECREF(fn);
+        Py_DECREF(args);
     }
-    Py_DECREF(fn);
-    Py_DECREF(args);
     if (rc < 0) {
         /* Keep the event for Simulator's error report; the exception
          * is already set. */
@@ -264,7 +292,6 @@ Core_push(CoreObject *self, PyObject *const *argv, Py_ssize_t argc)
 {
     double time;
     long long serial;
-    PyObject *event;
     if (argc != 3) {
         PyErr_SetString(PyExc_TypeError, "push(time, serial, event)");
         return NULL;
@@ -275,76 +302,30 @@ Core_push(CoreObject *self, PyObject *const *argv, Py_ssize_t argc)
     serial = PyLong_AsLongLong(argv[1]);
     if (serial == -1 && PyErr_Occurred())
         return NULL;
-    event = argv[2];
-    Py_INCREF(event);
-    if (heap_push(self, time, serial, event) < 0) {
-        Py_DECREF(event);
+    if (heap_push(self, (entry_t){time, serial, argv[2], NULL, NULL}) < 0)
         return NULL;
-    }
+    Py_INCREF(argv[2]);
     self->pending++;
     Py_RETURN_NONE;
 }
 
-/* The scheduling fast path: mint the serial, reuse or allocate an
- * Event, fill its slots directly and push it.  Returns the event. */
+/* The scheduling fast path: mint the serial, take an Event, fill its
+ * slots directly and push it.  Returns the event. */
 static PyObject *
 schedule_common(CoreObject *self, double time, PyObject *fn, PyObject *args,
                 PyObject *sim)
 {
-    long long serial;
-    PyObject *event;
-    PyObject *time_obj, *serial_obj;
-    Py_ssize_t nfree;
-    serial = self->serial_next++;
-    /* Boxed field values before touching the free list / allocator. */
-    time_obj = PyFloat_FromDouble(time);
-    if (time_obj == NULL)
+    long long serial = self->serial_next++;
+    PyObject *event = take_event(self);
+    if (event == NULL)
         return NULL;
-    serial_obj = PyLong_FromLongLong(serial);
-    if (serial_obj == NULL) {
-        Py_DECREF(time_obj);
-        return NULL;
+    if (fill_event(event, time, serial, fn, args, Py_False, sim) == 0 &&
+        heap_push(self, (entry_t){time, serial, event, NULL, NULL}) == 0) {
+        self->pending++;
+        return Py_NewRef(event); /* the heap keeps ours */
     }
-    nfree = self->free_list ? PyList_GET_SIZE(self->free_list) : 0;
-    if (nfree > 0) {
-        event = PyList_GET_ITEM(self->free_list, nfree - 1);
-        Py_INCREF(event);
-        if (PyList_SetSlice(self->free_list, nfree - 1, nfree, NULL) < 0) {
-            Py_DECREF(event);
-            Py_DECREF(time_obj);
-            Py_DECREF(serial_obj);
-            return NULL;
-        }
-    } else {
-        event = event_type->tp_alloc(event_type, 0);
-        if (event == NULL) {
-            Py_DECREF(time_obj);
-            Py_DECREF(serial_obj);
-            return NULL;
-        }
-    }
-    /* ev_set consumes a reference; slots may hold stale values from a
-     * recycled event (or NULL from a fresh allocation). */
-    slot_set(event, off_time, time_obj);
-    slot_set(event, off_serial, serial_obj);
-    Py_INCREF(fn);
-    slot_set(event, off_fn, fn);
-    Py_INCREF(args);
-    slot_set(event, off_args, args);
-    Py_INCREF(Py_False);
-    slot_set(event, off_cancelled, Py_False);
-    Py_INCREF(Py_False);
-    slot_set(event, off_fired, Py_False);
-    Py_INCREF(sim);
-    slot_set(event, off_sim, sim);
-    Py_INCREF(event); /* heap's reference */
-    if (heap_push(self, time, serial, event) < 0) {
-        Py_DECREF(event); /* heap's */
-        Py_DECREF(event); /* caller's */
-        return NULL;
-    }
-    self->pending++;
-    return event;
+    Py_DECREF(event);
+    return NULL;
 }
 
 /* schedule(delay, fn, args, sim) — delay pre-validated by the caller. */
@@ -362,20 +343,26 @@ Core_schedule(CoreObject *self, PyObject *const *argv, Py_ssize_t argc)
     return schedule_common(self, self->now + delay, argv[1], argv[2], argv[3]);
 }
 
-/* Raise repro.errors.SchedulingError with the message the pure
- * backend's Simulator.schedule_abs builds (cold path; time_arg is the
- * caller's object, or NULL for a time computed in C). */
-static void
-raise_past_time(PyObject *time_arg, double time, double now)
+/* Validate *time like the pure backend's schedule_abs: a time before now
+ * raises repro.errors.SchedulingError with its message (time_arg is the
+ * caller's object, or NULL for a time computed in C) unless it is within
+ * NEGATIVE_DELAY_EPSILON (round-off), which clamps to now.  0, or -1. */
+static int
+clamp_time(CoreObject *self, double *time, PyObject *time_arg)
 {
-    PyObject *errors = PyImport_ImportModule("repro.errors");
-    PyObject *exc_type = NULL, *now_obj = NULL, *time_obj = NULL;
+    PyObject *errors, *exc_type = NULL, *now_obj = NULL, *time_obj = NULL;
+    if (!(*time < self->now - NEGATIVE_DELAY_EPSILON)) {
+        if (*time < self->now)
+            *time = self->now;
+        return 0;
+    }
+    errors = PyImport_ImportModule("repro.errors");
     if (errors != NULL)
         exc_type = PyObject_GetAttrString(errors, "SchedulingError");
     if (exc_type != NULL)
-        now_obj = PyFloat_FromDouble(now);
+        now_obj = PyFloat_FromDouble(self->now);
     if (now_obj != NULL)
-        time_obj = time_arg ? Py_NewRef(time_arg) : PyFloat_FromDouble(time);
+        time_obj = time_arg ? Py_NewRef(time_arg) : PyFloat_FromDouble(*time);
     if (time_obj != NULL)
         PyErr_Format(exc_type,
                      "cannot schedule into the past (time=%S, now=%S)",
@@ -384,23 +371,7 @@ raise_past_time(PyObject *time_arg, double time, double now)
     Py_XDECREF(now_obj);
     Py_XDECREF(exc_type);
     Py_XDECREF(errors);
-}
-
-/* Validates like the pure backend's schedule_abs: a time before now
- * raises SchedulingError unless it is within NEGATIVE_DELAY_EPSILON
- * (round-off), which clamps to now. */
-static PyObject *
-schedule_abs_common(CoreObject *self, double time, PyObject *time_arg,
-                    PyObject *fn, PyObject *args, PyObject *sim)
-{
-    if (time < self->now) {
-        if (time < self->now - NEGATIVE_DELAY_EPSILON) {
-            raise_past_time(time_arg, time, self->now);
-            return NULL;
-        }
-        time = self->now;
-    }
-    return schedule_common(self, time, fn, args, sim);
+    return -1;
 }
 
 /* schedule_abs(time, fn, args, sim) — exact absolute timestamp, no
@@ -414,9 +385,10 @@ Core_schedule_abs(CoreObject *self, PyObject *const *argv, Py_ssize_t argc)
         return NULL;
     }
     time = PyFloat_AsDouble(argv[0]);
-    if (time == -1.0 && PyErr_Occurred())
+    if ((time == -1.0 && PyErr_Occurred()) ||
+        clamp_time(self, &time, argv[0]) < 0)
         return NULL;
-    return schedule_abs_common(self, time, argv[0], argv[1], argv[2], argv[3]);
+    return schedule_common(self, time, argv[1], argv[2], argv[3]);
 }
 
 static PyObject *
@@ -442,7 +414,7 @@ Core_note_cancelled(CoreObject *self, PyObject *Py_UNUSED(ignored))
         entry_t *heap = self->heap;
         Py_ssize_t n = self->heap_len, live = 0, i;
         for (i = 0; i < n; i++) {
-            if (ev_is_cancelled(heap[i].event)) {
+            if (is_cancelled(&heap[i])) {
                 recycle_or_release(self, heap[i].event);
             } else {
                 heap[live++] = heap[i];
@@ -518,6 +490,9 @@ Core_run(CoreObject *self, PyObject *const *argv, Py_ssize_t argc)
     return Py_BuildValue("(Li)", fired, interrupted);
 }
 
+static int materialise(entry_t *entry, PyObject *fired); /* the hop, below */
+
+/* Every entry as a (time, serial, event) tuple, lazy ones filled. */
 static PyObject *
 Core_entries(CoreObject *self, PyObject *Py_UNUSED(ignored))
 {
@@ -526,9 +501,10 @@ Core_entries(CoreObject *self, PyObject *Py_UNUSED(ignored))
     if (list == NULL)
         return NULL;
     for (i = 0; i < self->heap_len; i++) {
-        PyObject *item = Py_BuildValue(
-            "(dLO)", self->heap[i].time, self->heap[i].serial,
-            self->heap[i].event);
+        PyObject *item = materialise(&self->heap[i], Py_False) < 0 ? NULL
+                         : Py_BuildValue("(dLO)", self->heap[i].time,
+                                         self->heap[i].serial,
+                                         self->heap[i].event);
         if (item == NULL) {
             Py_DECREF(list);
             return NULL;
@@ -538,29 +514,23 @@ Core_entries(CoreObject *self, PyObject *Py_UNUSED(ignored))
     return list;
 }
 
+/* Drop every entry and zero the pending/cancelled counters. */
+static void
+drop_entries(CoreObject *self)
+{
+    Py_ssize_t i, n = self->heap_len;
+    self->heap_len = self->pending = self->cancelled = 0;
+    for (i = 0; i < n; i++) {
+        Py_CLEAR(self->heap[i].event);
+        Py_CLEAR(self->heap[i].link);
+        Py_CLEAR(self->heap[i].packet);
+    }
+}
+
 static PyObject *
 Core_reset_heap(CoreObject *self, PyObject *Py_UNUSED(ignored))
 {
-    Py_ssize_t i, n = self->heap_len;
-    self->heap_len = 0;
-    self->pending = 0;
-    self->cancelled = 0;
-    for (i = 0; i < n; i++)
-        Py_DECREF(self->heap[i].event);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Core_request_stop(CoreObject *self, PyObject *Py_UNUSED(ignored))
-{
-    self->stop_requested = 1;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Core_clear_stop(CoreObject *self, PyObject *Py_UNUSED(ignored))
-{
-    self->stop_requested = 0;
+    drop_entries(self);
     Py_RETURN_NONE;
 }
 
@@ -597,8 +567,11 @@ static int
 Core_traverse(CoreObject *self, visitproc visit, void *arg)
 {
     Py_ssize_t i;
-    for (i = 0; i < self->heap_len; i++)
+    for (i = 0; i < self->heap_len; i++) {
         Py_VISIT(self->heap[i].event);
+        Py_VISIT(self->heap[i].link);
+        Py_VISIT(self->heap[i].packet);
+    }
     Py_VISIT(self->free_list);
     Py_VISIT(self->current_event);
     return 0;
@@ -607,10 +580,7 @@ Core_traverse(CoreObject *self, visitproc visit, void *arg)
 static int
 Core_clear_refs(CoreObject *self)
 {
-    Py_ssize_t i, n = self->heap_len;
-    self->heap_len = 0;
-    for (i = 0; i < n; i++)
-        Py_CLEAR(self->heap[i].event);
+    drop_entries(self);
     Py_CLEAR(self->free_list);
     Py_CLEAR(self->current_event);
     return 0;
@@ -625,26 +595,8 @@ Core_dealloc(CoreObject *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-static Py_ssize_t
-Core_length(CoreObject *self)
-{
-    return self->heap_len;
-}
-
-static PyObject *
-Core_iter(CoreObject *self)
-{
-    PyObject *list = Core_entries(self, NULL);
-    PyObject *iter;
-    if (list == NULL)
-        return NULL;
-    iter = PyObject_GetIter(list);
-    Py_DECREF(list);
-    return iter;
-}
-
-/* now, serial_next and events_processed are also written by Simulator's
- * restore and end-of-run clock advance. */
+/* now, serial_next, events_processed and stop_requested are also written
+ * by Simulator: restore, end-of-run clock advance, request_stop and run. */
 static PyMemberDef Core_members[] = {
     {"now", T_DOUBLE, offsetof(CoreObject, now), 0, "current simulation time"},
     {"pending", T_PYSSIZET, offsetof(CoreObject, pending), READONLY,
@@ -653,9 +605,11 @@ static PyMemberDef Core_members[] = {
      "lazily-deleted entries still in the heap"},
     {"events_processed", T_LONGLONG, offsetof(CoreObject, events_processed),
      0, "events fired so far"},
+    {"hop_events", T_LONGLONG, offsetof(CoreObject, hop_events), READONLY,
+     "lazy hop entries fired, each with no Event filled"},
     {"serial_next", T_LONGLONG, offsetof(CoreObject, serial_next), 0,
      "next schedule serial"},
-    {"stop_requested", T_INT, offsetof(CoreObject, stop_requested), READONLY,
+    {"stop_requested", T_INT, offsetof(CoreObject, stop_requested), 0,
      "cooperative stop flag"},
     {NULL},
 };
@@ -679,20 +633,13 @@ static PyMethodDef Core_methods[] = {
     {"run", (PyCFunction)(void (*)(void))Core_run, METH_FASTCALL,
      "run(until, max_events) -> (fired, interrupted)"},
     {"entries", (PyCFunction)Core_entries, METH_NOARGS,
-     "heap contents as (time, serial, event) tuples, array order"},
+     "heap contents as (time, serial, event) tuples, array order; fills "
+     "the Event of every lazy hop entry"},
     {"reset_heap", (PyCFunction)Core_reset_heap, METH_NOARGS,
      "drop every entry and zero the pending/cancelled counters"},
-    {"request_stop", (PyCFunction)Core_request_stop, METH_NOARGS,
-     "set the cooperative stop flag"},
-    {"clear_stop", (PyCFunction)Core_clear_stop, METH_NOARGS,
-     "clear the cooperative stop flag"},
     {"take_current_event", (PyCFunction)Core_take_current_event, METH_NOARGS,
      "pop the event whose callback raised (error reporting)"},
     {NULL},
-};
-
-static PySequenceMethods Core_as_sequence = {
-    .sq_length = (lenfunc)Core_length,
 };
 
 static PyTypeObject CoreType = {
@@ -706,8 +653,6 @@ static PyTypeObject CoreType = {
     .tp_clear = (inquiry)Core_clear_refs,
     .tp_methods = Core_methods,
     .tp_members = Core_members,
-    .tp_as_sequence = &Core_as_sequence,
-    .tp_iter = (getiterfunc)Core_iter,
 };
 
 /* The byte offset of cls.<name>, a __slots__ member. */
@@ -736,8 +681,10 @@ slot_offset(PyObject *cls, const char *name, Py_ssize_t *out)
  * DropTailQueue or a RedQueue, an unbound link.tx channel, an overflow,
  * any RED arrival but an accept below min_th) and while an entry point
  * is not the library's own, so a class-level shim sees every call.
- * Events stay bound methods: a callback's pickle and digest name its
- * Python function. */
+ * What the hop books is a lazy entry (link, packet); once Python sees one
+ * its Event holds the bound Link._serve or _deliver the Python method
+ * would have booked, so a callback's pickle and digest name its Python
+ * function. */
 
 #define HOP_NAMES(X) /* the entry points (ENTRY_NAME) first */             \
     X(send) X(_serve) X(_deliver) X(receive) X(schedule_abs) X(enqueue)    \
@@ -880,18 +827,46 @@ call_method(PyObject *obj, PyObject *name, PyObject *arg) /* truth, or -1 */
     return truth;
 }
 
-/* sim.schedule_abs(time, <link>.<func>[, packet]) */
+/* sim.schedule_abs(time, link._deliver, packet), or link._serve for a
+ * NULL packet, booked as a lazy entry. */
 static int
-schedule(PyObject *core, PyObject *sim, PyObject *link, PyObject *func,
-         double time, PyObject *packet)
+schedule(PyObject *core, PyObject *link, double time, PyObject *packet)
 {
-    PyObject *fn = PyMethod_New(func, link), *event = NULL;
-    PyObject *args = packet ? PyTuple_Pack(1, packet) : PyTuple_New(0);
-    if (fn != NULL && args != NULL)
-        event = schedule_abs_common((CoreObject *)core, time, NULL, fn, args,
-                                    sim);
-    Py_XDECREF(fn), Py_XDECREF(args), Py_XDECREF(event);
-    return event == NULL ? -1 : 0;
+    CoreObject *self = (CoreObject *)core;
+    PyObject *event = NULL;
+    if (clamp_time(self, &time, NULL) == 0 &&
+        (event = take_event(self)) != NULL &&
+        heap_push(self, (entry_t){time, self->serial_next, event, link,
+                                  packet}) == 0) {
+        Py_INCREF(link), Py_XINCREF(packet);
+        self->serial_next++, self->pending++;
+        return 0;
+    }
+    Py_XDECREF(event);
+    return -1;
+}
+
+/* Fill a lazy entry's Event as sim.schedule_abs would have, _fired set to
+ * fired, and make it an ordinary entry: 0, or -1. */
+static int
+materialise(entry_t *entry, PyObject *fired)
+{
+    PyObject *link = entry->link, *fn, *args, *sim;
+    int rc;
+    if (link == NULL)
+        return 0;
+    fn = PyMethod_New(entry->packet ? py_deliver : py_serve, link);
+    args = entry->packet ? PyTuple_Pack(1, entry->packet) : PyTuple_New(0);
+    sim = SLOT(link, L_sim) != NULL ? SLOT(link, L_sim) : Py_None;
+    rc = fn && args ? fill_event(entry->event, entry->time, entry->serial, fn,
+                                 args, fired, sim)
+                    : -1;
+    Py_XDECREF(fn), Py_XDECREF(args);
+    if (rc == 0) {
+        Py_CLEAR(entry->link);
+        Py_CLEAR(entry->packet);
+    }
+    return rc;
 }
 
 /* sim's Core if sim is exactly a Simulator on the compiled core: a new
@@ -1031,13 +1006,12 @@ link_serve(PyObject *link)
     }
     Py_XDECREF(r);
     delay = PyErr_Occurred() ? 0.0 : PyFloat_AsDouble(SLOT(link, L_delay));
-    if (PyErr_Occurred() ||
-        schedule(core, sim, link, py_deliver, done + delay, head) < 0)
+    if (PyErr_Occurred() || schedule(core, link, done + delay, head) < 0)
         goto out;
     t = PyObject_Length(items) > 0;
 book: /* _serve_pending = t; while it holds, a service at `done` */
     slot_set(link, L_serve_pending, Py_NewRef(t ? Py_True : Py_False));
-    rc = t ? schedule(core, sim, link, py_serve, done, NULL) : 0;
+    rc = t ? schedule(core, link, done, NULL) : 0;
 out:
     Py_XDECREF(head), Py_XDECREF(done_obj), Py_DECREF(items);
     Py_DECREF(core), Py_DECREF(sim);
@@ -1146,6 +1120,25 @@ hop_event(PyObject *fn, PyObject *args) /* 0 / -1 if a hop ran, else 1 */
     if (func != NULL && func == py_deliver && n == 1)
         return link_deliver(PyMethod_GET_SELF(fn), PyTuple_GET_ITEM(args, 0));
     return 1;
+}
+
+/* Run a lazy entry popped from the heap and drop its link and packet; on
+ * an error its Event is filled, fired, for Simulator's report. */
+static int
+hop_entry(entry_t *entry)
+{
+    PyObject *type, *value, *tb;
+    int rc = entry->packet ? link_deliver(entry->link, entry->packet)
+                           : link_serve(entry->link);
+    if (rc < 0) {
+        PyErr_Fetch(&type, &value, &tb);
+        if (materialise(entry, Py_True) < 0)
+            PyErr_Clear();
+        PyErr_Restore(type, value, tb);
+    }
+    Py_CLEAR(entry->link);
+    Py_CLEAR(entry->packet);
+    return rc;
 }
 
 static PyObject *

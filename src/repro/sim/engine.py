@@ -217,13 +217,8 @@ class Simulator:
 
     def _bind_core(self, core) -> None:
         self._core = core
-        # The core doubles as the heap view: len() counts entries
-        # (cancelled included) and iteration yields the same
-        # (time, serial, event) tuples the pure heap stores, so
-        # introspection code works unchanged across backends.
-        self._heap = core
-        # ... and as the clock; Event.cancel calls its C bookkeeping
-        # directly (shadowing the pure backend's method below).
+        # The core doubles as the clock; Event.cancel calls its C
+        # bookkeeping directly (shadowing the pure backend's method below).
         self._clock = core
         self._note_cancelled = core.note_cancelled
 
@@ -277,7 +272,7 @@ class Simulator:
         if core is None:
             self._stop_requested = True
         else:
-            core.request_stop()
+            core.stop_requested = True
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
@@ -367,6 +362,12 @@ class Simulator:
             return core.peek_time()
         self._drop_cancelled()
         return self._heap[0][0] if self._heap else None
+
+    def heap_entries(self) -> List[Tuple[float, int, Event]]:
+        """Every heap entry, cancelled ones included, as the (time,
+        serial, event) tuples the pure heap stores, in array order."""
+        core = self._core
+        return list(self._heap) if core is None else core.entries()
 
     def drain_event_pool(self) -> int:
         """Empty the event free list (snapshot-capture hygiene hook).
@@ -511,7 +512,7 @@ class Simulator:
         interrupted = False  # stopped with events possibly still due
         try:
             if core is not None:
-                core.clear_stop()
+                core.stop_requested = False
                 try:
                     fired, interrupted = core.run(until, max_events)
                 except ReproError as exc:
@@ -654,8 +655,7 @@ class Simulator:
             core.set_free_list(self._event_free)
             core.serial_next = state["serial_next"]
             core.events_processed = state["events_processed"]
-            if state["stop_requested"]:
-                core.request_stop()
+            core.stop_requested = state["stop_requested"]
             for time, serial, event in state["heap"]:
                 core.push(time, serial, event)
             self._bind_core(core)

@@ -508,7 +508,8 @@ class TestHeapCompaction:
             sim.schedule(500.0 + i, lambda: None).cancel()
         from repro.sim.engine import HEAP_COMPACT_MIN
 
-        assert len(sim._heap) <= 2 * max(sim.pending_events, HEAP_COMPACT_MIN)
+        entries = sim.pending_events + sim.cancelled_in_heap
+        assert entries <= 2 * max(sim.pending_events, HEAP_COMPACT_MIN)
         assert sim.pending_events == 10
         assert all(e.pending for e in live)
 
@@ -532,7 +533,7 @@ class TestHeapCompaction:
             event.cancel()
         # 9 cancelled of 10 is below the compaction floor: lazy entries
         # are allowed to sit (rebuilding tiny heaps isn't worth it).
-        assert len(sim._heap) == 10
+        assert sim.pending_events + sim.cancelled_in_heap == 10
         assert sim.pending_events == 1
 
     def test_clear_with_pending_compaction_is_safe(self):
@@ -541,7 +542,7 @@ class TestHeapCompaction:
             sim.schedule(float(i + 1), lambda: None)
         sim.clear()
         assert sim.pending_events == 0
-        assert len(sim._heap) == 0
+        assert sim.pending_events + sim.cancelled_in_heap == 0
         assert sim._cancelled_in_heap == 0
 
 
