@@ -29,7 +29,8 @@ class RrAggressiveProbe(RobustRecoverySender):
     def _probe_rtt_boundary(self, ackno: int) -> None:
         clean = self.ndup >= min(self.actnum, self._sent_last_rtt)
         super()._probe_rtt_boundary(ackno)
-        if clean and self._send_beyond_maxseq():
+        if clean and self._send_one_new():
+            self._sent_this_rtt += 1
             self.actnum += 1  # the second increment
 
 

@@ -49,7 +49,6 @@ losses are handled by the usual RTO (go-back-N in the base class).
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from repro.net.packet import Packet
 from repro.tcp.base import TcpSender
@@ -101,9 +100,8 @@ class RobustRecoverySender(TcpSender):
         # inventing losses (see DESIGN.md §4).
         self._sent_this_rtt: int = 0
         self._sent_last_rtt: int = 0
-        # RFC 2582-style guard against spurious re-entry on duplicate
-        # ACKs that are echoes of a previous episode or of go-back-N
-        # resends after a timeout (same protection as New-Reno/SACK).
+        # The RFC 2582 guard (TcpSender._no_retransmit_below); RR's exit
+        # sets it one below New-Reno's (see _exit_recovery).
         self._no_retransmit_below = -1
         # Diagnostics for experiments/tests:
         self.further_losses_detected = 0
@@ -113,13 +111,11 @@ class RobustRecoverySender(TcpSender):
     # ------------------------------------------------------------------
     # entry: fast retransmit
     # ------------------------------------------------------------------
-    def _fast_retransmit(self, packet: Packet) -> None:
-        if self.snd_una <= self._no_retransmit_below:
-            return  # stale duplicate ACKs from an earlier episode
-        # Fig. 2, entry box: recover = maxseq; ssthresh = win/2;
-        # retransmit the first lost packet.  cwnd is NOT changed — it is
-        # simply out of the control loop until exit.
-        self.recover = self.maxseq
+    def _cut_window(self) -> None:
+        # Fig. 2, entry box: ssthresh = win/2 (the base class sets
+        # recover = maxseq and retransmits the first lost packet).  cwnd
+        # is NOT changed — it is simply out of the control loop until
+        # exit.
         self.ssthresh = self._halved_ssthresh()
         self.phase = RrPhase.RETREAT
         self.actnum = 0
@@ -128,10 +124,10 @@ class RobustRecoverySender(TcpSender):
         self._sent_this_rtt = 0
         self._sent_last_rtt = 0
         self.recovery_episodes += 1
-        self._enter_recovery_common()
+
+    def _enter_recovery_common(self) -> None:
+        super()._enter_recovery_common()
         self._emit_rr_state()
-        self._retransmit(self.snd_una)
-        self._timer.restart(self.rto.current())
 
     def _emit_rr_state(self) -> None:
         """Publish the RR control variables for online invariant
@@ -152,19 +148,12 @@ class RobustRecoverySender(TcpSender):
         if self.phase is RrPhase.RETREAT:
             # Exponential back-off: one new packet per two duplicate ACKs.
             if self.ndup % 2 == 0:
-                self._retreat_sent += self._send_beyond_maxseq()
+                sent = self._send_one_new()
+                self._retreat_sent += sent
+                self._sent_this_rtt += sent
         else:
             # Probe: each duplicate ACK clocks out one new packet.
-            self._send_beyond_maxseq()
-
-    def _send_beyond_maxseq(self) -> int:
-        """Send one new data packet (beyond maxseq), if the receiver
-        window and the application permit.  Returns packets sent."""
-        if self.data_available() and self.flight() < self.config.receiver_window:
-            self._send_new()
-            self._sent_this_rtt += 1
-            return 1
-        return 0
+            self._sent_this_rtt += self._send_one_new()
 
     # ------------------------------------------------------------------
     # non-duplicate ACKs during recovery
@@ -175,8 +164,7 @@ class RobustRecoverySender(TcpSender):
             self._end_retreat(ackno)
         elif ackno >= self.recover:
             self._ack_common(ackno)
-            self.in_recovery = True
-            self._exit_recovery(ackno)
+            self._exit_recovery()
         else:
             self._probe_rtt_boundary(ackno)
 
@@ -191,10 +179,9 @@ class RobustRecoverySender(TcpSender):
         self.ndup = 0
         self._emit_rr_state()
         self._ack_common(ackno)
-        self.in_recovery = True  # _ack_common leaves it; keep explicit
         if ackno >= self.recover:
             # Single packet loss within the window: recovery is done.
-            self._exit_recovery(ackno)
+            self._exit_recovery()
             return
         # Multiple losses: enter the probe sub-phase; the partial ACK
         # triggers an immediate retransmission (Fig. 2).  The retreat's
@@ -203,51 +190,57 @@ class RobustRecoverySender(TcpSender):
         self.phase = RrPhase.PROBE
         self._sent_last_rtt = self._retreat_sent
         self._sent_this_rtt = 0
-        self._retransmit(self.snd_una)
-        self._timer.restart(self.rto.current())
+        self._repair_hole()
 
     def _probe_rtt_boundary(self, ackno: int) -> None:
         """A partial ACK in the probe sub-phase: end of one RTT, start
         of the next (Section 2.2.2/2.2.3)."""
         self._ack_common(ackno)
-        self.in_recovery = True
         # What the last RTT really put in flight: actnum when the
         # sender was unconstrained, less when flow-control bound it.
         expected = min(self.actnum, self._sent_last_rtt)
         self._sent_last_rtt = self._sent_this_rtt
         self._sent_this_rtt = 0
         if self.ndup >= expected:
-            # No further data loss last RTT: linear growth — increment
-            # actnum and send one extra new packet this RTT.  The extra
-            # goes out *before* the retransmission so its duplicate ACK
-            # returns ahead of the next partial ACK; otherwise ndup
-            # would systematically undercount by one and every clean
-            # RTT would read as a further loss (the §2.2.3 equality
-            # "ndup should be equal to actnum" requires this ordering).
-            if self._send_beyond_maxseq():
-                self.actnum += 1
-            self._retransmit(self.snd_una)
+            self._grow_on_clean_rtt()
         else:
             # Further data loss: ndup < actnum, the difference being the
-            # number of packets lost last RTT.  Linear back-off and
-            # extend the exit point to cover the new losses.
+            # number of packets lost last RTT.  Back off and extend the
+            # exit point to cover the new losses.
             self.further_losses_detected += expected - self.ndup
-            self.actnum = self.ndup
+            self.actnum = self._actnum_after_loss()
             if self.maxseq > self.recover:
                 self.recover = self.maxseq
                 self.exit_extensions += 1
-            self._retransmit(self.snd_una)
         self.ndup = 0
+        self._repair_hole()
         self._emit_rr_state()
-        self._timer.restart(self.rto.current())
+
+    def _grow_on_clean_rtt(self) -> None:
+        """No further data loss last RTT: linear growth — one extra new
+        packet this RTT and ``actnum += 1``.
+
+        The extra goes out *before* the boundary's retransmission so its
+        duplicate ACK returns ahead of the next partial ACK; otherwise
+        ndup would systematically undercount by one and every clean RTT
+        would read as a further loss (the §2.2.3 equality "ndup should
+        be equal to actnum" requires this ordering)."""
+        if self._send_one_new():
+            self._sent_this_rtt += 1
+            self.actnum += 1
+
+    def _actnum_after_loss(self) -> int:
+        """actnum after a further loss: ``ndup``, the packets that did
+        arrive (linear shrink — the burst was already answered by the
+        retreat's exponential back-off)."""
+        return self.ndup
 
     # ------------------------------------------------------------------
     # exit
     # ------------------------------------------------------------------
-    def _exit_recovery(self, ackno: int) -> None:
-        """Seamless hand-over back to cwnd (Fig. 2 exit box):
-        ``cwnd = actnum × MSS`` (packet units: actnum), then actnum
-        returns to 0 and congestion avoidance resumes.
+    def _exit_cwnd(self) -> int:
+        """The window handed back at exit (Fig. 2 exit box):
+        ``cwnd = actnum × MSS`` (packet units: actnum).
 
         One refinement over the literal formula: at a saturated
         bottleneck the exiting ACK can arrive through an in-order
@@ -258,7 +251,12 @@ class RobustRecoverySender(TcpSender):
         "the reset value of cwnd accurately measures the amount of data
         packets in flight", we cap the hand-over at flight+1 (identical
         to actnum whenever the idealised Fig.-3 timing holds)."""
-        self.cwnd = float(max(1, min(self.actnum, self.flight() + 1)))
+        return max(1, min(self.actnum, self.flight() + 1))
+
+    def _exit_recovery(self) -> None:
+        """Seamless hand-over back to cwnd, then actnum returns to 0 and
+        congestion avoidance resumes."""
+        self.cwnd = float(self._exit_cwnd())
         # ssthresh is NOT touched — the Fig. 2 exit box only reassigns
         # cwnd.  It keeps the value halved at entry (win/2), so in the
         # paper's regime (actnum ~ win/2) the sender continues straight
@@ -289,9 +287,7 @@ class RobustRecoverySender(TcpSender):
     def _on_timeout_reset(self) -> None:
         # Retransmission losses are handled by timeouts "as is usually
         # done" (Section 1): collapse to slow start, abandon RR state.
-        self.in_recovery = False
+        super()._on_timeout_reset()
         self.phase = RrPhase.NORMAL
         self.actnum = 0
         self.ndup = 0
-        self._no_retransmit_below = self.maxseq - 1
-        self.recover = self.snd_una

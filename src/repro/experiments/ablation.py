@@ -5,9 +5,10 @@ sender and runs through the Figure-5 6-drop scenario plus the Figure-6
 RED scenario:
 
 * ``rr`` — the full algorithm (baseline);
-* ``rr-noprobe-growth`` — never increments ``actnum`` at a clean RTT
-  boundary (no linear probing for the new equilibrium: tests the claim
-  that probing, not just loss repair, drives RR's link utilisation);
+* ``rr-noprobe-growth`` — a clean RTT boundary neither sends the extra
+  packet nor increments ``actnum`` (no linear probing for the new
+  equilibrium: tests the claim that probing, not just loss repair,
+  drives RR's link utilisation);
 * ``rr-retreat-always`` — keeps the retreat policy (one new packet per
   *two* duplicate ACKs) for the whole recovery, New-Reno-style
   exponential decay (tests "exponential decrease is applied only during
@@ -18,6 +19,8 @@ RED scenario:
 * ``rr-burst-exit`` — exits with ``cwnd = ssthresh`` (as New-Reno/SACK
   do) instead of ``cwnd = actnum`` (tests the big-ACK-burst
   elimination).
+
+Each overrides exactly one of RR's decision methods and reuses the rest.
 """
 
 from __future__ import annotations
@@ -36,16 +39,13 @@ from repro.viz.ascii import format_table
 
 
 class RrNoProbeGrowth(RobustRecoverySender):
-    """RR without the +1 linear growth at clean probe RTT boundaries."""
+    """RR without the linear probe: a clean RTT boundary neither sends
+    the extra packet nor grows actnum."""
 
     variant = "rr-noprobe-growth"
 
-    def _probe_rtt_boundary(self, ackno: int) -> None:
-        saved = self.actnum
-        super()._probe_rtt_boundary(ackno)
-        if self.actnum > saved:
-            self.actnum = saved  # undo the growth (the extra packet, if
-            # sent, simply restores one dormant slot)
+    def _grow_on_clean_rtt(self) -> None:
+        pass
 
 
 class RrRetreatAlways(RobustRecoverySender):
@@ -57,7 +57,8 @@ class RrRetreatAlways(RobustRecoverySender):
     def _recovery_dupack(self, packet) -> None:
         self.ndup += 1
         if self.ndup % 2 == 0:
-            sent = self._send_beyond_maxseq()
+            sent = self._send_one_new()
+            self._sent_this_rtt += sent
             if self.phase is RrPhase.RETREAT:
                 self._retreat_sent += sent
 
@@ -68,11 +69,8 @@ class RrResetOnLoss(RobustRecoverySender):
 
     variant = "rr-reset-on-loss"
 
-    def _probe_rtt_boundary(self, ackno: int) -> None:
-        further_loss = self.ndup < self.actnum
-        super()._probe_rtt_boundary(ackno)
-        if further_loss:
-            self.actnum = 0
+    def _actnum_after_loss(self) -> int:
+        return 0
 
 
 class RrBurstExit(RobustRecoverySender):
@@ -80,12 +78,8 @@ class RrBurstExit(RobustRecoverySender):
 
     variant = "rr-burst-exit"
 
-    def _exit_recovery(self, ackno: int) -> None:
-        halved = self.ssthresh
-        super()._exit_recovery(ackno)
-        self.cwnd = max(halved, 1.0)
-        self.ssthresh = max(halved, 2.0)
-        self.send_available()
+    def _exit_cwnd(self) -> float:
+        return self.ssthresh
 
 
 ABLATIONS: Dict[str, Type[RobustRecoverySender]] = {

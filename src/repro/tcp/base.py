@@ -11,10 +11,23 @@
   window and application data limits;
 * observer/trace hooks for metrics.
 
-Recovery behaviour is delegated to subclasses through a small set of
-hook methods (``_fast_retransmit``, ``_recovery_dupack``,
-``_recovery_new_ack``, ``_on_timeout_reset``); the base class itself is
-a valid TCP sender only in the loss-free path.
+It also runs the recovery skeleton the variants share (New-Reno's,
+RFC 2582): fast-retransmit entry behind the stale-duplicate guard,
+``recover = maxseq``, the hole retransmission and timer restart
+(``_repair_hole``), partial-ACK repair, full-ACK exit, the timeout
+reset, ``max_burst`` (``_send_limited``) and "one new packet if the data
+and receiver window allow" (``_send_one_new``).  A variant supplies
+only its window arithmetic and state, through these hooks:
+
+* ``_open_cwnd`` — the increase law (skipped on an ECN-echo ACK);
+* ``_cut_window`` — ssthresh/cwnd at fast retransmit;
+* ``_recovery_dupack`` — what a duplicate ACK in recovery releases;
+* ``_deflate_partial`` / ``_deflate_full`` — the window at a partial
+  ACK and at the full ACK;
+* ``_on_timeout_reset`` — extra state a timeout clears.
+
+Reno (exit on any new ACK), SACK (pipe) and RR (retreat and probe)
+override ``_recovery_new_ack`` and reuse the pieces.
 
 Sequence numbers are packet-based and ``maxseq`` is *one past* the
 highest sequence sent, so ``recover = maxseq`` and "the recovery phase
@@ -412,9 +425,6 @@ class TcpSender(Agent):
 
     def _open_cwnd(self) -> None:
         """Grow cwnd per ACK: slow start below ssthresh, else AIMD."""
-        if self._suppress_growth:
-            self._suppress_growth = False
-            return
         if self.cwnd < self.ssthresh:
             self.cwnd += 1.0
         else:
@@ -443,7 +453,8 @@ class TcpSender(Agent):
             self._recovery_new_ack(packet)
             return
         self._ack_common(packet.ackno)
-        self._open_cwnd()
+        if not self._suppress_growth:  # RFC 3168: no growth on an ECE ACK
+            self._open_cwnd()
         self.send_available()
 
     def _process_dupack(self, packet: Packet) -> None:
@@ -470,24 +481,91 @@ class TcpSender(Agent):
         self._emit("tcp.ecn_reaction")
 
     # ------------------------------------------------------------------
-    # variant hooks
+    # the recovery skeleton (hooks: see the module docstring)
     # ------------------------------------------------------------------
+    #: RFC 2582 §3 guard: three duplicate ACKs enter recovery only while
+    #: snd_una is above it (lower ones echo an earlier episode or the
+    #: go-back-N resends).  At -1 it never holds: Reno, Vegas and Tahoe
+    #: never move it; the careful variants hold their own from __init__.
+    _no_retransmit_below = -1
+
     def _fast_retransmit(self, packet: Packet) -> None:
-        """Third duplicate ACK outside recovery.  Variants implement."""
-        raise NotImplementedError("recovery variants must implement _fast_retransmit")
+        """Third duplicate ACK outside recovery (Fig. 2 entry box)."""
+        if self.snd_una <= self._no_retransmit_below:
+            return  # stale duplicate ACKs from an earlier episode
+        self.recover = self.maxseq
+        self._cut_window()
+        self._enter_recovery_common()
+        self._repair_hole()
+
+    def _cut_window(self) -> None:
+        """Halve, then inflate by the duplicates that left the network."""
+        self.ssthresh = self._halved_ssthresh()
+        self.cwnd = self.ssthresh + self.config.dupack_threshold
+        self._note_cwnd()
+
+    def _repair_hole(self) -> None:
+        """Retransmit snd_una and restart the retransmission timer."""
+        self._retransmit(self.snd_una)
+        self._timer.restart(self.rto.current())
 
     def _recovery_dupack(self, packet: Packet) -> None:
-        """Duplicate ACK while in recovery.  Variants implement."""
-        raise NotImplementedError
+        """Window inflation: about one new packet per two duplicates."""
+        self.dupacks += 1
+        self.cwnd += 1.0
+        self._note_cwnd()
+        self._send_limited()
 
     def _recovery_new_ack(self, packet: Packet) -> None:
-        """New (possibly partial) ACK while in recovery."""
+        """A partial ACK repairs the next hole and stays in recovery;
+        the full ACK (``ackno >= recover``) deflates and exits."""
+        ackno = packet.ackno
+        if ackno >= self.recover:
+            self._deflate_full()
+            self._exit_recovery_common()
+            self._no_retransmit_below = self.recover
+            self._ack_common(ackno)
+            self._send_limited()
+            return
+        newly_acked = ackno - self.snd_una
+        self._ack_common(ackno)
+        self._deflate_partial(newly_acked)
+        self._repair_hole()
+        self._send_limited()
+
+    def _deflate_partial(self, newly_acked: int) -> None:
+        """The window at a partial ACK.  Variants on the skeleton implement."""
         raise NotImplementedError
 
+    def _deflate_full(self) -> None:
+        """The window at the full ACK: ssthresh."""
+        self.cwnd = self.ssthresh
+        self._note_cwnd()
+
+    def _send_limited(self) -> int:
+        """Send what the window allows, at most ``max_burst`` packets
+        (0 = no cap) per incoming ACK."""
+        burst = self.config.max_burst
+        return self._send_window(burst if burst > 0 else None)
+
+    #: The loop ``_send_limited`` runs; SACK's walks its scoreboard.
+    _send_window = send_available
+
+    def _send_one_new(self) -> int:
+        """Send one new packet if the data and the receiver window
+        allow; returns the number sent."""
+        # data_available() and flight() < receiver window, inlined.
+        if (self._limit is None or self.snd_nxt < self._limit) and (
+            self.snd_nxt - self.snd_una < self.config.receiver_window
+        ):
+            self._send_new()
+            return 1
+        return 0
+
     def _on_timeout_reset(self) -> None:
-        """Variant-specific cleanup when the RTO fires (clear recovery
-        state, scoreboards...).  Default just leaves recovery."""
-        self.in_recovery = False
+        """Duplicates of the go-back-N resends must not re-enter recovery."""
+        self._no_retransmit_below = self.maxseq - 1
+        self.recover = self.snd_una
 
     def _enter_recovery_common(self) -> None:
         self.in_recovery = True
@@ -519,8 +597,9 @@ class TcpSender(Agent):
         self.ssthresh = self._halved_ssthresh()
         self.cwnd = 1.0
         self.dupacks = 0
+        self.in_recovery = False
         self._on_timeout_reset()
-        if was_in_recovery and not self.in_recovery:
+        if was_in_recovery:
             self.observer.on_recovery_exit(self.sim.now, self)
         # Go-back-N: resume sending from the first unacknowledged packet.
         self.snd_nxt = self.snd_una

@@ -98,9 +98,6 @@ class CubicSender(NewRenoSender):
         return srtt
 
     def _open_cwnd(self) -> None:
-        if self._suppress_growth:
-            self._suppress_growth = False
-            return
         if self.cwnd < self.ssthresh:
             self.cwnd += 1.0  # slow start, unchanged from Reno
             self._note_cwnd()
@@ -141,7 +138,7 @@ class CubicSender(NewRenoSender):
         self._note_cwnd()
 
     # ------------------------------------------------------------------
-    # recovery hooks (entry/exit inherited from New-Reno; the reduction
+    # recovery hooks (the skeleton is the base class's; the reduction
     # itself is routed through _halved_ssthresh above)
     # ------------------------------------------------------------------
     def _on_timeout_reset(self) -> None:

@@ -31,16 +31,20 @@ Partial-ACK deflation comes in two flavours, selected by
 The structural weakness the paper targets remains faithfully present
 either way: one loss is repaired per RTT, and with full deflation a
 long burst of losses starves the ACK clock into a coarse timeout.
+
+The recovery skeleton itself (the guard, hole repair, full-ACK exit
+and ``maxburst``) is :class:`~repro.tcp.base.TcpSender`'s; New-Reno
+adds only its partial-ACK deflation and the guard's field.
 """
 
 from __future__ import annotations
 
-from repro.net.packet import Packet
 from repro.tcp.base import TcpSender
 
 
 class NewRenoSender(TcpSender):
-    """New-Reno partial-ACK fast recovery."""
+    """New-Reno partial-ACK fast recovery: the base class's recovery
+    skeleton plus its partial-ACK deflation."""
 
     variant = "newreno"
 
@@ -49,44 +53,11 @@ class NewRenoSender(TcpSender):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # RFC 2582 §3 "careful" variant: three duplicate ACKs enter
-        # recovery only when snd_una exceeds this mark.  Duplicates at
-        # or below it are presumed echoes of a previous episode (or of
-        # go-back-N resends after a timeout) and are answered, if
-        # genuinely a new loss, by the RTO.
+        # The RFC 2582 §3 guard (TcpSender._no_retransmit_below), moved
+        # by every exit and timeout.
         self._no_retransmit_below = -1
 
-    def _fast_retransmit(self, packet: Packet) -> None:
-        if self.snd_una <= self._no_retransmit_below:
-            return  # stale duplicate ACKs from an earlier episode
-        self.ssthresh = self._halved_ssthresh()
-        self.cwnd = self.ssthresh + self.config.dupack_threshold
-        self._note_cwnd()
-        self.recover = self.maxseq
-        self._enter_recovery_common()
-        self._retransmit(self.snd_una)
-        self._timer.restart(self.rto.current())
-
-    def _recovery_dupack(self, packet: Packet) -> None:
-        self.dupacks += 1
-        self.cwnd += 1.0  # window inflation, releases ~1 new pkt / 2 dups
-        self._note_cwnd()
-        self._send_limited()
-
-    def _recovery_new_ack(self, packet: Packet) -> None:
-        ackno = packet.ackno
-        if ackno >= self.recover:
-            # Full ACK: deflate to ssthresh and leave recovery.
-            self.cwnd = self.ssthresh
-            self._note_cwnd()
-            self._exit_recovery_common()
-            self._no_retransmit_below = self.recover
-            self._ack_common(ackno)
-            self._send_limited()
-            return
-        # Partial ACK: retransmit the next hole, stay in recovery.
-        newly_acked = ackno - self.snd_una
-        self._ack_common(ackno)
+    def _deflate_partial(self, newly_acked: int) -> None:
         if self.partial_window_deflation:
             # RFC 2582: remove what the partial ACK took out of the
             # pipe, then add one packet for the retransmission.
@@ -97,20 +68,3 @@ class NewRenoSender(TcpSender):
             # new data flows (per-RTT exponential decay).
             self.cwnd = self.ssthresh
         self._note_cwnd()
-        self.in_recovery = True  # _ack_common does not touch it; explicit
-        self._retransmit(self.snd_una)
-        self._timer.restart(self.rto.current())
-        self._send_limited()
-
-    def _send_limited(self) -> int:
-        """send_available capped by maxburst while in recovery."""
-        burst = self.config.max_burst if self.config.max_burst > 0 else None
-        return self.send_available(max_packets=burst)
-
-    def _on_timeout_reset(self) -> None:
-        self.in_recovery = False
-        # RFC 2582 §3: after a timeout, record the highest sequence
-        # transmitted — duplicate ACKs generated by the go-back-N
-        # resends must not trigger a spurious fast retransmit.
-        self._no_retransmit_below = self.maxseq - 1
-        self.recover = self.snd_una

@@ -53,6 +53,9 @@ class RelentlessSender(NewRenoSender):
 
     variant = "relentless"
 
+    #: Partial ACKs deflate by what they acknowledged (RFC 2582).
+    partial_window_deflation = True
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # Window at recovery entry, lost segments repaired during the
@@ -63,9 +66,7 @@ class RelentlessSender(NewRenoSender):
         self._episode_losses: int = 0
         self._episode_growth: float = 0.0
 
-    def _fast_retransmit(self, packet: Packet) -> None:
-        if self.snd_una <= self._no_retransmit_below:
-            return  # stale duplicates from an earlier episode
+    def _cut_window(self) -> None:
         self._entry_cwnd = self.cwnd
         self._episode_losses = 1
         self._episode_growth = 0.0
@@ -75,10 +76,6 @@ class RelentlessSender(NewRenoSender):
         self.ssthresh = max(self.cwnd - 1.0, 2.0)
         self.cwnd = self.ssthresh + self.config.dupack_threshold
         self._note_cwnd()
-        self.recover = self.maxseq
-        self._enter_recovery_common()
-        self._retransmit(self.snd_una)
-        self._timer.restart(self.rto.current())
 
     def _recovery_dupack(self, packet: Packet) -> None:
         # CA keeps running through recovery: one delivered packet's
@@ -87,30 +84,19 @@ class RelentlessSender(NewRenoSender):
         super()._recovery_dupack(packet)
 
     def _recovery_new_ack(self, packet: Packet) -> None:
-        ackno = packet.ackno
         self._episode_growth += 1.0 / max(self._entry_cwnd, 1.0)
-        if ackno >= self.recover:
-            # Full ACK: give back exactly the segments the path lost,
-            # keep the growth CA earned meanwhile.
-            self.cwnd = max(
-                self._entry_cwnd + self._episode_growth - self._episode_losses, 2.0
-            )
-            self.ssthresh = self.cwnd
-            self._note_cwnd()
-            self._exit_recovery_common()
-            self._no_retransmit_below = self.recover
-            self._ack_common(ackno)
-            self._send_limited()
-            return
-        # Partial ACK: one more hole = one more lost segment.  Deflate
-        # RFC 2582-style (acked amount minus the one retransmission) so
-        # the ACK clock keeps ticking, and repair the hole.
-        self._episode_losses += 1
-        newly_acked = ackno - self.snd_una
-        self._ack_common(ackno)
-        self.cwnd = max(self.cwnd - newly_acked + 1.0, 1.0)
+        super()._recovery_new_ack(packet)
+
+    def _deflate_full(self) -> None:
+        # Give back exactly the segments the path lost, keep the growth
+        # CA earned meanwhile.
+        self.cwnd = max(self._entry_cwnd + self._episode_growth - self._episode_losses, 2.0)
+        self.ssthresh = self.cwnd
         self._note_cwnd()
-        self.in_recovery = True  # _ack_common does not touch it; explicit
-        self._retransmit(self.snd_una)
-        self._timer.restart(self.rto.current())
-        self._send_limited()
+
+    def _deflate_partial(self, newly_acked: int) -> None:
+        # One more hole = one more lost segment.  Deflate RFC 2582-style
+        # (acked amount minus the one retransmission) so the ACK clock
+        # keeps ticking.
+        self._episode_losses += 1
+        super()._deflate_partial(newly_acked)

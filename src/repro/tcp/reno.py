@@ -11,6 +11,9 @@ That exit-on-partial-ACK is Reno's documented weakness with bursty
 losses: each remaining hole needs a fresh fast retransmit (halving the
 window again) or a timeout.  The paper leans on this to motivate both
 New-Reno and RR.
+
+Entry is the base class's skeleton with its guard left open: Reno has
+no stale-duplicate protection, and no ``maxburst`` cap.
 """
 
 from __future__ import annotations
@@ -24,15 +27,6 @@ class RenoSender(TcpSender):
 
     variant = "reno"
 
-    def _fast_retransmit(self, packet: Packet) -> None:
-        self.ssthresh = self._halved_ssthresh()
-        self.cwnd = self.ssthresh + self.config.dupack_threshold
-        self._note_cwnd()
-        self.recover = self.maxseq
-        self._enter_recovery_common()
-        self._retransmit(self.snd_una)
-        self._timer.restart(self.rto.current())
-
     def _recovery_dupack(self, packet: Packet) -> None:
         self.dupacks += 1
         self.cwnd += 1.0  # window inflation
@@ -42,8 +36,10 @@ class RenoSender(TcpSender):
     def _recovery_new_ack(self, packet: Packet) -> None:
         # Reno exits on ANY new ACK, partial or full: deflate and resume
         # congestion avoidance.
-        self.cwnd = self.ssthresh
-        self._note_cwnd()
+        self._deflate_full()
         self._exit_recovery_common()
         self._ack_common(packet.ackno)
         self.send_available()
+
+    def _on_timeout_reset(self) -> None:
+        pass  # no guard, and no recovery point anything reads

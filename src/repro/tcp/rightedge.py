@@ -33,8 +33,7 @@ class RightEdgeSender(NewRenoSender):
         # Bypass window inflation arithmetic: each duplicate ACK means a
         # packet left the network, so transmit one new packet directly
         # (respecting only the receiver window and data availability).
-        if self.data_available() and self.flight() < self.config.receiver_window:
-            self._send_new()
+        self._send_one_new()
 
 
 class LinKungSender(NewRenoSender):
@@ -44,6 +43,5 @@ class LinKungSender(NewRenoSender):
 
     def _process_dupack(self, packet: Packet) -> None:
         if not self.in_recovery and self.dupacks < 2:
-            if self.data_available() and self.flight() < self.config.receiver_window:
-                self._send_new()
+            self._send_one_new()
         super()._process_dupack(packet)

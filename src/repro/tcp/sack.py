@@ -42,7 +42,7 @@ class SackSender(TcpSender):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.scoreboard = Scoreboard(self.config.dupack_threshold)
-        # Same RFC 2582-style guard as New-Reno (see newreno.py).
+        # The RFC 2582 guard (TcpSender._no_retransmit_below).
         self._no_retransmit_below = -1
         self._pipe = 0  # incremental estimate (sack1 mode only)
 
@@ -57,25 +57,23 @@ class SackSender(TcpSender):
         self.scoreboard.update(packet.ackno, packet.sack_blocks)
         super()._process_dupack(packet)
 
-    def _fast_retransmit(self, packet: Packet) -> None:
-        if self.snd_una <= self._no_retransmit_below:
-            return
+    def _cut_window(self) -> None:
         self.ssthresh = self._halved_ssthresh()
         self.cwnd = self.ssthresh
         self._note_cwnd()
-        self.recover = self.maxseq
         # sack1: the three duplicate ACKs mean three packets have left
         # the network.
         self._pipe = max(self.flight() - self.config.dupack_threshold, 0)
-        self._enter_recovery_common()
-        self._retransmit_hole(self.snd_una)
-        self._timer.restart(self.rto.current())
-        self._sack_send()
+
+    def _fast_retransmit(self, packet: Packet) -> None:
+        super()._fast_retransmit(packet)
+        if self.in_recovery:  # entered: fill the pipe, holes first
+            self._send_limited()
 
     def _recovery_dupack(self, packet: Packet) -> None:
         self.dupacks += 1
         self._pipe = max(self._pipe - 1, 0)
-        self._sack_send()
+        self._send_limited()
 
     def _recovery_new_ack(self, packet: Packet) -> None:
         ackno = packet.ackno
@@ -85,7 +83,6 @@ class SackSender(TcpSender):
             self._no_retransmit_below = self.recover
             self.send_available()
             return
-        self.in_recovery = True
         self._timer.restart(self.rto.current())
         # Fall & Floyd: a partial ACK implies both the original and its
         # retransmission have left the pipe.
@@ -95,8 +92,8 @@ class SackSender(TcpSender):
             # than DupThresh SACKed packets sit above it: retransmit it
             # directly (as ns-2 does) rather than stalling into an RTO.
             if not self.scoreboard.is_sacked(self.snd_una) and not self.scoreboard.was_retransmitted(self.snd_una):
-                self._retransmit_hole(self.snd_una)
-        self._sack_send()
+                self._retransmit(self.snd_una)
+        self._send_limited()
 
     # ------------------------------------------------------------------
     # pipe-driven transmission
@@ -107,8 +104,8 @@ class SackSender(TcpSender):
             return self.scoreboard.pipe(self.snd_una, self.snd_nxt)
         return self._pipe
 
-    def _retransmit_hole(self, seqno: int) -> None:
-        self._retransmit(seqno)
+    def _retransmit(self, seqno: int) -> None:
+        super()._retransmit(seqno)
         self.scoreboard.mark_retransmitted(seqno)
         self._pipe += 1
 
@@ -125,30 +122,27 @@ class SackSender(TcpSender):
             return None  # beyond the highest SACKed packet: not a hole
         return None
 
-    def _sack_send(self) -> None:
+    def _send_window(self, max_packets=None) -> int:
         """Transmit while ``pipe < cwnd``: scoreboard holes first, then
-        new data, bounded by maxburst per incoming ACK."""
-        burst_limit = self.config.max_burst if self.config.max_burst > 0 else None
+        new data, at most ``max_packets``."""
         sent = 0
-        while burst_limit is None or sent < burst_limit:
+        while max_packets is None or sent < max_packets:
             if self.current_pipe() + 1 > int(self.cwnd):
                 break
             hole = self._next_hole()
             if hole is not None:
-                self._retransmit_hole(hole)
-            elif self.data_available() and self.flight() < self.config.receiver_window:
-                self._send_new()
+                self._retransmit(hole)
+            elif self._send_one_new():
                 self._pipe += 1
             else:
                 break
             sent += 1
+        return sent
 
     def _on_timeout_reset(self) -> None:
-        self.in_recovery = False
+        super()._on_timeout_reset()
         self.scoreboard.clear()
         self._pipe = 0
-        self._no_retransmit_below = self.maxseq - 1
-        self.recover = self.snd_una
 
 
 class SackRfc3517Sender(SackSender):

@@ -35,3 +35,6 @@ class TahoeSender(TcpSender):
     # class's dup-ACK path triggers on exactly the threshold, ignores
     # later duplicates of the same window, and never reaches the
     # ``_recovery_*`` hooks.
+
+    def _on_timeout_reset(self) -> None:
+        pass  # no recovery point or guard to rewind

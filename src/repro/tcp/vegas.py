@@ -71,6 +71,10 @@ class VegasSender(RenoSender):
             self._send_times[seqno] = self.sim.now
         super()._transmit(seqno, retransmit)
 
+    def _ack_common(self, ackno: int) -> None:
+        super()._ack_common(ackno)
+        self._record_rtt(ackno)
+
     def _record_rtt(self, ackno: int) -> None:
         sent_at = self._send_times.get(ackno - 1)
         if sent_at is not None:
@@ -148,37 +152,13 @@ class VegasSender(RenoSender):
     # recovery (RenoSender's fast recovery + expedited entry)
     # ------------------------------------------------------------------
     def _process_dupack(self, packet: Packet) -> None:
-        if self.in_recovery:
-            self._recovery_dupack(packet)
-            return
-        self.dupacks += 1
-        if self.dupacks == self.config.dupack_threshold:
-            self._fast_retransmit(packet)
-        elif self.enable_expedited_rtx and self.dupacks in (1, 2):
+        super()._process_dupack(packet)
+        if self.enable_expedited_rtx and not self.in_recovery and self.dupacks in (1, 2):
             sent_at = self._send_times.get(self.snd_una)
             if sent_at is not None and self.sim.now - sent_at > self._fine_timeout():
                 self.expedited_retransmits += 1
                 self._fast_retransmit(packet)
 
-    def _recovery_new_ack(self, packet: Packet) -> None:
-        # Reno-style: any new ACK deflates and exits.
-        self.cwnd = self.ssthresh
-        self._note_cwnd()
-        self._exit_recovery_common()
-        self._ack_common(packet.ackno)
-        self._record_rtt(packet.ackno)
-        self.send_available()
-
-    def _process_new_ack(self, packet: Packet) -> None:
-        if self.in_recovery:
-            self._recovery_new_ack(packet)
-            return
-        self._ack_common(packet.ackno)
-        self._record_rtt(packet.ackno)
-        self._open_cwnd()
-        self.send_available()
-
     def _on_timeout_reset(self) -> None:
-        self.in_recovery = False
         self._send_times.clear()
         self._adjust_marker = self.snd_una

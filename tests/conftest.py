@@ -61,11 +61,12 @@ class SenderHarness:
     def start(self) -> None:
         self.sender.start()
 
-    def ack(self, ackno: int, sacks=None) -> None:
-        """Deliver a cumulative ACK (with optional SACK blocks) to the
-        sender."""
+    def ack(self, ackno: int, sacks=None, ecn_echo: bool = False) -> None:
+        """Deliver a cumulative ACK (with optional SACK blocks and ECN
+        echo) to the sender."""
         blocks = [SackBlock(a, b) for a, b in (sacks or [])]
         packet = ack_packet(self.sender.flow_id, "K1", "S1", ackno, sack_blocks=blocks)
+        packet.ecn_echo = ecn_echo
         self.sender.receive(packet)
 
     def dupacks(self, ackno: int, count: int, sacks=None) -> None:

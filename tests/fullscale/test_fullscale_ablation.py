@@ -3,7 +3,7 @@ ext-ablation).
 
 Quantifies what each mechanism buys:
 
-* removing the probe's linear growth costs post-recovery ramp;
+* removing the probe's linear growth costs recovery-period throughput;
 * keeping the exponential retreat policy for the whole recovery
   reproduces the New-Reno decay the paper attacks;
 * resetting actnum on further loss (instead of the linear shrink)

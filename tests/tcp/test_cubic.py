@@ -131,9 +131,11 @@ class TestTimeBasedGrowth:
     def test_growth_suppressed_on_ecn_echo_ack(self):
         harness = make(cwnd=10.0, ssthresh=5, ecn_enabled=True)
         harness.start()
-        harness.sender._suppress_growth = True
+        # A reaction was already taken this window, so the echo only
+        # suppresses growth.
+        harness.sender._ecn_react_marker = harness.sender.snd_nxt
         before = harness.sender.cwnd
-        harness.sender._open_cwnd()
+        harness.ack(1, ecn_echo=True)
         assert harness.sender.cwnd == before
 
 

@@ -24,16 +24,18 @@ from repro.net.topology import DumbbellParams
 from repro.sim.engine import CORE_BACKEND
 from repro.sim.rng import RngStream
 
-#: Calls per ACK allowed, by backend (measured: RR 21.3 and SACK 28.4
-#: compiled, 70.1 and 77.2 pure; while the armed-timer test, the RTO
+#: Calls per ACK allowed, by backend (measured: RR 21.2, SACK 28.5 and
+#: New-Reno 21.4 compiled, 70.0, 77.3 and 70.2 pure; while each variant
+#: wrote out its own recovery skeleton, RR 21.3 and SACK 28.4 compiled,
+#: 70.1 and 77.2 pure; while the armed-timer test, the RTO
 #: read and the loss coin flip were calls and SACK rebuilt its
 #: scoreboard on every ACK, 24.3 / 34.5 and 73.1 / 83.3; while a host
 #: send went through ``Node._forward``, 75.2 / 85.3 pure; while every
 #: timer restart cancelled and rescheduled, 26.8 / 37.0 and 78.6 / 88.7;
 #: before the glue came out, 54.9 / 65.5 and 112.0 / 122.6).
 BUDGETS = {
-    "compiled": {"rr": 23.0, "sack": 30.0},
-    "python": {"rr": 72.0, "sack": 78.5},
+    "compiled": {"rr": 23.0, "sack": 30.0, "newreno": 23.0},
+    "python": {"rr": 72.0, "sack": 78.5, "newreno": 72.0},
 }
 
 
@@ -72,6 +74,6 @@ def calls_by_function(variant):
     return dict(by_function)
 
 
-@pytest.mark.parametrize("variant", ["rr", "sack"])
+@pytest.mark.parametrize("variant", ["rr", "sack", "newreno"])
 def test_calls_per_ack_on_the_figure7_dumbbell(variant):
     assert sum(calls_by_function(variant).values()) <= BUDGETS[CORE_BACKEND][variant]
