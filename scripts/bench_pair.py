@@ -16,8 +16,9 @@ Per workload and metric it also prints the pairs the change won and the
 parent's interquartile range, which a claimed gain is judged by.  Every
 run made is kept in ``bench/out/pairs.json``; ``--record PATH`` also
 writes the whole comparison (both SHAs, every run, medians, IQR, wins,
-verdicts) as JSON, the form of the committed ``BENCH_*.json`` files; see
-docs/PERFORMANCE.md.
+verdicts) as JSON, the form of the committed ``BENCH_*.json`` files,
+which ``scripts/check_docs.py`` renders into docs/PERFORMANCE.md
+"Measured numbers".
 """
 
 import argparse

@@ -18,7 +18,19 @@ and verifies, without executing any example:
   ``snapshot <verb>``) — a page must not keep advertising an option a
   change removed;
 * every relative markdown link (``[text](OTHER.md)``,
-  ``[text](../FILE.md#anchor)``) resolves to an existing file;
+  ``[text](../FILE.md#anchor)``, link text may wrap) resolves to an
+  existing file, and its ``#anchor`` (a same-page ``[text](#anchor)``
+  too) is the GitHub slug of a heading of that page;
+* every page named beside a quoted heading (``docs/<PAGE>.md
+  "<Heading>"``, a comma allowed between them) exists and has that
+  heading, in the pages above and in ``src/``, ``tests/``,
+  ``scripts/``, ``setup.py``, the CI workflow and the verify skill
+  (CHANGES.md is history and is not read);
+* every generated block (between ``<!-- begin generated: NAME -->``
+  and ``<!-- end generated: NAME -->``) equals what
+  ``render_bench_tables`` makes of the committed ``BENCH_*.json``
+  records and ``bench/baseline.json``; a drifted block is reported with
+  the expected text, to paste in its place;
 * every back-ticked repo-relative path (``scripts/x.py``,
   ``tests/a/test_b.py::TestC``, anything under ``src/``, ``bench/``,
   ``docs/`` or ``.github/``; globs and ``<placeholders>`` are skipped)
@@ -46,6 +58,7 @@ from __future__ import annotations
 import ast
 import functools
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -62,15 +75,34 @@ CLI_RE = re.compile(r"python -m repro\.experiments\s+([a-z0-9_.-]+)")
 # Everything after the module name, up to the end of the (joined) line.
 INVOCATION_RE = re.compile(r"python3? -m repro\.experiments\b(.*)")
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
-# Inline markdown links; external schemes and pure #anchors are
-# filtered by link_targets, not the regex.
+# Inline markdown links; external schemes are filtered by
+# link_targets, not the regex.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+HEADING_RE = re.compile(r"^#{1,6}\s+(.+?)(?:\s+#+)?\s*$")
+# ``docs/<PAGE>.md "<Heading>"`` (or ``<PAGE>.md, "<Heading>"``); the
+# heading may wrap, in a comment too, so a line break may carry a ``#``.
+CITATION_RE = re.compile(
+    r'((?:[\w.-]+/)*[A-Z][A-Z0-9_]*\.md),?\s+(?:#\s*)?"((?:[^"\n]|\n[ \t]*#?)+?)"'
+)
+GENERATED_RE = re.compile(
+    r"<!-- begin generated: ([\w-]+) -->\n(.*?)<!-- end generated: \1 -->", re.DOTALL
+)
 # A back-ticked span whose first word starts with a top-level source
 # directory; check_paths strips what follows the path proper.
 PATH_RE = re.compile(r"`((?:scripts|bench|src|tests|docs|\.github)/[^`\s]*)[^`]*`")
 # A back-ticked span that starts with a dotted name under the package.
 DOTTED_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
 TOP_LEVEL_PAGES = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "CONTRIBUTING.md")
+#: Besides the pages: where a ``<PAGE>.md "<Heading>"`` citation is checked.
+CITING_GLOBS = (
+    "src/**/*.py",
+    "src/**/*.c",
+    "tests/**/*.py",
+    "scripts/*.py",
+    "setup.py",
+    ".github/workflows/ci.yml",
+    ".claude/skills/verify/SKILL.md",
+)
 
 
 def fenced_blocks(text: str) -> Iterator[Tuple[str, str, int]]:
@@ -209,36 +241,201 @@ def check_cli_flags(invocations: List[Tuple[str, str]]) -> Tuple[List[str], int]
 
 
 def link_targets(text: str) -> Iterator[Tuple[int, str]]:
-    """Yield (line number, relative target) per local markdown link,
-    skipping fenced code blocks, external URLs and same-page anchors."""
+    """Yield (line number, target) per local markdown link, link text
+    that wraps over lines included, skipping fenced code blocks and
+    external URLs; a same-page anchor is ``#anchor``."""
+    prose: List[str] = []
     in_fence = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for line in text.splitlines():
+        fence = line.strip().startswith("```")
+        in_fence ^= fence
+        prose.append("" if in_fence or fence else line)
+    joined = "\n".join(prose)
+    for match in LINK_RE.finditer(joined):
+        target = match.group(1)
+        if "://" in target or target.startswith("mailto:"):
+            continue
+        yield joined.count("\n", 0, match.start(1)) + 1, target
+
+
+def slug(heading: str) -> str:
+    """GitHub's anchor for a heading's text: link text kept, then
+    lower case, punctuation (backticks, colons, dots, ...) dropped,
+    spaces to hyphens."""
+    text = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", heading)
+    return re.sub(r"[^\w\- ]", "", text.lower()).replace(" ", "-")
+
+
+def heading_index(text: str) -> Tuple[frozenset, frozenset]:
+    """(heading texts, anchors) of a markdown page; a repeated anchor
+    gets ``-1``, ``-2``, ... as on GitHub."""
+    texts, anchors, seen = set(), set(), {}
+    in_fence = False
+    for line in text.splitlines():
         if line.strip().startswith("```"):
             in_fence = not in_fence
             continue
-        if in_fence:
-            continue
-        for match in LINK_RE.finditer(line):
-            target = match.group(1)
-            if "://" in target or target.startswith(("mailto:", "#")):
-                continue
-            yield lineno, target.split("#", 1)[0]
+        match = None if in_fence else HEADING_RE.match(line)
+        if match:
+            texts.add(" ".join(match.group(1).split()))
+            anchor = slug(match.group(1))
+            count = seen.get(anchor, 0)
+            seen[anchor] = count + 1
+            anchors.add(f"{anchor}-{count}" if count else anchor)
+    return frozenset(texts), frozenset(anchors)
+
+
+@functools.lru_cache(maxsize=None)
+def headings(page: Path) -> Tuple[frozenset, frozenset]:
+    """:func:`heading_index` of a page on disk."""
+    return heading_index(page.read_text(encoding="utf-8"))
 
 
 def check_links(path: Path, text: str) -> Tuple[List[str], List[Path]]:
-    """Resolve every relative link; return (problems, linked files)."""
+    """Resolve every relative link and its anchor; return (problems,
+    linked files)."""
     problems: List[str] = []
     resolved: List[Path] = []
+    where = path.relative_to(REPO_ROOT)
+    own_anchors = heading_index(text)[1]
     for lineno, target in link_targets(text):
-        candidate = (path.parent / target).resolve()
-        if candidate.exists():
-            resolved.append(candidate)
+        target, _, anchor = target.partition("#")
+        if not target:
+            anchors = own_anchors
         else:
+            candidate = (path.parent / target).resolve()
+            if not candidate.exists():
+                problems.append(f"{where}:{lineno}: broken link ({target} does not exist)")
+                continue
+            resolved.append(candidate)
+            anchors = headings(candidate)[1] if candidate.suffix == ".md" else None
+        if anchor and anchors is not None and anchor not in anchors:
             problems.append(
-                f"{path.relative_to(REPO_ROOT)}:{lineno}: broken link"
-                f" ({target} does not exist)"
+                f"{where}:{lineno}: broken link (#{anchor} is no heading of"
+                f" {target or 'this page'})"
             )
     return problems, resolved
+
+
+def cited_page(name: str) -> Path:
+    """The page a citation names: a repo-relative path, or a bare name
+    at the top level or under ``docs/``."""
+    for candidate in (REPO_ROOT / name, REPO_ROOT / "docs" / name):
+        if candidate.exists():
+            return candidate
+    return REPO_ROOT / name
+
+
+def check_citations(path: Path, text: str) -> Tuple[List[str], int]:
+    """Every ``<PAGE>.md "<Heading>"`` names a page that has that
+    heading; returns (problems, citations checked)."""
+    problems: List[str] = []
+    checked = 0
+    for match in CITATION_RE.finditer(text):
+        checked += 1
+        page = cited_page(match.group(1))
+        heading = " ".join(re.sub(r"\n[ \t]*#?", " ", match.group(2)).split())
+        lineno = text.count("\n", 0, match.start()) + 1
+        where = f"{path.relative_to(REPO_ROOT)}:{lineno}"
+        if not page.exists():
+            problems.append(f"{where}: cites {match.group(1)}, which does not exist")
+        elif heading not in headings(page)[0]:
+            problems.append(
+                f'{where}: {page.relative_to(REPO_ROOT)} has no heading "{heading}"'
+            )
+    return problems, checked
+
+
+def _cell(value: float) -> str:
+    """Three significant digits, trailing zeros kept (0.600, 23.4)."""
+    return f"{value:#.3g}".rstrip(".")
+
+
+def _row(cells: List[str]) -> str:
+    return "| " + " | ".join(cells) + " |"
+
+
+def bench_records(root: Path = REPO_ROOT) -> List[Tuple[str, dict]]:
+    """(file name, record) for every committed ``BENCH_<n>.json``, by n."""
+    paths = sorted(root.glob("BENCH_*.json"), key=lambda p: int(re.sub(r"\D", "", p.stem)))
+    return [(p.name, json.loads(p.read_text())) for p in paths]
+
+
+def render_bench_tables(spec: dict, baseline: dict, records: List[Tuple[str, dict]]) -> dict:
+    """The generated blocks of docs/PERFORMANCE.md, by name.
+
+    ``measured``: per workload, the parent-side median and min..max of
+    every end-to-end metric in the newest record.  ``trajectory``:
+    ``norm_s`` per workload, the baseline's value and then each
+    record's parent and change medians with the pairs the change won.
+    ``spec`` is BENCHMARK.json, ``baseline`` bench/baseline.json and
+    ``records`` what :func:`bench_records` returns."""
+    workloads = [w["name"] for w in spec["workloads"]]
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    newest_name, newest = records[-1]
+    runs = [run for w in workloads for run in newest["workloads"][w]["runs"]["parent"]]
+    seeds = sorted({run["seed"] for run in runs})
+    measured = [
+        f"Parent side of `{newest_name}` (parent `{newest['parent']['sha'][:7]}`,"
+        f" {newest['pairs']} pairs per workload, seeds {seeds[0]}..{seeds[-1]},"
+        f" {sum(r['failed'] for r in runs)} failed of"
+        f" {sum(r['attempted'] for r in runs):,} attempted):",
+        "",
+        _row(["workload"] + [f"`{m}`" for m in metrics]),
+        "|---" * (len(metrics) + 1) + "|",
+    ]
+    for w in workloads:
+        cells = [f"`{w}`"]
+        for m in metrics:
+            values = [run["metrics"][m] for run in newest["workloads"][w]["runs"]["parent"]]
+            median = newest["workloads"][w]["metrics"][m]["parent_median"]
+            cells.append(f"{_cell(median)} ({_cell(min(values))}..{_cell(max(values))})")
+        measured.append(_row(cells))
+    trajectory = [
+        _row(["record"] + [f"`{w}`" for w in workloads]),
+        "|---" * (len(workloads) + 1) + "|",
+        _row(["`bench/baseline.json`"] + [_cell(baseline["values"][w]["norm_s"]) for w in workloads]),
+    ]
+    for name, record in records:
+        cells = [f"`{name}`"]
+        for w in workloads:
+            row = record["workloads"][w]["metrics"]["norm_s"]
+            cells.append(
+                f"{_cell(row['parent_median'])} → {_cell(row['change_median'])}"
+                f" ({row['wins']}/{row['pairs']})"
+            )
+        trajectory.append(_row(cells))
+    return {"measured": "\n".join(measured) + "\n", "trajectory": "\n".join(trajectory) + "\n"}
+
+
+@functools.lru_cache(maxsize=None)
+def repo_bench_tables() -> dict:
+    """:func:`render_bench_tables` over this checkout's files."""
+    return render_bench_tables(
+        json.loads((REPO_ROOT / "BENCHMARK.json").read_text()),
+        json.loads((REPO_ROOT / "bench" / "baseline.json").read_text()),
+        bench_records(),
+    )
+
+
+def check_generated(path: Path, text: str, expected: dict) -> Tuple[List[str], List[str]]:
+    """Every generated block equals ``expected[name]``; returns
+    (problems, names of the blocks found)."""
+    problems: List[str] = []
+    found: List[str] = []
+    for match in GENERATED_RE.finditer(text):
+        name, body = match.groups()
+        found.append(name)
+        lineno = text.count("\n", 0, match.start()) + 1
+        where = f"{path.relative_to(REPO_ROOT)}:{lineno}"
+        if name not in expected:
+            problems.append(f"{where}: no renderer makes a block named {name!r}")
+        elif body != expected[name]:
+            problems.append(
+                f"{where}: generated block {name!r} differs from the BENCH_*.json"
+                f" records; expected:\n{expected[name]}"
+            )
+    return problems, found
 
 
 def check_paths(path: Path, text: str) -> Tuple[List[str], int]:
@@ -348,10 +545,14 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv:
         paths = [Path(arg).resolve() for arg in argv]
+        citing = paths
     else:
         paths = sorted((REPO_ROOT / "docs").glob("*.md")) + [
             REPO_ROOT / name for name in TOP_LEVEL_PAGES
         ]
+        citing = paths + sorted(
+            path for pattern in CITING_GLOBS for path in REPO_ROOT.glob(pattern)
+        )
     problems: List[str] = []
     commands: List[Tuple[str, str]] = []
     total_blocks = 0
@@ -360,6 +561,7 @@ def main(argv=None) -> int:
     total_names = 0
     invocations: List[Tuple[str, str]] = []
     linked_from: dict = {}
+    generated: List[str] = []
     for path in paths:
         file_problems, file_commands, blocks = check_file(path)
         problems.extend(file_problems)
@@ -380,6 +582,20 @@ def main(argv=None) -> int:
         name_problems, checked = check_dotted_names(path, text)
         problems.extend(name_problems)
         total_names += checked
+        if "<!-- begin generated:" in text:
+            block_problems, found = check_generated(path, text, repo_bench_tables())
+            problems.extend(block_problems)
+            generated.extend(found)
+    total_citations = 0
+    for path in citing:
+        citation_problems, checked = check_citations(path, path.read_text(encoding="utf-8"))
+        problems.extend(citation_problems)
+        total_citations += checked
+    if not argv:
+        problems.extend(
+            f"no page holds the generated block {name!r}"
+            for name in sorted(set(repo_bench_tables()) - set(generated))
+        )
     problems.extend(check_cli_commands(commands))
     flag_problems, total_flags = check_cli_flags(invocations)
     problems.extend(flag_problems)
@@ -389,7 +605,8 @@ def main(argv=None) -> int:
         f"checked {len(paths)} files, {total_blocks} fenced blocks, "
         f"{unique_cmds} distinct CLI commands, {total_flags} CLI flags, "
         f"{total_links} relative links, {total_paths} repo paths, "
-        f"{total_names} dotted names"
+        f"{total_names} dotted names, {total_citations} heading citations in"
+        f" {len(citing)} files, {len(generated)} generated blocks"
     )
     for problem in problems:
         print(f"FAIL {problem}")

@@ -8,15 +8,16 @@ the engine and the links fall back to their pure-python code whenever
 the module is missing — so a failed build must never fail the install.
 It is built at ``-O2``: the build is most of the benchmark's
 ``setup_s``, and ``-O3`` takes the compiler 13 % longer for run times
-within 0.5 % (docs/PERFORMANCE.md, "The compiled hop"); ``-g0`` pays
-for the bytecode below.  Build it explicitly with:
+within 0.5 % (docs/PERFORMANCE.md, "The compiled core and its
+fallback"); ``-g0`` pays for the bytecode below.  Build it explicitly
+with:
 
     python setup.py build_ext --inplace
 
 which also writes the package's bytecode, as ``pip install`` would, so
 a ``PYTHONDONTWRITEBYTECODE=1`` interpreter does not compile ``repro``
 at every start.  Hash-checked, so an edited module is recompiled on
-import, never run stale ("Start from bytecode" in docs/PERFORMANCE.md).
+import, never run stale (docs/PERFORMANCE.md "Cost of a CLI call").
 
 Set ``REPRO_REQUIRE_COMPILED=1`` to turn a failure of either step into
 a hard error (the compiled-core CI leg does, so a silently broken

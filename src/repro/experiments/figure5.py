@@ -206,7 +206,7 @@ def run_figure5(
     forks the frozen world instead of re-running slow start from t=0
     (bit-identical rows, see tests/experiments/test_warmstart_grids.py;
     1.2x slower than cold at this grid's paper size, see
-    docs/PERFORMANCE.md "What warm start costs").  A :class:`~repro.obs.RunManifest` passed
+    docs/WARMSTART.md "What warm start costs").  A :class:`~repro.obs.RunManifest` passed
     as ``manifest`` is annotated with the harness identity and
     canonical config (docs/OBSERVABILITY.md).
     """

@@ -153,7 +153,7 @@ if CORE_BACKEND == "compiled":  # pragma: no cover - compiled-core CI leg
     # become C method descriptors, and the dispatch loop runs
     # Link._serve/_deliver events natively.  The methods above stay the
     # per-packet fallback and the pure backend (docs/PERFORMANCE.md,
-    # "The compiled hop").
+    # "Cost of a hop").
     from repro.net.red import RedQueue
     from repro.sim import _engine_core
 

@@ -19,7 +19,7 @@ snapshot is missing, corrupt or foreign runs the prefix cold, so a
 damaged store never fails or changes a warm sweep.
 :mod:`repro.runner.warmstart` is imported only when a caller asks for
 a warm start.  No CLI flag does: at paper size forking beats running
-cold on no grid and loses 1.2-1.5x on most (docs/PERFORMANCE.md "What
+cold on no grid and loses 1.2-1.5x on most (docs/WARMSTART.md "What
 warm start costs"), so the path is kept for library callers, the
 bit-identity suite and the benchmark probe; see docs/WARMSTART.md.
 """

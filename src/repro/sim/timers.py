@@ -10,7 +10,7 @@ implementations.
 A restart usually moves the expiration later, so the timer keeps a
 *deadline* next to at most one pending event and only moves the
 deadline; the event, when it fires early, re-arms itself at the exact
-deadline (docs/PERFORMANCE.md "Timers that move").
+deadline (docs/PERFORMANCE.md "Cost of an ACK").
 """
 
 from __future__ import annotations

@@ -72,8 +72,8 @@ if CORE_BACKEND == "compiled":  # pragma: no cover - compiled-core CI leg
     # The core builds each record and calls the subscribers itself: a
     # record costs no emit frame and no TraceRecord.__new__ frame.  The
     # method above stays the pure backend and the fallback for a call it
-    # would bind differently (docs/PERFORMANCE.md, "Records without
-    # frames").
+    # would bind differently (docs/PERFORMANCE.md, "Cost of
+    # an ACK").
     from repro.sim import _engine_core
 
     TraceChannel.emit = _engine_core.install_tracing(

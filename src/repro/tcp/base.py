@@ -107,7 +107,7 @@ class TcpSender(Agent):
     # Slots keep every read and write of them on CPython's fast attribute
     # path; a variant's own few fields stay in its instance dict, which
     # CPython keeps inline while it has fewer than 30 names
-    # (docs/PERFORMANCE.md "Sender state in slots").
+    # (docs/PERFORMANCE.md "Cost of an ACK").
     __slots__ = (
         "sim", "config", "dst", "observer", "trace",
         "cwnd", "ssthresh", "snd_una", "snd_nxt", "maxseq", "dupacks",
@@ -522,9 +522,9 @@ class TcpSender(Agent):
         ackno = packet.ackno
         if ackno >= self.recover:
             self._deflate_full()
+            self._ack_common(ackno)
             self._exit_recovery_common()
             self._no_retransmit_below = self.recover
-            self._ack_common(ackno)
             self._send_limited()
             return
         newly_acked = ackno - self.snd_una

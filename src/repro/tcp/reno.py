@@ -37,8 +37,8 @@ class RenoSender(TcpSender):
         # Reno exits on ANY new ACK, partial or full: deflate and resume
         # congestion avoidance.
         self._deflate_full()
-        self._exit_recovery_common()
         self._ack_common(packet.ackno)
+        self._exit_recovery_common()
         self.send_available()
 
     def _on_timeout_reset(self) -> None:

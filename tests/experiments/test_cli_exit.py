@@ -1,8 +1,8 @@
 """The CLI's process exit path (``repro.experiments.cli.console_main``).
 
 A CLI process freezes the collector before teardown, so the interpreter
-skips its final collection pass (docs/PERFORMANCE.md "What a CLI call
-pays for").  These tests check that nothing a caller sees changes: exit
+skips its final collection pass (docs/PERFORMANCE.md "Cost of a CLI
+call").  These tests check that nothing a caller sees changes: exit
 status, stdout, the manifest and the event log.
 """
 

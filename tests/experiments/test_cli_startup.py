@@ -1,7 +1,7 @@
 """Import budget of the experiments CLI: a call pays for what it runs.
 
 Counts of loaded modules (``sys.modules`` of a fresh interpreter), not
-timings — see the "CLI start-up" section of docs/PERFORMANCE.md.
+timings — see docs/PERFORMANCE.md "Cost of a CLI call".
 """
 
 import json

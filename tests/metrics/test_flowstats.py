@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.config import TcpConfig
+from repro.experiments.common import FlowSpec, build_dumbbell_scenario
 from repro.metrics.flowstats import FlowStats
+from repro.net.loss import DeterministicLoss
 from repro.net.packet import data_packet
+from repro.net.topology import DumbbellParams
 from repro.sim.tracing import TraceBus, TraceRecord
+from repro.tcp.factory import VARIANTS
 
 
 class FakeSender:
@@ -70,6 +75,28 @@ class TestObserverHooks:
         stats.on_timeout(4.2, FakeSender())
         assert stats.timeouts == 1
         assert stats.timeout_times == [4.2]
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_episode_exit_ack_is_the_exiting_ack(variant):
+    """Every episode's ``exit_ack`` is the cumulative ACK at its exit:
+    the ACK that ended it (or ``snd_una`` at a timeout), never the
+    level before it.  Two loss bursts give every recovering variant
+    partial ACKs and at least one full exit."""
+    drops = [(1, seq) for seq in (60, 61, 63, 66, 150, 152)]
+    scenario = build_dumbbell_scenario(
+        flows=[FlowSpec(variant=variant, amount_packets=400)],
+        params=DumbbellParams(n_pairs=1, buffer_packets=25),
+        default_config=TcpConfig(receiver_window=64, initial_ssthresh=20.0),
+        forward_loss=DeterministicLoss(drops),
+    )
+    scenario.sim.run(until=60.0)
+    stats = scenario.stats[1]
+    exits = [e for e in stats.episodes if e.exit_time is not None]
+    if variant != "tahoe":  # Tahoe has no recovery phase
+        assert exits
+    for episode in exits:
+        assert episode.exit_ack == stats.acked_at(episode.exit_time), episode
 
 
 class TestDerivedQueries:

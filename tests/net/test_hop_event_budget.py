@@ -94,7 +94,7 @@ compiled_only = pytest.mark.skipif(CORE_BACKEND != "compiled", reason="needs the
 @pytest.mark.parametrize("world", [figure7_cell, wan_scene])
 def test_hop_entries_fire_without_an_event(world):
     """The compiled hop books its arrivals and services as lazy entries
-    (docs/PERFORMANCE.md "The compiled hop"): nearly every event of a
+    (docs/PERFORMANCE.md "Cost of a hop"): nearly every event of a
     hop-bound world is one (measured 0.997 and 0.999)."""
     sim, _ = world()
     assert sim._core.hop_events >= 0.9 * sim.events_processed

@@ -1,8 +1,8 @@
 """The hop classes keep every field in a slot.
 
 The compiled hop reads and writes links, queues and routers at the slot
-offsets ``install_hop`` captures (docs/PERFORMANCE.md "Hop state in
-slots").  A field assigned without a slot would quietly give instances a
+offsets ``install_hop`` captures (docs/PERFORMANCE.md "Cost of a
+hop").  A field assigned without a slot would quietly give instances a
 ``__dict__`` again; here it fails loudly instead.  Runs the golden
 dumbbell and a RED dumbbell and checks every hop object they built.
 """

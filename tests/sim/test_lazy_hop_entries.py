@@ -2,7 +2,7 @@
 
 On the compiled backend the hop books each ``Link._serve`` and
 ``Link._deliver`` as a heap entry that holds the link and the packet and
-leaves its pooled ``Event`` unfilled (docs/PERFORMANCE.md "The compiled
+leaves its pooled ``Event`` unfilled (docs/PERFORMANCE.md "Cost of a
 hop").  Whatever lets Python look at the heap -- ``heap_entries()``, a
 digest, a pickle, ``clear()``, a callback error -- must see the events the
 pure backend books: same time, serial, callback and arguments.  The

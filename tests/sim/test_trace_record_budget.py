@@ -13,8 +13,8 @@ sit a little above the measured calls per ACK (``sys.setprofile``
 divided by the ACKs the receiver sent, which do not change when a
 category leaves the stack) on whichever backend the suite runs under.  A breach means a frame came back
 between the emit site and the subscribers, or a category came back
-onto the stack; docs/PERFORMANCE.md "Records without frames" and "Hops
-nobody reads" list the frames that are meant to be there.
+onto the stack; docs/PERFORMANCE.md "Cost of an ACK" lists
+the frames that are meant to be there.
 """
 
 import sys

@@ -1,8 +1,8 @@
 """The compiled ``TraceChannel.emit``: same records, same calls, same errors.
 
 On the compiled backend the core builds each ``TraceRecord`` and calls
-the channel's subscribers itself (docs/PERFORMANCE.md "Records without
-frames").  The contract tests below hold for whichever ``emit`` the
+the channel's subscribers itself (docs/PERFORMANCE.md "Cost of an
+ACK").  The contract tests below hold for whichever ``emit`` the
 suite runs under, and the parity test runs the full observation stack
 on the pure backend in one process and on the default backend (compiled
 when built) in another: every record, in order, must match -- the

@@ -7,7 +7,7 @@ the measured calls per ACK (``sys.setprofile`` "call" events across
 ``sim.run``, divided by the ACKs the receiver sent), on whichever
 backend the suite runs under.  A breach means a glue frame — a property
 getter, a one-line helper, an ``Agent`` indirection — came back onto
-the per-packet path; docs/PERFORMANCE.md "The endpoint path" lists the
+the per-packet path; docs/PERFORMANCE.md "Cost of an ACK" lists the
 frames that are meant to be there.
 """
 

@@ -7,7 +7,7 @@ CPython 3.11 keeps an ordinary instance's attributes inline (no
 every read and write of the object goes through a dictionary lookup
 (``LOAD_ATTR_WITH_HINT``) for the rest of its life.  ``TcpSender`` keeps
 its own fields in ``__slots__`` and a variant only its few extra ones in
-its instance dict (docs/PERFORMANCE.md "Sender state in slots").
+its instance dict (docs/PERFORMANCE.md "Cost of an ACK").
 
 ``dict_census`` walks every ``repro`` object reachable from a world with
 ``gc.get_referents``, which reports an instance's dict once it has been

@@ -1,5 +1,5 @@
 """The in-place build writes hash-checked bytecode for ``repro``
-(setup.py; "Start from bytecode" in docs/PERFORMANCE.md).
+(setup.py; docs/PERFORMANCE.md "Cost of a CLI call").
 
 The build runs on a copy of the package with ``CC=false``, so the
 optional C core fails fast and is tolerated: bytecode is written even
