@@ -18,7 +18,11 @@ run made is kept in ``bench/out/pairs.json``; ``--record PATH`` also
 writes the whole comparison (both SHAs, every run, medians, IQR, wins,
 verdicts) as JSON, the form of the committed ``BENCH_*.json`` files,
 which ``scripts/check_docs.py`` renders into docs/PERFORMANCE.md
-"Measured numbers".
+"Measured numbers".  With ``--record``, each workload's pairs are
+followed by one ``--trace 1`` run of seed S per side, whose per-layer
+metrics in a ``count`` or ``ratio`` unit (events, drops, hit ratios:
+what a change did rather than how fast) the record keeps under
+``traced``.
 """
 
 import argparse
@@ -33,6 +37,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK_PATHS = ("bench", "BENCHMARK.json")
+
+#: Units of the traced per-layer metrics a record keeps: exact counts
+#: and their ratios, which do not drift with the machine.
+TRACED_UNITS = ("count", "ratio")
 
 #: One end-to-end metric of one workload: both medians, how much worse
 #: the change is (a fraction; negative is better), the metric's bound,
@@ -56,10 +64,12 @@ def benchmark_changes(root, rev):
     )
 
 
-def run_benchmark(tree, workload, seed):
-    """One ``bench/run.py`` run in ``tree``; its last-line JSON object."""
+def run_benchmark(tree, workload, seed, trace=False):
+    """One ``bench/run.py`` run in ``tree`` (traced: ``--trace 1``); its
+    last-line JSON object."""
+    command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)],
+        command + (["--trace", "1"] if trace else []),
         cwd=tree, check=True, stdout=subprocess.PIPE, text=True,
     )
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -117,8 +127,18 @@ def git_sha(root, rev):
     ).stdout.strip()
 
 
-def record(spec, args, runs, rows, problems):
-    """The comparison as one JSON-ready dict (``--record``)."""
+def traced_counts(final):
+    """The metrics of a traced run whose unit is in :data:`TRACED_UNITS`."""
+    return {
+        name: metric["value"]
+        for name, metric in final["metrics"].items()
+        if metric["unit"] in TRACED_UNITS
+    }
+
+
+def record(spec, args, runs, rows, problems, traced):
+    """The comparison as one JSON-ready dict (``--record``).  ``traced``
+    maps a workload to ``{side: final object of its traced run}``."""
     names = [metric["name"] for metric in spec["end_to_end"]]
     uncommitted = subprocess.run(
         ["git", "-C", str(ROOT), "status", "--porcelain", "--untracked-files=no"],
@@ -142,6 +162,11 @@ def record(spec, args, runs, rows, problems):
         }
         for workload, sides in runs.items()
     }
+    for workload, sides in traced.items():
+        workloads[workload]["traced"] = {
+            "seed": args.seed,
+            **{side: traced_counts(final) for side, final in sides.items()},
+        }
     for row in rows:
         workloads[row.workload]["metrics"][row.metric] = {
             "parent_median": row.parent,
@@ -182,7 +207,7 @@ def main(argv=None):
         return 2
     parent_tree = Path(tempfile.mkdtemp(prefix="bench-pair-parent-"))
     trees = {"parent": parent_tree, "change": ROOT}
-    runs, rows, problems = {}, [], []
+    runs, traced, rows, problems = {}, {}, [], []
     try:
         archive = subprocess.run(
             ["git", "-C", str(ROOT), "archive", args.parent],
@@ -201,6 +226,16 @@ def main(argv=None):
                         for name, metric in final["metrics"].items()
                     )
                     print(f"{workload} seed {args.seed + pair} {side}: {values}", flush=True)
+            if args.record:
+                traced[workload] = {}
+                for side in ("parent", "change"):
+                    final = run_benchmark(trees[side], workload, args.seed, trace=True)
+                    traced[workload][side] = final
+                    print(
+                        f"{workload} seed {args.seed} {side} traced: correct {final.get('correct')}"
+                        f" failed {final['failed']}",
+                        flush=True,
+                    )
             new_rows, new_problems = verdict(spec, workload, sides["parent"], sides["change"])
             rows += new_rows
             problems += new_problems
@@ -210,7 +245,8 @@ def main(argv=None):
     out.mkdir(exist_ok=True)
     (out / "pairs.json").write_text(json.dumps({"parent": args.parent, "runs": runs}, indent=1))
     if args.record:
-        args.record.write_text(json.dumps(record(spec, args, runs, rows, problems), indent=1) + "\n")
+        comparison = record(spec, args, runs, rows, problems, traced)
+        args.record.write_text(json.dumps(comparison, indent=1) + "\n")
 
     print("\n| workload | metric | parent median | parent IQR | change median | worse by | wins | bound |")
     print("|---|---|---|---|---|---|---|---|")

@@ -22,7 +22,7 @@ from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.net.loss import LossModule, NoLoss
-from repro.net.packet import Packet, maybe_release
+from repro.net.packet import Packet
 from repro.net.queues import PacketQueue
 from repro.net.slotstate import SlotState
 from repro.sim.engine import Simulator
@@ -58,14 +58,14 @@ class Link(SlotState):
 
     __slots__ = (
         "_sim", "name", "bandwidth_bps", "delay", "queue", "trace", "_loss",
-        "_loss_active", "_dst", "_recycle", "reorder", "tamper", "_free_at",
+        "_loss_active", "_dst", "reorder", "tamper", "_free_at",
         "_serve_pending", "_down", "rate_schedule", "packets_delivered",
         "bytes_delivered", "outage_drops", "_ch_tx",
     )
 
-    #: Derived caches (trace channel, loss-activity and recycle flags),
-    #: left out of the state; the loss module is under ``loss``.
-    _DERIVED = ("_loss", "_loss_active", "_recycle", "_ch_tx")
+    #: Derived caches (trace channel, loss-activity flag), left out of
+    #: the state; the loss module is under ``loss``.
+    _DERIVED = ("_loss", "_loss_active", "_ch_tx")
 
     def __init__(
         self,
@@ -89,7 +89,6 @@ class Link(SlotState):
         self.trace = trace
         self.loss = loss or NoLoss()  # property: also derives _loss_active
         self._dst: Optional["Node"] = None
-        self._recycle = False  # derived in connect()
         # Optional reordering injector (see repro.net.reorder): adds
         # per-packet extra propagation delay so later packets overtake.
         self.reorder = None
@@ -160,11 +159,6 @@ class Link(SlotState):
     def connect(self, dst: "Node") -> None:
         """Attach the receiving node."""
         self._dst = dst
-        # Only an endpoint consumes a packet.  One handed to a
-        # forwarding node is by now in the next link's queue (or that
-        # link just dropped it), so probing the pool there is almost
-        # always a miss: attempt the recycle at endpoints only.
-        self._recycle = not getattr(dst, "forwards", False)
 
     @property
     def dst(self) -> Optional["Node"]:
@@ -304,25 +298,12 @@ class Link(SlotState):
         if waiting:
             sim.schedule_abs(done, self._serve)
 
-    #: Exact reference count of a packet at the recycle check below when
-    #: only the clean delivery chain holds it: the firing event's args
-    #: tuple + this frame's local + maybe_release's argument binding +
-    #: sys.getrefcount's temporary.  The consumers (host/agent receive)
-    #: have already returned, so the count is independent of how deep
-    #: that chain was; a forwarding router's queue, a retained trace
-    #: record or any other holder raises it and recycling is skipped.
-    _DELIVERED_CLEAN_REFS = 4
-
     def _deliver(self, packet: Packet) -> None:
         self.packets_delivered += 1
         self.bytes_delivered += packet.size
         if self._dst is None:
             raise ConfigurationError(f"link {self.name} has no destination node")
         self._dst.receive(packet)
-        # End of the wire journey for packets consumed by an endpoint:
-        # recycle into the packet pool unless anything still holds one.
-        if self._recycle:
-            maybe_release(packet, self._DELIVERED_CLEAN_REFS)
 
     def _emit(self, category: str, **fields) -> None:
         if self.trace is not None:

@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 from repro.errors import TopologyError
 from repro.net.link import Link
-from repro.net.packet import Packet, maybe_release
+from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
 from repro.net.slotstate import SlotState
 from repro.sim.engine import CORE_BACKEND, Simulator
@@ -60,10 +60,6 @@ class Node(SlotState):
     ``__slots__``; the checkpoint state is :class:`SlotState`'s mapping."""
 
     __slots__ = ("sim", "name", "routes", "packets_received")
-
-    #: True for nodes that pass arriving packets on to another link
-    #: rather than consuming them (links read it once, in ``connect``).
-    forwards = False
 
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
@@ -136,8 +132,6 @@ class Router(Node):
 
     __slots__ = ()
 
-    forwards = True
-
     def receive(self, packet: Packet) -> None:
         self.packets_received += 1
         link = self.routes.get(packet.dst)  # Node.send inlined: hot
@@ -161,5 +155,5 @@ if CORE_BACKEND == "compiled":  # pragma: no cover - compiled-core CI leg
         Link, Router, Simulator, DropTailQueue, RedQueue, Packet, Node, Host,
         Link.send, Link._serve, Link._deliver, Router.receive, Simulator.schedule_abs,
         DropTailQueue.enqueue, DropTailQueue.dequeue, RedQueue.enqueue, RedQueue.dequeue,
-        Node.send, maybe_release, Link._DELIVERED_CLEAN_REFS - 1, deque.append, deque.popleft,
+        Node.send, deque.append, deque.popleft,
     )

@@ -12,7 +12,6 @@ throughout the paper's evaluation (Section 3.1).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -207,86 +206,27 @@ class Packet:
         return f"<ACK f{self.flow_id} ack={self.ackno}{sacks} {self.src}->{self.dst}>"
 
 
-class PacketPool:
-    """A free list of :class:`Packet` objects.
+class _EmptyPool:
+    """What :func:`packet_pool` returns: packets are not pooled, so every
+    count is zero.  Kept only for ``bench/workloads.py``; ROADMAP item 1a
+    deletes it with :func:`packet_pool` and :func:`drain_packet_pool`."""
 
-    Pooling rules (see docs/PERFORMANCE.md):
-
-    * :func:`data_packet` / :func:`ack_packet` draw from the pool; a
-      reused packet has **every** field reassigned (including a fresh
-      ``sack_blocks`` list and a freshly minted uid), so a pooled
-      acquisition is indistinguishable from a cold construction —
-      the uid sequence, and therefore every digest, is unchanged.
-    * :func:`maybe_release` returns a packet only when the exact,
-      locally known clean reference chain holds it (checked via
-      ``sys.getrefcount``).  Any extra holder — a retained trace
-      record, a test local, a fault-injection buffer — makes the count
-      differ and the packet is simply leaked to the GC instead.
-      Skipping is always safe; recycling is the opportunistic win.
-    * :func:`drain_packet_pool` empties the free list; snapshot capture
-      calls it so pickles and digests can never observe pooled garbage.
-    """
-
-    __slots__ = ("free", "max_free", "reused", "released", "skipped")
-
-    def __init__(self, max_free: int = 1024):
-        self.free: List[Packet] = []
-        self.max_free = max_free
-        self.reused = 0
-        self.released = 0
-        self.skipped = 0
+    __slots__ = ()
 
     def stats(self) -> dict:
-        return {
-            "free": len(self.free),
-            "reused": self.reused,
-            "released": self.released,
-            "skipped": self.skipped,
-        }
+        return {"free": 0, "reused": 0, "released": 0, "skipped": 0}
 
 
-_pool = PacketPool()
-_getrefcount = sys.getrefcount
-
-#: Reference count of a packet at the :func:`maybe_release` call when
-#: exactly the known clean chain holds it:
-#:   the caller's local + the releaser's argument binding + the
-#:   temporary reference ``sys.getrefcount`` itself holds.
-#: Anything beyond that means someone still cares about the packet.
-_CLEAN_REFS = 3
-
-
-def packet_pool() -> PacketPool:
-    """The process-global packet pool (introspection/tests)."""
-    return _pool
+def packet_pool() -> _EmptyPool:
+    """Zero pool counts.  Kept only for ``bench/workloads.py`` until
+    ROADMAP item 1a deletes it."""
+    return _EmptyPool()
 
 
 def drain_packet_pool() -> int:
-    """Empty the free list (snapshot-capture hygiene hook).  Returns
-    the number of pooled packets discarded."""
-    drained = len(_pool.free)
-    _pool.free.clear()
-    return drained
-
-
-def maybe_release(packet: Packet, expected_refs: int = _CLEAN_REFS) -> bool:
-    """Recycle ``packet`` into the pool iff nothing else references it.
-
-    ``expected_refs`` is the exact reference count of the clean chain at
-    this call site (default: a caller holding one local).  Call sites
-    deeper in a known call chain pass their own constant.  A mismatch
-    in either direction skips recycling — lower counts mean the caller
-    is not holding the packet the way the contract assumes, higher
-    counts mean someone (trace record, metrics, test) still holds it.
-    """
-    if _getrefcount(packet) != expected_refs:
-        _pool.skipped += 1
-        return False
-    _pool.released += 1
-    free = _pool.free
-    if len(free) < _pool.max_free:
-        free.append(packet)
-    return True
+    """Returns 0: there is no pool to drain.  Kept only for
+    ``bench/workloads.py`` until ROADMAP item 1a deletes it."""
+    return 0
 
 
 def data_packet(
@@ -297,36 +237,25 @@ def data_packet(
     size: int = DEFAULT_DATA_BYTES,
     is_retransmit: bool = False,
 ) -> Packet:
-    """Build a DATA packet (drawing from the packet pool)."""
-    free = _pool.free
-    if free:
-        _pool.reused += 1
-        packet = free.pop()
-        packet.kind = DATA
-        packet.flow_id = flow_id
-        packet.src = src
-        packet.dst = dst
-        packet.seqno = seqno
-        packet.ackno = 0
-        packet.size = size
-        packet.sack_blocks = []
-        packet.ecn_capable = False
-        packet.ecn_marked = False
-        packet.ecn_echo = False
-        packet.is_retransmit = is_retransmit
-        packet.sent_at = 0.0
-        packet.uid = uid = _uid_counter.next_uid
-        _uid_counter.next_uid = uid + 1
-        return packet
-    return Packet(
-        kind=DATA,
-        flow_id=flow_id,
-        src=src,
-        dst=dst,
-        seqno=seqno,
-        size=size,
-        is_retransmit=is_retransmit,
-    )
+    """Build a DATA packet."""
+    # Slot writes, not Packet(...): no __init__ frame per packet.
+    packet = object.__new__(Packet)
+    packet.kind = DATA
+    packet.flow_id = flow_id
+    packet.src = src
+    packet.dst = dst
+    packet.seqno = seqno
+    packet.ackno = 0
+    packet.size = size
+    packet.sack_blocks = []
+    packet.ecn_capable = False
+    packet.ecn_marked = False
+    packet.ecn_echo = False
+    packet.is_retransmit = is_retransmit
+    packet.sent_at = 0.0
+    packet.uid = uid = _uid_counter.next_uid
+    _uid_counter.next_uid = uid + 1
+    return packet
 
 
 def ack_packet(
@@ -337,37 +266,24 @@ def ack_packet(
     size: int = DEFAULT_ACK_BYTES,
     sack_blocks: Optional[List[SackBlock]] = None,
 ) -> Packet:
-    """Build an ACK packet (optionally carrying SACK blocks), drawing
-    from the packet pool."""
-    free = _pool.free
-    if free:
-        _pool.reused += 1
-        packet = free.pop()
-        packet.kind = ACK
-        packet.flow_id = flow_id
-        packet.src = src
-        packet.dst = dst
-        packet.seqno = 0
-        packet.ackno = ackno
-        packet.size = size
-        packet.sack_blocks = list(sack_blocks or ())
-        packet.ecn_capable = False
-        packet.ecn_marked = False
-        packet.ecn_echo = False
-        packet.is_retransmit = False
-        packet.sent_at = 0.0
-        packet.uid = uid = _uid_counter.next_uid
-        _uid_counter.next_uid = uid + 1
-        return packet
-    return Packet(
-        kind=ACK,
-        flow_id=flow_id,
-        src=src,
-        dst=dst,
-        ackno=ackno,
-        size=size,
-        sack_blocks=list(sack_blocks or ()),
-    )
+    """Build an ACK packet (optionally carrying SACK blocks)."""
+    packet = object.__new__(Packet)
+    packet.kind = ACK
+    packet.flow_id = flow_id
+    packet.src = src
+    packet.dst = dst
+    packet.seqno = 0
+    packet.ackno = ackno
+    packet.size = size
+    packet.sack_blocks = list(sack_blocks or ())
+    packet.ecn_capable = False
+    packet.ecn_marked = False
+    packet.ecn_echo = False
+    packet.is_retransmit = False
+    packet.sent_at = 0.0
+    packet.uid = uid = _uid_counter.next_uid
+    _uid_counter.next_uid = uid + 1
+    return packet
 
 
 def clone_packet(packet: Packet) -> Packet:

@@ -13,15 +13,11 @@
  * orders on (time, serial) exactly like the pure backend's (time,
  * serial, event) tuples; serials are unique so the event itself is
  * never compared.  An entry the hop books (a lazy entry: link set,
- * packet NULL for Link._serve) takes its Event from the free list like
- * any other but leaves it unfilled; the loop runs the hop straight from
- * the entry.  entries() and the error path fill the Event with what the
- * eager path writes, after which it is an ordinary entry.
- *
- * Fired/cancelled events whose only remaining reference is the core's
- * own are recycled onto the shared free list (set_free_list) after
- * their fn/args are cleared, mirroring the pure backend's
- * sys.getrefcount gate.
+ * packet NULL for Link._serve) owns no Event (event NULL); the loop runs
+ * the hop straight from the entry.  entries() and the error path
+ * allocate its Event and fill it with what the eager path writes, after
+ * which it is an ordinary entry.  A fired or cancelled Event is
+ * released like any other object, never reused.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -31,7 +27,7 @@
 typedef struct {
     double time;
     long long serial;
-    PyObject *event;  /* strong */
+    PyObject *event;  /* strong; NULL in a lazy entry */
     PyObject *link;   /* strong: a lazy entry's Link, else NULL */
     PyObject *packet; /* strong: its Link._deliver packet, else NULL */
 } entry_t;
@@ -48,7 +44,6 @@ typedef struct {
     entry_t *heap;
     Py_ssize_t heap_len;
     Py_ssize_t heap_cap;
-    PyObject *free_list;     /* strong, list or NULL */
     PyObject *current_event; /* strong, event whose callback raised */
 } CoreObject;
 
@@ -179,22 +174,6 @@ heapify(entry_t *heap, Py_ssize_t n)
 /* event helpers                                                       */
 /* ------------------------------------------------------------------ */
 
-/* Consume our reference to a dead (fired or cancelled) event,
- * recycling it onto the free list when nothing else holds it. */
-static void
-recycle_or_release(CoreObject *self, PyObject *event)
-{
-    if (self->free_list != NULL && Py_REFCNT(event) == 1) {
-        Py_INCREF(Py_None);
-        slot_set(event, off_fn, Py_None);
-        Py_INCREF(Py_None);
-        slot_set(event, off_args, Py_None);
-        if (PyList_Append(self->free_list, event) < 0)
-            PyErr_Clear();
-    }
-    Py_DECREF(event);
-}
-
 /* Drop cancelled entries from the heap top. */
 static void
 drop_cancelled_heads(CoreObject *self)
@@ -203,26 +182,12 @@ drop_cancelled_heads(CoreObject *self)
         entry_t top;
         heap_pop(self, &top);
         self->cancelled--;
-        recycle_or_release(self, top.event);
+        Py_DECREF(top.event);
     }
 }
 
-/* The Event for a new entry: the free list's last, or a new one (a new
- * reference, or NULL with an exception set). */
-static PyObject *
-take_event(CoreObject *self)
-{
-    PyObject *list = self->free_list, *event;
-    Py_ssize_t n = list != NULL ? PyList_GET_SIZE(list) : 0;
-    if (n == 0)
-        return event_type->tp_alloc(event_type, 0);
-    event = PyList_GET_ITEM(list, n - 1);
-    Py_SET_SIZE(list, n - 1); /* the list's reference is now ours */
-    return event;
-}
-
-/* Write all seven Event fields (values borrowed): 0, or -1.  A recycled
- * event holds stale values, a new one NULLs. */
+/* Write all seven Event fields (values borrowed) of a new Event, whose
+ * slots are NULL: 0, or -1. */
 static int
 fill_event(PyObject *event, double time, long long serial, PyObject *fn,
            PyObject *args, PyObject *fired, PyObject *sim)
@@ -247,7 +212,8 @@ static int hop_event(PyObject *fn, PyObject *args); /* the hop, below */
 static int hop_entry(entry_t *entry);
 
 /* Fire one already-popped entry (we own its references).  Returns 0, or
- * -1 with the exception set and the event parked in current_event. */
+ * -1 with the exception set and the event, if any, parked in
+ * current_event. */
 static int
 fire_event(CoreObject *self, entry_t *entry)
 {
@@ -260,6 +226,7 @@ fire_event(CoreObject *self, entry_t *entry)
     if (entry->link != NULL) {
         self->hop_events++;
         rc = hop_entry(entry);
+        event = entry->event; /* the error path's Event, else NULL */
     } else {
         slot_set(event, off_fired, Py_NewRef(Py_True));
         fn = Py_NewRef(SLOT(event, off_fn));
@@ -279,7 +246,7 @@ fire_event(CoreObject *self, entry_t *entry)
         Py_XSETREF(self->current_event, event);
         return -1;
     }
-    recycle_or_release(self, event);
+    Py_XDECREF(event);
     return 0;
 }
 
@@ -309,14 +276,14 @@ Core_push(CoreObject *self, PyObject *const *argv, Py_ssize_t argc)
     Py_RETURN_NONE;
 }
 
-/* The scheduling fast path: mint the serial, take an Event, fill its
+/* The scheduling fast path: mint the serial, allocate an Event, fill its
  * slots directly and push it.  Returns the event. */
 static PyObject *
 schedule_common(CoreObject *self, double time, PyObject *fn, PyObject *args,
                 PyObject *sim)
 {
     long long serial = self->serial_next++;
-    PyObject *event = take_event(self);
+    PyObject *event = event_type->tp_alloc(event_type, 0);
     if (event == NULL)
         return NULL;
     if (fill_event(event, time, serial, fn, args, Py_False, sim) == 0 &&
@@ -392,18 +359,6 @@ Core_schedule_abs(CoreObject *self, PyObject *const *argv, Py_ssize_t argc)
 }
 
 static PyObject *
-Core_set_free_list(CoreObject *self, PyObject *arg)
-{
-    if (!PyList_Check(arg)) {
-        PyErr_SetString(PyExc_TypeError, "free list must be a list");
-        return NULL;
-    }
-    Py_INCREF(arg);
-    Py_XSETREF(self->free_list, arg);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
 Core_note_cancelled(CoreObject *self, PyObject *Py_UNUSED(ignored))
 {
     self->pending--;
@@ -415,7 +370,7 @@ Core_note_cancelled(CoreObject *self, PyObject *Py_UNUSED(ignored))
         Py_ssize_t n = self->heap_len, live = 0, i;
         for (i = 0; i < n; i++) {
             if (is_cancelled(&heap[i])) {
-                recycle_or_release(self, heap[i].event);
+                Py_DECREF(heap[i].event);
             } else {
                 heap[live++] = heap[i];
             }
@@ -492,7 +447,7 @@ Core_run(CoreObject *self, PyObject *const *argv, Py_ssize_t argc)
 
 static int materialise(entry_t *entry, PyObject *fired); /* the hop, below */
 
-/* Every entry as a (time, serial, event) tuple, lazy ones filled. */
+/* Every entry as a (time, serial, event) tuple, lazy ones materialised. */
 static PyObject *
 Core_entries(CoreObject *self, PyObject *Py_UNUSED(ignored))
 {
@@ -572,7 +527,6 @@ Core_traverse(CoreObject *self, visitproc visit, void *arg)
         Py_VISIT(self->heap[i].link);
         Py_VISIT(self->heap[i].packet);
     }
-    Py_VISIT(self->free_list);
     Py_VISIT(self->current_event);
     return 0;
 }
@@ -581,7 +535,6 @@ static int
 Core_clear_refs(CoreObject *self)
 {
     drop_entries(self);
-    Py_CLEAR(self->free_list);
     Py_CLEAR(self->current_event);
     return 0;
 }
@@ -606,7 +559,7 @@ static PyMemberDef Core_members[] = {
     {"events_processed", T_LONGLONG, offsetof(CoreObject, events_processed),
      0, "events fired so far"},
     {"hop_events", T_LONGLONG, offsetof(CoreObject, hop_events), READONLY,
-     "lazy hop entries fired, each with no Event filled"},
+     "lazy hop entries fired, each with no Event"},
     {"serial_next", T_LONGLONG, offsetof(CoreObject, serial_next), 0,
      "next schedule serial"},
     {"stop_requested", T_INT, offsetof(CoreObject, stop_requested), 0,
@@ -622,8 +575,6 @@ static PyMethodDef Core_methods[] = {
     {"schedule_abs", (PyCFunction)(void (*)(void))Core_schedule_abs,
      METH_FASTCALL,
      "schedule_abs(time, fn, args, sim) -> Event (SchedulingError if past)"},
-    {"set_free_list", (PyCFunction)Core_set_free_list, METH_O,
-     "share the simulator's Event free list"},
     {"note_cancelled", (PyCFunction)Core_note_cancelled, METH_NOARGS,
      "account for a lazily-cancelled entry; compacts when warranted"},
     {"peek_time", (PyCFunction)Core_peek_time, METH_NOARGS,
@@ -633,8 +584,8 @@ static PyMethodDef Core_methods[] = {
     {"run", (PyCFunction)(void (*)(void))Core_run, METH_FASTCALL,
      "run(until, max_events) -> (fired, interrupted)"},
     {"entries", (PyCFunction)Core_entries, METH_NOARGS,
-     "heap contents as (time, serial, event) tuples, array order; fills "
-     "the Event of every lazy hop entry"},
+     "heap contents as (time, serial, event) tuples, array order; gives "
+     "every lazy hop entry its Event"},
     {"reset_heap", (PyCFunction)Core_reset_heap, METH_NOARGS,
      "drop every entry and zero the pending/cancelled counters"},
     {"take_current_event", (PyCFunction)Core_take_current_event, METH_NOARGS,
@@ -709,8 +660,7 @@ enum { T_LINK, T_ROUTER, T_SIM, T_DROPTAIL, T_RED, N_HOP_TYPES };
     X(T_LINK, L_serve_pending, _serve_pending) X(T_LINK, L_name, name)      \
     X(T_LINK, L_free_at, _free_at) X(T_LINK, L_bandwidth, bandwidth_bps)    \
     X(T_LINK, L_delay, delay) X(T_LINK, L_reorder, reorder)                 \
-    X(T_LINK, L_ch_tx, _ch_tx) X(T_LINK, L_recycle, _recycle)               \
-    X(T_LINK, L_delivered, packets_delivered)                               \
+    X(T_LINK, L_ch_tx, _ch_tx) X(T_LINK, L_delivered, packets_delivered)    \
     X(T_LINK, L_bytes, bytes_delivered) X(T_DROPTAIL, Q_items, _items)      \
     X(T_DROPTAIL, Q_limit, limit) X(T_DROPTAIL, Q_enqueues, enqueues)       \
     X(T_DROPTAIL, Q_dequeues, dequeues) X(T_RED, R_sim, _sim)               \
@@ -741,9 +691,8 @@ static PyTypeObject *channel_type; /* set by install_tracing */
 static unsigned int hop_tag[N_HOP_TYPES];
 static int hop_tagged;
 static Py_ssize_t off_size, off_dst, off_subs; /* Packet, TraceChannel */
-static PyObject *py_send, *py_node_send, *py_release, *clean_refs, *one;
-static PyObject *minus_one, *deque_append, *deque_popleft, *tx_kwnames;
-static PyObject *star;
+static PyObject *py_send, *py_node_send, *one, *minus_one, *deque_append;
+static PyObject *deque_popleft, *tx_kwnames, *star;
 
 /* True while every entry point is the library's own.  Looked up again only
  * when a version tag moved: any class write moves one (an attribute set
@@ -828,45 +777,44 @@ call_method(PyObject *obj, PyObject *name, PyObject *arg) /* truth, or -1 */
 }
 
 /* sim.schedule_abs(time, link._deliver, packet), or link._serve for a
- * NULL packet, booked as a lazy entry. */
+ * NULL packet, booked as a lazy entry, which owns no Event. */
 static int
 schedule(PyObject *core, PyObject *link, double time, PyObject *packet)
 {
     CoreObject *self = (CoreObject *)core;
-    PyObject *event = NULL;
-    if (clamp_time(self, &time, NULL) == 0 &&
-        (event = take_event(self)) != NULL &&
-        heap_push(self, (entry_t){time, self->serial_next, event, link,
-                                  packet}) == 0) {
-        Py_INCREF(link), Py_XINCREF(packet);
-        self->serial_next++, self->pending++;
-        return 0;
-    }
-    Py_XDECREF(event);
-    return -1;
+    if (clamp_time(self, &time, NULL) < 0 ||
+        heap_push(self, (entry_t){time, self->serial_next, NULL, link,
+                                  packet}) < 0)
+        return -1;
+    Py_INCREF(link), Py_XINCREF(packet);
+    self->serial_next++, self->pending++;
+    return 0;
 }
 
-/* Fill a lazy entry's Event as sim.schedule_abs would have, _fired set to
- * fired, and make it an ordinary entry: 0, or -1. */
+/* Give a lazy entry the Event sim.schedule_abs would have booked, _fired
+ * set to fired, and make it an ordinary entry: 0, or -1. */
 static int
 materialise(entry_t *entry, PyObject *fired)
 {
-    PyObject *link = entry->link, *fn, *args, *sim;
-    int rc;
+    PyObject *link = entry->link, *fn, *args, *sim, *event;
+    int rc = -1;
     if (link == NULL)
         return 0;
     fn = PyMethod_New(entry->packet ? py_deliver : py_serve, link);
     args = entry->packet ? PyTuple_Pack(1, entry->packet) : PyTuple_New(0);
     sim = SLOT(link, L_sim) != NULL ? SLOT(link, L_sim) : Py_None;
-    rc = fn && args ? fill_event(entry->event, entry->time, entry->serial, fn,
-                                 args, fired, sim)
-                    : -1;
+    event = fn && args ? event_type->tp_alloc(event_type, 0) : NULL;
+    if (event != NULL)
+        rc = fill_event(event, entry->time, entry->serial, fn, args, fired, sim);
     Py_XDECREF(fn), Py_XDECREF(args);
-    if (rc == 0) {
-        Py_CLEAR(entry->link);
-        Py_CLEAR(entry->packet);
+    if (rc < 0) {
+        Py_XDECREF(event);
+        return -1;
     }
-    return rc;
+    entry->event = event;
+    Py_CLEAR(entry->link);
+    Py_CLEAR(entry->packet);
+    return 0;
 }
 
 /* sim's Core if sim is exactly a Simulator on the compiled core: a new
@@ -1083,8 +1031,7 @@ forward(PyObject *link, PyObject *packet)
 }
 
 /* Link._deliver, with Router.receive inlined (a missing route raises
- * from Python).  This C frame holds one reference to the packet fewer
- * than the Python one: clean_refs is Link._DELIVERED_CLEAN_REFS - 1. */
+ * from Python). */
 static int
 link_deliver(PyObject *link, PyObject *packet)
 {
@@ -1104,8 +1051,6 @@ link_deliver(PyObject *link, PyObject *packet)
     } else if (t == 0) {
         t = PyErr_Occurred() ? -1 : call_method(dst, S(receive), packet);
     }
-    if (t >= 0 && SLOT(link, L_recycle) == Py_True)
-        t = call_py(py_release, packet, clean_refs);
     Py_DECREF(dst);
     return t < 0 ? -1 : 0;
 }
@@ -1123,7 +1068,7 @@ hop_event(PyObject *fn, PyObject *args) /* 0 / -1 if a hop ran, else 1 */
 }
 
 /* Run a lazy entry popped from the heap and drop its link and packet; on
- * an error its Event is filled, fired, for Simulator's report. */
+ * an error it gets its Event, fired, for Simulator's report. */
 static int
 hop_entry(entry_t *entry)
 {
@@ -1171,7 +1116,7 @@ static PyMethodDef hop_defs[] = {
  * Node, Host, then the entry points Link.send, Link._serve, Link._deliver,
  * Router.receive, Simulator.schedule_abs, DropTailQueue.enqueue,
  * DropTailQueue.dequeue, RedQueue.enqueue, RedQueue.dequeue, then
- * Node.send, maybe_release, clean_refs, deque.append, deque.popleft): arm
+ * Node.send, deque.append, deque.popleft): arm
  * the hop; returns the C descriptors for Link.send and Node.send, which
  * repro.net.node installs.  Raises if a class lacks a slot the hop uses. */
 static PyObject *
@@ -1186,8 +1131,7 @@ module_install_hop(PyObject *Py_UNUSED(module), PyObject *args)
         (PyObject **)&hop_type[T_RED], (PyObject **)&packet_type, &node_type,
         (PyObject **)&host_type, &py_send, &hop_own[1], &hop_own[2],
         &hop_own[3], &hop_own[4], &hop_own[5], &hop_own[6], &hop_own[7],
-        &hop_own[8], &py_node_send, &py_release, &clean_refs, &deque_append,
-        &deque_popleft};
+        &hop_own[8], &py_node_send, &deque_append, &deque_popleft};
     Py_ssize_t i, n = sizeof(slot) / sizeof(slot[0]);
     if (py_send != NULL || PyTuple_GET_SIZE(args) != n)
         return PyErr_Format(PyExc_TypeError,

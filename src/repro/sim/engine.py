@@ -46,13 +46,6 @@ class:
   back cleanly.  Set ``REPRO_PURE_PYTHON=1`` to force the fallback even
   when the extension is importable; ``CORE_BACKEND`` reports the choice.
 
-Fired and cancelled events are recycled through a per-simulator free
-list when (and only when) an exact reference-count check proves nothing
-outside the engine still holds them, so steady-state event churn
-allocates nothing.  The free list is engine-internal derived state: it
-is never pickled and :meth:`Simulator.drain_event_pool` empties it
-before snapshot capture.
-
 Example
 -------
 >>> sim = Simulator()
@@ -70,7 +63,6 @@ import heapq
 import itertools
 import operator
 import os
-import sys
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import CallbackError, ReproError, SchedulingError, SimulationError
@@ -191,16 +183,10 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0):
-        # Free list of recycled Event objects, shared with the compiled
-        # core when active.  Derived state: never pickled (the custom
-        # __getstate__ below simply omits it).
-        self._event_free: List[Event] = []
         self._running = False
         self._stop_reason: Optional[str] = None
         if _CoreType is not None:
-            core = _CoreType(float(start_time))
-            core.set_free_list(self._event_free)
-            self._bind_core(core)
+            self._bind_core(_CoreType(float(start_time)))
         else:
             self._core = None
             self._clock = _Clock(float(start_time))
@@ -289,23 +275,20 @@ class Simulator:
                 raise SchedulingError(f"cannot schedule into the past (delay={delay})")
         core = self._core
         if core is not None:
-            # The entire fast path — serial, event reuse/allocation,
-            # slot fill, heap push — happens inside the core.
+            # The entire fast path — serial, event allocation, slot
+            # fill, heap push — happens inside the core.
             return core.schedule(delay, fn, args, self)
         time = self._clock.now + delay
         serial = next(self._serial)
-        free = self._event_free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.serial = serial
-            event.fn = fn
-            event.args = args
-            event._cancelled = False
-            event._fired = False
-            event._sim = self
-        else:
-            event = Event(time, serial, fn, args, sim=self)
+        # Slot writes, not Event(...): no __init__ frame per event.
+        event = object.__new__(Event)
+        event.time = time
+        event.serial = serial
+        event.fn = fn
+        event.args = args
+        event._cancelled = False
+        event._fired = False
+        event._sim = self
         heapq.heappush(self._heap, (time, serial, event))
         self._pending += 1
         return event
@@ -339,18 +322,15 @@ class Simulator:
                     f"cannot schedule into the past (time={time}, now={now})"
                 )
         serial = next(self._serial)
-        free = self._event_free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.serial = serial
-            event.fn = fn
-            event.args = args
-            event._cancelled = False
-            event._fired = False
-            event._sim = self
-        else:
-            event = Event(time, serial, fn, args, sim=self)
+        # Slot writes, not Event(...): no __init__ frame per event.
+        event = object.__new__(Event)
+        event.time = time
+        event.serial = serial
+        event.fn = fn
+        event.args = args
+        event._cancelled = False
+        event._fired = False
+        event._sim = self
         heapq.heappush(self._heap, (time, serial, event))
         self._pending += 1
         return event
@@ -370,11 +350,9 @@ class Simulator:
         return list(self._heap) if core is None else core.entries()
 
     def drain_event_pool(self) -> int:
-        """Empty the event free list (snapshot-capture hygiene hook).
-        Returns the number of pooled events discarded."""
-        drained = len(self._event_free)
-        self._event_free.clear()
-        return drained
+        """Returns 0: events are not pooled.  Kept only for
+        ``bench/workloads.py`` until ROADMAP item 1a deletes it."""
+        return 0
 
     def _note_cancelled(self) -> None:
         """Bookkeeping for a lazily-deleted heap entry (called by
@@ -394,40 +372,17 @@ class Simulator:
 
         Filtering preserves relative order of the survivors well enough
         for :func:`heapq.heapify` to restore the invariant; pop order is
-        unchanged because (time, serial) keys are unique.  Dead events
-        that nothing else holds are recycled into the free list.
+        unchanged because (time, serial) keys are unique.
         """
-        old = self._heap
-        self._heap = live = []
-        free = self._event_free
-        getrefcount = sys.getrefcount
-        for entry in old:
-            event = entry[2]
-            if event._cancelled:
-                # Clean chain here: the old heap's entry tuple + our
-                # local + getrefcount's temporary.
-                if getrefcount(event) == 3:
-                    event.fn = None
-                    event.args = None
-                    free.append(event)
-            else:
-                live.append(entry)
+        self._heap = live = [entry for entry in self._heap if not entry[2]._cancelled]
         heapq.heapify(live)
         self._cancelled_count = 0
 
     def _drop_cancelled(self) -> None:
         heap = self._heap
-        free = self._event_free
-        getrefcount = sys.getrefcount
         while heap and heap[0][2]._cancelled:
-            event = heapq.heappop(heap)[2]
+            heapq.heappop(heap)
             self._cancelled_count -= 1
-            # Clean chain: our local + getrefcount's temporary (the
-            # popped heap tuple is already gone).
-            if getrefcount(event) == 2:
-                event.fn = None
-                event.args = None
-                free.append(event)
 
     def _sim_context(self, event: Event) -> dict:
         return {
@@ -483,12 +438,6 @@ class Simulator:
             raise
         except Exception as exc:
             raise self._callback_error(exc, event) from exc
-        # Recycle unless someone outside the engine still holds the
-        # event (clean chain: our local + getrefcount's temporary).
-        if sys.getrefcount(event) == 2:
-            event.fn = None
-            event.args = None
-            self._event_free.append(event)
         return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
@@ -529,8 +478,6 @@ class Simulator:
                 # exception wrapping, end-clock advance) are identical
                 # to step() — the engine test suite pins them.
                 heappop = heapq.heappop
-                getrefcount = sys.getrefcount
-                free = self._event_free
                 clock = self._clock
                 while True:
                     if self._stop_requested or (
@@ -540,12 +487,8 @@ class Simulator:
                         break
                     heap = self._heap  # re-read: compaction/clear rebind it
                     while heap and heap[0][2]._cancelled:
-                        event = heappop(heap)[2]
+                        heappop(heap)
                         self._cancelled_count -= 1
-                        if getrefcount(event) == 2:
-                            event.fn = None
-                            event.args = None
-                            free.append(event)
                     if not heap:
                         break
                     etime = heap[0][0]
@@ -564,10 +507,6 @@ class Simulator:
                         raise
                     except Exception as exc:
                         raise self._callback_error(exc, event) from exc
-                    if getrefcount(event) == 2:
-                        event.fn = None
-                        event.args = None
-                        free.append(event)
                     fired += 1
         finally:
             self._running = False
@@ -647,12 +586,10 @@ class Simulator:
         }
 
     def __setstate__(self, state) -> None:
-        self._event_free = []
         self._running = False
         self._stop_reason = state["stop_reason"]
         if _CoreType is not None:
             core = _CoreType(state["now"])
-            core.set_free_list(self._event_free)
             core.serial_next = state["serial_next"]
             core.events_processed = state["events_processed"]
             core.stop_requested = state["stop_requested"]

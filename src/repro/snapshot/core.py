@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SnapshotError, SnapshotFormatError
-from repro.net.packet import drain_packet_pool, set_uid_state, uid_state
+from repro.net.packet import set_uid_state, uid_state
 from repro.snapshot.digest import state_digest
 
 if TYPE_CHECKING:
@@ -202,13 +202,6 @@ class Snapshot:
                 "cannot capture while the engine is running; capture between "
                 "run() calls (e.g. after sim.run(until=T) returns)"
             )
-        # Drain the object pools first.  Pooled packets/events are dead
-        # by construction (refcount-gated recycling), but emptying the
-        # free lists guarantees the pickled graph can never reach one
-        # and that a restored world resumes from the same (empty-pool)
-        # allocator state as the uninterrupted original.
-        drain_packet_pool()
-        sim.drain_event_pool()
         digest = state_digest(world)
         stream = io.BytesIO()
         pickler = pickle.Pickler(stream, protocol=pickle.HIGHEST_PROTOCOL)

@@ -11,12 +11,15 @@ smaller means ``actnum := ndup`` and the exit point moves to
 refinements DESIGN.md documents (the retreat and the comparison count
 what was really sent, the exit window is capped at flight + 1, RR's
 guard sits one below ``recover``) and the base sender around them:
-slow start, congestion avoidance and go-back-N after a timeout.
+slow start, congestion avoidance, go-back-N after a timeout, and the
+reaction to an ECN echo (an ACK carrying ECE outside recovery, at or
+past the marker, sets ``ssthresh`` to half the flight, ``cwnd`` to
+``ssthresh`` and the marker to ``snd_nxt``; an ECE ACK opens no window).
 
 Hypothesis drives the twin and :class:`RobustRecoverySender` with the
-same runs of duplicate ACKs, partial and full ACKs and timeouts; after
-every event ``cwnd``, ``ssthresh``, phase, ``actnum``, ``recover`` and
-every seqno sent must agree.
+same runs of duplicate ACKs, partial and full ACKs, ECN echoes and
+timeouts; after every event ``cwnd``, ``ssthresh``, phase, ``actnum``,
+``recover`` and every seqno sent must agree.
 """
 
 from hypothesis import example, given, settings
@@ -36,6 +39,7 @@ class RrTwin:
         self.phase, self.actnum, self.ndup, self.recover = "normal", 0, 0, 0
         self.retreat_sent = self.sent_this = self.sent_last = 0
         self.guard = -1
+        self.ecn_marker = 0
         self.sent = []
         self.send_window()
 
@@ -60,6 +64,13 @@ class RrTwin:
     def acknowledge(self, ackno):
         self.una, self.nxt, self.dupacks = ackno, max(self.nxt, ackno), 0
 
+    def ecn_echo(self):
+        """An ACK carrying ECE arrived; called before the ACK itself."""
+        if self.phase == "normal" and self.una >= self.ecn_marker:
+            self.ssthresh = max((self.nxt - self.una) / 2, 2.0)
+            self.cwnd = max(self.ssthresh, 1.0)
+            self.ecn_marker = self.nxt
+
     def dupack(self):
         if self.nxt == self.una:
             return  # nothing outstanding: not a duplicate
@@ -81,10 +92,11 @@ class RrTwin:
             self.ndup += 1
             self.sent_this += self.send_one()  # one per duplicate
 
-    def new_ack(self, ackno):
+    def new_ack(self, ackno, echo=False):
         if self.phase == "normal":
             self.acknowledge(ackno)
-            self.cwnd += 1.0 if self.cwnd < self.ssthresh else 1.0 / self.cwnd
+            if not echo:
+                self.cwnd += 1.0 if self.cwnd < self.ssthresh else 1.0 / self.cwnd
             self.send_window()
             return
         if self.phase == "retreat":
@@ -128,7 +140,8 @@ class RrTwin:
 
 #: One step: some duplicate ACKs, then one of: a partial ACK (snd_una
 #: advances by ``k`` but stays below ``recover`` when it can), the full
-#: ACK, a new ACK advancing by ``k``, or a timeout.
+#: ACK, a new ACK advancing by ``k``, or a timeout; and which of the
+#: step's ACKs carry an ECN echo: none, the last, or all of them.
 _step = st.tuples(
     st.integers(0, 2) | st.integers(3, 12),
     st.one_of(
@@ -137,6 +150,7 @@ _step = st.tuples(
         st.tuples(st.just("ack"), st.integers(1, 16)),
         st.just(("timeout", 0)),
     ),
+    st.sampled_from(("none", "none", "none", "last", "all")),
 )
 
 
@@ -165,13 +179,29 @@ def _observe(sender, sent):
 # Two further losses in a row, the first extending the exit point.
 @example(
     cwnd=16, rwnd=40, limit=None,
-    steps=[(9, ("partial", 1)), (2, ("partial", 1)), (1, ("partial", 1)), (0, ("full", 0))],
+    steps=[
+        (9, ("partial", 1), "none"), (2, ("partial", 1), "none"),
+        (1, ("partial", 1), "none"), (0, ("full", 0), "none"),
+    ],
 )
 # The receiver window holds back a probe RTT's sends: the next boundary
 # compares ndup with what went out, not with actnum.
 @example(
     cwnd=8, rwnd=10, limit=None,
-    steps=[(7, ("partial", 1)), (3, ("partial", 1)), (1, ("partial", 1)), (0, ("full", 0))],
+    steps=[
+        (7, ("partial", 1), "none"), (3, ("partial", 1), "none"),
+        (1, ("partial", 1), "none"), (0, ("full", 0), "none"),
+    ],
+)
+# Echoes: one cuts the window on a new ACK, the next (below the marker)
+# does not, one on a duplicate cuts before fast retransmit, echoes in
+# recovery change nothing, and one after the exit cuts again.
+@example(
+    cwnd=12, rwnd=30, limit=None,
+    steps=[
+        (0, ("ack", 2), "last"), (0, ("ack", 2), "last"), (3, ("partial", 1), "all"),
+        (2, ("full", 0), "all"), (0, ("ack", 4), "none"), (1, ("ack", 3), "all"),
+    ],
 )
 @given(
     cwnd=st.integers(4, 24),
@@ -180,27 +210,35 @@ def _observe(sender, sent):
     steps=st.lists(_step, min_size=4, max_size=30),
 )
 def test_rr_matches_the_reference_twin(cwnd, rwnd, limit, steps):
-    config = TcpConfig(initial_cwnd=float(cwnd), initial_ssthresh=32.0, receiver_window=rwnd)
+    config = TcpConfig(
+        initial_cwnd=float(cwnd), initial_ssthresh=32.0, receiver_window=rwnd,
+        ecn_enabled=True,
+    )
     harness = SenderHarness(RobustRecoverySender, config)
     sender = harness.sender
     if limit is not None:
         sender.set_data_limit(limit)
     harness.start()
     twin = RrTwin(float(cwnd), 32.0, rwnd, limit)
-    for dups, action in steps:
+    for dups, action, echoes in steps:
         events = [("dup", 0)] * dups + [action]
-        for event in events:
+        for i, event in enumerate(events):
             if sender.completed:
                 return
+            echo = echoes == "all" or (echoes == "last" and i == dups)
             if event[0] == "dup":
-                harness.ack(sender.snd_una)
+                harness.ack(sender.snd_una, ecn_echo=echo)
+                if echo:
+                    twin.ecn_echo()
                 twin.dupack()
             elif event[0] in ("partial", "full", "ack"):
                 ackno = _ackno(sender, *event)
                 if ackno == sender.snd_una:
                     continue
-                harness.ack(ackno)
-                twin.new_ack(ackno)
+                harness.ack(ackno, ecn_echo=echo)
+                if echo:
+                    twin.ecn_echo()
+                twin.new_ack(ackno, echo)
             elif event[0] == "timeout":
                 sender._on_timeout()
                 twin.timeout()

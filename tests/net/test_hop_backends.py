@@ -9,8 +9,8 @@ link, an outage, a rate step, a RED link, DropTail overflow, a
 ``link.tx`` subscriber attached late, and a capture/restore — and the
 pure-python run of it in one process must equal the default (compiled
 when built) run in another: state digest, every counter, every
-``link.tx`` record with the queue counters it saw, and the packet
-pool's traffic.  A second world does the same for RED, whose EWMA step
+``link.tx`` record with the queue counters it saw, and the number of
+packets minted.  A second world does the same for RED, whose EWMA step
 C runs for an accept below ``min_th``: a RED bottleneck driven through
 the ramp, the gentle ramp, ECN marks, forced drops and overflow, idle
 decay after silences short and long, a rate step, a service that finds
@@ -35,7 +35,7 @@ from repro.config import TcpConfig
 from repro.faults.tamper import PacketTamperer
 from repro.net.loss import NoLoss, UniformLoss
 from repro.net.network import Network
-from repro.net.packet import drain_packet_pool, packet_pool, set_uid_state
+from repro.net.packet import set_uid_state, uid_state
 from repro.net.queues import DropTailQueue
 from repro.net.red import RedParams, RedQueue
 from repro.net.reorder import JitterReorderer
@@ -63,8 +63,6 @@ class World:
 
 
 set_uid_state(1)
-drain_packet_pool()
-pool0 = dict(packet_pool().stats())
 world = World()
 sim, net = world.sim, world.net
 for host in ("S1", "S2", "D1", "D2"):
@@ -107,7 +105,6 @@ world.sim.run(until=40.0)
 
 sim, net = world.sim, world.net
 bottleneck = net.link("R1", "R2")
-pool = packet_pool().stats()
 print(json.dumps({
     "backend": CORE_BACKEND,
     "digest": state_digest(world),
@@ -125,7 +122,7 @@ print(json.dumps({
     "injected": world.loss.injected_drops,
     "tamper": [bottleneck.tamper.duplicated, bottleneck.tamper.corrupted],
     "reordered": net.link("R2", "R1").reorder.reordered,
-    "pool": {key: pool[key] - pool0[key] for key in ("reused", "released", "skipped")},
+    "minted": uid_state() - 1,
     "tx": world.tx,
 }))
 """
@@ -283,9 +280,9 @@ def test_compiled_hop_matches_pure_python_through_every_fallback():
     assert all(pure["tamper"]), "no tamper duplicate and corruption"
     assert pure["reordered"] > 0, "nothing reordered"
     assert pure["tx"], "the late link.tx subscriber saw nothing"
-    assert pure["pool"]["released"] > 0, "the packet pool was not exercised"
+    assert pure["minted"] > 0, "no packet was minted"
     for key in ("digest", "events", "now", "links", "nodes", "injected", "tamper",
-                "reordered", "pool", "tx"):
+                "reordered", "minted", "tx"):
         assert default[key] == pure[key], key
 
 

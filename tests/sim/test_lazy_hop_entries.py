@@ -2,10 +2,10 @@
 
 On the compiled backend the hop books each ``Link._serve`` and
 ``Link._deliver`` as a heap entry that holds the link and the packet and
-leaves its pooled ``Event`` unfilled (docs/PERFORMANCE.md "Cost of a
-hop").  Whatever lets Python look at the heap -- ``heap_entries()``, a
-digest, a pickle, ``clear()``, a callback error -- must see the events the
-pure backend books: same time, serial, callback and arguments.  The
+owns no ``Event`` (docs/PERFORMANCE.md "Cost of a hop").  Whatever lets
+Python look at the heap -- ``heap_entries()``, a digest, a pickle,
+``clear()``, a callback error -- must see the events the pure backend
+books: same time, serial, callback and arguments.  The
 parity test pauses three worlds on the pure backend in one process and
 on the default backend (compiled when built) in another; without the
 compiled core both runs are pure and it degrades to cross-process
@@ -29,7 +29,7 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 _PAUSE_SCRIPT = """\
 import json, pickle
-from repro.net.packet import Packet, drain_packet_pool
+from repro.net.packet import Packet
 from repro.net.red import RedParams
 from repro.scenes import FlowPopulation, SceneSpec, WaxmanParams, build_scene
 from repro.sim.engine import CORE_BACKEND
@@ -46,7 +46,6 @@ END = {"rr": 12.0, "sack": 12.0, "wan": 0.6}
 
 
 def build(name):
-    drain_packet_pool()
     if name != "wan":
         return build_golden_scenario(name)
     return build_scene(SceneSpec(
@@ -149,7 +148,6 @@ def test_clear_drops_hop_entries_and_fires_nothing():
     assert sim.heap_entries() == []
     sim.run(until=30.0)
     assert sim.events_processed == fired
-    assert sim.drain_event_pool() > 0
 
 
 class _Unreachable:

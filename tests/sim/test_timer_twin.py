@@ -305,7 +305,7 @@ DROPS = {"link.drop", "link.injected_drop"}
 
 
 def _plain(value):
-    # Packets are pooled and recycled: digest them when the record is made.
+    # Digest packets when the record is made: a later hop may still mark one.
     if isinstance(value, (int, float, str, type(None))):
         return value
     return state_digest(value)

@@ -1,18 +1,13 @@
-"""Object pools vs snapshots: recycling must never leak into captures.
+"""Snapshots taken mid-recovery.
 
-The packet pool and the engine's event free list recycle dead objects
-on the hot path.  Snapshot.capture drains both first, so a pickled
-world can never reach pooled garbage and a restored continuation starts
-from the same (empty-pool) allocator state as the uninterrupted
-original.  These tests pin that contract mid-recovery — the pools are
-hottest exactly when a TCP sender is retransmitting — across every
-golden variant, plus a leak/balance check over a full figure5 cell.
+A capture taken while a TCP sender is retransmitting must restore
+bit-identically, fork into identical continuations and run on like
+the uninterrupted original, across every golden variant.
 """
 
 import pytest
 
-from repro.experiments.figure5 import Figure5Config, run_single
-from repro.net.packet import drain_packet_pool, packet_pool, set_uid_state
+from repro.net.packet import set_uid_state
 from repro.snapshot import Snapshot, state_digest
 from repro.snapshot.golden import build_golden_scenario
 
@@ -34,12 +29,7 @@ class TestCaptureDrainsPools:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_capture_restore_roundtrip_with_active_pools(self, variant):
         scenario = run_to_recovery(variant)
-        # The run above recycled packets and events; both pools may be
-        # non-empty right now.  Capture must drain them and still
-        # round-trip bit-identically.
         snapshot = Snapshot.capture(scenario)
-        assert packet_pool().stats()["free"] == 0
-        assert len(scenario.sim._event_free) == 0
         restored = snapshot.restore()  # verify=True re-checks the digest
         assert state_digest(restored) == snapshot.digest
 
@@ -56,8 +46,7 @@ class TestCaptureDrainsPools:
 
     def test_restored_world_runs_like_the_original(self):
         # The uninterrupted original and a restored continuation agree
-        # at the end even though the original keeps recycling through
-        # pools the restore never saw.
+        # at the end.
         original = run_to_recovery("rr")
         snapshot = Snapshot.capture(original)
         original.sim.run(until=12.0)
@@ -65,40 +54,3 @@ class TestCaptureDrainsPools:
         restored = snapshot.restore()
         restored.sim.run(until=12.0)
         assert state_digest(restored) == final
-
-
-class TestPoolBalance:
-    def test_figure5_cell_returns_every_pooled_object(self):
-        # A full figure5 cell (build, transfer, engineered burst,
-        # recovery, completion): every packet the pool handed out was
-        # either recycled back or skipped-and-GC'd — the pool never
-        # grows past its released minus reused balance, and draining
-        # accounts for every free-list entry.
-        pool = packet_pool()
-        drain_packet_pool()
-        base = pool.stats()
-        config = Figure5Config(transfer_packets=300, sim_duration=40.0)
-        row = run_single("rr", 3, config)
-        assert row.completed
-        stats = pool.stats()
-        released = stats["released"] - base["released"]
-        reused = stats["reused"] - base["reused"]
-        assert released > 0, "the cell must actually exercise the pool"
-        assert reused <= released
-        # Everything still parked in the free list is exactly the
-        # released-but-not-yet-reused surplus (no double releases, no
-        # objects lost between the free list and the counters).
-        assert stats["free"] <= released - reused + base["free"]
-        drained = drain_packet_pool()
-        assert drained == stats["free"]
-        assert pool.stats()["free"] == 0
-
-    def test_event_pool_drain_reports_and_empties(self):
-        scenario = run_to_recovery("reno")
-        sim = scenario.sim
-        free_before = len(sim._event_free)
-        drained = sim.drain_event_pool()
-        assert drained == free_before
-        assert len(sim._event_free) == 0
-        # The engine keeps running fine with a cold pool.
-        sim.run(until=MID_RECOVERY_T + 1.0)

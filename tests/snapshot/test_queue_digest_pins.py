@@ -42,7 +42,7 @@ import json, pickle
 from repro.config import TcpConfig
 from repro.experiments.common import FlowSpec, build_dumbbell_scenario
 from repro.net.fairqueue import FairQueue
-from repro.net.packet import drain_packet_pool, set_uid_state, uid_state
+from repro.net.packet import set_uid_state, uid_state
 from repro.net.red import RedParams, RedQueue
 from repro.net.topology import DumbbellParams
 from repro.scenes import FlowPopulation, SceneSpec, WaxmanParams, build_scene
@@ -88,7 +88,6 @@ WORLDS = {
 out = {"backend": CORE_BACKEND}
 for name, (build, (first, second)) in WORLDS.items():
     set_uid_state(1)
-    drain_packet_pool()
     world = build()
     world.sim.run(until=first)
     digests = [state_digest(world)]

@@ -136,6 +136,11 @@ seed = int(sys.argv[sys.argv.index("--seed") + 1])
 speed = float(Path("src.py").read_text().split("=")[1])
 value = speed + seed / 100
 metrics = {name: {"value": value, "unit": "s"} for name in ("norm_s", "setup_s")}
+if "--trace" in sys.argv:
+    metrics = {
+        "sim.engine.events": {"value": int(speed * 1000) + seed, "unit": "count"},
+        "sim.engine.self_s": {"value": value, "unit": "norm_s"},
+    }
 print("progress")
 print(json.dumps({"attempted": 4, "failed": 0, "metrics": metrics}))
 """
@@ -184,3 +189,49 @@ def test_record_writes_both_shas_every_run_and_the_verdicts(tmp_path, monkeypatc
     assert norm_s["parent_iqr"] == pytest.approx(0.005)
     assert (norm_s["wins"], norm_s["pairs"], norm_s["within_bound"]) == (2, 2, True)
     assert norm_s["bound"] == 0.15
+    # One traced run of the first seed per side, counts only.
+    assert record["workloads"]["w"]["traced"] == {
+        "seed": 7, "parent": {"sim.engine.events": 1007}, "change": {"sim.engine.events": 507},
+    }
+
+
+def test_record_keeps_the_traced_counts_and_ratios(tmp_path, monkeypatch):
+    (tmp_path / "src.py").write_text("x = 1\n")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "parent")
+    monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
+    spec = {"end_to_end": [{"name": "norm_s", "unit": "norm_s", "better": "lower", "bound": 0.15}]}
+    parent, change = [_run(1.0)], [_run(0.9)]
+    rows, problems = bench_pair.verdict(spec, "w", parent, change)
+
+    def traced(events, pool_size):
+        return {"metrics": {
+            "sim.engine.events": {"value": events, "unit": "count"},
+            "sim.engine.event_pool_size": {"value": pool_size, "unit": "count"},
+            "net.packet.pool_hit_ratio": {"value": pool_size / 1000, "unit": "ratio"},
+            "sim.engine.self_s": {"value": 0.3, "unit": "norm_s"},
+            "runner.cache.bytes": {"value": 4096, "unit": "B"},
+        }}
+
+    args = bench_pair.argparse.Namespace(parent="HEAD", pairs=1, seed=3)
+    runs = {"w": {"parent": parent, "change": change}}
+    out = bench_pair.record(
+        spec, args, runs, rows, problems,
+        {"w": {"parent": traced(325165, 40), "change": traced(325165, 0)}},
+    )
+    assert out["workloads"]["w"]["traced"] == {
+        "seed": 3,
+        "parent": {
+            "sim.engine.events": 325165, "sim.engine.event_pool_size": 40,
+            "net.packet.pool_hit_ratio": 0.04,
+        },
+        "change": {
+            "sim.engine.events": 325165, "sim.engine.event_pool_size": 0,
+            "net.packet.pool_hit_ratio": 0.0,
+        },
+    }
+    assert out["workloads"]["w"]["metrics"]["norm_s"]["wins"] == 1
+    # Without a traced pass there is no traced key.
+    plain = bench_pair.record(spec, args, runs, rows, problems, {})
+    assert "traced" not in plain["workloads"]["w"]
