@@ -13,9 +13,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "OnOffSource",
             "ParetoSizes",
             "PoissonArrivals",
-            "PoissonTransfers",
             "StaggeredArrivals",
-            "TransferRecord",
         ),
     },
 )

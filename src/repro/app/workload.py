@@ -1,16 +1,9 @@
 """Workload generators beyond a single FTP transfer.
 
-:class:`PoissonTransfers` models the mice-dominated traffic of a busy
-server (the paper's reference [1] studies exactly such a server):
-short transfers arriving as a Poisson process, each opening a fresh
-connection on its own host pair.  :class:`OnOffSource` chops one
-long-lived connection into exponential on/off bursts, a standard
-background-traffic model.
+:class:`OnOffSource` chops one long-lived connection into exponential
+on/off bursts, a standard background-traffic model.
 
-Both generators record per-transfer completion metrics so experiments
-can report means/percentiles over the fleet.
-
-The second half of the module is the :mod:`repro.scenes` workload
+The rest of the module is the :mod:`repro.scenes` workload
 vocabulary: flow-size samplers (:class:`FixedSize`,
 :class:`ParetoSizes`, :class:`LognormalSizes`) and arrival processes
 (:class:`PoissonArrivals`, :class:`StaggeredArrivals`,
@@ -24,183 +17,12 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
-from repro.app.ftp import FtpSource
-from repro.config import TcpConfig
 from repro.errors import ConfigurationError
-from repro.net.topology import Dumbbell
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStream
 from repro.tcp.base import TcpSender
-from repro.tcp.factory import make_connection
-
-
-class _TransferCompletion:
-    """Completion hook for one generated transfer.
-
-    A named callable (not a closure) so a world mid-workload stays
-    picklable: closures appended to ``completion_callbacks`` would make
-    :mod:`repro.snapshot` refuse the whole scenario.
-    """
-
-    __slots__ = ("record", "sender")
-
-    def __init__(self, record: "TransferRecord", sender: TcpSender):
-        self.record = record
-        self.sender = sender
-
-    def __call__(self, t: float) -> None:
-        self.record.complete_time = t
-        self.record.timeouts = self.sender.timeouts
-        self.record.retransmits = self.sender.retransmits
-
-
-@dataclass
-class TransferRecord:
-    """Outcome of one generated transfer."""
-
-    flow_id: int
-    start_time: float
-    size_packets: int
-    complete_time: Optional[float] = None
-    timeouts: int = 0
-    retransmits: int = 0
-
-    @property
-    def completed(self) -> bool:
-        return self.complete_time is not None
-
-    @property
-    def delay(self) -> Optional[float]:
-        if self.complete_time is None:
-            return None
-        return self.complete_time - self.start_time
-
-
-class PoissonTransfers:
-    """Poisson arrivals of short transfers over a dumbbell.
-
-    Parameters
-    ----------
-    sim, dumbbell:
-        The world to generate into.  The dumbbell must have at least
-        ``max_transfers`` host pairs (one fresh pair per transfer, so
-        connections never collide on flow ids).
-    variant:
-        TCP variant for every generated sender.
-    arrival_rate:
-        Mean arrivals per second (Poisson).
-    size_packets:
-        Fixed transfer size, or use ``size_sampler`` for a distribution.
-    size_sampler:
-        Optional callable ``(rng) -> int`` overriding ``size_packets``.
-    max_transfers:
-        Stop generating after this many transfers.
-    rng:
-        Random stream for arrivals and sizes.
-    config:
-        TCP configuration for the generated connections.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        dumbbell: Dumbbell,
-        variant: str,
-        arrival_rate: float,
-        size_packets: int = 50,
-        size_sampler: Optional[Callable[[RngStream], int]] = None,
-        max_transfers: int = 10,
-        rng: Optional[RngStream] = None,
-        config: Optional[TcpConfig] = None,
-        first_flow_id: int = 1,
-    ):
-        if arrival_rate <= 0:
-            raise ConfigurationError("arrival_rate must be positive")
-        if max_transfers < 1:
-            raise ConfigurationError("max_transfers must be >= 1")
-        if len(dumbbell.senders) < max_transfers:
-            raise ConfigurationError(
-                f"dumbbell has {len(dumbbell.senders)} host pairs but"
-                f" {max_transfers} transfers were requested"
-            )
-        self.sim = sim
-        self.dumbbell = dumbbell
-        self.variant = variant
-        self.arrival_rate = arrival_rate
-        self.size_packets = size_packets
-        self.size_sampler = size_sampler
-        self.max_transfers = max_transfers
-        self.rng = rng or RngStream(0, "poisson")
-        self.config = config
-        self.first_flow_id = first_flow_id
-        self.records: List[TransferRecord] = []
-        self.senders: Dict[int, TcpSender] = {}
-        self._schedule_next(0.0)
-
-    def _schedule_next(self, now: float) -> None:
-        if len(self.records) >= self.max_transfers:
-            return
-        gap = self.rng.expovariate(self.arrival_rate)
-        self.sim.schedule(gap, self._launch)
-
-    def _launch(self) -> None:
-        index = len(self.records)
-        if index >= self.max_transfers:
-            return
-        flow_id = self.first_flow_id + index
-        pair = index + 1  # 1-based host pair
-        size = (
-            self.size_sampler(self.rng)
-            if self.size_sampler is not None
-            else self.size_packets
-        )
-        if size < 1:
-            raise ConfigurationError("sampled transfer size must be >= 1 packet")
-        record = TransferRecord(
-            flow_id=flow_id, start_time=self.sim.now, size_packets=size
-        )
-        self.records.append(record)
-        sender, _ = make_connection(
-            self.sim,
-            self.variant,
-            flow_id,
-            self.dumbbell.sender(pair),
-            self.dumbbell.receiver(pair),
-            config=self.config,
-        )
-        self.senders[flow_id] = sender
-
-        sender.completion_callbacks.append(_TransferCompletion(record, sender))
-        FtpSource(self.sim, sender, amount_packets=size, start_time=self.sim.now)
-        self._schedule_next(self.sim.now)
-
-    # ------------------------------------------------------------------
-    # fleet metrics
-    # ------------------------------------------------------------------
-    @property
-    def completed(self) -> List[TransferRecord]:
-        return [r for r in self.records if r.completed]
-
-    def completion_ratio(self) -> float:
-        if not self.records:
-            return 0.0
-        return len(self.completed) / len(self.records)
-
-    def mean_delay(self) -> Optional[float]:
-        done = self.completed
-        if not done:
-            return None
-        return sum(r.delay for r in done) / len(done)
-
-    def percentile_delay(self, fraction: float) -> Optional[float]:
-        done = sorted(r.delay for r in self.completed)
-        if not done:
-            return None
-        index = min(int(fraction * len(done)), len(done) - 1)
-        return done[index]
 
 
 class OnOffSource:

@@ -101,10 +101,6 @@ def _burst(key: str, *bursts: Tuple[int, int]) -> IdentScenario:
     return IdentScenario(key=key, kind="burst", bursts=tuple(bursts))
 
 
-def _uniform(key: str, rate: float, seed: int) -> IdentScenario:
-    return IdentScenario(key=key, kind="uniform", rate=rate, seed=seed)
-
-
 def _gilbert(key: str, seed: int) -> IdentScenario:
     return IdentScenario(key=key, kind="gilbert", seed=seed)
 

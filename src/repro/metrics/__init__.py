@@ -12,13 +12,11 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "goodput_bps",
             "loss_recovery_span",
             "loss_recovery_throughput",
-            "recovery_span_throughput",
         ),
         "fairness": ("jain_index",),
         "timeseries": ("SequenceTracer",),
-        "export": ("NsTraceWriter", "flow_stats_to_csv", "rows_to_csv", "rows_to_json"),
+        "export": ("rows_to_csv", "rows_to_json"),
         "queuemon": ("QueueMonitor",),
-        "utilization": ("LinkMonitor",),
         "sync": (
             "cluster_loss_events",
             "loss_synchronization_index",

@@ -1,60 +1,14 @@
-"""Exporters: turn runs into files other tools can consume.
-
-* :func:`flow_stats_to_csv` — one CSV per series (sends / acks / cwnd)
-  for plotting with anything;
-* :func:`rows_to_csv` — generic list-of-dicts table writer used by the
-  experiment harnesses;
-* :class:`NsTraceWriter` — an ns-2-style flat event trace
-  (``<op> <time> <src> <flow> <seq> ...``) built by subscribing to the
-  simulation trace bus, for eyeballing with the classic toolchains.
-"""
+"""Exporters: the list-of-dicts table writers behind the experiment
+CLI's ``--out`` (:func:`rows_to_csv`, :func:`rows_to_json`)."""
 
 from __future__ import annotations
 
 import csv
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
-
-from repro.metrics.flowstats import FlowStats
-from repro.sim.tracing import TraceBus, TraceRecord
+from typing import Mapping, Sequence, Union
 
 PathLike = Union[str, Path]
-
-
-def flow_stats_to_csv(stats: FlowStats, directory: PathLike, prefix: str = "flow") -> List[Path]:
-    """Write a flow's send/ack/cwnd series as three CSV files.
-
-    Returns the paths written (``<prefix>_sends.csv`` etc.).
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
-
-    sends_path = directory / f"{prefix}_sends.csv"
-    with sends_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time", "seqno", "retransmit"])
-        for time, seqno, retransmit in stats.send_series:
-            writer.writerow([f"{time:.6f}", seqno, int(retransmit)])
-    written.append(sends_path)
-
-    acks_path = directory / f"{prefix}_acks.csv"
-    with acks_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time", "ackno"])
-        for time, ackno in stats.ack_series:
-            writer.writerow([f"{time:.6f}", ackno])
-    written.append(acks_path)
-
-    cwnd_path = directory / f"{prefix}_cwnd.csv"
-    with cwnd_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time", "cwnd"])
-        for time, cwnd in stats.cwnd_series:
-            writer.writerow([f"{time:.6f}", f"{cwnd:.4f}"])
-    written.append(cwnd_path)
-    return written
 
 
 def rows_to_csv(rows: Sequence[Mapping[str, object]], path: PathLike) -> Path:
@@ -81,46 +35,3 @@ def rows_to_json(rows: Sequence[Mapping[str, object]], path: PathLike) -> Path:
     path.write_text(json.dumps([dict(r) for r in rows], indent=2, sort_keys=True))
     return path
 
-
-class NsTraceWriter:
-    """Collects ns-2-style trace lines from a :class:`TraceBus`.
-
-    Event codes follow the classic format loosely:
-    ``+`` send at a sender, ``d`` drop, ``a`` ACK arrival at the sender,
-    ``t`` timeout.  Lines are buffered in memory; call :meth:`write` to
-    flush to a file, or read :attr:`lines` directly.
-    """
-
-    _CATEGORIES = {
-        "tcp.send": "+",
-        "link.drop": "d",
-        "link.injected_drop": "d",
-        "tcp.ack": "a",
-        "tcp.timeout": "t",
-    }
-
-    def __init__(self, bus: TraceBus, flow_id: Optional[int] = None):
-        self.flow_id = flow_id
-        self.lines: List[str] = []
-        for category in self._CATEGORIES:
-            bus.subscribe(category, self._on_record)
-
-    def _on_record(self, record: TraceRecord) -> None:
-        code = self._CATEGORIES[record.category]
-        fields = record.fields
-        if record.category.startswith("link."):
-            packet = fields.get("packet")
-            if packet is None or (self.flow_id is not None and packet.flow_id != self.flow_id):
-                return
-            self.lines.append(
-                f"{code} {record.time:.6f} {record.source} f{packet.flow_id} {packet.seqno}"
-            )
-            return
-        seqno = fields.get("seqno", fields.get("ackno", fields.get("snd_una", "-")))
-        self.lines.append(f"{code} {record.time:.6f} {record.source} {seqno}")
-
-    def write(self, path: PathLike) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(self.lines) + ("\n" if self.lines else ""))
-        return path

@@ -80,30 +80,3 @@ def loss_recovery_throughput(stats: FlowStats, mss_bytes: int = 1000) -> Optiona
     t_start, t_end, _ = span
     return goodput_bps(stats, t_start, t_end, mss_bytes)
 
-
-def recovery_span_throughput(
-    stats: FlowStats,
-    episode_index: int = 0,
-    mss_bytes: int = 1000,
-) -> Optional[float]:
-    """Effective throughput *during the congestion-recovery period*
-    (the Figure 5 metric).
-
-    The span starts when the sender detects the first loss (recovery
-    entry) and ends when the cumulative ACK first reaches the exit
-    threshold recorded at entry — i.e. when every packet outstanding at
-    the time of the loss has been delivered.  Measuring to this fixed,
-    variant-independent target makes schemes comparable even when one
-    of them needs a timeout to get there (New-Reno with 6 drops) and
-    another strolls through in a few RTTs (RR/SACK).
-
-    Returns bits/second, or None if the episode never completed.
-    """
-    if episode_index >= len(stats.episodes):
-        return None
-    episode = stats.episodes[episode_index]
-    t_done = stats.time_ack_reached(episode.recover)
-    if t_done is None or t_done <= episode.enter_time:
-        return None
-    acked = stats.acked_at(t_done) - episode.enter_ack
-    return acked * mss_bytes * 8.0 / (t_done - episode.enter_time)

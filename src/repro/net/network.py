@@ -6,8 +6,8 @@
 :meth:`compute_routes` to fill every node's forwarding table with
 delay-weighted shortest paths.
 
-Routing uses a self-contained Dijkstra so the core library has no hard
-dependency on networkx (which remains available for analysis code).
+Routing uses a self-contained Dijkstra, so the library has no
+dependencies.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "SweepRunner",
             "SweepStats",
             "TaskRecord",
-            "default_jobs",
         ),
         "spec": ("TaskSpec", "canonicalize", "resolve", "uncanonicalize"),
         "warmstart": ("SNAPSHOT_SUBDIR", "SnapshotStore"),

@@ -280,8 +280,3 @@ class ResultCache:
                 f"({reason}); further failures are counted silently",
                 file=sys.stderr,
             )
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

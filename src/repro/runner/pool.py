@@ -71,11 +71,6 @@ def _execute_task(spec: TaskSpec, index: int, profile_dir: Optional[str]) -> Any
     return value, time.perf_counter() - start
 
 
-def default_jobs() -> int:
-    """A sensible ``--jobs`` default: all cores, capped at 8."""
-    return max(1, min(8, os.cpu_count() or 1))
-
-
 class SweepObserver:
     """Task-lifecycle hook for :class:`SweepRunner` (all methods no-op).
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.app.workload import OnOffSource, PoissonTransfers
+from repro.app.workload import OnOffSource
 from repro.errors import ConfigurationError
 from repro.net.topology import Dumbbell, DumbbellParams
 from repro.sim.engine import Simulator
@@ -14,83 +14,6 @@ def make_world(n_pairs=10, buffer_packets=50):
     sim = Simulator()
     bell = Dumbbell(sim, DumbbellParams(n_pairs=n_pairs, buffer_packets=buffer_packets))
     return sim, bell
-
-
-class TestPoissonTransfers:
-    def test_generates_requested_count(self):
-        sim, bell = make_world()
-        workload = PoissonTransfers(
-            sim, bell, "rr", arrival_rate=5.0, size_packets=10,
-            max_transfers=6, rng=RngStream(1, "arrivals"),
-        )
-        sim.run(until=300.0)
-        assert len(workload.records) == 6
-
-    def test_all_transfers_complete_on_clean_path(self):
-        sim, bell = make_world()
-        workload = PoissonTransfers(
-            sim, bell, "newreno", arrival_rate=2.0, size_packets=15,
-            max_transfers=5, rng=RngStream(2, "arrivals"),
-        )
-        sim.run(until=300.0)
-        assert workload.completion_ratio() == 1.0
-        assert all(r.delay > 0 for r in workload.completed)
-
-    def test_arrivals_are_spread_in_time(self):
-        sim, bell = make_world()
-        workload = PoissonTransfers(
-            sim, bell, "rr", arrival_rate=1.0, size_packets=5,
-            max_transfers=5, rng=RngStream(3, "arrivals"),
-        )
-        sim.run(until=300.0)
-        starts = [r.start_time for r in workload.records]
-        assert starts == sorted(starts)
-        assert len(set(starts)) == len(starts)  # no simultaneous launches
-
-    def test_size_sampler(self):
-        sim, bell = make_world()
-        workload = PoissonTransfers(
-            sim, bell, "rr", arrival_rate=5.0,
-            size_sampler=lambda rng: rng.randint(3, 7),
-            max_transfers=5, rng=RngStream(4, "arrivals"),
-        )
-        sim.run(until=300.0)
-        assert all(3 <= r.size_packets <= 7 for r in workload.records)
-
-    def test_mean_and_percentile_delay(self):
-        sim, bell = make_world()
-        workload = PoissonTransfers(
-            sim, bell, "rr", arrival_rate=5.0, size_packets=10,
-            max_transfers=4, rng=RngStream(5, "arrivals"),
-        )
-        sim.run(until=300.0)
-        mean = workload.mean_delay()
-        p90 = workload.percentile_delay(0.9)
-        assert mean is not None and p90 is not None
-        assert p90 >= workload.percentile_delay(0.1)
-
-    def test_too_few_host_pairs_rejected(self):
-        sim, bell = make_world(n_pairs=2)
-        with pytest.raises(ConfigurationError):
-            PoissonTransfers(sim, bell, "rr", arrival_rate=1.0, max_transfers=5)
-
-    def test_invalid_rate_rejected(self):
-        sim, bell = make_world()
-        with pytest.raises(ConfigurationError):
-            PoissonTransfers(sim, bell, "rr", arrival_rate=0.0, max_transfers=2)
-
-    def test_determinism(self):
-        def run(seed):
-            sim, bell = make_world()
-            workload = PoissonTransfers(
-                sim, bell, "rr", arrival_rate=3.0, size_packets=8,
-                max_transfers=5, rng=RngStream(seed, "arrivals"),
-            )
-            sim.run(until=300.0)
-            return [(r.start_time, r.complete_time) for r in workload.records]
-
-        assert run(7) == run(7)
-        assert run(7) != run(8)
 
 
 class TestOnOffSource:
@@ -128,43 +51,31 @@ class TestOnOffSource:
 
 
 # Run in fresh interpreters by TestCrossProcessDeterminism: builds the
-# Poisson workload (or on/off source) with a fixed seed and prints a
-# transcript of everything observable.
+# on/off source with a fixed seed and prints a transcript of everything
+# observable.
 _DETERMINISM_SCRIPT = """
-import sys
-from repro.app.workload import OnOffSource, PoissonTransfers
+from repro.app.workload import OnOffSource
 from repro.net.topology import Dumbbell, DumbbellParams
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStream
 from repro.tcp.factory import make_connection
 
-kind = sys.argv[1]
 sim = Simulator()
 bell = Dumbbell(sim, DumbbellParams(n_pairs=6, buffer_packets=50))
-if kind == "poisson":
-    workload = PoissonTransfers(
-        sim, bell, "rr", arrival_rate=4.0, size_packets=12,
-        max_transfers=5, rng=RngStream(33, "arrivals"),
-    )
-    sim.run(until=200.0)
-    for r in workload.records:
-        print(r.flow_id, repr(r.start_time), r.size_packets,
-              repr(r.complete_time), r.timeouts, r.retransmits)
-else:
-    sender, _ = make_connection(sim, "newreno", 1, bell.sender(1), bell.receiver(1))
-    source = OnOffSource(
-        sim, sender, RngStream(5, "onoff"),
-        mean_on_packets=20, mean_off_seconds=0.3,
-    )
-    sim.run(until=30.0)
-    print(source.bursts, sender.snd_una, repr(sim.now), sim.events_processed)
+sender, _ = make_connection(sim, "newreno", 1, bell.sender(1), bell.receiver(1))
+source = OnOffSource(
+    sim, sender, RngStream(5, "onoff"),
+    mean_on_packets=20, mean_off_seconds=0.3,
+)
+sim.run(until=30.0)
+print(source.bursts, sender.snd_una, repr(sim.now), sim.events_processed)
 """
 
 
 class TestCrossProcessDeterminism:
     """Same seed, two fresh interpreters -> byte-identical transcripts."""
 
-    def _transcript(self, kind):
+    def _transcript(self):
         import os
         import subprocess
         import sys
@@ -174,25 +85,20 @@ class TestCrossProcessDeterminism:
         env["PYTHONPATH"] = os.path.abspath(root)
         # Different hash seeds per process: determinism must not lean
         # on dict/set iteration luck.
-        env["PYTHONHASHSEED"] = {"poisson": "101", "onoff": "202"}[kind]
+        env["PYTHONHASHSEED"] = "202"
         result = subprocess.run(
-            [sys.executable, "-c", _DETERMINISM_SCRIPT, kind],
+            [sys.executable, "-c", _DETERMINISM_SCRIPT],
             capture_output=True, text=True, env=env, check=True,
         )
         env["PYTHONHASHSEED"] = "999"
         second = subprocess.run(
-            [sys.executable, "-c", _DETERMINISM_SCRIPT, kind],
+            [sys.executable, "-c", _DETERMINISM_SCRIPT],
             capture_output=True, text=True, env=env, check=True,
         )
         return result.stdout, second.stdout
 
-    def test_poisson_transfers_identical_across_processes(self):
-        first, second = self._transcript("poisson")
-        assert first == second
-        assert len(first.splitlines()) == 5
-
     def test_onoff_source_identical_across_processes(self):
-        first, second = self._transcript("onoff")
+        first, second = self._transcript()
         assert first == second
 
 

@@ -24,10 +24,23 @@ class TestSummarize:
         summary = summarize(values, confidence=0.95)
         import statistics, math
 
-        expected = 1.96 * statistics.stdev(values) / math.sqrt(4)
+        # Student t with n - 1 = 3 degrees of freedom, not z = 1.96
+        expected = 3.1824 * statistics.stdev(values) / math.sqrt(4)
         assert summary.ci_half_width == pytest.approx(expected, rel=1e-3)
         assert summary.ci_low == pytest.approx(summary.mean - expected, rel=1e-3)
         assert summary.ci_high == pytest.approx(summary.mean + expected, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "confidence, n, quantile",
+        [(0.95, 5, 2.7764), (0.90, 10, 1.8331), (0.99, 30, 2.7564), (0.95, 121, 1.9799)],
+    )
+    def test_half_width_uses_student_t(self, confidence, n, quantile):
+        import statistics, math
+
+        values = [float(i * i % 7) for i in range(n)]
+        summary = summarize(values, confidence=confidence)
+        scale = statistics.stdev(values) / math.sqrt(n)
+        assert summary.ci_half_width / scale == pytest.approx(quantile, abs=5e-4)
 
     def test_wider_confidence_wider_interval(self):
         values = [1.0, 5.0, 9.0]

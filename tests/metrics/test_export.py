@@ -1,52 +1,9 @@
-"""Tests for the CSV/JSON/ns-trace exporters."""
+"""Tests for the CSV/JSON row writers."""
 
 import csv
 import json
 
-from repro.metrics.export import (
-    NsTraceWriter,
-    flow_stats_to_csv,
-    rows_to_csv,
-    rows_to_json,
-)
-from repro.metrics.flowstats import FlowStats
-from repro.net.packet import data_packet
-from repro.sim.tracing import TraceBus, TraceRecord
-
-
-class FakeSender:
-    snd_una = 0
-    recover = 0
-
-
-def populated_stats():
-    stats = FlowStats(flow_id=1)
-    sender = FakeSender()
-    stats.on_send(0.0, sender, 0, retransmit=False)
-    stats.on_send(1.0, sender, 0, retransmit=True)
-    stats.on_ack(0.5, sender, 1, duplicate=False)
-    stats.on_cwnd(0.5, sender, 2.5)
-    return stats
-
-
-class TestFlowStatsCsv:
-    def test_writes_three_files(self, tmp_path):
-        paths = flow_stats_to_csv(populated_stats(), tmp_path, prefix="f1")
-        assert [p.name for p in paths] == ["f1_sends.csv", "f1_acks.csv", "f1_cwnd.csv"]
-        assert all(p.exists() for p in paths)
-
-    def test_send_rows_roundtrip(self, tmp_path):
-        paths = flow_stats_to_csv(populated_stats(), tmp_path)
-        with paths[0].open() as handle:
-            rows = list(csv.DictReader(handle))
-        assert rows[0]["seqno"] == "0"
-        assert rows[0]["retransmit"] == "0"
-        assert rows[1]["retransmit"] == "1"
-
-    def test_creates_directory(self, tmp_path):
-        target = tmp_path / "deep" / "dir"
-        flow_stats_to_csv(populated_stats(), target)
-        assert target.exists()
+from repro.metrics.export import rows_to_csv, rows_to_json
 
 
 class TestRowWriters:
@@ -68,66 +25,3 @@ class TestRowWriters:
         data = json.loads(path.read_text())
         assert data[0]["scheme"] == "rr"
         assert len(data) == 2
-
-
-class TestNsTraceWriter:
-    def test_collects_send_drop_ack(self, tmp_path):
-        bus = TraceBus()
-        writer = NsTraceWriter(bus)
-        bus.emit(0.1, "tcp.send", "rr/f1", seqno=5, retransmit=False)
-        bus.publish(
-            TraceRecord(0.2, "link.drop", "R1->R2", {"packet": data_packet(1, "S", "K", 5)})
-        )
-        bus.emit(0.3, "tcp.ack", "rr/f1", ackno=5, duplicate=False)
-        bus.emit(0.4, "tcp.timeout", "rr/f1", snd_una=5)
-        assert len(writer.lines) == 4
-        assert writer.lines[0].startswith("+ 0.1")
-        assert writer.lines[1].startswith("d 0.2")
-        assert writer.lines[2].startswith("a 0.3")
-        assert writer.lines[3].startswith("t 0.4")
-
-    def test_flow_filter_on_drops(self):
-        bus = TraceBus()
-        writer = NsTraceWriter(bus, flow_id=2)
-        bus.publish(
-            TraceRecord(0.2, "link.drop", "q", {"packet": data_packet(1, "S", "K", 5)})
-        )
-        bus.publish(
-            TraceRecord(0.3, "link.drop", "q", {"packet": data_packet(2, "S", "K", 7)})
-        )
-        assert len(writer.lines) == 1
-        assert "f2" in writer.lines[0]
-
-    def test_write_to_file(self, tmp_path):
-        bus = TraceBus()
-        writer = NsTraceWriter(bus)
-        bus.emit(0.1, "tcp.send", "rr/f1", seqno=1)
-        path = writer.write(tmp_path / "trace.tr")
-        assert path.read_text().startswith("+ 0.1")
-
-    def test_end_to_end_trace(self, tmp_path):
-        """A real simulation produces a nonempty, time-ordered trace."""
-        from repro.experiments.common import FlowSpec, build_dumbbell_scenario
-        from repro.net.loss import DeterministicLoss
-        from repro.net.topology import DumbbellParams
-        from repro.sim.engine import Simulator
-        from repro.tcp.factory import make_connection
-        from repro.app.ftp import FtpSource
-        from repro.net.topology import Dumbbell
-
-        sim = Simulator()
-        bell = Dumbbell(
-            sim,
-            DumbbellParams(n_pairs=1, buffer_packets=25),
-            forward_loss=DeterministicLoss([(1, 20)]),
-        )
-        writer = NsTraceWriter(bell.net.trace, flow_id=1)
-        sender, _ = make_connection(
-            sim, "rr", 1, bell.sender(1), bell.receiver(1), trace=bell.net.trace
-        )
-        FtpSource(sim, sender, amount_packets=60)
-        sim.run(until=60.0)
-        assert sender.completed
-        times = [float(line.split()[1]) for line in writer.lines]
-        assert times == sorted(times)
-        assert any(line.startswith("d ") for line in writer.lines)

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.metrics.flowstats import FlowStats, RecoveryEpisode
+from repro.metrics.flowstats import FlowStats
 from repro.metrics.throughput import (
     effective_throughput_bps,
     goodput_bps,
     loss_recovery_span,
     loss_recovery_throughput,
-    recovery_span_throughput,
 )
 
 
@@ -93,23 +92,3 @@ class TestLossRecoverySpan:
         stats = stats_with_acks([], sends=sends)
         assert loss_recovery_span(stats) is None
 
-
-class TestEpisodeThroughput:
-    def test_episode_based_measurement(self):
-        stats = stats_with_acks([(2.0, 8), (3.0, 16)])
-        stats.episodes.append(
-            RecoveryEpisode(enter_time=1.0, enter_ack=4, recover=16)
-        )
-        # target 16 reached at 3.0; acked 16-4=12 pkts over 2 s
-        assert recovery_span_throughput(stats) == pytest.approx(12 * 8000 / 2.0)
-
-    def test_missing_episode_returns_none(self):
-        stats = stats_with_acks([(1.0, 5)])
-        assert recovery_span_throughput(stats, episode_index=0) is None
-
-    def test_unreached_target_returns_none(self):
-        stats = stats_with_acks([(2.0, 8)])
-        stats.episodes.append(
-            RecoveryEpisode(enter_time=1.0, enter_ack=4, recover=100)
-        )
-        assert recovery_span_throughput(stats) is None

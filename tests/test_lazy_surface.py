@@ -100,22 +100,19 @@ SEED_SURFACE = {
         "repro.app.ftp": "FtpSource",
         "repro.app.workload": (
             "FixedSize JitteredArrivals LognormalSizes OnOffSource ParetoSizes "
-            "PoissonArrivals PoissonTransfers StaggeredArrivals TransferRecord "
+            "PoissonArrivals StaggeredArrivals "
         ),
     },
     "repro.metrics": {
         "repro.metrics.flowstats": "FlowStats LeanFlowStats RecoveryEpisode",
         "repro.metrics.throughput": (
             "effective_throughput_bps goodput_bps loss_recovery_span "
-            "loss_recovery_throughput recovery_span_throughput "
+            "loss_recovery_throughput "
         ),
         "repro.metrics.fairness": "jain_index",
         "repro.metrics.timeseries": "SequenceTracer",
-        "repro.metrics.export": (
-            "NsTraceWriter flow_stats_to_csv rows_to_csv rows_to_json "
-        ),
+        "repro.metrics.export": "rows_to_csv rows_to_json",
         "repro.metrics.queuemon": "QueueMonitor",
-        "repro.metrics.utilization": "LinkMonitor",
         "repro.metrics.sync": (
             "cluster_loss_events loss_synchronization_index mean_flows_per_event "
         ),
@@ -148,7 +145,7 @@ SEED_SURFACE = {
         # from repro.runner.warmstart).
         "repro.runner.grid": "GridCell run_grid step_until",
         "repro.runner.pool": (
-            "SweepObserver SweepRunner SweepStats TaskRecord default_jobs "
+            "SweepObserver SweepRunner SweepStats TaskRecord "
         ),
         "repro.runner.spec": "TaskSpec canonicalize resolve uncanonicalize",
         # The cost model, the prefix index and its self-healing readers
@@ -220,11 +217,6 @@ SEED_SURFACE = {
     },
     "repro.viz": {
         "repro.viz.ascii": "ascii_scatter ascii_step_series format_table",
-    },
-    "repro.analysis": {
-        "repro.analysis.compare": (
-            "ComparisonConfig ComparisonResult compare_variants format_comparison "
-        ),
     },
 }
 
