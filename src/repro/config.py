@@ -1,4 +1,4 @@
-"""Shared configuration dataclasses.
+"""Shared configuration records.
 
 :class:`TcpConfig` gathers every tunable of the TCP agents.  Defaults
 match the paper's evaluation setup: 1000-byte data packets, 40-byte
@@ -9,14 +9,13 @@ measured in packets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Any
 
+from repro._record import Record, replace
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class TcpConfig:
+class TcpConfig(Record, frozen=True):
     """TCP agent tunables (packet-unit convention, see DESIGN.md §3).
 
     Attributes

@@ -3,7 +3,7 @@ evaluation, plus extension studies (ACK loss, ablations).
 
 Every harness exposes:
 
-* a ``*Config`` dataclass with the paper's parameters as defaults,
+* a ``*Config`` record with the paper's parameters as defaults,
 * a ``run_*`` function returning a structured result object,
 * a ``format_report`` function rendering the paper-vs-measured rows,
 * a ``run_cli`` adapter from parsed command-line options to the report,

@@ -25,9 +25,9 @@ Each overrides exactly one of RR's decision methods and reuses the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Type
 
+from repro._record import Record, field
 from repro.config import TcpConfig
 from repro.core.robust_recovery import RobustRecoverySender, RrPhase
 from repro.experiments.common import FlowSpec, build_dumbbell_scenario
@@ -91,8 +91,7 @@ ABLATIONS: Dict[str, Type[RobustRecoverySender]] = {
 }
 
 
-@dataclass
-class AblationConfig:
+class AblationConfig(Record):
     """Knobs for the ablation harness."""
 
     ablations: Sequence[str] = tuple(ABLATIONS)
@@ -103,8 +102,7 @@ class AblationConfig:
     sim_duration: float = 120.0
 
 
-@dataclass
-class AblationRow:
+class AblationRow(Record):
     name: str
     recovery_throughput_bps: Optional[float]
     window_throughput_bps: Optional[float]
@@ -112,8 +110,7 @@ class AblationRow:
     max_burst_after_exit: int
 
 
-@dataclass
-class AblationResult:
+class AblationResult(Record):
     config: AblationConfig
     rows: List[AblationRow] = field(default_factory=list)
 

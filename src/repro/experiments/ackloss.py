@@ -24,9 +24,9 @@ the ACK-loss process throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from repro._record import Record, field
 from repro.config import TcpConfig
 from repro.errors import SnapshotError
 from repro.experiments.common import FlowSpec, build_dumbbell_scenario
@@ -38,8 +38,7 @@ from repro.sim.rng import RngStream
 from repro.viz.ascii import format_table
 
 
-@dataclass
-class AckLossConfig:
+class AckLossConfig(Record):
     """Knobs for the ACK-loss study."""
 
     variants: Sequence[str] = ("newreno", "sack", "rr")
@@ -53,8 +52,7 @@ class AckLossConfig:
     sim_duration: float = 120.0
 
 
-@dataclass
-class AckLossRow:
+class AckLossRow(Record):
     variant: str
     ack_loss_rate: float
     goodput_bps: float
@@ -62,8 +60,7 @@ class AckLossRow:
     completed_ratio: float
 
 
-@dataclass
-class AckLossResult:
+class AckLossResult(Record):
     config: AckLossConfig
     rows: List[AckLossRow] = field(default_factory=list)
 

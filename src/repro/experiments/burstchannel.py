@@ -15,9 +15,9 @@ length — exactly the regime the paper targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from repro._record import Record, field
 from repro.config import TcpConfig
 from repro.experiments.common import FlowSpec, build_dumbbell_scenario
 from repro.metrics.throughput import effective_throughput_bps
@@ -28,8 +28,7 @@ from repro.sim.rng import RngStream
 from repro.viz.ascii import format_table
 
 
-@dataclass
-class BurstChannelConfig:
+class BurstChannelConfig(Record):
     variants: Sequence[str] = ("reno", "newreno", "sack", "rr")
     #: mean bad-state burst lengths to sweep (packets)
     burst_lengths: Sequence[float] = (1.0, 2.0, 4.0)
@@ -41,8 +40,7 @@ class BurstChannelConfig:
     sim_duration: float = 600.0
 
 
-@dataclass
-class BurstChannelRow:
+class BurstChannelRow(Record):
     variant: str
     burst_length: float
     throughput_bps: float
@@ -50,8 +48,7 @@ class BurstChannelRow:
     completed_ratio: float
 
 
-@dataclass
-class BurstChannelResult:
+class BurstChannelResult(Record):
     config: BurstChannelConfig
     rows: List[BurstChannelRow] = field(default_factory=list)
 

@@ -21,10 +21,10 @@ fault load; the chaos table lets you check that shape directly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro._record import Record, field
 from repro.config import TcpConfig
 from repro.errors import InvariantViolation
 from repro.experiments.common import FlowSpec, build_dumbbell_scenario, known_variants
@@ -41,8 +41,7 @@ from repro.sim.watchdog import CrashReport, Watchdog
 from repro.viz.ascii import format_table
 
 
-@dataclass
-class ChaosConfig:
+class ChaosConfig(Record):
     """Knobs for the chaos harness."""
 
     variants: Sequence[str] = ("tahoe", "reno", "newreno", "sack", "rr")
@@ -82,8 +81,7 @@ class ChaosConfig:
         return TcpConfig(receiver_window=64, initial_ssthresh=20.0)
 
 
-@dataclass
-class ChaosRun:
+class ChaosRun(Record):
     """One (variant, seed) cell."""
 
     variant: str
@@ -118,8 +116,7 @@ class ChaosRun:
         )
 
 
-@dataclass
-class ChaosVariantSummary:
+class ChaosVariantSummary(Record):
     variant: str
     runs: int
     survived: int
@@ -135,8 +132,7 @@ class ChaosVariantSummary:
         return self.survived / self.runs if self.runs else 0.0
 
 
-@dataclass
-class ChaosResult:
+class ChaosResult(Record):
     config: ChaosConfig
     runs: List[ChaosRun] = field(default_factory=list)
     baselines: Dict[str, float] = field(default_factory=dict)

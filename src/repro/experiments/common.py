@@ -8,9 +8,9 @@ source), and drop watching on the trace bus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
+from repro._record import Record, field, replace
 from repro.config import TcpConfig
 from repro.errors import ConfigurationError
 
@@ -36,8 +36,7 @@ def known_variants(names: Sequence[str]) -> Tuple[str, ...]:
     return tuple(names)
 
 
-@dataclass
-class FlowSpec:
+class FlowSpec(Record):
     """One connection in a scenario."""
 
     variant: str
@@ -46,8 +45,7 @@ class FlowSpec:
     config: Optional[TcpConfig] = None
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(Record):
     """Everything a scenario run leaves behind, keyed by flow id."""
 
     sim: Simulator

@@ -7,10 +7,10 @@ real plotting stacks, or for regression-diffing runs.
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Mapping, Union
 
+from repro._record import asdict
 from repro.metrics.export import rows_to_csv, rows_to_json
 
 PathLike = Union[str, Path]

@@ -26,9 +26,9 @@ bursty losses").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
+from repro._record import Record, field
 from repro.config import TcpConfig
 from repro.errors import SnapshotError
 from repro.experiments.common import (
@@ -51,8 +51,7 @@ if TYPE_CHECKING:
     from repro.snapshot import Snapshot
 
 
-@dataclass
-class Figure5Config:
+class Figure5Config(Record):
     """Knobs for the Figure 5 harness (defaults = paper values)."""
 
     variants: Sequence[str] = tuple(PAPER_VARIANTS)
@@ -65,8 +64,7 @@ class Figure5Config:
     sim_duration: float = 120.0
 
 
-@dataclass
-class Figure5Row:
+class Figure5Row(Record):
     variant: str
     drops: int
     recovery_throughput_bps: Optional[float]
@@ -78,8 +76,7 @@ class Figure5Row:
     complete_time: Optional[float]
 
 
-@dataclass
-class Figure5Result:
+class Figure5Result(Record):
     config: Figure5Config
     rows: List[Figure5Row] = field(default_factory=list)
 

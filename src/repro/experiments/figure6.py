@@ -18,9 +18,9 @@ behind with a visible stall ending in a coarse timeout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro._record import Record, field
 from repro.experiments.common import FlowSpec, build_dumbbell_scenario
 from repro.net.packet import set_uid_state
 from repro.metrics.timeseries import SequenceTrace, SequenceTracer
@@ -31,8 +31,7 @@ from repro.sim.rng import RngStream
 from repro.viz.ascii import ascii_scatter, format_table
 
 
-@dataclass
-class Figure6Config:
+class Figure6Config(Record):
     """Knobs for the Figure 6 harness (defaults = paper values)."""
 
     variants: Sequence[str] = ("newreno", "sack", "rr")
@@ -47,8 +46,7 @@ class Figure6Config:
     seed: int = 7
 
 
-@dataclass
-class Figure6FlowResult:
+class Figure6FlowResult(Record):
     variant: str
     final_ack: int
     throughput_bps: float
@@ -62,8 +60,7 @@ class Figure6FlowResult:
     fleet_timeouts: int = 0
 
 
-@dataclass
-class Figure6Result:
+class Figure6Result(Record):
     config: Figure6Config
     flows: Dict[str, Figure6FlowResult] = field(default_factory=dict)
 

@@ -22,9 +22,9 @@ SACK.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro._record import Record, field
 from repro.config import TcpConfig
 from repro.experiments.common import FlowSpec, build_dumbbell_scenario
 from repro.models.mathis import MATHIS_C_ACK_EVERY_PACKET, PAPER_C, mathis_window
@@ -35,8 +35,7 @@ from repro.sim.rng import RngStream
 from repro.viz.ascii import ascii_scatter, format_table
 
 
-@dataclass
-class Figure7Config:
+class Figure7Config(Record):
     """Knobs for the Figure 7 harness (defaults = paper values)."""
 
     variants: Sequence[str] = ("sack", "rr")
@@ -54,8 +53,7 @@ class Figure7Config:
     runs_per_point: int = 3       # average a few seeds per point
 
 
-@dataclass
-class Figure7Point:
+class Figure7Point(Record):
     variant: str
     loss_rate: float
     window: float                 # measured W = BW*RTT/MSS
@@ -64,8 +62,7 @@ class Figure7Point:
     timeouts: float               # mean across runs
 
 
-@dataclass
-class Figure7Result:
+class Figure7Result(Record):
     config: Figure7Config
     points: List[Figure7Point] = field(default_factory=list)
 

@@ -14,9 +14,9 @@ walks through the workflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro._record import Record, field
 from repro.errors import ConfigurationError
 from repro.experiments.common import known_variants
 from repro.ident.dataset import (
@@ -41,8 +41,7 @@ GRIDS = {
 }
 
 
-@dataclass
-class IdentifyConfig:
+class IdentifyConfig(Record):
     """Sweep shape for the identification harness."""
 
     variants: Tuple[str, ...] = IDENT_VARIANTS
@@ -60,8 +59,7 @@ class IdentifyConfig:
             ) from None
 
 
-@dataclass
-class IdentifyRow:
+class IdentifyRow(Record):
     """One (variant, cell) outcome."""
 
     variant: str
@@ -74,8 +72,7 @@ class IdentifyRow:
         return f"{self.variant}/{self.key}"
 
 
-@dataclass
-class IdentifyResult:
+class IdentifyResult(Record):
     config: IdentifyConfig
     model_digest: str
     rows: List[IdentifyRow] = field(default_factory=list)

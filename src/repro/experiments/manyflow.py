@@ -23,9 +23,9 @@ could share — a repeated sweep is served by the result cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro._record import Record, field
 from repro.config import TcpConfig
 from repro.metrics.queuemon import QueueMonitor
 from repro.models.meanfield import (
@@ -48,8 +48,7 @@ _MSS_BYTES = TcpConfig().mss_bytes
 _MAX_WINDOW = float(TcpConfig().receiver_window)
 
 
-@dataclass
-class ManyflowConfig:
+class ManyflowConfig(Record):
     """Knobs for the manyflow sweep.
 
     The RED thresholds are wider than the paper's Table 4 (the oracle
@@ -85,8 +84,7 @@ class ManyflowConfig:
     seed: int = 21
 
 
-@dataclass
-class ManyflowCellResult:
+class ManyflowCellResult(Record):
     """One (flow count, max_p) cell: measurement + oracle comparison."""
 
     label: str
@@ -102,8 +100,7 @@ class ManyflowCellResult:
     verdict: Optional[OracleVerdict] = None
 
 
-@dataclass
-class ManyflowResult:
+class ManyflowResult(Record):
     config: ManyflowConfig
     cells: List[ManyflowCellResult] = field(default_factory=list)
 

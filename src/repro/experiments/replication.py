@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
+
+from repro._record import Record
 
 # two-sided z quantiles for the supported confidence levels
 _Z = {0.90: 1.6448536, 0.95: 1.9599640, 0.99: 2.5758293}
@@ -60,8 +61,7 @@ def t_quantile(confidence: float, df: int) -> float:
     return z + g1 / df + g2 / df**2 + g3 / df**3 + g4 / df**4
 
 
-@dataclass(frozen=True)
-class Summary:
+class Summary(Record, frozen=True):
     """Aggregate of one metric across seeds."""
 
     n: int

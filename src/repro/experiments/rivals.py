@@ -37,9 +37,9 @@ the result cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro._record import Record, field
 from repro.config import TcpConfig
 from repro.errors import ConfigurationError
 from repro.experiments.common import FlowSpec, build_dumbbell_scenario
@@ -67,8 +67,7 @@ REGIMES = ("wired", "delack", "ecn-red", "mobile")
 WARMUP_FRACTION = 0.25
 
 
-@dataclass
-class RivalsConfig:
+class RivalsConfig(Record):
     """Knobs for the rivals grid.
 
     The wired bottleneck is sized so four flows each hold an ~8-packet
@@ -115,8 +114,7 @@ class RivalsConfig:
     seed: int = 31
 
 
-@dataclass
-class RivalsCellResult:
+class RivalsCellResult(Record):
     """One executed cell (match, pure baseline, or model oracle)."""
 
     label: str
@@ -137,8 +135,7 @@ class RivalsCellResult:
     verdict: Optional[RelentlessVerdict] = None
 
 
-@dataclass
-class RivalsRow:
+class RivalsRow(Record):
     """One reduced friendliness row: a match cell + its baselines."""
 
     regime: str
@@ -155,8 +152,7 @@ class RivalsRow:
     utilization: float
 
 
-@dataclass
-class RivalsResult:
+class RivalsResult(Record):
     config: RivalsConfig
     cells: List[RivalsCellResult] = field(default_factory=list)
     rows: List[RivalsRow] = field(default_factory=list)

@@ -19,9 +19,9 @@ Expected shape (paper Table 5):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro._record import Record, field
 from repro.app.ftp import FtpSource
 from repro.experiments.common import FlowSpec, build_dumbbell_scenario
 from repro.metrics.fairness import jain_index
@@ -34,8 +34,7 @@ from repro.tcp.factory import make_connection
 from repro.viz.ascii import format_table
 
 
-@dataclass
-class Table5Config:
+class Table5Config(Record):
     """Knobs for the Table 5 harness (defaults = paper values)."""
 
     cases: Sequence[Tuple[str, str]] = (
@@ -64,8 +63,7 @@ class Table5Config:
     attach_margin: float = 0.25
 
 
-@dataclass
-class Table5Row:
+class Table5Row(Record):
     target_variant: str
     background_variant: str
     transfer_delay: Optional[float]   # mean across replications
@@ -77,8 +75,7 @@ class Table5Row:
     total_runs: int = 0
 
 
-@dataclass
-class Table5Result:
+class Table5Result(Record):
     config: Table5Config
     rows: List[Table5Row] = field(default_factory=list)
 

@@ -26,9 +26,9 @@ rest mainly by *avoiding* self-induced losses on an uncontended path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Type
 
+from repro._record import Record, field
 from repro.config import TcpConfig
 from repro.experiments.common import FlowSpec, build_dumbbell_scenario
 from repro.net.loss import DeterministicLoss
@@ -65,8 +65,7 @@ CONFIGURATIONS: Dict[str, Type[RenoSender]] = {
 }
 
 
-@dataclass
-class VegasDecompositionConfig:
+class VegasDecompositionConfig(Record):
     configurations: Sequence[str] = tuple(CONFIGURATIONS)
     transfer_packets: int = 400
     burst_drops: int = 3
@@ -75,8 +74,7 @@ class VegasDecompositionConfig:
     sim_duration: float = 120.0
 
 
-@dataclass
-class VegasDecompositionRow:
+class VegasDecompositionRow(Record):
     name: str
     complete_time: Optional[float]
     retransmits: int
@@ -84,8 +82,7 @@ class VegasDecompositionRow:
     drops_observed: int
 
 
-@dataclass
-class VegasDecompositionResult:
+class VegasDecompositionResult(Record):
     config: VegasDecompositionConfig
     rows: List[VegasDecompositionRow] = field(default_factory=list)
 

@@ -18,9 +18,9 @@ closes before the fault horizon so the run can drain cleanly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
+from repro._record import Record, field
 from repro.errors import ConfigurationError
 from repro.faults.plan import (
     AckLossEpisode,
@@ -38,8 +38,7 @@ from repro.faults.plan import (
 from repro.sim.rng import RngStream
 
 
-@dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(Record, frozen=True):
     """Bounds within which a campaign samples faults.
 
     ``horizon`` is the fault horizon: every sampled episode starts and

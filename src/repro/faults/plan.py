@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` is a seeded, composable schedule of fault actions
 that installs itself onto any built topology.  Actions are plain
-dataclasses — a plan is data until :meth:`FaultPlan.install` wires it
+records — a plan is data until :meth:`FaultPlan.install` wires it
 into a concrete :class:`~repro.net.network.Network` — so the same plan
 can be replayed against every TCP variant, printed into a report, or
 merged with another plan (``plan_a + plan_b``).
@@ -29,9 +29,9 @@ installing the same plan twice yields bit-identical behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro._record import Record, field
 from repro.errors import ConfigurationError, TopologyError
 from repro.faults.tamper import PacketTamperer
 from repro.net.link import Link
@@ -67,8 +67,7 @@ class _TamperChain:
         return PacketTamperer.clone(packet)
 
 
-@dataclass
-class FaultContext:
+class FaultContext(Record):
     """Everything an action needs to install itself: the engine, the
     built network, and (for host-side faults) the senders by flow id."""
 
@@ -121,7 +120,7 @@ class FaultContext:
 
 
 class FaultAction:
-    """One declarative fault.  Subclasses are frozen dataclasses with
+    """One declarative fault.  Subclasses are frozen records with
     an :meth:`install` wiring the fault into a built topology; ``rng``
     is this action's private stream, derived from the plan seed."""
 
@@ -132,8 +131,7 @@ class FaultAction:
         return repr(self)
 
 
-@dataclass(frozen=True)
-class LinkOutage(FaultAction):
+class LinkOutage(FaultAction, Record, frozen=True):
     """The link goes dark for ``duration`` seconds at ``start``."""
 
     link: str
@@ -147,8 +145,7 @@ class LinkOutage(FaultAction):
         return f"outage {self.link} [{self.start:.2f}s, +{self.duration:.2f}s]"
 
 
-@dataclass(frozen=True)
-class LinkFlap(FaultAction):
+class LinkFlap(FaultAction, Record, frozen=True):
     """``count`` short outages of ``down`` seconds, ``up`` seconds
     apart — an unstable interface renegotiating."""
 
@@ -174,8 +171,7 @@ class LinkFlap(FaultAction):
         )
 
 
-@dataclass(frozen=True)
-class RouterBlackout(FaultAction):
+class RouterBlackout(FaultAction, Record, frozen=True):
     """Every link touching ``router`` goes dark — a rebooting gateway."""
 
     router: str
@@ -193,8 +189,7 @@ class RouterBlackout(FaultAction):
         return f"blackout {self.router} [{self.start:.2f}s, +{self.duration:.2f}s]"
 
 
-@dataclass(frozen=True)
-class AckLossEpisode(FaultAction):
+class AckLossEpisode(FaultAction, Record, frozen=True):
     """i.i.d. ACK loss on a (reverse-path) link within a window."""
 
     link: str
@@ -213,8 +208,7 @@ class AckLossEpisode(FaultAction):
         return f"ack-loss {self.link} p={self.rate:.3f} [{self.start:.2f}s, {end})"
 
 
-@dataclass(frozen=True)
-class PacketDuplication(FaultAction):
+class PacketDuplication(FaultAction, Record, frozen=True):
     """Duplicate data packets on a link within a window."""
 
     link: str
@@ -235,8 +229,7 @@ class PacketDuplication(FaultAction):
         return f"duplicate {self.link} p={self.rate:.3f} [{self.start:.2f}s, {end})"
 
 
-@dataclass(frozen=True)
-class PacketCorruption(FaultAction):
+class PacketCorruption(FaultAction, Record, frozen=True):
     """Corrupt (checksum-drop) data packets on a link within a window."""
 
     link: str
@@ -257,8 +250,7 @@ class PacketCorruption(FaultAction):
         return f"corrupt {self.link} p={self.rate:.3f} [{self.start:.2f}s, {end})"
 
 
-@dataclass(frozen=True)
-class BurstLossEpisode(FaultAction):
+class BurstLossEpisode(FaultAction, Record, frozen=True):
     """A Gilbert-Elliott bursty channel on a link for a bounded window."""
 
     link: str
@@ -288,8 +280,7 @@ class BurstLossEpisode(FaultAction):
         )
 
 
-@dataclass(frozen=True)
-class PeriodicDropEpisode(FaultAction):
+class PeriodicDropEpisode(FaultAction, Record, frozen=True):
     """Every ``period``-th first-transmission data packet dropped,
     within a window."""
 
@@ -309,8 +300,7 @@ class PeriodicDropEpisode(FaultAction):
         return f"periodic-drop {self.link} 1/{self.period} [{self.start:.2f}s, {end})"
 
 
-@dataclass(frozen=True)
-class TimerSkew(FaultAction):
+class TimerSkew(FaultAction, Record, frozen=True):
     """Scale the RTO timer granularity of every sender (or one flow):
     coarse, skewed retransmission clocks."""
 
@@ -330,8 +320,7 @@ class TimerSkew(FaultAction):
         return f"timer-skew x{self.factor:.2f} ({scope})"
 
 
-@dataclass
-class FaultPlan:
+class FaultPlan(Record):
     """A seeded, composable schedule of fault actions.
 
     ``seed`` drives every stochastic action through per-action derived

@@ -27,9 +27,9 @@ see docs/WARMSTART.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
+from repro._record import Record
 from repro.net.link import Link
 from repro.net.loss import NoLoss
 from repro.snapshot import Snapshot
@@ -80,8 +80,7 @@ def neutralize_faults(scenario) -> List[str]:
     return notes
 
 
-@dataclass
-class TriageResult:
+class TriageResult(Record):
     """Outcome of one crash bisection."""
 
     crash_digest: str

@@ -25,9 +25,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+from repro._record import Record
 from repro.ident.features import FeatureVector
 
 #: Floor for per-feature scale: a feature constant across the training
@@ -36,8 +36,7 @@ from repro.ident.features import FeatureVector
 MIN_SCALE = 1e-6
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record, frozen=True):
     """The outcome of classifying one feature vector."""
 
     label: str

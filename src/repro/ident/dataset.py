@@ -3,7 +3,7 @@
 Every cell is the golden dumbbell world (one flow, 25-packet buffer,
 the paper's Figure-5 configuration) under a specific loss process:
 deterministic in-window drop bursts of varying depth and position, and
-seeded uniform random loss at varying rates.  Crossing the cells with
+seeded Gilbert-Elliott burst loss.  Crossing the cells with
 the five recovery variants yields the labeled feature vectors the
 reference classifier is fitted on.
 
@@ -11,8 +11,8 @@ Two disjoint grids:
 
 * :data:`TRAINING_GRID` — fits the committed reference model
   (``scripts/update_ident.py`` regenerates it).
-* :data:`HELDOUT_GRID` — different burst positions/depths, different
-  loss rates, different seeds.  Never touches the fit; the acceptance
+* :data:`HELDOUT_GRID` — different burst positions/depths and
+  different seeds.  Never touches the fit; the acceptance
   bar is perfect (5/5 variants, every cell) identification here, and
   the held-out vectors themselves are committed as the behavior-class
   golden file (``tests/golden/behavior_classes.json``).
@@ -24,18 +24,13 @@ stay bit-identical serial vs parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro._record import Record
 from repro.config import TcpConfig
 from repro.ident.classify import NearestCentroidClassifier
 from repro.ident.features import FeatureVector, FlowTraceCollector
-from repro.net.loss import (
-    DeterministicLoss,
-    GilbertElliott,
-    LossModule,
-    UniformLoss,
-)
+from repro.net.loss import DeterministicLoss, GilbertElliott, LossModule
 from repro.net.packet import set_uid_state
 from repro.net.topology import DumbbellParams
 from repro.sim.rng import RngStream
@@ -49,25 +44,20 @@ TRANSFER_PACKETS = 400
 RUN_UNTIL = 25.0
 
 
-@dataclass(frozen=True)
-class IdentScenario:
+class IdentScenario(Record, frozen=True):
     """One labeled loss cell over the golden dumbbell.
 
     ``kind`` is ``"burst"`` (a :class:`DeterministicLoss` run of
     ``n_drops`` consecutive sequence numbers starting at
-    ``first_drop``; pass several ``first_drop`` values via ``bursts``),
-    ``"gilbert"`` (seeded two-state Gilbert-Elliott burst loss — the
+    ``first_drop``; pass several ``first_drop`` values via ``bursts``)
+    or ``"gilbert"`` (seeded two-state Gilbert-Elliott burst loss — the
     stochastic cells, because only multi-drop loss windows exercise
-    the mechanisms that distinguish Reno from New-Reno), or
-    ``"uniform"`` (i.i.d. loss at ``rate``; isolated drops, so Reno
-    and New-Reno are genuinely indistinguishable here — kept out of
-    the grids, available for inconclusiveness tests).
+    the mechanisms that distinguish Reno from New-Reno).
     """
 
     key: str
-    kind: str  # "burst" | "gilbert" | "uniform"
+    kind: str  # "burst" | "gilbert"
     bursts: Tuple[Tuple[int, int], ...] = ()  # (first_drop_seq, n_drops)
-    rate: float = 0.0
     seed: int = 0
     #: Gilbert-Elliott geometry: good->bad and bad->good transition
     #: probabilities, and the bad-state loss probability.
@@ -89,10 +79,6 @@ class IdentScenario:
                 p_good_to_bad=self.p_good_to_bad,
                 p_bad_to_good=self.p_bad_to_good,
                 p_bad=self.p_bad,
-            )
-        if self.kind == "uniform":
-            return UniformLoss(
-                self.rate, RngStream(self.seed, f"ident/{self.key}")
             )
         raise ValueError(f"unknown scenario kind: {self.kind!r}")
 
@@ -182,7 +168,7 @@ def collect_cell(variant: str, key: str) -> Dict[str, object]:
 
     Registered in task specs as ``repro.ident.dataset:collect_cell`` —
     the dict return (not a FeatureVector) keeps cached results stable
-    against dataclass evolution.
+    against record evolution.
     """
     vector = collect_run(variant, scenario_by_key(key))
     return {

@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro._record import Record, field
 from repro.sim.tracing import TraceBus, TraceRecord
 
 #: Canonical feature order.  Appending is safe; reordering or renaming
@@ -72,8 +72,7 @@ TCP_CATEGORIES: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(Record, frozen=True):
     """A fixed-order vector of behavioral features for one flow."""
 
     names: Tuple[str, ...]
@@ -116,8 +115,7 @@ class FeatureVector:
         )
 
 
-@dataclass
-class FlowTrace:
+class FlowTrace(Record):
     """Raw per-flow event series, in bus arrival order.
 
     Every entry leads with the global arrival index, so events sharing
@@ -307,8 +305,7 @@ def _rtt_estimate(trace: FlowTrace) -> float:
     return estimate if estimate > 0.0 else 0.1
 
 
-@dataclass(frozen=True)
-class _Episode:
+class _Episode(Record, frozen=True):
     enter_order: int
     enter_t: float
     end_order: int

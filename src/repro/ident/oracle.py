@@ -16,10 +16,10 @@ reported as inconclusive rather than guessed at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
+from repro._record import Record
 from repro.ident.classify import Classification, NearestCentroidClassifier
 from repro.ident.features import FeatureVector, FlowTrace, extract_features
 
@@ -51,8 +51,7 @@ def load_reference_classifier() -> NearestCentroidClassifier:
     return _CACHED
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
+class IdentityVerdict(Record, frozen=True):
     """One flow's identification outcome.
 
     ``ok`` is None when no declared variant was supplied (pure

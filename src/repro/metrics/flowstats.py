@@ -11,15 +11,14 @@ subscribing to ``link.drop`` / ``link.injected_drop`` trace records.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro._record import Record, field
 from repro.sim.tracing import TraceBus, TraceRecord
 from repro.tcp.base import SenderObserver, TcpSender
 
 
-@dataclass
-class RecoveryEpisode:
+class RecoveryEpisode(Record):
     """One stay in the congestion-recovery phase."""
 
     enter_time: float
@@ -35,8 +34,7 @@ class RecoveryEpisode:
         return self.exit_time - self.enter_time
 
 
-@dataclass
-class FlowStats(SenderObserver):
+class FlowStats(SenderObserver, Record):
     """Collects one flow's sender-side events."""
 
     flow_id: int = 0
@@ -148,8 +146,7 @@ class FlowStats(SenderObserver):
         return self.drops_observed / sent if sent else 0.0
 
 
-@dataclass
-class LeanFlowStats(SenderObserver):
+class LeanFlowStats(SenderObserver, Record):
     """Scalar-only per-flow statistics for thousand-flow scenes.
 
     :class:`FlowStats` keeps full time series (and its drop watcher

@@ -8,15 +8,15 @@ transmissions), retransmissions, and the cumulative-ACK staircase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
+
+from repro._record import Record
 
 if TYPE_CHECKING:
     from repro.metrics.flowstats import FlowStats
 
 
-@dataclass
-class SequenceTrace:
+class SequenceTrace(Record):
     """The extracted series (each a list of (time, packet-number))."""
 
     sends: List[Tuple[float, int]]

@@ -51,16 +51,15 @@ grow), so the root is found by bisection.  Three regimes come out:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
+from repro._record import Record, field
 from repro.errors import ConfigurationError
 from repro.models.mathis import MATHIS_C_ACK_EVERY_PACKET
 from repro.net.red import RedParams, red_drop_curve
 
 
-@dataclass(frozen=True)
-class MeanFieldParams:
+class MeanFieldParams(Record, frozen=True):
     """Inputs of the fixed point (one bottleneck, N homogeneous flows)."""
 
     n_flows: int
@@ -92,8 +91,7 @@ class MeanFieldParams:
         self.red.validate()
 
 
-@dataclass(frozen=True)
-class MeanFieldPrediction:
+class MeanFieldPrediction(Record, frozen=True):
     """The fixed point: where the many-flow system settles."""
 
     queue_pkts: float        # average queue occupancy at the bottleneck
@@ -216,8 +214,7 @@ LOSS_REL_TOL = 0.50
 LOSS_ABS_TOL = 0.01       # absolute drop-probability floor
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(Record, frozen=True):
     """Pass/fail comparison of a measured scene against the fixed point."""
 
     passed: bool

@@ -30,13 +30,12 @@ scarce) and exact only in the loss-limited regime ``1/p < Wmax``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from repro._record import Record
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class RelentlessModelParams:
+class RelentlessModelParams(Record, frozen=True):
     """Inputs: one Relentless flow over a fixed-rate lossy path."""
 
     loss_rate: float          # per-packet drop probability p, in (0, 1)
@@ -60,8 +59,7 @@ class RelentlessModelParams:
             raise ConfigurationError("max_window must be positive")
 
 
-@dataclass(frozen=True)
-class RelentlessPrediction:
+class RelentlessPrediction(Record, frozen=True):
     """The model's equilibrium operating point."""
 
     window_pkts: float       # W* = min(1/p, Wmax)
@@ -114,8 +112,7 @@ THROUGHPUT_ABS_TOL_BPS = 20_000.0
 WINDOW_REL_TOL = 0.45
 
 
-@dataclass(frozen=True)
-class RelentlessVerdict:
+class RelentlessVerdict(Record, frozen=True):
     """Pass/fail comparison of a measured run against the model."""
 
     passed: bool

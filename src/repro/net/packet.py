@@ -12,8 +12,9 @@ throughout the paper's evaluation (Section 3.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
+
+from repro._record import Record
 
 DATA = "data"
 ACK = "ack"
@@ -58,8 +59,7 @@ def set_uid_state(next_uid: int) -> None:
     _uid_counter.next_uid = next_uid
 
 
-@dataclass(frozen=True)
-class SackBlock:
+class SackBlock(Record, frozen=True):
     """A SACK block: the half-open packet range [start, end) received."""
 
     start: int

@@ -14,9 +14,9 @@ traffic runs ``X{i}_src -> X{i}_dst``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro._record import Record
 from repro.errors import ConfigurationError
 from repro.net.network import Network
 from repro.net.node import Host, Router
@@ -27,8 +27,7 @@ from repro.sim.tracing import TraceBus
 MBPS = 1_000_000.0
 
 
-@dataclass
-class ParkingLotParams:
+class ParkingLotParams(Record):
     """Knobs for :class:`ParkingLot`."""
 
     n_hops: int = 3

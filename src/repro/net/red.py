@@ -21,9 +21,9 @@ w_q 0.002, buffer 25 packets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro._record import Record
 from repro.errors import ConfigurationError
 from repro.net.packet import Packet
 from repro.net.queues import PacketQueue
@@ -33,8 +33,7 @@ if TYPE_CHECKING:
     from repro.sim.engine import Simulator
 
 
-@dataclass(frozen=True)
-class RedParams:
+class RedParams(Record, frozen=True):
     """RED gateway parameters (defaults = paper Table 4)."""
 
     min_th: float = 5.0

@@ -18,9 +18,9 @@ experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
+from repro._record import Record, field
 from repro.errors import ConfigurationError
 from repro.net.loss import LossModule
 from repro.net.network import Network
@@ -32,8 +32,7 @@ from repro.sim.tracing import TraceBus
 MBPS = 1_000_000.0
 
 
-@dataclass
-class DumbbellParams:
+class DumbbellParams(Record):
     """Knobs for :class:`Dumbbell` (defaults = paper Table 3)."""
 
     n_pairs: int = 3

@@ -29,17 +29,16 @@ serialising the current frame before retuning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
+from repro._record import Record
 from repro.errors import ConfigurationError
 from repro.net.link import Link
 from repro.net.queues import DropTailQueue
 from repro.sim.rng import RngStream
 
 
-@dataclass(frozen=True)
-class RateSchedule:
+class RateSchedule(Record, frozen=True):
     """A step function of absolute sim time driving a link's rate.
 
     Attributes

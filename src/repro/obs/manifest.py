@@ -18,14 +18,13 @@ field table.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro._record import Record, asdict, field, fields
 from repro.errors import ConfigurationError
 
 #: Manifest schema version (bump on incompatible field changes).
@@ -70,8 +69,7 @@ def new_run_id(harness: str) -> str:
     return f"{harness}-{stamp}-{os.urandom(3).hex()}"
 
 
-@dataclass
-class RunManifest:
+class RunManifest(Record):
     """Provenance of one experiment run (see module docstring).
 
     ``tasks`` holds one entry per sweep task the run executed or
@@ -139,7 +137,7 @@ class RunManifest:
         """Record harness identity and canonicalized arguments.
 
         Called by each ``run_*`` harness when handed a manifest:
-        ``config`` (usually the harness config dataclass) is reduced
+        ``config`` (usually the harness config record) is reduced
         through :func:`repro.runner.spec.canonicalize`, so the manifest
         carries the exact argument content the task digests hashed.
         """
@@ -159,7 +157,7 @@ class RunManifest:
         records whether the run matched the model, not just that it
         finished."""
         entry = {"label": label}
-        entry.update(dataclasses.asdict(verdict))
+        entry.update(asdict(verdict))
         if self.oracle is None:
             self.oracle = []
         self.oracle.append(entry)
@@ -187,7 +185,7 @@ class RunManifest:
     # (de)serialization
     # ------------------------------------------------------------------
     def to_json(self) -> str:
-        payload = dataclasses.asdict(self)
+        payload = asdict(self)
         payload["cache_hit_rate"] = round(self.cache_hit_rate, 4)
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -200,8 +198,7 @@ class RunManifest:
                 f" (this build reads format {MANIFEST_FORMAT})"
             )
         payload.pop("cache_hit_rate", None)
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - fields
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigurationError(
                 f"manifest carries unknown fields {sorted(unknown)}"

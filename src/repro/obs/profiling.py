@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import os
 import pstats
-from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
 
+from repro._record import Record
 from repro.viz.ascii import format_table
 
 PSTATS_SUFFIX = ".pstats"
 
 
-@dataclass
-class HotFunction:
+class HotFunction(Record):
     """One row of the merged profile ranking."""
 
     location: str        # "module.py:42(function)"

@@ -33,11 +33,11 @@ import os
 import pickle
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, List, Optional, Tuple
 
+from repro._record import Record, asdict, field, fields
 from repro.errors import ConfigurationError
 from repro.runner.fingerprint import code_fingerprint
 from repro.runner.spec import TaskSpec
@@ -91,8 +91,7 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-@dataclass
-class QuarantineRecord:
+class QuarantineRecord(Record):
     """One corrupt storage file, moved aside instead of re-read.
 
     ``kind`` is ``"cache-entry"`` or ``"snapshot"``: a result-cache
@@ -127,8 +126,7 @@ class QuarantineRecord:
     @classmethod
     def load(cls, path: os.PathLike) -> "QuarantineRecord":
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        fields = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(payload) - fields
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigurationError(
                 f"quarantine record carries unknown fields {sorted(unknown)}"

@@ -26,17 +26,16 @@ bit-identity suite and the benchmark probe; see docs/WARMSTART.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro._record import Record
 from repro.errors import SnapshotError
 from repro.runner.pool import SweepRunner
 from repro.runner.spec import TaskSpec, resolve
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(Record, frozen=True):
     """One cell of a warm-startable grid.
 
     ``prefix_fn`` / ``finish_fn`` are ``"module:callable"`` paths (task

@@ -39,9 +39,9 @@ import os
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro._record import Record, field
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.runner.cache import ResultCache
 from repro.runner.spec import TaskSpec
@@ -108,8 +108,7 @@ class SweepObserver:
         """The ``map`` call is over; ``stats`` is final."""
 
 
-@dataclass
-class TaskRecord:
+class TaskRecord(Record):
     """Per-task outcome of the most recent sweep (telemetry payload)."""
 
     index: int
@@ -120,8 +119,7 @@ class TaskRecord:
     error: Optional[str] = None
 
 
-@dataclass
-class SweepStats:
+class SweepStats(Record):
     """Counters for the most recent :meth:`SweepRunner.map` call."""
 
     total: int = 0
@@ -143,8 +141,7 @@ class SweepStats:
         return self.cache_hits / self.total if self.total else 0.0
 
 
-@dataclass
-class SweepRunner:
+class SweepRunner(Record):
     """Executes task specs serially or across a process pool.
 
     Parameters

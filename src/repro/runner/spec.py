@@ -8,7 +8,7 @@ layer work:
   boundary, so any harness cell that is a top-level function of
   picklable arguments can fan out over a worker pool unchanged.
 * **Canonically hashable** — :meth:`TaskSpec.digest` is a stable
-  SHA-256 over a canonical JSON encoding of the call (dataclass
+  SHA-256 over a canonical JSON encoding of the call (record
   configs included, field by field), so a spec is usable as a
   content-address for its result.  Equal work -> equal digest,
   regardless of which process, session or argument spelling
@@ -23,33 +23,35 @@ bit-identical to ``--jobs 1``.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import importlib
 import json
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Tuple
 
+from repro._record import Record, field, fields
 from repro.errors import ConfigurationError
 
 
 def canonicalize(value: Any) -> Any:
     """Reduce ``value`` to JSON-encodable primitives, deterministically.
 
-    Dataclass instances become tagged dicts (type name + per-field
-    canonical values), sequences become lists, mappings are key-sorted.
+    Records (:class:`repro._record.Record`) become tagged dicts (type
+    name + per-field canonical values), sequences become lists, mappings
+    are key-sorted.  The tag is still ``"__dataclass__"``, the name from
+    when configs were ``@dataclass`` classes: renaming it would change
+    every spec digest, cache key and manifest ``args`` block.
     Anything else (callables, open handles, live simulators) is
     rejected: if it cannot be named, it cannot be hashed honestly.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    if isinstance(value, Record):
         cls = type(value)
         return {
             "__dataclass__": f"{cls.__module__}.{cls.__qualname__}",
             "fields": {
                 f.name: canonicalize(getattr(value, f.name))
-                for f in dataclasses.fields(value)
+                for f in fields(value)
             },
         }
     if isinstance(value, (list, tuple)):
@@ -67,14 +69,14 @@ def canonicalize(value: Any) -> Any:
         return out
     raise ConfigurationError(
         f"cannot canonicalize {type(value).__name__!r} for a task spec; "
-        "specs may only carry primitives, sequences, mappings and dataclasses"
+        "specs may only carry primitives, sequences, mappings and records"
     )
 
 
 def uncanonicalize(value: Any) -> Any:
     """Rebuild a live value from its :func:`canonicalize` encoding.
 
-    The inverse, up to canonical equivalence: tagged dataclass dicts
+    The inverse, up to canonical equivalence: tagged record dicts
     are re-instantiated (the class is imported by its recorded dotted
     name), ``__set__`` tags become sets, and JSON arrays come back as
     lists (tuples canonicalize to the same JSON, so the round-tripped
@@ -98,7 +100,7 @@ def uncanonicalize(value: Any) -> Any:
                     target = getattr(target, part)
                 break
             if target is None:
-                raise ConfigurationError(f"cannot import dataclass {dotted!r}")
+                raise ConfigurationError(f"cannot import record {dotted!r}")
             kwargs = {
                 name: uncanonicalize(child)
                 for name, child in value["fields"].items()
@@ -130,8 +132,7 @@ def resolve(path: str) -> Callable[..., Any]:
     return target
 
 
-@dataclass
-class TaskSpec:
+class TaskSpec(Record):
     """One unit of sweep work: ``resolve(fn)(*args, **kwargs)``.
 
     ``label`` is cosmetic (progress lines, cache debugging) and is

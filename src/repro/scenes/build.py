@@ -19,9 +19,9 @@ tests/scenes/test_determinism.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro._record import Record, field
 from repro.app.ftp import FtpSource
 from repro.app.workload import (
     FixedSize,
@@ -68,8 +68,7 @@ class _SceneRedFactory:
         )
 
 
-@dataclass
-class Scene:
+class Scene(Record):
     """A built world plus handles to everything worth measuring."""
 
     spec: SceneSpec

@@ -1,7 +1,7 @@
 """Registry of scene topology families.
 
 Maps family names (what :class:`repro.scenes.SceneSpec.family` holds)
-to their parameter dataclass and builder so the CLI, the scene builder
+to their parameter record and builder so the CLI, the scene builder
 and the validator all agree on what exists.  Adding a family is one
 :data:`FAMILIES` entry; everything downstream (``--list`` output,
 spec validation, ``build_scene``) picks it up.
@@ -9,9 +9,9 @@ spec validation, ``build_scene``) picks it up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict
 
+from repro._record import Record
 from repro.errors import ConfigurationError
 from repro.net.parkinglot import ParkingLotParams
 from repro.net.topology import DumbbellParams
@@ -28,8 +28,7 @@ from repro.scenes.topologies import (
 )
 
 
-@dataclass(frozen=True)
-class SceneFamily:
+class SceneFamily(Record, frozen=True):
     """One topology family: name, parameter type, builder, blurb."""
 
     name: str

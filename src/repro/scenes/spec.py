@@ -4,7 +4,7 @@ A :class:`SceneSpec` names everything that determines a generated
 world: the topology family and its parameters, the flow population
 (count, TCP variant, size distribution), the arrival process, the
 optional RED configuration for the bottleneck queues, the root seed
-and the run duration.  Specs are plain dataclasses built from the same
+and the run duration.  Specs are plain records built from the same
 :func:`repro.runner.spec.canonicalize` vocabulary as TaskSpecs, so
 
 * :meth:`SceneSpec.digest` is a stable SHA-256 content address — equal
@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro._record import Record, field
 from repro.config import TcpConfig
 from repro.errors import ConfigurationError
 from repro.net.red import RedParams
@@ -40,8 +40,7 @@ SIZE_DISTS = ("infinite", "fixed", "pareto", "lognormal")
 ARRIVAL_PROCESSES = ("jitter", "staggered", "poisson", "onoff")
 
 
-@dataclass(frozen=True)
-class FlowPopulation:
+class FlowPopulation(Record, frozen=True):
     """Who sends: how many flows, which variant, how much data."""
 
     count: int = 10
@@ -69,8 +68,7 @@ class FlowPopulation:
             )
 
 
-@dataclass(frozen=True)
-class ArrivalSpec:
+class ArrivalSpec(Record, frozen=True):
     """When flows start (and, for on/off, how they modulate)."""
 
     #: One of :data:`ARRIVAL_PROCESSES`.
@@ -97,12 +95,11 @@ class ArrivalSpec:
             raise ConfigurationError("on/off knobs must be positive")
 
 
-@dataclass
-class SceneSpec:
+class SceneSpec(Record):
     """One generated world, content-addressably."""
 
     family: str = "dumbbell"
-    #: Family parameter dataclass (e.g. DumbbellParams, WaxmanParams);
+    #: Family parameter record (e.g. DumbbellParams, WaxmanParams);
     #: ``None`` takes the family's registry default.
     topology: Any = None
     flows: FlowPopulation = field(default_factory=FlowPopulation)

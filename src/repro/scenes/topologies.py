@@ -20,9 +20,9 @@ always build the identical graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
+from repro._record import Record, field
 from repro.errors import ConfigurationError
 from repro.net.link import Link
 from repro.net.network import Network
@@ -37,8 +37,7 @@ from repro.sim.tracing import TraceBus
 QueueFactory = Callable[[str], PacketQueue]
 
 
-@dataclass
-class BuiltTopology:
+class BuiltTopology(Record):
     """What a family builder hands back to :func:`repro.scenes.build_scene`.
 
     ``pairs`` is the natural (src, dst) endpoint list for families that
@@ -115,8 +114,7 @@ def build_parkinglot(
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class MobileParams:
+class MobileParams(Record):
     """A dumbbell whose bottleneck is a mobile wireless link: the rate
     follows a seeded :class:`~repro.net.varlink.RateSchedule` (uniform
     spread around the mean, re-drawn every ``rate_interval`` seconds)
@@ -211,8 +209,7 @@ def build_mobile(
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class FatTreeParams:
+class FatTreeParams(Record):
     """A k-ary fat-tree (Al-Fares et al.): ``k`` pods of ``k/2`` edge
     and ``k/2`` aggregation switches, ``(k/2)^2`` core switches, and
     ``k^3/4`` hosts.  ``k`` must be even."""
@@ -300,8 +297,7 @@ def build_fattree(
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class WaxmanParams:
+class WaxmanParams(Record):
     """A random WAN graph (Waxman '88): ``n_routers`` placed uniformly
     in the unit square, an edge between routers ``u, v`` at distance
     ``d`` with probability ``alpha * exp(-d / (beta * L))`` (``L`` the

@@ -18,6 +18,8 @@ Checked invariants (DESIGN.md §7's property list, enforced online):
 * RR's ``actnum`` and ``ndup`` stay non-negative (:class:`RrStateSanity`);
 * the recovery exit threshold ``recover`` only advances within an
   episode (:class:`RecoverMonotonic`);
+* RR, New-Reno and SACK cut ``ssthresh`` at most once per loss window
+  (:class:`OneCutPerLossWindow`);
 * a RED gateway's averaged queue length stays within ``[0, buffer]``
   (:class:`RedAverageBounds`);
 * instantaneous queue occupancy stays within ``[0, limit]``
@@ -168,6 +170,53 @@ class RecoverMonotonic(InvariantChecker):
         self._recover[source] = recover
 
 
+class OneCutPerLossWindow(InvariantChecker):
+    """The paper's central claim: at most one ``ssthresh`` cut per loss
+    window.  A flow enters fast recovery again (a second cut) only once
+    ``snd_una`` has reached the end of the previous loss window.
+
+    The end of the window is the last ``recover`` seen for the episode:
+    the one ``tcp.recovery_enter`` carries, moved by ``tcp.rr`` where RR
+    extends its exit point on a further loss.  After a timeout it is the
+    ``maxseq`` the ``tcp.timeout`` record carries, since the go-back-N
+    resends re-send the whole window.  Scoped to the sources labelled
+    ``rr/``, ``newreno/`` and ``sack/``, the variants that guard their
+    entry; Reno and Tahoe cut again within a window by design.  ECN
+    reactions (a cut at most once per RTT, outside recovery) are out of
+    scope.
+    """
+
+    categories = ("tcp.recovery_enter", "tcp.rr", "tcp.timeout")
+    name = "one-cut-per-window"
+    scope = ("rr/", "newreno/", "sack/")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._end: Dict[str, int] = {}
+
+    def check(self, record: TraceRecord) -> None:
+        source = record.source
+        if not source.startswith(self.scope):
+            return
+        fields = record.fields
+        if record.category == "tcp.timeout":
+            end = fields.get("maxseq")
+        else:
+            end = fields.get("recover")
+        if end is None:
+            return
+        if record.category == "tcp.recovery_enter":
+            last = self._end.get(source)
+            snd_una = fields.get("snd_una")
+            if last is not None and snd_una is not None and snd_una < last:
+                self.fail(
+                    record,
+                    f"second ssthresh cut: recovery entered at snd_una={snd_una} "
+                    f"before the previous loss window ended at {last}",
+                )
+        self._end[source] = end
+
+
 class QueueOccupancyBounds(InvariantChecker):
     """A queue's instantaneous occupancy stays within ``[0, limit]``.
 
@@ -240,6 +289,7 @@ class InvariantSuite:
         suite.add(SendWindowSanity())
         suite.add(RrStateSanity())
         suite.add(RecoverMonotonic())
+        suite.add(OneCutPerLossWindow())
         return suite
 
     def add(self, checker: InvariantChecker) -> "InvariantSuite":

@@ -23,16 +23,15 @@ ids — is left on ``watchdog.report`` for the harness to render.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro._record import Record, field
 from repro.errors import ConfigurationError
 from repro.sim.engine import Event, Simulator
 from repro.sim.tracing import TraceBus, TraceRecord, TraceTail
 
 
-@dataclass
-class FlowSnapshot:
+class FlowSnapshot(Record):
     """One sender's state at abort time."""
 
     flow_id: int
@@ -57,8 +56,7 @@ class FlowSnapshot:
         )
 
 
-@dataclass
-class CrashReport:
+class CrashReport(Record):
     """Structured result of a watchdog abort.
 
     ``snapshot_digest`` / ``triage`` are attached after the fact by

@@ -44,10 +44,10 @@ import hashlib
 import io
 import json
 import pickle
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
+from repro._record import Record, asdict
 from repro.errors import SnapshotError, SnapshotFormatError
 from repro.net.packet import set_uid_state, uid_state
 from repro.snapshot.digest import state_digest
@@ -87,8 +87,7 @@ WORLD_SECTION = "__world__"
 _SECTION_ORDER = ("stats", "receivers", "sources", "senders", "dumbbell", "sim")
 
 
-@dataclass(frozen=True)
-class SnapshotInfo:
+class SnapshotInfo(Record, frozen=True):
     """Cheap-to-read metadata, stored as a JSON header line on disk."""
 
     digest: str
@@ -114,7 +113,7 @@ _OBJECT_GETSTATE = getattr(object, "__getstate__", None)
 def _sectionable(world: Any) -> bool:
     """True when ``world``'s attributes can be pickled as individual
     sections: a plain ``__dict__`` carrier with no custom pickling
-    protocol (a dataclass like ``ScenarioResult``).  Anything with a
+    protocol (a record like ``ScenarioResult``).  Anything with a
     custom ``__getstate__``/``__reduce__`` (e.g. a bare
     :class:`Simulator`) is stored as a single world section instead —
     its canonicalization must run exactly once, at first reach."""

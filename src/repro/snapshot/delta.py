@@ -28,9 +28,9 @@ from __future__ import annotations
 import hashlib
 import io
 import zlib
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro._record import Record
 from repro.errors import SnapshotError
 from repro.snapshot.core import Snapshot, SnapshotInfo, payload_checksum
 
@@ -150,8 +150,7 @@ def _ops_size(ops: List[Tuple]) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class DeltaInfo:
+class DeltaInfo(Record, frozen=True):
     """What a delta needs beside its plan to verify a rebuild."""
 
     digest: str            # target snapshot's state digest

@@ -570,7 +570,7 @@ class TcpSender(Agent):
     def _enter_recovery_common(self) -> None:
         self.in_recovery = True
         self.observer.on_recovery_enter(self.sim.now, self)
-        self._emit("tcp.recovery_enter", recover=self.recover)
+        self._emit("tcp.recovery_enter", recover=self.recover, snd_una=self.snd_una)
 
     def _exit_recovery_common(self) -> None:
         self.in_recovery = False

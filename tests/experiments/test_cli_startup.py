@@ -1,7 +1,8 @@
 """Import budget of the experiments CLI: a call pays for what it runs.
 
-Counts of loaded modules (``sys.modules`` of a fresh interpreter), not
-timings — see docs/PERFORMANCE.md "Cost of a CLI call".
+Counts of loaded modules (``sys.modules`` of a fresh interpreter) and of
+code generated at run time (``compile`` audit events), not timings — see
+docs/PERFORMANCE.md "Cost of a CLI call".
 """
 
 import json
@@ -136,3 +137,67 @@ def test_tools_load_no_harness(tmp_path):
         ("snapshot", "inspect", snap),
     ):
         assert not loaded_modules(cli_call(*argv), env) & HARNESSES, argv
+
+
+#: Prepended to a child's script: collect the source of every ``compile``
+#: audit event that is not a module being compiled from its file (that
+#: depends on whether bytecode is cached, not on the code).
+GENERATED_CODE_HOOK = (
+    "import sys\n"
+    "generated = []\n"
+    "def _hook(event, args):\n"
+    "    if event == 'compile' and not str(args[1]).endswith('.py'):\n"
+    "        source = args[0]\n"
+    "        generated.append(source.decode() if isinstance(source, bytes) else str(source))\n"
+    "sys.addaudithook(_hook)\n"
+)
+
+
+def generated_code(argv, env):
+    """``(generated sources, code-generating stdlib modules loaded)`` of
+    one CLI call in a fresh interpreter."""
+    script = (
+        GENERATED_CODE_HOOK
+        + cli_call(*argv)
+        + "import json\n"
+        "loaded = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+        "print(json.dumps([generated, loaded]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        check=True,
+        capture_output=True,
+        text=True,
+        env={**os.environ, **env},
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def trace_record_code():
+    """What declaring ``TraceRecord`` compiles: ``typing.NamedTuple``
+    compiles each string annotation, ``collections.namedtuple`` its
+    ``__new__``.  The C core fills it as a plain tuple, so it stays one."""
+    from repro.sim.tracing import TraceRecord
+
+    return sorted(ref.__forward_arg__ for ref in TraceRecord.__annotations__.values())
+
+
+@pytest.mark.parametrize("experiment", ["fig5", "fig7"])
+def test_a_call_generates_no_code(tmp_path, experiment):
+    """Records are built without ``exec``: a cached replay compiles
+    nothing, a cold call only ``TraceRecord``, and neither loads
+    ``dataclasses`` or ``inspect`` (at the parent, with ``@dataclass``:
+    68 and 91 events)."""
+    env = {
+        "REPRO_CACHE_DIR": str(tmp_path / "cache"),
+        "REPRO_ARTIFACT_DIR": str(tmp_path / "artifacts"),
+    }
+    argv = (experiment, "--quick", "--quiet", "--jobs", "1")
+    cold, loaded = generated_code(argv, env)
+    assert loaded == []
+    new = [source for source in cold if source.startswith("lambda _cls, ")]
+    assert len(new) == 1 and "time, category, source, fields" in new[0]
+    assert sorted(source for source in cold if source not in new) == trace_record_code()
+    replay, loaded = generated_code(argv, env)
+    assert replay == []
+    assert loaded == []

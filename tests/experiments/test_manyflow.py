@@ -1,10 +1,9 @@
 """The manyflow harness: sweep and oracle wiring (serial == parallel:
 tests/experiments/test_warmstart_grids.py)."""
 
-import dataclasses
-
 import pytest
 
+from repro._record import replace
 from repro.experiments import manyflow
 from repro.experiments.export_results import export_result
 from repro.obs.manifest import RunManifest
@@ -16,7 +15,7 @@ QUICK = manyflow.ManyflowConfig(
 
 @pytest.fixture(scope="module")
 def quick_result():
-    return manyflow.run_manyflow(dataclasses.replace(QUICK))
+    return manyflow.run_manyflow(replace(QUICK))
 
 
 def test_quick_sweep_passes_oracle(quick_result):
@@ -30,8 +29,8 @@ def test_quick_sweep_passes_oracle(quick_result):
 
 
 def test_cell_spec_scales_bandwidth_with_flows():
-    small = manyflow.cell_spec(10, 0.02, dataclasses.replace(QUICK))
-    large = manyflow.cell_spec(100, 0.02, dataclasses.replace(QUICK))
+    small = manyflow.cell_spec(10, 0.02, replace(QUICK))
+    large = manyflow.cell_spec(100, 0.02, replace(QUICK))
     assert (
         large.topology.bottleneck_bandwidth_bps
         == 10 * small.topology.bottleneck_bandwidth_bps
@@ -41,7 +40,7 @@ def test_cell_spec_scales_bandwidth_with_flows():
 
 def test_manifest_records_oracle_verdicts():
     manifest = RunManifest.begin("manyflow", fingerprint="test")
-    result = manyflow.run_manyflow(dataclasses.replace(QUICK), manifest=manifest)
+    result = manyflow.run_manyflow(replace(QUICK), manifest=manifest)
     assert manifest.oracle is not None and len(manifest.oracle) == 1
     entry = manifest.oracle[0]
     assert entry["passed"] == result.cells[0].verdict.passed

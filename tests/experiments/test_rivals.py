@@ -1,10 +1,9 @@
 """The rivals harness: modern senders vs RR under modern regimes (serial
 == parallel: tests/experiments/test_warmstart_grids.py)."""
 
-import dataclasses
-
 import pytest
 
+from repro._record import replace
 from repro.experiments import rivals
 from repro.experiments.export_results import export_result
 from repro.obs.manifest import RunManifest
@@ -24,7 +23,7 @@ QUICK = rivals.RivalsConfig(
 
 @pytest.fixture(scope="module")
 def quick_result():
-    return rivals.run_rivals(dataclasses.replace(QUICK))
+    return rivals.run_rivals(replace(QUICK))
 
 
 def test_grid_shape(quick_result):
@@ -51,7 +50,7 @@ def test_match_cells_carry_both_groups(quick_result):
 
 
 def test_regimes_shape_tcp_config():
-    config = dataclasses.replace(QUICK)
+    config = replace(QUICK)
     delack = rivals._regime_tcp_config("delack", config)
     ecn = rivals._regime_tcp_config("ecn-red", config)
     wired = rivals._regime_tcp_config("wired", config)
@@ -59,7 +58,7 @@ def test_regimes_shape_tcp_config():
     assert ecn.ecn_enabled and not ecn.delayed_ack
     assert not wired.delayed_ack and not wired.ecn_enabled
     forced = rivals._regime_tcp_config(
-        "wired", dataclasses.replace(config, force_delayed_ack=True, force_ecn=True)
+        "wired", replace(config, force_delayed_ack=True, force_ecn=True)
     )
     assert forced.delayed_ack and forced.ecn_enabled
 
@@ -73,7 +72,7 @@ def test_model_cell_verdict(quick_result):
 
 
 def test_mobile_cells_share_channel_trace():
-    config = dataclasses.replace(QUICK)
+    config = replace(QUICK)
     a = rivals.mobile_schedule(config)
     b = rivals.mobile_schedule(config)
     assert a.steps == b.steps  # same seed, same channel for every cell
@@ -84,7 +83,7 @@ def test_cell_world_survives_capture_restore(regime):
     """Delayed-ACK timers, the ECN-marking RED queue and the rate
     schedule all ride through a mid-run snapshot (chaos ``--triage``
     forks such worlds)."""
-    config = dataclasses.replace(QUICK)
+    config = replace(QUICK)
     # One world at a time: packet uids are process-global and
     # build_cell_world rewinds them.
     in_place = rivals.build_cell_world("match", "cubic", regime, config)
@@ -99,7 +98,7 @@ def test_cell_world_survives_capture_restore(regime):
 
 def test_manifest_records_model_verdicts():
     manifest = RunManifest.begin("rivals", fingerprint="test")
-    result = rivals.run_rivals(dataclasses.replace(QUICK), manifest=manifest)
+    result = rivals.run_rivals(replace(QUICK), manifest=manifest)
     model = [c for c in result.cells if c.kind == "model"]
     assert manifest.oracle is not None and len(manifest.oracle) == len(model)
     entry = manifest.oracle[0]

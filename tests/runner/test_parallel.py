@@ -7,8 +7,7 @@ suite fast; the cells exercise the same code paths as the full-scale
 campaigns.
 """
 
-import dataclasses
-
+from repro._record import asdict
 from repro.experiments.chaos import ChaosConfig, run_chaos
 from repro.experiments.figure5 import Figure5Config, run_figure5
 from repro.runner import ResultCache, SweepRunner, TaskSpec
@@ -26,7 +25,7 @@ def quick_chaos():
 
 
 def fig5_rows(result):
-    return [dataclasses.asdict(row) for row in result.rows]
+    return [asdict(row) for row in result.rows]
 
 
 def chaos_cells(result):

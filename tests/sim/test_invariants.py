@@ -4,10 +4,13 @@ import pytest
 
 from repro.errors import InvariantViolation
 from repro.experiments.common import FlowSpec, build_dumbbell_scenario
+from repro.experiments.figure7 import Figure7Config, prefix_world
+from repro.net.loss import UniformLoss
 from repro.net.topology import DumbbellParams
 from repro.sim.invariants import (
     AckMonotonicity,
     InvariantSuite,
+    OneCutPerLossWindow,
     QueueOccupancyBounds,
     RecoverMonotonic,
     RedAverageBounds,
@@ -15,7 +18,9 @@ from repro.sim.invariants import (
     SendWindowSanity,
     standard_suite,
 )
+from repro.sim.rng import RngStream
 from repro.sim.tracing import TraceBus, TraceTail
+from repro.tcp.base import TcpSender
 
 
 def make_suite(*checkers, tail_size=50):
@@ -105,6 +110,80 @@ class TestRecoverMonotonic:
         bus.emit(1.0, "tcp.recovery_enter", "rr/f1", recover=100)
         bus.emit(1.5, "tcp.recovery_exit", "rr/f1")
         bus.emit(2.0, "tcp.recovery_enter", "rr/f1", recover=40)
+
+
+class TestOneCutPerLossWindow:
+    def test_entry_before_the_window_ends_raises(self):
+        suite, bus = make_suite(OneCutPerLossWindow())
+        bus.emit(1.0, "tcp.recovery_enter", "newreno/f1", recover=100, snd_una=60)
+        bus.emit(1.5, "tcp.recovery_exit", "newreno/f1")
+        with pytest.raises(InvariantViolation) as excinfo:
+            bus.emit(2.0, "tcp.recovery_enter", "newreno/f1", recover=120, snd_una=99)
+        assert excinfo.value.invariant == "one-cut-per-window"
+
+    def test_entry_at_the_end_of_the_window_is_a_new_window(self):
+        suite, bus = make_suite(OneCutPerLossWindow())
+        bus.emit(1.0, "tcp.recovery_enter", "rr/f1", recover=100, snd_una=60)
+        bus.emit(2.0, "tcp.recovery_enter", "rr/f1", recover=150, snd_una=100)
+        with pytest.raises(InvariantViolation):
+            bus.emit(3.0, "tcp.recovery_enter", "rr/f1", recover=170, snd_una=149)
+
+    def test_rr_extension_moves_the_end(self):
+        suite, bus = make_suite(OneCutPerLossWindow())
+        bus.emit(1.0, "tcp.recovery_enter", "rr/f1", recover=100, snd_una=60)
+        bus.emit(1.5, "tcp.rr", "rr/f1", phase="probe", actnum=2, ndup=0, recover=130)
+        with pytest.raises(InvariantViolation):
+            bus.emit(2.0, "tcp.recovery_enter", "rr/f1", recover=140, snd_una=110)
+
+    def test_timeout_ends_the_window_at_maxseq(self):
+        suite, bus = make_suite(OneCutPerLossWindow())
+        bus.emit(1.0, "tcp.recovery_enter", "sack/f1", recover=100, snd_una=60)
+        bus.emit(1.5, "tcp.timeout", "sack/f1", snd_una=70, snd_nxt=110, maxseq=110)
+        with pytest.raises(InvariantViolation):
+            bus.emit(2.0, "tcp.recovery_enter", "sack/f1", recover=112, snd_una=105)
+        suite, bus = make_suite(OneCutPerLossWindow())
+        bus.emit(1.5, "tcp.timeout", "sack/f1", snd_una=70, snd_nxt=110, maxseq=110)
+        bus.emit(2.0, "tcp.recovery_enter", "sack/f1", recover=130, snd_una=110)
+
+    @pytest.mark.parametrize("source", ["reno/f1", "tahoe/f1", "sack3517/f1", "vegas/f1"])
+    def test_other_variants_are_out_of_scope(self, source):
+        suite, bus = make_suite(OneCutPerLossWindow())
+        bus.emit(1.0, "tcp.recovery_enter", source, recover=100, snd_una=60)
+        bus.emit(2.0, "tcp.recovery_enter", source, recover=120, snd_una=80)
+
+    @staticmethod
+    def lossy_world(variant, loss_rate, seed):
+        """One flow on the Figure 7 path, uniform loss from t=0, watched."""
+        config = Figure7Config()
+        config.loss_start = 0.0
+        scenario = prefix_world(variant, config)
+        scenario.dumbbell.forward_link.loss = UniformLoss(
+            loss_rate, RngStream(seed, f"scan-{loss_rate}")
+        )
+        suite = InvariantSuite.standard().install(scenario.dumbbell.net.trace)
+        checker = next(c for c in suite.checkers if c.name == "one-cut-per-window")
+        return scenario, checker
+
+    @pytest.mark.parametrize("variant", ["newreno", "sack", "rr"])
+    def test_silent_on_lossy_runs(self, variant):
+        scenario, checker = self.lossy_world(variant, 0.03, 2)
+        scenario.sim.run(until=30.0)
+        sender = scenario.senders[1]
+        assert sender.timeouts > 0
+        assert checker.records_checked > sender.timeouts
+
+    def test_catches_a_timeout_that_leaves_the_guard(self, monkeypatch):
+        """Go-back-N resends echo duplicates from below the timed-out
+        window; without the guard ``_on_timeout_reset`` sets, they start
+        a second recovery inside it."""
+        def reset_without_guard(sender):
+            sender.recover = sender.snd_una
+
+        monkeypatch.setattr(TcpSender, "_on_timeout_reset", reset_without_guard)
+        scenario, _ = self.lossy_world("newreno", 0.03, 2)
+        with pytest.raises(InvariantViolation) as excinfo:
+            scenario.sim.run(until=30.0)
+        assert excinfo.value.invariant == "one-cut-per-window"
 
 
 class FakeQueue:

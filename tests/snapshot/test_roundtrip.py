@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro._record import replace
 from repro.errors import SnapshotError, SnapshotFormatError
 from repro.faults.campaign import CampaignRunner, CampaignSpec
 from repro.faults.plan import FaultContext
@@ -131,9 +132,7 @@ class TestCaptureGuards:
         scenario.sim.run(until=1.0)
         snapshot = Snapshot.capture(scenario)
         # Tamper with the recorded digest: restore must notice.
-        import dataclasses
-
-        snapshot.info = dataclasses.replace(snapshot.info, digest="0" * 64)
+        snapshot.info = replace(snapshot.info, digest="0" * 64)
         with pytest.raises(SnapshotError, match="digest"):
             snapshot.restore()
 
