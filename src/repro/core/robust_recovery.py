@@ -100,8 +100,9 @@ class RobustRecoverySender(TcpSender):
         # inventing losses (see DESIGN.md §4).
         self._sent_this_rtt: int = 0
         self._sent_last_rtt: int = 0
-        # The RFC 2582 guard (TcpSender._no_retransmit_below); RR's exit
-        # sets it one below New-Reno's (see _exit_recovery).
+        # The RFC 2582 guard (TcpSender._no_retransmit_below), moved
+        # only by timeouts: RR exits only once snd_una reaches recover,
+        # so a guard set at exit could never block a later entry.
         self._no_retransmit_below = -1
         # Diagnostics for experiments/tests:
         self.further_losses_detected = 0
@@ -266,14 +267,6 @@ class RobustRecoverySender(TcpSender):
         self.actnum = 0
         self.ndup = 0
         self.phase = RrPhase.NORMAL
-        # Guard against stale-duplicate re-entry, but — unlike the
-        # RFC 2582 careful variant New-Reno uses — allow a fresh episode
-        # when snd_una sits exactly at the old exit point: that is the
-        # signature of a lost retreat/probe packet (the first new packet
-        # sent beyond `recover`), and blocking it trades a rare spurious
-        # halving for a guaranteed RTO.  RR's conservative one-rtx-per-
-        # partial-ACK recovery makes the stale-duplicate case rare.
-        self._no_retransmit_below = self.recover - 1
         self._note_cwnd()
         self._emit_rr_state()
         self._exit_recovery_common()

@@ -24,7 +24,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "figure6": ("Figure6Config", "run_figure6"),
         "figure7": ("Figure7Config", "run_figure7"),
         "manyflow": ("ManyflowConfig", "run_manyflow"),
-        "rivals": ("RivalsConfig", "run_rivals"),
         "table5": ("Table5Config", "run_table5"),
         "ackloss": ("AckLossConfig", "run_ackloss"),
         "ablation": ("AblationConfig", "run_ablation"),

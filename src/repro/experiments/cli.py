@@ -57,7 +57,6 @@ EXPERIMENTS = {
     "burst": "burstchannel",
     "chaos": "chaos",
     "manyflow": "manyflow",
-    "rivals": "rivals",
     "identify": "identify",
 }
 
@@ -73,7 +72,6 @@ DESCRIPTIONS = {
     "burst": "Gilbert-Elliott burst-channel extension study",
     "chaos": "fault-injection campaigns with invariants + watchdog",
     "manyflow": "generated scenes swept against the mean-field RED oracle",
-    "rivals": "RR vs {Reno,NewReno,CUBIC,Relentless} under modern regimes",
     "identify": "trace-based variant identification vs the reference model",
 }
 
@@ -319,14 +317,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--delayed-ack",
         dest="delayed_ack",
         action="store_true",
-        help="rivals/manyflow: enable RFC 1122 delayed ACKs at every"
+        help="manyflow only: enable RFC 1122 delayed ACKs at every"
         " receiver (recorded in the run manifest)",
     )
     parser.add_argument(
         "--ecn",
         dest="ecn",
         action="store_true",
-        help="rivals/manyflow: negotiate ECN end-to-end (RED bottlenecks"
+        help="manyflow only: negotiate ECN end-to-end (RED bottlenecks"
         " mark instead of early-dropping; recorded in the run manifest)",
     )
     parser.add_argument(

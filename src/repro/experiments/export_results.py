@@ -74,24 +74,6 @@ def manyflow_rows(result) -> List[Dict[str, object]]:
     return rows
 
 
-def rivals_rows(result) -> List[Dict[str, object]]:
-    rows = []
-    for cell in result.cells:
-        row = _strip(asdict(cell))
-        # Uniform columns: only model cells carry a verdict, but the CSV
-        # writer keys every row off the first one's fields.
-        row.update(
-            oracle_passed=cell.verdict.passed if cell.verdict else None,
-            predicted_bps=cell.verdict.predicted_bps if cell.verdict else None,
-            predicted_window=(
-                cell.verdict.predicted_window if cell.verdict else None
-            ),
-            model_regime=cell.verdict.regime if cell.verdict else None,
-        )
-        rows.append(row)
-    return rows
-
-
 _CONVERTERS = {
     "fig5": figure5_rows,
     "fig6": figure6_rows,
@@ -99,15 +81,14 @@ _CONVERTERS = {
     "table5": table5_rows,
     "burst": burstchannel_rows,
     "manyflow": manyflow_rows,
-    "rivals": rivals_rows,
 }
 
 
 def export_result(experiment_id: str, result, directory: PathLike) -> List[Path]:
     """Write ``<id>.csv`` and ``<id>.json`` for a finished experiment.
 
-    ``experiment_id`` is one of fig5/fig6/fig7/table5/burst.  Returns
-    the written paths.
+    ``experiment_id`` is a key of ``_CONVERTERS``.  Returns the written
+    paths.
     """
     converter = _CONVERTERS.get(experiment_id)
     if converter is None:

@@ -24,9 +24,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "relentless": (
             "RelentlessModelParams",
             "RelentlessPrediction",
-            "RelentlessVerdict",
             "relentless_prediction",
-            "relentless_verdict",
             "relentless_window",
         ),
     },

@@ -14,22 +14,18 @@ two cancel:
 and throughput is ``W* * MSS / RTT``.  Contrast Reno's
 ``W* = sqrt(3/2) / sqrt(p)`` (:mod:`repro.models.mathis`): Relentless
 scales as ``1/p``, not ``1/sqrt(p)`` — at ``p = 1%`` the model gives a
-100-packet window where Reno sustains ~12.  This is the analytic
-oracle behind the ``relentless-model`` cells of
-``python -m repro.experiments rivals``: a solo Relentless flow over a
-uniform-loss link must land inside a tolerance band of the model, and
-the verdict is recorded in the run manifest like the PR 8 mean-field
-verdicts.
+100-packet window where Reno sustains ~12.  This is the reference
+model the tests check :class:`repro.tcp.relentless.RelentlessSender`
+against: a solo Relentless flow under a periodic loss of rate ``p``
+must settle near ``relentless_window(p)``.
 
-Validity limits (mirrored in the default tolerances): the fluid model
-ignores timeouts, slow start and the dupack-threshold detection floor,
-so it is an *upper* anchor at high loss (where three dup ACKs get
-scarce) and exact only in the loss-limited regime ``1/p < Wmax``.
+Validity limits: the fluid model ignores timeouts, slow start and the
+dupack-threshold detection floor, so it is an *upper* anchor at high
+loss (where three dup ACKs get scarce) and exact only in the
+loss-limited regime ``1/p < Wmax``.
 """
 
 from __future__ import annotations
-
-import math
 
 from repro._record import Record
 from repro.errors import ConfigurationError
@@ -81,9 +77,9 @@ def relentless_prediction(params: RelentlessModelParams) -> RelentlessPrediction
     params.validate()
     w_star = relentless_window(params.loss_rate, params.max_window)
     regime = "window-limited" if w_star >= params.max_window else "loss-limited"
-    # RTT: propagation only — the solo-flow oracle cells use DropTail
-    # buffers the flow never fills at equilibrium (W* below the BDP),
-    # so queueing delay is second-order and absorbed by the tolerance.
+    # RTT: propagation only — a solo flow at equilibrium (W* below the
+    # BDP) never fills its DropTail buffer, so queueing delay is
+    # second-order.
     demand_bps = w_star * params.mss_bytes * 8.0 / params.base_rtt
     if demand_bps >= params.bandwidth_bps:
         # The delivered rate rides the link; the standing queue then
@@ -95,87 +91,4 @@ def relentless_prediction(params: RelentlessModelParams) -> RelentlessPrediction
         )
     return RelentlessPrediction(
         window_pkts=w_star, throughput_bps=demand_bps, regime=regime
-    )
-
-
-# ----------------------------------------------------------------------
-# oracle verdict
-# ----------------------------------------------------------------------
-
-#: Tolerances for the rivals-grid oracle cells.  The fluid model is a
-#: mean; a finite run adds slow start, recovery pauses, the occasional
-#: RTO (the model has none) and binomial loss-count noise, all of which
-#: pull *down* from the fluid line — hence a generous relative band and
-#: a small absolute floor for the near-zero-throughput corner.
-THROUGHPUT_REL_TOL = 0.40
-THROUGHPUT_ABS_TOL_BPS = 20_000.0
-WINDOW_REL_TOL = 0.45
-
-
-class RelentlessVerdict(Record, frozen=True):
-    """Pass/fail comparison of a measured run against the model."""
-
-    passed: bool
-    throughput_ok: bool
-    window_ok: bool
-    measured_bps: float
-    predicted_bps: float
-    measured_window: float
-    predicted_window: float
-    loss_rate: float
-    regime: str
-
-    def format(self) -> str:
-        mark = "PASS" if self.passed else "FAIL"
-        return (
-            f"relentless-model {mark} [{self.regime} p={self.loss_rate:.3f}]: "
-            f"goodput {self.measured_bps / 1e3:.0f} vs "
-            f"{self.predicted_bps / 1e3:.0f} kbps "
-            f"({'ok' if self.throughput_ok else 'OUT'}), "
-            f"window {self.measured_window:.1f} vs "
-            f"{self.predicted_window:.1f} pkts "
-            f"({'ok' if self.window_ok else 'OUT'})"
-        )
-
-
-def _within(measured: float, predicted: float, rel: float, abs_floor: float) -> bool:
-    return abs(measured - predicted) <= max(abs_floor, rel * predicted)
-
-
-def relentless_verdict(
-    params: RelentlessModelParams,
-    measured_bps: float,
-    measured_window: float,
-    throughput_rel_tol: float = THROUGHPUT_REL_TOL,
-    throughput_abs_tol_bps: float = THROUGHPUT_ABS_TOL_BPS,
-    window_rel_tol: float = WINDOW_REL_TOL,
-) -> RelentlessVerdict:
-    """Compare a measured solo-Relentless run against the model.
-
-    ``measured_window`` is the time-average cwnd over the measurement
-    span; pass ``nan`` to skip the window check (throughput-only
-    gate)."""
-    prediction = relentless_prediction(params)
-    throughput_ok = _within(
-        measured_bps,
-        prediction.throughput_bps,
-        throughput_rel_tol,
-        throughput_abs_tol_bps,
-    )
-    if math.isnan(measured_window):
-        window_ok = True
-    else:
-        window_ok = _within(
-            measured_window, prediction.window_pkts, window_rel_tol, 0.0
-        )
-    return RelentlessVerdict(
-        passed=throughput_ok and window_ok,
-        throughput_ok=throughput_ok,
-        window_ok=window_ok,
-        measured_bps=measured_bps,
-        predicted_bps=prediction.throughput_bps,
-        measured_window=measured_window,
-        predicted_window=prediction.window_pkts,
-        loss_rate=params.loss_rate,
-        regime=prediction.regime,
     )

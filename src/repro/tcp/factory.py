@@ -46,7 +46,7 @@ VARIANTS: Dict[str, Tuple[Type[TcpSender], Type[TcpReceiver]]] = {
     "ss-reno": (SmoothStartRenoSender, TcpReceiver),
     "ss-newreno": (SmoothStartNewRenoSender, TcpReceiver),
     "ss-rr": (SmoothStartRrSender, TcpReceiver),
-    # Modern rivals (post-paper; see docs/ALGORITHMS.md):
+    # Post-paper senders (see docs/ALGORITHMS.md):
     "cubic": (CubicSender, TcpReceiver),
     "relentless": (RelentlessSender, TcpReceiver),
 }

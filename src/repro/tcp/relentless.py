@@ -12,8 +12,8 @@ per-RTT gain (1) equals the per-RTT loss (``p * W``):
 (:mod:`repro.models.relentless` implements their model as the oracle
 for this sender).  Relentless is deliberately *not* TCP-friendly: it
 only sheds what the network actually destroyed, so against AIMD flows
-it converges to a much larger share.  That is exactly why it is in the
-rivals grid — the paper's friendliness tables assume everyone halves.
+it converges to a much larger share — the paper's friendliness tables
+assume everyone halves.
 
 Implementation: New-Reno partial-ACK recovery supplies loss detection,
 hole retransmission and ACK-clock maintenance (dup-ACK inflation is

@@ -9,9 +9,9 @@ with ``actnum`` — equal means ``actnum += 1`` and one extra packet,
 smaller means ``actnum := ndup`` and the exit point moves to
 ``maxseq``; the full ACK sets ``cwnd = actnum``.  It carries the
 refinements DESIGN.md documents (the retreat and the comparison count
-what was really sent, the exit window is capped at flight + 1, RR's
-guard sits one below ``recover``) and the base sender around them:
-slow start, congestion avoidance, go-back-N after a timeout, and the
+what was really sent, the exit window is capped at flight + 1) and
+the base sender around them: slow start, congestion avoidance,
+go-back-N after a timeout (the only move of the re-entry guard), and the
 reaction to an ECN echo (an ACK carrying ECE outside recovery, at or
 past the marker, sets ``ssthresh`` to half the flight, ``cwnd`` to
 ``ssthresh`` and the marker to ``snd_nxt``; an ECE ACK opens no window).
@@ -124,7 +124,6 @@ class RrTwin:
             self.acknowledge(ackno)
         self.cwnd = float(max(1, min(self.actnum, self.nxt - self.una + 1)))
         self.phase, self.actnum, self.ndup = "normal", 0, 0
-        self.guard = self.recover - 1
         self.send_window()
 
     def timeout(self):

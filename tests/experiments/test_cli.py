@@ -189,8 +189,11 @@ class TestListing:
 
     def test_every_experiment_has_a_description(self):
         from repro.experiments.cli import DESCRIPTIONS
+        from repro.experiments.export_results import _CONVERTERS
 
         assert set(DESCRIPTIONS) == set(EXPERIMENTS)
+        # A deleted harness must not leave its exporter behind.
+        assert set(_CONVERTERS) <= set(EXPERIMENTS)
 
     @pytest.mark.parametrize(
         "name,phrase",

@@ -5,10 +5,9 @@ warm, warm again over the same store, and warm from a store whose
 prefix snapshot was deleted, bit-flipped or replaced by a foreign
 format before the forks ran.
 
-``manyflow`` and ``rivals`` run plain cached tasks (every cell's
-warm-up is its own), so they take part in the cold checks only; that
-their worlds survive a capture/restore is checked directly in
-tests/experiments/test_rivals.py and
+``manyflow`` runs plain cached tasks (every cell's warm-up is its own),
+so it takes part in the cold checks only; that its worlds survive a
+capture/restore is checked directly in
 tests/scenes/test_scene_determinism.py.
 """
 
@@ -24,7 +23,6 @@ from repro.experiments.figure5 import Figure5Config, run_figure5
 from repro.experiments.figure6 import Figure6Config, run_figure6
 from repro.experiments.figure7 import Figure7Config, run_figure7
 from repro.experiments.manyflow import ManyflowConfig, run_manyflow
-from repro.experiments.rivals import RivalsConfig, run_rivals
 from repro.experiments.table5 import Table5Config, run_table5
 from repro.runner import SnapshotStore, SweepObserver, SweepRunner, read_quarantine
 from repro.snapshot.core import SNAPSHOT_FORMAT
@@ -89,19 +87,6 @@ GRIDS = {
         lambda r: r.cells,
         None,
     ),
-    "rivals": Grid(
-        run_rivals,
-        RivalsConfig(
-            rivals=("cubic", "relentless"),
-            regimes=("delack", "ecn-red", "mobile"),
-            duration=6.0,
-            model_loss_rates=(0.03,),
-            model_duration=30.0,
-            seed=11,
-        ),
-        lambda r: (r.cells, r.rows),
-        None,
-    ),
 }
 
 each_grid = pytest.mark.parametrize("name", sorted(GRIDS))
@@ -111,8 +96,8 @@ each_warm_grid = pytest.mark.parametrize(
 
 
 def run(name, **kwargs):
-    """One sweep of grid ``name`` (manyflow/rivals pin ``warmup`` on the
-    config they are handed, so each sweep gets its own copy)."""
+    """One sweep of grid ``name`` (manyflow pins ``warmup`` on the
+    config it is handed, so each sweep gets its own copy)."""
     grid = GRIDS[name]
     return grid.rows_of(grid.run_fn(copy.deepcopy(grid.config), **kwargs))
 

@@ -1,8 +1,6 @@
 """Tests for the Diana & Lochin Relentless model: the 1/p law, regime
-classification, verdict banding — and a cross-validation run driving
-the simulator's RelentlessSender with the model's own loss process."""
-
-import math
+classification — and a cross-validation run driving the simulator's
+RelentlessSender with the model's own loss process."""
 
 import pytest
 
@@ -12,7 +10,6 @@ from repro.experiments.common import FlowSpec, build_dumbbell_scenario
 from repro.models.relentless import (
     RelentlessModelParams,
     relentless_prediction,
-    relentless_verdict,
     relentless_window,
 )
 from repro.net.loss import PeriodicLoss
@@ -68,50 +65,10 @@ class TestPrediction:
             relentless_prediction(self.make(base_rtt=0.0))
 
 
-class TestVerdict:
-    def params(self):
-        return RelentlessModelParams(
-            loss_rate=0.02, base_rtt=0.2, bandwidth_bps=10e6, max_window=400.0
-        )
-
-    def test_pass_inside_band(self):
-        pred = relentless_prediction(self.params())
-        v = relentless_verdict(
-            self.params(),
-            measured_bps=pred.throughput_bps * 0.8,
-            measured_window=pred.window_pkts * 0.8,
-        )
-        assert v.passed and v.throughput_ok and v.window_ok
-
-    def test_fail_outside_band(self):
-        pred = relentless_prediction(self.params())
-        v = relentless_verdict(
-            self.params(),
-            measured_bps=pred.throughput_bps * 0.3,
-            measured_window=pred.window_pkts,
-        )
-        assert not v.passed and not v.throughput_ok
-
-    def test_nan_window_skips_window_check(self):
-        pred = relentless_prediction(self.params())
-        v = relentless_verdict(
-            self.params(),
-            measured_bps=pred.throughput_bps,
-            measured_window=float("nan"),
-        )
-        assert v.passed and v.window_ok
-
-    def test_format_mentions_verdict(self):
-        v = relentless_verdict(self.params(), 1e6, float("nan"))
-        assert "relentless-model" in v.format()
-        assert v.regime in v.format()
-
-
 class TestSimulatorCrossValidation:
     def test_solo_relentless_lands_on_model(self):
         """One Relentless flow under one-loss-per-60-packets: the
-        equilibrium window must sit near 1/p = 60 (the model's and the
-        sender's shared fixed point)."""
+        equilibrium window must sit near the model's W* = 1/p = 60."""
         period = 60
         params = DumbbellParams(
             n_pairs=1,
@@ -132,7 +89,9 @@ class TestSimulatorCrossValidation:
         acked = stats.acked_at(duration) - stats.acked_at(warmup)
         bw_bps = acked * 8000.0 / (duration - warmup)
         measured_window = bw_bps * 0.2 / 8000.0
-        assert measured_window == pytest.approx(period, rel=0.25)
+        assert measured_window == pytest.approx(
+            relentless_window(1 / period), rel=0.25
+        )
 
     def test_relentless_beats_newreno_at_same_loss(self):
         """The defining behavioral contrast: under identical loss,

@@ -12,9 +12,17 @@ import json
 import pytest
 
 from repro._record import replace
+from repro.config import TcpConfig
 from repro.errors import SnapshotError, SnapshotFormatError
+from repro.experiments.common import FlowSpec, build_dumbbell_scenario
 from repro.faults.campaign import CampaignRunner, CampaignSpec
 from repro.faults.plan import FaultContext
+from repro.net.packet import set_uid_state
+from repro.net.red import RedParams, RedQueue
+from repro.net.topology import DumbbellParams
+from repro.net.varlink import RateSchedule, bufferbloat_limit
+from repro.sim.engine import Simulator
+from repro.sim.rng import RngStream
 from repro.snapshot import GOLDEN_VARIANTS, Snapshot, state_digest
 from repro.snapshot.golden import build_golden_scenario
 
@@ -96,6 +104,80 @@ class TestFaultPlanResumability:
         restored = snapshot.restore()
         restored.sim.run(until=END_TIME)
         assert state_digest(restored) == reference_digest
+
+
+SEAM_END, SEAM_CAPTURE = 8.0, 2.4
+
+#: Each seam is mid-action at ``SEAM_CAPTURE``, so the snapshot freezes it.
+SEAM_LIVE = {
+    "delack": lambda w: any(r._delack_timer.pending for r in w.receivers.values()),
+    "ecn-red": lambda w: w.dumbbell.bottleneck_queue.ecn_marks > 0,
+    "mobile": lambda w: w.dumbbell.forward_link.is_down,  # a handover outage
+}
+
+
+def _seam_world(seam):
+    """Two RR and two CUBIC flows, interleaved and staggered, over one
+    bottleneck that carries ``seam``: delayed ACKs at every receiver
+    (``delack``), an ECN-marking RED queue with ECN-capable endpoints
+    (``ecn-red``), or a seeded mobile rate schedule with handover
+    outages over a bufferbloat-sized buffer (``mobile``)."""
+    set_uid_state(1)  # packet uids are process-global
+    sim = Simulator()
+    tcp = TcpConfig(delayed_ack=seam == "delack", ecn_enabled=seam == "ecn-red")
+    flows = [
+        FlowSpec(variant=variant, start_time=0.25 * i, config=tcp)
+        for i, variant in enumerate(["rr", "cubic"] * 2)
+    ]
+    params = DumbbellParams(
+        n_pairs=len(flows),
+        bottleneck_bandwidth_bps=4e6,
+        bottleneck_delay=0.03,
+        buffer_packets=32,
+    )
+    factory = None
+    if seam == "ecn-red":
+        red = RedParams(
+            min_th=8.0, max_th=24.0, max_p=0.05, weight=0.002, limit=64, ecn=True
+        )
+        rng = RngStream(11, "red")
+        factory = lambda name: RedQueue(sim, red, rng.substream(name), name=name)
+        params = replace(params, buffer_packets=red.limit)
+    if seam == "mobile":
+        params = replace(
+            params,
+            bottleneck_bandwidth_bps=2e6,
+            buffer_packets=bufferbloat_limit(2e6, 2 * (0.001 + 0.03 + 0.001), 10.0),
+        )
+    world = build_dumbbell_scenario(
+        flows, params=params, bottleneck_queue_factory=factory, sim=sim
+    )
+    if seam == "mobile":
+        RateSchedule.mobile(
+            11,
+            duration=SEAM_END,
+            mean_bps=2e6,
+            handover_period=4.0,
+            handover_duration=0.4,
+        ).apply(world.dumbbell.forward_link)
+    return world
+
+
+@pytest.mark.parametrize("seam", sorted(SEAM_LIVE))
+def test_seam_world_survives_capture_restore(seam):
+    """Delayed-ACK timers, an ECN-marking RED queue and a rate schedule
+    all ride through a mid-run snapshot (chaos ``--triage`` forks such
+    worlds)."""
+    # One world at a time: _seam_world rewinds the packet uids.
+    in_place = _seam_world(seam)
+    in_place.sim.run(until=SEAM_END)
+
+    world = _seam_world(seam)
+    world.sim.run(until=SEAM_CAPTURE)
+    assert SEAM_LIVE[seam](world)
+    restored = Snapshot.capture(world, label=f"seam {seam}").restore()
+    restored.sim.run(until=SEAM_END)
+    assert state_digest(restored) == state_digest(in_place)
 
 
 class TestCaptureGuards:

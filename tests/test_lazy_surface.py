@@ -38,7 +38,6 @@ SEED_SURFACE = {
         "repro.experiments.figure6": "Figure6Config run_figure6",
         "repro.experiments.figure7": "Figure7Config run_figure7",
         "repro.experiments.manyflow": "ManyflowConfig run_manyflow",
-        "repro.experiments.rivals": "RivalsConfig run_rivals",
         "repro.experiments.table5": "Table5Config run_table5",
         "repro.experiments.ackloss": "AckLossConfig run_ackloss",
         "repro.experiments.ablation": "AblationConfig run_ablation",
@@ -129,8 +128,8 @@ SEED_SURFACE = {
             "red_drop_curve "
         ),
         "repro.models.relentless": (
-            "RelentlessModelParams RelentlessPrediction RelentlessVerdict "
-            "relentless_prediction relentless_verdict relentless_window "
+            "RelentlessModelParams RelentlessPrediction relentless_prediction "
+            "relentless_window "
         ),
     },
     "repro.runner": {
