@@ -1,14 +1,11 @@
 """Beyond the paper: the extension mechanisms, side by side.
 
-Three mini-studies using machinery the paper references but does not
+Two mini-studies using machinery the paper references but does not
 evaluate:
 
 1. **Vegas decomposition** (§1 / ref [8]) — is Vegas' gain really in
    its recovery techniques rather than its delay-based CA?
-2. **Smooth-start** (§1 / ref [21]) — does a gentler slow-start ramp
-   reduce the very loss bursts RR is built to survive, and do the two
-   compose?
-3. **ECN** — with marking instead of dropping at the RED gateway, how
+2. **ECN** — with marking instead of dropping at the RED gateway, how
    much recovery work disappears entirely?
 
 Run:  python examples/beyond_the_paper.py
@@ -31,32 +28,6 @@ from repro.viz.ascii import format_table
 def vegas_study() -> None:
     print("=" * 70)
     print(format_report(run_vegas_decomposition(VegasDecompositionConfig())))
-
-
-def smooth_start_study() -> None:
-    print("=" * 70)
-    print("Smooth-start (ref [21]) composed with each recovery scheme")
-    print("(200-packet transfer into the paper's tiny 8-packet buffer)\n")
-    rows = []
-    for variant in ("reno", "ss-reno", "newreno", "ss-newreno", "rr", "ss-rr"):
-        scenario = build_dumbbell_scenario(
-            flows=[FlowSpec(variant=variant, amount_packets=200)],
-            params=DumbbellParams(n_pairs=1, buffer_packets=8),
-        )
-        scenario.sim.run(until=60.0)
-        sender, stats = scenario.flow(1)
-        rows.append(
-            [
-                variant,
-                f"{sender.complete_time:.2f}",
-                stats.drops_observed,
-                sender.retransmits,
-                sender.timeouts,
-            ]
-        )
-    print(format_table(["scheme", "done at s", "drops", "rtx", "RTOs"], rows))
-    print("\n(ss-* rows: the tapered ramp sheds the slow-start overshoot"
-          "\n losses before recovery ever has to deal with them)")
 
 
 def ecn_study() -> None:
@@ -103,5 +74,4 @@ def ecn_study() -> None:
 
 if __name__ == "__main__":
     vegas_study()
-    smooth_start_study()
     ecn_study()

@@ -14,7 +14,7 @@ from repro.experiments.common import FlowSpec, build_dumbbell_scenario
 from repro.metrics.throughput import loss_recovery_span
 from repro.net.loss import DeterministicLoss
 from repro.net.topology import DumbbellParams
-from repro.viz.ascii import ascii_step_series
+from repro.viz.ascii import ascii_scatter
 
 
 def run(variant: str):
@@ -39,9 +39,10 @@ def main() -> None:
             if span and span[0] - 0.6 <= t <= span[1] + 1.5
         ]
         print(
-            ascii_step_series(
-                window,
+            ascii_scatter(
+                {"cwnd": window},
                 title=f"--- {variant}: cwnd through the 6-drop burst ---",
+                x_label="time (s)",
                 y_label="cwnd (packets)",
                 height=12,
             )

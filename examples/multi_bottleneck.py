@@ -32,7 +32,7 @@ def run(variant: str):
     FtpSource(sim, long_sender, amount_packets=None)
     cross = []
     for hop in range(1, N_HOPS + 1):
-        src, dst = lot.cross_pair(hop)
+        src, dst = lot.cross_pairs[hop - 1]
         stats = FlowStats(flow_id=hop + 1)
         sender, _ = make_connection(sim, variant, hop + 1, src, dst, observer=stats)
         FtpSource(sim, sender, amount_packets=None, start_time=0.1 * hop)

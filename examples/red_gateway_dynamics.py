@@ -11,15 +11,12 @@ Run:  python examples/red_gateway_dynamics.py [seed]
 
 import sys
 
-from repro.experiments.figure6 import Figure6Config, run_variant
+from repro.experiments.figure6 import Figure6Config, run_figure6
 from repro.viz.ascii import ascii_scatter, format_table
 
 
 def main(seed: int = 7) -> None:
-    config = Figure6Config(seed=seed)
-    results = {}
-    for variant in ("newreno", "sack", "rr"):
-        results[variant] = run_variant(variant, config)
+    results = run_figure6(Figure6Config(seed=seed)).flows
 
     rows = []
     for variant, flow in results.items():

@@ -8,7 +8,7 @@ and verifies, without executing any example:
 * every ``python`` block parses, and every ``import x`` /
   ``from x import y`` of a ``repro`` module resolves against the
   installed package — including each imported name existing on the
-  module;
+  module; so does every ``examples/*.py`` script, whole;
 * every ``python -m repro.experiments <cmd>`` invocation (in any
   fenced block) names a real subcommand, verified by running
   ``python -m repro.experiments <cmd> --help``;
@@ -49,8 +49,8 @@ or a CLI verb without updating the docs fails the build.
 
 Usage::
 
-    python scripts/check_docs.py            # check docs/*.md + top-level pages
-    python scripts/check_docs.py FILE...    # check specific files
+    python scripts/check_docs.py            # check docs/*.md, top-level pages, examples
+    python scripts/check_docs.py FILE...    # check specific files (.md pages, .py examples)
 """
 
 from __future__ import annotations
@@ -541,12 +541,22 @@ def check_file(path: Path) -> Tuple[List[str], List[Tuple[str, str]], int]:
     return problems, commands, blocks
 
 
+def check_example(path: Path) -> List[str]:
+    """An example script is one python block: it parses and its
+    ``repro`` imports resolve."""
+    where = path.relative_to(REPO_ROOT) if path.is_relative_to(REPO_ROOT) else path
+    return check_python_block(path.read_text(encoding="utf-8"), str(where))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv:
-        paths = [Path(arg).resolve() for arg in argv]
+        chosen = [Path(arg).resolve() for arg in argv]
+        examples = [path for path in chosen if path.suffix == ".py"]
+        paths = [path for path in chosen if path.suffix != ".py"]
         citing = paths
     else:
+        examples = sorted((REPO_ROOT / "examples").glob("*.py"))
         paths = sorted((REPO_ROOT / "docs").glob("*.md")) + [
             REPO_ROOT / name for name in TOP_LEVEL_PAGES
         ]
@@ -554,6 +564,8 @@ def main(argv=None) -> int:
             path for pattern in CITING_GLOBS for path in REPO_ROOT.glob(pattern)
         )
     problems: List[str] = []
+    for path in examples:
+        problems.extend(check_example(path))
     commands: List[Tuple[str, str]] = []
     total_blocks = 0
     total_links = 0
@@ -602,7 +614,7 @@ def main(argv=None) -> int:
     problems.extend(check_reachability(linked_from))
     unique_cmds = len({cmd for cmd, _ in commands})
     print(
-        f"checked {len(paths)} files, {total_blocks} fenced blocks, "
+        f"checked {len(paths)} files, {len(examples)} examples, {total_blocks} fenced blocks, "
         f"{unique_cmds} distinct CLI commands, {total_flags} CLI flags, "
         f"{total_links} relative links, {total_paths} repo paths, "
         f"{total_names} dotted names, {total_citations} heading citations in"

@@ -10,8 +10,8 @@ The package bundles:
 * :mod:`repro.sim` / :mod:`repro.net` — a packet-level discrete-event
   network simulator (the ns-2 substitute): links, drop-tail and RED
   gateways, loss injection, the paper's dumbbell topology;
-* :mod:`repro.models` — the Mathis square-root and Padhye throughput
-  models (Section 4);
+* :mod:`repro.models` — the Mathis square-root model (Section 4) and
+  the mean-field RED oracle;
 * :mod:`repro.metrics` / :mod:`repro.experiments` — measurement and
   the harnesses regenerating every table and figure in the paper.
 

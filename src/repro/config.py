@@ -9,9 +9,7 @@ measured in packets.
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro._record import Record, replace
+from repro._record import Record
 from repro.errors import ConfigurationError
 
 
@@ -99,9 +97,3 @@ class TcpConfig(Record, frozen=True):
             raise ConfigurationError("max_burst must be >= 0")
         if self.sack_block_limit < 1:
             raise ConfigurationError("sack_block_limit must be >= 1")
-
-    def with_(self, **changes: Any) -> "TcpConfig":
-        """Return a copy with ``changes`` applied (validated)."""
-        cfg = replace(self, **changes)
-        cfg.validate()
-        return cfg

@@ -27,7 +27,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "table5": ("Table5Config", "run_table5"),
         "ackloss": ("AckLossConfig", "run_ackloss"),
         "ablation": ("AblationConfig", "run_ablation"),
-        "replication": ("Summary", "format_summaries", "replicate", "summarize"),
+        "replication": ("Summary", "replicate", "summarize"),
         "vegas_decomposition": ("VegasDecompositionConfig", "run_vegas_decomposition"),
     },
 )

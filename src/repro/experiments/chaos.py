@@ -127,10 +127,6 @@ class ChaosVariantSummary(Record):
     baseline_time: float
     goodput_vs_baseline: float      # mean over completed runs, 1.0 = no loss
 
-    @property
-    def survival_rate(self) -> float:
-        return self.survived / self.runs if self.runs else 0.0
-
 
 class ChaosResult(Record):
     config: ChaosConfig

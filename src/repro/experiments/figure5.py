@@ -184,11 +184,6 @@ def finish_cell(
     )
 
 
-def run_single(variant: str, n_drops: int, config: Figure5Config) -> Figure5Row:
-    """Run one (variant, drop-count) cell of Figure 5 from t=0."""
-    return finish_cell(lambda: prefix_world(variant, config), variant, n_drops, config)
-
-
 def run_figure5(
     config: Optional[Figure5Config] = None,
     runner: Optional["SweepRunner"] = None,

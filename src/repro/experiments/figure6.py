@@ -128,12 +128,6 @@ def finish_variant(
     )
 
 
-def run_variant(variant: str, config: Figure6Config) -> Figure6FlowResult:
-    """Run the ten-flow RED scenario with every flow using ``variant``
-    and return flow 1's dynamics."""
-    return finish_variant(lambda: prefix_world(variant, config), variant, config)
-
-
 def run_figure6(
     config: Optional[Figure6Config] = None,
     runner: Optional["SweepRunner"] = None,

@@ -104,12 +104,6 @@ class ManyflowResult(Record):
     config: ManyflowConfig
     cells: List[ManyflowCellResult] = field(default_factory=list)
 
-    @property
-    def all_passed(self) -> bool:
-        """Every oracle-checked cell within tolerance (vacuously true
-        for families without an oracle)."""
-        return all(c.verdict.passed for c in self.cells if c.verdict is not None)
-
 
 def cell_spec(n_flows: int, max_p: float, config: ManyflowConfig) -> SceneSpec:
     """The content-addressed scene one sweep cell runs.

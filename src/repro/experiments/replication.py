@@ -128,9 +128,3 @@ def replicate(
         for key, value in metrics.items():
             collected[key].append(float(value))
     return {key: summarize(values, confidence) for key, values in collected.items()}
-
-
-def format_summaries(summaries: Dict[str, Summary]) -> str:
-    """Readable one-line-per-metric rendering."""
-    width = max(len(k) for k in summaries) if summaries else 0
-    return "\n".join(f"{key.ljust(width)}  {summaries[key]}" for key in sorted(summaries))

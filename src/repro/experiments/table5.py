@@ -169,17 +169,6 @@ def finish_replica(fresh_world, target_variant: str, config: Table5Config):
     )
 
 
-def run_replica(
-    target_variant: str, background_variant: str, config: Table5Config, run_index: int
-):
-    """One replication from t=0."""
-    return finish_replica(
-        lambda: prefix_world(background_variant, run_index, config),
-        target_variant,
-        config,
-    )
-
-
 def _reduce_case(
     target_variant: str, background_variant: str, config: Table5Config, replicas
 ) -> Table5Row:
@@ -206,15 +195,6 @@ def _reduce_case(
         completed_runs=completed,
         total_runs=n,
     )
-
-
-def run_case(target_variant: str, background_variant: str, config: Table5Config) -> Table5Row:
-    """One (target, background) cell of Table 5 (mean of replications)."""
-    replicas = [
-        run_replica(target_variant, background_variant, config, run_index)
-        for run_index in range(config.runs_per_case)
-    ]
-    return _reduce_case(target_variant, background_variant, config, replicas)
 
 
 def run_table5(

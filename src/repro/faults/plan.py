@@ -356,10 +356,6 @@ class FaultPlan(Record):
             )
             action.install(ctx, rng)
 
-    def install_on(self, scenario) -> None:
-        """Convenience: install onto a ScenarioResult."""
-        self.install(FaultContext.from_scenario(scenario))
-
     def describe(self) -> str:
         lines = [f"fault plan {self.name!r} (seed {self.seed}, {len(self.actions)} actions)"]
         for action in self.actions:

@@ -17,10 +17,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "timeseries": ("SequenceTracer",),
         "export": ("rows_to_csv", "rows_to_json"),
         "queuemon": ("QueueMonitor",),
-        "sync": (
-            "cluster_loss_events",
-            "loss_synchronization_index",
-            "mean_flows_per_event",
-        ),
     },
 )

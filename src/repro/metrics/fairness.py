@@ -18,12 +18,3 @@ def jain_index(allocations: Sequence[float]) -> float:
     if squares == 0:
         return 1.0
     return (total * total) / (len(xs) * squares)
-
-
-def throughput_ratio(flow_bps: float, fair_share_bps: float) -> float:
-    """A flow's throughput normalised by its fair share (1.0 = exactly
-    fair; the paper's Section 5 argues RR lands slightly above 1 only
-    by using bandwidth Reno leaves idle)."""
-    if fair_share_bps <= 0:
-        return 0.0
-    return flow_bps / fair_share_bps

@@ -9,7 +9,7 @@ occupancy series).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.net.queues import PacketQueue
@@ -50,9 +50,6 @@ class QueueMonitor:
             return 0.0
         return sum(length for _, length in self.samples) / len(self.samples)
 
-    def max_occupancy(self) -> int:
-        return max((length for _, length in self.samples), default=0)
-
     def utilisation_proxy(self) -> float:
         """Fraction of samples with a non-empty queue — a rough proxy
         for how often the output link had work (1.0 = always busy)."""
@@ -60,23 +57,3 @@ class QueueMonitor:
             return 0.0
         busy = sum(1 for _, length in self.samples if length > 0)
         return busy / len(self.samples)
-
-    def empty_periods(self, min_duration: float = 0.05) -> List[Tuple[float, float]]:
-        """Contiguous stretches with an empty queue longer than
-        ``min_duration`` — starvation valleys (the signature of global
-        synchronization at a drop-tail bottleneck)."""
-        valleys: List[Tuple[float, float]] = []
-        start: Optional[float] = None
-        for time, length in self.samples:
-            if length == 0:
-                if start is None:
-                    start = time
-            elif start is not None:
-                if time - start >= min_duration:
-                    valleys.append((start, time))
-                start = None
-        if start is not None and self.samples:
-            end = self.samples[-1][0]
-            if end - start >= min_duration:
-                valleys.append((start, end))
-        return valleys

@@ -23,12 +23,6 @@ class SequenceTrace(Record):
     retransmits: List[Tuple[float, int]]
     acks: List[Tuple[float, int]]
 
-    def final_sequence(self) -> int:
-        """Highest cumulatively acknowledged packet — the paper's
-        headline comparison in Figure 6 (higher = more delivered in the
-        same 6 seconds)."""
-        return self.acks[-1][1] if self.acks else 0
-
 
 class SequenceTracer:
     """Builds :class:`SequenceTrace` views from flow statistics."""

@@ -5,13 +5,8 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "mathis": (
-            "MATHIS_C_ACK_EVERY_PACKET",
-            "mathis_bandwidth_bps",
-            "mathis_window",
-        ),
-        "padhye": ("padhye_bandwidth_bps",),
-        "fit": ("estimate_mathis_c", "fit_quality", "relative_errors"),
+        "mathis": ("MATHIS_C_ACK_EVERY_PACKET", "mathis_window"),
+        "fit": ("estimate_mathis_c",),
         "meanfield": (
             "MeanFieldParams",
             "MeanFieldPrediction",

@@ -1,20 +1,17 @@
 """Model-fitting utilities for Section 4.
 
 The paper eyeballs fitness of measured windows against the square-root
-bound; these helpers quantify it:
-
-* :func:`estimate_mathis_c` — least-squares estimate of the constant C
-  in ``W = C/sqrt(p)`` from measured (p, W) points.  Interesting for
-  the paper's curious statement "C is set to 4": fitting the *measured*
-  points recovers something near the theoretical sqrt(3/2) at low p.
-* :func:`relative_errors` / :func:`fit_quality` — pointwise deviation
-  from a model curve and an R²-style summary.
+bound; :func:`estimate_mathis_c` quantifies it with a least-squares
+estimate of the constant C in ``W = C/sqrt(p)`` from measured (p, W)
+points.  Interesting for the paper's curious statement "C is set to 4":
+fitting the *measured* points recovers something near the theoretical
+sqrt(3/2) at low p.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -38,30 +35,3 @@ def estimate_mathis_c(points: Sequence[Point]) -> float:
         num += w * x
         den += x * x
     return num / den
-
-
-def relative_errors(
-    points: Sequence[Point], model: Callable[[float], float]
-) -> List[float]:
-    """Per-point (measured - model) / model."""
-    errors = []
-    for p, w in points:
-        reference = model(p)
-        if reference == 0:
-            raise ConfigurationError("model value is zero; relative error undefined")
-        errors.append((w - reference) / reference)
-    return errors
-
-
-def fit_quality(points: Sequence[Point], model: Callable[[float], float]) -> float:
-    """R²-style fit quality of ``model`` against measured points
-    (1 = perfect; can go negative for a fit worse than the mean)."""
-    if not points:
-        raise ConfigurationError("need at least one point")
-    measured = [w for _, w in points]
-    mean = sum(measured) / len(measured)
-    ss_total = sum((w - mean) ** 2 for w in measured)
-    ss_residual = sum((w - model(p)) ** 2 for p, w in points)
-    if ss_total == 0:
-        return 1.0 if ss_residual == 0 else 0.0
-    return 1.0 - ss_residual / ss_total

@@ -44,16 +44,3 @@ def mathis_window(loss_rate: float, c: float = MATHIS_C_ACK_EVERY_PACKET) -> flo
     """Upper-bound window size in packets: W = C / sqrt(p)."""
     _check_loss_rate(loss_rate)
     return c / math.sqrt(loss_rate)
-
-
-def mathis_bandwidth_bps(
-    loss_rate: float,
-    rtt: float,
-    mss_bytes: int = 1000,
-    c: float = MATHIS_C_ACK_EVERY_PACKET,
-) -> float:
-    """Upper-bound bandwidth in bits/second: BW = (MSS/RTT) * C/sqrt(p)."""
-    _check_loss_rate(loss_rate)
-    if rtt <= 0:
-        raise ConfigurationError("RTT must be positive")
-    return (mss_bytes * 8.0 / rtt) * c / math.sqrt(loss_rate)

@@ -13,7 +13,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "packet": ("ACK", "DATA", "Packet", "SackBlock"),
-        "fairqueue": ("FairQueue",),
         "queues": ("DropTailQueue", "PacketQueue"),
         "red": ("RedParams", "RedQueue"),
         "loss": (
@@ -37,6 +36,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "network": ("Network",),
         "parkinglot": ("ParkingLot", "ParkingLotParams"),
         "topology": ("Dumbbell", "DumbbellParams"),
-        "varlink": ("RateSchedule", "bufferbloat_limit", "bufferbloat_queue"),
+        "varlink": ("RateSchedule", "bufferbloat_limit"),
     },
 )

@@ -39,12 +39,6 @@ class Agent(SlotState):
     def attach(self, host: "Host") -> None:
         self.host = host
 
-    @property
-    def local_name(self) -> str:
-        if self.host is None:
-            raise TopologyError("agent is not attached to a host")
-        return self.host.name
-
     def send(self, packet: Packet) -> None:
         """Hand a packet to the attached host for forwarding."""
         if self.host is None:

@@ -106,10 +106,6 @@ class ParkingLot:
         self.net.compute_routes(compact=compact_routes)
         self.net.validate()
 
-    def cross_pair(self, hop: int) -> Tuple[Host, Host]:
-        """1-based access to hop ``hop``'s cross-traffic host pair."""
-        return self.cross_pairs[hop - 1]
-
     def long_path_rtt(self) -> float:
         """Base two-way propagation delay of the long path."""
         p = self.params

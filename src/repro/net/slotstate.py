@@ -6,7 +6,7 @@ their fields in ``__slots__``, so the compiled hop
 Their pickled and digested state is still the mapping their
 ``__dict__`` held before they had slots: the set slots in declaration
 order (which is ``__init__``'s assignment order), then a subclass's own
-``__dict__`` (a ``FairQueue``'s flows), minus the class's derived
+``__dict__`` (a slot-less subclass's own fields), minus the class's derived
 caches.  Golden digests and snapshots therefore do not depend on the
 layout.
 """

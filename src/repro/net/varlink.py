@@ -16,8 +16,8 @@ existing :class:`~repro.net.link.Link`:
   :class:`~repro.sim.rng.RngStream` (:meth:`mobile`), so worlds stay a
   pure function of their seed and runs are bit-identical across
   reruns, serial/parallel sweeps and engine backends.
-* :func:`bufferbloat_limit` / :func:`bufferbloat_queue` — DropTail
-  sizing presets at a chosen multiple of the bandwidth-delay product.
+* :func:`bufferbloat_limit` — a DropTail sizing preset at a chosen
+  multiple of the bandwidth-delay product.
 
 Rate changes take effect at the *next* service start: the packet
 occupying the transmitter when a step fires keeps the service time it
@@ -34,7 +34,6 @@ from typing import Iterable, Optional, Sequence, Tuple
 from repro._record import Record
 from repro.errors import ConfigurationError
 from repro.net.link import Link
-from repro.net.queues import DropTailQueue
 from repro.sim.rng import RngStream
 
 
@@ -155,39 +154,6 @@ class RateSchedule(Record, frozen=True):
         return sched
 
     # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def rate_at(self, t: float, default: Optional[float] = None) -> Optional[float]:
-        """The scheduled rate at time ``t`` (``default`` before the
-        first step)."""
-        current = default
-        for step_t, bps in self.steps:
-            if step_t > t:
-                break
-            current = bps
-        return current
-
-    def min_rate(self) -> float:
-        """The slowest scheduled rate (for BDP/oracle sizing)."""
-        if not self.steps:
-            raise ConfigurationError("empty rate schedule")
-        return min(bps for _, bps in self.steps)
-
-    def mean_rate(self) -> float:
-        """Time-weighted mean rate over the scheduled span (the last
-        step is weighted by the mean preceding interval)."""
-        if not self.steps:
-            raise ConfigurationError("empty rate schedule")
-        if len(self.steps) == 1:
-            return self.steps[0][1]
-        total = 0.0
-        for (t0, bps), (t1, _) in zip(self.steps, self.steps[1:]):
-            total += bps * (t1 - t0)
-        span = self.steps[-1][0] - self.steps[0][0]
-        tail = span / (len(self.steps) - 1)
-        return (total + self.steps[-1][1] * tail) / (span + tail)
-
-    # ------------------------------------------------------------------
     # application
     # ------------------------------------------------------------------
     def apply(self, link: Link) -> Link:
@@ -230,16 +196,3 @@ def bufferbloat_limit(
         raise ConfigurationError("bufferbloat sizing needs positive inputs")
     bdp_packets = bandwidth_bps * rtt / (8.0 * mss_bytes)
     return max(int(math.ceil(bdp_packets * multiple)), 1)
-
-
-def bufferbloat_queue(
-    bandwidth_bps: float,
-    rtt: float,
-    multiple: float = 10.0,
-    mss_bytes: int = 1000,
-    name: str = "bloat",
-) -> DropTailQueue:
-    """A DropTail queue sized by :func:`bufferbloat_limit`."""
-    return DropTailQueue(
-        bufferbloat_limit(bandwidth_bps, rtt, multiple, mss_bytes), name=name
-    )

@@ -23,7 +23,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "heartbeat": ("HeartbeatLog", "read_events"),
+        "heartbeat": ("HeartbeatLog",),
         "manifest": (
             "ARTIFACT_DIR_ENV",
             "DEFAULT_ARTIFACT_DIR",

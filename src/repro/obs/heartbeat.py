@@ -11,9 +11,8 @@ not sim time); ``sweep`` counts ``map`` calls within the run, so a
 harness that maps more than once keeps its sweeps distinguishable.
 Lines are flushed per event — a heartbeat that only reaches the disk
 at process exit is no heartbeat — so a killed run's
-log still shows exactly how far it got, and post-hoc timing analysis
-(`read_events`) needs no special crash handling beyond skipping a
-possibly-torn final line.
+log still shows exactly how far it got: every complete line is valid
+JSON on its own, and only a killed writer's final line can be torn.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 from repro.runner.pool import SweepObserver, SweepStats, TaskRecord  # noqa: F401
 from repro.runner.spec import TaskSpec
@@ -96,26 +95,3 @@ class HeartbeatLog(SweepObserver):
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-
-def read_events(path: os.PathLike) -> List[Dict[str, Any]]:
-    """Parse a heartbeat log back into event dicts.
-
-    A torn final line (the writer was killed mid-write) is skipped —
-    every complete line is still valid JSON on its own.
-    """
-    events: List[Dict[str, Any]] = []
-    text: Optional[str] = None
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        return events
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue
-    return events

@@ -23,7 +23,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "QUARANTINE_SUBDIR",
             "QuarantineRecord",
             "ResultCache",
-            "read_quarantine",
         ),
         "fingerprint": ("code_fingerprint", "package_root"),
         "grid": ("GridCell", "run_grid", "step_until"),

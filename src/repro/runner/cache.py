@@ -37,8 +37,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, List, Optional, Tuple
 
-from repro._record import Record, asdict, field, fields
-from repro.errors import ConfigurationError
+from repro._record import Record, asdict, field
 from repro.runner.fingerprint import code_fingerprint
 from repro.runner.spec import TaskSpec
 
@@ -122,31 +121,6 @@ class QuarantineRecord(Record):
         tmp.write_text(self.to_json(), encoding="utf-8")
         os.replace(tmp, path)
         return path
-
-    @classmethod
-    def load(cls, path: os.PathLike) -> "QuarantineRecord":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        unknown = set(payload) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigurationError(
-                f"quarantine record carries unknown fields {sorted(unknown)}"
-            )
-        return cls(**payload)
-
-
-def read_quarantine(directory: os.PathLike) -> List[QuarantineRecord]:
-    """Every readable quarantine record under ``directory`` (sorted by
-    file name); missing directory reads as empty."""
-    directory = Path(directory)
-    records: List[QuarantineRecord] = []
-    if not directory.is_dir():
-        return records
-    for path in sorted(directory.glob("*.json")):
-        try:
-            records.append(QuarantineRecord.load(path))
-        except (OSError, ValueError, ConfigurationError):
-            continue
-    return records
 
 
 class ResultCache:

@@ -16,7 +16,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "engine": ("Event", "Simulator"),
-        "invariants": ("InvariantChecker", "InvariantSuite", "standard_suite"),
+        "invariants": ("InvariantChecker", "InvariantSuite"),
         "rng": ("RngStream",),
         "timers": ("Timer",),
         "tracing": ("TraceBus", "TraceRecord", "TraceTail"),

@@ -40,7 +40,7 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import InvariantViolation
 from repro.sim.tracing import TraceBus, TraceRecord, TraceTail
@@ -333,13 +333,3 @@ class InvariantSuite:
         for checker in self._dispatch.get(record.category, self._probes):
             checker.records_checked += 1
             checker.check(record)
-
-
-def standard_suite(
-    queues: Sequence = (), tail_size: int = 50
-) -> InvariantSuite:
-    """Convenience: the standard suite with ``queues`` under watch."""
-    suite = InvariantSuite.standard(tail_size=tail_size)
-    for queue in queues:
-        suite.watch_queue(queue)
-    return suite

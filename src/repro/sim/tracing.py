@@ -182,12 +182,6 @@ class TraceBus:
         for category in categories:
             self.unsubscribe(category, fn)
 
-    def has_subscribers(self, category: str) -> bool:
-        merged = self._merged.get(category)
-        if merged is None:
-            merged = self._merge(category)
-        return bool(merged)
-
     def publish(self, record: TraceRecord) -> None:
         """Deliver ``record`` to exact-category and wildcard subscribers."""
         merged = self._merged.get(record.category)

@@ -26,12 +26,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "rtt": ("RtoEstimator",),
         "sack": ("SackRfc3517Sender", "SackSender"),
         "scoreboard": ("Scoreboard",),
-        "smoothstart": (
-            "SmoothStartMixin",
-            "SmoothStartNewRenoSender",
-            "SmoothStartRenoSender",
-            "SmoothStartRrSender",
-        ),
         "tahoe": ("TahoeSender",),
         "vegas": ("VegasSender",),
     },

@@ -230,10 +230,6 @@ class TcpSender(Agent):
             raise ProtocolError("data limit must be >= 1 packet")
         self._limit = packets
 
-    @property
-    def data_limit(self) -> Optional[int]:
-        return self._limit
-
     def start(self) -> None:
         """Begin transmitting (slow start)."""
         if self.started:

@@ -24,11 +24,6 @@ from repro.tcp.relentless import RelentlessSender
 from repro.tcp.reno import RenoSender
 from repro.tcp.rightedge import LinKungSender, RightEdgeSender
 from repro.tcp.sack import SackRfc3517Sender, SackSender
-from repro.tcp.smoothstart import (
-    SmoothStartNewRenoSender,
-    SmoothStartRenoSender,
-    SmoothStartRrSender,
-)
 from repro.tcp.tahoe import TahoeSender
 from repro.tcp.vegas import VegasSender
 
@@ -43,9 +38,6 @@ VARIANTS: Dict[str, Tuple[Type[TcpSender], Type[TcpReceiver]]] = {
     "rightedge": (RightEdgeSender, TcpReceiver),
     "linkung": (LinKungSender, TcpReceiver),
     "vegas": (VegasSender, TcpReceiver),
-    "ss-reno": (SmoothStartRenoSender, TcpReceiver),
-    "ss-newreno": (SmoothStartNewRenoSender, TcpReceiver),
-    "ss-rr": (SmoothStartRrSender, TcpReceiver),
     # Post-paper senders (see docs/ALGORITHMS.md):
     "cubic": (CubicSender, TcpReceiver),
     "relentless": (RelentlessSender, TcpReceiver),

@@ -59,10 +59,6 @@ class TcpReceiver(Agent):
         """Packets delivered in order to the application so far."""
         return self.rcv_next
 
-    @property
-    def buffered_out_of_order(self) -> int:
-        return len(self._out_of_order)
-
     def receive(self, packet: Packet) -> None:
         if packet.kind != DATA:
             return  # receivers ignore stray ACKs

@@ -57,11 +57,6 @@ class RtoEstimator:
         self.__dict__.update(state)
         self.value = self._with_backoff()
 
-    @property
-    def backoff_factor(self) -> int:
-        """Current exponential back-off multiplier (1 = no back-off)."""
-        return self._backoff
-
     def on_sample(self, rtt: float) -> None:
         """Feed one RTT measurement (seconds)."""
         if rtt < 0:

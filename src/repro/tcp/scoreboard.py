@@ -56,9 +56,6 @@ class Scoreboard:
     def was_retransmitted(self, seqno: int) -> bool:
         return seqno in self._retransmitted
 
-    def sacked_count(self) -> int:
-        return len(self._sacked)
-
     def highest_sacked(self) -> int:
         """The highest SACKed packet, or -1 when nothing is SACKed."""
         return max(self._sacked, default=-1)

@@ -6,6 +6,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "ascii": ("ascii_scatter", "ascii_step_series", "format_table"),
+        "ascii": ("ascii_scatter", "format_table"),
     },
 )

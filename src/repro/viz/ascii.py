@@ -62,59 +62,6 @@ def ascii_scatter(
     return "\n".join(lines)
 
 
-def ascii_step_series(
-    points: List[Point],
-    width: int = 72,
-    height: int = 14,
-    x_label: str = "time (s)",
-    y_label: str = "value",
-    title: str = "",
-    marker: str = "#",
-) -> str:
-    """Render one stepwise series (e.g. a cwnd trajectory) as filled
-    vertical bars — easier to read for staircase signals than a
-    scatter.  Each column shows the series value at that time bin
-    (last-sample-wins within a bin)."""
-    if not points:
-        return "(no data)"
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x_min, x_max = min(xs), max(xs)
-    y_min, y_max = min(0.0, min(ys)), max(ys)
-    x_span = (x_max - x_min) or 1.0
-    y_span = (y_max - y_min) or 1.0
-
-    # Column value = the latest sample falling in (or before) the bin.
-    ordered = sorted(points)
-    column_values = [None] * width
-    for x, y in ordered:
-        col = int((x - x_min) / x_span * (width - 1))
-        column_values[col] = y
-    last = ordered[0][1]
-    for col in range(width):
-        if column_values[col] is None:
-            column_values[col] = last
-        else:
-            last = column_values[col]
-
-    grid = [[" "] * width for _ in range(height)]
-    for col, value in enumerate(column_values):
-        top = int((value - y_min) / y_span * (height - 1))
-        for row in range(top + 1):
-            grid[height - 1 - row][col] = marker
-
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(f"{y_label}: [{y_min:.3g} .. {y_max:.3g}]")
-    border = "+" + "-" * width + "+"
-    lines.append(border)
-    lines.extend("|" + "".join(row) + "|" for row in grid)
-    lines.append(border)
-    lines.append(f"{x_label}: [{x_min:.3g} .. {x_max:.3g}]")
-    return "\n".join(lines)
-
-
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     """Render an aligned text table (left-aligned first column,
     right-aligned numerics)."""

@@ -26,9 +26,9 @@ class TestBoundedTransfer:
 
     def test_bytes_rounded_up_to_packets(self):
         sim, sender, source = make_flow(amount_bytes=100_000)
-        assert sender.data_limit == 100  # 100 KB at 1000-byte MSS
+        assert sender._limit == 100  # 100 KB at 1000-byte MSS
         sim, sender, source = make_flow(amount_bytes=1500)
-        assert sender.data_limit == 2
+        assert sender._limit == 2
 
     def test_transfer_delay(self):
         sim, sender, source = make_flow(amount_packets=10, start_time=2.0)

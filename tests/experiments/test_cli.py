@@ -1,5 +1,7 @@
 """Tests for the experiments CLI."""
 
+import json
+
 import pytest
 
 from repro.experiments.cli import EXPERIMENTS, main
@@ -72,13 +74,11 @@ class TestTelemetry:
         assert manifest.code_fingerprint
 
     def test_heartbeat_log_written_next_to_manifest(self, tmp_path, monkeypatch, capsys):
-        from repro.obs import read_events
-
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "artifacts"))
         assert main(["ablation", "--quick", "--quiet", "--no-cache"]) == 0
         (run_dir,) = self._runs(tmp_path)
-        events = read_events(run_dir / "events.jsonl")
-        kinds = [event["event"] for event in events]
+        log = (run_dir / "events.jsonl").read_text()
+        kinds = [json.loads(line)["event"] for line in log.splitlines()]
         assert kinds[0] == "sweep_started"
         assert kinds[-1] == "sweep_finished"
         assert "task_finished" in kinds

@@ -23,7 +23,6 @@ def test_quick_sweep_passes_oracle(quick_result):
     cell = quick_result.cells[0]
     assert cell.verdict is not None
     assert cell.verdict.passed, cell.verdict.format()
-    assert quick_result.all_passed
     assert cell.events > 0
     assert 0.0 <= cell.measured_loss < 1.0
 
@@ -57,7 +56,6 @@ def test_multibottleneck_family_skips_oracle():
     )
     result = manyflow.run_manyflow(config)
     assert result.cells[0].verdict is None
-    assert result.all_passed  # vacuously: nothing checked, nothing failed
     report = manyflow.format_report(result)
     assert "no oracle" in report
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.replication import Summary, format_summaries, replicate, summarize
+from repro.experiments.replication import replicate, summarize
 
 
 class TestSummarize:
@@ -116,13 +116,3 @@ class TestReplicate:
         summary = result["complete_time"]
         assert summary.n == 4
         assert summary.minimum <= summary.mean <= summary.maximum
-
-
-class TestFormatting:
-    def test_format_summaries(self):
-        text = format_summaries(
-            {"throughput": summarize([1.0, 2.0]), "delay": summarize([5.0])}
-        )
-        lines = text.splitlines()
-        assert lines[0].startswith("delay")
-        assert lines[1].startswith("throughput")

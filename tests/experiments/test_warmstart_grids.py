@@ -24,7 +24,7 @@ from repro.experiments.figure6 import Figure6Config, run_figure6
 from repro.experiments.figure7 import Figure7Config, run_figure7
 from repro.experiments.manyflow import ManyflowConfig, run_manyflow
 from repro.experiments.table5 import Table5Config, run_table5
-from repro.runner import SnapshotStore, SweepObserver, SweepRunner, read_quarantine
+from repro.runner import SnapshotStore, SweepObserver, SweepRunner
 from repro.snapshot.core import SNAPSHOT_FORMAT
 
 
@@ -188,7 +188,8 @@ def test_damaged_prefix_runs_cold(tmp_path, name, jobs, how):
     quarantined = store.quarantine_dir / damage.path.name
     if how == "bit-flipped":
         assert quarantined.exists() and not damage.path.exists()
-        assert {r.kind for r in read_quarantine(store.quarantine_dir)} == {"snapshot"}
+        sidecars = store.quarantine_dir.glob("*.json")
+        assert {json.loads(p.read_text())["kind"] for p in sidecars} == {"snapshot"}
     else:
         # A deleted file stays gone, a foreign one stays put; neither
         # is quarantined.

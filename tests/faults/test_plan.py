@@ -59,7 +59,7 @@ class TestActions:
     def test_outage_installs_and_transfer_survives(self):
         result = scenario()
         plan = FaultPlan(seed=5).add(LinkOutage(link="R1->R2", start=1.0, duration=0.2))
-        plan.install_on(result)
+        plan.install(FaultContext.from_scenario(result))
         result.sim.run(until=300.0)
         assert result.senders[1].completed
         assert result.dumbbell.forward_link.outage_drops > 0
@@ -68,7 +68,7 @@ class TestActions:
         result = scenario()
         FaultPlan(seed=5).add(
             LinkFlap(link="R1->R2", start=1.0, count=3, down=0.05, up=0.5)
-        ).install_on(result)
+        ).install(FaultContext.from_scenario(result))
         link = result.dumbbell.forward_link
         downs = []
         result.dumbbell.net.trace.subscribe("link.down", lambda r: downs.append(r.time))
@@ -80,7 +80,7 @@ class TestActions:
         result = scenario()
         FaultPlan(seed=5).add(
             RouterBlackout(router="R1", start=1.0, duration=0.2)
-        ).install_on(result)
+        ).install(FaultContext.from_scenario(result))
         downs = []
         result.dumbbell.net.trace.subscribe("link.down", lambda r: downs.append(r.source))
         result.sim.run(until=300.0)
@@ -90,14 +90,14 @@ class TestActions:
     def test_timer_skew_scales_granularity(self):
         result = scenario()
         before = result.senders[1].timer_granularity
-        FaultPlan(seed=5).add(TimerSkew(factor=2.5)).install_on(result)
+        FaultPlan(seed=5).add(TimerSkew(factor=2.5)).install(FaultContext.from_scenario(result))
         assert result.senders[1].timer_granularity == pytest.approx(before * 2.5)
 
     def test_duplication_survives_exactly_once_delivery(self):
         result = scenario(packets=300)
         FaultPlan(seed=9).add(
             PacketDuplication(link="S1->R1", rate=0.2, start=0.0, end=20.0)
-        ).install_on(result)
+        ).install(FaultContext.from_scenario(result))
         result.sim.run(until=300.0)
         link = result.dumbbell.net.links["S1->R1"]
         assert link.tamper.duplicated > 0
@@ -110,7 +110,7 @@ class TestActions:
         result = scenario(packets=300)
         FaultPlan(seed=9).add(
             PacketCorruption(link="S1->R1", rate=0.05, start=0.0, end=20.0)
-        ).install_on(result)
+        ).install(FaultContext.from_scenario(result))
         result.sim.run(until=300.0)
         assert result.dumbbell.net.links["S1->R1"].tamper.corrupted > 0
         assert result.senders[1].completed
@@ -128,7 +128,7 @@ class TestPlanMechanics:
                 AckLossEpisode(link="R2->R1", rate=0.3, start=0.0, end=15.0)
             ).add(
                 PacketCorruption(link="S1->R1", rate=0.05, start=0.0, end=15.0)
-            ).install_on(result)
+            ).install(FaultContext.from_scenario(result))
             result.sim.run(until=300.0)
             assert result.senders[1].completed
             finish.append(result.senders[1].complete_time)

@@ -81,7 +81,7 @@ class TestFlowConservation:
     def test_exactly_once_delivery(self, scenario):
         for flow_id, receiver in scenario.receivers.items():
             assert receiver.delivered == 250
-            assert receiver.buffered_out_of_order == 0
+            assert not receiver._out_of_order
 
     def test_retransmissions_bounded_by_losses(self, scenario):
         """Retransmissions should be the same order as real losses —

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.fairness import jain_index, throughput_ratio
+from repro.metrics.fairness import jain_index
 
 
 class TestJainIndex:
@@ -29,14 +29,3 @@ class TestJainIndex:
     def test_scale_invariance(self):
         xs = [1.0, 3.0, 5.0]
         assert jain_index(xs) == pytest.approx(jain_index([10 * x for x in xs]))
-
-
-class TestThroughputRatio:
-    def test_fair_share(self):
-        assert throughput_ratio(40_000, 40_000) == pytest.approx(1.0)
-
-    def test_above_fair_share(self):
-        assert throughput_ratio(44_000, 40_000) == pytest.approx(1.1)
-
-    def test_zero_share_is_zero(self):
-        assert throughput_ratio(10.0, 0.0) == 0.0

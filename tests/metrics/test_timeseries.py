@@ -35,14 +35,6 @@ class TestTrace:
         assert trace.retransmits == [(1.0, 0)]
         assert trace.acks == [(0.4, 1)]
 
-    def test_final_sequence(self):
-        trace = SequenceTracer(populated_stats()).trace()
-        assert trace.final_sequence() == 2
-
-    def test_final_sequence_empty(self):
-        trace = SequenceTracer(FlowStats(flow_id=1)).trace()
-        assert trace.final_sequence() == 0
-
 
 class TestStalls:
     def test_detects_long_gap(self):

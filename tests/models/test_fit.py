@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.models.fit import estimate_mathis_c, fit_quality, relative_errors
+from repro.models.fit import estimate_mathis_c
 from repro.models.mathis import MATHIS_C_ACK_EVERY_PACKET, mathis_window
 
 
@@ -38,26 +38,3 @@ class TestEstimateC:
         assert estimate_mathis_c(points) == pytest.approx(
             MATHIS_C_ACK_EVERY_PACKET, rel=1e-9
         )
-
-
-class TestErrorsAndQuality:
-    def test_relative_errors_zero_for_exact_fit(self):
-        points = [(p, mathis_window(p)) for p in (0.01, 0.04)]
-        errors = relative_errors(points, mathis_window)
-        assert all(abs(e) < 1e-12 for e in errors)
-
-    def test_relative_errors_sign(self):
-        errors = relative_errors([(0.01, mathis_window(0.01) * 0.5)], mathis_window)
-        assert errors[0] == pytest.approx(-0.5)
-
-    def test_fit_quality_perfect(self):
-        points = [(p, mathis_window(p)) for p in (0.005, 0.01, 0.05, 0.1)]
-        assert fit_quality(points, mathis_window) == pytest.approx(1.0)
-
-    def test_fit_quality_degrades_with_noise(self):
-        noisy = [(p, mathis_window(p) * 0.5) for p in (0.005, 0.01, 0.05, 0.1)]
-        assert fit_quality(noisy, mathis_window) < 0.9
-
-    def test_fit_quality_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            fit_quality([], mathis_window)

@@ -5,12 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.models.mathis import (
-    MATHIS_C_ACK_EVERY_PACKET,
-    PAPER_C,
-    mathis_bandwidth_bps,
-    mathis_window,
-)
+from repro.models.mathis import MATHIS_C_ACK_EVERY_PACKET, PAPER_C, mathis_window
 
 
 class TestWindow:
@@ -35,24 +30,3 @@ class TestWindow:
     def test_invalid_loss_rate(self, p):
         with pytest.raises(ConfigurationError):
             mathis_window(p)
-
-
-class TestBandwidth:
-    def test_window_bandwidth_consistency(self):
-        p, rtt, mss = 0.02, 0.2, 1000
-        bw = mathis_bandwidth_bps(p, rtt, mss)
-        assert bw * rtt / (mss * 8) == pytest.approx(mathis_window(p))
-
-    def test_scales_inversely_with_rtt(self):
-        assert mathis_bandwidth_bps(0.01, 0.1) == pytest.approx(
-            2 * mathis_bandwidth_bps(0.01, 0.2)
-        )
-
-    def test_scales_with_mss(self):
-        assert mathis_bandwidth_bps(0.01, 0.2, mss_bytes=2000) == pytest.approx(
-            2 * mathis_bandwidth_bps(0.01, 0.2, mss_bytes=1000)
-        )
-
-    def test_invalid_rtt(self):
-        with pytest.raises(ConfigurationError):
-            mathis_bandwidth_bps(0.01, 0.0)

@@ -63,20 +63,10 @@ class TestHost:
         sim.run()
         assert dst.packets_received == 1
 
-    def test_local_name(self, sim):
-        host = Host(sim, "S1")
-        agent = RecordingAgent(1)
-        host.register(agent)
-        assert agent.local_name == "S1"
-
     def test_unattached_agent_send_raises(self):
         agent = RecordingAgent(1)
         with pytest.raises(TopologyError):
             agent.send(data_packet(1, "S1", "K1", 0))
-
-    def test_unattached_agent_local_name_raises(self):
-        with pytest.raises(TopologyError):
-            RecordingAgent(1).local_name
 
 
 class TestRouter:

@@ -26,8 +26,8 @@ class TestConstruction:
         _, lot = build(n_hops=2)
         assert lot.long_src.name == "L_src"
         assert lot.long_dst.name == "L_dst"
-        assert lot.cross_pair(1)[0].name == "X1_src"
-        assert lot.cross_pair(2)[1].name == "X2_dst"
+        assert lot.cross_pairs[0][0].name == "X1_src"
+        assert lot.cross_pairs[1][1].name == "X2_dst"
 
     def test_invalid_params(self):
         sim = Simulator()
@@ -53,7 +53,7 @@ class TestTraffic:
 
     def test_cross_flows_use_single_hop(self):
         sim, lot = build(n_hops=2)
-        src, dst = lot.cross_pair(1)
+        src, dst = lot.cross_pairs[0]
         sender, _ = make_connection(sim, "newreno", 1, src, dst)
         FtpSource(sim, sender, amount_packets=30)
         sim.run(until=60.0)
@@ -73,7 +73,7 @@ class TestTraffic:
         )
         FtpSource(sim, long_sender, amount_packets=None)
         for hop in range(1, 4):
-            src, dst = lot.cross_pair(hop)
+            src, dst = lot.cross_pairs[hop - 1]
             flow_stats = FlowStats(flow_id=hop + 1)
             sender, _ = make_connection(
                 sim, "newreno", hop + 1, src, dst, observer=flow_stats

@@ -1,7 +1,7 @@
 """``reset_counters()`` zeroes a discipline's own counters too.
 
-RED splits ``drops`` into early, forced and overflow drops, and fair
-queueing counts drops per flow.  A reset that zeroed only ``drops``
+RED splits ``drops`` into early, forced and overflow drops, and the
+tests' flow-counting queue counts drops per flow.  A reset that zeroed only ``drops``
 would leave the split counting from the start of the run while the
 total counts from the reset, so the two would stop adding up.
 """
@@ -9,18 +9,18 @@ total counts from the reset, so the two would stop adding up.
 import pytest
 
 from repro.experiments.common import FlowSpec, build_dumbbell_scenario
-from repro.net.fairqueue import FairQueue
 from repro.net.red import RedParams, RedQueue
 from repro.net.topology import DumbbellParams
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStream
+from tests.snapshot.helpers import FlowCountingQueue
 
 
 def two_flow_dumbbell(kind):
     sim = Simulator()
     factory = {
         "red": lambda name: RedQueue(sim, RedParams(limit=25), RngStream(3, name), name=name),
-        "fq": lambda name: FairQueue(25, name=name),
+        "fq": lambda name: FlowCountingQueue(25, name=name),
     }[kind]
     return build_dumbbell_scenario(
         flows=[FlowSpec(variant="rr"), FlowSpec(variant="sack")],

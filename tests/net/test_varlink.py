@@ -10,7 +10,7 @@ from repro.errors import ConfigurationError
 from repro.net.link import Link
 from repro.net.packet import data_packet
 from repro.net.queues import DropTailQueue
-from repro.net.varlink import RateSchedule, bufferbloat_limit, bufferbloat_queue
+from repro.net.varlink import RateSchedule, bufferbloat_limit
 from repro.sim.engine import Simulator
 
 
@@ -46,14 +46,6 @@ class TestValidation:
     def test_negative_outage_rejected(self):
         with pytest.raises(ConfigurationError):
             RateSchedule(steps=((0.0, 1e6),), outages=((1.0, -0.5),)).validate()
-
-    def test_rate_at(self):
-        sched = RateSchedule.steps_every([1e6, 2e6, 3e6], interval=10.0)
-        assert sched.rate_at(-1.0, default=5e5) == 5e5
-        assert sched.rate_at(0.0) == 1e6
-        assert sched.rate_at(15.0) == 2e6
-        assert sched.rate_at(100.0) == 3e6
-        assert sched.min_rate() == 1e6
 
 
 class TestApplication:
@@ -171,12 +163,6 @@ class TestBufferbloat:
 
     def test_limit_floor(self):
         assert bufferbloat_limit(8000.0, 0.001, multiple=1.0) == 1
-
-    def test_queue_preset(self):
-        q = bufferbloat_queue(8e6, 0.1, multiple=5.0, name="bb")
-        assert isinstance(q, DropTailQueue)
-        assert q.limit == 500
-        assert q.name == "bb"
 
     def test_invalid_inputs(self):
         with pytest.raises(ConfigurationError):

@@ -2,10 +2,11 @@
 heartbeat, progress, and profiles."""
 
 import io
+import json
 
 import pytest
 
-from repro.obs import MANIFEST_FILENAME, RunManifest, RunTelemetry, read_events
+from repro.obs import MANIFEST_FILENAME, RunManifest, RunTelemetry
 from repro.runner import ResultCache, SweepRunner, TaskSpec
 
 
@@ -44,7 +45,8 @@ class TestRunLifecycle:
         assert manifest.tasks[0]["label"] == "cell 0"
         assert manifest.wall_seconds > 0
 
-        events = read_events(telemetry.run_dir / "events.jsonl")
+        log = (telemetry.run_dir / "events.jsonl").read_text()
+        events = [json.loads(line) for line in log.splitlines()]
         assert [e["event"] for e in events][0] == "sweep_started"
         assert events[-1]["event"] == "sweep_finished"
 

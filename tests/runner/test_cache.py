@@ -1,8 +1,9 @@
 """Tests for the on-disk result cache and the code fingerprint."""
 
+import json
 import pickle
 
-from repro.runner import ResultCache, TaskSpec, code_fingerprint, read_quarantine
+from repro.runner import ResultCache, TaskSpec, code_fingerprint
 from repro.runner.cache import frame_entry
 
 
@@ -86,9 +87,9 @@ class TestResultCache:
             assert cache.lookup(spec()) == (False, None)
         quarantine = caches[0].quarantine_dir
         assert len(list(quarantine.glob("*.pkl"))) == 2
-        records = read_quarantine(quarantine)
+        records = [json.loads(p.read_text()) for p in quarantine.glob("*.json")]
         assert len(records) == 2
-        assert {record.path for record in records} == {
+        assert {record["path"] for record in records} == {
             str(quarantine / f"{letter * 16}-{spec().digest()}.pkl") for letter in "ab"
         }
 

@@ -15,13 +15,7 @@ import pickle
 import pytest
 
 from repro.errors import SnapshotError, SnapshotFormatError
-from repro.runner import (
-    ResultCache,
-    SnapshotStore,
-    SweepRunner,
-    TaskSpec,
-    read_quarantine,
-)
+from repro.runner import ResultCache, SnapshotStore, SweepRunner, TaskSpec
 from repro.runner.cache import CACHE_MAGIC
 from repro.runner.pool import SweepObserver
 from repro.snapshot.core import SNAPSHOT_FORMAT, Snapshot
@@ -41,6 +35,11 @@ def _quarantined_path(cache, spec):
     return cache.quarantine_dir / f"{cache.fingerprint[:16]}-{spec.digest()}.pkl"
 
 
+def _sidecars(directory):
+    """The JSON records quarantine wrote next to the moved files."""
+    return [json.loads(path.read_text()) for path in sorted(directory.glob("*.json"))]
+
+
 class TestCacheChaos:
     def test_truncated_entry_is_quarantined_on_first_read(self, tmp_path):
         cache = ResultCache(root=tmp_path / "cache")
@@ -53,9 +52,9 @@ class TestCacheChaos:
         assert not hit and value is None
         assert not path.exists()  # moved, not left to be re-missed
         assert _quarantined_path(cache, spec).exists()
-        (record,) = read_quarantine(cache.quarantine_dir)
-        assert record.kind == "cache-entry"
-        assert record.digest == spec.digest()
+        (record,) = _sidecars(cache.quarantine_dir)
+        assert record["kind"] == "cache-entry"
+        assert record["digest"] == spec.digest()
         assert cache.corrupt == 1
 
         # The sweep recomputes and repopulates; the healed entry hits.
@@ -155,8 +154,8 @@ class TestSnapshotChaos:
 
         assert not store.intact(digest)
         assert not path.exists()
-        records = read_quarantine(store.quarantine_dir)
-        assert any(r.kind == "snapshot" and r.digest == digest for r in records)
+        records = _sidecars(store.quarantine_dir)
+        assert any(r["kind"] == "snapshot" and r["digest"] == digest for r in records)
 
     def test_foreign_format_left_in_place(self, tmp_path):
         store = SnapshotStore(tmp_path / "snaps")
@@ -173,7 +172,7 @@ class TestSnapshotChaos:
         assert path.exists()  # ... but never quarantine a foreign file
         with pytest.raises(SnapshotFormatError):
             store.get(digest)
-        assert read_quarantine(store.quarantine_dir) == []
+        assert _sidecars(store.quarantine_dir) == []
 
     def test_corrupt_triage_fork_is_quarantined_on_read(self, tmp_path):
         from repro.faults import triage_crash
@@ -189,9 +188,9 @@ class TestSnapshotChaos:
         with pytest.raises(SnapshotError):
             store.get(result.without_fault_digest)
         assert not fork_path.exists()
-        (record,) = read_quarantine(store.quarantine_dir)
-        assert record.kind == "snapshot"
-        assert record.digest == result.without_fault_digest
+        (record,) = _sidecars(store.quarantine_dir)
+        assert record["kind"] == "snapshot"
+        assert record["digest"] == result.without_fault_digest
         # Forks are self-contained: the crash point and the other arm
         # are untouched by the loss of this one.
         assert store.intact(crash.digest)

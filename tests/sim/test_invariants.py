@@ -16,7 +16,6 @@ from repro.sim.invariants import (
     RedAverageBounds,
     RrStateSanity,
     SendWindowSanity,
-    standard_suite,
 )
 from repro.sim.rng import RngStream
 from repro.sim.tracing import TraceBus, TraceTail
@@ -256,7 +255,8 @@ class TestCleanRealRuns:
             flows=[FlowSpec(variant=variant, amount_packets=200)],
             params=DumbbellParams(n_pairs=1, buffer_packets=25),
         )
-        suite = standard_suite(queues=[scenario.dumbbell.bottleneck_queue])
+        suite = InvariantSuite.standard()
+        suite.watch_queue(scenario.dumbbell.bottleneck_queue)
         suite.install(scenario.dumbbell.net.trace)
         # A mid-transfer outage exercises recovery under the checkers.
         scenario.dumbbell.forward_link.schedule_outage(start=1.0, duration=0.15)

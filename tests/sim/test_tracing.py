@@ -48,14 +48,14 @@ class TestSubscription:
 
     def test_has_subscribers(self):
         bus = TraceBus()
-        assert not bus.has_subscribers("x")
+        assert not bus.channel("x").subs
         bus.subscribe("x", lambda r: None)
-        assert bus.has_subscribers("x")
+        assert bus.channel("x").subs
 
     def test_wildcard_counts_as_subscriber(self):
         bus = TraceBus()
         bus.subscribe("*", lambda r: None)
-        assert bus.has_subscribers("anything")
+        assert bus.channel("anything").subs
 
 
 class TestEmit:
@@ -85,7 +85,7 @@ class TestEmit:
 
 class TestSubscriberPruning:
     """Regression: unsubscribe used to leave an empty list behind,
-    making ``has_subscribers`` (and the merged-list cache) report stale
+    making a channel's subscriber list (the merged-list cache) report stale
     truthiness forever after."""
 
     def test_unsubscribe_prunes_empty_category(self):
@@ -93,7 +93,7 @@ class TestSubscriberPruning:
         fn = lambda r: None  # noqa: E731
         bus.subscribe("x", fn)
         bus.unsubscribe("x", fn)
-        assert not bus.has_subscribers("x")
+        assert not bus.channel("x").subs
         assert "x" not in bus._subscribers
 
     def test_unsubscribe_keeps_remaining_subscribers(self):
@@ -103,7 +103,7 @@ class TestSubscriberPruning:
         bus.subscribe("x", gone)
         bus.subscribe("x", seen.append)
         bus.unsubscribe("x", gone)
-        assert bus.has_subscribers("x")
+        assert bus.channel("x").subs
         bus.publish(make_record("x"))
         assert len(seen) == 1
 
@@ -112,7 +112,7 @@ class TestSubscriberPruning:
         fn = lambda r: None  # noqa: E731
         bus.subscribe("*", fn)
         bus.unsubscribe("*", fn)
-        assert not bus.has_subscribers("anything")
+        assert not bus.channel("anything").subs
 
 
 class TestFailedUnsubscribeLeavesNoTrace:
@@ -128,7 +128,7 @@ class TestFailedUnsubscribeLeavesNoTrace:
         with pytest.raises(ValueError):
             bus.unsubscribe("never.subscribed", print)
         assert (state_digest(bus), bus.__getstate__()) == before
-        assert not bus.has_subscribers("never.subscribed")
+        assert not bus.channel("never.subscribed").subs
 
     def test_known_category_unknown_subscriber(self):
         bus = TraceBus()
@@ -137,7 +137,7 @@ class TestFailedUnsubscribeLeavesNoTrace:
         with pytest.raises(ValueError):
             bus.unsubscribe("x", repr)
         assert (state_digest(bus), bus.__getstate__()) == before
-        assert bus.has_subscribers("x")
+        assert bus.channel("x").subs
 
 
 class TestTraceTail:
@@ -149,7 +149,7 @@ class TestTraceTail:
         tail.uninstall()
         bus.emit(2.0, "x", "src")
         assert [r.time for r in tail] == [1.0]
-        assert not bus.has_subscribers("x")
+        assert not bus.channel("x").subs
         tail.uninstall()  # idempotent
 
     def test_reinstall_after_uninstall(self):
@@ -242,10 +242,10 @@ class TestByNameOnly:
     def test_has_subscribers_is_false_under_a_wildcard_alone(self):
         bus = TraceBus()
         bus.subscribe("*", lambda r: None)
-        assert not bus.has_subscribers("link.tx")
-        assert bus.has_subscribers("tcp.send")
+        assert not bus.channel("link.tx").subs
+        assert bus.channel("tcp.send").subs
         bus.subscribe("link.tx", print)
-        assert bus.has_subscribers("link.tx")
+        assert bus.channel("link.tx").subs
 
     def test_an_unpickled_bus_behaves_the_same(self):
         bus = TraceBus()
@@ -261,4 +261,4 @@ class TestByNameOnly:
         assert [r.time for r in by_name] == [1.0, 2.0, 3.0]
         assert [r.category for r in everything] == ["tcp.send"]
         bus.unsubscribe("link.tx", by_name.append)
-        assert not bus.has_subscribers("link.tx")
+        assert not bus.channel("link.tx").subs

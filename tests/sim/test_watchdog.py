@@ -131,7 +131,7 @@ class TestLifecycle:
         scenario.sim.run(until=0.5)
         watchdog.disarm()
         assert bus.channel("tcp.send").subs == []
-        assert not bus.has_subscribers("tcp.ack")
+        assert not bus.channel("tcp.ack").subs
         captured = len(watchdog.tail)
         assert captured > 0  # evidence survives the disarm
         scenario.sim.run(until=0.8)

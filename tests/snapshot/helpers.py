@@ -1,9 +1,11 @@
 """A transfer whose path goes dark, and a watchdog armed on it, for
 the cold-vs-restored tests (module-level, so a :class:`~repro.runner.
-spec.TaskSpec` can name the cells)."""
+spec.TaskSpec` can name the cells); and a queue discipline of the
+tests' own."""
 
 from repro.experiments.common import FlowSpec, build_dumbbell_scenario
 from repro.net.packet import set_uid_state
+from repro.net.queues import PacketQueue
 from repro.net.topology import DumbbellParams
 from repro.runner.warmstart import SnapshotStore
 from repro.sim.watchdog import Watchdog
@@ -51,3 +53,27 @@ def watchdog_cell_cold() -> dict:
 def watchdog_cell_from_snapshot(digest: str, store_root: str) -> dict:
     """The stalled prefix restored from the store, then watched."""
     return watchdog_metrics(SnapshotStore(store_root).get(digest).restore())
+
+
+class FlowCountingQueue(PacketQueue):
+    """Drop-tail that also counts drops per flow.
+
+    It declares no ``__slots__``, so its own field lives in an instance
+    dict next to :class:`PacketQueue`'s slots, and it is not exactly a
+    drop-tail or RED queue, so the compiled hop hands it to Python.
+    """
+
+    def __init__(self, limit: int, name: str = "fcq"):
+        super().__init__(limit, name=name)
+        self.drops_by_flow = {}
+
+    def enqueue(self, packet) -> bool:
+        if len(self._items) >= self.limit:
+            flow = packet.flow_id
+            self.drops_by_flow[flow] = self.drops_by_flow.get(flow, 0) + 1
+            return self._drop(packet, "overflow")
+        return self._accept(packet)
+
+    def reset_counters(self) -> None:
+        super().reset_counters()
+        self.drops_by_flow.clear()

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from repro.errors import SnapshotError
-from repro.net.fairqueue import FairQueue
 from repro.snapshot import state_digest, state_fingerprints
 from repro.snapshot.golden import build_golden_scenario
+from tests.snapshot.helpers import FlowCountingQueue
 
 
 class Plain:
@@ -106,12 +106,12 @@ class TestFingerprints:
         assert fa["stats"] != fb["stats"]
 
     def test_covers_slots_and_instance_dict(self):
-        # A FairQueue keeps PacketQueue's fields in slots and its own in
+        # This queue keeps PacketQueue's fields in slots and its own in
         # an instance dict: every section of the digested state counts.
-        queue = FairQueue(limit=10)
+        queue = FlowCountingQueue(limit=10)
         fingerprints = state_fingerprints(queue)
         assert list(fingerprints) == sorted(queue.__getstate__())
-        assert {"_items", "drops", "enqueues", "limit", "_flows"} <= set(fingerprints)
+        assert {"_items", "drops", "enqueues", "limit", "drops_by_flow"} <= set(fingerprints)
         queue.limit = 11
         assert state_fingerprints(queue)["limit"] != fingerprints["limit"]
 

@@ -1,8 +1,10 @@
-"""State digests of RED, fair-queue and WAN worlds, pinned.
+"""State digests of RED, Python-queue and WAN worlds, pinned.
 
 ``tests/golden/state_digests.json`` covers drop-tail dumbbells only, so
-nothing there pins a ``RedQueue``'s or a ``FairQueue``'s state.  The
-digests below were recorded on the commit before the hop classes got
+nothing there pins a ``RedQueue``'s state or that of a queue the
+compiled hop hands to Python (the tests' ``FlowCountingQueue``, whose
+own field sits in an instance dict next to its slots).  The digests
+below were recorded on the commit before the hop classes got
 ``__slots__`` (8158602), with the same script, and must not move: the
 slotted classes' ``__getstate__`` must give exactly the mapping their
 ``__dict__`` held.  Each world runs to two checkpoints on the pure
@@ -13,7 +15,9 @@ second, must give the second digest too.
 The ``wan`` pair was re-recorded once, when RR stopped setting its
 re-entry guard at exit (that guard could never block an entry):
 writing the old guard values back into the six RR senders gives the
-old pair exactly.
+old pair exactly.  The ``fq`` pair was re-recorded when its queue, a
+deficit-round-robin fair queue, left the library and the tests'
+``FlowCountingQueue`` took its place: only the fixture changed.
 """
 
 import json
@@ -24,7 +28,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parents[2] / "src")
+ROOT = Path(__file__).resolve().parents[2]
+SRC = str(ROOT / "src")
 
 #: world -> (digest at the first checkpoint, digest at the second).
 PARENT_DIGESTS = {
@@ -33,8 +38,8 @@ PARENT_DIGESTS = {
         "5616f37acc5ddda7d438025b8eec69d4ac95a39b26a93423430ca437edbb6503",
     ),
     "fq-dumbbell": (
-        "83e97bf104793e2415b0638726c507db263bc36fd5be5d9b449bc44ab82ae16d",
-        "f629ce7519f4e462660e531f124c05e22af704386ac7fdfbb4b98a49da10c098",
+        "fd8e2122f8657bcb82a57e839d40156792533058e4a29ccbf7d1d45e0361e762",
+        "e0917b7b87cca2671c65b2141d048689322758266c11ef39d1149424cf776e50",
     ),
     "wan": (
         "b19d04a66379f77e1fd6324f853654c847b0a9a20f3ce5c8bea87143542de015",
@@ -46,7 +51,6 @@ _SCRIPT = """\
 import json, pickle
 from repro.config import TcpConfig
 from repro.experiments.common import FlowSpec, build_dumbbell_scenario
-from repro.net.fairqueue import FairQueue
 from repro.net.packet import set_uid_state, uid_state
 from repro.net.red import RedParams, RedQueue
 from repro.net.topology import DumbbellParams
@@ -55,15 +59,17 @@ from repro.sim.engine import CORE_BACKEND, Simulator
 from repro.sim.rng import RngStream
 from repro.snapshot import state_digest
 from repro.snapshot.golden import TRANSFER_PACKETS
+from tests.snapshot.helpers import FlowCountingQueue
 
 
 def dumbbell(queue):
     # The golden dumbbell (no injected drops) with its bottleneck queue
-    # replaced: RED as in tests/sim/test_queue_probe_mutation.py, or DRR.
+    # replaced: RED as in tests/sim/test_queue_probe_mutation.py, or a
+    # queue only Python serves.
     sim = Simulator()
     factories = {
         "red": lambda name: RedQueue(sim, RedParams(limit=25), RngStream(7, name), name=name),
-        "fq": lambda name: FairQueue(25, name=name),
+        "fq": lambda name: FlowCountingQueue(25, name=name),
     }
     return build_dumbbell_scenario(
         flows=[FlowSpec(variant="rr", amount_packets=TRANSFER_PACKETS)],
@@ -108,7 +114,7 @@ print(json.dumps(out))
 
 
 def _run(env_extra):
-    env = {**os.environ, "PYTHONPATH": SRC}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((SRC, str(ROOT)))}
     env.pop("REPRO_PURE_PYTHON", None)
     env.update(env_extra)
     done = subprocess.run(

@@ -71,7 +71,7 @@ class TestOutOfOrder:
         deliver(receiver, 2)  # 1 missing
         deliver(receiver, 3)
         assert [p.ackno for p in host.sent] == [1, 1, 1]
-        assert receiver.buffered_out_of_order == 2
+        assert len(receiver._out_of_order) == 2
 
     def test_hole_fill_jumps_cumulative_ack(self):
         _, receiver, host = make_receiver()
@@ -80,7 +80,7 @@ class TestOutOfOrder:
         deliver(receiver, 3)
         deliver(receiver, 1)  # fills the hole
         assert host.sent[-1].ackno == 4
-        assert receiver.buffered_out_of_order == 0
+        assert not receiver._out_of_order
 
     def test_duplicate_data_reacked(self):
         _, receiver, host = make_receiver()

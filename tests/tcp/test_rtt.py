@@ -108,11 +108,11 @@ class TestBackoff:
         assert base == pytest.approx(3.0)
         estimator.backoff()  # 3 -> 6
         estimator.backoff()  # 6 -> 12, clamped to 10
-        saturated = estimator.backoff_factor
+        saturated = estimator._backoff
         assert saturated == 4
         for _ in range(50):
             estimator.backoff()
-        assert estimator.backoff_factor == saturated  # no runaway doubling
+        assert estimator._backoff == saturated  # no runaway doubling
         assert estimator.current() == pytest.approx(10.0)
 
     def test_backoff_factor_stops_at_exact_boundary(self):
@@ -120,9 +120,9 @@ class TestBackoff:
         no-op for current(), so the factor must not double either."""
         estimator = make(initial_rto=4.0, max_rto=8.0)
         estimator.backoff()  # 4 -> 8, exactly the cap
-        assert estimator.backoff_factor == 2
+        assert estimator._backoff == 2
         estimator.backoff()
-        assert estimator.backoff_factor == 2
+        assert estimator._backoff == 2
         assert estimator.current() == pytest.approx(8.0)
 
     def test_sample_after_saturation_deflates(self):
@@ -131,7 +131,7 @@ class TestBackoff:
         for _ in range(10):
             estimator.backoff()
         estimator.on_sample(1.0)
-        assert estimator.backoff_factor == 1
+        assert estimator._backoff == 1
         assert estimator.current() < 10.0
 
     def test_new_sample_resets_backoff(self):
@@ -139,7 +139,7 @@ class TestBackoff:
         estimator.on_sample(1.0)
         estimator.backoff()
         estimator.on_sample(1.0)
-        assert estimator.backoff_factor == 1
+        assert estimator._backoff == 1
 
     def test_reset(self):
         estimator = make(initial_rto=3.0)
@@ -147,6 +147,6 @@ class TestBackoff:
         estimator.backoff()
         estimator.reset()
         assert estimator.srtt is None
-        assert estimator.backoff_factor == 1
+        assert estimator._backoff == 1
         assert estimator.current() == pytest.approx(3.0)
         assert estimator.samples == 0

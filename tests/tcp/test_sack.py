@@ -130,7 +130,7 @@ class TestTimeout:
         harness.start()
         burst_dupacks(harness, 0, [(1, 10)], 3)
         harness.advance(10.0)
-        assert harness.sender.scoreboard.sacked_count() == 0
+        assert not harness.sender.scoreboard._sacked
         assert not harness.sender.in_recovery
 
     def test_rfc3517_partial_ack_fallback_retransmission(self):

@@ -33,7 +33,7 @@ class TestUpdates:
         board.update(0, [SackBlock(2, 4)])
         board.mark_retransmitted(0)
         board.clear()
-        assert board.sacked_count() == 0
+        assert not board._sacked
         assert not board.was_retransmitted(0)
 
 

@@ -152,9 +152,6 @@ VARIANT_STATE = {
         "base_rtt", "last_rtt", "_send_times", "_adjust_marker",
         "_ss_grow_this_round", "ca_adjustments", "expedited_retransmits",
     ),
-    "ss-reno": (),
-    "ss-newreno": ("_no_retransmit_below",),
-    "ss-rr": _RR,
     "cubic": ("_no_retransmit_below", "_w_max", "_epoch_start", "_w_epoch", "_k"),
     "relentless": ("_no_retransmit_below", "_entry_cwnd", "_episode_losses", "_episode_growth"),
 }

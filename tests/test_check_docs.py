@@ -55,6 +55,20 @@ def _names(text):
     return check_docs.check_dotted_names(check_docs.REPO_ROOT / "page.md", text)
 
 
+def test_an_example_importing_a_missing_name_is_reported(tmp_path):
+    example = tmp_path / "demo.py"
+    example.write_text(
+        "import repro.net.link\n"
+        "from repro.experiments.figure6 import Figure6Config, run_variant\n"
+        "from repro.no_such_module import thing\n"
+    )
+    problems = check_docs.check_example(example)
+    assert len(problems) == 2
+    assert f"{example}: repro.experiments.figure6 has no attribute 'run_variant'" in problems
+    assert problems[1].startswith(f"{example}: cannot import repro.no_such_module")
+    assert check_docs.main([str(example)]) == 1
+
+
 def test_dotted_names_resolve_through_modules_and_attributes():
     page = (
         "`repro.tcp.rightedge.LinKungSender`, `repro.runner.grid:run_grid_cell`,\n"

@@ -44,17 +44,7 @@ class TestValidation:
             TcpConfig(**kwargs).validate()
 
 
-class TestWith:
-    def test_with_returns_modified_copy(self):
-        base = TcpConfig()
-        changed = base.with_(receiver_window=128)
-        assert changed.receiver_window == 128
-        assert base.receiver_window == 64  # original untouched
-
-    def test_with_validates(self):
-        with pytest.raises(ConfigurationError):
-            TcpConfig().with_(receiver_window=0)
-
+class TestFrozen:
     def test_frozen(self):
         config = TcpConfig()
         with pytest.raises(Exception):

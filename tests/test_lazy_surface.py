@@ -41,14 +41,14 @@ SEED_SURFACE = {
         "repro.experiments.table5": "Table5Config run_table5",
         "repro.experiments.ackloss": "AckLossConfig run_ackloss",
         "repro.experiments.ablation": "AblationConfig run_ablation",
-        "repro.experiments.replication": "Summary format_summaries replicate summarize",
+        "repro.experiments.replication": "Summary replicate summarize",
         "repro.experiments.vegas_decomposition": (
             "VegasDecompositionConfig run_vegas_decomposition "
         ),
     },
     "repro.sim": {
         "repro.sim.engine": "Event Simulator",
-        "repro.sim.invariants": "InvariantChecker InvariantSuite standard_suite",
+        "repro.sim.invariants": "InvariantChecker InvariantSuite",
         "repro.sim.rng": "RngStream",
         "repro.sim.timers": "Timer",
         "repro.sim.tracing": "TraceBus TraceRecord TraceTail",
@@ -56,7 +56,6 @@ SEED_SURFACE = {
     },
     "repro.net": {
         "repro.net.packet": "ACK DATA Packet SackBlock",
-        "repro.net.fairqueue": "FairQueue",
         "repro.net.queues": "DropTailQueue PacketQueue",
         "repro.net.red": "RedParams RedQueue",
         "repro.net.loss": (
@@ -71,7 +70,7 @@ SEED_SURFACE = {
         "repro.net.network": "Network",
         "repro.net.parkinglot": "ParkingLot ParkingLotParams",
         "repro.net.topology": "Dumbbell DumbbellParams",
-        "repro.net.varlink": "RateSchedule bufferbloat_limit bufferbloat_queue",
+        "repro.net.varlink": "RateSchedule bufferbloat_limit",
     },
     "repro.tcp": {
         "repro.tcp.base": "SenderObserver TcpSender",
@@ -85,10 +84,6 @@ SEED_SURFACE = {
         "repro.tcp.rtt": "RtoEstimator",
         "repro.tcp.sack": "SackRfc3517Sender SackSender",
         "repro.tcp.scoreboard": "Scoreboard",
-        "repro.tcp.smoothstart": (
-            "SmoothStartMixin SmoothStartNewRenoSender SmoothStartRenoSender "
-            "SmoothStartRrSender "
-        ),
         "repro.tcp.tahoe": "TahoeSender",
         "repro.tcp.vegas": "VegasSender",
     },
@@ -112,16 +107,10 @@ SEED_SURFACE = {
         "repro.metrics.timeseries": "SequenceTracer",
         "repro.metrics.export": "rows_to_csv rows_to_json",
         "repro.metrics.queuemon": "QueueMonitor",
-        "repro.metrics.sync": (
-            "cluster_loss_events loss_synchronization_index mean_flows_per_event "
-        ),
     },
     "repro.models": {
-        "repro.models.mathis": (
-            "MATHIS_C_ACK_EVERY_PACKET mathis_bandwidth_bps mathis_window "
-        ),
-        "repro.models.padhye": "padhye_bandwidth_bps",
-        "repro.models.fit": "estimate_mathis_c fit_quality relative_errors",
+        "repro.models.mathis": "MATHIS_C_ACK_EVERY_PACKET mathis_window",
+        "repro.models.fit": "estimate_mathis_c",
         "repro.models.meanfield": (
             "MeanFieldParams MeanFieldPrediction OracleVerdict "
             "effective_drop_probability meanfield_fixed_point oracle_verdict "
@@ -137,7 +126,7 @@ SEED_SURFACE = {
         # which left with RetryPolicy; fsck is gone.
         "repro.runner.cache": (
             "CACHE_DIR_ENV DEFAULT_CACHE_DIR QUARANTINE_SUBDIR QuarantineRecord "
-            "ResultCache read_quarantine "
+            "ResultCache "
         ),
         "repro.runner.fingerprint": "code_fingerprint package_root",
         # Added after the seed: the grid executor (step_until moved here
@@ -163,7 +152,7 @@ SEED_SURFACE = {
         ),
     },
     "repro.obs": {
-        "repro.obs.heartbeat": "HeartbeatLog read_events",
+        "repro.obs.heartbeat": "HeartbeatLog",
         "repro.obs.manifest": (
             "ARTIFACT_DIR_ENV DEFAULT_ARTIFACT_DIR EVENTS_FILENAME "
             "MANIFEST_FILENAME MANIFEST_FORMAT PROFILES_SUBDIR RUNS_SUBDIR "
@@ -215,7 +204,7 @@ SEED_SURFACE = {
         ),
     },
     "repro.viz": {
-        "repro.viz.ascii": "ascii_scatter ascii_step_series format_table",
+        "repro.viz.ascii": "ascii_scatter format_table",
     },
 }
 

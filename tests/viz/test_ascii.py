@@ -1,6 +1,6 @@
 """Unit tests for the ASCII plotting helpers."""
 
-from repro.viz.ascii import ascii_scatter, ascii_step_series, format_table
+from repro.viz.ascii import ascii_scatter, format_table
 
 
 class TestScatter:
@@ -28,38 +28,6 @@ class TestScatter:
     def test_degenerate_single_point(self):
         plot = ascii_scatter({"a": [(1.0, 1.0)]}, width=10, height=3)
         assert "o" in plot  # no division-by-zero on zero spans
-
-
-class TestStepSeries:
-    def test_empty(self):
-        assert ascii_step_series([]) == "(no data)"
-
-    def test_bars_fill_from_bottom(self):
-        plot = ascii_step_series([(0.0, 1.0), (1.0, 3.0)], width=10, height=6)
-        lines = plot.splitlines()
-        bottom_row = lines[-3]  # last grid row before the border
-        assert "#" in bottom_row
-
-    def test_higher_value_taller_column(self):
-        plot = ascii_step_series([(0.0, 1.0), (1.0, 10.0)], width=20, height=10)
-        grid = [line[1:-1] for line in plot.splitlines() if line.startswith("|")]
-        first_col_height = sum(1 for row in grid if row[0] == "#")
-        last_col_height = sum(1 for row in grid if row[-1] == "#")
-        assert last_col_height > first_col_height
-
-    def test_staircase_holds_last_value(self):
-        # Sparse samples: intermediate columns repeat the last value.
-        plot = ascii_step_series([(0.0, 5.0), (10.0, 5.0)], width=12, height=5)
-        grid = [line[1:-1] for line in plot.splitlines() if line.startswith("|")]
-        top_row_filled = all(ch == "#" for ch in grid[0])
-        assert top_row_filled
-
-    def test_axis_labels(self):
-        plot = ascii_step_series(
-            [(0.0, 1.0)], x_label="t", y_label="cwnd", title="win"
-        )
-        assert plot.splitlines()[0] == "win"
-        assert "cwnd" in plot and "t:" in plot
 
 
 class TestTable:
